@@ -397,8 +397,8 @@ void BM_DependenceEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_DependenceEndToEnd);
 
-// Same program, but with the analyzer behind a HookList — the exact hook
-// topology workloads::run_workload builds for mode 3 (fan-out composite).
+// Same program, but with the analyzer behind a HookList — the fan-out
+// composite a Session builds when a mode installs two or more hooks.
 void BM_DependenceEndToEndHooked(benchmark::State& state) {
   const js::Program program = js::parse(
       "var acc = {sum: 0};\n"

@@ -2,16 +2,11 @@
 
 #include <string>
 
-#include "ceres/dependence_analyzer.h"
-#include "ceres/lightweight_profiler.h"
-#include "dom/page.h"
-#include "interp/interpreter.h"
 #include "js/lexer.h"
 #include "js/parser.h"
-#include "rivertrail/thread_pool.h"
 #include "support/cancel.h"
-#include "support/clock.h"
 #include "support/limits.h"
+#include "support/session.h"
 
 namespace jsceres::fuzz {
 
@@ -29,35 +24,31 @@ struct RunResult {
   std::int64_t wall_ns = 0;
 };
 
-RunResult run_once(const js::Program& program, interp::ExecutionHooks* hooks,
-                   bool with_page, bool frame_graph, std::int64_t horizon_ms,
-                   const interp::InterpreterConfig& config = {}) {
+/// Run `session` — main script, then (`with_page`) a page's event loop to
+/// `horizon_ms` — and capture what the oracles compare. An uncaught JS throw
+/// or limit trip is an observable outcome here, not an oracle failure.
+RunResult observe(Session& session, bool with_page, std::int64_t horizon_ms) {
   RunResult result;
-  VirtualClock clock;
-  interp::Interpreter interp(program, clock, hooks, config);
+  if (with_page) session.open_page();
   try {
-    if (with_page) {
-      dom::Page page(interp);
-      if (frame_graph) {
-        rivertrail::ThreadPool pool(2);
-        page.event_loop().enable_frame_graph(pool);
-        interp.run();
-        page.event_loop().run(horizon_ms);
-      } else {
-        interp.run();
-        page.event_loop().run(horizon_ms);
-      }
-    } else {
-      interp.run();
-    }
+    session.run(horizon_ms);
   } catch (const interp::EngineError& e) {
     result.engine_error = true;
     result.error = e.what();
   }
-  result.console = interp.console_output();
-  result.cpu_ns = clock.cpu_ns();
-  result.wall_ns = clock.wall_ns();
+  result.console = session.interp().console_output();
+  result.cpu_ns = session.clock().cpu_ns();
+  result.wall_ns = session.clock().wall_ns();
   return result;
+}
+
+/// The tight sandbox of the limit-recovery and supervision oracles.
+SessionSandbox tight_sandbox(CancelToken cancel = {}) {
+  SessionSandbox sandbox;
+  sandbox.max_ticks = 2'000'000;
+  sandbox.limits.max_memory_bytes = 4u << 20;
+  sandbox.cancel = cancel;
+  return sandbox;
 }
 
 /// Empty detail == the runs agree.
@@ -101,32 +92,12 @@ OracleOutcome check_program(const std::string& source,
 
   // 1. Mode invariance: lightweight profiling must not perturb execution.
   {
-    const RunResult plain = run_once(program, nullptr, page, false, horizon);
-    // The profiler reads the run's own clock, so this twin of run_once is
-    // built by hand around the shared VirtualClock.
-    RunResult profiled;
-    {
-      VirtualClock clock;
-      ceres::LightweightProfiler profiler(clock);
-      interp::Interpreter interp(program, clock, &profiler);
-      try {
-        if (page) {
-          dom::Page dom_page(interp);
-          interp.run();
-          dom_page.event_loop().run(horizon);
-        } else {
-          interp.run();
-        }
-      } catch (const interp::EngineError& e) {
-        profiled.engine_error = true;
-        profiled.error = e.what();
-      }
-      profiled.console = interp.console_output();
-      profiled.cpu_ns = clock.cpu_ns();
-      profiled.wall_ns = clock.wall_ns();
-      if (profiler.in_loops_ns() > clock.wall_ns()) {
-        return fail("mode-invariance", "in-loops time exceeds wall time");
-      }
+    Session plain_session(program, CeresMode::Uninstrumented);
+    const RunResult plain = observe(plain_session, page, horizon);
+    Session profiled_session(program, CeresMode::Lightweight);
+    const RunResult profiled = observe(profiled_session, page, horizon);
+    if (profiled_session.lightweight()->in_loops_ns() > profiled.wall_ns) {
+      return fail("mode-invariance", "in-loops time exceeds wall time");
     }
     if (const std::string detail = diff_runs(plain, profiled); !detail.empty()) {
       return fail("mode-invariance", detail);
@@ -137,14 +108,9 @@ OracleOutcome check_program(const std::string& source,
   {
     std::string reports[2];
     for (int round = 0; round < 2; ++round) {
-      ceres::DependenceAnalyzer analyzer(program);
-      VirtualClock clock;
-      interp::Interpreter interp(program, clock, &analyzer);
-      try {
-        interp.run();
-      } catch (const interp::EngineError&) {
-        // An uncaught JS throw is legal fuzz output; both rounds see it.
-      }
+      Session session(program, CeresMode::Dependence);
+      observe(session, false, 0);  // both rounds see any uncaught JS throw
+      const ceres::DependenceAnalyzer& analyzer = *session.dependence();
       reports[round] = analyzer.report();
       for (const auto& warning : analyzer.warnings()) {
         bool seen_dep = false;
@@ -168,8 +134,11 @@ OracleOutcome check_program(const std::string& source,
 
   // 3. Serial vs frame-graph event loop (timer programs only).
   if (page) {
-    const RunResult serial = run_once(program, nullptr, true, false, horizon);
-    const RunResult pipelined = run_once(program, nullptr, true, true, horizon);
+    Session serial_session(program, CeresMode::Uninstrumented);
+    const RunResult serial = observe(serial_session, true, horizon);
+    Session pipelined_session(program, CeresMode::Uninstrumented);
+    pipelined_session.enable_frame_graph();
+    const RunResult pipelined = observe(pipelined_session, true, horizon);
     if (const std::string detail = diff_runs(serial, pipelined);
         !detail.empty()) {
       return fail("event-loop", detail);
@@ -179,14 +148,11 @@ OracleOutcome check_program(const std::string& source,
   // 4. Sandbox recovery: a tight-limit run either completes or trips a
   // recoverable EngineError, and the engine object stays usable.
   {
-    interp::InterpreterConfig config;
-    config.max_ticks = 2'000'000;
-    config.limits.max_memory_bytes = 4u << 20;
-    VirtualClock clock;
-    interp::Interpreter interp(program, clock, nullptr, config);
+    Session session(program, CeresMode::Uninstrumented, tight_sandbox());
+    interp::Interpreter& interp = session.interp();
     bool tripped = false;
     try {
-      interp.run();
+      session.run();
     } catch (const interp::EngineError&) {
       tripped = true;
     } catch (...) {
@@ -247,16 +213,13 @@ OracleOutcome check_supervised(const std::string& source,
       cancel_source.cancel_after_observations(point);
     }
 
-    interp::InterpreterConfig config;
-    config.max_ticks = 2'000'000;
-    config.limits.max_memory_bytes = 4u << 20;
-    config.cancel = CancelToken(cancel_source);
-    VirtualClock clock;
-    interp::Interpreter interp(program, clock, nullptr, config);
+    Session session(program, CeresMode::Uninstrumented,
+                    tight_sandbox(CancelToken(cancel_source)));
+    interp::Interpreter& interp = session.interp();
 
     const std::string where = " (cancel point " + std::to_string(point) + ")";
     try {
-      interp.run();
+      session.run();
     } catch (const CancelledError&) {
       // cancelled: the legal third outcome.
     } catch (const interp::EngineError&) {
@@ -290,24 +253,19 @@ OracleOutcome check_supervised(const std::string& source,
                                      std::int64_t(9)}) {
       CancelSource cancel_source;
       cancel_source.cancel_after_observations(point);
-      interp::InterpreterConfig config;
-      config.max_ticks = 2'000'000;
-      config.limits.max_memory_bytes = 4u << 20;
-      config.cancel = CancelToken(cancel_source);
-      VirtualClock clock;
-      interp::Interpreter interp(program, clock, nullptr, config);
+      Session session(program, CeresMode::Uninstrumented,
+                    tight_sandbox(CancelToken(cancel_source)));
       const std::string where =
           " (event-loop cancel point " + std::to_string(point) + ")";
       try {
-        dom::Page page(interp);
-        interp.run();
-        page.event_loop().run(options.horizon_ms, config.cancel);
+        session.open_page();
+        session.run(options.horizon_ms);
       } catch (const interp::EngineError&) {
         // CancelledError or a limit trip: both contained.
       } catch (...) {
         return fail("supervision", "non-EngineError escaped" + where);
       }
-      if (interp.debug_arg_stack_in_use() != 0) {
+      if (session.interp().debug_arg_stack_in_use() != 0) {
         return fail("supervision", "argument stack not empty" + where);
       }
     }
@@ -396,13 +354,10 @@ HostileReport run_hostile_case(const HostileCase& hostile) {
     return report;
   }
 
-  interp::InterpreterConfig config;
-  config.max_ticks = hostile.max_ticks;
-  config.limits = limits;
-  VirtualClock clock;
-  interp::Interpreter interp(program, clock, nullptr, config);
+  Session session(program, CeresMode::Uninstrumented, {limits, hostile.max_ticks, {}});
+  interp::Interpreter& interp = session.interp();
   try {
-    interp.run();
+    session.run();
     report.error = "ran to completion without tripping a limit";
     return report;
   } catch (const interp::EngineError& e) {

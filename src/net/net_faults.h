@@ -15,14 +15,16 @@
 // Sweeping K across the event count of a fixed loopback request proves
 // every interleaving ends in either a served outcome or a structured
 // client-side error, with the server still accepting afterwards — never a
-// hang and never a crash. Disarmed cost is one relaxed atomic load per
+// hang and never a crash. The countdown and event count are a
+// support/fault_point.h FaultPoint; disarmed cost is one atomic load per
 // I/O event, noise against the syscall it guards.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
 #include <sys/socket.h>
+
+#include "support/fault_point.h"
 
 namespace jsceres::net::io_faults {
 
@@ -36,56 +38,30 @@ struct Decision {
   std::size_t cap = 0;
 };
 
-struct State {
-  std::atomic<bool> armed{false};
-  std::atomic<std::int64_t> countdown{0};  // fires when a fetch_sub hits 1
-  std::atomic<int> kind{0};
-  /// I/O events observed while armed. Arm with a huge countdown to count a
-  /// workload's events without firing (sweep sizing).
-  std::atomic<std::int64_t> events{0};
-  /// Faults actually fired since arm() (0 or 1 per plan).
-  std::atomic<std::int64_t> fired{0};
-};
-
-inline State& state() {
-  static State s;
-  return s;
+inline FaultPoint<Kind>& point() {
+  static FaultPoint<Kind> p;
+  return p;
 }
 
 /// Arm one fault at the `after`-th socket I/O event from now (1 = the very
 /// next event). Process-global: tests arm/disarm around quiesced sockets.
-inline void arm(Kind kind, std::int64_t after) {
-  State& s = state();
-  s.kind.store(int(kind), std::memory_order_relaxed);
-  s.events.store(0, std::memory_order_relaxed);
-  s.fired.store(0, std::memory_order_relaxed);
-  s.countdown.store(after, std::memory_order_relaxed);
-  s.armed.store(true, std::memory_order_release);
-}
+inline void arm(Kind kind, std::int64_t after) { point().arm(kind, after); }
 
-inline void disarm() { state().armed.store(false, std::memory_order_release); }
+inline void disarm() { point().disarm(); }
 
 [[nodiscard]] inline std::int64_t events_observed() {
-  return state().events.load(std::memory_order_relaxed);
+  return point().events_observed();
 }
 
-[[nodiscard]] inline std::int64_t faults_fired() {
-  return state().fired.load(std::memory_order_relaxed);
-}
-
-/// Slow path, called only while armed.
-inline Decision fire(int fd, bool is_read) {
-  State& s = state();
-  s.events.fetch_add(1, std::memory_order_relaxed);
-  if (s.countdown.fetch_sub(1, std::memory_order_acq_rel) != 1) return {};
-  s.fired.fetch_add(1, std::memory_order_relaxed);
-  switch (Kind(s.kind.load(std::memory_order_acquire))) {
+/// One socket I/O event on `fd`: the injected decision, or a default
+/// Decision when disarmed or when this is not the armed K-th event.
+inline Decision on_event(int fd, bool is_read) {
+  if (!point().armed() || !point().due()) return {};
+  switch (point().kind()) {
     case Kind::ShortRead:
-      if (is_read) return {Decision::Act::Proceed, 1};
-      return {};
+      return is_read ? Decision{Decision::Act::Proceed, 1} : Decision{};
     case Kind::ShortWrite:
-      if (!is_read) return {Decision::Act::Proceed, 1};
-      return {};
+      return is_read ? Decision{} : Decision{Decision::Act::Proceed, 1};
     case Kind::Eintr:
       return {Decision::Act::Eintr, 0};
     case Kind::Disconnect:
@@ -93,13 +69,6 @@ inline Decision fire(int fd, bool is_read) {
       return {Decision::Act::Disconnect, 0};
   }
   return {};
-}
-
-/// One socket I/O event on `fd`. Returns the injected decision (a default
-/// Decision when disarmed or the plan already fired).
-inline Decision on_event(int fd, bool is_read) {
-  if (!state().armed.load(std::memory_order_acquire)) return {};
-  return fire(fd, is_read);
 }
 
 }  // namespace jsceres::net::io_faults

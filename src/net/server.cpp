@@ -140,12 +140,13 @@ void AnalysisServer::accept_main() {
       // The wire mirror of the service's structured shed: the excess
       // connection learns WHY before the close, within a short write
       // budget so a non-reading flooder cannot stall the accept loop.
+      // Counted first, so a client that reads the frame sees the count.
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+      JSCERES_OBS_COUNT("net.connections_rejected", 1);
       const std::vector<std::uint8_t> busy = make_error_frame(
           0, WireError::ServerBusy, "connection cap reached, retry later");
       write_all(fd, busy.data(), busy.size(), 200);
       ::close(fd);
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      JSCERES_OBS_COUNT("net.connections_rejected", 1);
       continue;
     }
 

@@ -3,9 +3,8 @@
 // Scheduler-level fault injection (PR 6's fail-after-N-allocations sweep,
 // lifted to the scheduling layer). Every cooperative scheduling event — a
 // task popped/stolen/claimed by the pool, a parallel_for leaf span, a
-// pipeline stage body, a TaskGraph node body — reports through
-// JSCERES_SCHED_EVENT*; an armed plan fires exactly one fault at the K-th
-// event:
+// pipeline stage body, a TaskGraph node body — reports through event() or
+// event_nothrow(); an armed plan fires exactly one fault at the K-th event:
 //
 //   TaskThrow       throw InjectedFault from inside the task body's try
 //                   region (drains through the first-exception-wins gate),
@@ -14,22 +13,16 @@
 //
 // Sweeping K across the event count of a fixed workload proves every
 // interleaving leaves the pool (and any supervised session) reusable.
-//
-// Compile-time-zero-cost when off: build with -DJSCERES_SCHED_FAULTS=0 and
-// the event macros expand to nothing. The default keeps the hook compiled in
-// as a single relaxed atomic load and branch per event (disarmed), which is
-// noise against any task body; test binaries rely on the default so the
-// sweep runs in the stock tier-1 / TSan / ASan builds.
+// The countdown is a support/fault_point.h FaultPoint. Disarmed, an event is
+// one atomic load and branch, noise against any task body, so the hook is
+// always compiled in and the sweep runs in every tier-1 / TSan / ASan build.
 
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
 
 #include "support/cancel.h"
-
-#ifndef JSCERES_SCHED_FAULTS
-#define JSCERES_SCHED_FAULTS 1
-#endif
+#include "support/fault_point.h"
 
 namespace jsceres::rivertrail::sched_faults {
 
@@ -43,19 +36,14 @@ struct InjectedFault : std::runtime_error {
 enum class Kind : int { TaskThrow = 0, Cancel = 1, DeadlineExpire = 2 };
 
 struct State {
-  std::atomic<bool> armed{false};
-  std::atomic<std::int64_t> countdown{0};  // fires when a fetch_sub hits 1
-  std::atomic<int> kind{0};
+  FaultPoint<Kind> point;
   /// A TaskThrow that landed on a non-throwing site (the pool's dispatch
   /// path, where an exception would escape worker_main) is deferred here and
   /// consumed by the next throwing site.
   std::atomic<bool> pending_throw{false};
-  /// Victim for Cancel/DeadlineExpire. Written before arming (release),
-  /// must outlive the armed window.
+  /// Victim for Cancel/DeadlineExpire. Written before arming, must outlive
+  /// the armed window.
   std::atomic<CancelSource*> victim{nullptr};
-  /// Scheduling events observed while armed. Arm with a huge countdown to
-  /// count a workload's events without firing (sweep sizing).
-  std::atomic<std::int64_t> events{0};
 };
 
 inline State& state() {
@@ -67,23 +55,20 @@ inline State& state() {
 /// next event). Process-global: tests arm/disarm around a quiesced pool.
 inline void arm(Kind kind, std::int64_t after, CancelSource* victim = nullptr) {
   State& s = state();
-  s.kind.store(int(kind), std::memory_order_relaxed);
   s.victim.store(victim, std::memory_order_relaxed);
   s.pending_throw.store(false, std::memory_order_relaxed);
-  s.events.store(0, std::memory_order_relaxed);
-  s.countdown.store(after, std::memory_order_relaxed);
-  s.armed.store(true, std::memory_order_release);
+  s.point.arm(kind, after);
 }
 
 inline void disarm() {
   State& s = state();
-  s.armed.store(false, std::memory_order_release);
+  s.point.disarm();
   s.pending_throw.store(false, std::memory_order_relaxed);
   s.victim.store(nullptr, std::memory_order_relaxed);
 }
 
 [[nodiscard]] inline std::int64_t events_observed() {
-  return state().events.load(std::memory_order_relaxed);
+  return state().point.events_observed();
 }
 
 /// Slow path, called only while armed. `may_throw` marks sites whose
@@ -91,12 +76,12 @@ inline void disarm() {
 /// defer TaskThrow to the next throwing one.
 inline void fire(bool may_throw) {
   State& s = state();
-  s.events.fetch_add(1, std::memory_order_relaxed);
+  const bool due = s.point.due();
   if (may_throw && s.pending_throw.exchange(false, std::memory_order_acq_rel)) {
     throw InjectedFault("injected task-body fault (deferred)");
   }
-  if (s.countdown.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-  switch (Kind(s.kind.load(std::memory_order_acquire))) {
+  if (!due) return;
+  switch (s.point.kind()) {
     case Kind::TaskThrow:
       if (may_throw) throw InjectedFault("injected task-body fault");
       s.pending_throw.store(true, std::memory_order_release);
@@ -114,20 +99,15 @@ inline void fire(bool may_throw) {
   }
 }
 
-inline void event(bool may_throw) {
-  if (state().armed.load(std::memory_order_acquire)) fire(may_throw);
+/// A scheduling event inside a try region that drains through an ErrorSlot.
+inline void event() {
+  if (state().point.armed()) fire(true);
+}
+
+/// A scheduling event on the pool's dispatch path (throwing would escape
+/// worker_main): fires only cancel/deadline faults, defers TaskThrow.
+inline void event_nothrow() {
+  if (state().point.armed()) fire(false);
 }
 
 }  // namespace jsceres::rivertrail::sched_faults
-
-#if JSCERES_SCHED_FAULTS
-/// A scheduling event inside a try region that drains through an ErrorSlot.
-#define JSCERES_SCHED_EVENT() ::jsceres::rivertrail::sched_faults::event(true)
-/// A scheduling event on the pool's dispatch path (throwing would escape
-/// worker_main): fires only cancel/deadline faults, defers TaskThrow.
-#define JSCERES_SCHED_EVENT_NOTHROW() \
-  ::jsceres::rivertrail::sched_faults::event(false)
-#else
-#define JSCERES_SCHED_EVENT() ((void)0)
-#define JSCERES_SCHED_EVENT_NOTHROW() ((void)0)
-#endif

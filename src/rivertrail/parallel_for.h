@@ -169,7 +169,7 @@ void run_range(LoopDesc<Body>& desc, std::int64_t lo, std::int64_t hi) {
     const std::int64_t span_hi = std::min(hi, lo + desc.leaf_cap);
     if (!desc.error.has_failed() && !desc.cancel.cancelled()) {
       try {
-        JSCERES_SCHED_EVENT();
+        sched_faults::event();
         (*desc.body)(lo, span_hi);
       } catch (...) {
         desc.error.capture();
@@ -288,7 +288,7 @@ void parallel_for(ThreadPool& pool, std::int64_t begin, std::int64_t end, Body b
       // empties fast, but skips every body: the gate still counts tasks.
       if (!d.error.has_failed() && !d.cancel.cancelled()) {
         try {
-          JSCERES_SCHED_EVENT();
+          sched_faults::event();
           (*d.body)(lo, hi);
         } catch (...) {
           d.error.capture();
@@ -333,7 +333,7 @@ void parallel_chunks(ThreadPool& pool, std::int64_t n, std::int64_t chunks,
     CompletionGate& g = *d.gate;
     if (!d.error.has_failed() && !d.cancel.cancelled()) {
       try {
-        JSCERES_SCHED_EVENT();
+        sched_faults::event();
         (*d.fn)(c, d.n * c / d.chunks, d.n * (c + 1) / d.chunks);
       } catch (...) {
         d.error.capture();

@@ -130,7 +130,7 @@ struct PipelineRun {
     const std::int64_t obs_body_start = obs::mono_ns();
 #endif
     try {
-      JSCERES_SCHED_EVENT();
+      sched_faults::event();
       if (!stages[stage].fn(ticket) && stage == 0) {
         // Input dried up at this ticket: it and everything after are
         // bubbles. min-CAS so a (misused) parallel input stage stays safe.

@@ -63,7 +63,7 @@ void TaskGraph::execute(NodeId id) {
     Node& node = nodes_[id];
     if (!error_.has_failed() && !cancel_.cancelled()) {
       try {
-        JSCERES_SCHED_EVENT();
+        sched_faults::event();
         node.body();
       } catch (...) {
         error_.capture();

@@ -212,7 +212,7 @@ class ThreadPool {
     const bool found = find_nonlocal(scan_origin(), &task);
     hungry_.fetch_sub(1, std::memory_order_relaxed);
     if (found) {
-      JSCERES_SCHED_EVENT_NOTHROW();  // claim-by-helper scheduling event
+      sched_faults::event_nothrow();  // claim-by-helper scheduling event
       JSCERES_OBS_COUNT("sched.tasks_helped", 1);
       JSCERES_OBS_SPAN("sched", "task");
       task.run();
@@ -283,7 +283,7 @@ class ThreadPool {
       }
       hungry_.fetch_sub(1, std::memory_order_relaxed);
       if (found) {
-        JSCERES_SCHED_EVENT_NOTHROW();  // steal/inject-claim scheduling event
+        sched_faults::event_nothrow();  // steal/inject-claim scheduling event
         JSCERES_OBS_SPAN("sched", "task");
         task.run();
         continue;
@@ -298,7 +298,7 @@ class ThreadPool {
   void run_owned(Worker& self, Task* task) {
     Task local = *task;
     self.slab.release(task);
-    JSCERES_SCHED_EVENT_NOTHROW();  // own-deque pop scheduling event
+    sched_faults::event_nothrow();  // own-deque pop scheduling event
     JSCERES_OBS_COUNT("sched.tasks_own", 1);
     JSCERES_OBS_SPAN("sched", "task");
     local.run();

@@ -51,6 +51,7 @@ struct Registry {
 
   std::mutex shard_mutex;
   std::vector<detail::Shard*> shards;
+  std::vector<detail::Shard*> free_shards;  // returned by exited threads
 };
 
 Registry& registry() {
@@ -181,18 +182,38 @@ namespace detail {
 
 constinit thread_local Shard* tls_shard = nullptr;
 
-Shard* acquire_shard() {
-  auto* shard = new Shard();  // zero-initialized atomics; never freed
-  for (auto& cell : shard->cells) {
-    cell.store(0, std::memory_order_relaxed);
-  }
-  Registry& r = registry();
-  {
+namespace {
+
+/// Hands the thread's shard back to the registry's free list at thread exit.
+struct ShardLease {
+  Shard* shard = nullptr;
+  ~ShardLease() {
+    Registry& r = registry();
     const std::lock_guard lock(r.shard_mutex);
-    r.shards.push_back(shard);
+    if (shard != nullptr) r.free_shards.push_back(shard);
+    tls_shard = nullptr;
   }
-  tls_shard = shard;
-  return shard;
+};
+thread_local ShardLease tls_lease;
+
+}  // namespace
+
+Shard* acquire_shard() {
+  Registry& r = registry();
+  const std::lock_guard lock(r.shard_mutex);
+  if (r.free_shards.empty()) {
+    r.shards.push_back(new Shard());  // zero-initialized atomics; never freed
+    r.free_shards.push_back(r.shards.back());
+  }
+  tls_shard = tls_lease.shard = r.free_shards.back();
+  r.free_shards.pop_back();
+  return tls_shard;
+}
+
+std::size_t shards_allocated() {
+  Registry& r = registry();
+  const std::lock_guard lock(r.shard_mutex);
+  return r.shards.size();
 }
 
 }  // namespace detail

@@ -21,7 +21,7 @@
 // (tasks, stages, frames) that this is noise while staying TSan-clean and
 // collectable at any instant.
 //
-// Zero-cost when disabled, following fault_injection.h: build with
+// Zero-cost when disabled: build with
 // -DJSCERES_OBS=0 and every probe macro expands to ((void)0) — verified by
 // bench/ablation_instrumentation_overhead.cpp. The obs classes themselves
 // stay compiled either way (direct API calls are not probes), so tests and
@@ -63,10 +63,14 @@ struct Shard {
   std::atomic<std::uint64_t> cells[kMaxCells];
 };
 
-/// Allocate + globally register this thread's shard (cold, once per
-/// thread). Shards are never freed: aggregation must see counts from
-/// threads that have already exited.
+/// This thread's shard (cold, once per thread): a shard an exited thread
+/// returned, or a newly registered one. Shards are never freed and never
+/// zeroed on reuse — aggregation sums every shard, so counts from exited
+/// threads stay in the totals — and a thread hands its shard back at exit.
 Shard* acquire_shard();
+
+/// Shards ever allocated (the registry's size, reused ones counted once).
+std::size_t shards_allocated();
 
 // constinit is load-bearing: without it, every other TU must assume the
 // extern thread_local might need dynamic initialization and route each

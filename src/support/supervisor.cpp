@@ -2,21 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <thread>
 #include <utility>
 
-#include "ceres/dependence_analyzer.h"
-#include "ceres/lightweight_profiler.h"
-#include "dom/page.h"
-#include "interp/interpreter.h"
 #include "js/lexer.h"
 #include "js/parser.h"
 #include "rivertrail/fault_injection.h"
 #include "rivertrail/parallel_for.h"
 #include "rivertrail/thread_pool.h"
-#include "support/clock.h"
 #include "support/obs.h"
+#include "support/session.h"
 
 namespace jsceres {
 
@@ -70,68 +65,13 @@ const char* keyword(AttemptClass c) {
   return "?";
 }
 
-/// Built-in attempt body: parse + run `request.source` at `mode` under the
-/// attempt's budgets, observing `token` in the interpreter's tick probe and
-/// the event loop's dispatch boundary. Throws for the supervisor to
-/// classify; verifies the engine's post-failure invariants on the way out.
-AttemptSuccess run_builtin_attempt(const SessionRequest& request, int mode,
-                                   const EngineLimits& limits,
-                                   std::int64_t max_ticks, CancelToken token) {
-  const js::Program program =
-      js::parse(request.source, "<session:" + request.name + ">", limits);
-
-  VirtualClock clock;
-  std::unique_ptr<ceres::DependenceAnalyzer> dependence;
-  std::unique_ptr<ceres::LightweightProfiler> lightweight;
-  interp::ExecutionHooks* hooks = nullptr;
-  if (mode >= 3) {
-    dependence = std::make_unique<ceres::DependenceAnalyzer>(program);
-    hooks = dependence.get();
-  } else if (mode >= 1) {
-    lightweight = std::make_unique<ceres::LightweightProfiler>(clock);
-    hooks = lightweight.get();
+/// The engine's post-failure invariant, checked after every built-in
+/// attempt whether it returned or threw (a dirty stack outranks the
+/// in-flight failure).
+void check_invariants(Session& session) {
+  if (session.interp().debug_arg_stack_in_use() != 0) {
+    throw RuntimeInvariantError("argument stack not unwound after attempt");
   }
-
-  interp::InterpreterConfig config;
-  // Supervisor convention: <=0 means "no tick budget". The interpreter's own
-  // sentinel is negative-only (0 arms a zero-tick budget), so translate.
-  config.max_ticks = max_ticks > 0 ? max_ticks : -1;
-  config.limits = limits;
-  config.cancel = token;
-  interp::Interpreter interp(program, clock, hooks, config);
-
-  const auto check_invariants = [&interp] {
-    if (interp.debug_arg_stack_in_use() != 0) {
-      throw RuntimeInvariantError("argument stack not unwound after attempt");
-    }
-  };
-
-  try {
-    if (request.has_timers) {
-      dom::Page page(interp);
-      // Frame graph works without a canvas (the kernel stage no-ops); the
-      // point is exercising the pipelined frame path under supervision and
-      // emitting its per-stage spans into any active trace.
-      if (request.frame_pool != nullptr) {
-        page.event_loop().enable_frame_graph(*request.frame_pool);
-      }
-      interp.run();
-      page.event_loop().run(request.horizon_ms, token);
-    } else {
-      interp.run();
-    }
-  } catch (...) {
-    check_invariants();  // a dirty stack outranks the in-flight failure
-    throw;
-  }
-  check_invariants();
-
-  AttemptSuccess success;
-  success.console = interp.console_output();
-  success.cpu_ns = clock.cpu_ns();
-  success.wall_ns = clock.wall_ns();
-  success.peak_bytes = interp.ledger().peak();
-  return success;
 }
 
 /// Run one attempt through its fault boundary and classify the result.
@@ -145,7 +85,26 @@ AttemptClass run_attempt(const SessionRequest& request, int mode,
     if (request.attempt) {
       success = request.attempt(request, mode, limits, max_ticks, token);
     } else {
-      success = run_builtin_attempt(request, mode, limits, max_ticks, token);
+      // Built-in body: `request.source` as a Session at this rung and
+      // budget, with a page and event loop for timer programs.
+      const js::Program program =
+          js::parse(request.source, "<session:" + request.name + ">", limits);
+      Session session(program, mode_of_rung(mode), {limits, max_ticks, token});
+      if (request.has_timers) {
+        session.open_page();
+        // Frame graph without a canvas (the kernel stage no-ops): exercises
+        // the pipelined frame path under supervision and its stage spans.
+        if (request.frame_pool != nullptr) session.enable_frame_graph(request.frame_pool);
+      }
+      try {
+        session.run(request.horizon_ms);
+      } catch (...) {
+        check_invariants(session);
+        throw;
+      }
+      check_invariants(session);
+      success = {session.interp().console_output(), session.clock().cpu_ns(),
+                 session.clock().wall_ns(), session.interp().ledger().peak()};
     }
   } catch (const CancelledError& e) {
     record.error = e.what();

@@ -20,7 +20,7 @@ int line_of_marker(const std::string& source, const std::string& marker) {
 LightweightResult InstrumentedRun::table2_row() const {
   LightweightResult row;
   row.total_s = clock.wall_seconds();
-  if (sampler != nullptr) {
+  if (const ceres::SamplingProfiler* sampler = session.sampler()) {
     row.active_s = sampler->active_seconds();
   } else {
     row.active_s = clock.cpu_seconds();
@@ -33,83 +33,48 @@ LightweightResult InstrumentedRun::table2_row() const {
   return row;
 }
 
-InstrumentedRun run_workload(const Workload& workload, Mode mode,
-                             double scale_override, const SessionKnobs* knobs) {
-  InstrumentedRun run;
-  run.program = js::parse(workload.source, workload.name,
-                          knobs != nullptr ? knobs->limits : EngineLimits{});
-
-  run.hooks = std::make_unique<interp::HookList>();
-  if (mode == Mode::Lightweight || mode == Mode::Combined) {
-    run.lightweight = std::make_unique<ceres::LightweightProfiler>(run.clock);
-    run.sampler = std::make_unique<ceres::SamplingProfiler>(run.clock);
-    run.hooks->add(run.lightweight.get());
-    run.hooks->add(run.sampler.get());
-  }
-  if (mode == Mode::LoopProfile || mode == Mode::Combined) {
-    run.loops = std::make_unique<ceres::LoopProfiler>(run.clock);
-    run.hooks->add(run.loops.get());
-  }
-  if (mode == Mode::Dependence || mode == Mode::Combined) {
-    run.dependence = std::make_unique<ceres::DependenceAnalyzer>(run.program);
-    run.hooks->add(run.dependence.get());
-  }
-
+InstrumentedRun::InstrumentedRun(const Workload& workload, Mode mode,
+                                 double scale_override, const SessionKnobs* knobs)
+    : program(js::parse(workload.source, workload.name,
+                        knobs != nullptr ? knobs->limits : EngineLimits{})),
+      session(program, mode, knobs != nullptr ? *knobs : SessionKnobs{},
+              workload.preempt_interval_ticks, workload.preempt_block_ns),
+      clock(session.clock()),
+      interp(&session.interp()),
+      lightweight(session.lightweight()),
+      loops(session.loops()),
+      dependence(session.dependence()) {
   double scale = 1.0;
   if (mode == Mode::Dependence) scale = workload.dependence_scale;
   if (scale_override > 0) scale = scale_override;
+  interp->define_global("SCALE", interp::Value::number(scale));
 
-  interp::InterpreterConfig config;
-  config.preempt_interval_ticks = workload.preempt_interval_ticks;
-  config.preempt_block_ns = workload.preempt_block_ns;
-  if (knobs != nullptr) {
-    config.limits = knobs->limits;
-    // Knob convention: <=0 means "no tick budget" (the interpreter's own
-    // sentinel is negative-only; 0 would arm a zero-tick budget).
-    config.max_ticks = knobs->max_ticks > 0 ? knobs->max_ticks : -1;
-    config.cancel = knobs->cancel;
-  }
-  // Mode 0: hand the interpreter a null hook pointer so even the per-event
-  // virtual dispatch disappears — the engine-only baseline.
-  interp::ExecutionHooks* hooks =
-      mode == Mode::Uninstrumented ? nullptr : run.hooks.get();
-  run.interp = std::make_unique<interp::Interpreter>(run.program, run.clock,
-                                                     hooks, config);
-  run.interp->define_global("SCALE", interp::Value::number(scale));
-
-  run.page = std::make_unique<dom::Page>(*run.interp);
+  page = &session.open_page();
   if (workload.canvas) {
-    run.page->add_canvas(workload.canvas_id, workload.canvas_w, workload.canvas_h);
+    page->add_canvas(workload.canvas_id, workload.canvas_w, workload.canvas_h);
   }
-
-  run.interp->run();
-  run.page->event_loop().push_user_events(workload.events);
   if (workload.pipeline_schedule == rivertrail::PipelineSchedule::FrameGraph) {
     // Frame-graph mode: rAF ticks pipeline kernel -> canvas-upload ->
-    // commit over a small worker pool so adjacent frames overlap. Two
-    // workers suffice for the 3-stage graph at depth 2; on the single-core
-    // study container they timeshare, and the overlap shows up in the
-    // per-stage span accounting rather than wall clock. Virtual-time
-    // results are unchanged by construction (the kernel stage is
-    // serial-in), so every instrumentation mode can keep the knob on.
-    run.pool = std::make_unique<rivertrail::ThreadPool>(2);
-    run.page->event_loop().enable_frame_graph(
-        *run.pool, run.page->canvas_context(workload.canvas_id).get(),
-        workload.pipeline_depth);
+    // commit over the session's own worker pool so adjacent frames overlap.
+    // On a single-core host the workers timeshare, and the overlap shows up
+    // in the per-stage span accounting rather than wall clock.
+    session.enable_frame_graph(nullptr, workload.canvas_id, workload.pipeline_depth);
   }
-  run.page->event_loop().run(workload.session_ms,
-                             knobs != nullptr ? knobs->cancel : CancelToken{});
-  if (run.sampler != nullptr) run.sampler->finish();
+  session.run(workload.session_ms, workload.events);
 
   for (const std::string& marker : workload.nest_markers) {
     const int line = line_of_marker(workload.source, marker);
-    const int loop_id = run.program.loop_id_at_line(line);
+    const int loop_id = program.loop_id_at_line(line);
     if (line == 0 || loop_id == 0) {
       throw std::runtime_error(workload.name + ": nest marker not found: " + marker);
     }
-    run.nest_roots.push_back(loop_id);
+    nest_roots.push_back(loop_id);
   }
-  return run;
+}
+
+InstrumentedRun run_workload(const Workload& workload, Mode mode,
+                             double scale_override, const SessionKnobs* knobs) {
+  return InstrumentedRun(workload, mode, scale_override, knobs);
 }
 
 // Deliberately separate from rivertrail/validator.cpp: the validator is the
@@ -218,10 +183,8 @@ std::vector<SessionOutcome> run_workloads_supervised(
                                   std::int64_t attempt_ticks,
                                   CancelToken token) {
       const SessionKnobs knobs{attempt_limits, attempt_ticks, token};
-      const Mode run_mode = mode >= 3   ? Mode::Dependence
-                            : mode >= 1 ? Mode::Lightweight
-                                        : Mode::Uninstrumented;
-      const InstrumentedRun run = run_workload(workload, run_mode, 0, &knobs);
+      const InstrumentedRun run =
+          run_workload(workload, mode_of_rung(mode), 0, &knobs);
       AttemptSuccess success;
       success.console = run.interp->console_output();
       success.cpu_ns = run.clock.cpu_ns();

@@ -1,14 +1,10 @@
 #pragma once
 
-#include <memory>
+#include <vector>
 
-#include "ceres/dependence_analyzer.h"
-#include "ceres/lightweight_profiler.h"
-#include "ceres/loop_profiler.h"
-#include "ceres/sampling_profiler.h"
-#include "dom/page.h"
 #include "js/parser.h"
 #include "rivertrail/thread_pool.h"
+#include "support/session.h"
 #include "support/supervisor.h"
 #include "workloads/workload.h"
 
@@ -22,42 +18,35 @@ struct LightweightResult {
   double in_loops_s = 0;  // mode-1 loop time
 };
 
-/// A completed instrumented run; owns everything the analyses reference.
+using Mode = CeresMode;
+
+/// Supervisor-facing knobs threaded into a run_workload session: the
+/// sandbox limits, tick budget, and cooperative cancel token of one
+/// supervised attempt. All-default knobs reproduce the unsupervised run.
+using SessionKnobs = SessionSandbox;
+
+/// A completed instrumented run of one workload; owns everything the
+/// analyses reference. Pinned in place like its Session: returned by
+/// run_workload through guaranteed copy elision.
 struct InstrumentedRun {
+  InstrumentedRun(const Workload& workload, Mode mode, double scale_override,
+                  const SessionKnobs* knobs);
+
   js::Program program;
-  VirtualClock clock;
-  std::unique_ptr<interp::HookList> hooks;
-  std::unique_ptr<ceres::LightweightProfiler> lightweight;
-  std::unique_ptr<ceres::SamplingProfiler> sampler;
-  std::unique_ptr<ceres::LoopProfiler> loops;
-  std::unique_ptr<ceres::DependenceAnalyzer> dependence;
-  std::unique_ptr<interp::Interpreter> interp;
-  std::unique_ptr<dom::Page> page;
-  /// Worker pool backing the event loop's frame-graph mode; non-null only
-  /// when the workload's pipeline_schedule is FrameGraph. Declared after
-  /// `page` so the pool outlives nothing that could still reference it
-  /// (the pipeline is always joined before run_workload returns).
-  std::unique_ptr<rivertrail::ThreadPool> pool;
+  Session session;
+
+  // Views into `session`, under the names the analyses and benches read.
+  VirtualClock& clock;
+  interp::Interpreter* interp;
+  ceres::LightweightProfiler* lightweight;
+  ceres::LoopProfiler* loops;
+  ceres::DependenceAnalyzer* dependence;
+  dom::Page* page = nullptr;
 
   /// Loop ids of the workload's reported nests (resolved nest_markers).
   std::vector<int> nest_roots;
 
   [[nodiscard]] LightweightResult table2_row() const;
-};
-
-/// The three staged instrumentation modes of the paper (§3), plus
-/// Uninstrumented (mode 0: no hooks at all — the engine-only baseline the
-/// ablation bench divides by) and Combined for tests that want everything
-/// from a single run.
-enum class Mode { Uninstrumented, Lightweight, LoopProfile, Dependence, Combined };
-
-/// Supervisor-facing knobs threaded into a run_workload session: the
-/// sandbox limits, tick budget, and cooperative cancel token of one
-/// supervised attempt. All-default knobs reproduce the unsupervised run.
-struct SessionKnobs {
-  EngineLimits limits;
-  std::int64_t max_ticks = 0;
-  CancelToken cancel;
 };
 
 /// Parse, instrument, run to completion (init + event script + session

@@ -64,6 +64,17 @@ TEST(MetricsRegistry, CounterAggregatesAcrossThreadsIncludingExitedOnes) {
             std::uint64_t(kThreads) * kAddsPerThread + 5);
 }
 
+TEST(MetricsRegistry, ExitedThreadsHandTheirShardToTheNextThread) {
+  Counter& counter = Counter::at("tobs.shard_reuse");
+  const std::size_t before = obs::detail::shards_allocated();
+  for (int t = 0; t < 256; ++t) {
+    std::thread([&counter] { counter.add(1); }).join();
+  }
+  // Reused shards keep their cells, so the total still sums every thread.
+  EXPECT_EQ(snap_value("tobs.shard_reuse"), 256u);
+  EXPECT_LE(obs::detail::shards_allocated() - before, 1u);
+}
+
 TEST(MetricsRegistry, GaugeSetAddAndSnapshotKind) {
   Gauge& gauge = Gauge::at("tobs.gauge");
   gauge.set(42);

@@ -463,14 +463,28 @@ TEST(Supervisor, HostileSuiteAlwaysProducesStructuredOutcomes) {
 
 TEST(Supervisor, RunnerIntegrationSupervisesARealWorkload) {
   rivertrail::ThreadPool pool(4);
-  // HAAR.js end to end through run_workload's page/canvas/user-event path,
-  // under supervision. No limits: it must complete at the requested mode 3.
+  // Every Table-1 app end to end through run_workload's page/canvas/
+  // user-event path, under supervision. No limits: each must complete at the
+  // requested mode 3 with exactly the answer of a bare run — supervision
+  // adds a fault boundary, never a different session.
+  std::vector<std::string> names;
+  for (const workloads::Workload& workload : workloads::all_workloads()) {
+    names.push_back(workload.name);
+  }
   const std::vector<SessionOutcome> outcomes =
-      workloads::run_workloads_supervised({"HAAR.js"}, pool);
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(outcomes[0].state, SessionState::Completed) << outcomes[0].error;
-  EXPECT_EQ(outcomes[0].final_mode, 3);
-  EXPECT_GT(outcomes[0].cpu_ns, 0);
+      workloads::run_workloads_supervised(names, pool);
+  ASSERT_EQ(outcomes.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const workloads::InstrumentedRun bare = workloads::run_workload(
+        workloads::workload_by_name(names[i]), workloads::Mode::Dependence);
+    EXPECT_EQ(outcomes[i].state, SessionState::Completed)
+        << names[i] << ": " << outcomes[i].error;
+    EXPECT_EQ(outcomes[i].final_mode, 3) << names[i];
+    EXPECT_EQ(outcomes[i].console, bare.interp->console_output()) << names[i];
+    EXPECT_EQ(outcomes[i].cpu_ns, bare.clock.cpu_ns()) << names[i];
+    EXPECT_EQ(outcomes[i].wall_ns, bare.clock.wall_ns()) << names[i];
+    EXPECT_GT(outcomes[i].cpu_ns, 0) << names[i];
+  }
 }
 
 }  // namespace
