@@ -31,8 +31,9 @@ for (var i = 0; i < 32; i++) { total += fib(10); }
 )JS";
 
 void BM_Lex(benchmark::State& state) {
+  js::AtomSpace atoms;  // shared across iterations: steady-state interns hit
   for (auto _ : state) {
-    benchmark::DoNotOptimize(js::lex(kSample));
+    benchmark::DoNotOptimize(js::lex(kSample, atoms));
   }
 }
 BENCHMARK(BM_Lex);
@@ -185,9 +186,10 @@ BENCHMARK(BM_InterpretPolymorphicProps)->Arg(1)->Arg(2)->Arg(4);
 // The property names are freshened every benchmark iteration (the `prefix`
 // global changes), so each iteration creates a brand-new shape-transition
 // chain — the regime where transitions that copy the parent's full slot
-// table cost O(N^2) allocations per object built. Note the atom table and
-// shape tree are process-lifetime arenas, so this benchmark intentionally
-// grows them; that is the measured scenario, not a leak.
+// table cost O(N^2) allocations per object built. The atoms and shapes go
+// into the one program's space and tree, which live as long as the
+// benchmark, so it intentionally grows them; that is the measured scenario,
+// not a leak.
 void BM_InterpretManyProps(benchmark::State& state) {
   const int nprops = int(state.range(0));
   const std::string n = std::to_string(nprops);
@@ -286,8 +288,8 @@ interp::LoopEvent bench_loop(int loop_id) { return interp::LoopEvent{loop_id, 1,
 // write to a loop-invariant env per iteration (deduplicated warning).
 void BM_DependenceVarWrites(benchmark::State& state) {
   const js::Program& program = dependence_bench_program();
-  const js::Atom local = js::Atom::intern("p");
-  const js::Atom shared = js::Atom::intern("total");
+  const js::Atom local = program.atoms->intern("p");
+  const js::Atom shared = program.atoms->intern("total");
   const std::int64_t kIters = 512;
   for (auto _ : state) {
     ceres::DependenceAnalyzer analyzer(program);
@@ -314,9 +316,9 @@ BENCHMARK(BM_DependenceVarWrites);
 // and flow characterization.
 void BM_DependencePropWrites(benchmark::State& state) {
   const js::Program& program = dependence_bench_program();
-  const js::Atom kx = js::Atom::intern("x");
-  const js::Atom ky = js::Atom::intern("y");
-  const js::Atom ksum = js::Atom::intern("sum");
+  const js::Atom kx = program.atoms->intern("x");
+  const js::Atom ky = program.atoms->intern("y");
+  const js::Atom ksum = program.atoms->intern("sum");
   const interp::BaseProvenance obj_base{interp::BaseProvenance::Kind::Object, 0};
   const std::int64_t kIters = 512;
   for (auto _ : state) {
@@ -349,8 +351,8 @@ BENCHMARK(BM_DependencePropWrites);
 // must make cheap.
 void BM_CharacterizeDepth(benchmark::State& state) {
   const js::Program& program = dependence_bench_program();
-  const js::Atom local = js::Atom::intern("q");
-  const js::Atom shared = js::Atom::intern("acc");
+  const js::Atom local = program.atoms->intern("q");
+  const js::Atom shared = program.atoms->intern("acc");
   const int depth = int(state.range(0));
   const std::int64_t kIters = 256;
   for (auto _ : state) {

@@ -36,7 +36,7 @@
 //
 // --soak streams N sessions (default 2000) through the resident
 // AnalysisService front-end and asserts the multi-tenant memory contract:
-// after warmup, the process-wide shared structures (atom table, shape tree,
+// after warmup, the shared structures (prefix atom table, live shapes,
 // stamp segments) and the RSS must plateau instead of growing with session
 // count, and once the stream drains, zero stamp-arena segments may remain
 // checked out. Run under ASan to additionally prove zero leaks.
@@ -58,7 +58,6 @@
 #include "interp/shape.h"
 #include "js/atom.h"
 #include "rivertrail/thread_pool.h"
-#include "support/epoch.h"
 #include "support/obs.h"
 #include "support/service.h"
 #include "support/supervisor.h"
@@ -194,13 +193,6 @@ std::size_t current_rss_bytes() {
 #endif
 }
 
-/// Advance the epoch and run one full serialized reclamation pass (shapes
-/// before the domain, per the ordering contract).
-void force_reclaim() {
-  jsceres::EpochDomain::global().advance();
-  jsceres::AnalysisService::run_reclamation_pass();
-}
-
 /// Overwrite `path` with the full metrics registry as JSON (engine gauges
 /// refreshed first). Called periodically so a crash mid-soak still leaves
 /// the last period's snapshot on disk.
@@ -230,7 +222,6 @@ int run_soak(std::uint64_t base_seed, int total,
   options.governor.ceiling_bytes = 256u << 20;
   options.watchdog_interval_ms = 100;
   options.watchdog_stuck_ms = 10'000;
-  options.reclaim_every = 8;
   int failures = 0;
   std::size_t warm_shared = 0;
   std::size_t warm_rss = 0;
@@ -284,14 +275,12 @@ int run_soak(std::uint64_t base_seed, int total,
       if (i + 1 == warmup) {
         pump(0);
         service.drain();
-        force_reclaim();
         warm_shared = AnalysisService::shared_structure_bytes();
         warm_rss = current_rss_bytes();
       }
     }
     pump(0);
     service.drain();
-    force_reclaim();
     end_shared = AnalysisService::shared_structure_bytes();
     end_rss = current_rss_bytes();
 
@@ -302,10 +291,9 @@ int run_soak(std::uint64_t base_seed, int total,
         total, stats.completed, shed, stats.degraded_admissions,
         stats.watchdog_quarantines);
     std::printf(
-        "soak: governor high-water=%zu bytes, reclaimed=%zu bytes, "
+        "soak: governor high-water=%zu bytes, "
         "queue high-water=%zu, active high-water=%zu\n",
-        stats.governor_high_water_bytes,
-        EpochDomain::global().reclaimed_bytes(), stats.queue_high_water,
+        stats.governor_high_water_bytes, stats.queue_high_water,
         stats.active_high_water);
     failures += int(runtime_faults);
     dump_metrics(service, metrics_out);
@@ -321,8 +309,8 @@ int run_soak(std::uint64_t base_seed, int total,
   }
 
   // Plateau: post-warmup growth of the shared structures must be marginal —
-  // the whole point of epoch reclamation. The slack absorbs hash-table
-  // capacity rounding and the generator's long-tail of rare atoms.
+  // every program frees its own atoms and shapes, so a drained service holds
+  // none of them. The slack absorbs hash-table capacity rounding.
   const std::size_t shared_slack = warm_shared / 2 + (1u << 20);
   std::printf("soak: shared structures warm=%zu end=%zu (slack %zu)\n",
               warm_shared, end_shared, shared_slack);

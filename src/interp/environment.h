@@ -132,12 +132,6 @@ class Environment {
     const std::int64_t index = find(name);
     return index < 0 ? nullptr : &slots_[std::size_t(index)];
   }
-  /// String-keyed convenience for hosts/tests: a name that was never
-  /// interned cannot be bound.
-  [[nodiscard]] Value* own_slot(const std::string& name) {
-    js::Atom atom;
-    return js::Atom::try_find(name, &atom) ? own_slot(atom) : nullptr;
-  }
 
   /// Slot index of an own binding, or -1. Indices are stable for the
   /// lifetime of the environment (bindings are never removed), which is what

@@ -78,11 +78,11 @@ Interpreter::Interpreter(const js::Program& program, VirtualClock& clock,
   if (hooks_ != nullptr) memory_sink_ = hooks_->memory_event_sink();
   if (memory_events_) memory_batch_.reserve(256);
 
-  atom_length_ = js::Atom::intern("length");
-  atom_prototype_ = js::Atom::intern("prototype");
-  atom_constructor_ = js::Atom::intern("constructor");
-  atom_name_ = js::Atom::intern("name");
-  atom_message_ = js::Atom::intern("message");
+  atom_length_ = atoms().intern("length");
+  atom_prototype_ = atoms().intern("prototype");
+  atom_constructor_ = atoms().intern("constructor");
+  atom_name_ = atoms().intern("name");
+  atom_message_ = atoms().intern("message");
 
   if (config_.preempt_interval_ticks > 0) {
     tick_flush_threshold_ =
@@ -109,10 +109,10 @@ Interpreter::Interpreter(const js::Program& program, VirtualClock& clock,
   global_env_ = make_env(nullptr);
   if (hooks_ != nullptr) sync_hooks()->on_env_created(global_env_->id());
 
-  object_proto_ = std::make_shared<JSObject>(next_obj_id_++);
-  array_proto_ = std::make_shared<JSObject>(next_obj_id_++);
-  string_proto_ = std::make_shared<JSObject>(next_obj_id_++);
-  function_proto_ = std::make_shared<JSObject>(next_obj_id_++);
+  object_proto_ = std::make_shared<JSObject>(next_obj_id_++, shape_root());
+  array_proto_ = std::make_shared<JSObject>(next_obj_id_++, shape_root());
+  string_proto_ = std::make_shared<JSObject>(next_obj_id_++, shape_root());
+  function_proto_ = std::make_shared<JSObject>(next_obj_id_++, shape_root());
   array_proto_->set_prototype(object_proto_);
 
   define_global("undefined", Value::undefined());
@@ -132,6 +132,9 @@ Interpreter::~Interpreter() {
   // stores it, so without this the whole global graph (stdlib included)
   // outlives every interpreter. Closures a caller still holds remain valid
   // objects; the scope chain they lose is only usable through this engine.
+  // Any object a caller keeps is valid only while the Program lives: its
+  // shape and property keys belong to the Program's shape tree and atom
+  // space, which are freed with the Program.
   if (global_env_ != nullptr) global_env_->clear_for_reuse();
   // The builtin prototype web is cyclic on its own: a prototype owns its
   // native methods, and every method's [[prototype]] link leads back into
@@ -263,14 +266,14 @@ void Interpreter::console_write(const std::string& text) {
 // ---------------------------------------------------------------------------
 
 ObjPtr Interpreter::make_object() {
-  auto obj = std::make_shared<JSObject>(next_obj_id_++);
+  auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root());
   obj->set_prototype(object_proto_);
   if (hooks_ != nullptr) sync_hooks()->on_object_created(obj->id(), 0);
   return obj;
 }
 
 ObjPtr Interpreter::make_array(std::size_t reserve) {
-  auto obj = std::make_shared<JSObject>(next_obj_id_++, JSObject::Cls::Array);
+  auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root(), JSObject::Cls::Array);
   obj->set_prototype(array_proto_);
   if (reserve > 0) {
     charge_elements(*obj, reserve);
@@ -281,7 +284,7 @@ ObjPtr Interpreter::make_array(std::size_t reserve) {
 }
 
 ObjPtr Interpreter::make_native_function(std::string name, NativeFn fn) {
-  auto obj = std::make_shared<JSObject>(next_obj_id_++, JSObject::Cls::Function);
+  auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root(), JSObject::Cls::Function);
   obj->set_prototype(function_proto_);
   auto data = std::make_unique<FunctionData>();
   data->name = std::move(name);
@@ -292,7 +295,7 @@ ObjPtr Interpreter::make_native_function(std::string name, NativeFn fn) {
 
 ObjPtr Interpreter::make_function_from_node(const js::FunctionNode& node,
                                             const EnvPtr& env) {
-  auto obj = std::make_shared<JSObject>(next_obj_id_++, JSObject::Cls::Function);
+  auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root(), JSObject::Cls::Function);
   obj->set_prototype(function_proto_);
   auto data = std::make_unique<FunctionData>();
   data->decl = &node;
@@ -301,7 +304,7 @@ ObjPtr Interpreter::make_function_from_node(const js::FunctionNode& node,
   data->fn_id = node.fn_id;
   obj->set_function(std::move(data));
   // Constructor protocol: every function carries a fresh `prototype` object.
-  auto proto = std::make_shared<JSObject>(next_obj_id_++);
+  auto proto = std::make_shared<JSObject>(next_obj_id_++, shape_root());
   proto->set_prototype(object_proto_);
   // No `proto.constructor` backref: with shared_ptr-owned objects the
   // fn <-> prototype pair would be an uncollectable cycle leaking every
@@ -313,7 +316,7 @@ ObjPtr Interpreter::make_function_from_node(const js::FunctionNode& node,
 }
 
 void Interpreter::throw_error(const std::string& kind, const std::string& message) {
-  auto obj = std::make_shared<JSObject>(next_obj_id_++);
+  auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root());
   obj->set_prototype(object_proto_);
   obj->set_property(atom_name_, Value::str(kind));
   obj->set_property(atom_message_, Value::str(message));
@@ -478,7 +481,7 @@ Value Interpreter::property_get(const Value& base, const std::string& key, int l
     }
   }
   if (memory_events_) {
-    buffer_memory_event(MemoryEvent::Kind::PropRead, obj->id(), js::Atom::intern(key), line, prov);
+    buffer_memory_event(MemoryEvent::Kind::PropRead, obj->id(), atoms().intern(key), line, prov);
   }
   for (const JSObject* walk = obj.get(); walk != nullptr;
        walk = walk->prototype().get()) {
@@ -501,7 +504,7 @@ void Interpreter::property_set(const Value& base, const std::string& key, Value 
   const bool is_index = obj->is_array() && index_from_string(key, &index);
   if (memory_events_) {
     buffer_memory_event(MemoryEvent::Kind::PropWrite, obj->id(),
-                        is_index ? index_atom(index) : js::Atom::intern(key), line, prov);
+                        is_index ? index_atom(index) : atoms().intern(key), line, prov);
   }
 
   if (obj->is_array()) {
@@ -527,11 +530,12 @@ void Interpreter::property_set(const Value& base, const std::string& key, Value 
 // ---------------------------------------------------------------------------
 
 void Interpreter::define_global(const std::string& name, Value value) {
-  global_env_->declare(js::Atom::intern(name), std::move(value));
+  global_env_->declare(atoms().intern(name), std::move(value));
 }
 
 Value Interpreter::global(const std::string& name) {
-  const Value* slot = global_env_->own_slot(name);
+  js::Atom atom;
+  const Value* slot = atoms().try_find(name, &atom) ? global_env_->own_slot(atom) : nullptr;
   return slot == nullptr ? Value::undefined() : *slot;
 }
 
@@ -1061,7 +1065,7 @@ Value Interpreter::eval(const js::Expr& expr, const EnvPtr& env) {
     }
     case js::NodeKind::ArrayLit: {
       const auto& lit = static_cast<const js::ArrayLit&>(expr);
-      auto arr = std::make_shared<JSObject>(next_obj_id_++, JSObject::Cls::Array);
+      auto arr = std::make_shared<JSObject>(next_obj_id_++, shape_root(), JSObject::Cls::Array);
       arr->set_prototype(array_proto_);
       if (hooks_ != nullptr) sync_hooks()->on_object_created(arr->id(), expr.line);
       charge_elements(*arr, lit.elements.size());
@@ -1078,7 +1082,7 @@ Value Interpreter::eval(const js::Expr& expr, const EnvPtr& env) {
     }
     case js::NodeKind::ObjectLit: {
       const auto& lit = static_cast<const js::ObjectLit&>(expr);
-      auto obj = std::make_shared<JSObject>(next_obj_id_++);
+      auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root());
       obj->set_prototype(object_proto_);
       if (hooks_ != nullptr) sync_hooks()->on_object_created(obj->id(), expr.line);
       const BaseProvenance prov{BaseProvenance::Kind::Object, 0};
@@ -1592,7 +1596,7 @@ Value Interpreter::eval_new(const js::New& node, const EnvPtr& env) {
   if (!callee.is_object() || !callee.as_object()->is_function()) {
     throw_error("TypeError", "constructor is not a function");
   }
-  auto obj = std::make_shared<JSObject>(next_obj_id_++);
+  auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root());
   if (const Value* proto = callee.as_object()->own_property(atom_prototype_);
       proto != nullptr && proto->is_object()) {
     obj->set_prototype(proto->as_object());

@@ -70,6 +70,8 @@ class Interpreter {
  public:
   using Config = InterpreterConfig;
 
+  /// `program` must outlive the interpreter and every object it builds
+  /// (objects hang off the program's shape tree and atom space).
   Interpreter(const js::Program& program, VirtualClock& clock,
               ExecutionHooks* hooks = nullptr, Config config = Config());
   ~Interpreter();
@@ -147,6 +149,12 @@ class Interpreter {
   }
   [[nodiscard]] Rng& rng() { return rng_; }
   [[nodiscard]] const js::Program& program() const { return program_; }
+  /// The program's atom space: every name this interpreter interns (its
+  /// own hot atoms, computed keys, globals) goes through it.
+  [[nodiscard]] js::AtomSpace& atoms() const { return *program_.atoms; }
+  /// Root of the program's shape tree; every object this interpreter and
+  /// its host bindings build hangs off it.
+  [[nodiscard]] const Shape* shape_root() const { return program_.shape_root.get(); }
   [[nodiscard]] const std::string& console_output() const { return console_; }
   void console_write(const std::string& text);
   /// fn_id of the innermost JS function currently executing (0 == top level).
@@ -194,15 +202,15 @@ class Interpreter {
 
   /// Atom spelling a small array index ("0", "1", ...), served from a
   /// per-interpreter cache so mode-3 instrumentation of hot array loops
-  /// stops taking the process-wide atom-table lock per element access.
-  /// Indices beyond the cache cap fall back to a plain intern.
+  /// stops taking the atom space's lock per element access. Indices beyond
+  /// the cache cap fall back to a plain intern.
   [[nodiscard]] js::Atom index_atom(std::size_t index) {
     if (index >= kIndexAtomCacheCap) {
-      return js::Atom::intern(number_to_string(double(index)));
+      return atoms().intern(number_to_string(double(index)));
     }
     if (index >= index_atom_cache_.size()) index_atom_cache_.resize(index + 1);
     js::Atom& slot = index_atom_cache_[index];
-    if (slot.empty()) slot = js::Atom::intern(number_to_string(double(index)));
+    if (slot.empty()) slot = atoms().intern(number_to_string(double(index)));
     return slot;
   }
 

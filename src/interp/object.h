@@ -57,11 +57,17 @@ struct FunctionData {
 /// its slot with one pointer compare and one indexed load. `delete`
 /// transitions the object to dictionary mode (atom-keyed hash map), which
 /// inline caches simply never match.
+///
+/// Every object hangs off the shape tree of the program it was built for
+/// (`shape_root` is that program's Program::shape_root), and reaches the
+/// program's AtomSpace through its shape — so an object must not be used
+/// after its Program is destroyed.
 class JSObject {
  public:
   enum class Cls : std::uint8_t { Plain, Array, Function };
 
-  explicit JSObject(std::uint64_t id, Cls cls = Cls::Plain) : id_(id), cls_(cls) {
+  JSObject(std::uint64_t id, const Shape* shape_root, Cls cls = Cls::Plain)
+      : id_(id), cls_(cls), shape_(shape_root) {
     // Sandbox accounting: every heap object charges the active run's ledger
     // (nullptr outside a run — prototypes and stdlib objects built during
     // interpreter construction form an uncharged baseline). Throwing here is
@@ -84,11 +90,12 @@ class JSObject {
     const auto it = dict_->map.find(key);
     return it == dict_->map.end() ? nullptr : &it->second;
   }
-  /// String-keyed probe: every stored key is interned, so a string that was
-  /// never interned cannot name a property.
+  /// String-keyed probe: every stored key is interned in this object's
+  /// program, so a string that was never interned there cannot name a
+  /// property.
   [[nodiscard]] const Value* own_property(const std::string& key) const {
     js::Atom atom;
-    return js::Atom::try_find(key, &atom) ? own_property(atom) : nullptr;
+    return shape_->atoms().try_find(key, &atom) ? own_property(atom) : nullptr;
   }
 
   void set_property(js::Atom key, Value value) {
@@ -117,7 +124,7 @@ class JSObject {
     dict_->order.push_back(key);
   }
   void set_property(const std::string& key, Value value) {
-    set_property(js::Atom::intern(key), std::move(value));
+    set_property(shape_->atoms().intern(key), std::move(value));
   }
 
   bool delete_property(js::Atom key) {
@@ -131,7 +138,7 @@ class JSObject {
   }
   bool delete_property(const std::string& key) {
     js::Atom atom;
-    return js::Atom::try_find(key, &atom) && delete_property(atom);
+    return shape_->atoms().try_find(key, &atom) && delete_property(atom);
   }
 
   /// Own property names in insertion order (deterministic for-in /
@@ -178,14 +185,15 @@ class JSObject {
   /// prototype owns its native methods, and each method's [[prototype]] link
   /// leads back into the web through Function.prototype — so ~Interpreter
   /// severs the roots explicitly. Objects a caller still holds afterwards
-  /// stay valid but see an emptied prototype chain.
+  /// stay valid (until their Program is destroyed) but see an emptied
+  /// prototype chain.
   void sever_for_teardown() noexcept {
     prop_slots_.clear();
     dict_.reset();
     elements_.clear();
     prototype_.reset();
     fn_.reset();
-    shape_ = Shape::root();
+    shape_ = shape_->root();
   }
 
   // --- host payload ---
@@ -214,14 +222,14 @@ class JSObject {
       dict->map.emplace(dict->order[i], std::move(prop_slots_[i]));
     }
     prop_slots_.clear();
-    shape_ = Shape::root();
+    shape_ = shape_->root();
     dict_ = std::move(dict);
   }
 
   std::uint64_t id_;
   Cls cls_;
   ObjPtr prototype_;
-  const Shape* shape_ = Shape::root();
+  const Shape* shape_;  // never null: the tree root when empty or a dictionary
   std::vector<Value> prop_slots_;
   std::unique_ptr<Dict> dict_;  // non-null == dictionary mode
   std::vector<Value> elements_;

@@ -1,6 +1,5 @@
 #include "interp/shape.h"
 
-#include "support/epoch.h"
 #include "support/limits.h"
 
 namespace jsceres::interp {
@@ -13,23 +12,27 @@ std::size_t next_pow2(std::size_t n) {
   return p;
 }
 
-/// Process-wide accounting for the governor: node + map-link cost per
-/// shape, plus installed flat tables. Maintained by ctor/dtor (so a
-/// recursive unique_ptr teardown during reclamation self-accounts) and by
-/// the flat-table install CAS winner.
+/// Accounting for the governor, summed over every program's tree: node +
+/// map-link cost per shape, plus installed flat tables. Maintained by
+/// ctor/dtor (so a tree's recursive unique_ptr teardown self-accounts) and
+/// by the flat-table install CAS winner.
 constexpr std::size_t kShapeNodeCost = sizeof(Shape) + 64;
 std::atomic<std::size_t> g_shape_bytes{0};
 std::atomic<std::size_t> g_shape_count{0};
 
 }  // namespace
 
-Shape::Shape() {
+Shape::Shape(js::AtomSpace& atoms) : atoms_(&atoms) {
   g_shape_bytes.fetch_add(kShapeNodeCost, std::memory_order_relaxed);
   g_shape_count.fetch_add(1, std::memory_order_relaxed);
 }
 
 Shape::Shape(const Shape* parent, js::Atom key)
-    : key_(key), slot_(parent->depth_), depth_(parent->depth_ + 1), parent_(parent) {
+    : key_(key),
+      slot_(parent->depth_),
+      depth_(parent->depth_ + 1),
+      parent_(parent),
+      atoms_(parent->atoms_) {
   g_shape_bytes.fetch_add(kShapeNodeCost, std::memory_order_relaxed);
   g_shape_count.fetch_add(1, std::memory_order_relaxed);
 }
@@ -64,8 +67,13 @@ void Shape::FlatTable::rehash(std::size_t capacity) {
   }
 }
 
-const Shape* Shape::root() {
-  static const Shape* shape = new Shape();  // leaked: process lifetime
+std::unique_ptr<const Shape> Shape::make_root(js::AtomSpace& atoms) {
+  return std::unique_ptr<const Shape>(new Shape(atoms));
+}
+
+const Shape* Shape::root() const {
+  const Shape* shape = this;
+  while (shape->parent_ != nullptr) shape = shape->parent_;
   return shape;
 }
 
@@ -80,19 +88,7 @@ const Shape* Shape::transition(js::Atom key) const {
     AllocationLedger::charge_current(sizeof(Shape) + 64);
     slot.reset(new Shape(this, key));
   }
-  // Epoch stamp under this shape's mutex: the reclamation pass reads it
-  // under the same mutex, so a racing prune either sees the fresh stamp or
-  // finishes first (and this call recreates the child).
-  slot->touch_epoch_.store(EpochDomain::global().current(),
-                           std::memory_order_relaxed);
   return slot.get();
-}
-
-std::size_t Shape::reclaim_unused(std::uint64_t min_pinned) {
-  const std::size_t before = g_shape_bytes.load(std::memory_order_relaxed);
-  root()->prune_children(min_pinned);
-  const std::size_t after = g_shape_bytes.load(std::memory_order_relaxed);
-  return before > after ? before - after : 0;
 }
 
 std::size_t Shape::live_bytes() {
@@ -101,33 +97,6 @@ std::size_t Shape::live_bytes() {
 
 std::size_t Shape::live_count() {
   return g_shape_count.load(std::memory_order_relaxed);
-}
-
-void Shape::prune_children(std::uint64_t min_pinned) const {
-  const std::lock_guard lock(transitions_mutex_);
-  for (auto it = transitions_.begin(); it != transitions_.end();) {
-    const Shape* child = it->second.get();
-    // A null slot is a ledger-tripped transition() that never built its
-    // shape (see transition()); the empty map entry is all there is to free.
-    if (child == nullptr || child->subtree_touched_before(min_pinned)) {
-      it = transitions_.erase(it);  // unique_ptr frees the whole subtree
-    } else {
-      child->prune_children(min_pinned);
-      ++it;
-    }
-  }
-}
-
-bool Shape::subtree_touched_before(std::uint64_t min_pinned) const {
-  if (touch_epoch_.load(std::memory_order_relaxed) >= min_pinned) return false;
-  const std::lock_guard lock(transitions_mutex_);
-  for (const auto& [key, child] : transitions_) {
-    // Null slots (tripped transitions) hold nothing a session can reach.
-    if (child != nullptr && !child->subtree_touched_before(min_pinned)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 std::int32_t Shape::slot_of_slow(js::Atom key) const {

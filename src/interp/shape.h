@@ -36,17 +36,13 @@ namespace jsceres::interp {
 /// candidate). Interpreters on different threads may grow the tree and
 /// flatten shapes concurrently; steady-state reads never take a lock.
 ///
-/// Lifetime: by default the tree only grows, so cached `const Shape*`
-/// values can never dangle — the right contract for one-shot runs. A
-/// resident service additionally runs `reclaim_unused(min_pinned)` at
-/// session boundaries: every `transition()` stamps the returned shape with
-/// the global epoch, and a subtree whose newest stamp predates the oldest
-/// live session pin is provably unreachable (an interpreter can only hold
-/// a shape it obtained through `transition()` during its own pinned
-/// lifetime, and `slot_of`/flat-table walks only go *up* the chain), so
-/// the pass frees it. Ordering contract: run shape reclamation *before*
-/// `EpochDomain::reclaim()` in the same pass, so shapes keyed by retired
-/// atoms are destroyed before those atoms' table slots are recycled.
+/// Lifetime: a tree belongs to one js::Program, which owns its root
+/// (make_root) and frees the whole tree with itself. Within that life the
+/// tree only grows, so cached `const Shape*` values never dangle. Keys are
+/// atoms of the same program (prefix atoms or its AtomSpace's), and the
+/// tree's space is reachable from every shape (`atoms()`), which is how an
+/// object's string-keyed helpers intern through their own program. There is
+/// no process-wide tree: nothing shared between programs can hold a shape.
 class Shape {
  public:
   /// Chains longer than this flatten on their second lookup (the first
@@ -56,8 +52,14 @@ class Shape {
   /// Shallow shapes flatten after this many chain-walk lookups.
   static constexpr std::uint16_t kHotFlattenLookups = 8;
 
-  /// The process-wide empty shape (no properties).
-  static const Shape* root();
+  /// A new tree's empty shape, keyed by atoms of `atoms`' program.
+  static std::unique_ptr<const Shape> make_root(js::AtomSpace& atoms);
+
+  /// The empty shape this one descends from (walks the parent chain).
+  [[nodiscard]] const Shape* root() const;
+
+  /// The atom space of the program that owns this tree.
+  [[nodiscard]] js::AtomSpace& atoms() const { return *atoms_; }
 
   /// The shape an object reaches by adding `key` as its next property.
   const Shape* transition(js::Atom key) const;
@@ -81,13 +83,8 @@ class Shape {
     return flat_.load(std::memory_order_acquire) != nullptr;
   }
 
-  /// Free every transition subtree whose newest epoch stamp is strictly
-  /// below `min_pinned` (see the class comment for why that is safe).
-  /// Returns the bytes released. Call with `EpochDomain::min_pinned()`.
-  static std::size_t reclaim_unused(std::uint64_t min_pinned);
-
-  /// Bytes held by live Shape nodes + installed flat tables, process-wide
-  /// (the memory governor's shape-tree input).
+  /// Bytes held by live Shape nodes + installed flat tables, summed over
+  /// every program's tree (the memory governor's shape-tree input).
   static std::size_t live_bytes();
 
   /// Live shape-node count (root included; diagnostics/tests).
@@ -121,30 +118,19 @@ class Shape {
     void rehash(std::size_t capacity);
   };
 
-  Shape();
+  explicit Shape(js::AtomSpace& atoms);
   Shape(const Shape* parent, js::Atom key);
 
   std::int32_t slot_of_slow(js::Atom key) const;
   const FlatTable* ensure_flat() const;
 
-  /// Reclamation walk (locks parent before child, the only ordering used):
-  /// erase children whose whole subtree predates `min_pinned`, recurse into
-  /// the survivors.
-  void prune_children(std::uint64_t min_pinned) const;
-  /// True when this shape and every descendant was last touched before
-  /// `min_pinned` (i.e. the subtree is reclaimable).
-  [[nodiscard]] bool subtree_touched_before(std::uint64_t min_pinned) const;
-
   js::Atom key_;             // the property this link appends (root: unused)
   std::uint32_t slot_ = 0;   // key_'s slot index (== parent->depth_)
   std::uint32_t depth_ = 0;  // == slot_count()
   const Shape* parent_ = nullptr;
+  js::AtomSpace* atoms_;
   mutable std::atomic<const FlatTable*> flat_{nullptr};
   mutable std::atomic<std::uint16_t> lookups_{0};
-  /// Global epoch at the last transition() that returned this shape; every
-  /// holder of a `const Shape*` obtained it (directly or via an object/IC
-  /// it built) through such a call during its own pinned session.
-  mutable std::atomic<std::uint64_t> touch_epoch_{0};
   mutable std::mutex transitions_mutex_;
   mutable std::unordered_map<js::Atom, std::unique_ptr<Shape>> transitions_;
 };

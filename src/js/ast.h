@@ -7,6 +7,10 @@
 
 #include "js/atom.h"
 
+namespace jsceres::interp {
+class Shape;
+}
+
 namespace jsceres::js {
 
 /// AST node discriminator. The interpreter dispatches on this enum; keeping
@@ -416,9 +420,25 @@ const char* loop_kind_name(LoopKind kind);
 /// program. Idempotent.
 void resolve_scopes(struct Program& program);
 
-/// A parsed compilation unit. Owns the AST, the loop table, and the
-/// top-level hoisting information (top-level `var`s become globals).
+/// A parsed compilation unit. Owns the AST, the loop table, the top-level
+/// hoisting information (top-level `var`s become globals), and the
+/// program's universe: the atom space every name of its parse and runs is
+/// interned into, and the root of the shape tree every object of its
+/// interpreters hangs off (interp/shape.h). Both are heap-held, so moving a
+/// Program keeps the atoms and shapes that AST nodes, objects and caches
+/// point at; both are freed in one step when the Program is destroyed, which
+/// is why a Program must outlive every session, interpreter and object
+/// built over it. The space and the tree grow under `const Program&` (they
+/// are internally synchronized, and growth never changes an answer already
+/// given).
 struct Program {
+  Program();
+  Program(Program&&) noexcept;
+  Program& operator=(Program&&) noexcept;
+  ~Program();
+
+  std::unique_ptr<AtomSpace> atoms;  // declared first: destroyed last
+  std::unique_ptr<const interp::Shape> shape_root;
   std::vector<StmtPtr> statements;
   std::vector<Atom> hoisted_vars;
   std::vector<const FunctionDecl*> hoisted_functions;

@@ -1,35 +1,37 @@
 #include "js/atom.h"
 
-#include <deque>
 #include <mutex>
 #include <shared_mutex>
-#include <unordered_map>
 #include <utility>
-#include <vector>
-
-#include "support/epoch.h"
 
 namespace jsceres::js {
 
 namespace {
 
-/// Process-wide intern table. Keys are string_views into the stored text
-/// (stable: AtomData lives in a deque; reclamation frees the *text* and
-/// recycles the record through `free_slots`, it never erases deque slots).
-/// Interning is rare after warm-up — the lexer front-loads the program's
-/// names — so a shared_mutex keeps concurrent interpreters cheap: readers
-/// take the shared lock; first-time interns, scope retirement, and slot
-/// recycling take the exclusive one. Reference counts are atomics so the
-/// found-under-shared-lock path can add a scope reference without
-/// upgrading the lock.
-struct AtomTable {
+/// Accounting estimate for one entry: the record, the text's heap block
+/// (shared_ptr control + characters), and the map node.
+std::size_t entry_cost(const detail::AtomData& data) {
+  return sizeof(detail::AtomData) + 64 + data.text->size();
+}
+
+/// Fill a fresh record for `text` and index it in `map`.
+void init_entry(detail::AtomData& data, std::string_view text, std::uint32_t id,
+                std::unordered_map<std::string_view, detail::AtomData*>& map) {
+  data.text = std::make_shared<const std::string>(text);
+  data.hash = std::hash<std::string_view>{}(text);
+  data.id = id;
+  map.emplace(std::string_view(*data.text), &data);
+}
+
+/// The process-wide prefix. Keys are string_views into the stored text
+/// (stable: AtomData lives in a deque and is never erased). Interning into
+/// it is rare after warm-up, so a shared_mutex keeps the concurrent readers
+/// — every AtomSpace miss probes here — cheap.
+struct PrefixTable {
   std::shared_mutex mutex;
   std::unordered_map<std::string_view, detail::AtomData*> map;
   std::deque<detail::AtomData> storage;
-  std::vector<detail::AtomData*> free_slots;  // recycled after reclaim
-  std::size_t live_count = 0;
-  std::size_t live_bytes = 0;
-  std::size_t retired_pending = 0;
+  std::size_t bytes = 0;
 
   detail::AtomData* find_locked(std::string_view text) const {
     const auto it = map.find(text);
@@ -37,173 +39,85 @@ struct AtomTable {
   }
 };
 
-AtomTable& table() {
-  static AtomTable* t = new AtomTable();  // leaked: atoms outlive everything
+PrefixTable& prefix() {
+  static PrefixTable* t = new PrefixTable();  // leaked: atoms outlive everything
   return *t;
-}
-
-/// Accounting estimate for one live entry: the record, the text's heap
-/// block (shared_ptr control + characters), and the map node.
-std::size_t entry_cost(const detail::AtomData& data) {
-  return sizeof(detail::AtomData) + 64 +
-         (data.text ? data.text->size() : 0);
-}
-
-thread_local AtomScope* g_current_scope = nullptr;
-
-detail::AtomData* intern_data(std::string_view text, bool force_immortal) {
-  AtomTable& t = table();
-  AtomScope* scope = force_immortal ? nullptr : AtomScope::current();
-  {
-    const std::shared_lock lock(t.mutex);
-    if (detail::AtomData* found = t.find_locked(text)) {
-      if (found->refs.load(std::memory_order_relaxed) <
-          detail::AtomData::kImmortalRefs) {
-        if (scope != nullptr) {
-          scope->note(found);
-        } else {
-          // Untracked holder of a transient atom: promote to immortal.
-          found->refs.store(detail::AtomData::kImmortalRefs,
-                            std::memory_order_relaxed);
-        }
-      }
-      return found;
-    }
-  }
-  const std::unique_lock lock(t.mutex);
-  if (detail::AtomData* found = t.find_locked(text)) {
-    if (found->refs.load(std::memory_order_relaxed) <
-        detail::AtomData::kImmortalRefs) {
-      if (scope != nullptr) {
-        scope->note(found);
-      } else {
-        found->refs.store(detail::AtomData::kImmortalRefs,
-                          std::memory_order_relaxed);
-      }
-    }
-    return found;
-  }
-  detail::AtomData* data;
-  if (!t.free_slots.empty()) {
-    data = t.free_slots.back();  // recycled record keeps its slot id
-    t.free_slots.pop_back();
-  } else {
-    data = &t.storage.emplace_back();
-    data->id = std::uint32_t(t.storage.size() - 1);
-  }
-  data->text = std::make_shared<const std::string>(text);
-  data->hash = std::hash<std::string_view>{}(text);
-  data->refs.store(scope != nullptr ? 0 : detail::AtomData::kImmortalRefs,
-                   std::memory_order_relaxed);
-  t.map.emplace(std::string_view(*data->text), data);
-  ++t.live_count;
-  t.live_bytes += entry_cost(*data);
-  if (scope != nullptr) scope->note(data);
-  return data;
 }
 
 }  // namespace
 
 Atom Atom::intern(std::string_view text) {
-  return Atom(intern_data(text, /*force_immortal=*/false));
+  PrefixTable& t = prefix();
+  {
+    const std::shared_lock lock(t.mutex);
+    if (detail::AtomData* found = t.find_locked(text)) return Atom(found);
+  }
+  const std::unique_lock lock(t.mutex);
+  if (detail::AtomData* found = t.find_locked(text)) return Atom(found);
+  detail::AtomData& data = t.storage.emplace_back();
+  init_entry(data, text, std::uint32_t(t.storage.size() - 1), t.map);
+  t.bytes += entry_cost(data);
+  return Atom(&data);
 }
 
 bool Atom::try_find(std::string_view text, Atom* out) {
-  AtomTable& t = table();
-  AtomScope* scope = AtomScope::current();
+  PrefixTable& t = prefix();
   const std::shared_lock lock(t.mutex);
   detail::AtomData* found = t.find_locked(text);
   if (found == nullptr) return false;
-  if (found->refs.load(std::memory_order_relaxed) <
-      detail::AtomData::kImmortalRefs) {
-    if (scope != nullptr) {
-      scope->note(found);
-    } else {
-      found->refs.store(detail::AtomData::kImmortalRefs,
-                        std::memory_order_relaxed);
-    }
-  }
   *out = Atom(found);
   return true;
 }
 
 const detail::AtomData* Atom::empty_data() {
-  // The empty atom backs every default-constructed Atom across the whole
-  // process — always immortal, even if first touched inside a session.
-  static const detail::AtomData* data = intern_data("", /*force_immortal=*/true);
+  static const detail::AtomData* data = intern("").data_;
   return data;
 }
 
-AtomScope::AtomScope() {
-  previous_ = g_current_scope;
-  g_current_scope = this;
+const detail::AtomData* AtomSpace::find_locked(std::string_view text) const {
+  const auto it = map_.find(text);
+  if (it != map_.end()) return it->second;
+  Atom found;
+  return Atom::try_find(text, &found) ? found.data_ : nullptr;
 }
 
-AtomScope* AtomScope::current() noexcept { return g_current_scope; }
-
-void AtomScope::note(detail::AtomData* data) {
-  // One reference per (scope, atom) pair: the local set dedups re-lookups,
-  // so the count on `data` is exactly the number of live scopes holding it.
-  if (touched_.insert(data).second) {
-    data->refs.fetch_add(1, std::memory_order_relaxed);
-  }
+Atom AtomSpace::intern(std::string_view text) {
+  const std::lock_guard lock(mutex_);
+  if (const detail::AtomData* found = find_locked(text)) return Atom(found);
+  detail::AtomData& data = storage_.emplace_back();
+  init_entry(data, text, Atom::kProgramIdBit | std::uint32_t(storage_.size() - 1),
+             map_);
+  return Atom(&data);
 }
 
-AtomScope::~AtomScope() {
-  g_current_scope = previous_;
-  if (touched_.empty()) return;
+bool AtomSpace::try_find(std::string_view text, Atom* out) const {
+  const std::lock_guard lock(mutex_);
+  const detail::AtomData* found = find_locked(text);
+  if (found == nullptr) return false;
+  *out = Atom(found);
+  return true;
+}
 
-  AtomTable& t = table();
-  std::vector<detail::AtomData*> dead;
-  std::size_t dead_bytes = 0;
-  {
-    const std::unique_lock lock(t.mutex);
-    for (detail::AtomData* data : touched_) {
-      if (data->refs.load(std::memory_order_relaxed) >=
-          detail::AtomData::kImmortalRefs) {
-        continue;  // promoted to immortal after we referenced it
-      }
-      if (data->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Last referencing scope: unlink now (no new lookup can find it),
-        // free later (an in-flight reader from a still-pinned session may
-        // hold the raw pointer until its epoch pin drops).
-        t.map.erase(std::string_view(*data->text));
-        --t.live_count;
-        t.live_bytes -= entry_cost(*data);
-        dead.push_back(data);
-        dead_bytes += entry_cost(*data);
-      }
-    }
-    t.retired_pending += dead.size();
-  }
-  if (dead.empty()) return;
-  EpochDomain::global().retire(dead_bytes, [dead = std::move(dead)] {
-    AtomTable& t2 = table();
-    const std::unique_lock lock(t2.mutex);
-    for (detail::AtomData* data : dead) {
-      data->text.reset();  // the actual free
-      t2.free_slots.push_back(data);
-      --t2.retired_pending;
-    }
-  });
+std::size_t AtomSpace::size() const {
+  const std::lock_guard lock(mutex_);
+  return storage_.size();
+}
+
+void AtomSpace::for_each(const std::function<void(Atom)>& fn) const {
+  const std::lock_guard lock(mutex_);
+  for (const detail::AtomData& data : storage_) fn(Atom(&data));
 }
 
 std::size_t atom_table_size() {
-  AtomTable& t = table();
+  PrefixTable& t = prefix();
   const std::shared_lock lock(t.mutex);
-  return t.live_count;
+  return t.storage.size();
 }
 
 std::size_t atom_table_bytes() {
-  AtomTable& t = table();
+  PrefixTable& t = prefix();
   const std::shared_lock lock(t.mutex);
-  return t.live_bytes;
-}
-
-std::size_t atom_table_retired_pending() {
-  AtomTable& t = table();
-  const std::shared_lock lock(t.mutex);
-  return t.retired_pending;
+  return t.bytes;
 }
 
 }  // namespace jsceres::js

@@ -1,39 +1,28 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_set>
+#include <unordered_map>
 
 namespace jsceres::js {
 
-namespace detail {
-/// Backing record of one interned string in the process-wide atom table.
-/// Atom handles are raw pointers into it, so equality is pointer identity
-/// and the hash is computed exactly once.
-///
-/// Lifetime comes in two flavors. Atoms interned outside any AtomScope are
-/// *immortal* (`refs >= kImmortalRefs`) — the one-shot behavior the whole
-/// engine was built on. Atoms first interned under an AtomScope are
-/// *transient*: `refs` counts the scopes (≈ sessions) that touched them,
-/// and when the last one ends the entry is unlinked from the table and its
-/// text freed once the epoch domain says no in-flight reader can remain.
-/// The record itself is recycled through a free list (ids are reused), so
-/// a resident service's atom table stays bounded by its *live* name set.
-struct AtomData {
-  /// Any value at or above this marks the atom immortal. Concurrent
-  /// promotion can race a scope's reference bump by a few counts, so the
-  /// check is a threshold, not an equality.
-  static constexpr std::uint32_t kImmortalRefs = 0x40000000u;
+class AtomSpace;
 
+namespace detail {
+/// Backing record of one interned string. Atom handles are raw pointers to
+/// it, so equality is pointer identity and the hash is computed exactly
+/// once. A record lives as long as the table that created it: the
+/// process-wide prefix (never freed) or one program's AtomSpace.
+struct AtomData {
   std::shared_ptr<const std::string> text;
   std::size_t hash = 0;
   std::uint32_t id = 0;
-  std::atomic<std::uint32_t> refs{kImmortalRefs};
 };
 }  // namespace detail
 
@@ -42,21 +31,26 @@ struct AtomData {
 /// std::string, so steady-state name comparisons are pointer compares and
 /// map lookups reuse the precomputed hash.
 ///
-/// Atoms convert implicitly to `const std::string&` (the table keeps the
-/// text alive for as long as any scope references the atom — forever, for
-/// atoms interned outside an AtomScope), which keeps printers, reports and
-/// hook consumers source-compatible.
+/// There are two kinds of table. The process-wide *prefix* holds names the
+/// engine and its tools spell themselves; it only grows and is never freed.
+/// Everything a program's parse or run interns goes through that program's
+/// AtomSpace (see below), which reads the prefix but never writes it. An
+/// Atom from a space stays valid until its Program is destroyed.
+///
+/// Atoms convert implicitly to `const std::string&`, which keeps printers,
+/// reports and hook consumers source-compatible.
 class Atom {
  public:
-  /// The empty atom ("").
+  /// The empty atom (""), a prefix atom.
   Atom() : data_(empty_data()) {}
 
-  /// Intern `text`, creating the table entry on first use. Thread-safe.
+  /// Intern `text` into the process-wide prefix. Thread-safe. Only for
+  /// names the engine or a tool spells itself: a prefix atom is never
+  /// freed, and a program that already made its own atom for `text` does
+  /// not see this one — program names go through AtomSpace::intern.
   static Atom intern(std::string_view text);
 
-  /// Look up an existing atom without creating one. Returns false when
-  /// `text` was never interned (useful for property probes: a key that was
-  /// never interned cannot name a stored property).
+  /// Look up `text` in the prefix without creating it.
   static bool try_find(std::string_view text, Atom* out);
 
   [[nodiscard]] const std::string& str() const { return *data_->text; }
@@ -64,16 +58,20 @@ class Atom {
     return data_->text;
   }
   [[nodiscard]] std::size_t hash() const { return data_->hash; }
-  /// Dense id (intern order); stable while the atom is live. A reclaimed
-  /// slot's id is reused, but never while any scope still references it —
-  /// so within one session, ids are unambiguous dedup keys.
+  /// Dense id in intern order. Prefix ids and program ids come from
+  /// disjoint ranges (program ids have kProgramIdBit set), so ids are
+  /// unique among every atom one session can see — the dependence
+  /// analyzer's dedup key.
   [[nodiscard]] std::uint32_t id() const { return data_->id; }
   [[nodiscard]] bool empty() const { return data_->text->empty(); }
   [[nodiscard]] std::size_t size() const { return data_->text->size(); }
 
+  static constexpr std::uint32_t kProgramIdBit = 0x80000000u;
+
   operator const std::string&() const { return str(); }  // NOLINT(google-explicit-constructor)
 
-  /// Identity compare: two atoms are equal iff they intern the same text.
+  /// Identity compare: two atoms of one program are equal iff they intern
+  /// the same text.
   bool operator==(const Atom& other) const { return data_ == other.data_; }
   bool operator!=(const Atom& other) const { return data_ != other.data_; }
 
@@ -97,58 +95,53 @@ class Atom {
   }
 
  private:
+  friend class AtomSpace;
   explicit Atom(const detail::AtomData* data) : data_(data) {}
   static const detail::AtomData* empty_data();
 
   const detail::AtomData* data_;
 };
 
-/// Per-session atom lifetime scope (thread-local, like
-/// AllocationLedger::Scope). While a scope is installed on a thread, every
-/// atom interned or looked up on that thread is recorded as *referenced by
-/// this scope*: first-time interns become transient (refcounted) instead of
-/// immortal, and re-finding an existing transient atom adds this scope to
-/// its reference count exactly once. When the scope ends, its references
-/// are dropped; atoms that reach zero are unlinked from the table and their
-/// storage handed to the epoch domain for deferred reclamation.
-///
-/// Threads with no scope installed keep the historical behavior: their
-/// interns are immortal, and a scopeless lookup that hits another session's
-/// transient atom *promotes* it to immortal (the conservative direction —
-/// never reclaim what an untracked holder might keep).
-///
-/// Scopes nest (the previous scope is restored) and must be destroyed on
-/// the thread that created them.
-class AtomScope {
+/// One program's atoms, owned by its js::Program and freed with it in one
+/// step. intern() looks locally, then in the prefix, and else creates the
+/// atom here; it never writes the prefix, so nothing process-wide can point
+/// into a space. The answer for a given text never changes over the
+/// space's life (a local atom always wins, and the prefix only grows), which
+/// is what keeps identity within the program. Thread-safe: interpreters on
+/// several threads may share one program. One plain mutex covers a whole
+/// lookup-or-create, so a local atom and a prefix atom for one text can
+/// never both be handed out; it is per program, so it is rarely contended.
+class AtomSpace {
  public:
-  AtomScope();
-  ~AtomScope();
-  AtomScope(const AtomScope&) = delete;
-  AtomScope& operator=(const AtomScope&) = delete;
+  AtomSpace() = default;
+  AtomSpace(const AtomSpace&) = delete;
+  AtomSpace& operator=(const AtomSpace&) = delete;
 
-  /// The scope installed on the current thread, or nullptr.
-  static AtomScope* current() noexcept;
+  Atom intern(std::string_view text);
 
-  /// Distinct transient atoms this scope references (diagnostics/tests).
-  [[nodiscard]] std::size_t touched() const { return touched_.size(); }
+  /// Look up `text` without creating it (here, then in the prefix). A text
+  /// that was never interned for this program cannot name its properties.
+  bool try_find(std::string_view text, Atom* out) const;
 
-  /// Record `data` as referenced by this scope (bumps refs on first note).
-  /// Internal: called by the atom table under its lock, not by users.
-  void note(detail::AtomData* data);
+  /// Atoms created in this space (prefix hits not counted).
+  [[nodiscard]] std::size_t size() const;
+
+  /// Calls `fn` on every atom created in this space, in creation order.
+  void for_each(const std::function<void(Atom)>& fn) const;
 
  private:
-  std::unordered_set<detail::AtomData*> touched_;
-  AtomScope* previous_ = nullptr;
+  /// Local-then-prefix lookup; the caller holds mutex_.
+  [[nodiscard]] const detail::AtomData* find_locked(std::string_view text) const;
+
+  mutable std::mutex mutex_;
+  std::unordered_map<std::string_view, detail::AtomData*> map_;
+  std::deque<detail::AtomData> storage_;
 };
 
-/// Number of *live* atoms in the table (interned minus reclaimed).
+/// Number of atoms in the process-wide prefix.
 std::size_t atom_table_size();
-/// Approximate bytes held by live atoms (record + text + map overhead).
-/// Unlinked entries stop counting here and show up in the epoch domain's
-/// deferred_bytes() until reclaimed.
+/// Approximate bytes held by the prefix (record + text + map overhead).
 std::size_t atom_table_bytes();
-/// Entries unlinked from the table but still awaiting epoch reclamation.
-std::size_t atom_table_retired_pending();
 
 }  // namespace jsceres::js
 

@@ -126,7 +126,7 @@ Token lex_number(Cursor& cur) {
   return Token{Tok::Number, text, Atom(), std::strtod(text.c_str(), nullptr), line};
 }
 
-Token lex_string(Cursor& cur) {
+Token lex_string(Cursor& cur, AtomSpace& atoms) {
   const int line = cur.line();
   const char quote = cur.advance();
   std::string value;
@@ -152,7 +152,7 @@ Token lex_string(Cursor& cur) {
       value += c;
     }
   }
-  Token token{Tok::String, std::string(), Atom::intern(value), 0, line};
+  Token token{Tok::String, std::string(), atoms.intern(value), 0, line};
   token.text = std::move(value);
   return token;
 }
@@ -239,11 +239,8 @@ const char* tok_name(Tok kind) {
   return "?";
 }
 
-std::vector<Token> lex(std::string_view source) {
-  return lex(source, EngineLimits{});
-}
-
-std::vector<Token> lex(std::string_view source, const EngineLimits& limits) {
+std::vector<Token> lex(std::string_view source, AtomSpace& atoms,
+                       const EngineLimits& limits) {
   if (limits.max_source_bytes > 0 && source.size() > limits.max_source_bytes) {
     throw LexError("source too large: " + std::to_string(source.size()) +
                        " > " + std::to_string(limits.max_source_bytes) +
@@ -268,7 +265,7 @@ std::vector<Token> lex(std::string_view source, const EngineLimits& limits) {
       continue;
     }
     if (c == '"' || c == '\'') {
-      tokens.push_back(lex_string(cur));
+      tokens.push_back(lex_string(cur, atoms));
       continue;
     }
     if (is_ident_start(c)) {
@@ -277,7 +274,7 @@ std::vector<Token> lex(std::string_view source, const EngineLimits& limits) {
       const std::string_view text = cur.slice(start);
       const auto it = keyword_table().find(text);
       const Tok kind = it != keyword_table().end() ? it->second : Tok::Ident;
-      tokens.push_back(Token{kind, std::string(text), Atom::intern(text), 0, line});
+      tokens.push_back(Token{kind, std::string(text), atoms.intern(text), 0, line});
       continue;
     }
 

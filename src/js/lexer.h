@@ -22,14 +22,13 @@ class LexError : public std::runtime_error {
   int line_;
 };
 
-/// Tokenize an entire source buffer. The token stream always ends with an
-/// explicit Eof token.
-std::vector<Token> lex(std::string_view source);
-
-/// lex() under explicit front-end limits: `max_source_bytes` rejects
-/// oversized buffers up front and `max_tokens` caps the token stream while
-/// it is produced. Either trip raises LexError with the offending line
-/// (line 1 for the source-size check).
-std::vector<Token> lex(std::string_view source, const EngineLimits& limits);
+/// Tokenize an entire source buffer, interning every name and string
+/// literal into `atoms` (the space of the program being parsed). The token
+/// stream always ends with an explicit Eof token. `limits.max_source_bytes`
+/// rejects oversized buffers up front and `limits.max_tokens` caps the
+/// token stream while it is produced. Either trip raises LexError with the
+/// offending line (line 1 for the source-size check).
+std::vector<Token> lex(std::string_view source, AtomSpace& atoms,
+                       const EngineLimits& limits = {});
 
 }  // namespace jsceres::js

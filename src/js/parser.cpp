@@ -11,10 +11,10 @@ namespace {
 
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, std::string source_name, int max_depth)
-      : tokens_(std::move(tokens)), max_depth_(max_depth) {
-    program_.source_name = std::move(source_name);
-  }
+  /// `program` arrives empty but for its name and the atom space `tokens`
+  /// were interned into.
+  Parser(std::vector<Token> tokens, Program program, int max_depth)
+      : tokens_(std::move(tokens)), program_(std::move(program)), max_depth_(max_depth) {}
 
   Program run() {
     // The top level behaves like a function body for hoisting purposes.
@@ -626,7 +626,7 @@ class Parser {
           node->property = advance().atom;
         } else if (!peek().text.empty()) {
           const Token& tok = advance();
-          node->property = tok.atom.empty() ? Atom::intern(tok.text) : tok.atom;
+          node->property = tok.atom.empty() ? program_.atoms->intern(tok.text) : tok.atom;
         } else {
           throw ParseError("expected property name after '.'", peek().line);
         }
@@ -768,7 +768,7 @@ class Parser {
             Atom key;
             if (check(Tok::Number)) {
               // Number tokens carry no atom; key by the literal's spelling.
-              key = Atom::intern(advance().text);
+              key = program_.atoms->intern(advance().text);
             } else if (check(Tok::Ident) || check(Tok::String) ||
                        !peek().text.empty()) {
               key = advance().atom;
@@ -845,8 +845,11 @@ Program parse(std::string_view source, std::string source_name,
               const EngineLimits& limits) {
   const int max_depth = limits.max_parse_depth > 0 ? limits.max_parse_depth
                                                    : EngineLimits{}.max_parse_depth;
-  Parser parser(lex(source, limits), std::move(source_name), max_depth);
-  Program program = parser.run();
+  Program program;
+  program.source_name = std::move(source_name);
+  std::vector<Token> tokens = lex(source, *program.atoms, limits);
+  Parser parser(std::move(tokens), std::move(program), max_depth);
+  program = parser.run();
   resolve_scopes(program);
   return program;
 }

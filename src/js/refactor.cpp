@@ -417,7 +417,7 @@ bool match_canonical(const For& loop, Candidate* out) {
 
 /// Replace reads of `arr[i]` by `elem` inside an expression tree.
 void substitute_element_expr(ExprPtr& expr, const Candidate& c,
-                             const std::string& elem_name);
+                             Atom elem_name);
 
 bool is_element_access(const Expr& expr, const Candidate& c) {
   if (expr.kind != NodeKind::Member) return false;
@@ -432,7 +432,7 @@ bool is_element_access(const Expr& expr, const Candidate& c) {
 }
 
 void substitute_element_stmt(Stmt& stmt, const Candidate& c,
-                             const std::string& elem_name) {
+                             Atom elem_name) {
   switch (stmt.kind) {
     case NodeKind::Block:
       for (auto& s : static_cast<Block&>(stmt).statements) {
@@ -479,11 +479,11 @@ void substitute_element_stmt(Stmt& stmt, const Candidate& c,
 }
 
 void substitute_element_expr(ExprPtr& expr, const Candidate& c,
-                             const std::string& elem_name) {
+                             Atom elem_name) {
   if (is_element_access(*expr, c)) {
     auto ident = std::make_unique<Ident>();
     ident->line = expr->line;
-    ident->name = Atom::intern(elem_name);
+    ident->name = elem_name;
     expr = std::move(ident);
     return;
   }
@@ -659,14 +659,15 @@ class Rewriter {
     while (all_names_.count(elem) > 0) elem = "elem" + std::to_string(++suffix);
     ++all_names_[elem];
 
-    substitute_element_stmt(*loop.body, candidate, elem);
+    const Atom elem_atom = program_.atoms->intern(elem);
+    substitute_element_stmt(*loop.body, candidate, elem_atom);
 
     // Build: arr.forEach(function (elem, i) { body });
     auto fn = std::make_unique<FunctionNode>();
     fn->line = loop.line;
     fn->fn_id = int(program_.fn_names.size()) + 1;
     program_.fn_names.push_back("<forEach callback>");
-    fn->params = {Atom::intern(elem), Atom::intern(candidate.index_name)};
+    fn->params = {elem_atom, program_.atoms->intern(candidate.index_name)};
     fn->hoisted_vars = std::move(body_vars);
     fn->body = std::move(loop.body);
     if (fn->body->kind != NodeKind::Block) {
@@ -684,9 +685,9 @@ class Rewriter {
     callee->line = loop.line;
     auto array_ident = std::make_unique<Ident>();
     array_ident->line = loop.line;
-    array_ident->name = Atom::intern(candidate.array_name);
+    array_ident->name = program_.atoms->intern(candidate.array_name);
     callee->object = std::move(array_ident);
-    callee->property = Atom::intern("forEach");
+    callee->property = program_.atoms->intern("forEach");
 
     auto call = std::make_unique<Call>();
     call->line = loop.line;

@@ -7,7 +7,6 @@
 #include "interp/shape.h"
 #include "js/atom.h"
 #include "rivertrail/thread_pool.h"
-#include "support/epoch.h"
 #include "support/obs.h"
 
 namespace jsceres {
@@ -114,35 +113,10 @@ ServiceState from_session_state(SessionState state) {
 
 std::size_t AnalysisService::shared_structure_bytes() {
   return js::atom_table_bytes() + interp::Shape::live_bytes() +
-         ceres::stamp_bytes_live() + EpochDomain::global().deferred_bytes();
+         ceres::stamp_bytes_live();
 }
 
-std::size_t AnalysisService::run_reclamation_pass() {
-  // One pass at a time, process-wide. Two overlapping passes are unsafe
-  // even though each structure locks itself: pass A's epoch reclaim could
-  // recycle atom slots under a floor that pass B's still-running shape
-  // prune has not applied yet, leaving B to erase shape-map entries whose
-  // keys hash through recycled atom data.
-  static std::mutex pass_mutex;
-  const std::lock_guard lock(pass_mutex);
-  JSCERES_OBS_SPAN("service", "reclamation_pass");
-#if JSCERES_OBS
-  const std::int64_t obs_pass_start = obs::mono_ns();
-#endif
-  // The floor is computed once and used for BOTH structures: sessions that
-  // end mid-pass advance the epoch, and a refreshed floor in the second
-  // step would free atoms the first step still considered reachable.
-  const auto floor = EpochDomain::global().min_pinned();
-  std::size_t freed = interp::Shape::reclaim_unused(floor);
-  freed += EpochDomain::global().reclaim(floor);
-#if JSCERES_OBS
-  JSCERES_OBS_COUNT("epoch.reclaim_passes", 1);
-  JSCERES_OBS_COUNT("epoch.freed_bytes", freed);
-  JSCERES_OBS_HIST("epoch.reclaim_pass_us",
-                   (obs::mono_ns() - obs_pass_start) / 1000);
-#endif
-  return freed;
-}
+std::size_t AnalysisService::run_reclamation_pass() { return 0; }
 
 AnalysisService::AnalysisService(rivertrail::ThreadPool& pool,
                                  ServiceOptions options)
@@ -171,10 +145,6 @@ AnalysisService::~AnalysisService() {
     watchdog_cv_.notify_all();
     watchdog_.join();
   }
-  // Final reclamation: no session is pinned anymore, so everything retired
-  // is reclaimable.
-  EpochDomain::global().advance();
-  run_reclamation_pass();
 }
 
 ServiceTicket AnalysisService::submit(ServiceRequest request) {
@@ -255,15 +225,7 @@ void AnalysisService::run_entry(const std::shared_ptr<Entry>& entry) {
   entry->started_ns.store(now_ns(), std::memory_order_release);
 
   ServiceOutcome outcome;
-  {
-    // Pin first, scope second: the scope's destructor retires dead atoms
-    // at the then-current epoch, and it must run while our pin ordering is
-    // irrelevant but *before* the unpin so reverse destruction keeps the
-    // session's own lookups safe to the last instruction.
-    const EpochPin pin;
-    const js::AtomScope scope;
-    outcome.session = supervisor_.run_one(entry->request.session);
-  }
+  outcome.session = supervisor_.run_one(entry->request.session);
 
   outcome.state = from_session_state(outcome.session.state);
   if (outcome.session.state == SessionState::Cancelled &&
@@ -284,7 +246,6 @@ void AnalysisService::run_entry(const std::shared_ptr<Entry>& entry) {
 void AnalysisService::finish_entry(const std::shared_ptr<Entry>& entry,
                                    std::size_t peak_bytes) {
   governor_.release(entry->request.memory_estimate, peak_bytes);
-  EpochDomain::global().advance();
 
 #if JSCERES_OBS
   // Per-tenant session latency. Dynamic names intern once per tenant; the
@@ -306,27 +267,11 @@ void AnalysisService::finish_entry(const std::shared_ptr<Entry>& entry,
   // Shutdown edge: once the final unlock below publishes "queue and active
   // both empty", drain() may return and the destructor may start tearing
   // the service down — so that unlock must be this handler's LAST touch of
-  // any member. The amortized reclamation pass therefore runs *before* the
-  // entry leaves the active set (the session slot is held a little longer,
-  // which only delays the next dispatch, never correctness); the old shape
-  // — notify idle, then re-lock mutex_ to bank reclaimed_bytes_ — was a
-  // use-after-destruction window for a submit/destructor race.
-  bool run_reclaim = false;
-  {
-    const std::lock_guard lock(mutex_);
-    ++completed_;
-    if (++completions_since_reclaim_ >= options_.reclaim_every) {
-      completions_since_reclaim_ = 0;
-      run_reclaim = true;
-    }
-  }
-  std::size_t freed = 0;
-  if (run_reclaim) freed = run_reclamation_pass();
-
+  // any member.
   std::shared_ptr<Entry> next;
   {
     const std::lock_guard lock(mutex_);
-    reclaimed_bytes_ += freed;
+    ++completed_;
     active_.erase(std::remove(active_.begin(), active_.end(), entry),
                   active_.end());
     const auto it = tenant_active_.find(entry->request.tenant);
@@ -383,7 +328,6 @@ ServiceStats AnalysisService::stats() const {
     out.active_sessions = active_.size();
     out.queue_high_water = queue_high_water_;
     out.active_high_water = active_high_water_;
-    out.reclaimed_bytes = reclaimed_bytes_;
   }
   out.governor_reserved_bytes = governor_.reserved_bytes();
   out.governor_high_water_bytes = governor_.high_water_bytes();
@@ -429,12 +373,6 @@ void AnalysisService::refresh_engine_gauges() {
   JSCERES_OBS_GAUGE_SET("ceres.stamp_segments_live",
                         ceres::stamp_segments_live());
   JSCERES_OBS_GAUGE_SET("ceres.stamp_bytes_live", ceres::stamp_bytes_live());
-  JSCERES_OBS_GAUGE_SET("epoch.deferred_bytes",
-                        EpochDomain::global().deferred_bytes());
-  JSCERES_OBS_GAUGE_SET("epoch.deferred_count",
-                        EpochDomain::global().deferred_count());
-  JSCERES_OBS_GAUGE_SET("epoch.pinned_sessions",
-                        EpochDomain::global().pinned_count());
 }
 
 obs::Snapshot AnalysisService::metrics_snapshot() const {

@@ -108,10 +108,6 @@ struct ServiceOptions {
   /// cancelled (sticky — it wins over any retry rung). 0 with a nonzero
   /// interval means the watchdog only maintains diagnostics.
   std::int64_t watchdog_stuck_ms = 0;
-  /// Run the reclamation pass (shape prune, then epoch reclaim) every N
-  /// session completions. The pass is amortized bookkeeping, not a GC
-  /// pause: it frees only state no live session can reach.
-  std::size_t reclaim_every = 8;
   SupervisorOptions supervisor;
 };
 
@@ -131,29 +127,26 @@ struct ServiceStats {
   std::size_t governor_reserved_bytes = 0;   // gauge
   std::size_t governor_high_water_bytes = 0;
   std::size_t shared_structure_bytes = 0;    // gauge (atoms+shapes+stamps)
-  std::size_t reclaimed_bytes = 0;  // total freed by reclamation passes
 };
 
 /// Ingress front-end of the resident analysis service: a bounded admission
 /// queue over SessionSupervisor with memory-governed admission, per-tenant
-/// concurrency caps, a stuck-session watchdog, and epoch-scoped global
-/// state so the process does not accrete atoms/shapes/stamp segments across
-/// tenants.
+/// concurrency caps, and a stuck-session watchdog.
 ///
 /// Structure: submit() decides synchronously — shed (structured, instant),
 /// run now (a pool task is dispatched inline), or queue (bounded). There is
 /// no dispatcher thread: the completion handler of each finishing session
 /// dispatches the next eligible queued request, so the service is driven
 /// entirely by the pool it already shares with the sessions' own parallel
-/// work. Each running session holds an epoch pin and a thread-local
-/// AtomScope; completion releases both, advances the epoch, and (amortized)
-/// runs shape pruning before epoch reclamation — the documented ordering
-/// that lets atom slots recycle safely.
+/// work. The process does not accrete atoms or shapes across tenants by
+/// construction: each session's program owns its atoms and shape tree and
+/// frees them when the session's attempt ends (see js::Program), so there
+/// is no cross-session reclamation to schedule.
 class AnalysisService {
  public:
   AnalysisService(rivertrail::ThreadPool& pool, ServiceOptions options = {});
-  /// Drains (queued requests still run; new submits shed with "shutdown"),
-  /// stops the watchdog, and runs a final reclamation pass.
+  /// Drains (queued requests still run; new submits shed with "shutdown")
+  /// and stops the watchdog.
   ~AnalysisService();
 
   AnalysisService(const AnalysisService&) = delete;
@@ -179,7 +172,7 @@ class AnalysisService {
   [[nodiscard]] MemoryGovernor& governor() { return governor_; }
 
   /// Full observability snapshot: refreshes the cross-layer engine gauges
-  /// (shape tree, atom table, stamp segments, epoch domain) plus this
+  /// (live shapes, prefix atom table, stamp segments) plus this
   /// service's own gauges, then aggregates the whole metrics registry.
   [[nodiscard]] obs::Snapshot metrics_snapshot() const;
 
@@ -187,18 +180,14 @@ class AnalysisService {
   /// Static: callable without a service (the soak driver's periodic dump).
   static void refresh_engine_gauges();
 
-  /// Bytes held by the process-wide shared structures the governor folds
-  /// into pressure: atom table + shape tree + stamp segments + frees still
-  /// deferred on the epoch domain.
+  /// Bytes held by the structures the governor folds into pressure beyond
+  /// each session's own ledger: the prefix atom table + every live shape
+  /// (summed over the programs alive right now) + stamp segments.
   static std::size_t shared_structure_bytes();
 
-  /// One serialized reclamation pass over every shared structure: computes
-  /// the epoch floor once, prunes the shape tree with it, then reclaims the
-  /// epoch domain capped to the SAME floor. Passes from different threads
-  /// are mutually exclusive — interleaving them would let one thread's atom
-  /// recycling overtake another thread's shape prune and resurrect the
-  /// shapes-before-atoms ordering hazard (see interp/shape.h). Returns the
-  /// bytes freed.
+  /// A no-op that returns 0 bytes freed. Programs free their own atoms and
+  /// shapes when they are destroyed, so there is nothing left to reclaim
+  /// across sessions; kept so callers that time the pass still link.
   static std::size_t run_reclamation_pass();
 
  private:
@@ -231,8 +220,6 @@ class AnalysisService {
   std::size_t watchdog_quarantines_ = 0;
   std::size_t queue_high_water_ = 0;
   std::size_t active_high_water_ = 0;
-  std::size_t completions_since_reclaim_ = 0;
-  std::size_t reclaimed_bytes_ = 0;
 
   std::mutex watchdog_mutex_;
   std::condition_variable watchdog_cv_;

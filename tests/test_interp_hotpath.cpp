@@ -20,8 +20,6 @@
 #include "js/atom.h"
 #include "js/parser.h"
 #include "support/clock.h"
-#include "support/epoch.h"
-#include "support/service.h"
 
 namespace {
 std::atomic<std::int64_t> g_alloc_count{0};
@@ -408,38 +406,45 @@ TEST(PolymorphicIC, WriteSiteCachesTransitionTarget) {
 // Incremental shapes: slots must be stable across lazy flattening, deep
 // chains must flatten on their second lookup, and concurrent growth of one
 // transition subtree must be race-free (this test runs under TSan in CI).
+// Each test grows a tree of its own, keyed by its own atom space — what one
+// program's interpreters share.
 // ---------------------------------------------------------------------------
 
 TEST(IncrementalShape, SlotsStableAcrossLazyFlattening) {
-  const Shape* shape = Shape::root();
-  std::vector<js::Atom> atoms;
+  js::AtomSpace atoms;
+  const auto root = Shape::make_root(atoms);
+  const Shape* shape = root.get();
+  std::vector<js::Atom> keys;
   for (int i = 0; i < 12; ++i) {
-    atoms.push_back(js::Atom::intern("ishape_a_" + std::to_string(i)));
-    shape = shape->transition(atoms.back());
+    keys.push_back(atoms.intern("ishape_a_" + std::to_string(i)));
+    shape = shape->transition(keys.back());
   }
   EXPECT_EQ(shape->slot_count(), 12u);
   EXPECT_FALSE(shape->flattened_for_test());
+  EXPECT_EQ(shape->root(), root.get());
+  EXPECT_EQ(&shape->atoms(), &atoms);
 
   std::vector<std::int32_t> before;
-  for (const js::Atom& atom : atoms) before.push_back(shape->slot_of(atom));
+  for (const js::Atom& atom : keys) before.push_back(shape->slot_of(atom));
   // Depth 12 > kDeepChain: the second round of lookups runs flattened.
   EXPECT_TRUE(shape->flattened_for_test());
-  for (std::size_t i = 0; i < atoms.size(); ++i) {
+  for (std::size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(before[i], std::int32_t(i));
-    EXPECT_EQ(shape->slot_of(atoms[i]), std::int32_t(i));
+    EXPECT_EQ(shape->slot_of(keys[i]), std::int32_t(i));
   }
-  EXPECT_EQ(shape->slot_of(js::Atom::intern("ishape_a_missing")), -1);
+  EXPECT_EQ(shape->slot_of(atoms.intern("ishape_a_missing")), -1);
   // Enumeration order is insertion order.
-  ASSERT_EQ(shape->keys().size(), atoms.size());
-  for (std::size_t i = 0; i < atoms.size(); ++i) EXPECT_EQ(shape->keys()[i], atoms[i]);
+  ASSERT_EQ(shape->keys().size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(shape->keys()[i], keys[i]);
 }
 
 TEST(IncrementalShape, DeepChainFlattensOnSecondLookupOnly) {
-  const Shape* shape = Shape::root();
-  js::Atom first = js::Atom::intern("ishape_b_0");
-  shape = shape->transition(first);
+  js::AtomSpace atoms;
+  const auto root = Shape::make_root(atoms);
+  js::Atom first = atoms.intern("ishape_b_0");
+  const Shape* shape = root->transition(first);
   for (int i = 1; i < 10; ++i) {
-    shape = shape->transition(js::Atom::intern("ishape_b_" + std::to_string(i)));
+    shape = shape->transition(atoms.intern("ishape_b_" + std::to_string(i)));
   }
   EXPECT_EQ(shape->slot_of(first), 0);  // first lookup: plain chain walk
   EXPECT_FALSE(shape->flattened_for_test());
@@ -448,10 +453,11 @@ TEST(IncrementalShape, DeepChainFlattensOnSecondLookupOnly) {
 }
 
 TEST(IncrementalShape, ShallowChainFlattensWhenHot) {
-  const Shape* shape = Shape::root()
-                           ->transition(js::Atom::intern("ishape_c_0"))
-                           ->transition(js::Atom::intern("ishape_c_1"));
-  const js::Atom probe = js::Atom::intern("ishape_c_0");
+  js::AtomSpace atoms;
+  const auto root = Shape::make_root(atoms);
+  const Shape* shape = root->transition(atoms.intern("ishape_c_0"))
+                           ->transition(atoms.intern("ishape_c_1"));
+  const js::Atom probe = atoms.intern("ishape_c_0");
   for (int i = 0; i < int(Shape::kHotFlattenLookups) - 1; ++i) {
     EXPECT_EQ(shape->slot_of(probe), 0);
     EXPECT_FALSE(shape->flattened_for_test());
@@ -463,26 +469,28 @@ TEST(IncrementalShape, ShallowChainFlattensWhenHot) {
 TEST(IncrementalShape, ConcurrentTransitionGrowthIsRaceFreeAndDeduplicated) {
   constexpr int kThreads = 8;
   constexpr int kDepth = 24;
-  // Pre-intern so the threads race on the shape tree, not the atom table.
+  js::AtomSpace atoms;
+  const auto root = Shape::make_root(atoms);
+  // Pre-intern so the threads race on the shape tree, not the atom space.
   std::vector<js::Atom> shared_keys;
   for (int i = 0; i < kDepth; ++i) {
-    shared_keys.push_back(js::Atom::intern("ishape_d_" + std::to_string(i)));
+    shared_keys.push_back(atoms.intern("ishape_d_" + std::to_string(i)));
   }
   std::vector<const Shape*> results(kThreads, nullptr);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &shared_keys, &results] {
+    threads.emplace_back([t, &atoms, &root, &shared_keys, &results] {
       // Every thread builds the same chain (racing on each link's
       // transition map) and probes/flattens while others still build.
-      const Shape* shape = Shape::root();
+      const Shape* shape = root.get();
       for (int i = 0; i < kDepth; ++i) {
         shape = shape->transition(shared_keys[std::size_t(i)]);
         EXPECT_EQ(shape->slot_of(shared_keys[0]), 0);
       }
       // Private divergence at the tip must not disturb the shared chain.
       const Shape* tip =
-          shape->transition(js::Atom::intern("ishape_d_tip_" + std::to_string(t)));
+          shape->transition(atoms.intern("ishape_d_tip_" + std::to_string(t)));
       EXPECT_EQ(tip->slot_count(), kDepth + 1u);
       EXPECT_EQ(std::size_t(tip->keys().size()), std::size_t(kDepth) + 1);
       results[std::size_t(t)] = shape;
@@ -498,22 +506,74 @@ TEST(IncrementalShape, ConcurrentTransitionGrowthIsRaceFreeAndDeduplicated) {
 }
 
 // ---------------------------------------------------------------------------
-// Atom table under concurrent sessions. Eight threads cycle epoch-pinned
-// AtomScopes, racing interns of shared and private names against lookups
-// and against full reclamation passes issued from the workers themselves —
-// the resident service's steady state, compressed. Runs under TSan in CI.
+// Program-owned atoms and shapes: a program's names and hidden classes live
+// and die with it.
 // ---------------------------------------------------------------------------
 
-TEST(AtomTorture, ConcurrentScopedInternLookupAndReclaim) {
+TEST(ProgramUniverse, DestroyingAProgramFreesItsAtomsAndShapesAtOnce) {
+  const js::Atom empty_atom;  // the prefix's "" exists before the baseline
+  ASSERT_TRUE(empty_atom.empty());
+  const std::size_t atoms_before = js::atom_table_size();
+  const std::size_t shapes_before = Shape::live_count();
+  {
+    const js::Program program = js::parse(
+        "var universe_probe = {fresh_alpha: 1, fresh_beta: 2};"
+        "universe_probe['fresh_' + 'gamma'] = 3;"
+        "var fresh_total = universe_probe.fresh_alpha + universe_probe.fresh_gamma;");
+    VirtualClock clock;
+    {
+      Interpreter interp(program, clock);
+      interp.run();
+      EXPECT_DOUBLE_EQ(interp.global("fresh_total").as_number(), 4);
+    }
+    EXPECT_GT(program.atoms->size(), 0u);
+    EXPECT_GT(Shape::live_count(), shapes_before);
+    // Program names never reach the process-wide prefix.
+    js::Atom found;
+    EXPECT_FALSE(js::Atom::try_find("fresh_gamma", &found));
+    ASSERT_TRUE(program.atoms->try_find("fresh_gamma", &found));
+    EXPECT_NE(found.id() & js::Atom::kProgramIdBit, 0u);
+  }
+  EXPECT_EQ(js::atom_table_size(), atoms_before);
+  EXPECT_EQ(Shape::live_count(), shapes_before);
+}
+
+TEST(ProgramUniverse, SpaceReadsThePrefixButNeverWritesIt) {
+  const js::Atom engine = js::Atom::intern("universe_engine_name");
+  const std::size_t atoms_before = js::atom_table_size();
+  js::AtomSpace atoms;
+  EXPECT_EQ(atoms.intern("universe_engine_name"), engine);  // prefix hit
+  const js::Atom local = atoms.intern("universe_program_name");
+  EXPECT_EQ(atoms.intern("universe_program_name"), local);
+  EXPECT_EQ(atoms.size(), 1u);
+  EXPECT_EQ(js::atom_table_size(), atoms_before);
+  // A name the prefix learns later does not displace the program's own
+  // atom: the space's answer for a text never changes.
+  const js::Atom later = js::Atom::intern("universe_program_name");
+  EXPECT_NE(later, local);
+  EXPECT_EQ(atoms.intern("universe_program_name"), local);
+  EXPECT_EQ(engine.id() & js::Atom::kProgramIdBit, 0u);
+  EXPECT_NE(local.id() & js::Atom::kProgramIdBit, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Atoms under concurrent programs. Eight threads each parse and run a stream
+// of programs that spell 8 shared names (half of them already in the
+// prefix) and 8 names private to that program, racing each other's
+// interns, lookups and program teardown. Runs under TSan in CI.
+// ---------------------------------------------------------------------------
+
+TEST(AtomTorture, ConcurrentProgramsInternAndFreeTheirOwnAtoms) {
   constexpr int kThreads = 8;
-  constexpr int kIterations = 60;
+  constexpr int kIterations = 24;
   constexpr int kSharedNames = 8;
   constexpr int kPrivateNames = 8;
 
-  // Materialize the lazily-interned (immortal) empty atom first so the
-  // before/after comparison sees only the torture's own atoms.
-  const js::Atom empty_atom;
-  ASSERT_TRUE(empty_atom.empty());
+  // Half the shared names are engine-style prefix names, so programs hit
+  // both lookup paths (local and prefix).
+  for (int k = 0; k < kSharedNames / 2; ++k) {
+    js::Atom::intern("torture_shared_" + std::to_string(k));
+  }
   const std::size_t baseline = js::atom_table_size();
 
   std::vector<std::thread> threads;
@@ -521,55 +581,48 @@ TEST(AtomTorture, ConcurrentScopedInternLookupAndReclaim) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([t] {
       for (int iter = 0; iter < kIterations; ++iter) {
-        // One scope per iteration = one session: its transient atoms retire
-        // when it ends, racing the other threads' live scopes.
-        const EpochPin pin;
-        const js::AtomScope scope;
-
-        // Shared names: every thread interns the same spellings, racing
-        // scope-reference bumps on one entry.
+        std::vector<std::string> names;
         for (int k = 0; k < kSharedNames; ++k) {
-          const std::string text = "torture_shared_" + std::to_string(k);
-          const js::Atom atom = js::Atom::intern(text);
-          EXPECT_EQ(atom.str(), text);
-          js::Atom found;
-          ASSERT_TRUE(js::Atom::try_find(text, &found));
-          EXPECT_EQ(found, atom);  // identity: one entry per spelling
+          names.push_back("torture_shared_" + std::to_string(k));
         }
-        // Private names: unique per (thread, iteration), so every iteration
-        // retires its own batch and the table must not accrete them.
         for (int k = 0; k < kPrivateNames; ++k) {
-          const std::string text = "torture_t" + std::to_string(t) + "_i" +
-                                   std::to_string(iter) + "_" + std::to_string(k);
-          const js::Atom atom = js::Atom::intern(text);
-          EXPECT_EQ(atom.str(), text);
-          EXPECT_EQ(atom, js::Atom::intern(text));  // re-intern dedups
+          names.push_back("torture_t" + std::to_string(t) + "_i" +
+                          std::to_string(iter) + "_" + std::to_string(k));
         }
-        // Misses must stay misses (and not disturb concurrent interns).
+        std::string source = "var o = {};";
+        for (const std::string& name : names) {
+          source += "o." + name + " = 1; o['" + name + "'] += 1;";
+        }
+        const js::Program program = js::parse(source);
+        VirtualClock clock;
+        Interpreter interp(program, clock);
+        interp.run();
+
+        const ObjPtr o = interp.global("o").as_object();
+        ASSERT_EQ(o->key_order().size(), names.size());
+        for (std::size_t k = 0; k < names.size(); ++k) {
+          // Identity within the program: the lexer's atom, the computed
+          // key's atom and a fresh intern are one atom.
+          const js::Atom atom = program.atoms->intern(names[k]);
+          EXPECT_EQ(o->key_order()[k], atom);
+          js::Atom found;
+          ASSERT_TRUE(program.atoms->try_find(names[k], &found));
+          EXPECT_EQ(found, atom);
+          const Value* value = o->own_property(names[k]);
+          ASSERT_NE(value, nullptr);
+          EXPECT_DOUBLE_EQ(value->as_number(), 2);
+        }
         js::Atom missing;
-        EXPECT_FALSE(js::Atom::try_find(
+        EXPECT_FALSE(program.atoms->try_find(
             "torture_never_" + std::to_string(t) + "_" + std::to_string(iter),
             &missing));
-        EXPECT_GE(scope.touched(), std::size_t(kSharedNames + kPrivateNames));
-
-        // A few workers run the full serialized reclamation pass mid-flight,
-        // racing everyone else's pinned lookups. It may free nothing (our
-        // own pin holds the floor down) — the point is that it's safe.
-        if ((iter + t) % 16 == 0) {
-          EpochDomain::global().advance();
-          AnalysisService::run_reclamation_pass();
-        }
       }
     });
   }
   for (auto& thread : threads) thread.join();
 
-  // All scopes are gone: one final pass must reclaim every transient atom
-  // the torture created — the table returns to its pre-test size.
-  EpochDomain::global().advance();
-  AnalysisService::run_reclamation_pass();
+  // Every program is gone, and none of them wrote the prefix.
   EXPECT_LE(js::atom_table_size(), baseline);
-  EXPECT_EQ(js::atom_table_retired_pending(), 0u);
 }
 
 // ---------------------------------------------------------------------------

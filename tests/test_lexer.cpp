@@ -5,6 +5,11 @@
 namespace jsceres::js {
 namespace {
 
+// The tokens' atoms live here, as a parsed program's live in its space.
+AtomSpace g_atoms;
+
+std::vector<Token> lex(std::string_view src) { return js::lex(src, g_atoms); }
+
 std::vector<Tok> kinds(const std::string& src) {
   std::vector<Tok> out;
   for (const auto& t : lex(src)) out.push_back(t.kind);

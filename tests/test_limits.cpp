@@ -73,27 +73,30 @@ TEST(ParserLimits, UnaryChainsAreDepthCounted) {
 TEST(LexerLimits, TokenCountCap) {
   EngineLimits limits;
   limits.max_tokens = 10;
+  js::AtomSpace atoms;
   try {
-    js::lex("var a = 1; var b = 2; var c = 3;", limits);
+    js::lex("var a = 1; var b = 2; var c = 3;", atoms, limits);
     FAIL() << "expected LexError";
   } catch (const js::LexError& e) {
     EXPECT_NE(std::string(e.what()).find("token limit"), std::string::npos);
   }
-  EXPECT_NO_THROW(js::lex("var a = 1;", limits));
+  EXPECT_NO_THROW(js::lex("var a = 1;", atoms, limits));
 }
 
 TEST(LexerLimits, SourceSizeCap) {
   EngineLimits limits;
   limits.max_source_bytes = 64;
-  EXPECT_THROW(js::lex(std::string(65, ' '), limits), js::LexError);
-  EXPECT_NO_THROW(js::lex(std::string(64, ' '), limits));
+  js::AtomSpace atoms;
+  EXPECT_THROW(js::lex(std::string(65, ' '), atoms, limits), js::LexError);
+  EXPECT_NO_THROW(js::lex(std::string(64, ' '), atoms, limits));
 }
 
 TEST(LexerLimits, MalformedInputStaysGraceful) {
-  EXPECT_THROW(js::lex("var s = \"unterminated"), js::LexError);
-  EXPECT_THROW(js::lex("/* never closed"), js::LexError);
-  EXPECT_THROW(js::lex("var s = \"line\nbreak\";"), js::LexError);
-  EXPECT_THROW(js::lex("var a = 1 @ 2;"), js::LexError);
+  js::AtomSpace atoms;
+  EXPECT_THROW(js::lex("var s = \"unterminated", atoms), js::LexError);
+  EXPECT_THROW(js::lex("/* never closed", atoms), js::LexError);
+  EXPECT_THROW(js::lex("var s = \"line\nbreak\";", atoms), js::LexError);
+  EXPECT_THROW(js::lex("var a = 1 @ 2;", atoms), js::LexError);
 }
 
 // ---------------------------------------------------------------------------
@@ -347,8 +350,12 @@ TEST(Injection, RepeatedTripCyclesDoNotLeak) {
       "var xs = []; "
       "for (var i = 0; i < 20; i++) { xs.push(mk(i)); }";
   const js::Program program = js::parse(source);
-  // Warm-up: intern atoms, build shared shapes, fault in allocator pools.
-  for (int i = 0; i < 3; ++i) {
+  // Warm-up: intern atoms, build the program's shapes, fault in allocator
+  // pools, and let the hot shapes flatten — a shape materializes its flat
+  // table once it has served kHotFlattenLookups chain walks, counted over
+  // every interpreter of the program, so the tree is only at steady state
+  // after that many cycles.
+  for (int i = 0; i < int(interp::Shape::kHotFlattenLookups) + 3; ++i) {
     VirtualClock clock;
     interp::InterpreterConfig config;
     config.limits.fail_after_n_allocations = 7;

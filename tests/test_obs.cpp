@@ -2,8 +2,8 @@
 // aggregation, snapshot-during-update races, log2 histogram buckets), the
 // Chrome-trace recorder (ring wraparound, schema, thread names), and the
 // end-to-end acceptance run — a fuzz-generated session batch through
-// AnalysisService must leave scheduler / interpreter / service / governor /
-// epoch metrics with plausible non-zero values and task/session/frame spans
+// AnalysisService must leave scheduler / interpreter / service / governor
+// metrics with plausible non-zero values and task/session/frame spans
 // in the trace. This binary runs under the TSan CI job.
 //
 // Registrations are process-permanent, so every test uses metric names
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "fuzz/generator.h"
+#include "interp/shape.h"
 #include "rivertrail/thread_pool.h"
 #include "support/obs.h"
 #include "support/service.h"
@@ -312,8 +313,8 @@ TEST(TraceRecorderTest, ConcurrentAppendersEachGetTheirOwnRing) {
 // Drives fuzz-generated sessions through AnalysisService exactly as
 // `fuzz_driver --soak` does (timer sessions through the pipelined frame
 // graph) and asserts the snapshot the soak's --metrics-out flag would dump:
-// scheduler, interpreter, service, governor, and epoch metrics all live and
-// plausible, and the trace carrying per-worker task spans plus per-frame
+// scheduler, interpreter, service, and governor metrics all live and
+// plausible, the engine gauges current, and the trace carrying per-worker task spans plus per-frame
 // stage spans.
 TEST(ObservabilityAcceptance, ServiceBatchPopulatesMetricsAndTrace) {
   obs::reset_all_for_testing();
@@ -325,7 +326,6 @@ TEST(ObservabilityAcceptance, ServiceBatchPopulatesMetricsAndTrace) {
   ServiceOptions options;
   options.max_active = 4;
   options.max_queue = 32;
-  options.reclaim_every = 8;
   Snapshot snap;
   {
     AnalysisService service(pool, options);
@@ -372,14 +372,14 @@ TEST(ObservabilityAcceptance, ServiceBatchPopulatesMetricsAndTrace) {
   EXPECT_EQ(snap.value("service.completed"), 48u);
   EXPECT_EQ(snap.value("supervisor.sessions"), 48u);
   EXPECT_EQ(snap.value("governor.admit"), 48u);
-  // Epoch reclamation ran (reclaim_every=8 across 48 sessions + drain).
-  EXPECT_GT(snap.value("epoch.reclaim_passes"), 0u);
   // Frames committed through the pipelined frame graph (12 timer sessions).
   EXPECT_GT(snap.value("frame.committed"), 0u);
-  // Engine gauges refreshed by metrics_snapshot().
+  // Engine gauges refreshed by metrics_snapshot(). Every session's program
+  // (and with it its shape tree) is gone once drained, so the gauge reads
+  // exactly what is still live, not a leftover tree.
   const obs::SnapshotEntry* shapes = snap.find("interp.shape_count");
   ASSERT_NE(shapes, nullptr);
-  EXPECT_GT(shapes->gauge, 0);
+  EXPECT_EQ(std::size_t(shapes->gauge), interp::Shape::live_count());
   // Per-session latency histogram has one sample per session.
   const obs::SnapshotEntry* latency = snap.find("service.session_ms");
   ASSERT_NE(latency, nullptr);

@@ -1,9 +1,10 @@
 // AnalysisService: the resident multi-tenant ingress front-end. Admission
 // (run / queue / structured shed), per-tenant concurrency caps, the memory
 // governor's degrade/shed ladder and estimate reconciliation, the stuck-
-// session watchdog, and end-to-end epoch reclamation of the shared
-// structures once the service drains. This binary runs under the TSan and
-// ASan CI jobs.
+// session watchdog, the process-wide structures a drained service leaves
+// exactly as it found them, and per-program atoms under the frame graph's
+// cross-session work stealing. This binary runs under the TSan and ASan CI
+// jobs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,10 +18,11 @@
 
 #include "interp/shape.h"
 #include "js/atom.h"
+#include "js/parser.h"
 #include "rivertrail/thread_pool.h"
 #include "support/cancel.h"
-#include "support/epoch.h"
 #include "support/service.h"
+#include "support/session.h"
 
 namespace jsceres {
 namespace {
@@ -384,18 +386,25 @@ TEST(Service, DestructionImmediatelyAfterOutcomeIsSafe) {
   }
 }
 
-TEST(Service, RealSessionsReclaimSharedStateOnceDrained) {
+TEST(Service, RealSessionsLeaveSharedStateAsFoundOnceDrained) {
+  {
+    // The first Session of the process teaches the atom prefix the names
+    // the engine spells itself, once; the baseline is taken after that.
+    const js::Program program = js::parse("var warm = 1;");
+    Session(program, CeresMode::Uninstrumented).run();
+  }
+  const std::size_t atoms_before = js::atom_table_size();
+  const std::size_t shapes_before = interp::Shape::live_count();
   rivertrail::ThreadPool pool(4);
   ServiceOptions options;
   options.max_active = 4;
   options.max_queue = 32;  // all 24 submits must admit, never shed
-  options.reclaim_every = 2;
   {
     AnalysisService service(pool, options);
     std::vector<ServiceTicket> tickets;
     for (int i = 0; i < 24; ++i) {
-      // Unique names per session: every run interns fresh transient atoms
-      // and grows fresh shape-tree children that only reclamation can free.
+      // Unique names per session: every run interns fresh atoms and grows
+      // fresh shapes, all of which belong to that session's program.
       const std::string n = std::to_string(i);
       ServiceRequest request;
       request.session.name = "real-" + n;
@@ -413,11 +422,73 @@ TEST(Service, RealSessionsReclaimSharedStateOnceDrained) {
       EXPECT_EQ(outcome.session.console, "3\n");
     }
     service.drain();
+    // No reclamation pass: each program freed its atoms and shapes when its
+    // session ended, so nothing is left even before the service goes away.
+    EXPECT_EQ(js::atom_table_size(), atoms_before);
+    EXPECT_EQ(interp::Shape::live_count(), shapes_before);
   }
-  // The destructor's final pass runs with no pins left: every transient
-  // atom is reclaimed and the shape tree prunes back to its root.
-  EXPECT_EQ(js::atom_table_retired_pending(), 0u);
-  EXPECT_EQ(interp::Shape::live_count(), 1u);
+  EXPECT_EQ(js::atom_table_size(), atoms_before);
+  EXPECT_EQ(interp::Shape::live_count(), shapes_before);
+}
+
+// A worker waiting inside one session runs other pool tasks, so one
+// session's frame-graph stage can execute on a thread that is in the middle
+// of another session. The atoms that stage interns must still belong to its
+// own program: every session's rAF frames write computed keys and read back
+// the keys of earlier frames, and each console must equal the same program
+// run bare through Session.
+TEST(Service, FrameGraphAtomsStayWithTheirOwnSession) {
+  constexpr int kSessions = 8;
+  constexpr std::int64_t kHorizonMs = 400;
+  const auto source_of = [](int i) {
+    return "var tag = '_s" + std::to_string(i) + "';"
+           "var o = {};"
+           "var frame = 0;"
+           "var seen = 0;"
+           "function tick() {"
+           "  o['k' + frame + tag] = frame;"
+           "  for (var f = 0; f < frame; f++) {"
+           "    if (o['k' + f + tag] === f) { seen++; }"
+           "  }"
+           "  frame++;"
+           "  if (frame < 12) { requestAnimationFrame(tick); }"
+           "  else { console.log('frames ' + frame + ' seen ' + seen); }"
+           "}"
+           "requestAnimationFrame(tick);";
+  };
+
+  std::vector<std::string> expected;
+  for (int i = 0; i < kSessions; ++i) {
+    const js::Program program = js::parse(source_of(i));
+    Session session(program, CeresMode::Dependence);
+    session.open_page();
+    session.run(kHorizonMs);
+    expected.push_back(session.interp().console_output());
+  }
+  ASSERT_EQ(expected[0], "frames 12 seen 66\n");
+
+  rivertrail::ThreadPool pool(4);
+  ServiceOptions options;  // the soak's admission shape
+  options.max_active = 4;
+  options.max_queue = 32;
+  options.max_per_tenant = 2;
+  AnalysisService service(pool, options);
+  std::vector<ServiceTicket> tickets;
+  for (int i = 0; i < kSessions; ++i) {
+    ServiceRequest request;
+    request.tenant = "tenant-" + std::to_string(i);
+    request.session.name = "frames-" + std::to_string(i);
+    request.session.source = source_of(i);
+    request.session.has_timers = true;
+    request.session.horizon_ms = kHorizonMs;
+    request.session.frame_pool = &pool;
+    tickets.push_back(service.submit(std::move(request)));
+  }
+  for (int i = 0; i < kSessions; ++i) {
+    const ServiceOutcome outcome = tickets[std::size_t(i)].wait();
+    EXPECT_EQ(outcome.state, ServiceState::Completed) << outcome.session.error;
+    EXPECT_EQ(outcome.session.console, expected[std::size_t(i)]) << "session " << i;
+  }
 }
 
 }  // namespace

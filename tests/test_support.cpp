@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "support/clock.h"
-#include "support/epoch.h"
 #include "support/rng.h"
 #include "support/str.h"
 #include "support/table.h"
@@ -155,71 +154,6 @@ TEST(Table, RuleSeparatesSections) {
   std::size_t rules = 0;
   for (std::size_t pos = 0; (pos = out.find("+--", pos)) != std::string::npos; ++pos) ++rules;
   EXPECT_EQ(rules, 4u);
-}
-
-// A private domain per test: the global one is shared with whatever the
-// rest of the binary pinned or retired.
-TEST(Epoch, RetireWaitsForOverlappingPins) {
-  EpochDomain domain;
-  int freed = 0;
-  const EpochDomain::Epoch pinned = domain.pin();
-  domain.retire(100, [&freed] { ++freed; });
-  domain.advance();
-  // The pin predates the retire epoch: nothing may free yet.
-  EXPECT_EQ(domain.reclaim(), 0u);
-  EXPECT_EQ(domain.deferred_bytes(), 100u);
-  EXPECT_EQ(freed, 0);
-
-  domain.unpin(pinned);
-  EXPECT_EQ(domain.reclaim(), 100u);
-  EXPECT_EQ(freed, 1);
-  EXPECT_EQ(domain.deferred_bytes(), 0u);
-  EXPECT_EQ(domain.reclaimed_bytes(), 100u);
-}
-
-TEST(Epoch, MinPinnedIsOldestLivePin) {
-  EpochDomain domain;
-  const EpochDomain::Epoch old_pin = domain.pin();
-  domain.advance();
-  domain.advance();
-  const EpochDomain::Epoch young_pin = domain.pin();
-  EXPECT_EQ(domain.min_pinned(), old_pin);
-  EXPECT_EQ(domain.pinned_count(), 2u);
-
-  domain.unpin(old_pin);
-  EXPECT_EQ(domain.min_pinned(), young_pin);
-  domain.unpin(young_pin);
-  // No pins: everything retired so far is reclaimable (floor current+1).
-  EXPECT_EQ(domain.min_pinned(), domain.current() + 1);
-  EXPECT_EQ(domain.pinned_count(), 0u);
-}
-
-TEST(Epoch, FloorCapHoldsBackFreesNewerThanTheCallersFloor) {
-  EpochDomain domain;
-  domain.retire(10, [] {});
-  const EpochDomain::Epoch floor = domain.min_pinned();  // current + 1
-  domain.advance();
-  domain.retire(20, [] {});  // retired at an epoch >= the captured floor
-
-  // Capped to the caller's earlier floor: only the first retire is old
-  // enough — the multi-structure pass contract (see run_reclamation_pass).
-  EXPECT_EQ(domain.reclaim(floor), 10u);
-  EXPECT_EQ(domain.deferred_count(), 1u);
-  // Uncapped, with no pins alive, the rest drains.
-  EXPECT_EQ(domain.reclaim(), 20u);
-  EXPECT_EQ(domain.deferred_count(), 0u);
-}
-
-TEST(Epoch, PinIsRaiiAndDoubleUnpinIsIgnored) {
-  EpochDomain domain;
-  {
-    const EpochPin pin(domain);
-    EXPECT_EQ(domain.pinned_count(), 1u);
-    EXPECT_EQ(domain.min_pinned(), pin.epoch());
-    domain.unpin(999);  // unknown epoch: ignored
-    EXPECT_EQ(domain.pinned_count(), 1u);
-  }
-  EXPECT_EQ(domain.pinned_count(), 0u);
 }
 
 TEST(BarChart, RendersProportionalBars) {
