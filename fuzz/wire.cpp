@@ -158,8 +158,9 @@ std::string describe(const net::WireResult& result) {
 }
 
 /// Fresh well-formed client, one trivial request, must complete. Retries
-/// absorb the handful of milliseconds a just-closed hostile connection may
-/// still occupy a slot (its handler notices EOF on the next poll tick).
+/// absorb the moment a just-closed hostile connection may still occupy a
+/// slot (its handler wakes on the EOF at once, but frees the slot only as
+/// its thread exits).
 bool probe_alive(std::uint16_t port, const std::string& token,
                  std::string* detail) {
   std::string last = "no attempt ran";

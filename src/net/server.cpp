@@ -1,12 +1,17 @@
 #include "net/server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
+#include <memory>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -22,6 +27,53 @@ std::int64_t mono_ms() {
       .count();
 }
 
+std::int64_t mono_us() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// poll() timeout until `deadline_ms`: 0 once it has passed.
+int until(std::int64_t deadline_ms) {
+  const std::int64_t left = deadline_ms - mono_ms();
+  return left <= 0 ? 0 : int(std::min<std::int64_t>(left, INT_MAX));
+}
+
+/// Make an eventfd readable. Plain write(2), not write_all: wake traffic is
+/// not socket I/O, so the io_faults event count never includes it. The
+/// only possible failure is EAGAIN on a saturated counter, which is
+/// already readable.
+void signal_fd(int fd) {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t wrote = ::write(fd, &one, sizeof(one));
+}
+
+/// One connection's wake descriptor: a non-blocking eventfd that ticket
+/// completions write and the connection thread polls. The connection and
+/// every completion callback it hands the service share ownership, so the
+/// fd is closed only after the last late completion is done with it —
+/// never while accept() could have handed the same number to a new socket.
+class WakeFd {
+ public:
+  WakeFd() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
+  ~WakeFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  WakeFd(const WakeFd&) = delete;
+  WakeFd& operator=(const WakeFd&) = delete;
+
+  [[nodiscard]] int fd() const { return fd_; }
+  void signal() const { signal_fd(fd_); }
+  /// Back to not-readable (EAGAIN when nothing was signalled).
+  void drain() const {
+    std::uint64_t count = 0;
+    [[maybe_unused]] const ssize_t got = ::read(fd_, &count, sizeof(count));
+  }
+
+ private:
+  const int fd_;
+};
+
 }  // namespace
 
 AnalysisServer::AnalysisServer(AnalysisService& service, ServerOptions options)
@@ -32,9 +84,9 @@ AnalysisServer::~AnalysisServer() { stop(); }
 bool AnalysisServer::start(std::string* error) {
   const auto fail = [&](const std::string& what) {
     if (error != nullptr) *error = what + ": " + std::strerror(errno);
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
+    for (int* fd : {&listen_fd_, &stop_fd_}) {
+      if (*fd >= 0) ::close(*fd);
+      *fd = -1;
     }
     return false;
   };
@@ -45,6 +97,8 @@ bool AnalysisServer::start(std::string* error) {
   }
   stopping_.store(false, std::memory_order_release);
 
+  stop_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (stop_fd_ < 0) return fail("eventfd");
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return fail("socket");
   const int one = 1;
@@ -75,8 +129,11 @@ bool AnalysisServer::start(std::string* error) {
 void AnalysisServer::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stopping_.store(true, std::memory_order_release);
-  // Closing the listen socket unblocks the accept loop's poll at its next
-  // tick; handler threads observe stopping_ on theirs and enter drain.
+  // One write wakes every poller at once: the accept loop returns, and each
+  // connection leaves its loop for the graceful drain. The listen socket
+  // and the stop fd are closed only after the threads using them are
+  // joined.
+  signal_fd(stop_fd_);
   if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -94,6 +151,8 @@ void AnalysisServer::stop() {
     }
     if (victim.joinable()) victim.join();
   }
+  ::close(stop_fd_);
+  stop_fd_ = -1;
   JSCERES_OBS_GAUGE_SET("net.connections_open", 0);
 }
 
@@ -119,14 +178,17 @@ ServerStats AnalysisServer::stats() const {
 
 void AnalysisServer::accept_main() {
   JSCERES_OBS_SET_THREAD_NAME("net-accept");
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const IoStatus ready = wait_readable(listen_fd_, 50);
-    if (ready == IoStatus::Timeout) continue;
-    if (ready == IoStatus::Error) break;
+  for (;;) {
+    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {stop_fd_, POLLIN, 0}};
+    if (::poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
+      break;
+    }
+    if (fds[1].revents != 0) break;  // stop()
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      break;  // listen socket closed by stop()
+      break;
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -138,14 +200,16 @@ void AnalysisServer::accept_main() {
     if (open_connections_.load(std::memory_order_acquire) >=
         options_.max_connections) {
       // The wire mirror of the service's structured shed: the excess
-      // connection learns WHY before the close, within a short write
-      // budget so a non-reading flooder cannot stall the accept loop.
-      // Counted first, so a client that reads the frame sees the count.
+      // connection learns WHY before the close. One non-blocking write
+      // round (timeout 0): a fresh socket's send buffer takes the small
+      // frame at once, and a non-reading flooder cannot stall the accept
+      // loop. Counted first, so a client that reads the frame sees the
+      // count.
       rejected_.fetch_add(1, std::memory_order_relaxed);
       JSCERES_OBS_COUNT("net.connections_rejected", 1);
       const std::vector<std::uint8_t> busy = make_error_frame(
           0, WireError::ServerBusy, "connection cap reached, retry later");
-      write_all(fd, busy.data(), busy.size(), 200);
+      write_all(fd, busy.data(), busy.size(), 0);
       ::close(fd);
       continue;
     }
@@ -216,7 +280,8 @@ bool AnalysisServer::rate_allow(const std::string& tenant) {
 }
 
 bool AnalysisServer::handle_frame(int fd, const Frame& frame,
-                                  std::deque<Pending>& pending) {
+                                  std::deque<Pending>& pending,
+                                  const std::function<void()>& wake) {
   if (frame.kind != FrameKind::Request) {
     malformed_.fetch_add(1, std::memory_order_relaxed);
     JSCERES_OBS_COUNT("net.malformed_frames", 1);
@@ -268,7 +333,7 @@ bool AnalysisServer::handle_frame(int fd, const Frame& frame,
     Pending item;
     item.id = request.id;
     item.tenant = tenant;
-    item.received_ms = mono_ms();
+    item.received_us = mono_us();
     item.is_error = true;
     item.error = code;
     item.error_message = message;
@@ -307,11 +372,12 @@ bool AnalysisServer::handle_frame(int fd, const Frame& frame,
   // The frame cap already bounded the source; reflect it into the sandbox
   // too so a decoded-but-huge script trips the front-end limit, not RAM.
   service_request.session.limits.max_source_bytes = options_.max_frame_bytes;
+  service_request.on_complete = wake;
 
   Pending item;
   item.id = request.id;
   item.tenant = tenant;
-  item.received_ms = mono_ms();
+  item.received_us = mono_us();
   // submit() never blocks: worst case the ticket is already complete with
   // a structured shed, which the flush loop serializes like any outcome.
   item.ticket = service_->submit(std::move(service_request));
@@ -353,12 +419,12 @@ bool AnalysisServer::flush_pending(int fd, std::deque<Pending>& pending,
         frame.payload = encode_response(front.id, *outcome);
         bytes = encode_frame(frame);
 #if JSCERES_OBS
-        const std::int64_t wire_ms = mono_ms() - front.received_ms;
-        JSCERES_OBS_HIST("net.request_ms", wire_ms);
-        obs::Histogram::at("net.request_ms." + (front.tenant.empty()
+        const std::int64_t wire_us = mono_us() - front.received_us;
+        JSCERES_OBS_HIST("net.request_us", wire_us);
+        obs::Histogram::at("net.request_us." + (front.tenant.empty()
                                                     ? std::string("anon")
                                                     : front.tenant))
-            .record(std::uint64_t(wire_ms < 0 ? 0 : wire_ms));
+            .record(std::uint64_t(wire_us));
 #endif
         responses_written_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -373,6 +439,16 @@ void AnalysisServer::connection_main(int fd, std::uint64_t conn_id) {
   JSCERES_OBS_SET_THREAD_NAME("net-conn-" + std::to_string(conn_id));
   JSCERES_OBS_SPAN("net", "connection");
 
+  const auto wake = std::make_shared<WakeFd>();
+  if (wake->fd() < 0) {
+    // Out of descriptors: a connection nothing can wake is not served.
+    send_error(fd, 0, WireError::ServerBusy, "server out of descriptors");
+    ::close(fd);
+    return;
+  }
+  // Each ticket's callback shares the wake fd's ownership (see WakeFd).
+  const std::function<void()> on_complete = [wake] { wake->signal(); };
+
   std::vector<std::uint8_t> buffer;
   std::deque<Pending> pending;
   std::int64_t last_activity_ms = mono_ms();
@@ -380,17 +456,40 @@ void AnalysisServer::connection_main(int fd, std::uint64_t conn_id) {
   bool peer_alive = true;
 
   while (!stopping_.load(std::memory_order_acquire)) {
+    // Drain the wake fd BEFORE the flush, never after: a completion that
+    // lands once the read is done leaves the fd readable, so the poll below
+    // returns at once and no wake-up can be lost between flush and poll.
+    wake->drain();
+    const std::size_t owed = pending.size();
     if (!flush_pending(fd, pending, /*block=*/false, 0)) {
       peer_alive = false;
       break;
     }
+    // A written response is traffic: the idle clock restarts from it, not
+    // from the request that caused it.
+    if (pending.size() < owed) last_activity_ms = mono_ms();
 
-    const IoStatus readable = wait_readable(fd, 5);
-    if (readable == IoStatus::Error) {
+    // Sleep until the socket, a completion or stop() needs this thread, or
+    // until the one deadline in force: the read timeout while a frame is
+    // partly buffered, the idle timeout while nothing is buffered or owed.
+    // Otherwise the wait is unbounded: an outcome in flight wakes us.
+    int timeout_ms = -1;
+    if (!buffer.empty()) {
+      if (options_.read_timeout_ms > 0) {
+        timeout_ms = until(frame_started_ms + options_.read_timeout_ms);
+      }
+    } else if (pending.empty() && options_.idle_timeout_ms > 0) {
+      timeout_ms = until(last_activity_ms + options_.idle_timeout_ms);
+    }
+    pollfd fds[3] = {
+        {fd, POLLIN, 0}, {wake->fd(), POLLIN, 0}, {stop_fd_, POLLIN, 0}};
+    if (::poll(fds, 3, timeout_ms) < 0) {
+      if (errno == EINTR) continue;
       peer_alive = false;
       break;
     }
-    if (readable == IoStatus::Ok) {
+    // POLLHUP/POLLERR count as readable: recv() reports the EOF or error.
+    if (fds[0].revents != 0) {
       std::uint8_t chunk[4096];
       const std::ptrdiff_t got = read_some(fd, chunk, sizeof(chunk));
       if (got == 0) {
@@ -435,7 +534,7 @@ void AnalysisServer::connection_main(int fd, std::uint64_t conn_id) {
           buffer.erase(buffer.begin(),
                        buffer.begin() + std::ptrdiff_t(decoded.consumed));
           frame_started_ms = buffer.empty() ? 0 : mono_ms();
-          if (!handle_frame(fd, decoded.frame, pending)) {
+          if (!handle_frame(fd, decoded.frame, pending, on_complete)) {
             close_now = true;
             break;
           }
@@ -446,7 +545,7 @@ void AnalysisServer::connection_main(int fd, std::uint64_t conn_id) {
 
     const std::int64_t now = mono_ms();
     if (!buffer.empty() && options_.read_timeout_ms > 0 &&
-        now - frame_started_ms > options_.read_timeout_ms) {
+        now >= frame_started_ms + options_.read_timeout_ms) {
       // Slowloris: a frame begun but drip-fed dies with a structured
       // verdict instead of occupying the handler indefinitely.
       timed_out_.fetch_add(1, std::memory_order_relaxed);
@@ -459,7 +558,7 @@ void AnalysisServer::connection_main(int fd, std::uint64_t conn_id) {
       break;
     }
     if (buffer.empty() && pending.empty() && options_.idle_timeout_ms > 0 &&
-        now - last_activity_ms > options_.idle_timeout_ms) {
+        now >= last_activity_ms + options_.idle_timeout_ms) {
       timed_out_.fetch_add(1, std::memory_order_relaxed);
       JSCERES_OBS_COUNT("net.connections_timed_out", 1);
       send_error(fd, 0, WireError::IdleTimeout,

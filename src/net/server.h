@@ -17,6 +17,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -85,10 +86,13 @@ struct ServerStats {
 /// The ingress server. One accept thread, one handler thread per live
 /// connection (bounded by max_connections — lifecycle robustness over
 /// throughput; an event-loop ingress can replace the inside later without
-/// touching the wire contract). All deadlines route through the
-/// deadline-bounded I/O of frame.cpp, so every blocking point is finite,
-/// and ServiceTicket::wait_for keeps the writer loop from ever parking
-/// forever on an outcome.
+/// touching the wire contract). No thread samples anything on a timer:
+/// each connection sleeps in one poll over its socket, its own wake
+/// descriptor (written by the service when one of its tickets completes)
+/// and the server-wide stop descriptor, with the nearest real deadline
+/// (read or idle timeout) as the poll's only timeout. The accept loop
+/// sleeps on the listen socket and the stop descriptor alone. Response
+/// writes and the graceful drain stay bounded by their own deadlines.
 class AnalysisServer {
  public:
   explicit AnalysisServer(AnalysisService& service, ServerOptions options = {});
@@ -123,7 +127,7 @@ class AnalysisServer {
   struct Pending {
     std::uint32_t id = 0;
     std::string tenant;
-    std::int64_t received_ms = 0;
+    std::int64_t received_us = 0;
     std::optional<ServiceTicket> ticket;
     bool is_error = false;
     WireError error = WireError::RateLimited;
@@ -132,9 +136,11 @@ class AnalysisServer {
 
   void accept_main();
   void connection_main(int fd, std::uint64_t conn_id);
-  /// Decode-and-dispatch one frame. Returns false when the connection must
-  /// close (a close-reason error frame has already been queued/sent).
-  bool handle_frame(int fd, const Frame& frame, std::deque<Pending>& pending);
+  /// Decode-and-dispatch one frame; every ticket it submits calls `wake`
+  /// on completion. Returns false when the connection must close (a
+  /// close-reason error frame has already been queued/sent).
+  bool handle_frame(int fd, const Frame& frame, std::deque<Pending>& pending,
+                    const std::function<void()>& wake);
   /// Write every finished pending response (FIFO; stops at the first
   /// still-running ticket unless `block`). False: the connection is dead.
   bool flush_pending(int fd, std::deque<Pending>& pending, bool block,
@@ -150,6 +156,10 @@ class AnalysisServer {
   ServerOptions options_;
 
   int listen_fd_ = -1;
+  /// eventfd written once by stop() and never drained, so every poller —
+  /// the accept loop and each connection — sees it readable until every
+  /// thread has been joined and stop() closes it.
+  int stop_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};

@@ -54,6 +54,9 @@ struct ServiceTicket::Entry {
       done = true;
     }
     cv.notify_all();
+    // Outside the entry mutex: the callback may take its own locks, and a
+    // waiter woken above never waits on it.
+    if (request.on_complete) request.on_complete();
   }
 };
 
@@ -154,22 +157,30 @@ ServiceTicket AnalysisService::submit(ServiceRequest request) {
   entry->admitted_mode = entry->requested_mode;
   entry->request.session.cancel = &entry->cancel;
 
-  const auto shed = [&entry](const char* reason) {
+  const char* shed_reason = nullptr;
+  {
+    const std::lock_guard lock(mutex_);
+    shed_reason = admit_locked(entry);
+  }
+  // A shed completes after the unlock, so the caller's on_complete never
+  // runs under the service lock.
+  if (shed_reason != nullptr) {
     ServiceOutcome outcome;
     outcome.state = ServiceState::Shed;
-    outcome.shed_reason = reason;
+    outcome.shed_reason = shed_reason;
     outcome.session.name = entry->request.session.name;
     entry->complete(std::move(outcome));
-    return ServiceTicket(entry);
-  };
+  }
+  return ServiceTicket(entry);
+}
 
-  const std::lock_guard lock(mutex_);
+const char* AnalysisService::admit_locked(const std::shared_ptr<Entry>& entry) {
   ++submitted_;
   JSCERES_OBS_COUNT("service.submitted", 1);
   if (shutting_down_) {
     ++shed_shutdown_;
     JSCERES_OBS_COUNT("service.shed_shutdown", 1);
-    return shed("shutdown");
+    return "shutdown";
   }
 
   const bool can_run_now =
@@ -180,7 +191,7 @@ ServiceTicket AnalysisService::submit(ServiceRequest request) {
   if (!can_run_now && queue_.size() >= options_.max_queue) {
     ++shed_queue_full_;
     JSCERES_OBS_COUNT("service.shed_queue_full", 1);
-    return shed("queue-full");
+    return "queue-full";
   }
 
   switch (governor_.admit(entry->request.memory_estimate,
@@ -188,7 +199,7 @@ ServiceTicket AnalysisService::submit(ServiceRequest request) {
     case AdmitDecision::Shed:
       ++shed_memory_;
       JSCERES_OBS_COUNT("service.shed_memory", 1);
-      return shed("memory-pressure");
+      return "memory-pressure";
     case AdmitDecision::Degrade:
       // Admit one rung down: the paper's ladder (3 -> 1 -> 0), entered
       // lower so the session's instrumentation footprint shrinks with the
@@ -211,7 +222,7 @@ ServiceTicket AnalysisService::submit(ServiceRequest request) {
     queue_high_water_ = std::max(queue_high_water_, queue_.size());
     JSCERES_OBS_GAUGE_SET("service.queue_depth", queue_.size());
   }
-  return ServiceTicket(entry);
+  return nullptr;
 }
 
 void AnalysisService::dispatch_locked(const std::shared_ptr<Entry>& entry) {

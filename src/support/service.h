@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -46,6 +47,12 @@ struct ServiceRequest {
   /// session's measured peak on release. Callers that underestimate show up
   /// in MemoryGovernor::max_underestimate().
   std::size_t memory_estimate = 1u << 20;
+  /// Optional: called exactly once, right after the outcome turns final
+  /// (done() is already true), on whichever thread finalized it — a pool
+  /// worker, or the submitting thread itself for a shed. Runs outside every
+  /// service lock; it must not block. The server uses it to wake the
+  /// connection that owns the ticket instead of polling the ticket.
+  std::function<void()> on_complete;
 };
 
 /// The structured result every submit() eventually yields — shed or served,
@@ -77,8 +84,9 @@ class ServiceTicket {
   /// (<= 0: an immediate check), std::nullopt otherwise. A nullopt return
   /// claims nothing about the future — the outcome may complete a
   /// nanosecond later and a subsequent wait()/wait_for() will see it. The
-  /// server's writer loop polls tickets with this so a wire client can
-  /// never pin a connection thread on an outcome forever.
+  /// server's graceful drain bounds its wait on each ticket with this, so a
+  /// wedged session can never pin a connection thread past the drain
+  /// budget.
   [[nodiscard]] std::optional<ServiceOutcome> wait_for(std::int64_t ms) const;
 
   [[nodiscard]] bool done() const;
@@ -193,6 +201,9 @@ class AnalysisService {
  private:
   using Entry = ServiceTicket::Entry;
 
+  /// submit()'s decision under mutex_: dispatch or queue `entry`, or return
+  /// the shed reason (the caller completes the shed after unlocking).
+  const char* admit_locked(const std::shared_ptr<Entry>& entry);
   void dispatch_locked(const std::shared_ptr<Entry>& entry);
   void run_entry(const std::shared_ptr<Entry>& entry);
   void finish_entry(const std::shared_ptr<Entry>& entry,

@@ -6,6 +6,7 @@
 // under the TSan and ASan CI jobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -294,19 +295,41 @@ net::WireRequest trivial_request(const std::string& name) {
   return request;
 }
 
-int connect_raw(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
+/// A session that keeps a worker busy for a while: ~75 ms per 200000
+/// iterations in an optimized build on a 4-vCPU x86-64 host, several times
+/// that under the sanitizers.
+net::WireRequest slow_request(const std::string& name,
+                              int iterations = 200000) {
+  net::WireRequest request;
+  request.name = name;
+  request.source = "var s = 0; var i = 0;\nwhile (i < " +
+                   std::to_string(iterations) +
+                   ") { s = s + i; i = i + 1; }\nconsole.log(s);\n";
+  request.max_ticks = 50 * std::int64_t(iterations);
+  request.max_memory_bytes = 8u << 20;
+  return request;
+}
+
+bool connect_socket(int fd, std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
+    return false;
   }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return true;
+}
+
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (!connect_socket(fd, port)) {
+    ::close(fd);
+    return -1;
+  }
   return fd;
 }
 
@@ -581,15 +604,8 @@ TEST(NetServer, InFlightCapRejectsPipelineOverflowAndConnectionSurvives) {
   // flushed: requests 3..5 deterministically exceed the cap of 2.
   std::vector<std::uint8_t> batch;
   for (int i = 0; i < 5; ++i) {
-    net::WireRequest request;
+    net::WireRequest request = slow_request("pipe-" + std::to_string(i));
     request.id = std::uint32_t(i + 1);
-    request.name = "pipe-" + std::to_string(i);
-    request.source =
-        "var s = 0; var i = 0;\n"
-        "while (i < 200000) { s = s + i; i = i + 1; }\n"
-        "console.log(s);\n";
-    request.max_ticks = 10'000'000;
-    request.max_memory_bytes = 8u << 20;
     const std::vector<std::uint8_t> frame = net::make_request_frame("t", request);
     batch.insert(batch.end(), frame.begin(), frame.end());
   }
@@ -658,15 +674,8 @@ TEST(NetServer, GracefulDrainFlushesInFlightOutcomeBeforeClosing) {
 
   net::AnalysisClient client(client_options(harness.server, "t"));
   ASSERT_TRUE(client.connect(&error)) << error;
-  net::WireRequest request;
-  request.name = "in-flight-at-stop";
-  request.source =
-      "var s = 0; var i = 0;\n"
-      "while (i < 200000) { s = s + i; i = i + 1; }\n"
-      "console.log(s);\n";
-  request.max_ticks = 10'000'000;
-  request.max_memory_bytes = 8u << 20;
-  ASSERT_TRUE(client.send_request(request, &error)) << error;
+  ASSERT_TRUE(client.send_request(slow_request("in-flight-at-stop"), &error))
+      << error;
 
   // Let the server read and submit it, then stop: the drain must still
   // deliver the outcome (the wire mirror of "queued requests still run").
@@ -691,6 +700,154 @@ TEST(NetServer, StopWithoutTrafficIsCleanAndIdempotent) {
   net::AnalysisClient client(client_options(harness.server, "t"));
   ASSERT_TRUE(client.connect(&error)) << error;
   EXPECT_TRUE(client.roundtrip(trivial_request("after-restart")).ok());
+}
+
+// --- wake-ups ----------------------------------------------------------------
+
+/// Poll `done` every millisecond until it holds or `timeout_ms` passes.
+template <typename Pred>
+bool eventually(Pred done, int timeout_ms) {
+  const std::int64_t deadline = mono_ms() + timeout_ms;
+  while (!done()) {
+    if (mono_ms() >= deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
+TEST(NetServer, ResponseIsNotHeldForAPollTick) {
+  WireHarness harness(default_service_options(), {});
+  std::string error;
+  ASSERT_TRUE(harness.server.start(&error)) << error;
+  net::AnalysisClient client(client_options(harness.server, "t"));
+  ASSERT_TRUE(client.connect(&error)) << error;
+
+  // The connection is woken by the ticket's completion, so a trivial round
+  // trip costs the session plus two loopback hops — not a poll interval.
+  std::vector<double> round_trip_ms;
+  for (int i = 0; i < 50; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    const net::WireResult result = client.roundtrip(trivial_request("quick"));
+    round_trip_ms.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+    ASSERT_TRUE(result.ok()) << result.transport;
+    EXPECT_EQ(result.outcome.state, ServiceState::Completed);
+  }
+  std::sort(round_trip_ms.begin(), round_trip_ms.end());
+  // ThreadSanitizer slows the session itself several-fold; either bound is
+  // below the 5 ms a poll tick would add.
+#if defined(__SANITIZE_THREAD__)
+  const double bound_ms = 4.0;
+#else
+  const double bound_ms = 2.5;
+#endif
+  EXPECT_LT(round_trip_ms[round_trip_ms.size() / 2], bound_ms);
+}
+
+TEST(NetServer, StopWakesIdleConnectionsPromptly) {
+  WireHarness harness(default_service_options(), {});
+  std::string error;
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    ASSERT_TRUE(harness.server.start(&error)) << error;
+    // A served round trip on each proves its connection thread is parked
+    // in its poll, not still being accepted.
+    std::vector<std::unique_ptr<net::AnalysisClient>> idle;
+    for (int c = 0; c < 4; ++c) {
+      idle.push_back(std::make_unique<net::AnalysisClient>(
+          client_options(harness.server, "t")));
+      ASSERT_TRUE(idle.back()->connect(&error)) << error;
+      ASSERT_TRUE(idle.back()->roundtrip(trivial_request("park")).ok());
+    }
+    const auto start = std::chrono::steady_clock::now();
+    harness.server.stop();
+    const double stop_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(stop_ms, 15.0) << "cycle " << cycle;
+  }
+}
+
+TEST(NetServer, ResponseWriteRestartsTheIdleClock) {
+  net::ServerOptions nopts;
+  nopts.idle_timeout_ms = 100;
+  WireHarness harness(default_service_options(), nopts);
+  std::string error;
+  ASSERT_TRUE(harness.server.start(&error)) << error;
+  net::AnalysisClient client(client_options(harness.server, "t"));
+  ASSERT_TRUE(client.connect(&error)) << error;
+
+  // The session outlives the idle window (~225 ms against 100 ms); its
+  // response is traffic, so a client that answers 20 ms later is still
+  // served, not timed out.
+  const net::WireResult first = client.roundtrip(slow_request("long", 600000));
+  ASSERT_TRUE(first.ok()) << first.transport;
+  EXPECT_EQ(first.outcome.state, ServiceState::Completed);
+  std::this_thread::sleep_for(20ms);
+  const net::WireResult second = client.roundtrip(trivial_request("next"));
+  ASSERT_EQ(second.kind, net::WireResult::Kind::Outcome)
+      << "error code " << int(second.error.code) << ", transport '"
+      << second.transport << "'";
+  EXPECT_EQ(second.outcome.state, ServiceState::Completed);
+}
+
+TEST(NetServer, LateCompletionNeverWritesIntoAReusedFd) {
+  WireHarness harness(default_service_options(), {});
+  std::string error;
+  ASSERT_TRUE(harness.server.start(&error)) << error;
+
+  // The peer vanishes while its session still runs on the pool: the
+  // ticket completes after the connection thread has closed its fds.
+  const int fd = connect_raw(harness.server.port());
+  ASSERT_GE(fd, 0);
+  const std::vector<std::uint8_t> frame =
+      net::make_request_frame("t", slow_request("orphan"));
+  ASSERT_EQ(net::write_all(fd, frame.data(), frame.size(), 1000),
+            net::IoStatus::Ok);
+  ASSERT_TRUE(eventually(
+      [&] { return harness.server.stats().requests_submitted == 1; }, 5000));
+  ::close(fd);
+  ASSERT_TRUE(eventually(
+      [&] { return harness.server.stats().connections_open == 0; }, 5000));
+
+  // Client sockets take the descriptor numbers the orphan freed — all of
+  // them created before any connects, so the server's accept() cannot
+  // race for the numbers. A stray write into one would reach the server
+  // as a malformed frame. Keep serving on them until the orphan's
+  // completion has surely fired, then one round more.
+  std::vector<int> fds;
+  for (int c = 0; c < 4; ++c) {
+    fds.push_back(::socket(AF_INET, SOCK_STREAM, 0));
+    ASSERT_GE(fds.back(), 0);
+  }
+  for (const int client : fds) {
+    ASSERT_TRUE(connect_socket(client, harness.server.port()));
+  }
+  std::vector<std::vector<std::uint8_t>> buffers(fds.size());
+  const std::vector<std::uint8_t> request =
+      net::make_request_frame("t", trivial_request("reuser"));
+  std::size_t served = 0;
+  bool orphan_done = false;
+  const std::int64_t deadline = mono_ms() + 30'000;
+  for (int extra = 0; extra < 2 && mono_ms() < deadline;) {
+    for (std::size_t c = 0; c < fds.size(); ++c) {
+      ASSERT_EQ(net::write_all(fds[c], request.data(), request.size(), 1000),
+                net::IoStatus::Ok);
+      const RawFrame raw = read_frame_raw(fds[c], buffers[c], 20'000);
+      ASSERT_TRUE(raw.got) << "client " << c << ": no clean frame";
+      ASSERT_EQ(raw.frame.kind, net::FrameKind::Response);
+      std::uint32_t id = 0;
+      ServiceOutcome outcome;
+      ASSERT_TRUE(net::decode_response(raw.frame.payload, id, outcome));
+      EXPECT_EQ(outcome.session.console, "3\n");
+      ++served;
+    }
+    if (orphan_done) ++extra;
+    orphan_done = harness.service.stats().completed >= served + 1;
+  }
+  for (const int client : fds) ::close(client);
+  EXPECT_TRUE(orphan_done);
+  EXPECT_EQ(harness.server.stats().malformed_frames, 0u);
 }
 
 // --- socket fault-injection sweep ------------------------------------------

@@ -289,6 +289,43 @@ TEST(Service, WaitForTimesOutThenSeesTheOutcome) {
   EXPECT_EQ(ticket.wait().state, ServiceState::Completed);
 }
 
+TEST(Service, OnCompleteFiresOnceForServedAndShedOutcomes) {
+  rivertrail::ThreadPool pool(2);
+  Gate gate;
+  ServiceOptions options;
+  options.max_active = 1;
+  options.max_queue = 0;
+  AnalysisService service(pool, options);
+
+  std::atomic<int> served_calls{0};
+  ServiceRequest slow = gated_request("slow", "a", gate);
+  slow.on_complete = [&served_calls] { served_calls.fetch_add(1); };
+  ServiceTicket served = service.submit(std::move(slow));
+  ASSERT_TRUE(gate.await_entered(1));
+  EXPECT_EQ(served_calls.load(), 0);
+
+  // No capacity and no queue: a shed, completed (callback included)
+  // before submit() returns, on the submitting thread.
+  std::atomic<int> shed_calls{0};
+  ServiceRequest excess = gated_request("excess", "b", gate);
+  excess.on_complete = [&shed_calls] { shed_calls.fetch_add(1); };
+  ServiceTicket shed = service.submit(std::move(excess));
+  EXPECT_EQ(shed_calls.load(), 1);
+  EXPECT_TRUE(shed.done());
+  EXPECT_EQ(shed.wait().shed_reason, "queue-full");
+
+  // The served callback runs on the pool worker just after the waiter is
+  // woken, so wait (bounded) for it rather than assume it has run.
+  gate.release();
+  EXPECT_EQ(served.wait().state, ServiceState::Completed);
+  for (int spin = 0; spin < 5000 && served_calls.load() == 0; ++spin) {
+    std::this_thread::sleep_for(1ms);
+  }
+  service.drain();
+  EXPECT_EQ(served_calls.load(), 1);
+  EXPECT_EQ(shed_calls.load(), 1);
+}
+
 TEST(Service, WaitForRacingCompletionNeverLosesTheOutcome) {
   rivertrail::ThreadPool pool(2);
   AnalysisService service(pool, {});
