@@ -18,7 +18,6 @@
 #include "rivertrail/kernels.h"
 #include "rivertrail/parallel_for.h"
 #include "rivertrail/parallel_pipeline.h"
-#include "rivertrail/task_graph.h"
 
 namespace {
 
@@ -580,33 +579,6 @@ void BM_PipelineFrameShaped(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kTokens);
 }
 BENCHMARK(BM_PipelineFrameShaped);
-
-// Build-once/run-many diamond lattice: dependency-counter retirement and
-// help-first successor scheduling, re-armed every run (the reusable
-// frame-graph shape). 2 + 2*depth nodes, all bodies empty.
-void BM_TaskGraphDiamondChain(benchmark::State& state) {
-  rivertrail::ThreadPool pool(4);
-  rivertrail::TaskGraph graph(pool);
-  const int depth = int(state.range(0));
-  std::atomic<std::int64_t> sink{0};
-  auto head = graph.add([&] { sink.fetch_add(1, std::memory_order_relaxed); });
-  for (int d = 0; d < depth; ++d) {
-    const auto left = graph.add([&] { sink.fetch_add(1, std::memory_order_relaxed); });
-    const auto right = graph.add([&] { sink.fetch_add(1, std::memory_order_relaxed); });
-    const auto join = graph.add([&] { sink.fetch_add(1, std::memory_order_relaxed); });
-    graph.depend(head, left);
-    graph.depend(head, right);
-    graph.depend(left, join);
-    graph.depend(right, join);
-    head = join;
-  }
-  for (auto _ : state) {
-    graph.run();
-  }
-  benchmark::DoNotOptimize(sink.load());
-  state.SetItemsProcessed(state.iterations() * std::int64_t(graph.node_count()));
-}
-BENCHMARK(BM_TaskGraphDiamondChain)->Arg(4)->Arg(32);
 
 void BM_NBodyStepPar(benchmark::State& state) {
   rivertrail::ThreadPool pool;

@@ -9,9 +9,8 @@
 #   (dispatch latency, divergent-balance, scaling).
 # --ceres: the mode-3 dependence-analysis set backing BENCH_ceres_baseline.json
 #   (var/prop event processing, characterization depth sweep, end-to-end).
-# --pipeline: the task-graph / parallel_pipeline set backing
-#   BENCH_pipeline_baseline.json (pipeline dispatch, frame-shaped stages,
-#   diamond-graph retirement).
+# --pipeline: the parallel_pipeline set backing BENCH_pipeline_baseline.json
+#   (pipeline dispatch, frame-shaped stages).
 # --all: everything.
 # --smoke: single fast pass (CI wiring check, not a measurement).
 #
@@ -22,7 +21,7 @@ set -euo pipefail
 FILTER_INTERP='BM_Lex|BM_Parse|BM_Interpret|BM_Resolve|BM_PropertyAccess'
 FILTER_RIVERTRAIL='BM_ParallelFor|BM_NBodyStepPar'
 FILTER_CERES='BM_Dependence|BM_Characterize'
-FILTER_PIPELINE='BM_Pipeline|BM_TaskGraph'
+FILTER_PIPELINE='BM_Pipeline'
 
 FILTER="${FILTER_INTERP}"
 MIN_TIME=0.3

@@ -153,27 +153,21 @@ void AnalysisServer::stop() {
   }
   ::close(stop_fd_);
   stop_fd_ = -1;
-  JSCERES_OBS_GAUGE_SET("net.connections_open", 0);
 }
 
 ServerStats AnalysisServer::stats() const {
   ServerStats out;
-  out.connections_accepted = accepted_.load(std::memory_order_relaxed);
-  out.connections_rejected = rejected_.load(std::memory_order_relaxed);
+  {
+    const std::lock_guard lock(stats_mutex_);
+    out = stats_;
+  }
   out.connections_open = open_connections_.load(std::memory_order_relaxed);
-  out.connections_timed_out = timed_out_.load(std::memory_order_relaxed);
-  out.frames_read = frames_read_.load(std::memory_order_relaxed);
-  out.frames_written = frames_written_.load(std::memory_order_relaxed);
-  out.bytes_read = bytes_read_.load(std::memory_order_relaxed);
-  out.bytes_written = bytes_written_.load(std::memory_order_relaxed);
-  out.requests_submitted = requests_submitted_.load(std::memory_order_relaxed);
-  out.responses_written = responses_written_.load(std::memory_order_relaxed);
-  out.error_frames = error_frames_.load(std::memory_order_relaxed);
-  out.malformed_frames = malformed_.load(std::memory_order_relaxed);
-  out.auth_failures = auth_failures_.load(std::memory_order_relaxed);
-  out.rate_limited = rate_limited_.load(std::memory_order_relaxed);
-  out.in_flight_rejected = in_flight_rejected_.load(std::memory_order_relaxed);
   return out;
+}
+
+void AnalysisServer::count(std::size_t ServerStats::*counter, std::size_t n) {
+  const std::lock_guard lock(stats_mutex_);
+  stats_.*counter += n;
 }
 
 void AnalysisServer::accept_main() {
@@ -205,8 +199,7 @@ void AnalysisServer::accept_main() {
       // frame at once, and a non-reading flooder cannot stall the accept
       // loop. Counted first, so a client that reads the frame sees the
       // count.
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      JSCERES_OBS_COUNT("net.connections_rejected", 1);
+      count(&ServerStats::connections_rejected);
       const std::vector<std::uint8_t> busy = make_error_frame(
           0, WireError::ServerBusy, "connection cap reached, retry later");
       write_all(fd, busy.data(), busy.size(), 0);
@@ -214,19 +207,14 @@ void AnalysisServer::accept_main() {
       continue;
     }
 
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    JSCERES_OBS_COUNT("net.connections_accepted", 1);
-    const std::size_t open =
-        open_connections_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    JSCERES_OBS_GAUGE_SET("net.connections_open", open);
+    count(&ServerStats::connections_accepted);
+    open_connections_.fetch_add(1, std::memory_order_acq_rel);
     const std::lock_guard lock(conn_mutex_);
     const std::uint64_t conn_id = next_conn_id_++;
     connections_.emplace(
         conn_id, std::thread([this, fd, conn_id] {
           connection_main(fd, conn_id);
-          const std::size_t now_open =
-              open_connections_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-          JSCERES_OBS_GAUGE_SET("net.connections_open", now_open);
+          open_connections_.fetch_sub(1, std::memory_order_acq_rel);
           const std::lock_guard done_lock(conn_mutex_);
           finished_.push_back(conn_id);
         }));
@@ -243,28 +231,23 @@ void AnalysisServer::reap_finished_locked() {
   finished_.clear();
 }
 
-bool AnalysisServer::write_frame(int fd, const std::vector<std::uint8_t>& bytes) {
+bool AnalysisServer::write_frame(int fd, const std::vector<std::uint8_t>& bytes,
+                                 std::size_t ServerStats::*kind) {
   const IoStatus status =
       write_all(fd, bytes.data(), bytes.size(), options_.write_timeout_ms);
-  if (status == IoStatus::Ok) {
-    frames_written_.fetch_add(1, std::memory_order_relaxed);
-    bytes_written_.fetch_add(bytes.size(), std::memory_order_relaxed);
-    JSCERES_OBS_COUNT("net.frames_written", 1);
-    JSCERES_OBS_COUNT("net.bytes_written", bytes.size());
-    return true;
-  }
-  if (status == IoStatus::Timeout) {
-    timed_out_.fetch_add(1, std::memory_order_relaxed);
-    JSCERES_OBS_COUNT("net.connections_timed_out", 1);
-  }
-  return false;
+  if (status == IoStatus::Timeout) count(&ServerStats::connections_timed_out);
+  if (status != IoStatus::Ok) return false;
+  const std::lock_guard lock(stats_mutex_);
+  ++stats_.frames_written;
+  stats_.bytes_written += bytes.size();
+  ++(stats_.*kind);
+  return true;
 }
 
 void AnalysisServer::send_error(int fd, std::uint32_t id, WireError code,
                                 const std::string& message) {
-  error_frames_.fetch_add(1, std::memory_order_relaxed);
-  JSCERES_OBS_COUNT("net.error_frames", 1);
-  write_frame(fd, make_error_frame(id, code, message));
+  write_frame(fd, make_error_frame(id, code, message),
+              &ServerStats::error_frames);
 }
 
 bool AnalysisServer::rate_allow(const std::string& tenant) {
@@ -283,8 +266,7 @@ bool AnalysisServer::handle_frame(int fd, const Frame& frame,
                                   std::deque<Pending>& pending,
                                   const std::function<void()>& wake) {
   if (frame.kind != FrameKind::Request) {
-    malformed_.fetch_add(1, std::memory_order_relaxed);
-    JSCERES_OBS_COUNT("net.malformed_frames", 1);
+    count(&ServerStats::malformed_frames);
     send_error(fd, 0, WireError::BadKind,
                "clients may only send Request frames");
     return false;
@@ -294,8 +276,7 @@ bool AnalysisServer::handle_frame(int fd, const Frame& frame,
   if (!decode_request(frame.payload, request)) {
     // Malformed input never reaches the engine: answered and closed here,
     // with the decoder having touched nothing but its own buffer.
-    malformed_.fetch_add(1, std::memory_order_relaxed);
-    JSCERES_OBS_COUNT("net.malformed_frames", 1);
+    count(&ServerStats::malformed_frames);
     send_error(fd, 0, WireError::MalformedPayload,
                "request payload failed to decode");
     return false;
@@ -309,8 +290,7 @@ bool AnalysisServer::handle_frame(int fd, const Frame& frame,
   } else {
     const auto it = options_.tenants.find(frame.tenant);
     if (it == options_.tenants.end()) {
-      auth_failures_.fetch_add(1, std::memory_order_relaxed);
-      JSCERES_OBS_COUNT("net.auth_failures", 1);
+      count(&ServerStats::auth_failures);
       send_error(fd, request.id, WireError::AuthFailed,
                  "unknown tenant token");
       return false;
@@ -322,14 +302,8 @@ bool AnalysisServer::handle_frame(int fd, const Frame& frame,
   // FIFO so responses keep strict request order, and the connection lives:
   // a client may back off and continue.
   const auto reject = [&](WireError code, const std::string& message,
-                          std::atomic<std::size_t>& counter,
-                          const char* metric) {
-    counter.fetch_add(1, std::memory_order_relaxed);
-#if JSCERES_OBS
-    obs::Counter::at(metric).add(1);
-#else
-    (void)metric;
-#endif
+                          std::size_t ServerStats::*counter) {
+    count(counter);
     Pending item;
     item.id = request.id;
     item.tenant = tenant;
@@ -345,14 +319,14 @@ bool AnalysisServer::handle_frame(int fd, const Frame& frame,
            "tenant exceeded " +
                std::to_string(options_.tenant_requests_per_sec) +
                " requests/sec",
-           rate_limited_, "net.rate_limited");
+           &ServerStats::rate_limited);
     return true;
   }
   if (pending.size() >= options_.max_in_flight_per_conn) {
     reject(WireError::TooManyInFlight,
            "connection already has " + std::to_string(pending.size()) +
                " requests in flight",
-           in_flight_rejected_, "net.in_flight_rejected");
+           &ServerStats::in_flight_rejected);
     return true;
   }
 
@@ -382,8 +356,7 @@ bool AnalysisServer::handle_frame(int fd, const Frame& frame,
   // a structured shed, which the flush loop serializes like any outcome.
   item.ticket = service_->submit(std::move(service_request));
   pending.push_back(std::move(item));
-  requests_submitted_.fetch_add(1, std::memory_order_relaxed);
-  JSCERES_OBS_COUNT("net.requests_submitted", 1);
+  count(&ServerStats::requests_submitted);
   return true;
 }
 
@@ -392,9 +365,8 @@ bool AnalysisServer::flush_pending(int fd, std::deque<Pending>& pending,
   while (!pending.empty()) {
     Pending& front = pending.front();
     std::vector<std::uint8_t> bytes;
+    std::size_t ServerStats::*kind = &ServerStats::error_frames;
     if (front.is_error) {
-      error_frames_.fetch_add(1, std::memory_order_relaxed);
-      JSCERES_OBS_COUNT("net.error_frames", 1);
       bytes = make_error_frame(front.id, front.error, front.error_message);
     } else {
       std::optional<ServiceOutcome> outcome;
@@ -404,8 +376,6 @@ bool AnalysisServer::flush_pending(int fd, std::deque<Pending>& pending,
         const std::int64_t left = block_deadline_ms - mono_ms();
         outcome = front.ticket->wait_for(left > 0 ? left : 0);
         if (!outcome.has_value()) {
-          error_frames_.fetch_add(1, std::memory_order_relaxed);
-          JSCERES_OBS_COUNT("net.error_frames", 1);
           bytes = make_error_frame(front.id, WireError::ShuttingDown,
                                    "server draining before outcome was ready");
         }
@@ -426,10 +396,10 @@ bool AnalysisServer::flush_pending(int fd, std::deque<Pending>& pending,
                                                     : front.tenant))
             .record(std::uint64_t(wire_us));
 #endif
-        responses_written_.fetch_add(1, std::memory_order_relaxed);
+        kind = &ServerStats::responses_written;
       }
     }
-    if (!write_frame(fd, bytes)) return false;
+    if (!write_frame(fd, bytes, kind)) return false;
     pending.pop_front();
   }
   return true;
@@ -507,8 +477,7 @@ void AnalysisServer::connection_main(int fd, std::uint64_t conn_id) {
       } else {
         if (buffer.empty()) frame_started_ms = mono_ms();
         last_activity_ms = mono_ms();
-        bytes_read_.fetch_add(std::size_t(got), std::memory_order_relaxed);
-        JSCERES_OBS_COUNT("net.bytes_read", std::size_t(got));
+        count(&ServerStats::bytes_read, std::size_t(got));
         buffer.insert(buffer.end(), chunk, chunk + got);
 
         bool close_now = false;
@@ -518,8 +487,7 @@ void AnalysisServer::connection_main(int fd, std::uint64_t conn_id) {
                            options_.max_frame_bytes);
           if (decoded.status == DecodeStatus::NeedMore) break;
           if (decoded.status == DecodeStatus::Bad) {
-            malformed_.fetch_add(1, std::memory_order_relaxed);
-            JSCERES_OBS_COUNT("net.malformed_frames", 1);
+            count(&ServerStats::malformed_frames);
             // Flush outcomes already owed, then the typed verdict, then
             // close: a framing violation is unrecoverable — the byte
             // stream has no trustworthy resynchronization point.
@@ -529,8 +497,7 @@ void AnalysisServer::connection_main(int fd, std::uint64_t conn_id) {
             close_now = true;
             break;
           }
-          frames_read_.fetch_add(1, std::memory_order_relaxed);
-          JSCERES_OBS_COUNT("net.frames_read", 1);
+          count(&ServerStats::frames_read);
           buffer.erase(buffer.begin(),
                        buffer.begin() + std::ptrdiff_t(decoded.consumed));
           frame_started_ms = buffer.empty() ? 0 : mono_ms();
@@ -548,8 +515,7 @@ void AnalysisServer::connection_main(int fd, std::uint64_t conn_id) {
         now >= frame_started_ms + options_.read_timeout_ms) {
       // Slowloris: a frame begun but drip-fed dies with a structured
       // verdict instead of occupying the handler indefinitely.
-      timed_out_.fetch_add(1, std::memory_order_relaxed);
-      JSCERES_OBS_COUNT("net.connections_timed_out", 1);
+      count(&ServerStats::connections_timed_out);
       flush_pending(fd, pending, /*block=*/true,
                     now + options_.drain_timeout_ms);
       send_error(fd, 0, WireError::ReadTimeout,
@@ -559,8 +525,7 @@ void AnalysisServer::connection_main(int fd, std::uint64_t conn_id) {
     }
     if (buffer.empty() && pending.empty() && options_.idle_timeout_ms > 0 &&
         now >= last_activity_ms + options_.idle_timeout_ms) {
-      timed_out_.fetch_add(1, std::memory_order_relaxed);
-      JSCERES_OBS_COUNT("net.connections_timed_out", 1);
+      count(&ServerStats::connections_timed_out);
       send_error(fd, 0, WireError::IdleTimeout,
                  "no traffic for " + std::to_string(options_.idle_timeout_ms) +
                      " ms");

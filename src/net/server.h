@@ -64,7 +64,9 @@ struct ServerOptions {
   std::size_t tenant_requests_per_sec = 0;
 };
 
-/// Monotonic wire-layer counters (gauge: connections_open).
+/// Monotonic wire-layer counters (gauge: connections_open). A frame counts
+/// as written, and as a response or an error frame, only once every byte of
+/// it is out, so frames_written == responses_written + error_frames.
 struct ServerStats {
   std::size_t connections_accepted = 0;
   std::size_t connections_rejected = 0;  // over the connection cap
@@ -145,11 +147,16 @@ class AnalysisServer {
   /// still-running ticket unless `block`). False: the connection is dead.
   bool flush_pending(int fd, std::deque<Pending>& pending, bool block,
                      std::int64_t block_deadline_ms);
-  bool write_frame(int fd, const std::vector<std::uint8_t>& bytes);
+  /// Write one whole frame. Only a write that succeeds is counted: under
+  /// frames_written/bytes_written and under `kind` (responses_written or
+  /// error_frames).
+  bool write_frame(int fd, const std::vector<std::uint8_t>& bytes,
+                   std::size_t ServerStats::*kind);
   /// Best-effort typed goodbye before a close.
   void send_error(int fd, std::uint32_t id, WireError code,
                   const std::string& message);
   [[nodiscard]] bool rate_allow(const std::string& tenant);
+  void count(std::size_t ServerStats::*counter, std::size_t n = 1);
   void reap_finished_locked();
 
   AnalysisService* service_;
@@ -178,21 +185,11 @@ class AnalysisServer {
   };
   std::unordered_map<std::string, RateWindow> rate_;
 
-  // Wire counters; atomics so handler threads never serialize on stats.
-  std::atomic<std::size_t> accepted_{0};
-  std::atomic<std::size_t> rejected_{0};
-  std::atomic<std::size_t> timed_out_{0};
-  std::atomic<std::size_t> frames_read_{0};
-  std::atomic<std::size_t> frames_written_{0};
-  std::atomic<std::size_t> bytes_read_{0};
-  std::atomic<std::size_t> bytes_written_{0};
-  std::atomic<std::size_t> requests_submitted_{0};
-  std::atomic<std::size_t> responses_written_{0};
-  std::atomic<std::size_t> error_frames_{0};
-  std::atomic<std::size_t> malformed_{0};
-  std::atomic<std::size_t> auth_failures_{0};
-  std::atomic<std::size_t> rate_limited_{0};
-  std::atomic<std::size_t> in_flight_rejected_{0};
+  /// The wire counters, stored once: the server owns them and stats() is
+  /// their only reader. connections_open is not kept here; stats() reads it
+  /// from open_connections_, which admission needs lock-free.
+  mutable std::mutex stats_mutex_;
+  ServerStats stats_;
 };
 
 }  // namespace jsceres::net

@@ -3,8 +3,8 @@
 // Scheduler-level fault injection (PR 6's fail-after-N-allocations sweep,
 // lifted to the scheduling layer). Every cooperative scheduling event — a
 // task popped/stolen/claimed by the pool, a parallel_for leaf span, a
-// pipeline stage body, a TaskGraph node body — reports through event() or
-// event_nothrow(); an armed plan fires exactly one fault at the K-th event:
+// pipeline stage body — reports through event() or event_nothrow(); an
+// armed plan fires exactly one fault at the K-th event:
 //
 //   TaskThrow       throw InjectedFault from inside the task body's try
 //                   region (drains through the first-exception-wins gate),

@@ -77,12 +77,6 @@ struct ErrorSlot {
   void rethrow_if_failed() {
     if (failed.load(std::memory_order_acquire)) std::rethrow_exception(error);
   }
-  /// Re-arm for another invocation (reusable TaskGraph runs). Only valid
-  /// while no task can touch the slot (between quiesced runs).
-  void reset() {
-    failed.store(false, std::memory_order_relaxed);
-    error = nullptr;
-  }
 };
 
 /// Help-first join: run pool tasks while the gate is pending, then block.

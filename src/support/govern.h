@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <mutex>
 
-#include "support/obs.h"
-
 namespace jsceres {
 
 /// What the governor tells the admission path to do with a new session.
@@ -70,31 +68,25 @@ class MemoryGovernor {
     if (options_.ceiling_bytes == 0) {
       reserved_ += estimate;
       note_high_water(shared_bytes);
-      JSCERES_OBS_COUNT("governor.admit", 1);
+      ++admit_count_;
       return AdmitDecision::Admit;
     }
     const std::size_t in_use = reserved_ + shared_bytes;
     const auto pressure =
         double(in_use + estimate) / double(options_.ceiling_bytes);
-    // Pressure-band occupancy: every admission decision counts into the
-    // band it landed in, and the gauge tracks the last observed pressure
-    // (percent, so the integer gauge keeps two digits of resolution).
-    JSCERES_OBS_GAUGE_SET("governor.pressure_pct",
-                          std::int64_t(pressure * 100.0));
+    // Every admission decision counts into the band it landed in.
     if (pressure >= options_.shed_pressure ||
         in_use + estimate > options_.ceiling_bytes) {
       ++shed_count_;
-      JSCERES_OBS_COUNT("governor.shed", 1);
       return AdmitDecision::Shed;
     }
     reserved_ += estimate;
     note_high_water(shared_bytes);
     if (pressure >= options_.degrade_pressure) {
       ++degrade_count_;
-      JSCERES_OBS_COUNT("governor.degrade", 1);
       return AdmitDecision::Degrade;
     }
-    JSCERES_OBS_COUNT("governor.admit", 1);
+    ++admit_count_;
     return AdmitDecision::Admit;
   }
 
@@ -107,8 +99,6 @@ class MemoryGovernor {
     if (actual_peak > estimate) {
       max_underestimate_ =
           std::max(max_underestimate_, actual_peak - estimate);
-      JSCERES_OBS_GAUGE_SET("governor.max_underestimate_bytes",
-                            max_underestimate_);
     }
   }
 
@@ -127,6 +117,12 @@ class MemoryGovernor {
   [[nodiscard]] std::size_t high_water_bytes() const {
     const std::lock_guard lock(mutex_);
     return high_water_;
+  }
+  /// Admission decisions per band. The governor is the one owner of these
+  /// counts: the service's shed_memory and the governor.* metrics read them.
+  [[nodiscard]] std::size_t admit_count() const {
+    const std::lock_guard lock(mutex_);
+    return admit_count_;
   }
   [[nodiscard]] std::size_t shed_count() const {
     const std::lock_guard lock(mutex_);
@@ -154,6 +150,7 @@ class MemoryGovernor {
   mutable std::mutex mutex_;
   std::size_t reserved_ = 0;
   std::size_t high_water_ = 0;
+  std::size_t admit_count_ = 0;
   std::size_t shed_count_ = 0;
   std::size_t degrade_count_ = 0;
   std::size_t max_underestimate_ = 0;

@@ -176,10 +176,8 @@ ServiceTicket AnalysisService::submit(ServiceRequest request) {
 
 const char* AnalysisService::admit_locked(const std::shared_ptr<Entry>& entry) {
   ++submitted_;
-  JSCERES_OBS_COUNT("service.submitted", 1);
   if (shutting_down_) {
     ++shed_shutdown_;
-    JSCERES_OBS_COUNT("service.shed_shutdown", 1);
     return "shutdown";
   }
 
@@ -190,16 +188,13 @@ const char* AnalysisService::admit_locked(const std::shared_ptr<Entry>& entry) {
   // leaves no reservation to unwind.
   if (!can_run_now && queue_.size() >= options_.max_queue) {
     ++shed_queue_full_;
-    JSCERES_OBS_COUNT("service.shed_queue_full", 1);
     return "queue-full";
   }
 
   switch (governor_.admit(entry->request.memory_estimate,
                           shared_structure_bytes())) {
     case AdmitDecision::Shed:
-      ++shed_memory_;
-      JSCERES_OBS_COUNT("service.shed_memory", 1);
-      return "memory-pressure";
+      return "memory-pressure";  // counted once, by the governor
     case AdmitDecision::Degrade:
       // Admit one rung down: the paper's ladder (3 -> 1 -> 0), entered
       // lower so the session's instrumentation footprint shrinks with the
@@ -220,7 +215,6 @@ const char* AnalysisService::admit_locked(const std::shared_ptr<Entry>& entry) {
   } else {
     queue_.push_back(entry);
     queue_high_water_ = std::max(queue_high_water_, queue_.size());
-    JSCERES_OBS_GAUGE_SET("service.queue_depth", queue_.size());
   }
   return nullptr;
 }
@@ -272,7 +266,6 @@ void AnalysisService::finish_entry(const std::shared_ptr<Entry>& entry,
                        (tenant.empty() ? std::string("anon") : tenant))
         .record(std::uint64_t(ms));
   }
-  JSCERES_OBS_COUNT("service.completed", 1);
 #endif
 
   // Shutdown edge: once the final unlock below publishes "queue and active
@@ -301,8 +294,6 @@ void AnalysisService::finish_entry(const std::shared_ptr<Entry>& entry,
       }
       if (next != nullptr) dispatch_locked(next);
     }
-    JSCERES_OBS_GAUGE_SET("service.queue_depth", queue_.size());
-    JSCERES_OBS_GAUGE_SET("service.active_sessions", active_.size());
     if (queue_.empty() && active_.empty()) idle_cv_.notify_all();
   }
 }
@@ -331,7 +322,9 @@ ServiceStats AnalysisService::stats() const {
     out.submitted = submitted_;
     out.completed = completed_;
     out.shed_queue_full = shed_queue_full_;
-    out.shed_memory = shed_memory_;
+    // Under the service lock, which admission holds while it asks the
+    // governor, so the shed count and `submitted` are one consistent cut.
+    out.shed_memory = governor_.shed_count();
     out.shed_shutdown = shed_shutdown_;
     out.degraded_admissions = degraded_admissions_;
     out.watchdog_quarantines = watchdog_quarantines_;
@@ -371,7 +364,6 @@ void AnalysisService::watchdog_main() {
       // sticky — the stuck session cannot resurrect itself by retrying.
       entry->cancel.request_cancel();
       ++watchdog_quarantines_;
-      JSCERES_OBS_COUNT("service.watchdog_quarantines", 1);
     }
   }
 }
@@ -388,18 +380,45 @@ void AnalysisService::refresh_engine_gauges() {
 
 obs::Snapshot AnalysisService::metrics_snapshot() const {
   refresh_engine_gauges();
-  {
-    const std::lock_guard lock(mutex_);
-    JSCERES_OBS_GAUGE_SET("service.queue_depth", queue_.size());
-    JSCERES_OBS_GAUGE_SET("service.active_sessions", active_.size());
-  }
-  JSCERES_OBS_GAUGE_SET("governor.reserved_bytes", governor_.reserved_bytes());
-  JSCERES_OBS_GAUGE_SET("governor.max_underestimate_bytes",
-                        governor_.max_underestimate());
-  JSCERES_OBS_GAUGE_SET(
-      "governor.pressure_pct",
-      std::int64_t(governor_.pressure(shared_structure_bytes()) * 100.0));
-  return obs::snapshot();
+  obs::Snapshot snap = obs::snapshot();
+  // This service and its governor own their counts; the registry holds no
+  // copy of them. Appended here, they read the same in the probes-on and
+  // the probes-off build.
+  using obs::MetricKind;
+  const ServiceStats s = stats();
+  const auto add = [&snap](const char* name, MetricKind kind,
+                           std::uint64_t value) {
+    obs::SnapshotEntry& entry = snap.entries.emplace_back();
+    entry.name = name;
+    entry.kind = kind;
+    if (kind == MetricKind::Counter) {
+      entry.value = value;
+    } else {
+      entry.gauge = std::int64_t(value);
+    }
+  };
+  add("service.submitted", MetricKind::Counter, s.submitted);
+  add("service.completed", MetricKind::Counter, s.completed);
+  add("service.shed_queue_full", MetricKind::Counter, s.shed_queue_full);
+  add("service.shed_memory", MetricKind::Counter, s.shed_memory);
+  add("service.shed_shutdown", MetricKind::Counter, s.shed_shutdown);
+  add("service.watchdog_quarantines", MetricKind::Counter,
+      s.watchdog_quarantines);
+  add("service.queue_depth", MetricKind::Gauge, s.queue_depth);
+  add("service.active_sessions", MetricKind::Gauge, s.active_sessions);
+  add("governor.admit", MetricKind::Counter, governor_.admit_count());
+  add("governor.degrade", MetricKind::Counter, governor_.degrade_count());
+  add("governor.shed", MetricKind::Counter, governor_.shed_count());
+  add("governor.reserved_bytes", MetricKind::Gauge, s.governor_reserved_bytes);
+  add("governor.max_underestimate_bytes", MetricKind::Gauge,
+      governor_.max_underestimate());
+  add("governor.pressure_pct", MetricKind::Gauge,
+      std::uint64_t(governor_.pressure(s.shared_structure_bytes) * 100.0));
+  std::sort(snap.entries.begin(), snap.entries.end(),
+            [](const obs::SnapshotEntry& a, const obs::SnapshotEntry& b) {
+              return a.name < b.name;
+            });
+  return snap;
 }
 
 }  // namespace jsceres

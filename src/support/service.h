@@ -119,7 +119,9 @@ struct ServiceOptions {
   SupervisorOptions supervisor;
 };
 
-/// Point-in-time service counters (all monotonic except the gauges).
+/// Point-in-time service counters (all monotonic except the gauges). The
+/// service owns them; shed_memory and the governor_* rows are read from
+/// its MemoryGovernor.
 struct ServiceStats {
   std::size_t submitted = 0;
   std::size_t completed = 0;   // sessions that ran to a terminal outcome
@@ -180,8 +182,11 @@ class AnalysisService {
   [[nodiscard]] MemoryGovernor& governor() { return governor_; }
 
   /// Full observability snapshot: refreshes the cross-layer engine gauges
-  /// (live shapes, prefix atom table, stamp segments) plus this
-  /// service's own gauges, then aggregates the whole metrics registry.
+  /// (live shapes, prefix atom table, stamp segments), aggregates the whole
+  /// metrics registry, and appends the service.* and governor.* counters
+  /// and gauges from this service and its governor, which own them (the
+  /// registry never holds them, so the snapshot carries this instance's
+  /// counts only, in every build).
   [[nodiscard]] obs::Snapshot metrics_snapshot() const;
 
   /// Push the process-wide shared-structure gauges into the registry.
@@ -225,7 +230,6 @@ class AnalysisService {
   std::size_t submitted_ = 0;
   std::size_t completed_ = 0;
   std::size_t shed_queue_full_ = 0;
-  std::size_t shed_memory_ = 0;
   std::size_t shed_shutdown_ = 0;
   std::size_t degraded_admissions_ = 0;
   std::size_t watchdog_quarantines_ = 0;

@@ -1,7 +1,7 @@
 // Cooperative cancellation across the scheduler: token/deadline primitives,
 // parallel_for observation sweeps, cancel-during-steal from another thread,
 // mid-pipeline cancellation draining as bubbles, cancel-vs-exception races
-// in TaskGraph, the event loop's dispatch boundary, and the interpreter's
+// in run_pipeline, the event loop's dispatch boundary, and the interpreter's
 // tick probe. Every test reuses its pool afterwards — cancellation must
 // drain to a clean joined state, never poison the runtime. This binary runs
 // under the TSan and ASan CI jobs.
@@ -18,7 +18,6 @@
 #include "js/parser.h"
 #include "rivertrail/parallel_for.h"
 #include "rivertrail/parallel_pipeline.h"
-#include "rivertrail/task_graph.h"
 #include "rivertrail/thread_pool.h"
 #include "support/cancel.h"
 #include "support/clock.h"
@@ -230,33 +229,33 @@ TEST(PipelineCancel, MidStreamCancelDrainsAsBubblesAndCommitStaysPrefix) {
   expect_pool_reusable(pool);
 }
 
-TEST(TaskGraphCancel, CancelVsExceptionRaceAlwaysDrainsAndExceptionWins) {
+TEST(PipelineCancel, CancelVsExceptionRaceAlwaysDrainsAndExceptionWins) {
   ThreadPool pool(4);
-  // Diamond with a throwing arm: A -> {B (throws), C} -> D. Sweeping the
-  // cancel observation K across the graph's handful of checks covers cancel
-  // landing before A, between nodes, and after the throw.
-  for (std::int64_t k = 1; k <= 12; ++k) {
-    TaskGraph graph(pool);
-    std::atomic<bool> threw{false};
-    const auto a = graph.add([] {});
-    const auto b = graph.add([&threw] {
+  // serial -> parallel (throws at ticket 2) -> serial. Sweeping the cancel
+  // observation K across the run's per-body checks covers cancel landing
+  // before the first body, between tokens, and after the throw.
+  constexpr std::size_t kTokens = 8;
+  const auto stages_throwing_at_2 = [](std::atomic<bool>& threw) {
+    std::vector<PipelineStage> stages;
+    stages.push_back(serial_stage([](std::size_t) {}));
+    stages.push_back(parallel_stage([&threw](std::size_t ticket) {
+      if (ticket != 2) return;
       threw.store(true, std::memory_order_relaxed);
       throw std::runtime_error("boom");
-    });
-    const auto c = graph.add([] {});
-    const auto d = graph.add([] {});
-    graph.depend(a, b);
-    graph.depend(a, c);
-    graph.depend(b, d);
-    graph.depend(c, d);
-
+    }));
+    stages.push_back(serial_stage([](std::size_t) {}));
+    return stages;
+  };
+  for (std::int64_t k = 1; k <= std::int64_t(3 * kTokens) + 2; ++k) {
+    std::atomic<bool> threw{false};
     CancelSource source;
     source.cancel_after_observations(k);
     bool saw_body_exception = false;
     bool saw_cancel = false;
     try {
-      graph.run(CancelToken(source));
-      FAIL() << "diamond must either throw or be cancelled (k=" << k << ")";
+      run_pipeline(pool, kTokens, 4, stages_throwing_at_2(threw),
+                   CancelToken(source));
+      FAIL() << "pipeline must either throw or be cancelled (k=" << k << ")";
     } catch (const CancelledError&) {
       saw_cancel = true;
     } catch (const std::runtime_error& e) {
@@ -267,34 +266,17 @@ TEST(TaskGraphCancel, CancelVsExceptionRaceAlwaysDrainsAndExceptionWins) {
     // First-exception-wins beats cancellation at the join: whenever the
     // throwing body actually ran, its exception is what surfaces.
     if (threw.load()) {
-      EXPECT_TRUE(saw_body_exception);
-      EXPECT_FALSE(saw_cancel);
+      EXPECT_TRUE(saw_body_exception) << "k=" << k;
+      EXPECT_FALSE(saw_cancel) << "k=" << k;
     }
-    // The graph is drained and re-armable: a fresh run with an inert token
-    // deterministically surfaces the body exception.
-    EXPECT_THROW(graph.run(), std::runtime_error);
+    // The run drained to its join: the same pool runs the same stages again
+    // with an inert token and deterministically surfaces the body exception.
+    std::atomic<bool> threw_again{false};
+    EXPECT_THROW(
+        run_pipeline(pool, kTokens, 4, stages_throwing_at_2(threw_again)),
+        std::runtime_error);
   }
   expect_pool_reusable(pool);
-}
-
-TEST(TaskGraphCancel, CancelledChainReRunsToCompletion) {
-  ThreadPool pool(2);
-  TaskGraph graph(pool);
-  std::atomic<int> ran{0};
-  TaskGraph::NodeId prev = graph.add([&ran] { ran.fetch_add(1); });
-  for (int i = 1; i < 20; ++i) {
-    const TaskGraph::NodeId node = graph.add([&ran] { ran.fetch_add(1); });
-    graph.depend(prev, node);
-    prev = node;
-  }
-  CancelSource source;
-  source.cancel_after_observations(5);
-  EXPECT_THROW(graph.run(CancelToken(source)), CancelledError);
-  EXPECT_LT(ran.load(), 20);
-
-  ran.store(0);
-  graph.run();  // re-armed counters, inert token: every node runs
-  EXPECT_EQ(ran.load(), 20);
 }
 
 TEST(EventLoopCancel, CancelAtDispatchBoundaryLeavesQueueResumable) {

@@ -907,6 +907,12 @@ TEST(NetServer, FaultSweepEveryKEndsStructuredAndServerSurvives) {
     ASSERT_TRUE(after.ok()) << "kind=" << int(kind) << ": " << after.transport;
     EXPECT_EQ(after.outcome.state, ServiceState::Completed);
   }
+
+  // Every frame the server counts as written was written whole: a write
+  // the sweep broke counts as neither a response nor an error frame.
+  harness.server.stop();
+  const net::ServerStats stats = harness.server.stats();
+  EXPECT_EQ(stats.frames_written, stats.responses_written + stats.error_frames);
 }
 
 }  // namespace

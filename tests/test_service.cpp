@@ -1,10 +1,10 @@
 // AnalysisService: the resident multi-tenant ingress front-end. Admission
 // (run / queue / structured shed), per-tenant concurrency caps, the memory
 // governor's degrade/shed ladder and estimate reconciliation, the stuck-
-// session watchdog, the process-wide structures a drained service leaves
-// exactly as it found them, and per-program atoms under the frame graph's
-// cross-session work stealing. This binary runs under the TSan and ASan CI
-// jobs.
+// session watchdog, per-instance counts in stats() and metrics snapshots,
+// the process-wide structures a drained service leaves exactly as it found
+// them, and per-program atoms under the frame graph's cross-session work
+// stealing. This binary runs under the TSan and ASan CI jobs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -324,6 +325,44 @@ TEST(Service, OnCompleteFiresOnceForServedAndShedOutcomes) {
   service.drain();
   EXPECT_EQ(served_calls.load(), 1);
   EXPECT_EQ(shed_calls.load(), 1);
+}
+
+TEST(Service, MetricsSnapshotCountsOnlyThisService) {
+  rivertrail::ThreadPool pool(2);
+  Gate gate;
+  gate.release();
+  // Two services alive at once in one process: each one's stats() and
+  // metrics snapshot read its own counts, never the other's or a
+  // process-wide sum.
+  AnalysisService first(pool);
+  AnalysisService second(pool);
+  const auto submit_n = [&gate](AnalysisService& service, int n) {
+    for (int i = 0; i < n; ++i) {
+      const ServiceOutcome outcome =
+          service.submit(gated_request("own-" + std::to_string(i), "t", gate))
+              .wait();
+      EXPECT_EQ(outcome.state, ServiceState::Completed);
+    }
+    service.drain();
+  };
+  submit_n(first, 3);
+  submit_n(second, 5);
+
+  for (const auto& [service, n] :
+       {std::pair<AnalysisService*, std::size_t>{&first, 3},
+        std::pair<AnalysisService*, std::size_t>{&second, 5}}) {
+    EXPECT_EQ(service->stats().submitted, n);
+    EXPECT_EQ(service->stats().completed, n);
+    const obs::Snapshot snap = service->metrics_snapshot();
+    EXPECT_EQ(snap.value("service.submitted"), n);
+    EXPECT_EQ(snap.value("service.completed"), n);
+    EXPECT_EQ(snap.value("governor.admit"), n);
+    // One entry per name: no owner's count also arrives from the registry.
+    std::set<std::string> names;
+    for (const obs::SnapshotEntry& entry : snap.entries) {
+      EXPECT_TRUE(names.insert(entry.name).second) << entry.name;
+    }
+  }
 }
 
 TEST(Service, WaitForRacingCompletionNeverLosesTheOutcome) {

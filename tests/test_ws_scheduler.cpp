@@ -13,7 +13,6 @@
 #include "rivertrail/parallel_for.h"
 #include "rivertrail/parallel_pipeline.h"
 #include "rivertrail/task.h"
-#include "rivertrail/task_graph.h"
 #include "rivertrail/thread_pool.h"
 #include "rivertrail/ws_deque.h"
 
@@ -379,121 +378,6 @@ TEST(ThreadPoolInjection, RoundRobinReachesAllWorkersUnderLoad) {
   }
   gate.wait();
   EXPECT_EQ(counter.load(), kTasks);
-}
-
-// ---------------------------------------------------------------------------
-// Task graph: dependency-counter retirement, exception gating, nesting.
-// ---------------------------------------------------------------------------
-
-TEST(TaskGraph, DiamondRespectsDependenciesAndRunsEveryNode) {
-  ThreadPool pool(4);
-  TaskGraph graph(pool);
-  std::atomic<int> order{0};
-  std::atomic<int> at_a{-1}, at_b{-1}, at_c{-1}, at_d{-1};
-  const auto a = graph.add([&] { at_a = order.fetch_add(1); });
-  const auto b = graph.add([&] { at_b = order.fetch_add(1); });
-  const auto c = graph.add([&] { at_c = order.fetch_add(1); });
-  const auto d = graph.add([&] { at_d = order.fetch_add(1); });
-  graph.depend(a, b);
-  graph.depend(a, c);
-  graph.depend(b, d);
-  graph.depend(c, d);
-  graph.run();
-  EXPECT_EQ(order.load(), 4);
-  EXPECT_LT(at_a.load(), at_b.load());
-  EXPECT_LT(at_a.load(), at_c.load());
-  EXPECT_LT(at_b.load(), at_d.load());
-  EXPECT_LT(at_c.load(), at_d.load());
-}
-
-TEST(TaskGraph, WideFanInRetiresExactlyOnce) {
-  ThreadPool pool(4);
-  TaskGraph graph(pool);
-  constexpr int kFeeders = 64;
-  std::atomic<int> fed{0};
-  std::atomic<int> sink_runs{0};
-  int observed_at_sink = -1;
-  const auto sink = graph.add([&] {
-    observed_at_sink = fed.load(std::memory_order_relaxed);
-    sink_runs.fetch_add(1);
-  });
-  for (int i = 0; i < kFeeders; ++i) {
-    const auto feeder = graph.add([&] { fed.fetch_add(1, std::memory_order_relaxed); });
-    graph.depend(feeder, sink);
-  }
-  graph.run();
-  EXPECT_EQ(sink_runs.load(), 1);
-  // The final dependency decrement is acq_rel: the sink sees every feeder.
-  EXPECT_EQ(observed_at_sink, kFeeders);
-}
-
-TEST(TaskGraph, ReusedGraphReArmsCountersEachRun) {
-  ThreadPool pool(2);
-  TaskGraph graph(pool);
-  std::atomic<int> runs{0};
-  const auto a = graph.add([&] { runs.fetch_add(1); });
-  const auto b = graph.add([&] { runs.fetch_add(1); });
-  graph.depend(a, b);
-  for (int rep = 0; rep < 50; ++rep) graph.run();
-  EXPECT_EQ(runs.load(), 100);
-}
-
-TEST(TaskGraph, ExceptionRetiresWholeGraphAndRethrowsAtJoin) {
-  ThreadPool pool(4);
-  TaskGraph graph(pool);
-  std::atomic<int> ran{0};
-  const auto a = graph.add([&] { ran.fetch_add(1); });
-  const auto boom = graph.add([&]() -> void {
-    ran.fetch_add(1);
-    throw std::runtime_error("node failed");
-  });
-  const auto after = graph.add([&] { ran.fetch_add(1); });
-  const auto last = graph.add([&] { ran.fetch_add(1); });
-  graph.depend(a, boom);
-  graph.depend(boom, after);
-  graph.depend(after, last);
-  EXPECT_THROW(graph.run(), std::runtime_error);
-  // Downstream bodies are skipped once the failure latches, but the join
-  // returned — every counter retired, nothing dangles or deadlocks.
-  EXPECT_GE(ran.load(), 2);
-  // The graph is reusable after a failure (counters and error slot re-arm);
-  // the same body throws again.
-  EXPECT_THROW(graph.run(), std::runtime_error);
-}
-
-TEST(TaskGraph, CycleIsRejectedUpFront) {
-  ThreadPool pool(2);
-  TaskGraph graph(pool);
-  const auto a = graph.add([] {});
-  const auto b = graph.add([] {});
-  graph.depend(a, b);
-  graph.depend(b, a);
-  EXPECT_THROW(graph.run(), std::logic_error);
-}
-
-TEST(TaskGraph, NestedParallelForInsideNodeStress) {
-  ThreadPool pool(4);
-  TaskGraph graph(pool);
-  constexpr int kNodes = 8;
-  constexpr std::int64_t kN = 2048;
-  std::vector<std::vector<int>> outputs(kNodes, std::vector<int>(kN, 0));
-  std::vector<TaskGraph::NodeId> kernels;
-  for (int node = 0; node < kNodes; ++node) {
-    auto& out = outputs[std::size_t(node)];
-    kernels.push_back(graph.add([&out, &pool] {
-      parallel_for(pool, 0, kN, [&out](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) out[std::size_t(i)] += 1;
-      });
-    }));
-  }
-  std::atomic<int> joined{0};
-  const auto join = graph.add([&] { joined.fetch_add(1); });
-  for (const auto kernel : kernels) graph.depend(kernel, join);
-  graph.run();
-  EXPECT_EQ(joined.load(), 1);
-  for (const auto& out : outputs) {
-    for (const int v : out) ASSERT_EQ(v, 1);
-  }
 }
 
 // ---------------------------------------------------------------------------
