@@ -158,6 +158,79 @@ Characterization characterize_flow(const Stamp& write, const Stamp& read) {
   return out;
 }
 
+void CharStack::intern_suffix() {
+  while (interned_depth_ < stack_.size()) {
+    const std::size_t k = interned_depth_;
+    StampNode node;
+    node.parent = k == 0 ? kEmptyStampId : frame_ids_[k - 1];
+    node.depth = std::uint32_t(k + 1);
+    node.loop_id = stack_[k].loop_id;
+    node.instance = stack_[k].instance;
+    node.iteration = stack_[k].iteration;
+    // Sandbox accounting: the stamp arena is append-only and grows one node
+    // per referenced state; charge before the append so a ledger trip leaves
+    // the tree and frame_ids_ untouched.
+    AllocationLedger::charge_current(sizeof(StampNode));
+    nodes_.push_back(node);
+    frame_ids_[k] = StampId(nodes_.size() - 1);
+    ++interned_depth_;
+  }
+}
+
+// States never repeat, so a stamp shares a frame with the live stack only
+// where the same (loop, instance) is open at the same level, and that loop
+// instance pins every frame outside it: the shared frames are a prefix of
+// both. The walks climb from the stamp to the deepest ancestor whose
+// (loop, instance) is open at its level (usually one or two steps) instead
+// of materializing the whole path outermost-first.
+
+CharDelta CharStack::creation_walk(StampId stamp) const {
+  CharDelta delta;
+  const std::size_t depth = stack_.size();
+  const std::uint32_t stamp_depth = nodes_[stamp].depth;
+  for (StampId id = stamp; id != kEmptyStampId; id = nodes_[id].parent) {
+    const StampNode& node = nodes_[id];
+    const std::size_t k = node.depth - 1;
+    if (k >= depth || node.loop_id != stack_[k].loop_id ||
+        node.instance != stack_[k].instance) {
+      continue;
+    }
+    if (node.iteration != stack_[k].iteration) {
+      delta.div_level = std::uint32_t(k);  // same instance, earlier iteration
+    } else if (k + 1 < depth) {
+      // Identical through level k; level k+1 is past the stamp (the datum
+      // pre-dates that loop) or a different instance of it.
+      delta.div_level = std::uint32_t(k + 1);
+      delta.instance_at_div = k + 1 < stamp_depth;
+    }
+    return delta;
+  }
+  if (depth > 0) {
+    delta.div_level = 0;
+    delta.instance_at_div = stamp_depth > 0;
+  }
+  return delta;
+}
+
+CharDelta CharStack::flow_walk(StampId write) const {
+  CharDelta delta;
+  const std::size_t depth = stack_.size();
+  for (StampId id = write; id != kEmptyStampId; id = nodes_[id].parent) {
+    const StampNode& node = nodes_[id];
+    const std::size_t k = node.depth - 1;
+    if (k >= depth || node.loop_id != stack_[k].loop_id ||
+        node.instance != stack_[k].instance) {
+      continue;
+    }
+    // Written in an earlier iteration of an open instance: flow. Otherwise
+    // the write came from the same iteration or from a closed instance
+    // nested inside it (plain input).
+    if (node.iteration != stack_[k].iteration) delta.div_level = std::uint32_t(k);
+    return delta;
+  }
+  return delta;  // no open instance shared: written before these loops
+}
+
 std::string render_characterization(const Characterization& chr,
                                     const js::Program& program) {
   std::string out;

@@ -197,7 +197,10 @@ class CharStack {
 
   void on_enter(int loop_id) {
     const std::size_t index = counter_index(loop_id);
-    if (open_counts_[index] > 0) recursive_loops_.insert({loop_id, true});
+    if (open_counts_[index] > 0 && recursive_[index] == 0) {
+      recursive_[index] = 1;
+      recursive_loops_.push_back(loop_id);
+    }
     ++open_counts_[index];
     stack_.push_back(LoopFrame{loop_id, instance_counters_[index]++, 0});
     frame_ids_.push_back(kNoStampId);
@@ -230,8 +233,13 @@ class CharStack {
     return std::size_t(loop_id) < open_counts_.size() &&
            open_counts_[std::size_t(loop_id)] > 0;
   }
-  [[nodiscard]] const std::unordered_map<int, bool>& recursive_loops() const {
+  /// Loops re-entered while already open, each once, in detection order.
+  [[nodiscard]] const std::vector<int>& recursive_loops() const {
     return recursive_loops_;
+  }
+  [[nodiscard]] bool is_recursive(int loop_id) const {
+    return std::size_t(loop_id) < recursive_.size() &&
+           recursive_[std::size_t(loop_id)] != 0;
   }
 
   // -- stamp-tree interface --------------------------------------------------
@@ -240,22 +248,7 @@ class CharStack {
   /// each enter/iteration creates at most one node, and only when a stamp is
   /// actually taken under that state.
   StampId current_id() {
-    while (interned_depth_ < stack_.size()) {
-      const std::size_t k = interned_depth_;
-      StampNode node;
-      node.parent = k == 0 ? kEmptyStampId : frame_ids_[k - 1];
-      node.depth = std::uint32_t(k + 1);
-      node.loop_id = stack_[k].loop_id;
-      node.instance = stack_[k].instance;
-      node.iteration = stack_[k].iteration;
-      // Sandbox accounting: the stamp arena is append-only and grows one
-      // node per referenced state; charge before the append so a ledger
-      // trip leaves the tree and frame_ids_ untouched.
-      AllocationLedger::charge_current(sizeof(StampNode));
-      nodes_.push_back(node);
-      frame_ids_[k] = StampId(nodes_.size() - 1);
-      ++interned_depth_;
-    }
+    if (interned_depth_ < stack_.size()) intern_suffix();
     return stack_.empty() ? kEmptyStampId : frame_ids_.back();
   }
 
@@ -284,10 +277,10 @@ class CharStack {
     current_path_id_ = 0;
     nodes_.reset();
     nodes_.push_back(StampNode{});  // nodes_[0] = root (depth 0)
-    scratch_.clear();
     path_intern_.clear();
     instance_counters_.clear();
     open_counts_.clear();
+    recursive_.clear();
     recursive_loops_.clear();
   }
 
@@ -312,25 +305,7 @@ class CharStack {
       delta.div_level = stamp_depth;
       return delta;
     }
-    fill_scratch(stamp);
-    for (std::size_t k = 0; k < depth; ++k) {
-      if (k >= scratch_.size()) {
-        delta.div_level = std::uint32_t(k);
-        return delta;
-      }
-      const StampNode& frame = nodes_[scratch_[k]];
-      if (frame.loop_id != stack_[k].loop_id ||
-          frame.instance != stack_[k].instance) {
-        delta.div_level = std::uint32_t(k);
-        delta.instance_at_div = true;
-        return delta;
-      }
-      if (frame.iteration != stack_[k].iteration) {
-        delta.div_level = std::uint32_t(k);
-        return delta;
-      }
-    }
-    return delta;
+    return creation_walk(stamp);
   }
 
   /// Id-based §3.3 flow characterization of a write stamp against the
@@ -347,20 +322,7 @@ class CharStack {
                           : frame_ids_[write_depth - 1] == write)) {
       return delta;
     }
-    fill_scratch(write);
-    for (std::size_t k = 0; k < depth; ++k) {
-      if (k >= scratch_.size()) return delta;  // written before this loop
-      const StampNode& frame = nodes_[scratch_[k]];
-      if (frame.loop_id != stack_[k].loop_id ||
-          frame.instance != stack_[k].instance) {
-        return delta;  // already-closed instance: plain input
-      }
-      if (frame.iteration != stack_[k].iteration) {
-        delta.div_level = std::uint32_t(k);
-        return delta;
-      }
-    }
-    return delta;
+    return flow_walk(write);
   }
 
   /// Expand a CharDelta into the reference Characterization (for recording
@@ -387,6 +349,7 @@ class CharStack {
     if (index >= instance_counters_.size()) {
       instance_counters_.resize(index + 1, 0);
       open_counts_.resize(index + 1, 0);
+      recursive_.resize(index + 1, 0);
     }
     return index;
   }
@@ -401,13 +364,13 @@ class CharStack {
     return id;
   }
 
-  /// Materialize `stamp`'s frame ids outermost-first into scratch_.
-  void fill_scratch(StampId stamp) const {
-    scratch_.resize(nodes_[stamp].depth);
-    for (StampId id = stamp; id != kEmptyStampId; id = nodes_[id].parent) {
-      scratch_[nodes_[id].depth - 1] = id;
-    }
-  }
+  /// Append a node for every open frame past interned_depth_.
+  void intern_suffix();
+
+  // Level-by-level walks behind the id fast paths above (char_stack.cpp).
+  [[nodiscard]] CharDelta creation_walk(StampId stamp) const;
+  [[nodiscard]] CharDelta flow_walk(StampId write) const;
+
 
   Stamp stack_;
   std::vector<StampId> frame_ids_;     // frame_ids_[k] valid for k < interned_depth_
@@ -415,11 +378,11 @@ class CharStack {
   std::size_t interned_depth_ = 0;
   std::uint32_t current_path_id_ = 0;
   StampArena nodes_;
-  mutable std::vector<StampId> scratch_;
   std::unordered_map<std::uint64_t, std::uint32_t> path_intern_;
   std::vector<std::int64_t> instance_counters_;  // indexed by loop_id
   std::vector<std::int32_t> open_counts_;        // indexed by loop_id
-  std::unordered_map<int, bool> recursive_loops_;
+  std::vector<std::uint8_t> recursive_;          // indexed by loop_id
+  std::vector<int> recursive_loops_;
 };
 
 }  // namespace jsceres::ceres

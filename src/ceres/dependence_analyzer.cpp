@@ -1,10 +1,55 @@
 #include "ceres/dependence_analyzer.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "support/obs.h"
 
 namespace jsceres::ceres {
+
+namespace detail {
+
+void StampMap::grow() {
+  // Sandbox accounting: the doubled table charges the active run's ledger
+  // before allocating; on a trip the table is untouched and the map stays
+  // fully usable (just overfull until the next put retries).
+  AllocationLedger::charge_current(entries_.size() * sizeof(Entry));
+  std::vector<Entry> old = std::move(entries_);
+  entries_.assign(old.size() * 2, Entry{});
+  mask_ = entries_.size() - 1;
+  for (const Entry& entry : old) {
+    if (entry.owner == 0) continue;
+    std::size_t index = mix(entry.owner, entry.key) & mask_;
+    while (entries_[index].owner != 0) index = (index + 1) & mask_;
+    entries_[index] = entry;
+  }
+}
+
+void DenseStampTable::grow(std::uint64_t id) {
+  std::size_t capacity = std::max(stamps_.size(), kInitialCapacity);
+  while (capacity <= id) capacity *= 2;
+  // Sandbox accounting, as in StampMap::grow: charge the added slots before
+  // resizing, so a trip leaves the table as it was.
+  AllocationLedger::charge_current((capacity - stamps_.size()) * sizeof(StampId));
+  stamps_.resize(capacity, kEmptyStampId);
+}
+
+void WarnIndex::grow() {
+  const std::size_t capacity =
+      entries_.empty() ? kInitialCapacity : entries_.size() * 2;
+  AllocationLedger::charge_current((capacity - entries_.size()) * sizeof(Entry));
+  std::vector<Entry> old = std::move(entries_);
+  entries_.assign(capacity, Entry{});
+  mask_ = capacity - 1;
+  for (const Entry& entry : old) {
+    if (entry.index == kAbsent) continue;
+    std::size_t index = hash(entry.key) & mask_;
+    while (entries_[index].index != kAbsent) index = (index + 1) & mask_;
+    entries_[index] = entry;
+  }
+}
+
+}  // namespace detail
 
 DependenceAnalyzer::DependenceAnalyzer(const js::Program& program, Options options)
     : program_(program), options_(options) {
@@ -38,9 +83,7 @@ LoopDependenceSummary& DependenceAnalyzer::summary_slot(int loop_id) {
 void DependenceAnalyzer::on_loop_enter(const interp::LoopEvent& e) {
   chars_.on_enter(e.loop_id);
   LoopDependenceSummary& summary = summary_slot(e.loop_id);
-  if (chars_.recursive_loops().count(e.loop_id) > 0) {
-    summary.recursion_detected = true;
-  }
+  if (chars_.is_recursive(e.loop_id)) summary.recursion_detected = true;
 }
 
 void DependenceAnalyzer::on_loop_iteration(const interp::LoopEvent& e) {
@@ -72,43 +115,41 @@ void DependenceAnalyzer::on_function_exit(int) {
 
 void DependenceAnalyzer::on_env_created(std::uint64_t env_id) {
   if (global_env_id_ == 0) global_env_id_ = env_id;  // first env == global
-  if (chars_.any_open()) env_stamps_.put(env_id, 0, chars_.current_id());
+  if (chars_.any_open()) env_stamps_.put(env_id, chars_.current_id());
 }
 
 void DependenceAnalyzer::on_object_created(std::uint64_t obj_id, int) {
-  if (chars_.any_open()) obj_stamps_.put(obj_id, 0, chars_.current_id());
+  if (chars_.any_open()) obj_stamps_.put(obj_id, chars_.current_id());
 }
 
-bool DependenceAnalyzer::in_focus() const {
+inline bool DependenceAnalyzer::in_focus() const {
   if (!chars_.any_open()) return false;
   if (options_.focus_loop_id == 0) return true;
   return chars_.is_open(options_.focus_loop_id);
 }
 
-StampId DependenceAnalyzer::base_stamp(std::uint64_t obj_id,
-                                       const interp::BaseProvenance& base) const {
+inline StampId DependenceAnalyzer::base_stamp(
+    std::uint64_t obj_id, const interp::BaseProvenance& base) const {
   using Kind = interp::BaseProvenance::Kind;
   if (base.kind == Kind::Binding || base.kind == Kind::This) {
-    return env_stamps_.get(base.env_id, 0);
+    return env_stamps_.get(base.env_id);
   }
-  return obj_stamps_.get(obj_id, 0);
+  return obj_stamps_.get(obj_id);
 }
 
-void DependenceAnalyzer::bump_shared_counters(const CharDelta& delta,
-                                              AccessKind kind) {
-  // Every level at or below the divergence carries a dependence.
+// Every open loop passed through on_loop_enter's summary_slot, so the two
+// per-event level loops below index summaries_ directly.
+
+inline void DependenceAnalyzer::bump_levels(
+    const CharDelta& delta, std::int64_t LoopDependenceSummary::*counter) {
+  // Every level at or below the divergence carries the dependence.
   const Stamp& stack = chars_.current();
   for (std::size_t k = delta.div_level; k < stack.size(); ++k) {
-    LoopDependenceSummary& summary = summary_slot(stack[k].loop_id);
-    switch (kind) {
-      case AccessKind::VarWrite: ++summary.shared_var_writes; break;
-      case AccessKind::PropWrite: ++summary.shared_prop_writes; break;
-      case AccessKind::PropRead: ++summary.flow_deps; break;
-    }
+    ++(summaries_[std::size_t(stack[k].loop_id)].*counter);
   }
 }
 
-void DependenceAnalyzer::bump_private_writes() {
+inline void DependenceAnalyzer::bump_private_writes() {
   for (const LoopFrame& frame : chars_.current()) {
     ++summaries_[std::size_t(frame.loop_id)].private_writes;
   }
@@ -117,18 +158,23 @@ void DependenceAnalyzer::bump_private_writes() {
 void DependenceAnalyzer::record(AccessKind kind, DepClass dep, js::Atom name,
                                 int line, const CharDelta& delta,
                                 bool global_binding) {
-  bump_shared_counters(delta, kind);
+  static constexpr std::int64_t LoopDependenceSummary::*kSharedCounter[] = {
+      &LoopDependenceSummary::shared_var_writes,   // AccessKind::VarWrite
+      &LoopDependenceSummary::shared_prop_writes,  // AccessKind::PropWrite
+      &LoopDependenceSummary::flow_deps,           // AccessKind::PropRead
+  };
+  bump_levels(delta, kSharedCounter[std::size_t(kind)]);
 
-  WarnKey key;
+  detail::WarnKey key;
   key.kind_and_flags =
       std::uint32_t(kind) | (delta.instance_at_div ? 0x100u : 0u);
   key.line = line;
   key.atom_id = name.id();
   key.path_id = chars_.current_path_id();
   key.div_level = delta.div_level;
-  const auto it = warning_index_.find(key);
-  if (it != warning_index_.end()) {
-    ++warnings_[it->second].count;
+  const std::uint32_t index = warning_index_.find(key);
+  if (index != detail::WarnIndex::kAbsent) {
+    ++warnings_[index].count;
     return;
   }
   if (warnings_.size() >= options_.max_warnings) {
@@ -143,14 +189,24 @@ void DependenceAnalyzer::record(AccessKind kind, DepClass dep, js::Atom name,
   warning.characterization = chars_.materialize(delta);
   warning.count = 1;
   warning.global_binding = global_binding;
-  warning_index_.emplace(key, warnings_.size());
+  warning_index_.insert(key, std::uint32_t(warnings_.size()));
   warnings_.push_back(std::move(warning));
 }
 
-void DependenceAnalyzer::on_var_write(std::uint64_t env_id, js::Atom name,
-                                      int line) {
+void DependenceAnalyzer::check_variable_flow(std::uint64_t env_id,
+                                             js::Atom name, int line) {
+  if (const StampId* write = var_writes_.find(env_id, name.id())) {
+    const CharDelta flow = chars_.characterize_flow_id(*write);
+    if (flow.problematic()) {
+      record(AccessKind::PropRead, DepClass::Flow, name, line, flow, false);
+    }
+  }
+}
+
+inline void DependenceAnalyzer::var_write(std::uint64_t env_id, js::Atom name,
+                                          int line) {
   if (!in_focus()) return;
-  const StampId stamp = env_stamps_.get(env_id, 0);
+  const StampId stamp = env_stamps_.get(env_id);
   const CharDelta delta = chars_.characterize_creation_id(stamp);
   if (delta.problematic()) {
     record(AccessKind::VarWrite, DepClass::Output, name, line, delta,
@@ -163,49 +219,33 @@ void DependenceAnalyzer::on_var_write(std::uint64_t env_id, js::Atom name,
   }
 }
 
-void DependenceAnalyzer::on_var_read(std::uint64_t env_id, js::Atom name,
-                                     int line) {
+inline void DependenceAnalyzer::var_read(std::uint64_t env_id, js::Atom name,
+                                         int line) {
   if (!in_focus()) return;
-  const StampId stamp = env_stamps_.get(env_id, 0);
+  const StampId stamp = env_stamps_.get(env_id);
   const CharDelta delta = chars_.characterize_creation_id(stamp);
   // Reads of data from outside the loop are not warnings, but Table 3's
   // "accesses to shared memory" assessment counts them.
-  if (delta.problematic()) {
-    const Stamp& stack = chars_.current();
-    for (std::size_t k = delta.div_level; k < stack.size(); ++k) {
-      ++summary_slot(stack[k].loop_id).shared_reads;
-    }
-  }
-  if (options_.variable_flow) {
-    if (const StampId* write = var_writes_.find(env_id, name.id())) {
-      const CharDelta flow = chars_.characterize_flow_id(*write);
-      if (flow.problematic()) {
-        record(AccessKind::PropRead, DepClass::Flow, name, line, flow, false);
-      }
-    }
-  }
+  if (delta.problematic()) bump_levels(delta, &LoopDependenceSummary::shared_reads);
+  if (options_.variable_flow) check_variable_flow(env_id, name, line);
 }
 
-void DependenceAnalyzer::on_prop_write(std::uint64_t obj_id, js::Atom key,
-                                       int line, const interp::BaseProvenance& base) {
-  if (!in_focus()) {
-    // Still remember the snapshot: a read inside the focused loop must see
-    // writes that happened before/outside it to judge flow correctly.
-    writes_.put(obj_id, key.id(), chars_.current_id());
-    return;
-  }
+inline void DependenceAnalyzer::prop_write(std::uint64_t obj_id, js::Atom key,
+                                           int line,
+                                           const interp::BaseProvenance& base) {
+  // The snapshot is kept outside the focus too: a read inside the focused
+  // loop must see writes that happened before/outside it to judge flow.
+  const StampId previous = writes_.put(obj_id, key.id(), chars_.current_id());
+  if (!in_focus()) return;
   // Cross-iteration write/write conflicts on the same field (true output
   // dependence, independent of how the base was reached). Attributed only
   // to the loop levels actually carrying the write-write dependence (a
   // pixel rewritten every *frame* conflicts at the frame loop, not at the
   // row loop inside one frame).
-  if (const StampId* prev = writes_.find(obj_id, key.id())) {
-    const CharDelta conflict = chars_.characterize_flow_id(*prev);
+  if (previous != kNoStampId) {
+    const CharDelta conflict = chars_.characterize_flow_id(previous);
     if (conflict.problematic()) {
-      const Stamp& stack = chars_.current();
-      for (std::size_t k = conflict.div_level; k < stack.size(); ++k) {
-        ++summary_slot(stack[k].loop_id).conflicting_write_sites;
-      }
+      bump_levels(conflict, &LoopDependenceSummary::conflicting_write_sites);
     }
   }
 
@@ -216,11 +256,11 @@ void DependenceAnalyzer::on_prop_write(std::uint64_t obj_id, js::Atom key,
   } else {
     bump_private_writes();
   }
-  writes_.put(obj_id, key.id(), chars_.current_id());
 }
 
-void DependenceAnalyzer::on_prop_read(std::uint64_t obj_id, js::Atom key,
-                                      int line, const interp::BaseProvenance& base) {
+inline void DependenceAnalyzer::prop_read(std::uint64_t obj_id, js::Atom key,
+                                          int line,
+                                          const interp::BaseProvenance& base) {
   if (!in_focus()) return;
   if (const StampId* write = writes_.find(obj_id, key.id())) {
     const CharDelta flow = chars_.characterize_flow_id(*write);
@@ -232,34 +272,48 @@ void DependenceAnalyzer::on_prop_read(std::uint64_t obj_id, js::Atom key,
   // Not a flow dependence; count shared-memory reads for the summary.
   const CharDelta delta =
       chars_.characterize_creation_id(base_stamp(obj_id, base));
-  if (delta.problematic()) {
-    const Stamp& stack = chars_.current();
-    for (std::size_t k = delta.div_level; k < stack.size(); ++k) {
-      ++summary_slot(stack[k].loop_id).shared_reads;
-    }
-  }
+  if (delta.problematic()) bump_levels(delta, &LoopDependenceSummary::shared_reads);
+}
+
+void DependenceAnalyzer::on_var_write(std::uint64_t env_id, js::Atom name,
+                                      int line) {
+  var_write(env_id, name, line);
+}
+
+void DependenceAnalyzer::on_var_read(std::uint64_t env_id, js::Atom name,
+                                     int line) {
+  var_read(env_id, name, line);
+}
+
+void DependenceAnalyzer::on_prop_write(std::uint64_t obj_id, js::Atom key,
+                                       int line, const interp::BaseProvenance& base) {
+  prop_write(obj_id, key, line, base);
+}
+
+void DependenceAnalyzer::on_prop_read(std::uint64_t obj_id, js::Atom key,
+                                      int line, const interp::BaseProvenance& base) {
+  prop_read(obj_id, key, line, base);
 }
 
 void DependenceAnalyzer::on_memory_batch(const interp::MemoryEvent* events,
                                          std::size_t count) {
   JSCERES_OBS_COUNT("ceres.mode3_events", count);
-  // Qualified calls: devirtualized dispatch per event — the whole point of
-  // the batch path (the interpreter already paid the one virtual hop for
-  // the batch itself).
+  // The interpreter already paid the one virtual hop for the batch; each
+  // event's body is inlined here.
   for (std::size_t i = 0; i < count; ++i) {
     const interp::MemoryEvent& e = events[i];
     switch (e.kind) {
       case interp::MemoryEvent::Kind::VarWrite:
-        DependenceAnalyzer::on_var_write(e.id, e.name, e.line);
+        var_write(e.id, e.name, e.line);
         break;
       case interp::MemoryEvent::Kind::VarRead:
-        DependenceAnalyzer::on_var_read(e.id, e.name, e.line);
+        var_read(e.id, e.name, e.line);
         break;
       case interp::MemoryEvent::Kind::PropWrite:
-        DependenceAnalyzer::on_prop_write(e.id, e.name, e.line, e.base);
+        prop_write(e.id, e.name, e.line, e.base);
         break;
       case interp::MemoryEvent::Kind::PropRead:
-        DependenceAnalyzer::on_prop_read(e.id, e.name, e.line, e.base);
+        prop_read(e.id, e.name, e.line, e.base);
         break;
     }
   }
@@ -270,8 +324,7 @@ std::map<int, LoopDependenceSummary> DependenceAnalyzer::summaries() const {
   for (const LoopDependenceSummary& summary : summaries_) {
     if (summary.loop_id != 0) out[summary.loop_id] = summary;
   }
-  for (const auto& [loop_id, flag] : chars_.recursive_loops()) {
-    (void)flag;
+  for (const int loop_id : chars_.recursive_loops()) {
     out[loop_id].loop_id = loop_id;
     out[loop_id].recursion_detected = true;
   }

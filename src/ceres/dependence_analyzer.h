@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -62,14 +61,17 @@ namespace detail {
 /// hot path — one linear-probe lookup over 16-byte entries, the hash mixed
 /// from the owner id and the key's dense atom id (interning already paid any
 /// string hashing, exactly once per distinct key), no per-entry heap nodes
-/// and no string copies. Owner ids start at 1, so owner == 0 marks empty
-/// slots; entries are never removed.
+/// and no string copies. It keys the last-write tables on (object or
+/// environment id, atom). Every object and environment id counts up from 1,
+/// builtin namespaces included, so owner == 0 marks empty slots; entries
+/// are never removed.
 class StampMap {
  public:
   StampMap() : entries_(kInitialCapacity), mask_(kInitialCapacity - 1) {}
 
-  /// Insert or overwrite.
-  void put(std::uint64_t owner, std::uint32_t key, StampId stamp) {
+  /// Insert or overwrite; returns the stamp replaced, or kNoStampId when
+  /// the key is new (one probe sequence where find() then put() take two).
+  StampId put(std::uint64_t owner, std::uint32_t key, StampId stamp) {
     Entry& entry = slot(owner, key);
     if (entry.owner == 0) {
       entry.owner = owner;
@@ -77,21 +79,15 @@ class StampMap {
       entry.stamp = stamp;
       ++size_;
       if (size_ * 10 >= entries_.size() * 7) grow();
-      return;
+      return kNoStampId;
     }
+    const StampId previous = entry.stamp;
     entry.stamp = stamp;
-  }
-
-  /// Stored stamp, or kEmptyStampId when absent (a datum created outside
-  /// every loop carries the empty stamp — a miss means the same thing).
-  [[nodiscard]] StampId get(std::uint64_t owner, std::uint32_t key) const {
-    const Entry& entry = slot(owner, key);
-    return entry.owner == 0 ? kEmptyStampId : entry.stamp;
+    return previous;
   }
 
   /// Stored stamp, or nullptr when never stored ("was written at all" —
   /// the flow analysis distinguishes never-written from written-outside).
-  /// One probe sequence; prefer this over get() on the hot path.
   [[nodiscard]] const StampId* find(std::uint64_t owner, std::uint32_t key) const {
     const Entry& entry = slot(owner, key);
     return entry.owner == 0 ? nullptr : &entry.stamp;
@@ -131,24 +127,119 @@ class StampMap {
     return const_cast<Entry&>(std::as_const(*this).slot(owner, key));
   }
 
-  void grow() {
-    // Sandbox accounting: the doubled table charges the active run's
-    // ledger before allocating; on a trip the table is untouched and the
-    // map stays fully usable (just overfull until the next put retries).
-    AllocationLedger::charge_current(entries_.size() * sizeof(Entry));
-    std::vector<Entry> old = std::move(entries_);
-    entries_.assign(old.size() * 2, Entry{});
-    mask_ = entries_.size() - 1;
-    for (const Entry& entry : old) {
-      if (entry.owner == 0) continue;
-      std::size_t index = mix(entry.owner, entry.key) & mask_;
-      while (entries_[index].owner != 0) index = (index + 1) & mask_;
-      entries_[index] = entry;
-    }
-  }
+  // Growth paths of all three tables are out of line (the .cpp), keeping
+  // the inlined per-event bodies small.
+  void grow();
 
   std::vector<Entry> entries_;
   std::size_t mask_;
+  std::size_t size_ = 0;
+};
+
+/// Creation stamps keyed by an id that counts up from 1 per interpreter
+/// (environments and objects alike): a vector indexed by id, so a lookup is
+/// one bounds check and one load. Puts happen only while a loop is open, so
+/// a stored stamp is never kEmptyStampId, and an unset slot means "created
+/// outside every loop", the same thing a StampMap miss means.
+class DenseStampTable {
+ public:
+  void put(std::uint64_t id, StampId stamp) {
+    if (id >= stamps_.size()) grow(id);
+    StampId& slot = stamps_[std::size_t(id)];
+    if (slot == kEmptyStampId) ++size_;
+    slot = stamp;
+  }
+
+  [[nodiscard]] StampId get(std::uint64_t id) const {
+    return id < stamps_.size() ? stamps_[std::size_t(id)] : kEmptyStampId;
+  }
+
+  /// Distinct ids stamped.
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  static constexpr std::size_t kInitialCapacity = 64;
+
+  void grow(std::uint64_t id);
+
+  std::vector<StampId> stamps_;
+  std::size_t size_ = 0;
+};
+
+/// Warning-site identity: the seed keyed dedup on (kind, line, name,
+/// rendered per-level flags). With compact deltas that is exactly (kind,
+/// line, atom, loop-path id, divergence level, instance flag) — a POD key,
+/// no string building per problematic access.
+struct WarnKey {
+  std::uint32_t kind_and_flags = 0;  // kind | (instance_at_div << 8)
+  int line = 0;
+  std::uint32_t atom_id = 0;
+  std::uint32_t path_id = 0;
+  std::uint32_t div_level = 0;
+
+  bool operator==(const WarnKey&) const = default;
+};
+
+/// Warning dedup index: WarnKey -> position in the analyzer's warning list.
+/// Open addressing with StampMap's linear probe over 24-byte entries. The
+/// table is allocated on the first insert, so a session that records no
+/// warning pays nothing for it.
+class WarnIndex {
+ public:
+  static constexpr std::uint32_t kAbsent = 0xffffffffu;
+
+  /// Stored position, or kAbsent.
+  [[nodiscard]] std::uint32_t find(const WarnKey& key) const {
+    return entries_.empty() ? kAbsent : slot(key).index;
+  }
+
+  /// Store a key that find() reported absent. Grows, charging the ledger,
+  /// before it inserts, so a trip leaves the index as it was.
+  void insert(const WarnKey& key, std::uint32_t index) {
+    if ((size_ + 1) * 10 > entries_.size() * 7) grow();
+    Entry& entry = slot(key);
+    entry.key = key;
+    entry.index = index;
+    ++size_;
+  }
+
+ private:
+  struct Entry {
+    WarnKey key;
+    std::uint32_t index = kAbsent;
+  };
+
+  static constexpr std::size_t kInitialCapacity = 16;  // power of two
+
+  static std::size_t hash(const WarnKey& k) {
+    // Two multiplies over the key packed into two words; the final fold
+    // brings the products' well-mixed high bits down to the masked ones.
+    const std::uint64_t site =
+        (std::uint64_t(std::uint32_t(k.line)) << 32) | k.atom_id;
+    const std::uint64_t shape = (std::uint64_t(k.path_id) << 32) ^
+                                (std::uint64_t(k.div_level) << 12) ^
+                                k.kind_and_flags;
+    const std::uint64_t h =
+        site * 0x9e3779b97f4a7c15ull ^ shape * 0xff51afd7ed558ccdull;
+    return std::size_t(h ^ (h >> 32));
+  }
+
+  [[nodiscard]] const Entry& slot(const WarnKey& key) const {
+    std::size_t index = hash(key) & mask_;
+    while (true) {
+      const Entry& entry = entries_[index];
+      if (entry.index == kAbsent || entry.key == key) return entry;
+      index = (index + 1) & mask_;
+    }
+  }
+  [[nodiscard]] Entry& slot(const WarnKey& key) {
+    return const_cast<Entry&>(std::as_const(*this).slot(key));
+  }
+
+  void grow();
+
+  std::vector<Entry> entries_;
+  std::size_t mask_ = 0;
   std::size_t size_ = 0;
 };
 
@@ -217,8 +308,8 @@ class DependenceAnalyzer final : public interp::ExecutionHooks {
                     const interp::BaseProvenance& base) override;
   /// Native batch path: the interpreter delivers each statement's memory
   /// events in one call (the mode-3 emission cost BM_DependenceEndToEnd is
-  /// bounded by); the loop below dispatches them with direct calls instead
-  /// of one virtual hop per event. Event order is program order.
+  /// bounded by); the loop runs each event's body inline instead of one
+  /// virtual hop per event. Event order is program order.
   void on_memory_batch(const interp::MemoryEvent* events, std::size_t count) override;
 
   // -- results --
@@ -238,50 +329,42 @@ class DependenceAnalyzer final : public interp::ExecutionHooks {
   [[nodiscard]] std::string report() const;
 
  private:
-  /// Warning-site identity: the seed keyed dedup on (kind, line, name,
-  /// rendered per-level flags). With compact deltas that is exactly (kind,
-  /// line, atom, loop-path id, divergence level, instance flag) — a POD key,
-  /// no string building per problematic access.
-  struct WarnKey {
-    std::uint32_t kind_and_flags = 0;  // kind | (instance_at_div << 8)
-    int line = 0;
-    std::uint32_t atom_id = 0;
-    std::uint32_t path_id = 0;
-    std::uint32_t div_level = 0;
-
-    bool operator==(const WarnKey&) const = default;
-  };
-  struct WarnKeyHash {
-    std::size_t operator()(const WarnKey& k) const {
-      std::uint64_t h = k.kind_and_flags;
-      h = h * 0x9e3779b97f4a7c15ull ^ std::uint64_t(std::uint32_t(k.line));
-      h = h * 0x9e3779b97f4a7c15ull ^ k.atom_id;
-      h = h * 0x9e3779b97f4a7c15ull ^ k.path_id;
-      h = h * 0x9e3779b97f4a7c15ull ^ k.div_level;
-      h ^= h >> 29;
-      return std::size_t(h);
-    }
-  };
+  // Per-event bodies of the four memory hooks, shared by the virtual
+  // overrides and the on_memory_batch loop. They are inline and defined in
+  // the .cpp ahead of both callers, so a batched event costs no call.
+  inline void var_write(std::uint64_t env_id, js::Atom name, int line);
+  inline void var_read(std::uint64_t env_id, js::Atom name, int line);
+  inline void prop_write(std::uint64_t obj_id, js::Atom key, int line,
+                         const interp::BaseProvenance& base);
+  inline void prop_read(std::uint64_t obj_id, js::Atom key, int line,
+                        const interp::BaseProvenance& base);
 
   /// Stamp of the base through which a property was reached.
-  [[nodiscard]] StampId base_stamp(std::uint64_t obj_id,
-                                   const interp::BaseProvenance& base) const;
-  [[nodiscard]] bool in_focus() const;
+  [[nodiscard]] inline StampId base_stamp(std::uint64_t obj_id,
+                                          const interp::BaseProvenance& base) const;
+  [[nodiscard]] inline bool in_focus() const;
   void record(AccessKind kind, DepClass dep, js::Atom name, int line,
               const CharDelta& delta, bool global_binding);
-  void bump_shared_counters(const CharDelta& delta, AccessKind kind);
-  void bump_private_writes();
+  /// Bump `counter` at every open loop level from the delta's divergence
+  /// level inward.
+  inline void bump_levels(const CharDelta& delta,
+                          std::int64_t LoopDependenceSummary::*counter);
+  /// The variable_flow extension's read check (off by default).
+  void check_variable_flow(std::uint64_t env_id, js::Atom name, int line);
+  inline void bump_private_writes();
+  /// Per-loop counters for `loop_id`, marked as touched. Loop enter and
+  /// function enter only; the per-event paths index summaries_ directly.
   [[nodiscard]] LoopDependenceSummary& summary_slot(int loop_id);
 
   const js::Program& program_;
   Options options_;
   CharStack chars_;
 
-  // Creation stamps (interned ids). Empty stamps (creation outside any
-  // loop) are implicit — a map miss means "empty" — keeping memory
-  // proportional to in-loop allocations only.
-  detail::StampMap env_stamps_;
-  detail::StampMap obj_stamps_;
+  // Creation stamps (interned ids), indexed by environment / object id.
+  // Empty stamps (creation outside any loop) are implicit: an unset slot
+  // reads kEmptyStampId.
+  detail::DenseStampTable env_stamps_;
+  detail::DenseStampTable obj_stamps_;
   /// Last-write snapshot per (object, property).
   detail::StampMap writes_;
   /// Last-write snapshot per (environment, variable) for the variable_flow
@@ -294,7 +377,7 @@ class DependenceAnalyzer final : public interp::ExecutionHooks {
   std::vector<int> fn_stack_;
 
   // Warning dedup: site key -> index into warnings_.
-  std::unordered_map<WarnKey, std::size_t, WarnKeyHash> warning_index_;
+  detail::WarnIndex warning_index_;
   std::vector<DependenceWarning> warnings_;
   bool truncated_ = false;
   std::uint64_t global_env_id_ = 0;

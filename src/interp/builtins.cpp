@@ -61,7 +61,7 @@ void define_method(Interpreter& interp, const ObjPtr& target, const std::string&
 // ---------------------------------------------------------------------------
 
 void install_math(Interpreter& interp) {
-  ObjPtr math = std::make_shared<JSObject>(0, interp.shape_root());
+  ObjPtr math = interp.make_namespace_object();
   math->set_property("PI", Value::number(M_PI));
   math->set_property("E", Value::number(M_E));
   math->set_property("LN2", Value::number(M_LN2));
@@ -677,7 +677,7 @@ std::string json_stringify(Interpreter& interp, const Value& v, int depth) {
 }
 
 void install_misc(Interpreter& interp) {
-  ObjPtr console = std::make_shared<JSObject>(0, interp.shape_root());
+  ObjPtr console = interp.make_namespace_object();
   define_method(interp, console, "log",
                 [](Interpreter& in, const Value&, const Args& args) {
                   std::string line;
@@ -692,7 +692,7 @@ void install_misc(Interpreter& interp) {
   console->set_property("error", *console->own_property("log"));
   interp.define_global("console", Value::object(console));
 
-  ObjPtr json = std::make_shared<JSObject>(0, interp.shape_root());
+  ObjPtr json = interp.make_namespace_object();
   define_method(interp, json, "stringify",
                 [](Interpreter& in, const Value&, const Args& args) {
                   return Value::str(json_stringify(in, arg_or_undefined(args, 0), 0));
@@ -752,7 +752,7 @@ void install_misc(Interpreter& interp) {
                          })));
   interp.define_global("Date", Value::object(date));
 
-  ObjPtr performance = std::make_shared<JSObject>(0, interp.shape_root());
+  ObjPtr performance = interp.make_namespace_object();
   define_method(interp, performance, "now",
                 [](Interpreter& in, const Value&, const Args&) {
                   return Value::number(double(in.clock().wall_ns()) / 1e6);

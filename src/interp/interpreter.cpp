@@ -293,6 +293,10 @@ ObjPtr Interpreter::make_native_function(std::string name, NativeFn fn) {
   return obj;
 }
 
+ObjPtr Interpreter::make_namespace_object() {
+  return std::make_shared<JSObject>(next_obj_id_++, shape_root());
+}
+
 ObjPtr Interpreter::make_function_from_node(const js::FunctionNode& node,
                                             const EnvPtr& env) {
   auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root(), JSObject::Cls::Function);

@@ -104,6 +104,10 @@ class Interpreter {
   ObjPtr make_object();
   ObjPtr make_array(std::size_t reserve = 0);
   ObjPtr make_native_function(std::string name, NativeFn fn);
+  /// A prototype-less object for a builtin namespace (Math, console, JSON,
+  /// performance). Every object gets a fresh id from 1 up: the dependence
+  /// analyzer's tables treat id 0 as an empty slot.
+  ObjPtr make_namespace_object();
   /// Create an error object ({name, message}) ready to be thrown.
   [[noreturn]] void throw_error(const std::string& kind, const std::string& message);
 

@@ -1,5 +1,5 @@
 // One-shot generator for tests/golden/*.txt — serializes the mode-3
-// dependence report + per-loop summaries for the corpus workloads. The
+// dependence report + per-loop summaries for every Table-1 workload. The
 // serialization here must stay in sync with tests/test_ceres_golden.cpp
 // (golden_serialize), which asserts byte-identical output.
 #include <cstdio>
@@ -29,11 +29,13 @@ static std::string golden_serialize(const workloads::InstrumentedRun& run) {
   return out.str();
 }
 
+// Build and run from the repository root:
+//   g++ -O2 -std=c++20 -I src tests/golden_gen.cpp build/libjsceres.a \
+//       -lpthread -o golden_gen && ./golden_gen
 int main() {
-  for (const char* name : {"CamanJS", "fluidSim", "Tear-able Cloth"}) {
-    const auto& workload = workloads::workload_by_name(name);
+  for (const auto& workload : workloads::all_workloads()) {
     const auto run = workloads::run_workload(workload, workloads::Mode::Dependence);
-    std::string file = std::string("tests/golden/") + name + ".mode3.txt";
+    std::string file = "tests/golden/" + workload.name + ".mode3.txt";
     for (auto& c : file) {
       if (c == ' ') c = '_';
     }

@@ -526,5 +526,121 @@ for (var i = 0; i < 50; i++) { o.n = i; }
   EXPECT_EQ(n_warnings, 1);
 }
 
+TEST(Dependence, BuiltinNamespaceObjectsAreTrackedLikeAnyObject) {
+  // Math, console, JSON and performance need real object ids: the
+  // last-write table reads owner id 0 as an empty slot, so under id 0 every
+  // write to Math.acc looks like the field's first, the flow read goes
+  // unreported, and the table grows (and charges the ledger) per write.
+  const char* source = R"JS(
+Math.acc = 0;
+for (var i = 0; i < 2000; i++) { Math.acc = Math.acc + 1; }
+)JS";
+  js::Program program = js::parse(source);
+  DependenceAnalyzer analyzer(program);
+  VirtualClock clock;
+  Interpreter interp(program, clock, &analyzer);
+  interp.run();
+  bool flow = false;
+  for (const auto& w : analyzer.warnings()) {
+    flow |= w.kind == AccessKind::PropRead && w.dep == DepClass::Flow &&
+            w.name == "acc";
+  }
+  EXPECT_TRUE(flow) << analyzer.report();
+  EXPECT_EQ(analyzer.tracked_writes(), 1u);
+  for (const char* name : {"Math", "console", "JSON", "performance"}) {
+    EXPECT_NE(interp.global(name).as_object()->id(), 0u) << name;
+  }
+}
+
+std::vector<DependenceWarning> warnings_of(const js::Program& program,
+                                           DependenceAnalyzer::Options options,
+                                           std::string* report = nullptr,
+                                           bool* truncated = nullptr) {
+  DependenceAnalyzer analyzer(program, options);
+  VirtualClock clock;
+  Interpreter interp(program, clock, &analyzer);
+  interp.run();
+  if (report != nullptr) *report = analyzer.report();
+  if (truncated != nullptr) *truncated = analyzer.truncated();
+  return analyzer.warnings();
+}
+
+TEST(Dependence, MaxWarningsKeepsFirstSitesAndStillCountsThem) {
+  const char* source = R"JS(
+var o = {a: 0, b: 0, c: 0, d: 0};
+for (var i = 0; i < 10; i++) {
+  o.a = i;
+  o.b = i;
+  o.c = i;
+  o.d = i;
+}
+)JS";
+  const js::Program program = js::parse(source);
+  bool truncated = true;
+  const auto all = warnings_of(program, {}, nullptr, &truncated);
+  ASSERT_GE(all.size(), 4u);
+  EXPECT_FALSE(truncated);
+
+  DependenceAnalyzer::Options capped;
+  capped.max_warnings = 2;
+  std::string report;
+  const auto kept = warnings_of(program, capped, &report, &truncated);
+  EXPECT_TRUE(truncated);
+  EXPECT_NE(report.find("note: warning list truncated"), std::string::npos);
+  ASSERT_EQ(kept.size(), 2u);
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    // The kept sites are the uncapped run's first two, and their repeats
+    // after the cap was reached are still counted.
+    EXPECT_EQ(kept[i].render(program), all[i].render(program));
+    EXPECT_EQ(kept[i].count, 10);
+  }
+}
+
+TEST(Dependence, ManyWarningSitesKeepFirstSeenOrderAndCounts) {
+  // 40 distinct sites: more than the warning index's initial capacity, so
+  // it rehashes twice while the sites are recorded.
+  constexpr int kSites = 40;
+  std::string source = "var o = {};\nfor (var i = 0; i < 3; i++) {\n";
+  for (int k = 0; k < kSites; ++k) {
+    source += "  o.p" + std::to_string(k) + " = i;\n";
+  }
+  source += "}\n";
+  const js::Program program = js::parse(source);
+  const auto warnings = warnings_of(program, {});
+  std::vector<const DependenceWarning*> props;
+  for (const auto& w : warnings) {
+    if (w.kind == AccessKind::PropWrite) props.push_back(&w);
+  }
+  ASSERT_EQ(props.size(), std::size_t(kSites));
+  for (int k = 0; k < kSites; ++k) {
+    EXPECT_EQ(props[k]->name, "p" + std::to_string(k));
+    EXPECT_EQ(props[k]->line, 3 + k);
+    EXPECT_EQ(props[k]->count, 3);
+  }
+}
+
+TEST(DenseStampTable, LedgerTripWhileGrowingLeavesTableUsable) {
+  detail::DenseStampTable table;
+  table.put(1, 5);
+  table.put(40, 6);
+  EngineLimits limits;
+  limits.fail_after_n_allocations = 0;  // the next charge trips
+  AllocationLedger ledger(limits);
+  {
+    AllocationLedger::Scope scope(&ledger);
+    EXPECT_THROW(table.put(5000, 7), EngineError);
+  }
+  // Charged before it resized: nothing stored, nothing lost.
+  EXPECT_EQ(table.get(1), 5u);
+  EXPECT_EQ(table.get(40), 6u);
+  EXPECT_EQ(table.get(5000), kEmptyStampId);
+  EXPECT_EQ(table.size(), 2u);
+  table.put(5000, 7);
+  table.put(40, 8);  // overwrite: still two distinct ids plus the new one
+  EXPECT_EQ(table.get(5000), 7u);
+  EXPECT_EQ(table.get(40), 8u);
+  EXPECT_EQ(table.size(), 3u);
+}
+
 }  // namespace
 }  // namespace jsceres::ceres

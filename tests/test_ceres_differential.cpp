@@ -116,7 +116,7 @@ TEST(StampTree, GrowthUnderRecursionIsLinearInReferencedStates) {
     stack.on_iteration(1);
     stack.current_id();
   }
-  EXPECT_TRUE(stack.recursive_loops().count(1) > 0);
+  EXPECT_TRUE(stack.is_recursive(1));
   // root + 65 stamped frames (one per open depth), not 65 full stack copies.
   EXPECT_EQ(stack.node_count(), 66u);
   for (int depth = 0; depth < 65; ++depth) stack.on_exit(1);

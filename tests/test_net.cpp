@@ -395,6 +395,9 @@ TEST(NetServer, LoopbackServesMultipleTenantsEndToEnd) {
     EXPECT_GE(result.outcome.session.attempts, 1);
   }
   clients.clear();
+  // A response is counted once its write returns, which can be after the
+  // client has already read it: join the connection threads first.
+  harness.server.stop();
 
   const net::ServerStats stats = harness.server.stats();
   EXPECT_EQ(stats.requests_submitted, 15u);
