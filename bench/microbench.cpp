@@ -8,6 +8,7 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "ceres/char_stack.h"
 #include "ceres/dependence_analyzer.h"
@@ -282,6 +283,11 @@ const js::Program& dependence_bench_program() {
 
 interp::LoopEvent bench_loop(int loop_id) { return interp::LoopEvent{loop_id, 1, 0}; }
 
+// The synthetic analyzer benchmarks below feed each iteration's accesses as
+// one on_memory_batch call after its loop and creation events, the way the
+// interpreter flushes its buffer before any non-memory event.
+using MemKind = interp::MemoryEvent::Kind;
+
 // The dominant mode-3 traffic shape: a function called per iteration creates
 // an activation and writes its locals ("ok ok" private accesses), plus one
 // write to a loop-invariant env per iteration (deduplicated warning).
@@ -290,6 +296,8 @@ void BM_DependenceVarWrites(benchmark::State& state) {
   const js::Atom local = program.atoms->intern("p");
   const js::Atom shared = program.atoms->intern("total");
   const std::int64_t kIters = 512;
+  std::vector<interp::MemoryEvent> batch(7, {MemKind::VarWrite, 5, 0, local, {}});
+  batch.push_back({MemKind::VarWrite, 9, 1, shared, {}});
   for (auto _ : state) {
     ceres::DependenceAnalyzer analyzer(program);
     std::uint64_t env_id = 1;
@@ -299,8 +307,8 @@ void BM_DependenceVarWrites(benchmark::State& state) {
       analyzer.on_loop_iteration(bench_loop(1));
       const std::uint64_t activation = ++env_id;
       analyzer.on_env_created(activation);
-      for (int w = 0; w < 7; ++w) analyzer.on_var_write(activation, local, 5);
-      analyzer.on_var_write(1, shared, 9);
+      for (int w = 0; w < 7; ++w) batch[w].id = activation;
+      analyzer.on_memory_batch(batch.data(), batch.size());
     }
     analyzer.on_loop_exit(bench_loop(1));
     benchmark::DoNotOptimize(analyzer.warnings().size());
@@ -318,8 +326,16 @@ void BM_DependencePropWrites(benchmark::State& state) {
   const js::Atom kx = program.atoms->intern("x");
   const js::Atom ky = program.atoms->intern("y");
   const js::Atom ksum = program.atoms->intern("sum");
-  const interp::BaseProvenance obj_base{interp::BaseProvenance::Kind::Object, 0};
   const std::int64_t kIters = 512;
+  std::vector<interp::MemoryEvent> batch;
+  for (int w = 0; w < 3; ++w) {
+    batch.push_back({MemKind::PropWrite, 6, 0, kx, {}});
+    batch.push_back({MemKind::PropRead, 7, 0, kx, {}});
+    batch.push_back({MemKind::PropWrite, 6, 0, ky, {}});
+  }
+  const std::size_t kFresh = batch.size();  // events on the fresh object
+  batch.push_back({MemKind::PropRead, 8, 1, ksum, {}});
+  batch.push_back({MemKind::PropWrite, 8, 1, ksum, {}});
   for (auto _ : state) {
     ceres::DependenceAnalyzer analyzer(program);
     std::uint64_t obj_id = 1;
@@ -329,13 +345,8 @@ void BM_DependencePropWrites(benchmark::State& state) {
       analyzer.on_loop_iteration(bench_loop(1));
       const std::uint64_t fresh = ++obj_id;
       analyzer.on_object_created(fresh, 5);
-      for (int w = 0; w < 3; ++w) {
-        analyzer.on_prop_write(fresh, kx, 6, obj_base);
-        analyzer.on_prop_read(fresh, kx, 7, obj_base);
-        analyzer.on_prop_write(fresh, ky, 6, obj_base);
-      }
-      analyzer.on_prop_read(1, ksum, 8, obj_base);
-      analyzer.on_prop_write(1, ksum, 8, obj_base);
+      for (std::size_t e = 0; e < kFresh; ++e) batch[e].id = fresh;
+      analyzer.on_memory_batch(batch.data(), batch.size());
     }
     analyzer.on_loop_exit(bench_loop(1));
     benchmark::DoNotOptimize(analyzer.warnings().size());
@@ -354,6 +365,8 @@ void BM_CharacterizeDepth(benchmark::State& state) {
   const js::Atom shared = program.atoms->intern("acc");
   const int depth = int(state.range(0));
   const std::int64_t kIters = 256;
+  std::vector<interp::MemoryEvent> batch(4, {MemKind::VarWrite, 5, 0, local, {}});
+  batch.push_back({MemKind::VarWrite, 9, 1, shared, {}});
   for (auto _ : state) {
     ceres::DependenceAnalyzer analyzer(program);
     analyzer.on_env_created(1);
@@ -363,11 +376,10 @@ void BM_CharacterizeDepth(benchmark::State& state) {
     }
     for (std::int64_t i = 0; i < kIters; ++i) {
       analyzer.on_loop_iteration(bench_loop(depth));
-      analyzer.on_env_created(100 + std::uint64_t(i));
-      for (int w = 0; w < 4; ++w) {
-        analyzer.on_var_write(100 + std::uint64_t(i), local, 5);
-      }
-      analyzer.on_var_write(1, shared, 9);
+      const std::uint64_t activation = 100 + std::uint64_t(i);
+      analyzer.on_env_created(activation);
+      for (int w = 0; w < 4; ++w) batch[w].id = activation;
+      analyzer.on_memory_batch(batch.data(), batch.size());
     }
     for (int l = depth; l >= 1; --l) analyzer.on_loop_exit(bench_loop(l));
     benchmark::DoNotOptimize(analyzer.warnings().size());
@@ -398,8 +410,9 @@ void BM_DependenceEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_DependenceEndToEnd);
 
-// Same program, but with the analyzer behind a HookList — the fan-out
-// composite a Session builds when a mode installs two or more hooks.
+// Same program, but with the analyzer behind a one-member HookList, as
+// e2e_layers' bare mode-3 run attaches it. Session hands a lone hook to the
+// interpreter directly; this row prices the memory_event_sink() bypass.
 void BM_DependenceEndToEndHooked(benchmark::State& state) {
   const js::Program program = js::parse(
       "var acc = {sum: 0};\n"

@@ -12,7 +12,9 @@
 # --pipeline: the parallel_pipeline set backing BENCH_pipeline_baseline.json
 #   (pipeline dispatch, frame-shaped stages).
 # --all: everything.
-# --smoke: single fast pass (CI wiring check, not a measurement).
+# --smoke: short CI pass: 5 randomly interleaved repetitions of 0.02 s each,
+#   reported as aggregates (diff_bench.py reads the medians). One 0.01 s
+#   repetition made the ratio guard trip on scheduling noise.
 #
 # Requires google-benchmark (the microbench target is skipped by CMake when it
 # is not installed). Compare ratios, not absolute times.
@@ -26,14 +28,14 @@ FILTER_PIPELINE='BM_Pipeline'
 FILTER="${FILTER_INTERP}"
 MIN_TIME=0.3
 REPS=3
-AGGREGATES=true
+INTERLEAVE=false
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --smoke)
-      MIN_TIME=0.01
-      REPS=1
-      AGGREGATES=false
+      MIN_TIME=0.02
+      REPS=5
+      INTERLEAVE=true
       shift
       ;;
     --rivertrail)
@@ -75,5 +77,6 @@ fi
   --benchmark_filter="${FILTER}" \
   --benchmark_min_time="${MIN_TIME}" \
   --benchmark_repetitions="${REPS}" \
-  --benchmark_report_aggregates_only="${AGGREGATES}" \
+  --benchmark_report_aggregates_only=true \
+  --benchmark_enable_random_interleaving="${INTERLEAVE}" \
   --benchmark_format=json >"${OUT}"

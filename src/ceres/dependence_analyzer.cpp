@@ -275,26 +275,6 @@ inline void DependenceAnalyzer::prop_read(std::uint64_t obj_id, js::Atom key,
   if (delta.problematic()) bump_levels(delta, &LoopDependenceSummary::shared_reads);
 }
 
-void DependenceAnalyzer::on_var_write(std::uint64_t env_id, js::Atom name,
-                                      int line) {
-  var_write(env_id, name, line);
-}
-
-void DependenceAnalyzer::on_var_read(std::uint64_t env_id, js::Atom name,
-                                     int line) {
-  var_read(env_id, name, line);
-}
-
-void DependenceAnalyzer::on_prop_write(std::uint64_t obj_id, js::Atom key,
-                                       int line, const interp::BaseProvenance& base) {
-  prop_write(obj_id, key, line, base);
-}
-
-void DependenceAnalyzer::on_prop_read(std::uint64_t obj_id, js::Atom key,
-                                      int line, const interp::BaseProvenance& base) {
-  prop_read(obj_id, key, line, base);
-}
-
 void DependenceAnalyzer::on_memory_batch(const interp::MemoryEvent* events,
                                          std::size_t count) {
   JSCERES_OBS_COUNT("ceres.mode3_events", count);

@@ -295,21 +295,11 @@ class DependenceAnalyzer final : public interp::ExecutionHooks {
   void on_function_exit(int fn_id) override;
   void on_env_created(std::uint64_t env_id) override;
   void on_object_created(std::uint64_t obj_id, int line) override;
-  // Memory accesses arrive with interned keys: variable names are always
-  // atoms (identifiers), and property events now carry the key atom
-  // end-to-end (the interpreter interns statically-known keys at parse
-  // time and computed keys on first use), so every table below keys on
-  // (id, atom) with precomputed hashes — no string copies on this path.
-  void on_var_write(std::uint64_t env_id, js::Atom name, int line) override;
-  void on_var_read(std::uint64_t env_id, js::Atom name, int line) override;
-  void on_prop_write(std::uint64_t obj_id, js::Atom key, int line,
-                     const interp::BaseProvenance& base) override;
-  void on_prop_read(std::uint64_t obj_id, js::Atom key, int line,
-                    const interp::BaseProvenance& base) override;
-  /// Native batch path: the interpreter delivers each statement's memory
-  /// events in one call (the mode-3 emission cost BM_DependenceEndToEnd is
-  /// bounded by); the loop runs each event's body inline instead of one
-  /// virtual hop per event. Event order is program order.
+  /// The only way memory accesses arrive: the interpreter delivers each
+  /// statement's events in one call (the mode-3 emission cost
+  /// BM_DependenceEndToEnd is bounded by), in program order, and the loop
+  /// runs each event's body inline. Keys are interned atoms, so every table
+  /// below keys on (id, atom) with precomputed hashes — no string copies.
   void on_memory_batch(const interp::MemoryEvent* events, std::size_t count) override;
 
   // -- results --
@@ -329,9 +319,9 @@ class DependenceAnalyzer final : public interp::ExecutionHooks {
   [[nodiscard]] std::string report() const;
 
  private:
-  // Per-event bodies of the four memory hooks, shared by the virtual
-  // overrides and the on_memory_batch loop. They are inline and defined in
-  // the .cpp ahead of both callers, so a batched event costs no call.
+  // Per-event bodies of the four memory-event kinds, called only from the
+  // on_memory_batch loop. They are inline and defined in the .cpp ahead of
+  // it, so a batched event costs no call.
   inline void var_write(std::uint64_t env_id, js::Atom name, int line);
   inline void var_read(std::uint64_t env_id, js::Atom name, int line);
   inline void prop_write(std::uint64_t obj_id, js::Atom key, int line,

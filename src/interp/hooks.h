@@ -33,7 +33,8 @@ struct BaseProvenance {
   std::uint64_t env_id = 0;  // valid for Binding / This
 };
 
-/// One buffered memory-access event (see ExecutionHooks::on_memory_batch).
+/// One variable or property access, delivered only inside
+/// ExecutionHooks::on_memory_batch.
 /// `id` is the environment id for Var* kinds and the object id for Prop*
 /// kinds; `base` is meaningful for Prop* kinds only.
 struct MemoryEvent {
@@ -61,7 +62,9 @@ enum class HostAccess : std::uint8_t {
 /// (lightweight profiling, loop profiling, dependence analysis) are
 /// implementations of this interface in `src/ceres`.
 ///
-/// All callbacks default to no-ops so a mode only pays for what it observes.
+/// Memory accesses arrive only as batches (on_memory_batch); every other
+/// event is one call. All callbacks default to no-ops so a mode only pays
+/// for what it observes.
 class ExecutionHooks {
  public:
   virtual ~ExecutionHooks() = default;
@@ -81,50 +84,19 @@ class ExecutionHooks {
   virtual void on_object_created(std::uint64_t /*obj_id*/, int /*line*/) {}
 
   // --- memory accesses ---
-  // All memory events carry interned atoms: variable names are identifiers
-  // (interned by the lexer), and property keys are interned by the emitter —
-  // statically-known keys at parse time, computed keys on first use. This
-  // lets implementations key their tables on atom identity (pointer compare
-  // + precomputed hash) and still read the text via js::Atom's implicit
-  // string conversion. Interpreters only pay the computed-key interning when
-  // a hook actually wants memory events (mode 3).
-  virtual void on_var_write(std::uint64_t /*env_id*/, js::Atom /*name*/,
-                            int /*line*/) {}
-  virtual void on_var_read(std::uint64_t /*env_id*/, js::Atom /*name*/,
-                           int /*line*/) {}
-  virtual void on_prop_write(std::uint64_t /*obj_id*/, js::Atom /*key*/,
-                             int /*line*/, const BaseProvenance&) {}
-  virtual void on_prop_read(std::uint64_t /*obj_id*/, js::Atom /*key*/,
-                            int /*line*/, const BaseProvenance&) {}
-
-  /// Batched delivery of the four memory-access callbacks above. The
-  /// interpreter buffers mode-3 memory events per statement and flushes the
-  /// run in ONE virtual call (BM_DependenceEndToEnd is bounded by event
-  /// *emission*, not analysis — the per-event double virtual dispatch was
-  /// the remaining cost). Events arrive in exact program order, and the
-  /// interpreter flushes the buffer before emitting any non-memory event,
-  /// so an implementation that overrides only the per-event callbacks (via
-  /// this default unpacking loop) observes a stream identical to eager
-  /// delivery.
-  virtual void on_memory_batch(const MemoryEvent* events, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-      const MemoryEvent& e = events[i];
-      switch (e.kind) {
-        case MemoryEvent::Kind::VarWrite:
-          on_var_write(e.id, e.name, e.line);
-          break;
-        case MemoryEvent::Kind::VarRead:
-          on_var_read(e.id, e.name, e.line);
-          break;
-        case MemoryEvent::Kind::PropWrite:
-          on_prop_write(e.id, e.name, e.line, e.base);
-          break;
-        case MemoryEvent::Kind::PropRead:
-          on_prop_read(e.id, e.name, e.line, e.base);
-          break;
-      }
-    }
-  }
+  /// The one delivery path for mode-3 variable and property accesses. The
+  /// interpreter buffers memory events per statement and flushes the run in
+  /// ONE virtual call (BM_DependenceEndToEnd is bounded by event *emission*,
+  /// not analysis). Events arrive in exact program order, and the
+  /// interpreter flushes the buffer before emitting any non-memory event, so
+  /// a batch never straddles a loop, call or creation event. Names are
+  /// interned atoms: variable names by the lexer, property keys by the
+  /// emitter (statically-known keys at parse time, computed keys on first
+  /// use), so implementations can key their tables on atom identity and
+  /// still read the text through js::Atom's implicit string conversion.
+  /// Interpreters only pay the computed-key interning when a hook actually
+  /// wants memory events.
+  virtual void on_memory_batch(const MemoryEvent* /*events*/, std::size_t /*count*/) {}
 
   // --- substrate ---
   virtual void on_host_access(HostAccess, const char* /*api_name*/) {}
@@ -140,8 +112,9 @@ class ExecutionHooks {
 
   /// The object memory-event batches should be delivered to. A composite
   /// with exactly ONE member that wants memory events returns that member,
-  /// letting the interpreter skip the fan-out layer on every flush (the
-  /// common mode-3 topology: a HookList holding one DependenceAnalyzer).
+  /// letting the interpreter skip the fan-out layer on every flush (e.g. a
+  /// HookList holding one DependenceAnalyzer next to observers that do not
+  /// want memory events).
   [[nodiscard]] virtual ExecutionHooks* memory_event_sink() { return this; }
 };
 
@@ -179,24 +152,9 @@ class HookList final : public ExecutionHooks {
   void on_object_created(std::uint64_t obj_id, int line) override {
     for (auto* h : hooks_) h->on_object_created(obj_id, line);
   }
-  void on_var_write(std::uint64_t env_id, js::Atom name, int line) override {
-    for (auto* h : hooks_) h->on_var_write(env_id, name, line);
-  }
-  void on_var_read(std::uint64_t env_id, js::Atom name, int line) override {
-    for (auto* h : hooks_) h->on_var_read(env_id, name, line);
-  }
-  void on_prop_write(std::uint64_t obj_id, js::Atom key, int line,
-                     const BaseProvenance& base) override {
-    for (auto* h : hooks_) h->on_prop_write(obj_id, key, line, base);
-  }
-  void on_prop_read(std::uint64_t obj_id, js::Atom key, int line,
-                    const BaseProvenance& base) override {
-    for (auto* h : hooks_) h->on_prop_read(obj_id, key, line, base);
-  }
   void on_memory_batch(const MemoryEvent* events, std::size_t count) override {
-    // Whole-batch fan-out: each observer sees its own events in order (an
-    // observer-local stream is all the hook contract promises); observers
-    // with a native batch path (DependenceAnalyzer) process it directly.
+    // Whole-batch fan-out: every observer sees the whole stream, in order,
+    // and in the same place relative to the non-memory events.
     for (auto* h : hooks_) h->on_memory_batch(events, count);
   }
   void on_host_access(HostAccess access, const char* api_name) override {

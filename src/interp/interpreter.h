@@ -412,12 +412,11 @@ class Interpreter {
   BaseProvenance provenance_of(const js::Expr& base_expr, const EnvPtr& env);
 
   // --- mode-3 memory-event batching (see ExecutionHooks::on_memory_batch) -
-  // Every memory-access event is appended here instead of paying the
-  // double virtual dispatch (HookList fan-out + observer) per event; the
-  // buffer drains to the hooks in one call at each statement boundary and
-  // before ANY non-memory hook event, so observers see exactly the eager
-  // event order. All emission sites below are already gated on
-  // memory_events_, so modes 0-2 never touch the buffer.
+  // Every memory-access event is appended here; the buffer drains to the
+  // memory sink in one call at each statement boundary and before ANY
+  // non-memory hook event, so observers see all events in program order.
+  // All emission sites below are already gated on memory_events_, so
+  // modes 0-2 never touch the buffer.
   void buffer_memory_event(MemoryEvent::Kind kind, std::uint64_t id, js::Atom name,
                            int line, const BaseProvenance& base = BaseProvenance{}) {
     memory_batch_.push_back(MemoryEvent{kind, line, id, name, base});

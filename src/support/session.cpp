@@ -17,7 +17,6 @@ constexpr HookSet kHooksOf[] = {
     {true, false, false},   // Lightweight
     {false, true, false},   // LoopProfile
     {false, false, true},   // Dependence
-    {true, true, true},     // Combined
 };
 
 /// Intern the names the engine itself spells (the stdlib's and the page

@@ -16,9 +16,8 @@ namespace jsceres {
 
 /// The paper's staged Ceres instrumentation modes (§3) — 1 lightweight
 /// profiling, 2 loop profiling, 3 dependence analysis — plus Uninstrumented
-/// (mode 0: no hooks at all, the engine-only baseline) and Combined for
-/// tests and calibration that want every observer from a single run.
-enum class CeresMode { Uninstrumented, Lightweight, LoopProfile, Dependence, Combined };
+/// (mode 0: no hooks at all, the engine-only baseline).
+enum class CeresMode { Uninstrumented, Lightweight, LoopProfile, Dependence };
 
 /// The supervisor's rung numbering (3 dependence, 1 lightweight, 0 none).
 CeresMode mode_of_rung(int rung);

@@ -783,13 +783,14 @@ struct RecordingHooks final : ExecutionHooks {
   };
   std::vector<Prop> props;
   [[nodiscard]] bool wants_memory_events() const override { return true; }
-  void on_prop_write(std::uint64_t obj_id, js::Atom key, int,
-                     const BaseProvenance&) override {
-    props.push_back({true, obj_id, key.str()});
-  }
-  void on_prop_read(std::uint64_t obj_id, js::Atom key, int,
-                    const BaseProvenance&) override {
-    props.push_back({false, obj_id, key.str()});
+  void on_memory_batch(const MemoryEvent* events, std::size_t count) override {
+    for (std::size_t i = 0; i < count; ++i) {
+      const MemoryEvent& e = events[i];
+      const bool write = e.kind == MemoryEvent::Kind::PropWrite;
+      if (write || e.kind == MemoryEvent::Kind::PropRead) {
+        props.push_back({write, e.id, e.name.str()});
+      }
+    }
   }
 };
 

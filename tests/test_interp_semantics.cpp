@@ -3,6 +3,10 @@
 // category reporting, provenance of property accesses).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "interp/interpreter.h"
 #include "js/parser.h"
 
@@ -228,13 +232,15 @@ TEST(Semantics, MapIndexArgument) {
 class CountingHooks final : public ExecutionHooks {
  public:
   [[nodiscard]] bool wants_memory_events() const override { return true; }
-  void on_var_write(std::uint64_t, js::Atom name, int) override {
-    ++var_writes[name];
-  }
-  void on_prop_write(std::uint64_t, js::Atom key, int,
-                     const BaseProvenance& base) override {
-    ++prop_writes[key.str()];
-    last_base = base.kind;
+  void on_memory_batch(const MemoryEvent* events, std::size_t count) override {
+    for (std::size_t i = 0; i < count; ++i) {
+      const MemoryEvent& e = events[i];
+      if (e.kind == MemoryEvent::Kind::VarWrite) ++var_writes[e.name];
+      if (e.kind == MemoryEvent::Kind::PropWrite) {
+        ++prop_writes[e.name.str()];
+        last_base = e.base.kind;
+      }
+    }
   }
   void on_object_created(std::uint64_t, int) override { ++objects; }
   std::map<std::string, int> var_writes;
@@ -272,6 +278,73 @@ TEST(Hooks, ObjectCreationCounted) {
   // prototype object is created without a hook through make_object? no —
   // it goes through the ctor path). At minimum the three literals exist.
   EXPECT_GE(hooks.objects, 3);
+}
+
+/// Logs memory events, object creations and loop iterations into one
+/// sequence, to pin where batched memory events land among the others.
+class SequenceHooks final : public ExecutionHooks {
+ public:
+  [[nodiscard]] bool wants_memory_events() const override { return true; }
+  void on_memory_batch(const MemoryEvent* events, std::size_t count) override {
+    static constexpr const char* kKinds[] = {"var-write", "var-read", "prop-write",
+                                             "prop-read"};
+    for (std::size_t i = 0; i < count; ++i) {
+      const MemoryEvent& e = events[i];
+      log.push_back(std::string(kKinds[static_cast<int>(e.kind)]) + " " +
+                    std::to_string(e.id) + " " + e.name.str());
+    }
+  }
+  void on_object_created(std::uint64_t obj_id, int) override {
+    log.push_back("created " + std::to_string(obj_id));
+  }
+  void on_loop_iteration(const LoopEvent& e) override {
+    log.push_back("iteration " + std::to_string(e.loop_id));
+  }
+  std::vector<std::string> log;
+};
+
+TEST(Hooks, MemoryBatchesKeepProgramOrderThroughHookList) {
+  // Each iteration reads `i` in the loop condition, then creates two objects
+  // and writes to them inside one statement: the interpreter must flush the
+  // buffered accesses before each creation and iteration event, and a
+  // HookList must hand both observers the whole stream.
+  const std::string source =
+      "for (var i = 0; i < 2; i++) {\n"
+      "  var o = {};\n"
+      "  o.f = {g: i};\n"
+      "}\n";
+  SequenceHooks alone;
+  EngineRun run_alone(source, &alone);
+  SequenceHooks first;
+  SequenceHooks second;
+  HookList both;
+  both.add(&first);
+  both.add(&second);
+  EngineRun run_both(source, &both);
+  EXPECT_EQ(first.log, alone.log);
+  EXPECT_EQ(second.log, alone.log);
+
+  std::set<std::string> created;
+  int prop_writes = 0;
+  for (const std::string& entry : alone.log) {
+    if (entry.starts_with("created ")) created.insert(entry.substr(8));
+    if (!entry.starts_with("prop-write ")) continue;
+    ++prop_writes;
+    const std::string obj_id = entry.substr(11, entry.find(' ', 11) - 11);
+    EXPECT_TRUE(created.contains(obj_id)) << entry << " before its creation";
+  }
+  EXPECT_EQ(prop_writes, 4);
+  // Accesses buffered earlier in a statement are delivered before the next
+  // non-memory event: the condition's read of `i` before the iteration it
+  // admits, and the read of `o` before the creation of `{g: i}`.
+  for (std::size_t i = 1; i < alone.log.size(); ++i) {
+    if (alone.log[i].starts_with("iteration ")) {
+      EXPECT_TRUE(alone.log[i - 1].starts_with("var-read ")) << alone.log[i - 1];
+    }
+    if (alone.log[i - 1].starts_with("var-read ") && alone.log[i - 1].ends_with(" o")) {
+      EXPECT_TRUE(alone.log[i].starts_with("created ")) << alone.log[i];
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
