@@ -154,13 +154,12 @@ int main() {
       "function hot() { var s = 0; for (var i = 0; i < 400000; i++) { s += i; } return s; }\n"
       "hot();\n";
   for (const int max_run : {0, 256, 64, 16}) {
-    js::Program program = js::parse(source);
     VirtualClock clock;
     ceres::SamplingProfiler::Options options;
     options.function_granularity_artifact = max_run > 0;
     options.max_same_fn_samples = max_run > 0 ? max_run : 1;
     ceres::SamplingProfiler sampler(clock, options);
-    interp::Interpreter interp(program, clock, &sampler);
+    interp::Interpreter interp(js::parse(source), clock, &sampler);
     interp.run();
     sampler.finish();
     std::printf("  max same-function samples %-5s -> active %6.2fs of true %6.2fs (%.0f%%)\n",

@@ -293,8 +293,8 @@ using MemKind = interp::MemoryEvent::Kind;
 // write to a loop-invariant env per iteration (deduplicated warning).
 void BM_DependenceVarWrites(benchmark::State& state) {
   const js::Program& program = dependence_bench_program();
-  const js::Atom local = program.atoms->intern("p");
-  const js::Atom shared = program.atoms->intern("total");
+  const js::Atom local = program->atoms.intern("p");
+  const js::Atom shared = program->atoms.intern("total");
   const std::int64_t kIters = 512;
   std::vector<interp::MemoryEvent> batch(7, {MemKind::VarWrite, 5, 0, local, {}});
   batch.push_back({MemKind::VarWrite, 9, 1, shared, {}});
@@ -323,9 +323,9 @@ BENCHMARK(BM_DependenceVarWrites);
 // and flow characterization.
 void BM_DependencePropWrites(benchmark::State& state) {
   const js::Program& program = dependence_bench_program();
-  const js::Atom kx = program.atoms->intern("x");
-  const js::Atom ky = program.atoms->intern("y");
-  const js::Atom ksum = program.atoms->intern("sum");
+  const js::Atom kx = program->atoms.intern("x");
+  const js::Atom ky = program->atoms.intern("y");
+  const js::Atom ksum = program->atoms.intern("sum");
   const std::int64_t kIters = 512;
   std::vector<interp::MemoryEvent> batch;
   for (int w = 0; w < 3; ++w) {
@@ -361,8 +361,8 @@ BENCHMARK(BM_DependencePropWrites);
 // must make cheap.
 void BM_CharacterizeDepth(benchmark::State& state) {
   const js::Program& program = dependence_bench_program();
-  const js::Atom local = program.atoms->intern("q");
-  const js::Atom shared = program.atoms->intern("acc");
+  const js::Atom local = program->atoms.intern("q");
+  const js::Atom shared = program->atoms.intern("acc");
   const int depth = int(state.range(0));
   const std::int64_t kIters = 256;
   std::vector<interp::MemoryEvent> batch(4, {MemKind::VarWrite, 5, 0, local, {}});

@@ -45,7 +45,7 @@ console.log('first pixels:', sharpened[65], sharpened[66], sharpened[67]);
 
   // 1. Parse. The parser assigns every syntactic loop a stable id.
   const js::Program program = js::parse(source, "quickstart.js");
-  std::printf("parsed %d syntactic loop(s)\n", program.loop_count());
+  std::printf("parsed %d syntactic loop(s)\n", program->loop_count());
 
   // 2. Attach instrumentation (modes compose through a HookList).
   VirtualClock clock;
@@ -65,7 +65,7 @@ console.log('first pixels:', sharpened[65], sharpened[66], sharpened[67]);
               clock.wall_seconds(), lightweight.in_loops_seconds(),
               100.0 * lightweight.in_loops_seconds() / clock.wall_seconds());
   for (const auto& [loop_id, stats] : loops.stats()) {
-    const js::LoopSite& site = program.loop(loop_id);
+    const js::LoopSite& site = program->loop(loop_id);
     std::printf("  %-8s line %-3d  instances=%-4lld trips=%6.1f±%-6.1f total=%.3fs\n",
                 js::loop_kind_name(site.kind), site.line,
                 static_cast<long long>(stats.instances), stats.trips.mean(),

@@ -12,9 +12,8 @@ using namespace jsceres;
 namespace {
 
 std::string run(const std::string& source) {
-  js::Program program = js::parse(source);
   VirtualClock clock;
-  interp::Interpreter interp(program, clock);
+  interp::Interpreter interp(js::parse(source), clock);
   interp.run();
   return interp.console_output();
 }

@@ -66,7 +66,7 @@ NestEvidence gather_evidence(const LoopNest& nest, const js::Program& program,
         int(std::min<std::int64_t>(root_summary->second.conflicting_write_sites, 1 << 20));
   }
 
-  const int header_line = program.loop(nest.root_loop_id).line;
+  const int header_line = program->loop(nest.root_loop_id).line;
   std::set<std::pair<int, std::string>> var_sites;
   std::set<std::pair<int, std::string>> prop_sites;
   std::set<std::pair<int, std::string>> flow_sites;

@@ -29,7 +29,7 @@ SpeculationReport advise(const js::Program& program, const DependenceAnalyzer& a
                          int loop_id, const LoopProfiler* profiler) {
   SpeculationReport report;
   report.loop_id = loop_id;
-  const std::string induction = js::induction_variable_of(program.loop(loop_id));
+  const std::string induction = js::induction_variable_of(program->loop(loop_id));
 
   std::set<std::string> seen;
   for (const auto& warning : analyzer.warnings()) {
@@ -103,7 +103,7 @@ SpeculationReport advise(const js::Program& program, const DependenceAnalyzer& a
 
 std::string SpeculationReport::render(const js::Program& program) const {
   std::ostringstream out;
-  const js::LoopSite& loop = program.loop(loop_id);
+  const js::LoopSite& loop = program->loop(loop_id);
   out << "speculation report for " << js::loop_kind_name(loop.kind) << " at line "
       << loop.line << ": "
       << (would_abort ? "WOULD ABORT" : "parallelizable (with ownership checks)")

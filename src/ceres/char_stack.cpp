@@ -237,7 +237,7 @@ std::string render_characterization(const Characterization& chr,
   for (std::size_t k = 0; k < chr.levels.size(); ++k) {
     const LevelFlags& level = chr.levels[k];
     if (k > 0) out += " -> ";
-    const js::LoopSite& site = program.loop(level.loop_id);
+    const js::LoopSite& site = program->loop(level.loop_id);
     out += std::string(js::loop_kind_name(site.kind)) + "(line " +
            std::to_string(site.line) + ") ";
     out += level.instance_dep ? "dependence" : "ok";

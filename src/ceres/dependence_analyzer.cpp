@@ -53,7 +53,7 @@ void WarnIndex::grow() {
 
 DependenceAnalyzer::DependenceAnalyzer(const js::Program& program, Options options)
     : program_(program), options_(options) {
-  summaries_.resize(std::size_t(program.loop_count()) + 1);
+  summaries_.resize(std::size_t(program->loop_count()) + 1);
 }
 
 std::string DependenceWarning::render(const js::Program& program) const {
@@ -192,17 +192,6 @@ void DependenceAnalyzer::record(AccessKind kind, DepClass dep, js::Atom name,
   warning_index_.insert(key, std::uint32_t(warnings_.size()));
   warnings_.push_back(std::move(warning));
 }
-
-void DependenceAnalyzer::check_variable_flow(std::uint64_t env_id,
-                                             js::Atom name, int line) {
-  if (const StampId* write = var_writes_.find(env_id, name.id())) {
-    const CharDelta flow = chars_.characterize_flow_id(*write);
-    if (flow.problematic()) {
-      record(AccessKind::PropRead, DepClass::Flow, name, line, flow, false);
-    }
-  }
-}
-
 inline void DependenceAnalyzer::var_write(std::uint64_t env_id, js::Atom name,
                                           int line) {
   if (!in_focus()) return;
@@ -214,20 +203,15 @@ inline void DependenceAnalyzer::var_write(std::uint64_t env_id, js::Atom name,
   } else {
     bump_private_writes();
   }
-  if (options_.variable_flow) {
-    var_writes_.put(env_id, name.id(), chars_.current_id());
-  }
 }
 
-inline void DependenceAnalyzer::var_read(std::uint64_t env_id, js::Atom name,
-                                         int line) {
+inline void DependenceAnalyzer::var_read(std::uint64_t env_id) {
   if (!in_focus()) return;
   const StampId stamp = env_stamps_.get(env_id);
   const CharDelta delta = chars_.characterize_creation_id(stamp);
   // Reads of data from outside the loop are not warnings, but Table 3's
   // "accesses to shared memory" assessment counts them.
   if (delta.problematic()) bump_levels(delta, &LoopDependenceSummary::shared_reads);
-  if (options_.variable_flow) check_variable_flow(env_id, name, line);
 }
 
 inline void DependenceAnalyzer::prop_write(std::uint64_t obj_id, js::Atom key,
@@ -287,7 +271,7 @@ void DependenceAnalyzer::on_memory_batch(const interp::MemoryEvent* events,
         var_write(e.id, e.name, e.line);
         break;
       case interp::MemoryEvent::Kind::VarRead:
-        var_read(e.id, e.name, e.line);
+        var_read(e.id);
         break;
       case interp::MemoryEvent::Kind::PropWrite:
         prop_write(e.id, e.name, e.line, e.base);
@@ -315,7 +299,7 @@ std::string DependenceAnalyzer::report() const {
   std::ostringstream out;
   out << "dependence analysis: " << warnings_.size() << " distinct warning site(s)";
   if (options_.focus_loop_id != 0) {
-    const js::LoopSite& site = program_.loop(options_.focus_loop_id);
+    const js::LoopSite& site = program_->loop(options_.focus_loop_id);
     out << " (focused on " << js::loop_kind_name(site.kind) << " at line "
         << site.line << ")";
   }

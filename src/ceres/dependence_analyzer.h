@@ -274,14 +274,12 @@ class DependenceAnalyzer final : public interp::ExecutionHooks {
     /// Report only accesses occurring while this loop is open (0 = report
     /// accesses inside any loop).
     int focus_loop_id = 0;
-    /// Also detect flow dependencies through *variables* (an extension; the
-    /// paper tracks flow through object fields only).
-    bool variable_flow = false;
     /// Cap on distinct warning sites kept (memory guard; the paper notes the
     /// tool "failed to scale to some of the case studies").
     std::size_t max_warnings = 100000;
   };
 
+  /// Keeps a copy of the `program` handle; report() reads its loop table.
   DependenceAnalyzer(const js::Program& program, Options options);
   explicit DependenceAnalyzer(const js::Program& program)
       : DependenceAnalyzer(program, Options()) {}
@@ -323,7 +321,7 @@ class DependenceAnalyzer final : public interp::ExecutionHooks {
   // on_memory_batch loop. They are inline and defined in the .cpp ahead of
   // it, so a batched event costs no call.
   inline void var_write(std::uint64_t env_id, js::Atom name, int line);
-  inline void var_read(std::uint64_t env_id, js::Atom name, int line);
+  inline void var_read(std::uint64_t env_id);
   inline void prop_write(std::uint64_t obj_id, js::Atom key, int line,
                          const interp::BaseProvenance& base);
   inline void prop_read(std::uint64_t obj_id, js::Atom key, int line,
@@ -339,14 +337,12 @@ class DependenceAnalyzer final : public interp::ExecutionHooks {
   /// level inward.
   inline void bump_levels(const CharDelta& delta,
                           std::int64_t LoopDependenceSummary::*counter);
-  /// The variable_flow extension's read check (off by default).
-  void check_variable_flow(std::uint64_t env_id, js::Atom name, int line);
   inline void bump_private_writes();
   /// Per-loop counters for `loop_id`, marked as touched. Loop enter and
   /// function enter only; the per-event paths index summaries_ directly.
   [[nodiscard]] LoopDependenceSummary& summary_slot(int loop_id);
 
-  const js::Program& program_;
+  const js::Program program_;
   Options options_;
   CharStack chars_;
 
@@ -357,9 +353,6 @@ class DependenceAnalyzer final : public interp::ExecutionHooks {
   detail::DenseStampTable obj_stamps_;
   /// Last-write snapshot per (object, property).
   detail::StampMap writes_;
-  /// Last-write snapshot per (environment, variable) for the variable_flow
-  /// extension.
-  detail::StampMap var_writes_;
 
   // Active JS call stack (fn ids); recursion inside an open loop makes the
   // loop's iteration work unbounded (paper §3.3's recursion guard, extended

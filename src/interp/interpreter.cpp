@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <iostream>
 #include <limits>
 #include <optional>
 
@@ -13,6 +12,9 @@
 namespace jsceres::interp {
 
 namespace {
+
+constexpr std::uint64_t kRandomSeed = 42;  // Math.random: same draws every run
+constexpr int kMaxCallDepth = 256;         // deeper JS calls throw RangeError
 
 /// Canonical array index parse: "0", "1", ... without leading zeros.
 bool index_from_string(const std::string& key, std::size_t* out) {
@@ -69,11 +71,13 @@ class FunctionFrame {
 Interpreter::Interpreter(const js::Program& program, VirtualClock& clock,
                          ExecutionHooks* hooks, Config config)
     : program_(program),
+      atoms_(program_->atoms),
+      shape_root_(program_->shape_root.get()),
       clock_(&clock),
       hooks_(hooks),
       config_(config),
       ledger_(config.limits),
-      rng_(config.random_seed) {
+      rng_(kRandomSeed) {
   memory_events_ = hooks_ != nullptr && hooks_->wants_memory_events();
   if (hooks_ != nullptr) memory_sink_ = hooks_->memory_event_sink();
   if (memory_events_) memory_batch_.reserve(256);
@@ -90,9 +94,9 @@ Interpreter::Interpreter(const js::Program& program, VirtualClock& clock,
   }
 
   // Per-site caches sized by the resolver's id assignment.
-  read_ics_.resize(program.ic_count);
-  write_ics_.resize(program.ic_count);
-  global_ref_cache_.assign(program.global_ref_count, -1);
+  read_ics_.resize(program_->ic_count);
+  write_ics_.resize(program_->ic_count);
+  global_ref_cache_.assign(program_->global_ref_count, -1);
 
   env_pool_ = new EnvPool();
   // If the rest of the constructor throws, ~Interpreter never runs; this
@@ -132,9 +136,6 @@ Interpreter::~Interpreter() {
   // stores it, so without this the whole global graph (stdlib included)
   // outlives every interpreter. Closures a caller still holds remain valid
   // objects; the scope chain they lose is only usable through this engine.
-  // Any object a caller keeps is valid only while the Program lives: its
-  // shape and property keys belong to the Program's shape tree and atom
-  // space, which are freed with the Program.
   if (global_env_ != nullptr) global_env_->clear_for_reuse();
   // The builtin prototype web is cyclic on its own: a prototype owns its
   // native methods, and every method's [[prototype]] link leads back into
@@ -258,7 +259,6 @@ void Interpreter::grow_elements(JSObject& obj, std::size_t new_len) {
 void Interpreter::console_write(const std::string& text) {
   console_ += text;
   console_ += '\n';
-  if (config_.echo_console) std::cout << text << "\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -699,7 +699,7 @@ Value Interpreter::call_js_function(JSObject& fn_obj, const Value& this_val,
                                     const Value* argv, std::size_t argc) {
   FunctionData& fn = *fn_obj.function();
   const js::FunctionNode& node = *fn.decl;
-  if (++call_depth_ > config_.max_call_depth) {
+  if (++call_depth_ > kMaxCallDepth) {
     --call_depth_;
     throw_error("RangeError", "maximum call stack size exceeded");
   }
@@ -796,9 +796,9 @@ void Interpreter::run() {
   const AllocationLedger::Scope ledger_scope(&ledger_);
   begin_run_window();
   try {
-    hoist_into(*global_env_, program_.hoisted_vars, program_.hoisted_functions,
+    hoist_into(*global_env_, program_->hoisted_vars, program_->hoisted_functions,
                global_env_);
-    for (const auto& stmt : program_.statements) {
+    for (const auto& stmt : program_->statements) {
       const Completion completion = exec(*stmt, global_env_);
       if (completion.type != Completion::Type::Normal) break;
     }

@@ -40,10 +40,7 @@ using ::jsceres::EngineError;
 /// "CPU time" in the reproduction is a pure function of the executed
 /// program.
 struct InterpreterConfig {
-  std::uint64_t random_seed = 42;
   std::int64_t max_ticks = -1;  // <0: unlimited
-  int max_call_depth = 256;
-  bool echo_console = false;  // also print console.log to stdout
   /// Simulated OS/browser thread preemption: every `preempt_interval_ticks`
   /// of CPU work the engine is suspended for `preempt_block_ns` of
   /// wall-clock. Models the paper's §3.1 observation that "if ... the OS or
@@ -70,8 +67,8 @@ class Interpreter {
  public:
   using Config = InterpreterConfig;
 
-  /// `program` must outlive the interpreter and every object it builds
-  /// (objects hang off the program's shape tree and atom space).
+  /// Keeps a copy of the `program` handle: the program lives at least as
+  /// long as the interpreter.
   Interpreter(const js::Program& program, VirtualClock& clock,
               ExecutionHooks* hooks = nullptr, Config config = Config());
   ~Interpreter();
@@ -152,13 +149,12 @@ class Interpreter {
     }
   }
   [[nodiscard]] Rng& rng() { return rng_; }
-  [[nodiscard]] const js::Program& program() const { return program_; }
   /// The program's atom space: every name this interpreter interns (its
   /// own hot atoms, computed keys, globals) goes through it.
-  [[nodiscard]] js::AtomSpace& atoms() const { return *program_.atoms; }
+  [[nodiscard]] js::AtomSpace& atoms() const { return atoms_; }
   /// Root of the program's shape tree; every object this interpreter and
   /// its host bindings build hangs off it.
-  [[nodiscard]] const Shape* shape_root() const { return program_.shape_root.get(); }
+  [[nodiscard]] const Shape* shape_root() const { return shape_root_; }
   [[nodiscard]] const std::string& console_output() const { return console_; }
   void console_write(const std::string& text);
   /// fn_id of the innermost JS function currently executing (0 == top level).
@@ -433,7 +429,11 @@ class Interpreter {
     return env_pool_->acquire(next_env_id_++, std::move(parent));
   }
 
-  const js::Program& program_;
+  // Declared first, so it outlives every object below. Atoms and shape root
+  // are cached: the computed-key path skips a dereference through the handle.
+  const js::Program program_;
+  js::AtomSpace& atoms_;
+  const Shape* const shape_root_;
   VirtualClock* clock_;
   ExecutionHooks* hooks_;
   Config config_;

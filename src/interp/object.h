@@ -59,9 +59,9 @@ struct FunctionData {
 /// inline caches simply never match.
 ///
 /// Every object hangs off the shape tree of the program it was built for
-/// (`shape_root` is that program's Program::shape_root), and reaches the
-/// program's AtomSpace through its shape — so an object must not be used
-/// after its Program is destroyed.
+/// (`shape_root` is that program's ProgramBody::shape_root), and reaches the
+/// program's AtomSpace through its shape. An object a caller keeps after its
+/// interpreter is destroyed is valid while some handle to its program lives.
 class JSObject {
  public:
   enum class Cls : std::uint8_t { Plain, Array, Function };
@@ -185,8 +185,7 @@ class JSObject {
   /// prototype owns its native methods, and each method's [[prototype]] link
   /// leads back into the web through Function.prototype — so ~Interpreter
   /// severs the roots explicitly. Objects a caller still holds afterwards
-  /// stay valid (until their Program is destroyed) but see an emptied
-  /// prototype chain.
+  /// stay valid but see an emptied prototype chain.
   void sever_for_teardown() noexcept {
     prop_slots_.clear();
     dict_.reset();

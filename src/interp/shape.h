@@ -36,9 +36,10 @@ namespace jsceres::interp {
 /// candidate). Interpreters on different threads may grow the tree and
 /// flatten shapes concurrently; steady-state reads never take a lock.
 ///
-/// Lifetime: a tree belongs to one js::Program, which owns its root
-/// (make_root) and frees the whole tree with itself. Within that life the
-/// tree only grows, so cached `const Shape*` values never dangle. Keys are
+/// Lifetime: a tree belongs to one js::Program, whose shared body owns its
+/// root (make_root) and frees the whole tree when the program's last handle
+/// goes; every interpreter holds one. Within that life the tree only grows,
+/// so cached `const Shape*` values never dangle. Keys are
 /// atoms of the same program (prefix atoms or its AtomSpace's), and the
 /// tree's space is reachable from every shape (`atoms()`), which is how an
 /// object's string-keyed helpers intern through their own program. There is

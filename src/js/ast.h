@@ -3,15 +3,22 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "js/atom.h"
+
+namespace jsceres {
+struct EngineLimits;
+}
 
 namespace jsceres::interp {
 class Shape;
 }
 
 namespace jsceres::js {
+
+struct RefactorReport;
 
 /// AST node discriminator. The interpreter dispatches on this enum; keeping
 /// the AST as plain data (instead of virtual eval methods) lets multiple
@@ -418,26 +425,20 @@ const char* loop_kind_name(LoopKind kind);
 /// assigns global-cache / inline-cache ids. `parse` calls this automatically;
 /// AST-rewriting tools (js/refactor) must call it again after mutating a
 /// program. Idempotent.
-void resolve_scopes(struct Program& program);
+void resolve_scopes(class Program& program);
 
-/// A parsed compilation unit. Owns the AST, the loop table, the top-level
+/// What a Program's copies share: the AST, the loop table, the top-level
 /// hoisting information (top-level `var`s become globals), and the
-/// program's universe: the atom space every name of its parse and runs is
+/// program's universe — the atom space every name of its parse and runs is
 /// interned into, and the root of the shape tree every object of its
-/// interpreters hangs off (interp/shape.h). Both are heap-held, so moving a
-/// Program keeps the atoms and shapes that AST nodes, objects and caches
-/// point at; both are freed in one step when the Program is destroyed, which
-/// is why a Program must outlive every session, interpreter and object
-/// built over it. The space and the tree grow under `const Program&` (they
-/// are internally synchronized, and growth never changes an answer already
-/// given).
-struct Program {
-  Program();
-  Program(Program&&) noexcept;
-  Program& operator=(Program&&) noexcept;
-  ~Program();
+/// interpreters hangs off (interp/shape.h). The space and the tree grow
+/// under a const body (they are internally synchronized, and growth never
+/// changes an answer already given).
+struct ProgramBody {
+  ProgramBody();
+  ~ProgramBody();
 
-  std::unique_ptr<AtomSpace> atoms;  // declared first: destroyed last
+  mutable AtomSpace atoms;  // declared first: destroyed last
   std::unique_ptr<const interp::Shape> shape_root;
   std::vector<StmtPtr> statements;
   std::vector<Atom> hoisted_vars;
@@ -461,6 +462,30 @@ struct Program {
     }
     return 0;
   }
+};
+
+/// A parsed compilation unit: a cheap handle whose copies share one
+/// ProgramBody, freed when the last copy goes. Every Interpreter and
+/// DependenceAnalyzer keeps a copy, so a program lives as long as anything
+/// that runs it. A default-constructed Program is the empty program. Only
+/// the parser, the resolver and js/refactor mutate the body, and only while
+/// their handle is its only one.
+class Program {
+ public:
+  Program();
+
+  const ProgramBody* operator->() const noexcept { return body_.get(); }
+
+ private:
+  friend Program parse(std::string_view source, std::string source_name,
+                       const EngineLimits& limits);
+  friend void resolve_scopes(Program& program);
+  friend RefactorReport to_functional(Program& program);
+  /// The body, for the three friends; throws std::logic_error when another
+  /// handle shares it (a rewrite under a running interpreter).
+  ProgramBody& mut();
+
+  std::shared_ptr<ProgramBody> body_;
 };
 
 }  // namespace jsceres::js

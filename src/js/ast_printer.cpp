@@ -316,7 +316,7 @@ std::string print_stmt(const Stmt& stmt, int indent) {
 
 std::string print(const Program& program) {
   std::string out;
-  for (const auto& stmt : program.statements) {
+  for (const auto& stmt : program->statements) {
     out += print_stmt(*stmt, 0) + "\n";
   }
   return out;

@@ -35,7 +35,7 @@ struct AtomData {
 /// engine and its tools spell themselves; it only grows and is never freed.
 /// Everything a program's parse or run interns goes through that program's
 /// AtomSpace (see below), which reads the prefix but never writes it. An
-/// Atom from a space stays valid until its Program is destroyed.
+/// Atom from a space stays valid while some handle to its Program lives.
 ///
 /// Atoms convert implicitly to `const std::string&`, which keeps printers,
 /// reports and hook consumers source-compatible.
@@ -102,8 +102,8 @@ class Atom {
   const detail::AtomData* data_;
 };
 
-/// One program's atoms, owned by its js::Program and freed with it in one
-/// step. intern() looks locally, then in the prefix, and else creates the
+/// One program's atoms, owned by its js::Program's body and freed with it
+/// in one step. intern() looks locally, then in the prefix, and else creates the
 /// atom here; it never writes the prefix, so nothing process-wide can point
 /// into a space. The answer for a given text never changes over the
 /// space's life (a local atom always wins, and the prefix only grows), which

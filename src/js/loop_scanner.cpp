@@ -10,7 +10,7 @@ class Scanner {
   explicit Scanner(const Program& program) : program_(program) {}
 
   void run() {
-    for (const auto& stmt : program_.statements) walk_stmt(*stmt);
+    for (const auto& stmt : program_->statements) walk_stmt(*stmt);
   }
 
   StyleCensus census;
@@ -231,7 +231,7 @@ std::map<int, LoopStaticInfo> scan_loops(const Program& program) {
   Scanner scanner(program);
   scanner.run();
   // Make sure every registered loop has an entry even if its body is empty.
-  for (const auto& site : program.loops) {
+  for (const auto& site : program->loops) {
     auto& info = scanner.loops[site.loop_id];
     info.loop_id = site.loop_id;
   }

@@ -13,10 +13,10 @@ class Parser {
  public:
   /// `program` arrives empty but for its name and the atom space `tokens`
   /// were interned into.
-  Parser(std::vector<Token> tokens, Program program, int max_depth)
-      : tokens_(std::move(tokens)), program_(std::move(program)), max_depth_(max_depth) {}
+  Parser(std::vector<Token> tokens, ProgramBody& program, int max_depth)
+      : tokens_(std::move(tokens)), program_(program), max_depth_(max_depth) {}
 
-  Program run() {
+  void run() {
     // The top level behaves like a function body for hoisting purposes.
     HoistScope top(this, /*fn_id=*/0);
     while (!check(Tok::Eof)) {
@@ -24,7 +24,6 @@ class Parser {
     }
     program_.hoisted_vars = std::move(top.vars);
     program_.hoisted_functions = std::move(top.functions);
-    return std::move(program_);
   }
 
  private:
@@ -626,7 +625,7 @@ class Parser {
           node->property = advance().atom;
         } else if (!peek().text.empty()) {
           const Token& tok = advance();
-          node->property = tok.atom.empty() ? program_.atoms->intern(tok.text) : tok.atom;
+          node->property = tok.atom.empty() ? program_.atoms.intern(tok.text) : tok.atom;
         } else {
           throw ParseError("expected property name after '.'", peek().line);
         }
@@ -768,7 +767,7 @@ class Parser {
             Atom key;
             if (check(Tok::Number)) {
               // Number tokens carry no atom; key by the literal's spelling.
-              key = program_.atoms->intern(advance().text);
+              key = program_.atoms.intern(advance().text);
             } else if (check(Tok::Ident) || check(Tok::String) ||
                        !peek().text.empty()) {
               key = advance().atom;
@@ -799,7 +798,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
-  Program program_;
+  ProgramBody& program_;
   HoistScope* hoist_ = nullptr;
   int next_fn_id_ = 1;
   int depth_ = 0;
@@ -846,10 +845,9 @@ Program parse(std::string_view source, std::string source_name,
   const int max_depth = limits.max_parse_depth > 0 ? limits.max_parse_depth
                                                    : EngineLimits{}.max_parse_depth;
   Program program;
-  program.source_name = std::move(source_name);
-  std::vector<Token> tokens = lex(source, *program.atoms, limits);
-  Parser parser(std::move(tokens), std::move(program), max_depth);
-  program = parser.run();
+  ProgramBody& body = program.mut();
+  body.source_name = std::move(source_name);
+  Parser(lex(source, body.atoms, limits), body, max_depth).run();
   resolve_scopes(program);
   return program;
 }

@@ -565,7 +565,7 @@ void substitute_element_expr(ExprPtr& expr, const Candidate& c,
 
 class Rewriter {
  public:
-  Rewriter(Program& program, RefactorReport& report)
+  Rewriter(ProgramBody& program, RefactorReport& report)
       : program_(program), report_(report) {
     // Names used anywhere (to keep privatization safe and elem fresh).
     for (const auto& stmt : program.statements) {
@@ -659,7 +659,7 @@ class Rewriter {
     while (all_names_.count(elem) > 0) elem = "elem" + std::to_string(++suffix);
     ++all_names_[elem];
 
-    const Atom elem_atom = program_.atoms->intern(elem);
+    const Atom elem_atom = program_.atoms.intern(elem);
     substitute_element_stmt(*loop.body, candidate, elem_atom);
 
     // Build: arr.forEach(function (elem, i) { body });
@@ -667,7 +667,7 @@ class Rewriter {
     fn->line = loop.line;
     fn->fn_id = int(program_.fn_names.size()) + 1;
     program_.fn_names.push_back("<forEach callback>");
-    fn->params = {elem_atom, program_.atoms->intern(candidate.index_name)};
+    fn->params = {elem_atom, program_.atoms.intern(candidate.index_name)};
     fn->hoisted_vars = std::move(body_vars);
     fn->body = std::move(loop.body);
     if (fn->body->kind != NodeKind::Block) {
@@ -685,9 +685,9 @@ class Rewriter {
     callee->line = loop.line;
     auto array_ident = std::make_unique<Ident>();
     array_ident->line = loop.line;
-    array_ident->name = program_.atoms->intern(candidate.array_name);
+    array_ident->name = program_.atoms.intern(candidate.array_name);
     callee->object = std::move(array_ident);
-    callee->property = program_.atoms->intern("forEach");
+    callee->property = program_.atoms.intern("forEach");
 
     auto call = std::make_unique<Call>();
     call->line = loop.line;
@@ -704,7 +704,7 @@ class Rewriter {
     return stmt;
   }
 
-  Program& program_;
+  ProgramBody& program_;
   RefactorReport& report_;
   IdentCounts all_names_;
 };
@@ -713,8 +713,7 @@ class Rewriter {
 
 RefactorReport to_functional(Program& program) {
   RefactorReport report;
-  Rewriter rewriter(program, report);
-  rewriter.run();
+  Rewriter(program.mut(), report).run();
   // The rewrite moved loop bodies into fresh callback functions, which
   // changes every (hops, slot) coordinate inside them — re-annotate.
   resolve_scopes(program);

@@ -29,7 +29,7 @@ namespace {
 
 class Resolver {
  public:
-  explicit Resolver(Program& program) : program_(program) {}
+  explicit Resolver(ProgramBody& program) : program_(program) {}
 
   void run() {
     program_.global_ref_count = 0;
@@ -297,12 +297,12 @@ class Resolver {
     }
   }
 
-  Program& program_;
+  ProgramBody& program_;
   std::vector<Scope> scopes_;
 };
 
 }  // namespace
 
-void resolve_scopes(Program& program) { Resolver(program).run(); }
+void resolve_scopes(Program& program) { Resolver(program.mut()).run(); }
 
 }  // namespace jsceres::js

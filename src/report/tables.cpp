@@ -51,7 +51,7 @@ std::vector<Table3Row> build_table3_rows(const workloads::Workload& workload) {
                                                     static_info, *dep_run.dependence);
     Table3Row row;
     row.workload = workload.name;
-    row.root_line = profile_run.program.loop(nest.root_loop_id).line;
+    row.root_line = profile_run.program->loop(nest.root_loop_id).line;
     row.share = nest.share_of_loop_time;
     row.instances = nest.instances;
     row.trips_mean = nest.trips_mean;

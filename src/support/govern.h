@@ -37,7 +37,7 @@ inline const char* to_string(AdmitDecision decision) {
 ///
 /// Policy is *newest first*: sessions already admitted keep their
 /// reservation; it is the incoming session that degrades (pressure >=
-/// degrade_pressure) or is shed (pressure >= shed_pressure, or the
+/// kDegradePressure) or is shed (pressure >= kShedPressure, or the
 /// reservation itself would cross the ceiling). That gives the overload
 /// behavior the paper's server scenario needs — bounded memory with graceful
 /// degradation instead of an OOM kill taking down every tenant at once.
@@ -47,11 +47,11 @@ class MemoryGovernor {
     /// Hard ceiling on reserved + shared bytes. 0: governor disabled
     /// (everything admits; pressure reads 0).
     std::size_t ceiling_bytes = 0;
-    /// Pressure at which new sessions degrade to a cheaper mode.
-    double degrade_pressure = 0.75;
-    /// Pressure at which new sessions are shed outright.
-    double shed_pressure = 0.92;
   };
+  /// Pressure at which new sessions degrade to a cheaper mode.
+  static constexpr double kDegradePressure = 0.75;
+  /// Pressure at which new sessions are shed outright.
+  static constexpr double kShedPressure = 0.92;
 
   // Two constructors instead of one defaulted argument: a default argument
   // of nested-class type cannot use that class's member initializers until
@@ -75,14 +75,14 @@ class MemoryGovernor {
     const auto pressure =
         double(in_use + estimate) / double(options_.ceiling_bytes);
     // Every admission decision counts into the band it landed in.
-    if (pressure >= options_.shed_pressure ||
+    if (pressure >= kShedPressure ||
         in_use + estimate > options_.ceiling_bytes) {
       ++shed_count_;
       return AdmitDecision::Shed;
     }
     reserved_ += estimate;
     note_high_water(shared_bytes);
-    if (pressure >= options_.degrade_pressure) {
+    if (pressure >= kDegradePressure) {
       ++degrade_count_;
       return AdmitDecision::Degrade;
     }
@@ -138,8 +138,6 @@ class MemoryGovernor {
     const std::lock_guard lock(mutex_);
     return max_underestimate_;
   }
-
-  [[nodiscard]] const Options& options() const { return options_; }
 
  private:
   void note_high_water(std::size_t shared_bytes) {

@@ -126,7 +126,7 @@ AnalysisService::AnalysisService(rivertrail::ThreadPool& pool,
     : pool_(&pool),
       options_(options),
       governor_(options.governor),
-      supervisor_(pool, options.supervisor) {
+      supervisor_(pool) {
   if (options_.watchdog_interval_ms > 0) {
     watchdog_ = std::thread([this] { watchdog_main(); });
   }

@@ -116,7 +116,6 @@ struct ServiceOptions {
   /// cancelled (sticky — it wins over any retry rung). 0 with a nonzero
   /// interval means the watchdog only maintains diagnostics.
   std::int64_t watchdog_stuck_ms = 0;
-  SupervisorOptions supervisor;
 };
 
 /// Point-in-time service counters (all monotonic except the gauges). The
@@ -149,9 +148,8 @@ struct ServiceStats {
 /// dispatches the next eligible queued request, so the service is driven
 /// entirely by the pool it already shares with the sessions' own parallel
 /// work. The process does not accrete atoms or shapes across tenants by
-/// construction: each session's program owns its atoms and shape tree and
-/// frees them when the session's attempt ends (see js::Program), so there
-/// is no cross-session reclamation to schedule.
+/// construction: each session's program owns its atoms and shape tree (see
+/// js::Program), so there is no cross-session reclamation to schedule.
 class AnalysisService {
  public:
   AnalysisService(rivertrail::ThreadPool& pool, ServiceOptions options = {});
@@ -178,7 +176,6 @@ class AnalysisService {
   void begin_shutdown();
 
   [[nodiscard]] ServiceStats stats() const;
-  [[nodiscard]] const ServiceOptions& options() const { return options_; }
   [[nodiscard]] MemoryGovernor& governor() { return governor_; }
 
   /// Full observability snapshot: refreshes the cross-layer engine gauges

@@ -32,7 +32,7 @@ void intern_engine_names_once() {
       interp::Interpreter interp(bootstrap, clock);
       const dom::Page page(interp);
     }
-    bootstrap.atoms->for_each([](js::Atom atom) { js::Atom::intern(atom.str()); });
+    bootstrap->atoms.for_each([](js::Atom atom) { js::Atom::intern(atom.str()); });
     return true;
   }();
   (void)done;

@@ -33,9 +33,9 @@ struct SessionSandbox {
 /// One analysis session over a parsed program: the virtual clock, the Ceres
 /// hooks of its mode, the interpreter, and — when asked for — a dom::Page
 /// whose event loop runs after the main script. The workload runner, the
-/// supervisor and the fuzz oracles all run the engine through it. `program`
-/// must outlive the session; the session stays in place (the interpreter and
-/// the hooks hold its clock). See src/support/README.md.
+/// supervisor and the fuzz oracles all run the engine through it. Its
+/// interpreter and analyzer keep the program alive; the session stays in
+/// place (they hold its clock). See src/support/README.md.
 class Session {
  public:
   /// `preempt_*`: simulated thread preemption (see InterpreterConfig).

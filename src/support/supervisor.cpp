@@ -87,9 +87,8 @@ AttemptClass run_attempt(const SessionRequest& request, int mode,
     } else {
       // Built-in body: `request.source` as a Session at this rung and
       // budget, with a page and event loop for timer programs.
-      const js::Program program =
-          js::parse(request.source, "<session:" + request.name + ">", limits);
-      Session session(program, mode_of_rung(mode), {limits, max_ticks, token});
+      Session session(js::parse(request.source, "<session:" + request.name + ">", limits),
+                      mode_of_rung(mode), {limits, max_ticks, token});
       if (request.has_timers) {
         session.open_page();
         // Frame graph without a canvas (the kernel stage no-ops): exercises
@@ -140,6 +139,12 @@ AttemptClass run_attempt(const SessionRequest& request, int mode,
   return result;
 }
 
+/// Exponential backoff between retries: base * 2^attempt, capped. Kept tiny
+/// — attempts run on pool workers, and a sleeping worker is a stolen
+/// worker; the point is jitter, not politeness to an external service.
+constexpr std::int64_t kBackoffBaseMs = 1;
+constexpr std::int64_t kBackoffCapMs = 50;
+
 int next_rung(int mode) { return mode >= 3 ? 1 : 0; }
 
 /// Tighten per-attempt budgets for a retry: a fault already burned part of
@@ -167,8 +172,8 @@ SessionOutcome SessionSupervisor::run_one(const SessionRequest& request) {
   CancelSource* source = request.cancel != nullptr ? request.cancel : &local_source;
 
   int mode = request.mode;
-  int retries_left = options_.max_retries;
-  std::int64_t backoff_ms = options_.backoff_base_ms;
+  int retries_left = kMaxRetries;
+  std::int64_t backoff_ms = kBackoffBaseMs;
   EngineLimits budgets = request.limits;
   std::int64_t ticks = request.max_ticks;
 
@@ -217,7 +222,7 @@ SessionOutcome SessionSupervisor::run_one(const SessionRequest& request) {
         if (retries_left-- > 0) {
           JSCERES_OBS_COUNT("supervisor.retries", 1);
           std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-          backoff_ms = std::min(backoff_ms * 2, options_.backoff_cap_ms);
+          backoff_ms = std::min(backoff_ms * 2, kBackoffCapMs);
           tighten(budgets, ticks);
           continue;  // same rung
         }
@@ -228,7 +233,7 @@ SessionOutcome SessionSupervisor::run_one(const SessionRequest& request) {
 
       case AttemptClass::Deadline:
       case AttemptClass::Limit:
-        if (options_.degrade_on_limit && mode > 0) {
+        if (mode > 0) {
           JSCERES_OBS_COUNT("supervisor.degradations", 1);
           mode = next_rung(mode);
           continue;

@@ -63,21 +63,6 @@ struct SessionOutcome {
   bool runtime_fault = false;
 };
 
-/// Retry/degradation policy knobs shared by every session in a batch.
-struct SupervisorOptions {
-  /// Same-mode retries of a *retryable* fault (injected scheduler faults,
-  /// transient runtime errors) before falling through to degradation.
-  int max_retries = 2;
-  /// Exponential backoff between retries: base * 2^attempt, capped. Kept
-  /// tiny — attempts run on pool workers, and a sleeping worker is a stolen
-  /// worker; the point is jitter, not politeness to an external service.
-  std::int64_t backoff_base_ms = 1;
-  std::int64_t backoff_cap_ms = 50;
-  /// Degrade mode 3 -> 1 -> 0 on limit trips and deadline misses. Off:
-  /// the first limit trip quarantines (a strict-analysis server).
-  bool degrade_on_limit = true;
-};
-
 /// Thrown by an attempt body when a post-failure engine invariant is broken
 /// (argument stack not unwound, interpreter unusable). Always classified as
 /// a runtime-fault quarantine — never retried, never degraded.
@@ -139,9 +124,11 @@ struct SessionRequest {
 /// and the batch always returns one structured outcome per request.
 class SessionSupervisor {
  public:
-  explicit SessionSupervisor(rivertrail::ThreadPool& pool,
-                             SupervisorOptions options = {})
-      : pool_(&pool), options_(options) {}
+  /// Same-mode retries of a *retryable* fault (injected scheduler faults,
+  /// transient runtime errors) before falling through to degradation.
+  static constexpr int kMaxRetries = 2;
+
+  explicit SessionSupervisor(rivertrail::ThreadPool& pool) : pool_(&pool) {}
 
   /// Run every request to a terminal outcome; index i of the result is
   /// request i. The calling thread helps the pool while waiting.
@@ -151,11 +138,8 @@ class SessionSupervisor {
   /// machine without the fan-out; what each pool task executes).
   SessionOutcome run_one(const SessionRequest& request);
 
-  [[nodiscard]] const SupervisorOptions& options() const { return options_; }
-
  private:
   rivertrail::ThreadPool* pool_;
-  SupervisorOptions options_;
 };
 
 }  // namespace jsceres

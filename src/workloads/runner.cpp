@@ -64,7 +64,7 @@ InstrumentedRun::InstrumentedRun(const Workload& workload, Mode mode,
 
   for (const std::string& marker : workload.nest_markers) {
     const int line = line_of_marker(workload.source, marker);
-    const int loop_id = program.loop_id_at_line(line);
+    const int loop_id = program->loop_id_at_line(line);
     if (line == 0 || loop_id == 0) {
       throw std::runtime_error(workload.name + ": nest marker not found: " + marker);
     }
@@ -162,7 +162,7 @@ const std::vector<Workload>& all_workloads() {
 
 std::vector<SessionOutcome> run_workloads_supervised(
     const std::vector<std::string>& names, rivertrail::ThreadPool& pool,
-    SupervisorOptions options, std::int64_t deadline_ms,
+    std::int64_t deadline_ms,
     const EngineLimits& limits, std::int64_t max_ticks) {
   std::vector<SessionRequest> requests;
   requests.reserve(names.size());
@@ -193,8 +193,7 @@ std::vector<SessionOutcome> run_workloads_supervised(
     };
     requests.push_back(std::move(request));
   }
-  SessionSupervisor supervisor(pool, options);
-  return supervisor.run(requests);
+  return SessionSupervisor(pool).run(requests);
 }
 
 const Workload& workload_by_name(const std::string& name) {

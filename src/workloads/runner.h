@@ -64,7 +64,7 @@ InstrumentedRun run_workload(const Workload& workload, Mode mode,
 /// to names[i].
 std::vector<SessionOutcome> run_workloads_supervised(
     const std::vector<std::string>& names, rivertrail::ThreadPool& pool,
-    SupervisorOptions options = {}, std::int64_t deadline_ms = 0,
+    std::int64_t deadline_ms = 0,
     const EngineLimits& limits = {}, std::int64_t max_ticks = 0);
 
 }  // namespace jsceres::workloads

@@ -15,12 +15,10 @@ using interp::Interpreter;
 // ---------------------------------------------------------------------------
 
 struct ProfiledRun {
-  explicit ProfiledRun(const std::string& source)
-      : program(js::parse(source)), loops(clock) {
-    Interpreter interp(program, clock, &loops);
+  explicit ProfiledRun(const std::string& source) : loops(clock) {
+    Interpreter interp(js::parse(source), clock, &loops);
     interp.run();
   }
-  js::Program program;
   VirtualClock clock;
   ceres::LoopProfiler loops;
 };

@@ -155,12 +155,10 @@ TEST(LoopProfiler, TripCountStatistics) {
 }
 
 TEST(LoopProfiler, NestingEdgesFollowRuntime) {
-  js::Program program = js::parse(
-      "function inner() { for (var j = 0; j < 2; j++) { } }\n"
-      "for (var i = 0; i < 3; i++) { inner(); }\n");
   VirtualClock clock;
   LoopProfiler prof(clock);
-  Interpreter interp(program, clock, &prof);
+  Interpreter interp(js::parse("function inner() { for (var j = 0; j < 2; j++) { } }\n"
+                               "for (var i = 0; i < 3; i++) { inner(); }\n"), clock, &prof);
   interp.run();
   // Loop 1 is inner's for (parsed first), loop 2 the top-level for.
   const auto& edges = prof.nesting_edges();
@@ -187,16 +185,14 @@ TEST(LoopProfiler, TotalInLoopsMatchesLightweight) {
       "var s = 0;\n"
       "for (var i = 0; i < 500; i++) { s += i; }\n"
       "for (var j = 0; j < 500; j++) { s -= j; }\n";
-  js::Program p1 = js::parse(source);
   VirtualClock c1;
   LightweightProfiler light(c1);
-  Interpreter i1(p1, c1, &light);
+  Interpreter i1(js::parse(source), c1, &light);
   i1.run();
 
-  js::Program p2 = js::parse(source);
   VirtualClock c2;
   LoopProfiler loops(c2);
-  Interpreter i2(p2, c2, &loops);
+  Interpreter i2(js::parse(source), c2, &loops);
   i2.run();
 
   EXPECT_EQ(light.in_loops_ns(), loops.total_in_loops_ns());
@@ -207,12 +203,10 @@ TEST(LoopProfiler, TotalInLoopsMatchesLightweight) {
 // ---------------------------------------------------------------------------
 
 TEST(SamplingProfiler, ActiveTimeTracksCpu) {
-  js::Program program = js::parse(
-      "var s = 0;\n"
-      "for (var i = 0; i < 200000; i++) { s += i; }\n");
   VirtualClock clock;
   SamplingProfiler prof(clock);
-  Interpreter interp(program, clock, &prof);
+  Interpreter interp(js::parse("var s = 0;\n"
+                               "for (var i = 0; i < 200000; i++) { s += i; }\n"), clock, &prof);
   interp.run();
   prof.finish();
   // Pure compute: sampled active time ~== cpu time (within one period).
@@ -221,10 +215,9 @@ TEST(SamplingProfiler, ActiveTimeTracksCpu) {
 }
 
 TEST(SamplingProfiler, BlockedTimeIsInactive) {
-  js::Program program = js::parse("var x = 1;");
   VirtualClock clock;
   SamplingProfiler prof(clock);
-  Interpreter interp(program, clock, &prof);
+  Interpreter interp(js::parse("var x = 1;"), clock, &prof);
   interp.run();
   interp.block(50'000'000);  // 50 ms of idle
   prof.finish();
@@ -236,20 +229,18 @@ TEST(SamplingProfiler, FunctionGranularityArtifactUndercounts) {
   const std::string source =
       "function hot() { var s = 0; for (var i = 0; i < 400000; i++) { s += i; } return s; }\n"
       "hot();\n";
-  js::Program p1 = js::parse(source);
   VirtualClock c1;
   SamplingProfiler exact(c1);
-  Interpreter i1(p1, c1, &exact);
+  Interpreter i1(js::parse(source), c1, &exact);
   i1.run();
   exact.finish();
 
-  js::Program p2 = js::parse(source);
   VirtualClock c2;
   SamplingProfiler::Options opts;
   opts.function_granularity_artifact = true;
   opts.max_same_fn_samples = 16;
   SamplingProfiler lossy(c2, opts);
-  Interpreter i2(p2, c2, &lossy);
+  Interpreter i2(js::parse(source), c2, &lossy);
   i2.run();
   lossy.finish();
 
@@ -437,7 +428,7 @@ for (var i = 0; i < 32; i++) { out[i] = 2 * input[i]; }
   Interpreter interp(program, clock, &analyzer);
   interp.run();
   const auto summaries = analyzer.summaries();
-  const int fill_loop = program.loop_id_at_line(6);
+  const int fill_loop = program->loop_id_at_line(6);
   ASSERT_NE(fill_loop, 0);
   const auto it = summaries.find(fill_loop);
   ASSERT_NE(it, summaries.end());
@@ -459,7 +450,7 @@ for (var i = 0; i < data.length; i++) { acc.sum = acc.sum + data[i]; }
   VirtualClock clock;
   Interpreter interp(program, clock, &analyzer);
   interp.run();
-  const int loop = program.loop_id_at_line(4);
+  const int loop = program->loop_id_at_line(4);
   const auto summaries = analyzer.summaries();
   const auto it = summaries.find(loop);
   ASSERT_NE(it, summaries.end());

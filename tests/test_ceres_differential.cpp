@@ -188,13 +188,13 @@ for (var i = 0; i < 40; i++) {
   DependenceAnalyzer analyzer(program);
   VirtualClock clock;
   interp::Interpreter interp(program, clock, &analyzer);
-  const std::size_t atoms_before_run = program.atoms->size();
+  const std::size_t atoms_before_run = program->atoms.size();
   interp.run();
   // 'n' was already interned by the lexer (object literal + string
   // literals); computed access must reuse it, growing the program's atom
   // space by at most the handful of array-index keys ("0", "1") the loop
   // touches.
-  EXPECT_LE(program.atoms->size(), atoms_before_run + 2);
+  EXPECT_LE(program->atoms.size(), atoms_before_run + 2);
 
   std::int64_t write_sites = 0;
   for (const auto& w : analyzer.warnings()) {

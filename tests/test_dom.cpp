@@ -17,9 +17,8 @@ using interp::Value;
 
 struct Fixture {
   explicit Fixture(const std::string& source)
-      : program(js::parse(source)), interp(program, clock), page(interp) {}
+      : interp(js::parse(source), clock), page(interp) {}
 
-  js::Program program;
   VirtualClock clock;
   Interpreter interp;
   Page page;

@@ -311,23 +311,20 @@ TEST(Interp, FinallyRuns) {
 }
 
 TEST(Interp, UncaughtThrowBecomesEngineError) {
-  js::Program program = js::parse("throw {name: 'E', message: 'x'};");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("throw {name: 'E', message: 'x'};"), clock);
   EXPECT_THROW(interp.run(), EngineError);
 }
 
 TEST(Interp, TypeErrorOnCallingNonFunction) {
-  js::Program program = js::parse("var x = 1; x();");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("var x = 1; x();"), clock);
   EXPECT_THROW(interp.run(), EngineError);
 }
 
 TEST(Interp, ReferenceErrorOnUnknownRead) {
-  js::Program program = js::parse("var y = nope + 1;");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("var y = nope + 1;"), clock);
   EXPECT_THROW(interp.run(), EngineError);
 }
 
@@ -339,34 +336,30 @@ TEST(Interp, AssignToUndeclaredCreatesGlobal) {
 }
 
 TEST(Interp, RecursionDepthLimited) {
-  js::Program program = js::parse("function f() { return f(); } f();");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("function f() { return f(); } f();"), clock);
   EXPECT_THROW(interp.run(), EngineError);
 }
 
 TEST(Interp, TickBudgetStopsRunawayLoop) {
-  js::Program program = js::parse("while (true) { }");
   VirtualClock clock;
   Interpreter::Config config;
   config.max_ticks = 10000;
-  Interpreter interp(program, clock, nullptr, config);
+  Interpreter interp(js::parse("while (true) { }"), clock, nullptr, config);
   EXPECT_THROW(interp.run(), EngineError);
 }
 
 TEST(Interp, ClockAdvancesWithWork) {
-  js::Program program = js::parse("var s = 0; for (var i = 0; i < 1000; i++) { s += i; }");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("var s = 0; for (var i = 0; i < 1000; i++) { s += i; }"), clock);
   interp.run();
   EXPECT_GT(clock.cpu_ns(), 0);
   EXPECT_EQ(clock.cpu_ns(), clock.wall_ns());
 }
 
 TEST(Interp, ConsoleLogCapture) {
-  js::Program program = js::parse("console.log('a', 1, [1, 2]);");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("console.log('a', 1, [1, 2]);"), clock);
   interp.run();
   EXPECT_EQ(interp.console_output(), "a 1 1,2\n");
 }

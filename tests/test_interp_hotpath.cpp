@@ -12,6 +12,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -19,7 +21,9 @@
 #include "interp/shape.h"
 #include "js/atom.h"
 #include "js/parser.h"
+#include "js/refactor.h"
 #include "support/clock.h"
+#include "support/session.h"
 
 namespace {
 std::atomic<std::int64_t> g_alloc_count{0};
@@ -43,9 +47,8 @@ ObjPtr object_with_keys(Interpreter& interp, std::initializer_list<const char*> 
 }
 
 TEST(PolymorphicIC, ReadSiteGrowsMonoToPolyAndHits) {
-  static js::Program program = js::parse("function get(o) { return o.p; }");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("function get(o) { return o.p; }"), clock);
   interp.run();
   const Value get = interp.global("get");
 
@@ -85,9 +88,8 @@ TEST(PolymorphicIC, ReadSiteGrowsMonoToPolyAndHits) {
 }
 
 TEST(PolymorphicIC, LruRotationEvictsOldestWay) {
-  static js::Program program = js::parse("function get(o) { return o.p; }");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("function get(o) { return o.p; }"), clock);
   interp.run();
   const Value get = interp.global("get");
 
@@ -110,9 +112,8 @@ TEST(PolymorphicIC, LruRotationEvictsOldestWay) {
 }
 
 TEST(PolymorphicIC, SustainedThrashGoesMegamorphicAndStaysCorrect) {
-  static js::Program program = js::parse("function get(o) { return o.p; }");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("function get(o) { return o.p; }"), clock);
   interp.run();
   const Value get = interp.global("get");
 
@@ -140,9 +141,8 @@ TEST(PolymorphicIC, SustainedThrashGoesMegamorphicAndStaysCorrect) {
 }
 
 TEST(PolymorphicIC, MegamorphicReadSiteRecachesAfterStableStreak) {
-  static js::Program program = js::parse("function get(o) { return o.p; }");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("function get(o) { return o.p; }"), clock);
   interp.run();
   const Value get = interp.global("get");
 
@@ -191,9 +191,8 @@ TEST(PolymorphicIC, MegamorphicReadSiteRecachesAfterStableStreak) {
 }
 
 TEST(PolymorphicIC, AlternatingShapesNeverAssembleRecacheStreak) {
-  static js::Program program = js::parse("function get(o) { return o.p; }");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("function get(o) { return o.p; }"), clock);
   interp.run();
   const Value get = interp.global("get");
 
@@ -225,9 +224,8 @@ TEST(PolymorphicIC, AlternatingShapesNeverAssembleRecacheStreak) {
 }
 
 TEST(PolymorphicIC, ChurningPrototypeUnderStableReceiverStaysMegamorphic) {
-  static js::Program program = js::parse("function get(o) { return o.p; }");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("function get(o) { return o.p; }"), clock);
   interp.run();
   const Value get = interp.global("get");
 
@@ -292,9 +290,8 @@ TEST(PolymorphicIC, ChurningPrototypeUnderStableReceiverStaysMegamorphic) {
 }
 
 TEST(PolymorphicIC, ICStatsTrackTheSiteStateMachine) {
-  static js::Program program = js::parse("function get(o) { return o.p; }");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("function get(o) { return o.p; }"), clock);
   interp.run();
   const Value get = interp.global("get");
   const std::uint64_t base_hits = interp.ic_stats().read_hits;
@@ -332,9 +329,8 @@ TEST(PolymorphicIC, ICStatsTrackTheSiteStateMachine) {
 }
 
 TEST(PolymorphicIC, MegamorphicWriteSiteRecachesAfterStableStreak) {
-  static js::Program program = js::parse("function put(o, v) { o.p = v; }");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("function put(o, v) { o.p = v; }"), clock);
   interp.run();
   const Value put = interp.global("put");
 
@@ -369,9 +365,8 @@ TEST(PolymorphicIC, MegamorphicWriteSiteRecachesAfterStableStreak) {
 }
 
 TEST(PolymorphicIC, WriteSiteCachesTransitionTarget) {
-  static js::Program program = js::parse("function put(o, v) { o.q = v; }");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("function put(o, v) { o.q = v; }"), clock);
   interp.run();
   const Value put = interp.global("put");
 
@@ -526,12 +521,12 @@ TEST(ProgramUniverse, DestroyingAProgramFreesItsAtomsAndShapesAtOnce) {
       interp.run();
       EXPECT_DOUBLE_EQ(interp.global("fresh_total").as_number(), 4);
     }
-    EXPECT_GT(program.atoms->size(), 0u);
+    EXPECT_GT(program->atoms.size(), 0u);
     EXPECT_GT(Shape::live_count(), shapes_before);
     // Program names never reach the process-wide prefix.
     js::Atom found;
     EXPECT_FALSE(js::Atom::try_find("fresh_gamma", &found));
-    ASSERT_TRUE(program.atoms->try_find("fresh_gamma", &found));
+    ASSERT_TRUE(program->atoms.try_find("fresh_gamma", &found));
     EXPECT_NE(found.id() & js::Atom::kProgramIdBit, 0u);
   }
   EXPECT_EQ(js::atom_table_size(), atoms_before);
@@ -554,6 +549,57 @@ TEST(ProgramUniverse, SpaceReadsThePrefixButNeverWritesIt) {
   EXPECT_EQ(atoms.intern("universe_program_name"), local);
   EXPECT_EQ(engine.id() & js::Atom::kProgramIdBit, 0u);
   EXPECT_NE(local.id() & js::Atom::kProgramIdBit, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Program lifetime. A js::Program is a handle whose copies share one body;
+// every interpreter and analyzer keeps a copy, so the caller's handle may go
+// before they do. Under ASan each of these reads freed memory if the engine
+// borrowed the caller's program instead.
+// ---------------------------------------------------------------------------
+
+TEST(ProgramLifetime, SessionOnATemporaryProgramRunsItsFrameGraph) {
+  Session session(js::parse("var frames = 0;\n"
+                            "function tick() { var o = {n: frames}; frames = o.n + 1;\n"
+                            "  if (frames < 4) { requestAnimationFrame(tick); }\n"
+                            "  else { console.log('frames ' + frames); } }\n"
+                            "requestAnimationFrame(tick);\n"
+                            "setTimeout(function () { console.log('timer'); }, 5);\n"),
+                  CeresMode::Dependence);
+  session.open_page();
+  session.enable_frame_graph(nullptr);
+  session.run(1000);
+  EXPECT_EQ(session.interp().console_output(), "timer\nframes 4\n");
+}
+
+TEST(ProgramLifetime, InterpreterRunsAfterItsCallerDropsTheProgram) {
+  std::optional<js::Program> program =
+      js::parse("var o = {a: 1}; o['b'] = 2; var total = o.a + o.b;");
+  VirtualClock clock;
+  Interpreter interp(*program, clock);
+  // A body that another handle shares is never rewritten in place.
+  EXPECT_THROW(js::to_functional(*program), std::logic_error);
+  program.reset();
+  interp.run();
+  EXPECT_DOUBLE_EQ(interp.global("total").as_number(), 3);
+}
+
+TEST(ProgramLifetime, AnalyzerReportsAfterItsCallerDropsTheProgram) {
+  std::optional<js::Program> program = js::parse(
+      "var total = 0, data = [1, 2, 3];\n"
+      "for (var i = 0; i < data.length; i++) { total += data[i]; }\n");
+  ceres::DependenceAnalyzer::Options options;
+  options.focus_loop_id = (*program)->loop_id_at_line(2);
+  ceres::DependenceAnalyzer analyzer(*program, options);
+  {
+    VirtualClock clock;
+    Interpreter interp(*program, clock, &analyzer);
+    interp.run();
+  }
+  program.reset();
+  const std::string report = analyzer.report();
+  EXPECT_NE(report.find("(focused on for at line 2)"), std::string::npos) << report;
+  EXPECT_NE(report.find("write to variable total (line 2)"), std::string::npos) << report;
 }
 
 // ---------------------------------------------------------------------------
@@ -603,17 +649,17 @@ TEST(AtomTorture, ConcurrentProgramsInternAndFreeTheirOwnAtoms) {
         for (std::size_t k = 0; k < names.size(); ++k) {
           // Identity within the program: the lexer's atom, the computed
           // key's atom and a fresh intern are one atom.
-          const js::Atom atom = program.atoms->intern(names[k]);
+          const js::Atom atom = program->atoms.intern(names[k]);
           EXPECT_EQ(o->key_order()[k], atom);
           js::Atom found;
-          ASSERT_TRUE(program.atoms->try_find(names[k], &found));
+          ASSERT_TRUE(program->atoms.try_find(names[k], &found));
           EXPECT_EQ(found, atom);
           const Value* value = o->own_property(names[k]);
           ASSERT_NE(value, nullptr);
           EXPECT_DOUBLE_EQ(value->as_number(), 2);
         }
         js::Atom missing;
-        EXPECT_FALSE(program.atoms->try_find(
+        EXPECT_FALSE(program->atoms.try_find(
             "torture_never_" + std::to_string(t) + "_" + std::to_string(iter),
             &missing));
       }
@@ -635,7 +681,7 @@ Value run_and_get(Interpreter& interp, const char* name) {
 }
 
 TEST(ArgStack, NestedCallsInArgumentPosition) {
-  static js::Program program = js::parse(
+  const js::Program program = js::parse(
       "function add4(a, b, c, d) { return a + b * 10 + c * 100 + d * 1000; }\n"
       "function inc(x) { return x + 1; }\n"
       "function fib(n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }\n"
@@ -649,21 +695,19 @@ TEST(ArgStack, NestedCallsInArgumentPosition) {
 }
 
 TEST(ArgStack, DeepRecursionWithWideFrames) {
-  static js::Program program = js::parse(
-      "function deep(n, a, b, c, d, e, f, g) {\n"
-      "  if (n === 0) { return a + b + c + d + e + f + g; }\n"
-      "  return deep(n - 1, a + 1, b, c, d, e, f, g);\n"
-      "}\n"
-      "var result = deep(100, 0, 1, 2, 3, 4, 5, 6);\n");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("function deep(n, a, b, c, d, e, f, g) {\n"
+                               "  if (n === 0) { return a + b + c + d + e + f + g; }\n"
+                               "  return deep(n - 1, a + 1, b, c, d, e, f, g);\n"
+                               "}\n"
+                               "var result = deep(100, 0, 1, 2, 3, 4, 5, 6);\n"), clock);
   const Value result = run_and_get(interp, "result");
   EXPECT_DOUBLE_EQ(result.as_number(), 100 + 1 + 2 + 3 + 4 + 5 + 6);
   EXPECT_EQ(interp.debug_arg_stack_in_use(), 0u);
 }
 
 TEST(ArgStack, ExceptionUnwindingMidArgumentEvaluation) {
-  static js::Program program = js::parse(
+  const js::Program program = js::parse(
       "function boom() { throw {name: 'E', message: 'mid-args'}; }\n"
       "function id(x) { return x; }\n"
       "function f3(a, b, c) { return a + b + c; }\n"
@@ -690,7 +734,7 @@ TEST(ArgStack, ExceptionUnwindingMidArgumentEvaluation) {
 }
 
 TEST(ArgStack, FunctionCallForwardsArgumentTail) {
-  static js::Program program = js::parse(
+  const js::Program program = js::parse(
       "function weigh(a, b, c) { return a + b * 10 + c * 100; }\n"
       "var result = weigh.call(null, 1, 2, 3) + weigh.apply(null, [4, 5, 6]);\n");
   VirtualClock clock;
@@ -707,7 +751,7 @@ TEST(ArgStack, FunctionCallForwardsArgumentTail) {
 // ---------------------------------------------------------------------------
 
 TEST(ArgStackAllocation, SteadyStateCallsAllocateNothing) {
-  static js::Program program = js::parse(
+  const js::Program program = js::parse(
       "function add3(a, b, c) { return a + b + c; }\n"
       "function driver(n) {\n"
       "  var t = 0;\n"
@@ -739,20 +783,18 @@ TEST(ArgStackAllocation, ApplyForwardsThroughArgStackWithoutAllocating) {
   // forwards through the same reused ArgStack frame as a direct call, so an
   // apply-dominated loop must be allocation-free too. The argument array is
   // hoisted and mutated in place; writes to existing elements reuse storage.
-  static js::Program program = js::parse(
-      "function add3(a, b, c) { return a + b + c; }\n"
-      "var arr = [0, 0, 0];\n"
-      "function driver(n) {\n"
-      "  var t = 0;\n"
-      "  for (var i = 0; i < n; i++) {\n"
-      "    arr[0] = i; arr[1] = i + 1; arr[2] = 2;\n"
-      "    t += add3.apply(null, arr);\n"
-      "  }\n"
-      "  return t;\n"
-      "}\n"
-      "var warm = driver(64);\n");
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse("function add3(a, b, c) { return a + b + c; }\n"
+                               "var arr = [0, 0, 0];\n"
+                               "function driver(n) {\n"
+                               "  var t = 0;\n"
+                               "  for (var i = 0; i < n; i++) {\n"
+                               "    arr[0] = i; arr[1] = i + 1; arr[2] = 2;\n"
+                               "    t += add3.apply(null, arr);\n"
+                               "  }\n"
+                               "  return t;\n"
+                               "}\n"
+                               "var warm = driver(64);\n"), clock);
   interp.run();
   interp.call(interp.global("driver"), Value::undefined(), {Value::number(32)});
 
@@ -795,14 +837,12 @@ struct RecordingHooks final : ExecutionHooks {
 };
 
 TEST(IndexAtomGate, ArrayLoopEventsCarryCanonicalIndexKeys) {
-  static js::Program program = js::parse(
-      "var a = [5, 6, 7];\n"
-      "var s = 0;\n"
-      "for (var i = 0; i < 3; i++) { s += a[i]; a[i] = s; }\n"
-      "a.push(9);\n");
   VirtualClock clock;
   RecordingHooks hooks;
-  Interpreter interp(program, clock, &hooks);
+  Interpreter interp(js::parse("var a = [5, 6, 7];\n"
+                               "var s = 0;\n"
+                               "for (var i = 0; i < 3; i++) { s += a[i]; a[i] = s; }\n"
+                               "a.push(9);\n"), clock, &hooks);
   interp.run();
   // Literal writes 0,1,2; per iteration read i + write i; then the `push`
   // method lookup (a property read) and the element write it performs.

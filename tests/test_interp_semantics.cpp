@@ -15,12 +15,11 @@ namespace {
 
 struct EngineRun {
   explicit EngineRun(const std::string& source, ExecutionHooks* hooks = nullptr)
-      : program(js::parse(source)), interp(program, clock, hooks) {
+      : interp(js::parse(source), clock, hooks) {
     interp.run();
   }
   Value global(const std::string& name) { return interp.global(name); }
 
-  js::Program program;
   VirtualClock clock;
   Interpreter interp;
 };

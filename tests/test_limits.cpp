@@ -132,17 +132,15 @@ TEST(RuntimeLimits, UnboundedAllocationLoopTripsMemoryCeiling) {
 }
 
 TEST(RuntimeLimits, RunawayLoopTripsTickBudget) {
-  const js::Program program = js::parse("while (true) { }");
   VirtualClock clock;
-  interp::Interpreter interp(program, clock, nullptr, limited(0, 100000));
+  interp::Interpreter interp(js::parse("while (true) { }"), clock, nullptr, limited(0, 100000));
   EXPECT_THROW(interp.run(), interp::EngineError);
   EXPECT_EQ(interp.debug_arg_stack_in_use(), 0u);
 }
 
 TEST(RuntimeLimits, RunawayLoopTripsWallClockWatchdog) {
-  const js::Program program = js::parse("var x = 0; while (true) { x = x + 1; }");
   VirtualClock clock;
-  interp::Interpreter interp(program, clock, nullptr,
+  interp::Interpreter interp(js::parse("var x = 0; while (true) { x = x + 1; }"), clock, nullptr,
                              limited(0, -1, 0, /*max_wall_ms=*/100));
   try {
     interp.run();
@@ -162,9 +160,8 @@ TEST(RuntimeLimits, TenThousandPropertyObjectTripsCeiling) {
 }
 
 TEST(RuntimeLimits, PathologicalArrayGrowthTripsLengthCap) {
-  const js::Program program = js::parse("var a = []; a[50000000] = 1;");
   VirtualClock clock;
-  interp::Interpreter interp(program, clock, nullptr,
+  interp::Interpreter interp(js::parse("var a = []; a[50000000] = 1;"), clock, nullptr,
                              limited(0, -1, /*max_array=*/1000000));
   try {
     interp.run();
@@ -224,10 +221,8 @@ TEST(Recovery, InterpreterIsReusableAfterTickBudgetTrip) {
 }
 
 TEST(Recovery, InterpreterIsReusableAfterCallDepthTrip) {
-  const js::Program program = js::parse(
-      "function r(n) { return r(n + 1); } r(0);");
   VirtualClock clock;
-  interp::Interpreter interp(program, clock);
+  interp::Interpreter interp(js::parse("function r(n) { return r(n + 1); } r(0);"), clock);
   for (int round = 0; round < 2; ++round) {
     try {
       interp.run();
@@ -241,13 +236,11 @@ TEST(Recovery, InterpreterIsReusableAfterCallDepthTrip) {
 }
 
 TEST(Recovery, CallEntryPointRecoversToo) {
-  const js::Program program = js::parse(
-      "function spin() { while (true) { } } "
-      "function ok() { return 7; }");
   VirtualClock clock;
   interp::InterpreterConfig config;
   config.max_ticks = 50000;
-  interp::Interpreter interp(program, clock, nullptr, config);
+  interp::Interpreter interp(js::parse("function spin() { while (true) { } } "
+                                       "function ok() { return 7; }"), clock, nullptr, config);
   interp.run();
   const interp::Value spin = interp.global("spin");
   const interp::Value ok = interp.global("ok");
@@ -298,11 +291,10 @@ TEST_P(InjectionSweep, TripIsRecoverableAndLeakFree) {
       "for (var j = 0; j < 40; j++) { o2[\"k\" + j] = j; } "
       "var s = \"\"; "
       "for (var k = 0; k < 12; k++) { s = s + \"abcdefghabcdefgh\"; }";
-  const js::Program program = js::parse(source);
   interp::InterpreterConfig config;
   config.limits.fail_after_n_allocations = GetParam();
   VirtualClock clock;
-  interp::Interpreter interp(program, clock, nullptr, config);
+  interp::Interpreter interp(js::parse(source), clock, nullptr, config);
   bool tripped = false;
   try {
     interp.run();

@@ -8,15 +8,15 @@ namespace {
 
 TEST(Parser, EmptyProgram) {
   const Program p = parse("");
-  EXPECT_TRUE(p.statements.empty());
-  EXPECT_EQ(p.loop_count(), 0);
+  EXPECT_TRUE(p->statements.empty());
+  EXPECT_EQ(p->loop_count(), 0);
 }
 
 TEST(Parser, VarDeclarationsHoistToTopLevel) {
   const Program p = parse("var a = 1; var b, c = 2;");
-  ASSERT_EQ(p.hoisted_vars.size(), 3u);
-  EXPECT_EQ(p.hoisted_vars[0], "a");
-  EXPECT_EQ(p.hoisted_vars[2], "c");
+  ASSERT_EQ(p->hoisted_vars.size(), 3u);
+  EXPECT_EQ(p->hoisted_vars[0], "a");
+  EXPECT_EQ(p->hoisted_vars[2], "c");
 }
 
 TEST(Parser, VarInsideLoopHoistsToFunction) {
@@ -24,8 +24,8 @@ TEST(Parser, VarInsideLoopHoistsToFunction) {
       "function f() {\n"
       "  for (var i = 0; i < 3; i++) { var p = i; }\n"
       "}\n");
-  ASSERT_EQ(p.hoisted_functions.size(), 1u);
-  const auto& fn = *p.hoisted_functions[0]->fn;
+  ASSERT_EQ(p->hoisted_functions.size(), 1u);
+  const auto& fn = *p->hoisted_functions[0]->fn;
   ASSERT_EQ(fn.hoisted_vars.size(), 2u);
   EXPECT_EQ(fn.hoisted_vars[0], "i");
   EXPECT_EQ(fn.hoisted_vars[1], "p");
@@ -36,32 +36,32 @@ TEST(Parser, LoopTableRecordsKindAndLine) {
       "while (true) {\n"
       "  for (var i = 0; i < 3; i++) { }\n"
       "}\n");
-  ASSERT_EQ(p.loop_count(), 2);
-  EXPECT_EQ(p.loop(1).kind, LoopKind::While);
-  EXPECT_EQ(p.loop(1).line, 1);
-  EXPECT_EQ(p.loop(2).kind, LoopKind::For);
-  EXPECT_EQ(p.loop(2).line, 2);
+  ASSERT_EQ(p->loop_count(), 2);
+  EXPECT_EQ(p->loop(1).kind, LoopKind::While);
+  EXPECT_EQ(p->loop(1).line, 1);
+  EXPECT_EQ(p->loop(2).kind, LoopKind::For);
+  EXPECT_EQ(p->loop(2).line, 2);
 }
 
 TEST(Parser, LoopIdAtLine) {
   const Program p = parse("var x = 0;\nwhile (x < 2) { x++; }\n");
-  EXPECT_EQ(p.loop_id_at_line(2), 1);
-  EXPECT_EQ(p.loop_id_at_line(1), 0);
+  EXPECT_EQ(p->loop_id_at_line(2), 1);
+  EXPECT_EQ(p->loop_id_at_line(1), 0);
 }
 
 TEST(Parser, ForInForms) {
   const Program p = parse("for (var k in obj) { } for (k in obj) { }");
-  ASSERT_EQ(p.loop_count(), 2);
-  EXPECT_EQ(p.loop(1).kind, LoopKind::ForIn);
-  const auto* loop = static_cast<const ForIn*>(p.statements[0].get());
+  ASSERT_EQ(p->loop_count(), 2);
+  EXPECT_EQ(p->loop(1).kind, LoopKind::ForIn);
+  const auto* loop = static_cast<const ForIn*>(p->statements[0].get());
   EXPECT_TRUE(loop->declares_var);
-  const auto* second = static_cast<const ForIn*>(p.statements[1].get());
+  const auto* second = static_cast<const ForIn*>(p->statements[1].get());
   EXPECT_FALSE(second->declares_var);
 }
 
 TEST(Parser, OperatorPrecedence) {
   const Program p = parse("var x = 1 + 2 * 3;");
-  const auto* decl = static_cast<const VarDecl*>(p.statements[0].get());
+  const auto* decl = static_cast<const VarDecl*>(p->statements[0].get());
   const auto* add = static_cast<const Binary*>(decl->declarators[0].init.get());
   ASSERT_EQ(add->op, BinaryOp::Add);
   EXPECT_EQ(add->rhs->kind, NodeKind::Binary);
@@ -70,14 +70,14 @@ TEST(Parser, OperatorPrecedence) {
 
 TEST(Parser, AssignmentIsRightAssociative) {
   const Program p = parse("a = b = 1;");
-  const auto* stmt = static_cast<const ExprStmt*>(p.statements[0].get());
+  const auto* stmt = static_cast<const ExprStmt*>(p->statements[0].get());
   const auto* outer = static_cast<const Assign*>(stmt->expr.get());
   EXPECT_EQ(outer->value->kind, NodeKind::Assign);
 }
 
 TEST(Parser, MemberChainsAndCalls) {
   const Program p = parse("a.b.c(1)[2].d();");
-  const auto* stmt = static_cast<const ExprStmt*>(p.statements[0].get());
+  const auto* stmt = static_cast<const ExprStmt*>(p->statements[0].get());
   ASSERT_EQ(stmt->expr->kind, NodeKind::Call);
   const auto* call = static_cast<const Call*>(stmt->expr.get());
   EXPECT_EQ(call->callee->kind, NodeKind::Member);
@@ -85,7 +85,7 @@ TEST(Parser, MemberChainsAndCalls) {
 
 TEST(Parser, NewWithMemberCallee) {
   const Program p = parse("var v = new lib.Vec(1, 2);");
-  const auto* decl = static_cast<const VarDecl*>(p.statements[0].get());
+  const auto* decl = static_cast<const VarDecl*>(p->statements[0].get());
   ASSERT_EQ(decl->declarators[0].init->kind, NodeKind::New);
   const auto* node = static_cast<const New*>(decl->declarators[0].init.get());
   EXPECT_EQ(node->callee->kind, NodeKind::Member);
@@ -94,7 +94,7 @@ TEST(Parser, NewWithMemberCallee) {
 
 TEST(Parser, FunctionExpressionAnonymous) {
   const Program p = parse("var f = function (x) { return x; };");
-  const auto* decl = static_cast<const VarDecl*>(p.statements[0].get());
+  const auto* decl = static_cast<const VarDecl*>(p->statements[0].get());
   ASSERT_EQ(decl->declarators[0].init->kind, NodeKind::FunctionExpr);
   const auto* fn = static_cast<const FunctionExpr*>(decl->declarators[0].init.get());
   EXPECT_TRUE(fn->fn->name.empty());
@@ -103,18 +103,18 @@ TEST(Parser, FunctionExpressionAnonymous) {
 
 TEST(Parser, FunctionIdsAreUnique) {
   const Program p = parse("function a() {} function b() {} var c = function () {};");
-  EXPECT_EQ(p.fn_names.size(), 3u);
+  EXPECT_EQ(p->fn_names.size(), 3u);
 }
 
 TEST(Parser, ConditionalExpression) {
   const Program p = parse("var x = a ? 1 : 2;");
-  const auto* decl = static_cast<const VarDecl*>(p.statements[0].get());
+  const auto* decl = static_cast<const VarDecl*>(p->statements[0].get());
   EXPECT_EQ(decl->declarators[0].init->kind, NodeKind::Conditional);
 }
 
 TEST(Parser, ObjectAndArrayLiterals) {
   const Program p = parse("var o = {a: 1, 'b c': 2, 3: 4}; var a = [1, [2], {}];");
-  const auto* decl = static_cast<const VarDecl*>(p.statements[0].get());
+  const auto* decl = static_cast<const VarDecl*>(p->statements[0].get());
   const auto* obj = static_cast<const ObjectLit*>(decl->declarators[0].init.get());
   ASSERT_EQ(obj->properties.size(), 3u);
   EXPECT_EQ(obj->properties[1].first, "b c");
@@ -127,7 +127,7 @@ TEST(Parser, KeywordPropertyNames) {
 
 TEST(Parser, TryCatchFinally) {
   const Program p = parse("try { f(); } catch (e) { g(e); } finally { h(); }");
-  const auto* node = static_cast<const TryCatch*>(p.statements[0].get());
+  const auto* node = static_cast<const TryCatch*>(p->statements[0].get());
   EXPECT_EQ(node->catch_param, "e");
   EXPECT_NE(node->finally_block, nullptr);
 }
@@ -153,8 +153,8 @@ TEST(Parser, EnclosingFunctionRecordedForLoops) {
   const Program p = parse(
       "while (a) { }\n"
       "function f() { while (b) { } }\n");
-  EXPECT_EQ(p.loop(1).enclosing_fn_id, 0);
-  EXPECT_NE(p.loop(2).enclosing_fn_id, 0);
+  EXPECT_EQ(p->loop(1).enclosing_fn_id, 0);
+  EXPECT_NE(p->loop(2).enclosing_fn_id, 0);
 }
 
 TEST(LoopScanner, CensusCountsLoopsAndOperators) {

@@ -184,23 +184,21 @@ TEST_P(RoundTrip, PrintedSourceReparsesIdentically) {
   const std::string printed = js::print(first);
   const js::Program second = js::parse(printed);
   // Same loop structure...
-  ASSERT_EQ(second.loop_count(), first.loop_count());
-  for (int id = 1; id <= first.loop_count(); ++id) {
-    EXPECT_EQ(int(second.loop(id).kind), int(first.loop(id).kind));
+  ASSERT_EQ(second->loop_count(), first->loop_count());
+  for (int id = 1; id <= first->loop_count(); ++id) {
+    EXPECT_EQ(int(second->loop(id).kind), int(first->loop(id).kind));
   }
   // ...and printing again is a fixed point.
   EXPECT_EQ(js::print(second), printed);
 }
 
 TEST_P(RoundTrip, PrintedSourceBehavesIdentically) {
-  js::Program first = js::parse(GetParam());
   VirtualClock c1;
-  interp::Interpreter i1(first, c1);
+  interp::Interpreter i1(js::parse(GetParam()), c1);
   i1.run();
 
-  js::Program second = js::parse(js::print(js::parse(GetParam())));
   VirtualClock c2;
-  interp::Interpreter i2(second, c2);
+  interp::Interpreter i2(js::parse(js::print(js::parse(GetParam()))), c2);
   i2.run();
 
   EXPECT_EQ(i1.console_output(), i2.console_output());
@@ -234,9 +232,8 @@ TEST_P(NumericProperty, ArithmeticMatchesHostDoubles) {
     const std::string source = "var result = (" + str::fixed(a, 6) + " * " +
                                str::fixed(b, 6) + ") + (" + str::fixed(a, 6) +
                                " - " + str::fixed(b, 6) + ") / 3;";
-    js::Program program = js::parse(source);
     VirtualClock clock;
-    interp::Interpreter interp(program, clock);
+    interp::Interpreter interp(js::parse(source), clock);
     interp.run();
     const double av = std::strtod(str::fixed(a, 6).c_str(), nullptr);
     const double bv = std::strtod(str::fixed(b, 6).c_str(), nullptr);
@@ -252,9 +249,8 @@ TEST_P(NumericProperty, BitwiseMatchesInt32Semantics) {
     const std::string source = "var result = (" + std::to_string(a) + " ^ " +
                                std::to_string(b) + ") | (" + std::to_string(a) +
                                " & " + std::to_string(b) + ");";
-    js::Program program = js::parse(source);
     VirtualClock clock;
-    interp::Interpreter interp(program, clock);
+    interp::Interpreter interp(js::parse(source), clock);
     interp.run();
     EXPECT_DOUBLE_EQ(interp.global("result").as_number(), double((a ^ b) | (a & b)));
   }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -252,23 +253,20 @@ TEST(Supervisor, RetryBudgetExhaustionAtModeZeroFloorQuarantinesAsRuntimeFault) 
   EXPECT_TRUE(outcome.runtime_fault);  // the fault was runtime-side, not input
   EXPECT_EQ(outcome.final_mode, 0);
   // Initial attempt + max_retries same-mode retries, nothing more.
-  EXPECT_EQ(outcome.attempts, supervisor.options().max_retries + 1);
-  EXPECT_EQ(calls.load(), supervisor.options().max_retries + 1);
+  EXPECT_EQ(outcome.attempts, SessionSupervisor::kMaxRetries + 1);
+  EXPECT_EQ(calls.load(), SessionSupervisor::kMaxRetries + 1);
   for (const AttemptRecord& record : outcome.history) {
     EXPECT_EQ(record.mode, 0);
     EXPECT_EQ(record.outcome, "retryable");
   }
 }
 
-TEST(Supervisor, DeadlineExpiringDuringBackoffDoesNotKillTheRetry) {
+TEST(Supervisor, DeadlineExpiredBeforeTheRetryDoesNotKillIt) {
   rivertrail::ThreadPool pool(2);
-  // Backoff strictly longer than the per-attempt deadline: after the first
-  // attempt faults, the deadline armed for that attempt expires while the
-  // supervisor sleeps. A deadline expiry is per-attempt state — reset()
-  // clears it — so the retry must still run, with a fresh deadline.
-  SupervisorOptions options;
-  options.backoff_base_ms = 80;
-  SessionSupervisor supervisor(pool, options);
+  // The first attempt outlives its deadline, which the source latches as
+  // expired, and then faults. A deadline expiry is per-attempt state —
+  // reset() clears it — so the retry must still run, with a fresh deadline.
+  SessionSupervisor supervisor(pool);
 
   SessionRequest request;
   request.name = "backoff-deadline";
@@ -277,10 +275,12 @@ TEST(Supervisor, DeadlineExpiringDuringBackoffDoesNotKillTheRetry) {
   request.attempt = [&calls](const SessionRequest&, int, const EngineLimits&,
                              std::int64_t, CancelToken token) -> AttemptSuccess {
     if (calls.fetch_add(1, std::memory_order_relaxed) == 0) {
+      while (!token.cancelled()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      EXPECT_EQ(token.reason(), CancelReason::DeadlineExpired);
       throw sched_faults::InjectedFault("one-shot fault");
     }
-    // The retry starts with a clean token: the backoff-window expiry of the
-    // previous attempt's deadline must not leak in.
+    // The retry starts with a clean token: the previous attempt's expired
+    // deadline must not leak in.
     EXPECT_EQ(token.reason(), CancelReason::None);
     AttemptSuccess success;
     success.console = "recovered";
@@ -349,7 +349,7 @@ TEST(Supervisor, MixedBatchAssignsQuarantineBlameCorrectly) {
   // runtime because the fault class is scheduler-side.
   EXPECT_EQ(outcomes[3].state, SessionState::Quarantined);
   EXPECT_TRUE(outcomes[3].runtime_fault);
-  EXPECT_EQ(outcomes[3].attempts, supervisor.options().max_retries + 3);
+  EXPECT_EQ(outcomes[3].attempts, SessionSupervisor::kMaxRetries + 3);
   EXPECT_EQ(outcomes[3].final_mode, 0);
   EXPECT_EQ(outcomes[3].history.front().mode, 3);
   EXPECT_EQ(outcomes[3].history.back().mode, 0);

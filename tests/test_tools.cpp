@@ -20,9 +20,8 @@ using interp::Interpreter;
 // ---------------------------------------------------------------------------
 
 std::string run_console(const std::string& source) {
-  js::Program program = js::parse(source);
   VirtualClock clock;
-  Interpreter interp(program, clock);
+  Interpreter interp(js::parse(source), clock);
   interp.run();
   return interp.console_output();
 }
