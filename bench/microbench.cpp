@@ -483,11 +483,10 @@ double thread_cpu_seconds() {
 // lower-bounds the makespan on ANY machine (a worker stuck with a span
 // holding 95% of the work caps speedup at ~1x no matter the core count).
 // Reported as `worst_span_share` — 1/chunks is ideal for uniform cost; the
-// schedule balances divergent cost iff the share stays small when the cost
+// splitter balances divergent cost iff the share stays small when the cost
 // is skewed. Host-independent, so the metric is meaningful even on the
 // single-core CI container where wall-clock speedup cannot show.
-template <rivertrail::Schedule kSchedule>
-void BM_ParallelForDivergentImpl(benchmark::State& state) {
+void BM_ParallelForDivergent(benchmark::State& state) {
   rivertrail::ThreadPool pool(4);
   const std::int64_t n = 4096;
   std::vector<double> out(static_cast<std::size_t>(n));
@@ -507,24 +506,14 @@ void BM_ParallelForDivergentImpl(benchmark::State& state) {
           const std::lock_guard lock(span_mutex);
           total_busy += dt;
           worst_span = std::max(worst_span, dt);
-        },
-        kSchedule);
+        });
     benchmark::DoNotOptimize(out.data());
     share_sum += total_busy > 0 ? worst_span / total_busy : 0;
   }
   state.counters["worst_span_share"] = share_sum / double(state.iterations());
   state.SetItemsProcessed(state.iterations() * n);
 }
-
-void BM_ParallelForDivergentStatic(benchmark::State& state) {
-  BM_ParallelForDivergentImpl<rivertrail::Schedule::Static>(state);
-}
-BENCHMARK(BM_ParallelForDivergentStatic);
-
-void BM_ParallelForDivergentDynamic(benchmark::State& state) {
-  BM_ParallelForDivergentImpl<rivertrail::Schedule::Dynamic>(state);
-}
-BENCHMARK(BM_ParallelForDivergentDynamic);
+BENCHMARK(BM_ParallelForDivergent);
 
 void BM_ParallelFor(benchmark::State& state) {
   rivertrail::ThreadPool pool;

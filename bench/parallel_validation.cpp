@@ -1,27 +1,12 @@
 // Validation of the paper's central claim: the loop nests Table 3 classifies
 // as (very) easy really are latently data-parallel. C++ ports of those
 // kernels run on the River-Trail-style runtime; outputs must match the
-// sequential reference, and the schedule sweep shows the divergence story
-// (dynamic scheduling pays off exactly for the divergent raytracer).
-#include <chrono>
+// sequential reference.
 #include <cstdio>
 
-#include "rivertrail/kernels.h"
 #include "rivertrail/validator.h"
 
 using namespace jsceres::rivertrail;
-
-namespace {
-
-double run_ms(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                   start)
-      .count();
-}
-
-}  // namespace
 
 int main() {
   ThreadPool pool;
@@ -33,31 +18,5 @@ int main() {
   std::printf("all kernels produce sequential-identical results: %s\n",
               all_match ? "yes" : "NO");
 
-  // Schedule ablation on the divergent kernel (raytracer) vs a uniform one
-  // (pixel filter): static vs dynamic chunking.
-  std::printf("\nschedule ablation (DESIGN.md SS6):\n");
-  kernels::RayScene scene;
-  scene.width = 192;
-  scene.height = 192;
-  std::vector<std::uint8_t> img;
-  const double ray_static = run_ms([&] {
-    kernels::raytrace_par(pool, scene, img, Schedule::Static);
-  });
-  const double ray_dynamic = run_ms([&] {
-    kernels::raytrace_par(pool, scene, img, Schedule::Dynamic);
-  });
-  std::printf("  raytrace (divergent): static %7.2fms  dynamic %7.2fms\n",
-              ray_static, ray_dynamic);
-
-  auto image = kernels::make_test_image(512, 512, 7);
-  auto image2 = image;
-  const double px_static = run_ms([&] {
-    kernels::pixel_filter_par(pool, image, 10, 1.1, Schedule::Static);
-  });
-  const double px_dynamic = run_ms([&] {
-    kernels::pixel_filter_par(pool, image2, 10, 1.1, Schedule::Dynamic);
-  });
-  std::printf("  pixel filter (uniform): static %7.2fms  dynamic %7.2fms\n",
-              px_static, px_dynamic);
   return all_match ? 0 : 1;
 }

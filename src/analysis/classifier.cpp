@@ -115,25 +115,38 @@ NestEvidence gather_evidence(const LoopNest& nest, const js::Program& program,
   return evidence;
 }
 
-Divergence classify_divergence(const NestEvidence& e, const ClassifierOptions& opts) {
+namespace {
+
+// Thresholds of the hand-inspection rubric.
+constexpr double kTripsDegenerate = 2.5;   // "roughly one iteration" loops
+constexpr double kTripsSmall = 6.0;        // data-dependent tiny loops diverge
+constexpr double kCvDivergent = 1.25;      // highly irregular trip counts
+constexpr int kFlowMedium = 4;             // reduction-like: few flow sites
+constexpr int kFlowHard = 6;
+constexpr double kTripsGranularity = 8.0;  // too few trips to pay off
+constexpr double kDomHeavy = 0.5;          // DOM touches per iteration: fundamental
+
+}  // namespace
+
+Divergence classify_divergence(const NestEvidence& e) {
   // Recursion inside the nest makes iteration work unbounded and uneven
   // (HAAR's tree search, the raytracer's variable-depth recursion).
   if (e.recursion_detected) return Divergence::Yes;
   // Loops that execute "roughly one iteration" (Ace) offer no lanes at all.
-  if (e.trips_mean <= opts.trips_degenerate) return Divergence::Yes;
+  if (e.trips_mean <= kTripsDegenerate) return Divergence::Yes;
   // Tiny, data-dependent trip counts (MyScript's segment loop).
-  if (e.trips_mean < opts.trips_small && e.condition_data_dependent) {
+  if (e.trips_mean < kTripsSmall && e.condition_data_dependent) {
     return Divergence::Yes;
   }
   if (e.branch_sites == 0) return Divergence::None;
   // Branchy body with wildly varying trip counts.
-  if (e.trips_cv > opts.cv_divergent) return Divergence::Yes;
+  if (e.trips_cv > kCvDivergent) return Divergence::Yes;
   // Local, predicatable branching ("can be transformed to predicated
   // instructions without a major performance impact").
   return Divergence::Little;
 }
 
-Difficulty classify_dependences(const NestEvidence& e, const ClassifierOptions& opts) {
+Difficulty classify_dependences(const NestEvidence& e) {
   if (e.flow_sites == 0) {
     // No read-after-write across iterations: privatization / disjoint-index
     // writes break everything that remains.
@@ -145,16 +158,15 @@ Difficulty classify_dependences(const NestEvidence& e, const ClassifierOptions& 
     }
     return Difficulty::Easy;  // shared scalars to privatize / merge
   }
-  if (e.flow_sites <= opts.flow_medium) return Difficulty::Medium;  // reduction-like
-  if (e.flow_sites <= opts.flow_hard) return Difficulty::Hard;
+  if (e.flow_sites <= kFlowMedium) return Difficulty::Medium;  // reduction-like
+  if (e.flow_sites <= kFlowHard) return Difficulty::Hard;
   return Difficulty::VeryHard;
 }
 
-Difficulty classify_parallelization(const NestEvidence& e,
-                                    const ClassifierOptions& opts) {
-  const Difficulty deps = classify_dependences(e, opts);
+Difficulty classify_parallelization(const NestEvidence& e) {
+  const Difficulty deps = classify_dependences(e);
   const bool touches_host = e.touches_dom || e.touches_canvas;
-  if (touches_host && e.dom_touches_per_iteration >= opts.dom_heavy) {
+  if (touches_host && e.dom_touches_per_iteration >= kDomHeavy) {
     // DOM/Canvas access *is* the iteration's work: with non-concurrent
     // browser data structures there is nothing left to parallelize.
     return Difficulty::VeryHard;
@@ -167,8 +179,8 @@ Difficulty classify_parallelization(const NestEvidence& e,
   if (deps >= Difficulty::Hard) return deps;
   Difficulty difficulty = deps;
   if (touches_host) difficulty = bump(difficulty);
-  if (classify_divergence(e, opts) == Divergence::Yes) difficulty = bump(difficulty);
-  if (e.trips_mean > 0 && e.trips_mean < opts.trips_granularity) {
+  if (classify_divergence(e) == Divergence::Yes) difficulty = bump(difficulty);
+  if (e.trips_mean > 0 && e.trips_mean < kTripsGranularity) {
     difficulty = bump(difficulty);
   }
   return difficulty;

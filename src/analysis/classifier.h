@@ -50,30 +50,16 @@ NestEvidence gather_evidence(const LoopNest& nest, const js::Program& program,
                              const ceres::DependenceAnalyzer& analyzer);
 
 /// Rule-based classifiers reproducing the paper's hand-inspection rubric
-/// (§4.1/§4.2). Thresholds are deliberately explicit so the ablation bench
-/// can sweep them.
-struct ClassifierOptions {
-  double trips_degenerate = 2.5;   // "roughly one iteration" loops
-  double trips_small = 6.0;        // data-dependent tiny loops diverge
-  double cv_divergent = 1.25;      // highly irregular trip counts
-  int flow_medium = 4;             // reduction-like: few flow sites
-  int flow_hard = 6;
-  double trips_granularity = 8.0;  // too few trips to pay off
-  double dom_heavy = 0.5;          // DOM touches per iteration: fundamental
-};
-
-Divergence classify_divergence(const NestEvidence& e,
-                               const ClassifierOptions& opts = ClassifierOptions());
+/// (§4.1/§4.2). The thresholds are named constants in classifier.cpp.
+Divergence classify_divergence(const NestEvidence& e);
 
 /// Column 7: how hard breaking the dependencies would be for a programmer.
-Difficulty classify_dependences(const NestEvidence& e,
-                                const ClassifierOptions& opts = ClassifierOptions());
+Difficulty classify_dependences(const NestEvidence& e);
 
 /// Column 8: overall parallelization difficulty, combining dependence
 /// difficulty with browser limitations (non-concurrent DOM/Canvas),
 /// divergence, and granularity.
-Difficulty classify_parallelization(const NestEvidence& e,
-                                    const ClassifierOptions& opts = ClassifierOptions());
+Difficulty classify_parallelization(const NestEvidence& e);
 
 /// Amdahl bound: speedup limit with parallel fraction `p` on `cores` cores
 /// (cores <= 0 means the asymptotic 1/(1-p) bound).

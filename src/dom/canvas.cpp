@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
+
+#include "support/hash.h"
 
 namespace jsceres::dom {
 
@@ -173,18 +176,10 @@ void CanvasContext::put_image_data(const std::vector<std::uint8_t>& rgba, int x,
 }
 
 std::uint64_t CanvasContext::checksum() const {
-  std::uint64_t hash = 1469598103934665603ULL;
-  const auto mix = [&hash](std::uint8_t byte) {
-    hash ^= byte;
-    hash *= 1099511628211ULL;
-  };
-  for (const Rgba& c : pixels_) {
-    mix(c.r);
-    mix(c.g);
-    mix(c.b);
-    mix(c.a);
-  }
-  return hash;
+  // Rgba is four packed bytes in r, g, b, a order, so the buffer's bytes
+  // are the pixels' channels in that order.
+  static_assert(sizeof(Rgba) == 4);
+  return fnv1a(std::as_bytes(std::span(pixels_)));
 }
 
 }  // namespace jsceres::dom

@@ -4,9 +4,11 @@
 #include <bit>
 #include <ctime>
 #include <limits>
+#include <span>
 
 #include "dom/canvas.h"
 #include "rivertrail/parallel_pipeline.h"
+#include "support/hash.h"
 #include "support/obs.h"
 
 namespace jsceres::dom {
@@ -22,15 +24,6 @@ std::int64_t thread_cpu_ns() {
   timespec ts{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
   return std::int64_t(ts.tv_sec) * 1'000'000'000 + std::int64_t(ts.tv_nsec);
-}
-
-std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  }
-  return hash;
 }
 
 }  // namespace
@@ -175,7 +168,7 @@ void EventLoop::run_frame_graph_burst(std::int64_t horizon_ns) {
     FrameSlot& slot = slots[token & slot_mask];
     JSCERES_OBS_SPAN_ARG("frame", "frame.upload", "seq",
                          std::uint64_t(slot.seq));
-    slot.checksum = fnv1a(slot.pixels);
+    slot.checksum = fnv1a(std::as_bytes(std::span(slot.pixels)));
     upload_ns_.fetch_add(thread_cpu_ns() - t0, std::memory_order_relaxed);
   });
 

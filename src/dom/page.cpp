@@ -12,6 +12,15 @@ using interp::Value;
 
 namespace {
 
+constexpr int kViewportWidth = 1024;
+constexpr int kViewportHeight = 768;
+/// Simulated network: latency + per-KB transfer time for loadResource.
+constexpr std::int64_t kNetLatencyMs = 40;
+constexpr double kNetMsPerKb = 0.6;
+/// CPU ticks charged per DOM mutation (appendChild etc.), modelling
+/// style/layout invalidation work.
+constexpr std::int64_t kDomMutationTicks = 40;
+
 /// Marker host payload for singleton substrate objects (document, window,
 /// localStorage) so that property touches classify correctly.
 struct MarkerHost final : interp::HostData {
@@ -81,8 +90,7 @@ void settle(Interpreter& interp, const std::shared_ptr<CanvasContext>& ctx) {
 
 }  // namespace
 
-Page::Page(Interpreter& interp, Config config)
-    : interp_(&interp), config_(config), event_loop_(interp) {
+Page::Page(Interpreter& interp) : interp_(&interp), event_loop_(interp) {
   install_document();
   install_window();
   install_storage();
@@ -104,16 +112,16 @@ Value Page::wrap(const std::shared_ptr<DomNode>& node) {
            const auto child = node_of(in, args.empty() ? Value::undefined() : args[0]);
            parent->append_child(child);
            page->document().register_id(child);
-           in.charge(page->config_.dom_mutation_ticks);
+           in.charge(kDomMutationTicks);
            in.note_host_access(HostAccess::Dom, "appendChild");
            return args[0];
          });
   define(*interp_, obj, "removeChild",
-         [page](Interpreter& in, const Value& self, const Args& args) {
+         [](Interpreter& in, const Value& self, const Args& args) {
            const auto parent = node_of(in, self);
            const auto child = node_of(in, args.empty() ? Value::undefined() : args[0]);
            parent->remove_child(child.get());
-           in.charge(page->config_.dom_mutation_ticks);
+           in.charge(kDomMutationTicks);
            in.note_host_access(HostAccess::Dom, "removeChild");
            return args[0];
          });
@@ -129,7 +137,7 @@ Value Page::wrap(const std::shared_ptr<DomNode>& node) {
              page->document().register_id(node);
            }
            node->set_attribute(name, value);
-           in.charge(page->config_.dom_mutation_ticks / 4);
+           in.charge(kDomMutationTicks / 4);
            in.note_host_access(HostAccess::Dom, "setAttribute");
            return Value::undefined();
          });
@@ -296,7 +304,7 @@ void Page::install_document() {
            const std::string tag =
                in.to_string_value(args.empty() ? Value::undefined() : args[0]);
            in.note_host_access(HostAccess::Dom, "createElement");
-           in.charge(page->config_.dom_mutation_ticks / 4);
+           in.charge(kDomMutationTicks / 4);
            return page->wrap(page->document_.create(tag));
          });
   doc->set_property("body", wrap(document_.body()));
@@ -305,8 +313,8 @@ void Page::install_document() {
 
 void Page::install_window() {
   ObjPtr window = interp_->make_object();
-  window->set_property("innerWidth", Value::number(config_.viewport_width));
-  window->set_property("innerHeight", Value::number(config_.viewport_height));
+  window->set_property("innerWidth", Value::number(kViewportWidth));
+  window->set_property("innerHeight", Value::number(kViewportHeight));
   window->set_property("devicePixelRatio", Value::number(1));
 
   Page* page = this;
@@ -343,8 +351,7 @@ void Page::install_window() {
                                     const Args& args) {
     const double kb = args.size() > 1 ? in.to_number(args[1]) : 0;
     const Value cb = args.size() > 2 ? args[2] : Value::undefined();
-    const auto delay_ms = std::int64_t(double(page->config_.net_latency_ms) +
-                                       kb * page->config_.net_ms_per_kb);
+    const auto delay_ms = std::int64_t(double(kNetLatencyMs) + kb * kNetMsPerKb);
     in.note_host_access(HostAccess::Network, "loadResource");
     if (cb.is_object()) page->event_loop_.set_timeout(cb, delay_ms);
     return Value::undefined();

@@ -24,22 +24,12 @@ namespace jsceres::dom {
 ///  - Layout is modelled as a per-mutation CPU charge rather than an actual
 ///    layout pass.
 ///  - Resource loading advances wall-clock only: the network is not the CPU.
-struct PageConfig {
-  int viewport_width = 1024;
-  int viewport_height = 768;
-  /// Simulated network: latency + per-KB transfer time for loadResource.
-  std::int64_t net_latency_ms = 40;
-  double net_ms_per_kb = 0.6;
-  /// CPU ticks charged per DOM mutation (appendChild etc.), modelling
-  /// style/layout invalidation work.
-  std::int64_t dom_mutation_ticks = 40;
-};
-
+///
+/// The viewport, network model and per-mutation charge are fixed constants
+/// in page.cpp: the virtual clock's cpu_ns and wall_ns depend on them.
 class Page {
  public:
-  using Config = PageConfig;
-
-  Page(interp::Interpreter& interp, Config config = Config());
+  explicit Page(interp::Interpreter& interp);
 
   [[nodiscard]] Document& document() { return document_; }
   [[nodiscard]] EventLoop& event_loop() { return event_loop_; }
@@ -72,7 +62,6 @@ class Page {
   void install_storage();
 
   interp::Interpreter* interp_;
-  Config config_;
   Document document_;
   EventLoop event_loop_;
   std::unordered_map<const DomNode*, interp::ObjPtr> wrappers_;

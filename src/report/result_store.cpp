@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
+
+#include "support/hash.h"
 
 namespace jsceres::report {
 
@@ -11,12 +14,7 @@ ResultStore::ResultStore(std::string root_dir) : root_(std::move(root_dir)) {
 }
 
 std::uint64_t ResultStore::content_hash(const std::string& content) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : content) {
-    hash ^= std::uint8_t(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
+  return fnv1a(std::as_bytes(std::span(content)));
 }
 
 std::string ResultStore::store(const std::string& name, const std::string& content) {

@@ -183,13 +183,11 @@ void pixel_filter_seq(std::vector<std::uint8_t>& rgba, int brightness,
 }
 
 void pixel_filter_par(ThreadPool& pool, std::vector<std::uint8_t>& rgba,
-                      int brightness, double contrast, Schedule schedule) {
-  parallel_for(
-      pool, 0, std::int64_t(rgba.size() / 4),
-      [&](std::int64_t lo, std::int64_t hi) {
-        pixel_filter_range(rgba, lo, hi, brightness, contrast);
-      },
-      schedule);
+                      int brightness, double contrast) {
+  parallel_for(pool, 0, std::int64_t(rgba.size() / 4),
+               [&](std::int64_t lo, std::int64_t hi) {
+                 pixel_filter_range(rgba, lo, hi, brightness, contrast);
+               });
 }
 
 void fluid_diffuse_seq(const std::vector<double>& src, std::vector<double>& dst,
@@ -200,7 +198,7 @@ void fluid_diffuse_seq(const std::vector<double>& src, std::vector<double>& dst,
 
 void fluid_diffuse_par(ThreadPool& pool, const std::vector<double>& src,
                        std::vector<double>& dst, int n, double a,
-                       Schedule schedule, std::int64_t grain) {
+                       std::int64_t grain) {
   // Copy only the boundary ring; the interior is fully overwritten by the
   // sweep (avoids a serial full-grid memcpy ahead of the parallel region).
   const int stride = n + 2;
@@ -215,7 +213,7 @@ void fluid_diffuse_par(ThreadPool& pool, const std::vector<double>& src,
   parallel_for(
       pool, 1, std::int64_t(n) + 1,
       [&](std::int64_t lo, std::int64_t hi) { fluid_row_range(src, dst, n, a, lo, hi); },
-      schedule, grain);
+      grain);
 }
 
 void raytrace_seq(const RayScene& scene, std::vector<std::uint8_t>& rgba) {
@@ -224,13 +222,12 @@ void raytrace_seq(const RayScene& scene, std::vector<std::uint8_t>& rgba) {
 }
 
 void raytrace_par(ThreadPool& pool, const RayScene& scene,
-                  std::vector<std::uint8_t>& rgba, Schedule schedule,
-                  std::int64_t grain) {
+                  std::vector<std::uint8_t>& rgba, std::int64_t grain) {
   rgba.assign(std::size_t(scene.width) * std::size_t(scene.height) * 4, 0);
   parallel_for(
       pool, 0, scene.height,
       [&](std::int64_t lo, std::int64_t hi) { raytrace_rows(scene, rgba, lo, hi); },
-      schedule, grain);
+      grain);
 }
 
 void normal_map_seq(const std::vector<double>& height, int w, int h, double lx,
@@ -241,14 +238,11 @@ void normal_map_seq(const std::vector<double>& height, int w, int h, double lx,
 
 void normal_map_par(ThreadPool& pool, const std::vector<double>& height, int w,
                     int h, double lx, double ly, double lz,
-                    std::vector<std::uint8_t>& rgba, Schedule schedule) {
+                    std::vector<std::uint8_t>& rgba) {
   rgba.assign(std::size_t(w) * std::size_t(h) * 4, 0);
-  parallel_for(
-      pool, 0, h,
-      [&](std::int64_t lo, std::int64_t hi) {
-        normal_map_rows(height, w, h, lx, ly, lz, rgba, lo, hi);
-      },
-      schedule);
+  parallel_for(pool, 0, h, [&](std::int64_t lo, std::int64_t hi) {
+    normal_map_rows(height, w, h, lx, ly, lz, rgba, lo, hi);
+  });
 }
 
 void cloth_integrate_seq(std::vector<ClothParticle>& particles, double gravity,
@@ -257,13 +251,11 @@ void cloth_integrate_seq(std::vector<ClothParticle>& particles, double gravity,
 }
 
 void cloth_integrate_par(ThreadPool& pool, std::vector<ClothParticle>& particles,
-                         double gravity, double dt, Schedule schedule) {
-  parallel_for(
-      pool, 0, std::int64_t(particles.size()),
-      [&](std::int64_t lo, std::int64_t hi) {
-        cloth_range(particles, gravity, dt, lo, hi);
-      },
-      schedule);
+                         double gravity, double dt) {
+  parallel_for(pool, 0, std::int64_t(particles.size()),
+               [&](std::int64_t lo, std::int64_t hi) {
+                 cloth_range(particles, gravity, dt, lo, hi);
+               });
 }
 
 CenterOfMass nbody_step_seq(std::vector<Body>& bodies, double dt) {

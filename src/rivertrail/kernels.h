@@ -19,16 +19,17 @@ namespace jsceres::rivertrail::kernels {
 void pixel_filter_seq(std::vector<std::uint8_t>& rgba, int brightness,
                       double contrast);
 void pixel_filter_par(ThreadPool& pool, std::vector<std::uint8_t>& rgba,
-                      int brightness, double contrast,
-                      Schedule schedule = Schedule::Static);
+                      int brightness, double contrast);
 
 // --- fluidSim: one Jacobi diffusion sweep on an (n+2)^2 grid ---------------
 void fluid_diffuse_seq(const std::vector<double>& src, std::vector<double>& dst,
                        int n, double a);
+/// Jacobi rows are near-uniform, but the grid's edge rows are cheaper than
+/// interior ones; a grain of 4 rows keeps spans cache-friendly while still
+/// letting hungry thieves peel bands off a lagging worker.
 void fluid_diffuse_par(ThreadPool& pool, const std::vector<double>& src,
                        std::vector<double>& dst, int n, double a,
-                       Schedule schedule = Schedule::Static,
-                       std::int64_t grain = 0);
+                       std::int64_t grain = 4);
 
 // --- Raytracing: sphere scene, variable-depth reflections ------------------
 struct RayScene {
@@ -37,17 +38,18 @@ struct RayScene {
   int max_depth = 4;  // recursion depth -> control-flow divergence
 };
 void raytrace_seq(const RayScene& scene, std::vector<std::uint8_t>& rgba);
+/// Divergent rows (variable-depth reflection recursion): grain 1 lets the
+/// splitter hand out single rows once thieves go hungry, so the reflective
+/// band does not pin one worker.
 void raytrace_par(ThreadPool& pool, const RayScene& scene,
-                  std::vector<std::uint8_t>& rgba,
-                  Schedule schedule = Schedule::Static, std::int64_t grain = 1);
+                  std::vector<std::uint8_t>& rgba, std::int64_t grain = 1);
 
 // --- Normal mapping: per-pixel lighting from a height field ----------------
 void normal_map_seq(const std::vector<double>& height, int w, int h, double lx,
                     double ly, double lz, std::vector<std::uint8_t>& rgba);
 void normal_map_par(ThreadPool& pool, const std::vector<double>& height, int w,
                     int h, double lx, double ly, double lz,
-                    std::vector<std::uint8_t>& rgba,
-                    Schedule schedule = Schedule::Static);
+                    std::vector<std::uint8_t>& rgba);
 
 // --- Tear-able Cloth: Verlet integration (per-particle independent) --------
 struct ClothParticle {
@@ -60,8 +62,7 @@ struct ClothParticle {
 void cloth_integrate_seq(std::vector<ClothParticle>& particles, double gravity,
                          double dt);
 void cloth_integrate_par(ThreadPool& pool, std::vector<ClothParticle>& particles,
-                         double gravity, double dt,
-                         Schedule schedule = Schedule::Static);
+                         double gravity, double dt);
 
 // --- N-body (Fig. 6): velocity/position update + center-of-mass reduction --
 struct Body {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "rivertrail/fault_injection.h"
-#include "rivertrail/schedule.h"
 #include "rivertrail/task.h"
 #include "rivertrail/thread_pool.h"
 #include "support/cancel.h"
@@ -182,8 +181,15 @@ void run_range(LoopDesc<Body>& desc, std::int64_t lo, std::int64_t hi) {
 /// The first exception a body region throws is rethrown here after every
 /// iteration has been retired (no deadlock, no dangling captures).
 ///
-/// `grain` is the smallest range the Static splitter will divide (and the
-/// Dynamic chunk size). 0 picks a default from n and the worker count.
+/// The range is divided by adaptive recursive splitting on the work-stealing
+/// runtime: one root per worker, and a running range sheds its top half
+/// whenever a thief is hungry. Uniform kernels degenerate to equal chunks;
+/// divergent ones (the raytracer's variable-depth recursion, the
+/// control-flow divergence of Table 3) rebalance through steals without
+/// paying per-chunk atomics.
+///
+/// `grain` is the smallest range the splitter will divide. 0 picks a default
+/// from n and the worker count.
 ///
 /// `cancel` (default inert) is observed cooperatively at split points and
 /// before each leaf span; a cancelled loop drains every remaining iteration
@@ -192,8 +198,7 @@ void run_range(LoopDesc<Body>& desc, std::int64_t lo, std::int64_t hi) {
 /// discipline is unchanged).
 template <typename Body>
 void parallel_for(ThreadPool& pool, std::int64_t begin, std::int64_t end, Body body,
-                  Schedule schedule = Schedule::Static, std::int64_t grain = 0,
-                  CancelToken cancel = {}) {
+                  std::int64_t grain = 0, CancelToken cancel = {}) {
   const std::int64_t n = end - begin;
   if (n <= 0) return;
   cancel.raise_if_cancelled();
@@ -203,101 +208,40 @@ void parallel_for(ThreadPool& pool, std::int64_t begin, std::int64_t end, Body b
     return;
   }
 
-  if (schedule == Schedule::Static) {
-    if (grain <= 0) grain = std::max<std::int64_t>(1, n / (workers * 32));
-    CompletionGate gate{n};
-    detail::LoopDesc<Body> desc{&pool, &body, &gate, grain,
-                                std::max<std::int64_t>(grain, n / (workers * 8)),
-                                cancel};
-    // One root per worker; the caller keeps the first range for itself
-    // (running it beats waking a worker for small kernels) and helps until
-    // the gate closes. Each root retires its own iterations, so the gate
-    // cannot close while any root is still queued — descriptor lifetime is
-    // safe.
-    const std::int64_t roots = std::min<std::int64_t>(workers, n);
-    detail::LoopDesc<Body>* desc_ptr = &desc;
-    if (pool.on_worker_thread()) {
-      // Nested: feed our own deque so siblings can steal, then join.
-      for (std::int64_t c = 1; c < roots; ++c) {
-        const std::int64_t lo = begin + n * c / roots;
-        const std::int64_t hi = begin + n * (c + 1) / roots;
-        if (!pool.try_push_local(
-                [desc_ptr, lo, hi] { detail::run_range(*desc_ptr, lo, hi); })) {
-          detail::run_range(desc, lo, hi);
-        }
-      }
-    } else {
-      std::vector<Task> injected;
-      injected.reserve(std::size_t(roots) - 1);
-      for (std::int64_t c = 1; c < roots; ++c) {
-        const std::int64_t lo = begin + n * c / roots;
-        const std::int64_t hi = begin + n * (c + 1) / roots;
-        injected.push_back(Task::inline_of(
-            [desc_ptr, lo, hi] { detail::run_range(*desc_ptr, lo, hi); }));
-      }
-      pool.inject_bulk(injected.data(), injected.size());
-    }
-    detail::run_range(desc, begin, begin + n / roots);
-    detail::help_until(pool, gate);
-    desc.error.rethrow_if_failed();
-    cancel.raise_if_cancelled();
-    return;
-  }
-
-  // Dynamic: atomic work counter, `grain` iterations at a time. The default
-  // grain is clamped from below so tiny ranges don't degenerate into
-  // one-iteration chunks (a fetch_add per iteration costs more than the
-  // iteration itself for small kernels), and the worker count is trimmed so
-  // no task wakes up to find an already-drained counter.
-  constexpr std::int64_t kMinDynamicGrain = 16;
-  if (grain <= 0) {
-    grain = std::max(kMinDynamicGrain, n / (workers * 8));
-  }
-  // The gate counts DRAIN TASKS, not iterations: helper tasks share one
-  // counter, so a straggler that wakes to an already-empty counter must
-  // still be awaited — it touches the descriptor, and the caller's frame
-  // owns the descriptor. (The caller helps run stragglers, so the wait is
-  // short.)
-  const std::int64_t helper_tasks =
-      std::max<std::int64_t>(0, std::min<std::int64_t>(
-                                    workers - 1, (n + grain - 1) / grain - 1));
-  struct DynDesc {
-    std::atomic<std::int64_t> next;
-    std::int64_t end;
-    std::int64_t grain;
-    const Body* body;
-    CompletionGate* gate;
-    CancelToken cancel;
-    detail::ErrorSlot error;
-  };
-  CompletionGate gate{helper_tasks + 1};
-  DynDesc desc{{begin}, end, grain, &body, &gate, cancel};
-  DynDesc* desc_ptr = &desc;
-  const auto drain = [](DynDesc& d) {
-    while (true) {
-      const std::int64_t lo = d.next.fetch_add(d.grain, std::memory_order_relaxed);
-      if (lo >= d.end) break;
-      const std::int64_t hi = std::min(lo + d.grain, d.end);
-      // A cancelled drain keeps claiming chunks so the shared counter
-      // empties fast, but skips every body: the gate still counts tasks.
-      if (!d.error.has_failed() && !d.cancel.cancelled()) {
-        try {
-          sched_faults::event();
-          (*d.body)(lo, hi);
-        } catch (...) {
-          d.error.capture();
-        }
+  if (grain <= 0) grain = std::max<std::int64_t>(1, n / (workers * 32));
+  CompletionGate gate{n};
+  detail::LoopDesc<Body> desc{&pool, &body, &gate, grain,
+                              std::max<std::int64_t>(grain, n / (workers * 8)),
+                              cancel};
+  // One root per worker; the caller keeps the first range for itself
+  // (running it beats waking a worker for small kernels) and helps until
+  // the gate closes. Each root retires its own iterations, so the gate
+  // cannot close while any root is still queued — descriptor lifetime is
+  // safe.
+  const std::int64_t roots = std::min<std::int64_t>(workers, n);
+  detail::LoopDesc<Body>* desc_ptr = &desc;
+  if (pool.on_worker_thread()) {
+    // Nested: feed our own deque so siblings can steal, then join.
+    for (std::int64_t c = 1; c < roots; ++c) {
+      const std::int64_t lo = begin + n * c / roots;
+      const std::int64_t hi = begin + n * (c + 1) / roots;
+      if (!pool.try_push_local(
+              [desc_ptr, lo, hi] { detail::run_range(*desc_ptr, lo, hi); })) {
+        detail::run_range(desc, lo, hi);
       }
     }
-    d.gate->arrive();  // always runs, exception or not: last touch of d
-  };
-  std::vector<Task> injected;
-  injected.reserve(std::size_t(helper_tasks));
-  for (std::int64_t w = 0; w < helper_tasks; ++w) {
-    injected.push_back(Task::inline_of([desc_ptr, drain] { drain(*desc_ptr); }));
+  } else {
+    std::vector<Task> injected;
+    injected.reserve(std::size_t(roots) - 1);
+    for (std::int64_t c = 1; c < roots; ++c) {
+      const std::int64_t lo = begin + n * c / roots;
+      const std::int64_t hi = begin + n * (c + 1) / roots;
+      injected.push_back(Task::inline_of(
+          [desc_ptr, lo, hi] { detail::run_range(*desc_ptr, lo, hi); }));
+    }
+    pool.inject_bulk(injected.data(), injected.size());
   }
-  pool.inject_bulk(injected.data(), injected.size());
-  drain(desc);  // caller participates
+  detail::run_range(desc, begin, begin + n / roots);
   detail::help_until(pool, gate);
   desc.error.rethrow_if_failed();
   cancel.raise_if_cancelled();
@@ -350,19 +294,6 @@ void parallel_chunks(ThreadPool& pool, std::int64_t n, std::int64_t chunks,
   }
   desc.error.rethrow_if_failed();
   cancel.raise_if_cancelled();
-}
-
-/// River-Trail-style data-parallel map: out[i] = fn(in[i]).
-template <typename T, typename U, typename Fn>
-void par_map(ThreadPool& pool, const std::vector<T>& in, std::vector<U>& out, Fn fn,
-             Schedule schedule = Schedule::Static) {
-  out.resize(in.size());
-  parallel_for(
-      pool, 0, std::int64_t(in.size()),
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) out[std::size_t(i)] = fn(in[std::size_t(i)]);
-      },
-      schedule);
 }
 
 /// Deterministic parallel reduction: per-chunk partials combined in chunk

@@ -2,23 +2,6 @@
 
 namespace jsceres::rivertrail {
 
-/// Scheduling policy for parallel_for.
-///
-/// Static is adaptive recursive range splitting on the work-stealing
-/// runtime: one root per worker, and a running range splits off half
-/// whenever a thief is hungry. Uniform kernels degenerate to equal chunks
-/// with near-zero extra overhead; divergent kernels (the raytracer's
-/// variable-depth recursion — exactly the control-flow-divergence issue of
-/// Table 3) rebalance through steals without paying per-grain atomics.
-///
-/// Dynamic is the classic shared-counter schedule: `grain` iterations per
-/// fetch_add. It remains useful as a comparison point and when per-iteration
-/// cost is so wildly skewed that even split halves are uneven.
-///
-/// Lives in its own header so consumers that only carry a schedule choice
-/// (workloads/workload.h) don't pull in the whole scheduler.
-enum class Schedule { Static, Dynamic };
-
 /// Frame-scheduling policy for a workload's event-loop session.
 ///
 /// Serial is the browser baseline: every requestAnimationFrame tick runs

@@ -118,15 +118,6 @@ class ThreadPool {
   /// Generic fire-and-forget submission (cold path: boxes the callable).
   void submit(std::function<void()> fn) { inject(Task::boxed(std::move(fn))); }
 
-  /// Enqueue a batch with one round-robin pass and one wakeup.
-  void submit_bulk(std::vector<std::function<void()>> fns) {
-    if (fns.empty()) return;
-    std::vector<Task> tasks;
-    tasks.reserve(fns.size());
-    for (auto& fn : fns) tasks.push_back(Task::boxed(std::move(fn)));
-    inject_bulk(tasks.data(), tasks.size());
-  }
-
   /// Inject one prebuilt task round-robin.
   void inject(Task task) {
     Worker& target = *workers_[next_inject_.fetch_add(1, std::memory_order_relaxed) %

@@ -73,7 +73,7 @@ std::vector<ValidationResult> validate_all(ThreadPool& pool, double scale) {
     r.outputs_match = r.max_abs_error == 0;
     results.push_back(r);
   }
-  {  // raytracer (dynamic schedule: divergent rows)
+  {  // raytracer (divergent rows: rebalanced by the splitter's steals)
     ValidationResult r;
     r.kernel = "raytrace (Raytracing)";
     kernels::RayScene scene;

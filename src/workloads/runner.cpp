@@ -1,9 +1,6 @@
 #include "workloads/runner.h"
 
-#include <chrono>
 #include <stdexcept>
-
-#include "rivertrail/kernels.h"
 
 namespace jsceres::workloads {
 
@@ -75,80 +72,6 @@ InstrumentedRun::InstrumentedRun(const Workload& workload, Mode mode,
 InstrumentedRun run_workload(const Workload& workload, Mode mode,
                              double scale_override, const SessionKnobs* knobs) {
   return InstrumentedRun(workload, mode, scale_override, knobs);
-}
-
-// Deliberately separate from rivertrail/validator.cpp: the validator is the
-// study-scale timing table over every kernel (rivertrail must not depend on
-// workloads/), while this is the small, fast knob-plumbing check — each
-// workload's schedule/grain choice actually reaching its kernel port.
-KernelRun run_certified_kernel(const Workload& workload, rivertrail::ThreadPool& pool) {
-  namespace kernels = rivertrail::kernels;
-  using Clock = std::chrono::steady_clock;
-  KernelRun result;
-  const auto timed = [&](auto&& parallel_variant) {
-    const auto t0 = Clock::now();
-    parallel_variant();
-    result.par_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-    result.ran = true;
-  };
-
-  if (workload.name == "CamanJS") {
-    auto seq = kernels::make_test_image(128, 96, 11);
-    auto par = seq;
-    kernels::pixel_filter_seq(seq, 12, 1.2);
-    timed([&] {
-      kernels::pixel_filter_par(pool, par, 12, 1.2, workload.kernel_schedule);
-    });
-    result.outputs_match = seq == par;
-  } else if (workload.name == "fluidSim") {
-    const int n = 96;
-    std::vector<double> src(std::size_t(n + 2) * std::size_t(n + 2));
-    for (std::size_t i = 0; i < src.size(); ++i) src[i] = double(i % 97) / 97.0;
-    std::vector<double> seq;
-    std::vector<double> par;
-    kernels::fluid_diffuse_seq(src, seq, n, 0.12);
-    timed([&] {
-      kernels::fluid_diffuse_par(pool, src, par, n, 0.12, workload.kernel_schedule,
-                                 workload.kernel_grain);
-    });
-    result.outputs_match = seq == par;
-  } else if (workload.name == "Realtime Raytracing") {
-    kernels::RayScene scene;
-    scene.width = 96;
-    scene.height = 96;
-    std::vector<std::uint8_t> seq;
-    std::vector<std::uint8_t> par;
-    kernels::raytrace_seq(scene, seq);
-    timed([&] {
-      kernels::raytrace_par(pool, scene, par, workload.kernel_schedule,
-                            workload.kernel_grain);
-    });
-    result.outputs_match = seq == par;
-  } else if (workload.name == "Tear-able Cloth") {
-    auto seq = kernels::make_cloth(60, 45);
-    auto par = seq;
-    kernels::cloth_integrate_seq(seq, 9.8, 0.016);
-    timed([&] {
-      kernels::cloth_integrate_par(pool, par, 9.8, 0.016, workload.kernel_schedule);
-    });
-    bool match = true;
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      match = match && seq[i].x == par[i].x && seq[i].y == par[i].y;
-    }
-    result.outputs_match = match;
-  } else if (workload.name == "Normal Mapping") {
-    const auto height = kernels::make_height_field(96, 72, 5);
-    std::vector<std::uint8_t> seq;
-    std::vector<std::uint8_t> par;
-    kernels::normal_map_seq(height, 96, 72, 0.4, 0.5, 0.8, seq);
-    timed([&] {
-      kernels::normal_map_par(pool, height, 96, 72, 0.4, 0.5, 0.8, par,
-                              workload.kernel_schedule);
-    });
-    result.outputs_match = seq == par;
-  }
-  return result;
 }
 
 const std::vector<Workload>& all_workloads() {

@@ -37,11 +37,6 @@ Workload make_cloth() {
   w.canvas_w = 160;
   w.canvas_h = 120;
   w.dependence_scale = 0.5;
-  // Verlet integration is uniform per particle except for pinned points
-  // (early-continue): Static with the default grain degenerates to equal
-  // chunks when nobody is hungry, which is the right call here.
-  w.kernel_schedule = rivertrail::Schedule::Static;
-  w.kernel_grain = 0;
   // Canvas redraw dominates the tail of each tick: frame-graph the session.
   w.pipeline_schedule = rivertrail::PipelineSchedule::FrameGraph;
   w.nest_markers = {"for (ci = 0; ci < constraints.length"};

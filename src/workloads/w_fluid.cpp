@@ -35,11 +35,6 @@ Workload make_fluid() {
   w.canvas_w = 80;
   w.canvas_h = 80;
   w.dependence_scale = 0.5;
-  // Jacobi rows are near-uniform, but the grid edge rows are cheaper than
-  // interior ones; a modest fixed grain keeps spans cache-friendly while
-  // still letting hungry thieves peel bands off a lagging worker.
-  w.kernel_schedule = rivertrail::Schedule::Static;
-  w.kernel_grain = 4;
   // Density field re-uploaded every rAF tick: frame-graph the session.
   w.pipeline_schedule = rivertrail::PipelineSchedule::FrameGraph;
   w.nest_markers = {"for (j = 1; j <= N; j++) { // lin_solve"};

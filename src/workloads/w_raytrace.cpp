@@ -27,11 +27,6 @@ Workload make_raytrace() {
   // suspensions land inside open loops (Table 2: In-Loops 26 s > Active 19 s).
   w.preempt_interval_ticks = 40'000;
   w.preempt_block_ns = 140'000'000;
-  // Divergent kernel (variable-depth reflection recursion): grain 1 lets
-  // the adaptive splitter hand out single rows once thieves go hungry, so
-  // the reflective band does not pin one worker.
-  w.kernel_schedule = rivertrail::Schedule::Static;
-  w.kernel_grain = 1;
   // rAF-driven render loop over a canvas: pipeline each tick so frame t's
   // canvas upload overlaps frame t+1's kernel (the In-Loops > Active gap).
   w.pipeline_schedule = rivertrail::PipelineSchedule::FrameGraph;

@@ -8,10 +8,6 @@
 #include "dom/event_loop.h"
 #include "rivertrail/schedule.h"
 
-namespace jsceres::rivertrail {
-class ThreadPool;
-}
-
 namespace jsceres::workloads {
 
 /// Reference values from the paper, used by the benches/EXPERIMENTS.md to
@@ -25,6 +21,11 @@ struct PaperTable2Row {
 /// One case-study application (Table 1): the program (in the engine's JS
 /// subset), the synthetic interaction script that exercises it, and the
 /// markers identifying which loop nests Table 3 reports.
+///
+/// The C++ ports of the certified hot loops live in rivertrail/kernels.h,
+/// not here: a grain a case study fitted is that port's default argument,
+/// and rivertrail::validate_all checks every port against its sequential
+/// reference.
 struct Workload {
   std::string name;         // e.g. "HAAR.js"
   std::string url;          // Table 1 source URL
@@ -57,15 +58,6 @@ struct Workload {
   std::int64_t preempt_interval_ticks = 0;
   std::int64_t preempt_block_ns = 0;
 
-  /// Rivertrail schedule knobs for this workload's certified kernel port
-  /// (src/rivertrail/kernels.*), consumed by run_certified_kernel. Uniform
-  /// kernels keep the defaults; divergent ones (raytrace's variable-depth
-  /// recursion, fluid's banded rows) pick the schedule/grain that lets the
-  /// work-stealing runtime rebalance them. `kernel_grain` 0 = runtime
-  /// default.
-  rivertrail::Schedule kernel_schedule = rivertrail::Schedule::Static;
-  std::int64_t kernel_grain = 0;
-
   /// Frame-pipeline knob consumed by workloads::run_workload: FrameGraph
   /// runs the session's requestAnimationFrame ticks through the event
   /// loop's kernel -> canvas-upload -> commit pipeline (overlapping
@@ -77,21 +69,6 @@ struct Workload {
 
   PaperTable2Row paper;
 };
-
-/// Outcome of running a workload's certified kernel port under its schedule
-/// knobs. `ran` is false for workloads without a kernel port (their hot
-/// loops are DOM-bound or "hard" in Table 3).
-struct KernelRun {
-  bool ran = false;
-  bool outputs_match = false;  // parallel output == sequential reference
-  double par_ms = 0;
-};
-
-/// Execute the kernel port matching `workload` (by name) on `pool`, using
-/// the workload's kernel_schedule / kernel_grain, and validate the output
-/// against the sequential reference.
-KernelRun run_certified_kernel(const Workload& workload,
-                               rivertrail::ThreadPool& pool);
 
 /// Line number (1-based) of the first occurrence of `marker` in `source`,
 /// or 0 when absent.

@@ -90,36 +90,34 @@ TEST(ParallelForCancel, PreCancelledThrowsBeforeAnyBody) {
                    [&ran](std::int64_t lo, std::int64_t hi) {
                      ran.fetch_add(int(hi - lo), std::memory_order_relaxed);
                    },
-                   Schedule::Static, 0, CancelToken(source)),
+                   0, CancelToken(source)),
                CancelledError);
   EXPECT_EQ(ran.load(), 0);
   expect_pool_reusable(pool);
 }
 
-TEST(ParallelForCancel, ObservationSweepDrainsCleanBothSchedules) {
+TEST(ParallelForCancel, ObservationSweepDrainsClean) {
   ThreadPool pool(4);
-  for (const Schedule schedule : {Schedule::Static, Schedule::Dynamic}) {
-    for (const std::int64_t k : {1, 2, 3, 5, 8, 13, 21, 64, 200}) {
-      CancelSource source;
-      source.cancel_after_observations(k);
-      std::atomic<std::int64_t> ran{0};
-      bool cancelled = false;
-      try {
-        parallel_for(
-            pool, 0, 4000,
-            [&ran](std::int64_t lo, std::int64_t hi) {
-              ran.fetch_add(hi - lo, std::memory_order_relaxed);
-            },
-            schedule, 4, CancelToken(source));
-      } catch (const CancelledError& e) {
-        cancelled = true;
-        EXPECT_EQ(e.cancel_reason(), CancelReason::Cancelled);
-      }
-      // Either the loop finished ahead of the K-th observation or it was cut
-      // short — both must leave a drained gate and a usable pool.
-      if (!cancelled) EXPECT_EQ(ran.load(), 4000);
-      EXPECT_LE(ran.load(), 4000);
+  for (const std::int64_t k : {1, 2, 3, 5, 8, 13, 21, 64, 200}) {
+    CancelSource source;
+    source.cancel_after_observations(k);
+    std::atomic<std::int64_t> ran{0};
+    bool cancelled = false;
+    try {
+      parallel_for(
+          pool, 0, 4000,
+          [&ran](std::int64_t lo, std::int64_t hi) {
+            ran.fetch_add(hi - lo, std::memory_order_relaxed);
+          },
+          4, CancelToken(source));
+    } catch (const CancelledError& e) {
+      cancelled = true;
+      EXPECT_EQ(e.cancel_reason(), CancelReason::Cancelled);
     }
+    // Either the loop finished ahead of the K-th observation or it was cut
+    // short — both must leave a drained gate and a usable pool.
+    if (!cancelled) EXPECT_EQ(ran.load(), 4000);
+    EXPECT_LE(ran.load(), 4000);
   }
   expect_pool_reusable(pool);
 }
@@ -130,7 +128,7 @@ TEST(ParallelForCancel, ExpiredDeadlineRaisesDeadlineReason) {
   source.set_deadline(std::chrono::steady_clock::now());
   try {
     parallel_for(pool, 0, 100, [](std::int64_t, std::int64_t) {},
-                 Schedule::Static, 0, CancelToken(source));
+                 0, CancelToken(source));
     FAIL() << "expected CancelledError";
   } catch (const CancelledError& e) {
     EXPECT_EQ(e.cancel_reason(), CancelReason::DeadlineExpired);
@@ -142,9 +140,10 @@ TEST(ParallelForCancel, CancelFromAnotherThreadDuringStealHeavyLoop) {
   ThreadPool pool(4);
   CancelSource source;
   std::atomic<std::int64_t> ran{0};
-  // Dynamic schedule with grain 1 maximizes steal traffic; the canceller
-  // waits until workers are demonstrably mid-loop, so the cancel lands in
-  // the middle of live steals rather than before or after the run.
+  // Grain 1 lets the splitter shed down to single iterations, which
+  // maximizes steal traffic; the canceller waits until workers are
+  // demonstrably mid-loop, so the cancel lands in the middle of live steals
+  // rather than before or after the run.
   std::thread canceller([&] {
     while (ran.load(std::memory_order_relaxed) < 64) std::this_thread::yield();
     source.request_cancel();
@@ -160,7 +159,7 @@ TEST(ParallelForCancel, CancelFromAnotherThreadDuringStealHeavyLoop) {
             }
           }
         },
-        Schedule::Dynamic, 1, CancelToken(source));
+        1, CancelToken(source));
   } catch (const CancelledError&) {
     cancelled = true;
   }

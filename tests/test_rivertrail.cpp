@@ -41,66 +41,39 @@ TEST(ThreadPool, DestructorDrainsQueue) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-class ParallelForTest : public ::testing::TestWithParam<Schedule> {};
-
-TEST_P(ParallelForTest, CoversEveryIndexExactlyOnce) {
+TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(2);
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(
-      pool, 0, 1000,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) hits[std::size_t(i)].fetch_add(1);
-      },
-      GetParam());
+  parallel_for(pool, 0, 1000, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) hits[std::size_t(i)].fetch_add(1);
+  });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST_P(ParallelForTest, EmptyAndSingletonRanges) {
+TEST(ParallelForTest, EmptyAndSingletonRanges) {
   ThreadPool pool(2);
   std::atomic<int> calls{0};
-  parallel_for(
-      pool, 5, 5, [&](std::int64_t, std::int64_t) { calls.fetch_add(1); },
-      GetParam());
+  parallel_for(pool, 5, 5, [&](std::int64_t, std::int64_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 0);
-  parallel_for(
-      pool, 5, 6,
-      [&](std::int64_t lo, std::int64_t hi) {
-        EXPECT_EQ(lo, 5);
-        EXPECT_EQ(hi, 6);
-        calls.fetch_add(1);
-      },
-      GetParam());
+  parallel_for(pool, 5, 6, [&](std::int64_t lo, std::int64_t hi) {
+    EXPECT_EQ(lo, 5);
+    EXPECT_EQ(hi, 6);
+    calls.fetch_add(1);
+  });
   EXPECT_EQ(calls.load(), 1);
 }
 
-TEST_P(ParallelForTest, MatchesSequentialSum) {
+TEST(ParallelForTest, MatchesSequentialSum) {
   ThreadPool pool(2);
   std::vector<double> data(4096);
   std::iota(data.begin(), data.end(), 0.0);
   std::vector<double> out(data.size());
-  parallel_for(
-      pool, 0, std::int64_t(data.size()),
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          out[std::size_t(i)] = data[std::size_t(i)] * 3;
-        }
-      },
-      GetParam());
+  parallel_for(pool, 0, std::int64_t(data.size()), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      out[std::size_t(i)] = data[std::size_t(i)] * 3;
+    }
+  });
   for (std::size_t i = 0; i < data.size(); ++i) EXPECT_EQ(out[i], data[i] * 3);
-}
-
-INSTANTIATE_TEST_SUITE_P(Schedules, ParallelForTest,
-                         ::testing::Values(Schedule::Static, Schedule::Dynamic));
-
-TEST(ParMap, TransformsElements) {
-  ThreadPool pool(2);
-  std::vector<int> in(257);
-  std::iota(in.begin(), in.end(), 0);
-  std::vector<int> out;
-  par_map(pool, in, out, [](int v) { return v * v; });
-  ASSERT_EQ(out.size(), in.size());
-  EXPECT_EQ(out[16], 256);
-  EXPECT_EQ(out[256], 256 * 256);
 }
 
 TEST(ParReduce, MatchesSequentialAndIsDeterministic) {
@@ -162,19 +135,18 @@ TEST(Kernels, FluidDiffuseMatchesAndKeepsBoundary) {
   EXPECT_EQ(seq.back(), src.back());
 }
 
-TEST(Kernels, RaytraceMatchesAcrossSchedules) {
+TEST(Kernels, RaytraceMatchesAcrossGrains) {
   ThreadPool pool(2);
   kernels::RayScene scene;
   scene.width = 32;
   scene.height = 24;
   std::vector<std::uint8_t> seq;
-  std::vector<std::uint8_t> par_static;
-  std::vector<std::uint8_t> par_dynamic;
   kernels::raytrace_seq(scene, seq);
-  kernels::raytrace_par(pool, scene, par_static, Schedule::Static);
-  kernels::raytrace_par(pool, scene, par_dynamic, Schedule::Dynamic);
-  EXPECT_EQ(seq, par_static);
-  EXPECT_EQ(seq, par_dynamic);
+  for (const std::int64_t grain : {0, 1, 4}) {
+    std::vector<std::uint8_t> par;
+    kernels::raytrace_par(pool, scene, par, grain);
+    EXPECT_EQ(seq, par) << "grain " << grain;
+  }
 }
 
 TEST(Kernels, RaytraceDepthChangesImage) {

@@ -204,7 +204,7 @@ SessionRequest parallel_session(std::string name, rivertrail::ThreadPool& pool) 
             sum.fetch_add(i, std::memory_order_relaxed);
           }
         },
-        rivertrail::Schedule::Static, 16, token);
+        16, token);
     AttemptSuccess success;
     success.console = std::to_string(sum.load());
     return success;

@@ -3,7 +3,6 @@
 #include "analysis/classifier.h"
 #include "analysis/nest.h"
 #include "js/loop_scanner.h"
-#include "rivertrail/thread_pool.h"
 #include "workloads/runner.h"
 
 namespace jsceres::workloads {
@@ -24,22 +23,6 @@ TEST(Workloads, NamesMatchTable1) {
     EXPECT_FALSE(workloads[i].url.empty());
     EXPECT_FALSE(workloads[i].category.empty());
   }
-}
-
-TEST(Workloads, KernelScheduleKnobsRunCertifiedPorts) {
-  rivertrail::ThreadPool pool(2);
-  int ran = 0;
-  for (const Workload& w : all_workloads()) {
-    const KernelRun result = run_certified_kernel(w, pool);
-    if (!result.ran) continue;
-    ++ran;
-    EXPECT_TRUE(result.outputs_match) << w.name;
-    EXPECT_GT(result.par_ms, 0) << w.name;
-  }
-  // CamanJS, fluidSim, Realtime Raytracing, Tear-able Cloth, Normal Mapping.
-  EXPECT_EQ(ran, 5);
-  // The divergent raytracer opts into fine-grain splitting.
-  EXPECT_EQ(workload_by_name("Realtime Raytracing").kernel_grain, 1);
 }
 
 TEST(Workloads, LookupByName) {

@@ -140,7 +140,7 @@ TEST_P(WorkStealingPoolTest, StealStressEveryIndexExactlyOnce) {
           hits[std::size_t(i)].fetch_add(1, std::memory_order_relaxed);
         }
       },
-      Schedule::Static, /*grain=*/1);
+      /*grain=*/1);
   for (std::int64_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[std::size_t(i)].load(), 1) << "index " << i;
   }
@@ -171,7 +171,7 @@ TEST_P(WorkStealingPoolTest, StealHalfDeepSplitStress) {
             hits[std::size_t(i)].fetch_add(1, std::memory_order_relaxed);
           }
         },
-        Schedule::Static, /*grain=*/1);
+        /*grain=*/1);
   }
   for (std::int64_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[std::size_t(i)].load(), kRounds) << "index " << i;
@@ -217,7 +217,7 @@ TEST(ParallelForEdge, GrainOfOneSplitsToSingletons) {
       [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t i = lo; i < hi; ++i) hits[std::size_t(i)].fetch_add(1);
       },
-      Schedule::Static, /*grain=*/1);
+      /*grain=*/1);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -258,10 +258,10 @@ TEST(ParallelForNested, InnerLoopInsideOuterTask) {
                                                               std::memory_order_relaxed);
                 }
               },
-              Schedule::Static, /*grain=*/8);
+              /*grain=*/8);
         }
       },
-      Schedule::Static, /*grain=*/1);
+      /*grain=*/1);
   for (auto& h : hits) ASSERT_EQ(h.load(), 1);
 }
 
@@ -294,17 +294,12 @@ TEST(ParallelForNested, NestedSubmitFromTask) {
 
 TEST(ParallelForExceptions, BodyThrowRethrownAtCallSiteNoDeadlock) {
   ThreadPool pool(4);
-  for (const Schedule schedule : {Schedule::Static, Schedule::Dynamic}) {
-    EXPECT_THROW(
-        parallel_for(
-            pool, 0, 10000,
-            [&](std::int64_t lo, std::int64_t) {
-              if (lo >= 5000) throw std::runtime_error("kernel fault");
-            },
-            schedule),
-        std::runtime_error);
-  }
-  // Pool still serviceable after the failed loops.
+  EXPECT_THROW(parallel_for(pool, 0, 10000,
+                            [&](std::int64_t lo, std::int64_t) {
+                              if (lo >= 5000) throw std::runtime_error("kernel fault");
+                            }),
+               std::runtime_error);
+  // Pool still serviceable after the failed loop.
   std::atomic<int> ok{0};
   parallel_for(pool, 0, 100, [&](std::int64_t lo, std::int64_t hi) {
     ok.fetch_add(int(hi - lo), std::memory_order_relaxed);
@@ -345,24 +340,6 @@ TEST(ParReduceDeterminism, StableAcrossRunsAndSchedulingNoise) {
     });
     ASSERT_EQ(reduce_once(), first) << "run " << run;  // bitwise equal
   }
-}
-
-TEST(ThreadPoolInjection, SubmitBulkRunsEveryTask) {
-  ThreadPool pool(3);
-  constexpr int kTasks = 500;
-  std::vector<std::atomic<int>> hits(kTasks);
-  CompletionGate gate{kTasks};
-  std::vector<std::function<void()>> batch;
-  batch.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    batch.push_back([&, i] {
-      hits[std::size_t(i)].fetch_add(1, std::memory_order_relaxed);
-      gate.arrive();
-    });
-  }
-  pool.submit_bulk(std::move(batch));
-  gate.wait();
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolInjection, RoundRobinReachesAllWorkersUnderLoad) {
