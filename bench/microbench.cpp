@@ -4,8 +4,10 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <ctime>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "ceres/char_stack.h"
 #include "ceres/dependence_analyzer.h"
 #include "dom/canvas.h"
+#include "fuzz/generator.h"
 #include "interp/interpreter.h"
 #include "js/lexer.h"
 #include "js/parser.h"
@@ -44,6 +47,31 @@ void BM_Parse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Parse);
+
+// The front end on wire_small's corpus shape: fuzz::generate_program at
+// depth 1, every fourth program with the timer epilogue. One iteration
+// parses (lexes, parses, resolves) and frees the whole fixed set;
+// `ns_per_token` is that cost per token.
+void BM_ParseGenerated(benchmark::State& state) {
+  std::vector<std::string> sources;
+  double tokens = 0;
+  for (int i = 0; i < 64; ++i) {
+    fuzz::GenOptions options;
+    options.max_depth = 1;
+    options.use_timers = i % 4 == 3;
+    sources.push_back(fuzz::generate_program(1000 + std::uint64_t(i), options));
+    js::AtomSpace atoms;
+    tokens += double(js::lex(sources.back(), atoms).size());
+  }
+  std::chrono::nanoseconds spent{0};
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    for (const std::string& source : sources) benchmark::DoNotOptimize(js::parse(source));
+    spent += std::chrono::steady_clock::now() - start;
+  }
+  state.counters["ns_per_token"] = double(spent.count()) / (tokens * double(state.iterations()));
+}
+BENCHMARK(BM_ParseGenerated);
 
 void BM_InterpretArithmeticLoop(benchmark::State& state) {
   const js::Program program = js::parse(

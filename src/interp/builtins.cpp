@@ -574,7 +574,7 @@ void install_object(Interpreter& interp) {
                       if (obj->is_array()) {
                         for (std::size_t i = 0; i < obj->elements().size(); ++i) {
                           out->elements().push_back(
-                              Value::str(Interpreter::number_to_string(double(i))));
+                              Value::str(js::number_to_string(double(i))));
                         }
                       }
                       for (const auto& key : obj->key_order()) {
@@ -631,7 +631,7 @@ std::string json_stringify(Interpreter& interp, const Value& v, int depth) {
     case Value::Kind::Boolean:
       return v.as_boolean() ? "true" : "false";
     case Value::Kind::Number:
-      return std::isfinite(v.as_number()) ? Interpreter::number_to_string(v.as_number())
+      return std::isfinite(v.as_number()) ? js::number_to_string(v.as_number())
                                           : "null";
     case Value::Kind::String: {
       std::string out = "\"";

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -105,8 +106,8 @@ class Environment {
   /// vector assignments reuse the pooled environment's capacity, so a
   /// steady-state call allocates nothing.
   template <typename InitAt>
-  void adopt_layout(const std::vector<js::Atom>& names, InitAt&& init_at) {
-    names_ = names;
+  void adopt_layout(std::span<const js::Atom> names, InitAt&& init_at) {
+    names_.assign(names.begin(), names.end());
     slots_.clear();  // keeps capacity
     slots_.reserve(names.size());
     for (std::size_t slot = 0; slot < names.size(); ++slot) {

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <span>
 
 #include "support/obs.h"
 
@@ -379,19 +380,6 @@ double Interpreter::to_number(const Value& v) {
   return 0;
 }
 
-std::string Interpreter::number_to_string(double d) {
-  if (std::isnan(d)) return "NaN";
-  if (std::isinf(d)) return d > 0 ? "Infinity" : "-Infinity";
-  if (d == std::floor(d) && std::fabs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.10g", d);
-  return buf;
-}
-
 std::string Interpreter::to_string_value(const Value& v) {
   switch (v.kind()) {
     case Value::Kind::Undefined:
@@ -401,7 +389,7 @@ std::string Interpreter::to_string_value(const Value& v) {
     case Value::Kind::Boolean:
       return v.as_boolean() ? "true" : "false";
     case Value::Kind::Number:
-      return number_to_string(v.as_number());
+      return js::number_to_string(v.as_number());
     case Value::Kind::String:
       return v.as_string();
     case Value::Kind::Object: {
@@ -437,7 +425,7 @@ std::uint32_t Interpreter::to_uint32(double d) {
 
 std::string Interpreter::property_key(const Value& key) {
   if (key.is_string()) return key.as_string();
-  if (key.is_number()) return number_to_string(key.as_number());
+  if (key.is_number()) return js::number_to_string(key.as_number());
   return to_string_value(key);
 }
 
@@ -642,8 +630,8 @@ bool Interpreter::loose_equals(const Value& a, const Value& b) {
 // Calls
 // ---------------------------------------------------------------------------
 
-void Interpreter::hoist_into(Environment& env, const std::vector<js::Atom>& vars,
-                             const std::vector<const js::FunctionDecl*>& fns,
+void Interpreter::hoist_into(Environment& env, std::span<const js::Atom> vars,
+                             std::span<const js::FunctionDecl* const> fns,
                              const EnvPtr& env_ptr) {
   for (const auto& name : vars) {
     if (!env.has_own(name)) env.declare(name, Value::undefined());
@@ -752,7 +740,7 @@ Value Interpreter::call_js_function(JSObject& fn_obj, const Value& this_val,
   tick(3);
   Value result;
   try {
-    Completion completion = exec(*static_cast<const js::Block*>(node.body.get()), env);
+    Completion completion = exec(*static_cast<const js::Block*>(node.body), env);
     if (completion.type == Completion::Type::Return) result = std::move(completion.value);
   } catch (...) {
     --call_depth_;
@@ -997,7 +985,7 @@ Interpreter::Completion Interpreter::exec_for_in(const js::ForIn& node,
     if (obj->is_array()) {
       keys.reserve(obj->elements().size() + obj->key_order().size());
       for (std::size_t i = 0; i < obj->elements().size(); ++i) {
-        keys.push_back(Value::str(number_to_string(double(i))));
+        keys.push_back(Value::str(js::number_to_string(double(i))));
       }
     }
     for (const auto& key : obj->key_order()) keys.push_back(Value::str(key));

@@ -15,6 +15,7 @@
 #include "interp/object.h"
 #include "interp/value.h"
 #include "js/ast.h"
+#include "js/token.h"
 #include "support/cancel.h"
 #include "support/clock.h"
 #include "support/limits.h"
@@ -121,7 +122,6 @@ class Interpreter {
   static bool to_boolean(const Value& v);
   double to_number(const Value& v);
   std::string to_string_value(const Value& v);
-  static std::string number_to_string(double d);
   static std::int32_t to_int32(double d);
   static std::uint32_t to_uint32(double d);
 
@@ -206,11 +206,11 @@ class Interpreter {
   /// the cache cap fall back to a plain intern.
   [[nodiscard]] js::Atom index_atom(std::size_t index) {
     if (index >= kIndexAtomCacheCap) {
-      return atoms().intern(number_to_string(double(index)));
+      return atoms().intern(js::number_to_string(double(index)));
     }
     if (index >= index_atom_cache_.size()) index_atom_cache_.resize(index + 1);
     js::Atom& slot = index_atom_cache_[index];
-    if (slot.empty()) slot = atoms().intern(number_to_string(double(index)));
+    if (slot.empty()) slot = atoms().intern(js::number_to_string(double(index)));
     return slot;
   }
 
@@ -376,8 +376,8 @@ class Interpreter {
                          const Value* argv, std::size_t argc);
 
   ObjPtr make_function_from_node(const js::FunctionNode& node, const EnvPtr& env);
-  void hoist_into(Environment& env, const std::vector<js::Atom>& vars,
-                  const std::vector<const js::FunctionDecl*>& fns, const EnvPtr& env_ptr);
+  void hoist_into(Environment& env, std::span<const js::Atom> vars,
+                  std::span<const js::FunctionDecl* const> fns, const EnvPtr& env_ptr);
 
   bool strict_equals(const Value& a, const Value& b);
   bool loose_equals(const Value& a, const Value& b);

@@ -2,8 +2,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
+#include <new>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "js/atom.h"
@@ -77,15 +81,13 @@ enum class UnaryOp { Neg, Plus, Not, BitNot, TypeOf, Delete };
 /// Compound-assignment operator; `None` means plain `=`.
 enum class AssignOp { None, Add, Sub, Mul, Div, Mod, BitAnd, BitOr, BitXor, Shl, Shr };
 
+/// Nodes are plain data in their ProgramBody's arena (see ProgramBody):
+/// ExprPtr/StmtPtr and every child list are non-owning, no node has a
+/// destructor to run, and the body frees the whole tree in one step.
+/// Dispatch is kind-tagged, so a node carries no vtable.
 struct Node {
   NodeKind kind;
   int line = 0;
-
-  // Nodes are owned as ExprPtr/StmtPtr (pointers to the base class), so
-  // deletion must be virtual — without this, derived destructors never run
-  // and every child vector leaks (new-delete-type-mismatch under ASan).
-  // Dispatch stays kind-tagged; the vtable exists only for destruction.
-  virtual ~Node() = default;
 
  protected:
   explicit Node(NodeKind k) : kind(k) {}
@@ -101,8 +103,8 @@ struct Stmt : Node {
   using Node::Node;
 };
 
-using ExprPtr = std::unique_ptr<Expr>;
-using StmtPtr = std::unique_ptr<Stmt>;
+using ExprPtr = Expr*;
+using StmtPtr = Stmt*;
 
 // ---------------------------------------------------------------------------
 // Expressions
@@ -157,12 +159,12 @@ struct ThisExpr : Expr {
 
 struct ArrayLit : Expr {
   ArrayLit() : Expr(NodeKind::ArrayLit) {}
-  std::vector<ExprPtr> elements;
+  std::span<ExprPtr> elements;
 };
 
 struct ObjectLit : Expr {
   ObjectLit() : Expr(NodeKind::ObjectLit) {}
-  std::vector<std::pair<Atom, ExprPtr>> properties;
+  std::span<std::pair<Atom, ExprPtr>> properties;
 };
 
 struct FunctionExpr;  // below, shares FunctionNode
@@ -170,7 +172,7 @@ struct FunctionExpr;  // below, shares FunctionNode
 /// Pre-computed activation layout of a function scope, filled in by
 /// `resolve_scopes` from the same declaration simulation that assigns
 /// (hops, slot) coordinates. The interpreter stamps a fresh activation from
-/// this template — one vector copy — instead of re-running the
+/// this template — one array copy — instead of re-running the
 /// per-name declare scan (params, hoisted vars, hoisted functions) on every
 /// call. `names` is the final slot order; `param_slots[i]` / `fn_slots[j]`
 /// say where parameter i / hoisted function j land (duplicates share their
@@ -189,11 +191,11 @@ struct ActivationLayout {
     std::uint32_t index = 0;  // param index / hoisted-function index
   };
 
-  std::vector<Atom> names;
-  std::vector<std::uint32_t> param_slots;
-  std::vector<std::uint32_t> fn_slots;
+  std::span<Atom> names;
+  std::span<std::uint32_t> param_slots;
+  std::span<std::uint32_t> fn_slots;
   /// Parallel to `names`: how the interpreter initializes each slot.
-  std::vector<SlotSource> inits;
+  std::span<SlotSource> inits;
   /// False when hoisted-function slots are not strictly increasing (a
   /// function re-binds a parameter or an earlier function's name): the
   /// interpreter then stores functions with the legacy ordered loop so
@@ -210,39 +212,39 @@ struct ActivationLayout {
 /// sampling profiler and the call-stack instrumentation.
 struct FunctionNode {
   Atom name;  // empty for anonymous function expressions
-  std::vector<Atom> params;
-  std::vector<Atom> hoisted_vars;     // all `var` names in this function
-  std::vector<const struct FunctionDecl*> hoisted_functions;
-  StmtPtr body;  // always a Block
+  std::span<Atom> params;
+  std::span<Atom> hoisted_vars;  // all `var` names in this function
+  std::span<const struct FunctionDecl*> hoisted_functions;
+  StmtPtr body = nullptr;  // always a Block
   int fn_id = 0;
   int line = 0;
   /// Activation template (null on ASTs synthesized without resolve_scopes;
   /// the interpreter then falls back to the per-call declare scan).
-  std::unique_ptr<ActivationLayout> layout;
+  const ActivationLayout* layout = nullptr;
 };
 
 struct FunctionExpr : Expr {
   FunctionExpr() : Expr(NodeKind::FunctionExpr) {}
-  std::unique_ptr<FunctionNode> fn;
+  FunctionNode* fn = nullptr;
 };
 
 struct Call : Expr {
   Call() : Expr(NodeKind::Call) {}
-  ExprPtr callee;
-  std::vector<ExprPtr> args;
+  ExprPtr callee = nullptr;
+  std::span<ExprPtr> args;
 };
 
 struct New : Expr {
   New() : Expr(NodeKind::New) {}
-  ExprPtr callee;
-  std::vector<ExprPtr> args;
+  ExprPtr callee = nullptr;
+  std::span<ExprPtr> args;
 };
 
 struct Member : Expr {
   Member() : Expr(NodeKind::Member) {}
-  ExprPtr object;
+  ExprPtr object = nullptr;
   Atom property;  // used when !computed
-  ExprPtr index;  // used when computed
+  ExprPtr index = nullptr;  // used when computed
   bool computed = false;
   /// Index of this access site's inline cache in the interpreter's IC table
   /// (assigned by resolve_scopes to every non-computed member).
@@ -252,47 +254,47 @@ struct Member : Expr {
 struct Assign : Expr {
   Assign() : Expr(NodeKind::Assign) {}
   AssignOp op = AssignOp::None;
-  ExprPtr target;  // Ident or Member
-  ExprPtr value;
+  ExprPtr target = nullptr;  // Ident or Member
+  ExprPtr value = nullptr;
 };
 
 struct Conditional : Expr {
   Conditional() : Expr(NodeKind::Conditional) {}
-  ExprPtr condition;
-  ExprPtr consequent;
-  ExprPtr alternate;
+  ExprPtr condition = nullptr;
+  ExprPtr consequent = nullptr;
+  ExprPtr alternate = nullptr;
 };
 
 struct Binary : Expr {
   Binary() : Expr(NodeKind::Binary) {}
   BinaryOp op = BinaryOp::Add;
-  ExprPtr lhs;
-  ExprPtr rhs;
+  ExprPtr lhs = nullptr;
+  ExprPtr rhs = nullptr;
 };
 
 struct Logical : Expr {
   Logical() : Expr(NodeKind::Logical) {}
   LogicalOp op = LogicalOp::And;
-  ExprPtr lhs;
-  ExprPtr rhs;
+  ExprPtr lhs = nullptr;
+  ExprPtr rhs = nullptr;
 };
 
 struct Unary : Expr {
   Unary() : Expr(NodeKind::Unary) {}
   UnaryOp op = UnaryOp::Neg;
-  ExprPtr operand;
+  ExprPtr operand = nullptr;
 };
 
 struct Update : Expr {
   Update() : Expr(NodeKind::Update) {}
   bool increment = true;
   bool prefix = false;
-  ExprPtr target;  // Ident or Member
+  ExprPtr target = nullptr;  // Ident or Member
 };
 
 struct Sequence : Expr {
   Sequence() : Expr(NodeKind::Sequence) {}
-  std::vector<ExprPtr> exprs;
+  std::span<ExprPtr> exprs;
 };
 
 // ---------------------------------------------------------------------------
@@ -304,26 +306,26 @@ struct VarDecl : Stmt {
   struct Declarator {
     Atom name;
     SlotRef ref;
-    ExprPtr init;  // may be null
+    ExprPtr init = nullptr;
   };
-  std::vector<Declarator> declarators;
+  std::span<Declarator> declarators;
 };
 
 struct FunctionDecl : Stmt {
   FunctionDecl() : Stmt(NodeKind::FunctionDecl) {}
-  std::unique_ptr<FunctionNode> fn;
+  FunctionNode* fn = nullptr;
 };
 
 struct ExprStmt : Stmt {
   ExprStmt() : Stmt(NodeKind::ExprStmt) {}
-  ExprPtr expr;
+  ExprPtr expr = nullptr;
 };
 
 struct If : Stmt {
   If() : Stmt(NodeKind::If) {}
-  ExprPtr condition;
-  StmtPtr consequent;
-  StmtPtr alternate;  // may be null
+  ExprPtr condition = nullptr;
+  StmtPtr consequent = nullptr;
+  StmtPtr alternate = nullptr;  // may be null
 };
 
 /// Loop kind recorded in the loop table; used by the dependence reports to
@@ -333,10 +335,10 @@ enum class LoopKind { For, ForIn, While, DoWhile };
 
 struct For : Stmt {
   For() : Stmt(NodeKind::For) {}
-  StmtPtr init;       // VarDecl or ExprStmt or null
-  ExprPtr condition;  // may be null (infinite)
-  ExprPtr update;     // may be null
-  StmtPtr body;
+  StmtPtr init = nullptr;       // VarDecl or ExprStmt or null
+  ExprPtr condition = nullptr;  // may be null (infinite)
+  ExprPtr update = nullptr;     // may be null
+  StmtPtr body = nullptr;
   int loop_id = 0;
 };
 
@@ -345,33 +347,33 @@ struct ForIn : Stmt {
   Atom var_name;
   SlotRef var_ref;
   bool declares_var = false;
-  ExprPtr object;
-  StmtPtr body;
+  ExprPtr object = nullptr;
+  StmtPtr body = nullptr;
   int loop_id = 0;
 };
 
 struct While : Stmt {
   While() : Stmt(NodeKind::While) {}
-  ExprPtr condition;
-  StmtPtr body;
+  ExprPtr condition = nullptr;
+  StmtPtr body = nullptr;
   int loop_id = 0;
 };
 
 struct DoWhile : Stmt {
   DoWhile() : Stmt(NodeKind::DoWhile) {}
-  ExprPtr condition;
-  StmtPtr body;
+  ExprPtr condition = nullptr;
+  StmtPtr body = nullptr;
   int loop_id = 0;
 };
 
 struct Block : Stmt {
   Block() : Stmt(NodeKind::Block) {}
-  std::vector<StmtPtr> statements;
+  std::span<StmtPtr> statements;
 };
 
 struct Return : Stmt {
   Return() : Stmt(NodeKind::Return) {}
-  ExprPtr value;  // may be null
+  ExprPtr value = nullptr;  // may be null
 };
 
 struct Break : Stmt {
@@ -388,16 +390,135 @@ struct Empty : Stmt {
 
 struct Throw : Stmt {
   Throw() : Stmt(NodeKind::Throw) {}
-  ExprPtr value;
+  ExprPtr value = nullptr;
 };
 
 struct TryCatch : Stmt {
   TryCatch() : Stmt(NodeKind::TryCatch) {}
-  StmtPtr try_block;
+  StmtPtr try_block = nullptr;
   Atom catch_param;
-  StmtPtr catch_block;  // may be null when only finally is present
-  StmtPtr finally_block;  // may be null
+  StmtPtr catch_block = nullptr;  // may be null when only finally is present
+  StmtPtr finally_block = nullptr;  // may be null
 };
+
+// ---------------------------------------------------------------------------
+// Traversal
+// ---------------------------------------------------------------------------
+
+[[nodiscard]] constexpr bool is_statement(NodeKind kind) { return kind >= NodeKind::VarDecl; }
+
+namespace detail {
+/// T, const-qualified like N.
+template <class T, class N>
+using Like = std::conditional_t<std::is_const_v<N>, const T, T>;
+}  // namespace detail
+
+/// Calls `fn` on each non-null child node of `node`, in evaluation order
+/// (a For's init, condition, update, body; a DoWhile's body, then its
+/// condition). A function's child is its body. `N` is Node or const Node;
+/// `fn` takes an `N&`. Walkers handle the kinds they care about and leave
+/// the rest to this.
+template <class N, class Fn>
+void for_each_child(N& node, Fn&& fn) {
+  using detail::Like;
+  const auto visit = [&fn](Node* child) {
+    if (child != nullptr) fn(*child);
+  };
+  const auto visit_all = [&visit](auto& children) {
+    for (Node* child : children) visit(child);
+  };
+  switch (node.kind) {
+    case NodeKind::ArrayLit: return visit_all(static_cast<Like<ArrayLit, N>&>(node).elements);
+    case NodeKind::ObjectLit:
+      for (const auto& property : static_cast<Like<ObjectLit, N>&>(node).properties) {
+        visit(property.second);
+      }
+      return;
+    case NodeKind::FunctionExpr: return visit(static_cast<Like<FunctionExpr, N>&>(node).fn->body);
+    case NodeKind::Call: {
+      auto& call = static_cast<Like<Call, N>&>(node);
+      visit(call.callee);
+      return visit_all(call.args);
+    }
+    case NodeKind::New: {
+      auto& call = static_cast<Like<New, N>&>(node);
+      visit(call.callee);
+      return visit_all(call.args);
+    }
+    case NodeKind::Member: {
+      auto& member = static_cast<Like<Member, N>&>(node);
+      visit(member.object);
+      return visit(member.index);
+    }
+    case NodeKind::Assign: {
+      auto& assign = static_cast<Like<Assign, N>&>(node);
+      visit(assign.target);
+      return visit(assign.value);
+    }
+    case NodeKind::Conditional: {
+      auto& cond = static_cast<Like<Conditional, N>&>(node);
+      visit(cond.condition);
+      visit(cond.consequent);
+      return visit(cond.alternate);
+    }
+    case NodeKind::Binary: {
+      auto& binary = static_cast<Like<Binary, N>&>(node);
+      visit(binary.lhs);
+      return visit(binary.rhs);
+    }
+    case NodeKind::Logical: {
+      auto& logical = static_cast<Like<Logical, N>&>(node);
+      visit(logical.lhs);
+      return visit(logical.rhs);
+    }
+    case NodeKind::Unary: return visit(static_cast<Like<Unary, N>&>(node).operand);
+    case NodeKind::Update: return visit(static_cast<Like<Update, N>&>(node).target);
+    case NodeKind::Sequence: return visit_all(static_cast<Like<Sequence, N>&>(node).exprs);
+    case NodeKind::VarDecl:
+      for (const auto& d : static_cast<Like<VarDecl, N>&>(node).declarators) visit(d.init);
+      return;
+    case NodeKind::FunctionDecl: return visit(static_cast<Like<FunctionDecl, N>&>(node).fn->body);
+    case NodeKind::ExprStmt: return visit(static_cast<Like<ExprStmt, N>&>(node).expr);
+    case NodeKind::If: {
+      auto& branch = static_cast<Like<If, N>&>(node);
+      visit(branch.condition);
+      visit(branch.consequent);
+      return visit(branch.alternate);
+    }
+    case NodeKind::For: {
+      auto& loop = static_cast<Like<For, N>&>(node);
+      visit(loop.init);
+      visit(loop.condition);
+      visit(loop.update);
+      return visit(loop.body);
+    }
+    case NodeKind::ForIn: {
+      auto& loop = static_cast<Like<ForIn, N>&>(node);
+      visit(loop.object);
+      return visit(loop.body);
+    }
+    case NodeKind::While: {
+      auto& loop = static_cast<Like<While, N>&>(node);
+      visit(loop.condition);
+      return visit(loop.body);
+    }
+    case NodeKind::DoWhile: {
+      auto& loop = static_cast<Like<DoWhile, N>&>(node);
+      visit(loop.body);
+      return visit(loop.condition);
+    }
+    case NodeKind::Block: return visit_all(static_cast<Like<Block, N>&>(node).statements);
+    case NodeKind::Return: return visit(static_cast<Like<Return, N>&>(node).value);
+    case NodeKind::Throw: return visit(static_cast<Like<Throw, N>&>(node).value);
+    case NodeKind::TryCatch: {
+      auto& handler = static_cast<Like<TryCatch, N>&>(node);
+      visit(handler.try_block);
+      visit(handler.catch_block);
+      return visit(handler.finally_block);
+    }
+    default: return;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Program and loop table
@@ -434,15 +555,21 @@ void resolve_scopes(class Program& program);
 /// interpreters hangs off (interp/shape.h). The space and the tree grow
 /// under a const body (they are internally synchronized, and growth never
 /// changes an answer already given).
+///
+/// Every AST node, child list and activation layout lives in the body's
+/// bump arena and is freed with it in one step; nothing there has a
+/// destructor to run. Nodes a rewrite unlinks stay until the body dies.
 struct ProgramBody {
-  ProgramBody();
+  /// `source_bytes` sizes the arena's first chunk (see program.cpp).
+  explicit ProgramBody(std::size_t source_bytes = 0);
   ~ProgramBody();
 
   mutable AtomSpace atoms;  // declared first: destroyed last
+  std::pmr::monotonic_buffer_resource arena;
   std::unique_ptr<const interp::Shape> shape_root;
-  std::vector<StmtPtr> statements;
-  std::vector<Atom> hoisted_vars;
-  std::vector<const FunctionDecl*> hoisted_functions;
+  std::span<StmtPtr> statements;
+  std::span<Atom> hoisted_vars;
+  std::span<const FunctionDecl*> hoisted_functions;
   std::vector<LoopSite> loops;        // indexed by loop_id - 1
   std::vector<std::string> fn_names;  // indexed by fn_id - 1
   std::string source_name;
@@ -461,6 +588,33 @@ struct ProgramBody {
       if (site.line == line) return site.loop_id;
     }
     return 0;
+  }
+
+  /// A value-initialized T in the arena.
+  template <class T>
+  T* make() {
+    static_assert(std::is_trivially_destructible_v<T>, "the arena runs no destructor");
+    return ::new (arena.allocate(sizeof(T), alignof(T))) T();
+  }
+
+  /// `n` value-initialized Ts in the arena.
+  template <class T>
+  std::span<T> array(std::size_t n) {
+    static_assert(std::is_trivially_destructible_v<T>, "the arena runs no destructor");
+    if (n == 0) return {};
+    T* out = static_cast<T*>(arena.allocate(n * sizeof(T), alignof(T)));
+    std::uninitialized_value_construct_n(out, n);
+    return {out, n};
+  }
+
+  /// A copy of `items` in the arena.
+  template <class T>
+  std::span<T> list(std::span<const T> items) {
+    static_assert(std::is_trivially_destructible_v<T>, "the arena runs no destructor");
+    if (items.empty()) return {};
+    T* out = static_cast<T*>(arena.allocate(items.size_bytes(), alignof(T)));
+    std::uninitialized_copy(items.begin(), items.end(), out);
+    return {out, items.size()};
   }
 };
 
@@ -481,6 +635,7 @@ class Program {
                        const EngineLimits& limits);
   friend void resolve_scopes(Program& program);
   friend RefactorReport to_functional(Program& program);
+  explicit Program(std::size_t source_bytes);
   /// The body, for the three friends; throws std::logic_error when another
   /// handle shares it (a rewrite under a running interpreter).
   ProgramBody& mut();

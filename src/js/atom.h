@@ -8,7 +8,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace jsceres::js {
 
@@ -23,6 +23,19 @@ struct AtomData {
   std::shared_ptr<const std::string> text;
   std::size_t hash = 0;
   std::uint32_t id = 0;
+};
+
+/// Records by text: open addressing with linear probing, at most half
+/// full. Records are never erased, so the index holds plain pointers and
+/// a lookup allocates nothing. Not synchronized; its owner locks.
+class AtomIndex {
+ public:
+  [[nodiscard]] const AtomData* find(std::string_view text, std::size_t hash) const;
+  void insert(const AtomData* data);
+
+ private:
+  std::vector<const AtomData*> slots_;
+  std::size_t size_ = 0;
 };
 }  // namespace detail
 
@@ -96,6 +109,7 @@ class Atom {
 
  private:
   friend class AtomSpace;
+  friend class AtomCache;
   explicit Atom(const detail::AtomData* data) : data_(data) {}
   static const detail::AtomData* empty_data();
 
@@ -107,10 +121,14 @@ class Atom {
 /// atom here; it never writes the prefix, so nothing process-wide can point
 /// into a space. The answer for a given text never changes over the
 /// space's life (a local atom always wins, and the prefix only grows), which
-/// is what keeps identity within the program. Thread-safe: interpreters on
-/// several threads may share one program. One plain mutex covers a whole
-/// lookup-or-create, so a local atom and a prefix atom for one text can
-/// never both be handed out; it is per program, so it is rarely contended.
+/// is what keeps identity within the program. The keywords are in the
+/// prefix before any space can probe it, so they are never local atoms.
+/// Thread-safe: interpreters on several threads may share one program. One
+/// plain mutex covers a whole lookup-or-create, so a local atom and a prefix
+/// atom for one text can never both be handed out; it is per program, so it
+/// is rarely contended. The lexer calls intern() once per distinct spelling
+/// (its own table caches the answers for the rest of the source), so the
+/// lock is not paid per token.
 class AtomSpace {
  public:
   AtomSpace() = default;
@@ -131,16 +149,31 @@ class AtomSpace {
 
  private:
   /// Local-then-prefix lookup; the caller holds mutex_.
-  [[nodiscard]] const detail::AtomData* find_locked(std::string_view text) const;
+  [[nodiscard]] const detail::AtomData* find_locked(std::string_view text,
+                                                    std::size_t hash) const;
 
   mutable std::mutex mutex_;
-  std::unordered_map<std::string_view, detail::AtomData*> map_;
+  detail::AtomIndex index_;
   std::deque<detail::AtomData> storage_;
+};
+
+/// One thread's cache in front of a space, for the lexer: an open-addressed
+/// table keyed by spelling, so the space's intern() (a lock and a probe)
+/// runs once per distinct spelling. Unsynchronized; lives for one lex.
+class AtomCache {
+ public:
+  explicit AtomCache(AtomSpace& space) : space_(space) {}
+
+  Atom intern(std::string_view text);
+
+ private:
+  AtomSpace& space_;
+  detail::AtomIndex index_;
 };
 
 /// Number of atoms in the process-wide prefix.
 std::size_t atom_table_size();
-/// Approximate bytes held by the prefix (record + text + map overhead).
+/// Approximate bytes held by the prefix (record + text + index overhead).
 std::size_t atom_table_bytes();
 
 }  // namespace jsceres::js

@@ -1,46 +1,132 @@
 #include "js/lexer.h"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <climits>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
-#include <unordered_map>
+#include <string>
 
 namespace jsceres::js {
 
 namespace {
 
-const std::unordered_map<std::string_view, Tok>& keyword_table() {
-  static const std::unordered_map<std::string_view, Tok> table = {
-      {"var", Tok::KwVar},
-      {"function", Tok::KwFunction},
-      {"return", Tok::KwReturn},
-      {"if", Tok::KwIf},
-      {"else", Tok::KwElse},
-      {"for", Tok::KwFor},
-      {"while", Tok::KwWhile},
-      {"do", Tok::KwDo},
-      {"break", Tok::KwBreak},
-      {"continue", Tok::KwContinue},
-      {"new", Tok::KwNew},
-      {"delete", Tok::KwDelete},
-      {"typeof", Tok::KwTypeof},
-      {"this", Tok::KwThis},
-      {"true", Tok::KwTrue},
-      {"false", Tok::KwFalse},
-      {"null", Tok::KwNull},
-      {"in", Tok::KwIn},
-      {"instanceof", Tok::KwInstanceof},
-      {"throw", Tok::KwThrow},
-      {"try", Tok::KwTry},
-      {"catch", Tok::KwCatch},
-      {"finally", Tok::KwFinally},
-  };
+enum : std::uint8_t { kSpace = 1, kIdentStart = 2, kDigit = 4, kHexDigit = 8 };
+
+/// The "C" locale's isspace / isalpha-or-`_$` / isdigit / isxdigit, one
+/// lookup per byte.
+constexpr std::array<std::uint8_t, 256> kCharClass = [] {
+  std::array<std::uint8_t, 256> table{};
+  for (const char c : {' ', '\t', '\n', '\v', '\f', '\r'}) table[std::uint8_t(c)] |= kSpace;
+  for (int c = 'a'; c <= 'z'; ++c) table[c] |= kIdentStart;
+  for (int c = 'A'; c <= 'Z'; ++c) table[c] |= kIdentStart;
+  table['_'] |= kIdentStart;
+  table['$'] |= kIdentStart;
+  for (int c = '0'; c <= '9'; ++c) table[c] |= kDigit | kHexDigit;
+  for (int c = 'a'; c <= 'f'; ++c) table[c] |= kHexDigit;
+  for (int c = 'A'; c <= 'F'; ++c) table[c] |= kHexDigit;
   return table;
+}();
+
+bool is(char c, std::uint8_t cls) { return (kCharClass[std::uint8_t(c)] & cls) != 0; }
+
+/// The keyword an identifier spells, or Tok::Ident: a switch on the first
+/// character and the length, then one compare.
+Tok keyword_kind(std::string_view text) {
+  const auto kw = [text](Tok kind) {
+    return text == kKeywordSpellings[std::size_t(kind) - std::size_t(Tok::KwVar)]
+               ? kind
+               : Tok::Ident;
+  };
+  const std::size_t n = text.size();
+  switch (text[0]) {
+    case 'b': return kw(Tok::KwBreak);
+    case 'c': return kw(n == 8 ? Tok::KwContinue : Tok::KwCatch);
+    case 'd': return kw(n == 2 ? Tok::KwDo : Tok::KwDelete);
+    case 'e': return kw(Tok::KwElse);
+    case 'f':
+      return kw(n == 3   ? Tok::KwFor
+                : n == 5 ? Tok::KwFalse
+                : n == 7 ? Tok::KwFinally
+                         : Tok::KwFunction);
+    case 'i':
+      return kw(n == 10 ? Tok::KwInstanceof : text[n - 1] == 'f' ? Tok::KwIf : Tok::KwIn);
+    case 'n': return kw(n == 3 ? Tok::KwNew : Tok::KwNull);
+    case 'r': return kw(Tok::KwReturn);
+    case 't':
+      switch (n) {
+        case 3: return kw(Tok::KwTry);
+        case 4: return kw(text[1] == 'h' ? Tok::KwThis : Tok::KwTrue);
+        case 5: return kw(Tok::KwThrow);
+        case 6: return kw(Tok::KwTypeof);
+        default: return Tok::Ident;
+      }
+    case 'v': return kw(Tok::KwVar);
+    case 'w': return kw(Tok::KwWhile);
+    default: return Tok::Ident;
+  }
 }
 
-class Cursor {
- public:
-  explicit Cursor(std::string_view src) : src_(src) {}
+/// The prefix atom of keyword `kind` (the prefix interns every keyword when
+/// it is built, so these lookups never create anything).
+Atom keyword_atom(Tok kind) {
+  static const auto atoms = [] {
+    std::array<Atom, std::size(kKeywordSpellings)> out;
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = Atom::intern(kKeywordSpellings[i]);
+    return out;
+  }();
+  return atoms[std::size_t(kind) - std::size_t(Tok::KwVar)];
+}
 
+/// A decimal literal's value: from_chars, which rounds exactly as strtod
+/// does, with strtod itself for the overflow and underflow cases that
+/// from_chars reports as errors (inf and 0).
+double decimal_value(std::string_view text) {
+  double value = 0;
+  if (std::from_chars(text.data(), text.data() + text.size(), value).ec == std::errc()) {
+    return value;
+  }
+  return std::strtod(std::string(text).c_str(), nullptr);
+}
+
+/// A hex literal's value from its digits, saturating as strtoll does.
+double hex_value(std::string_view digits) {
+  long long value = 0;
+  if (std::from_chars(digits.data(), digits.data() + digits.size(), value, 16).ec ==
+      std::errc::result_out_of_range) {
+    value = LLONG_MAX;
+  }
+  return double(value);
+}
+
+class Lexer {
+ public:
+  Lexer(std::string_view src, AtomSpace& atoms) : src_(src), names_(atoms) {}
+
+  std::vector<Token> run(const EngineLimits& limits) {
+    std::vector<Token> tokens;
+    // Generated programs run 2.5 source bytes per token and the study apps
+    // 3-4.5; the vector grows past a denser source.
+    std::size_t expected = src_.size() / 2 + 16;
+    if (limits.max_tokens > 0) expected = std::min(expected, limits.max_tokens + 1);
+    tokens.reserve(expected);
+    while (true) {
+      skip_trivia();
+      if (at_end()) break;
+      if (limits.max_tokens > 0 && tokens.size() >= limits.max_tokens) {
+        throw LexError("token limit exceeded (" + std::to_string(limits.max_tokens) +
+                           " tokens)",
+                       line_);
+      }
+      tokens.push_back(next());
+    }
+    tokens.push_back(Token{Tok::Eof, line_, Atom(), 0, std::uint32_t(pos_)});
+    return tokens;
+  }
+
+ private:
   [[nodiscard]] bool at_end() const { return pos_ >= src_.size(); }
   [[nodiscard]] char peek(std::size_t ahead = 0) const {
     return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
@@ -52,191 +138,197 @@ class Cursor {
   }
   bool match(char expected) {
     if (at_end() || src_[pos_] != expected) return false;
-    advance();
+    ++pos_;
     return true;
   }
-  [[nodiscard]] int line() const { return line_; }
-  [[nodiscard]] std::size_t pos() const { return pos_; }
-  [[nodiscard]] std::string_view slice(std::size_t from) const {
-    return src_.substr(from, pos_ - from);
+
+  void skip_trivia() {
+    while (!at_end()) {
+      const char c = peek();
+      if (is(c, kSpace)) {
+        advance();
+      } else if (c == '/' && peek(1) == '/') {
+        while (!at_end() && peek() != '\n') ++pos_;
+      } else if (c == '/' && peek(1) == '*') {
+        const int start_line = line_;
+        pos_ += 2;
+        while (!(peek() == '*' && peek(1) == '/')) {
+          if (at_end()) throw LexError("unterminated block comment", start_line);
+          advance();
+        }
+        pos_ += 2;
+      } else {
+        return;
+      }
+    }
   }
 
- private:
+  Token next() {
+    Token token;
+    token.line = line_;
+    token.offset = std::uint32_t(pos_);
+    const char c = peek();
+    if (is(c, kDigit)) {
+      token.kind = Tok::Number;
+      token.number = lex_number();
+      return token;
+    }
+    if (c == '"' || c == '\'') {
+      token.kind = Tok::String;
+      token.atom = names_.intern(lex_string());
+      return token;
+    }
+    if (is(c, kIdentStart)) {
+      const std::size_t start = pos_;
+      while (is(peek(), kIdentStart | kDigit)) ++pos_;
+      const std::string_view text = src_.substr(start, pos_ - start);
+      token.kind = keyword_kind(text);
+      token.atom = token.kind == Tok::Ident ? names_.intern(text) : keyword_atom(token.kind);
+      return token;
+    }
+    ++pos_;
+    token.kind = punctuator(c);
+    return token;
+  }
+
+  double lex_number() {
+    const std::size_t start = pos_;
+    if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
+      pos_ += 2;
+      while (is(peek(), kHexDigit)) ++pos_;
+      return hex_value(src_.substr(start + 2, pos_ - start - 2));
+    }
+    while (is(peek(), kDigit)) ++pos_;
+    if (peek() == '.' && is(peek(1), kDigit)) {
+      ++pos_;
+      while (is(peek(), kDigit)) ++pos_;
+    }
+    if (peek() == 'e' || peek() == 'E') {
+      const std::size_t ahead = peek(1) == '+' || peek(1) == '-' ? 2 : 1;
+      if (is(peek(ahead), kDigit)) {
+        pos_ += ahead;
+        while (is(peek(), kDigit)) ++pos_;
+      }
+    }
+    return decimal_value(src_.substr(start, pos_ - start));
+  }
+
+  /// The literal's value: a view of the source when it has no escape, else
+  /// decoded into `decoded_`.
+  std::string_view lex_string() {
+    const int line = line_;
+    const char quote = advance();
+    const std::size_t start = pos_;
+    bool escaped = false;
+    while (true) {
+      if (at_end()) throw LexError("unterminated string literal", line);
+      const char c = advance();
+      if (c == quote) break;
+      if (c == '\n') throw LexError("newline in string literal", line);
+      if (c == '\\') {
+        if (!escaped) {
+          decoded_.assign(src_.substr(start, pos_ - 1 - start));
+          escaped = true;
+        }
+        if (at_end()) throw LexError("unterminated escape", line);
+        const char esc = advance();
+        switch (esc) {
+          case 'n': decoded_ += '\n'; break;
+          case 't': decoded_ += '\t'; break;
+          case 'r': decoded_ += '\r'; break;
+          case '0': decoded_ += '\0'; break;
+          default: decoded_ += esc; break;
+        }
+      } else if (escaped) {
+        decoded_ += c;
+      }
+    }
+    return escaped ? std::string_view(decoded_) : src_.substr(start, pos_ - 1 - start);
+  }
+
+  /// The operator or punctuator starting with `c` (already consumed).
+  Tok punctuator(char c) {
+    switch (c) {
+      case '(': return Tok::LParen;
+      case ')': return Tok::RParen;
+      case '{': return Tok::LBrace;
+      case '}': return Tok::RBrace;
+      case '[': return Tok::LBracket;
+      case ']': return Tok::RBracket;
+      case ';': return Tok::Semicolon;
+      case ',': return Tok::Comma;
+      case '.': return Tok::Dot;
+      case ':': return Tok::Colon;
+      case '?': return Tok::Question;
+      case '~': return Tok::BitNot;
+      case '+':
+        return match('+') ? Tok::PlusPlus : match('=') ? Tok::PlusAssign : Tok::Plus;
+      case '-':
+        return match('-') ? Tok::MinusMinus : match('=') ? Tok::MinusAssign : Tok::Minus;
+      case '*': return match('=') ? Tok::StarAssign : Tok::Star;
+      case '/': return match('=') ? Tok::SlashAssign : Tok::Slash;
+      case '%': return match('=') ? Tok::PercentAssign : Tok::Percent;
+      case '=':
+        if (match('=')) return match('=') ? Tok::EqEqEq : Tok::EqEq;
+        return Tok::Assign;
+      case '!':
+        if (match('=')) return match('=') ? Tok::NotEqEq : Tok::NotEq;
+        return Tok::Not;
+      case '<':
+        if (match('<')) return match('=') ? Tok::ShlAssign : Tok::Shl;
+        return match('=') ? Tok::Le : Tok::Lt;
+      case '>':
+        if (match('>')) {
+          if (match('>')) return Tok::UShr;
+          return match('=') ? Tok::ShrAssign : Tok::Shr;
+        }
+        return match('=') ? Tok::Ge : Tok::Gt;
+      case '&':
+        return match('&') ? Tok::AndAnd : match('=') ? Tok::AmpAssign : Tok::BitAnd;
+      case '|':
+        return match('|') ? Tok::OrOr : match('=') ? Tok::PipeAssign : Tok::BitOr;
+      case '^': return match('=') ? Tok::CaretAssign : Tok::BitXor;
+      default:
+        throw LexError(std::string("unexpected character '") + c + "'", line_);
+    }
+  }
+
   std::string_view src_;
   std::size_t pos_ = 0;
   int line_ = 1;
+  AtomCache names_;
+  std::string decoded_;
 };
-
-bool is_ident_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '$';
-}
-
-bool is_ident_part(char c) {
-  return is_ident_start(c) || std::isdigit(static_cast<unsigned char>(c));
-}
-
-void skip_trivia(Cursor& cur) {
-  while (!cur.at_end()) {
-    const char c = cur.peek();
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      cur.advance();
-    } else if (c == '/' && cur.peek(1) == '/') {
-      while (!cur.at_end() && cur.peek() != '\n') cur.advance();
-    } else if (c == '/' && cur.peek(1) == '*') {
-      const int start_line = cur.line();
-      cur.advance();
-      cur.advance();
-      while (!(cur.peek() == '*' && cur.peek(1) == '/')) {
-        if (cur.at_end()) throw LexError("unterminated block comment", start_line);
-        cur.advance();
-      }
-      cur.advance();
-      cur.advance();
-    } else {
-      return;
-    }
-  }
-}
-
-Token lex_number(Cursor& cur) {
-  const int line = cur.line();
-  const std::size_t start = cur.pos();
-  if (cur.peek() == '0' && (cur.peek(1) == 'x' || cur.peek(1) == 'X')) {
-    cur.advance();
-    cur.advance();
-    while (std::isxdigit(static_cast<unsigned char>(cur.peek()))) cur.advance();
-    const std::string text(cur.slice(start));
-    return Token{Tok::Number, text, Atom(),
-                 double(std::strtoll(text.c_str(), nullptr, 16)), line};
-  }
-  while (std::isdigit(static_cast<unsigned char>(cur.peek()))) cur.advance();
-  if (cur.peek() == '.' && std::isdigit(static_cast<unsigned char>(cur.peek(1)))) {
-    cur.advance();
-    while (std::isdigit(static_cast<unsigned char>(cur.peek()))) cur.advance();
-  }
-  if (cur.peek() == 'e' || cur.peek() == 'E') {
-    std::size_t ahead = 1;
-    if (cur.peek(1) == '+' || cur.peek(1) == '-') ahead = 2;
-    if (std::isdigit(static_cast<unsigned char>(cur.peek(ahead)))) {
-      for (std::size_t i = 0; i < ahead; ++i) cur.advance();
-      while (std::isdigit(static_cast<unsigned char>(cur.peek()))) cur.advance();
-    }
-  }
-  const std::string text(cur.slice(start));
-  return Token{Tok::Number, text, Atom(), std::strtod(text.c_str(), nullptr), line};
-}
-
-Token lex_string(Cursor& cur, AtomSpace& atoms) {
-  const int line = cur.line();
-  const char quote = cur.advance();
-  std::string value;
-  while (true) {
-    if (cur.at_end()) throw LexError("unterminated string literal", line);
-    const char c = cur.advance();
-    if (c == quote) break;
-    if (c == '\n') throw LexError("newline in string literal", line);
-    if (c == '\\') {
-      if (cur.at_end()) throw LexError("unterminated escape", line);
-      const char esc = cur.advance();
-      switch (esc) {
-        case 'n': value += '\n'; break;
-        case 't': value += '\t'; break;
-        case 'r': value += '\r'; break;
-        case '0': value += '\0'; break;
-        case '\\': value += '\\'; break;
-        case '\'': value += '\''; break;
-        case '"': value += '"'; break;
-        default: value += esc; break;
-      }
-    } else {
-      value += c;
-    }
-  }
-  Token token{Tok::String, std::string(), atoms.intern(value), 0, line};
-  token.text = std::move(value);
-  return token;
-}
 
 }  // namespace
 
 const char* tok_name(Tok kind) {
-  switch (kind) {
-    case Tok::Number: return "number";
-    case Tok::String: return "string";
-    case Tok::Ident: return "identifier";
-    case Tok::KwVar: return "'var'";
-    case Tok::KwFunction: return "'function'";
-    case Tok::KwReturn: return "'return'";
-    case Tok::KwIf: return "'if'";
-    case Tok::KwElse: return "'else'";
-    case Tok::KwFor: return "'for'";
-    case Tok::KwWhile: return "'while'";
-    case Tok::KwDo: return "'do'";
-    case Tok::KwBreak: return "'break'";
-    case Tok::KwContinue: return "'continue'";
-    case Tok::KwNew: return "'new'";
-    case Tok::KwDelete: return "'delete'";
-    case Tok::KwTypeof: return "'typeof'";
-    case Tok::KwThis: return "'this'";
-    case Tok::KwTrue: return "'true'";
-    case Tok::KwFalse: return "'false'";
-    case Tok::KwNull: return "'null'";
-    case Tok::KwIn: return "'in'";
-    case Tok::KwInstanceof: return "'instanceof'";
-    case Tok::KwThrow: return "'throw'";
-    case Tok::KwTry: return "'try'";
-    case Tok::KwCatch: return "'catch'";
-    case Tok::KwFinally: return "'finally'";
-    case Tok::LParen: return "'('";
-    case Tok::RParen: return "')'";
-    case Tok::LBrace: return "'{'";
-    case Tok::RBrace: return "'}'";
-    case Tok::LBracket: return "'['";
-    case Tok::RBracket: return "']'";
-    case Tok::Semicolon: return "';'";
-    case Tok::Comma: return "','";
-    case Tok::Dot: return "'.'";
-    case Tok::Colon: return "':'";
-    case Tok::Question: return "'?'";
-    case Tok::Assign: return "'='";
-    case Tok::PlusAssign: return "'+='";
-    case Tok::MinusAssign: return "'-='";
-    case Tok::StarAssign: return "'*='";
-    case Tok::SlashAssign: return "'/='";
-    case Tok::PercentAssign: return "'%='";
-    case Tok::AmpAssign: return "'&='";
-    case Tok::PipeAssign: return "'|='";
-    case Tok::CaretAssign: return "'^='";
-    case Tok::ShlAssign: return "'<<='";
-    case Tok::ShrAssign: return "'>>='";
-    case Tok::Plus: return "'+'";
-    case Tok::Minus: return "'-'";
-    case Tok::Star: return "'*'";
-    case Tok::Slash: return "'/'";
-    case Tok::Percent: return "'%'";
-    case Tok::PlusPlus: return "'++'";
-    case Tok::MinusMinus: return "'--'";
-    case Tok::EqEq: return "'=='";
-    case Tok::NotEq: return "'!='";
-    case Tok::EqEqEq: return "'==='";
-    case Tok::NotEqEq: return "'!=='";
-    case Tok::Lt: return "'<'";
-    case Tok::Gt: return "'>'";
-    case Tok::Le: return "'<='";
-    case Tok::Ge: return "'>='";
-    case Tok::AndAnd: return "'&&'";
-    case Tok::OrOr: return "'||'";
-    case Tok::Not: return "'!'";
-    case Tok::BitAnd: return "'&'";
-    case Tok::BitOr: return "'|'";
-    case Tok::BitXor: return "'^'";
-    case Tok::BitNot: return "'~'";
-    case Tok::Shl: return "'<<'";
-    case Tok::Shr: return "'>>'";
-    case Tok::UShr: return "'>>>'";
-    case Tok::Eof: return "end of input";
+  // In Tok order.
+  static constexpr const char* kNames[] = {
+      "number", "string", "identifier", "'var'", "'function'", "'return'", "'if'", "'else'",
+      "'for'", "'while'", "'do'", "'break'", "'continue'", "'new'", "'delete'", "'typeof'",
+      "'this'", "'true'", "'false'", "'null'", "'in'", "'instanceof'", "'throw'", "'try'",
+      "'catch'", "'finally'", "'('", "')'", "'{'", "'}'", "'['", "']'", "';'", "','", "'.'",
+      "':'", "'?'", "'='", "'+='", "'-='", "'*='", "'/='", "'%='", "'&='", "'|='", "'^='",
+      "'<<='", "'>>='", "'+'", "'-'", "'*'", "'/'", "'%'", "'++'", "'--'", "'=='", "'!='",
+      "'==='", "'!=='", "'<'", "'>'", "'<='", "'>='", "'&&'", "'||'", "'!'", "'&'", "'|'",
+      "'^'", "'~'", "'<<'", "'>>'", "'>>>'", "end of input",
+  };
+  static_assert(std::size(kNames) == std::size_t(Tok::Eof) + 1);
+  return kNames[std::size_t(kind)];
+}
+
+std::string number_to_string(double d) {
+  if (std::isnan(d)) return "NaN";
+  if (std::isinf(d)) return d > 0 ? "Infinity" : "-Infinity";
+  if (d == std::floor(d) && std::fabs(d) < 1e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
+    return buf;
   }
-  return "?";
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.10g", d);
+  return buf;
 }
 
 std::vector<Token> lex(std::string_view source, AtomSpace& atoms,
@@ -247,112 +339,7 @@ std::vector<Token> lex(std::string_view source, AtomSpace& atoms,
                        " bytes",
                    1);
   }
-  std::vector<Token> tokens;
-  Cursor cur(source);
-  while (true) {
-    skip_trivia(cur);
-    if (cur.at_end()) break;
-    if (limits.max_tokens > 0 && tokens.size() >= limits.max_tokens) {
-      throw LexError("token limit exceeded (" +
-                         std::to_string(limits.max_tokens) + " tokens)",
-                     cur.line());
-    }
-    const char c = cur.peek();
-    const int line = cur.line();
-
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      tokens.push_back(lex_number(cur));
-      continue;
-    }
-    if (c == '"' || c == '\'') {
-      tokens.push_back(lex_string(cur, atoms));
-      continue;
-    }
-    if (is_ident_start(c)) {
-      const std::size_t start = cur.pos();
-      while (is_ident_part(cur.peek())) cur.advance();
-      const std::string_view text = cur.slice(start);
-      const auto it = keyword_table().find(text);
-      const Tok kind = it != keyword_table().end() ? it->second : Tok::Ident;
-      tokens.push_back(Token{kind, std::string(text), atoms.intern(text), 0, line});
-      continue;
-    }
-
-    cur.advance();
-    const auto push = [&](Tok kind) {
-      tokens.push_back(Token{kind, "", Atom(), 0, line});
-    };
-    switch (c) {
-      case '(': push(Tok::LParen); break;
-      case ')': push(Tok::RParen); break;
-      case '{': push(Tok::LBrace); break;
-      case '}': push(Tok::RBrace); break;
-      case '[': push(Tok::LBracket); break;
-      case ']': push(Tok::RBracket); break;
-      case ';': push(Tok::Semicolon); break;
-      case ',': push(Tok::Comma); break;
-      case '.': push(Tok::Dot); break;
-      case ':': push(Tok::Colon); break;
-      case '?': push(Tok::Question); break;
-      case '~': push(Tok::BitNot); break;
-      case '+':
-        push(cur.match('+') ? Tok::PlusPlus
-                            : (cur.match('=') ? Tok::PlusAssign : Tok::Plus));
-        break;
-      case '-':
-        push(cur.match('-') ? Tok::MinusMinus
-                            : (cur.match('=') ? Tok::MinusAssign : Tok::Minus));
-        break;
-      case '*': push(cur.match('=') ? Tok::StarAssign : Tok::Star); break;
-      case '/': push(cur.match('=') ? Tok::SlashAssign : Tok::Slash); break;
-      case '%': push(cur.match('=') ? Tok::PercentAssign : Tok::Percent); break;
-      case '=':
-        if (cur.match('=')) {
-          push(cur.match('=') ? Tok::EqEqEq : Tok::EqEq);
-        } else {
-          push(Tok::Assign);
-        }
-        break;
-      case '!':
-        if (cur.match('=')) {
-          push(cur.match('=') ? Tok::NotEqEq : Tok::NotEq);
-        } else {
-          push(Tok::Not);
-        }
-        break;
-      case '<':
-        if (cur.match('<')) {
-          push(cur.match('=') ? Tok::ShlAssign : Tok::Shl);
-        } else {
-          push(cur.match('=') ? Tok::Le : Tok::Lt);
-        }
-        break;
-      case '>':
-        if (cur.match('>')) {
-          if (cur.match('>')) {
-            push(Tok::UShr);
-          } else {
-            push(cur.match('=') ? Tok::ShrAssign : Tok::Shr);
-          }
-        } else {
-          push(cur.match('=') ? Tok::Ge : Tok::Gt);
-        }
-        break;
-      case '&':
-        push(cur.match('&') ? Tok::AndAnd
-                            : (cur.match('=') ? Tok::AmpAssign : Tok::BitAnd));
-        break;
-      case '|':
-        push(cur.match('|') ? Tok::OrOr
-                            : (cur.match('=') ? Tok::PipeAssign : Tok::BitOr));
-        break;
-      case '^': push(cur.match('=') ? Tok::CaretAssign : Tok::BitXor); break;
-      default:
-        throw LexError(std::string("unexpected character '") + c + "'", line);
-    }
-  }
-  tokens.push_back(Token{Tok::Eof, "", Atom(), 0, cur.line()});
-  return tokens;
+  return Lexer(source, atoms).run(limits);
 }
 
 }  // namespace jsceres::js

@@ -1,6 +1,6 @@
 #include "js/parser.h"
 
-#include <cassert>
+#include <span>
 #include <utility>
 
 #include "js/lexer.h"
@@ -19,11 +19,10 @@ class Parser {
   void run() {
     // The top level behaves like a function body for hoisting purposes.
     HoistScope top(this, /*fn_id=*/0);
-    while (!check(Tok::Eof)) {
-      program_.statements.push_back(parse_statement());
-    }
-    program_.hoisted_vars = std::move(top.vars);
-    program_.hoisted_functions = std::move(top.functions);
+    while (!check(Tok::Eof)) stmts_.push_back(parse_statement());
+    program_.statements = take(stmts_, 0);
+    program_.hoisted_vars = take(atoms_, top.var_mark);
+    program_.hoisted_functions = take(fns_, top.fn_mark);
   }
 
  private:
@@ -33,16 +32,23 @@ class Parser {
   /// parsed. JavaScript's function scoping means every `var` in the body —
   /// including ones textually inside loops — belongs to the enclosing
   /// function's environment; the interpreter materializes them at call time.
+  /// Its names and declarations sit on the parser's scratch stacks above
+  /// `var_mark` and `fn_mark`.
   struct HoistScope {
     explicit HoistScope(Parser* parser, int fn_id)
-        : parser(parser), previous(parser->hoist_), fn_id(fn_id) {
+        : parser(parser),
+          previous(parser->hoist_),
+          fn_id(fn_id),
+          var_mark(parser->atoms_.size()),
+          fn_mark(parser->fns_.size()) {
       parser->hoist_ = this;
     }
     ~HoistScope() { parser->hoist_ = previous; }
 
     void add_var(Atom name) {
-      for (const auto& existing : vars) {
-        if (existing == name) return;
+      std::vector<Atom>& vars = parser->atoms_;
+      for (std::size_t i = var_mark; i < vars.size(); ++i) {
+        if (vars[i] == name) return;
       }
       vars.push_back(name);
     }
@@ -50,9 +56,27 @@ class Parser {
     Parser* parser;
     HoistScope* previous;
     int fn_id;
-    std::vector<Atom> vars;
-    std::vector<const FunctionDecl*> functions;
+    std::size_t var_mark;
+    std::size_t fn_mark;
   };
+
+  // -- arena ---------------------------------------------------------------
+
+  template <class T>
+  T* make() {
+    return program_.make<T>();
+  }
+
+  /// Moves the items above `mark` off a scratch stack into the arena. A
+  /// list's items stay on the stack until it is complete; a list nested in
+  /// it completes first and takes only its own, so one stack per item type
+  /// serves every depth.
+  template <class T>
+  std::span<T> take(std::vector<T>& scratch, std::size_t mark) {
+    const std::span<T> out = program_.list(std::span<const T>(scratch).subspan(mark));
+    scratch.resize(mark);
+    return out;
+  }
 
   // -- token plumbing --------------------------------------------------------
 
@@ -115,27 +139,27 @@ class Parser {
       case Tok::KwDo: return parse_do_while();
       case Tok::KwReturn: return parse_return();
       case Tok::KwBreak: {
-        auto node = std::make_unique<Break>();
+        auto node = make<Break>();
         node->line = line();
         advance();
         expect(Tok::Semicolon, "break statement");
         return node;
       }
       case Tok::KwContinue: {
-        auto node = std::make_unique<Continue>();
+        auto node = make<Continue>();
         node->line = line();
         advance();
         expect(Tok::Semicolon, "continue statement");
         return node;
       }
       case Tok::Semicolon: {
-        auto node = std::make_unique<Empty>();
+        auto node = make<Empty>();
         node->line = line();
         advance();
         return node;
       }
       case Tok::KwThrow: {
-        auto node = std::make_unique<Throw>();
+        auto node = make<Throw>();
         node->line = line();
         advance();
         node->value = parse_expression();
@@ -144,7 +168,7 @@ class Parser {
       }
       case Tok::KwTry: return parse_try();
       default: {
-        auto node = std::make_unique<ExprStmt>();
+        auto node = make<ExprStmt>();
         node->line = line();
         node->expr = parse_expression();
         expect(Tok::Semicolon, "expression statement");
@@ -154,34 +178,38 @@ class Parser {
   }
 
   StmtPtr parse_block() {
-    auto block = std::make_unique<Block>();
+    auto block = make<Block>();
     block->line = line();
     expect(Tok::LBrace, "block");
+    const std::size_t mark = stmts_.size();
     while (!check(Tok::RBrace)) {
       if (check(Tok::Eof)) throw ParseError("unterminated block", block->line);
-      block->statements.push_back(parse_statement());
+      stmts_.push_back(parse_statement());
     }
+    block->statements = take(stmts_, mark);
     expect(Tok::RBrace, "block");
     return block;
   }
 
-  std::unique_ptr<VarDecl> parse_var_decl() {
-    auto decl = std::make_unique<VarDecl>();
+  VarDecl* parse_var_decl() {
+    auto decl = make<VarDecl>();
     decl->line = line();
     expect(Tok::KwVar, "variable declaration");
+    const std::size_t mark = decls_.size();
     while (true) {
       VarDecl::Declarator d;
       d.name = expect(Tok::Ident, "variable declaration").atom;
       hoist_->add_var(d.name);
       if (match(Tok::Assign)) d.init = parse_assignment();
-      decl->declarators.push_back(std::move(d));
+      decls_.push_back(d);
       if (!match(Tok::Comma)) break;
     }
+    decl->declarators = take(decls_, mark);
     return decl;
   }
 
-  std::unique_ptr<FunctionNode> parse_function_tail(bool require_name) {
-    auto fn = std::make_unique<FunctionNode>();
+  FunctionNode* parse_function_tail(bool require_name) {
+    auto fn = make<FunctionNode>();
     fn->line = line();
     fn->fn_id = next_fn_id_++;
     if (check(Tok::Ident)) {
@@ -192,33 +220,35 @@ class Parser {
     program_.fn_names.push_back(fn->name.empty() ? std::string("<anonymous>")
                                                  : fn->name.str());
     expect(Tok::LParen, "function parameter list");
+    const std::size_t mark = atoms_.size();
     if (!check(Tok::RParen)) {
       while (true) {
-        fn->params.push_back(expect(Tok::Ident, "parameter list").atom);
+        atoms_.push_back(expect(Tok::Ident, "parameter list").atom);
         if (!match(Tok::Comma)) break;
       }
     }
+    fn->params = take(atoms_, mark);
     expect(Tok::RParen, "function parameter list");
     {
       HoistScope scope(this, fn->fn_id);
       fn->body = parse_block();
-      fn->hoisted_vars = std::move(scope.vars);
-      fn->hoisted_functions = std::move(scope.functions);
+      fn->hoisted_vars = take(atoms_, scope.var_mark);
+      fn->hoisted_functions = take(fns_, scope.fn_mark);
     }
     return fn;
   }
 
   StmtPtr parse_function_decl() {
-    auto decl = std::make_unique<FunctionDecl>();
+    auto decl = make<FunctionDecl>();
     decl->line = line();
     expect(Tok::KwFunction, "function declaration");
     decl->fn = parse_function_tail(/*require_name=*/true);
-    hoist_->functions.push_back(decl.get());
+    fns_.push_back(decl);
     return decl;
   }
 
   StmtPtr parse_if() {
-    auto node = std::make_unique<If>();
+    auto node = make<If>();
     node->line = line();
     expect(Tok::KwIf, "if statement");
     expect(Tok::LParen, "if condition");
@@ -247,7 +277,7 @@ class Parser {
 
     // Disambiguate for-in from the classic three-clause form.
     if (check(Tok::KwVar) && peek(1).kind == Tok::Ident && peek(2).kind == Tok::KwIn) {
-      auto node = std::make_unique<ForIn>();
+      auto node = make<ForIn>();
       node->line = for_line;
       advance();  // var
       node->var_name = advance().atom;
@@ -256,23 +286,23 @@ class Parser {
       advance();  // in
       node->object = parse_expression();
       expect(Tok::RParen, "for-in header");
-      node->loop_id = register_loop(LoopKind::ForIn, for_line, node.get());
+      node->loop_id = register_loop(LoopKind::ForIn, for_line, node);
       node->body = parse_statement();
       return node;
     }
     if (check(Tok::Ident) && peek(1).kind == Tok::KwIn) {
-      auto node = std::make_unique<ForIn>();
+      auto node = make<ForIn>();
       node->line = for_line;
       node->var_name = advance().atom;
       advance();  // in
       node->object = parse_expression();
       expect(Tok::RParen, "for-in header");
-      node->loop_id = register_loop(LoopKind::ForIn, for_line, node.get());
+      node->loop_id = register_loop(LoopKind::ForIn, for_line, node);
       node->body = parse_statement();
       return node;
     }
 
-    auto node = std::make_unique<For>();
+    auto node = make<For>();
     node->line = for_line;
     if (match(Tok::Semicolon)) {
       // no init
@@ -280,38 +310,38 @@ class Parser {
       node->init = parse_var_decl();
       expect(Tok::Semicolon, "for header");
     } else {
-      auto init = std::make_unique<ExprStmt>();
+      auto init = make<ExprStmt>();
       init->line = line();
       init->expr = parse_expression();
-      node->init = std::move(init);
+      node->init = init;
       expect(Tok::Semicolon, "for header");
     }
     if (!check(Tok::Semicolon)) node->condition = parse_expression();
     expect(Tok::Semicolon, "for header");
     if (!check(Tok::RParen)) node->update = parse_expression();
     expect(Tok::RParen, "for header");
-    node->loop_id = register_loop(LoopKind::For, for_line, node.get());
+    node->loop_id = register_loop(LoopKind::For, for_line, node);
     node->body = parse_statement();
     return node;
   }
 
   StmtPtr parse_while() {
-    auto node = std::make_unique<While>();
+    auto node = make<While>();
     node->line = line();
     expect(Tok::KwWhile, "while statement");
     expect(Tok::LParen, "while condition");
     node->condition = parse_expression();
     expect(Tok::RParen, "while condition");
-    node->loop_id = register_loop(LoopKind::While, node->line, node.get());
+    node->loop_id = register_loop(LoopKind::While, node->line, node);
     node->body = parse_statement();
     return node;
   }
 
   StmtPtr parse_do_while() {
-    auto node = std::make_unique<DoWhile>();
+    auto node = make<DoWhile>();
     node->line = line();
     expect(Tok::KwDo, "do-while statement");
-    node->loop_id = register_loop(LoopKind::DoWhile, node->line, node.get());
+    node->loop_id = register_loop(LoopKind::DoWhile, node->line, node);
     node->body = parse_statement();
     expect(Tok::KwWhile, "do-while statement");
     expect(Tok::LParen, "do-while condition");
@@ -322,7 +352,7 @@ class Parser {
   }
 
   StmtPtr parse_return() {
-    auto node = std::make_unique<Return>();
+    auto node = make<Return>();
     node->line = line();
     expect(Tok::KwReturn, "return statement");
     if (!check(Tok::Semicolon)) node->value = parse_expression();
@@ -331,7 +361,7 @@ class Parser {
   }
 
   StmtPtr parse_try() {
-    auto node = std::make_unique<TryCatch>();
+    auto node = make<TryCatch>();
     node->line = line();
     expect(Tok::KwTry, "try statement");
     node->try_block = parse_block();
@@ -353,10 +383,12 @@ class Parser {
   ExprPtr parse_expression() {
     ExprPtr first = parse_assignment();
     if (!check(Tok::Comma)) return first;
-    auto seq = std::make_unique<Sequence>();
+    auto seq = make<Sequence>();
     seq->line = first->line;
-    seq->exprs.push_back(std::move(first));
-    while (match(Tok::Comma)) seq->exprs.push_back(parse_assignment());
+    const std::size_t mark = exprs_.size();
+    exprs_.push_back(first);
+    while (match(Tok::Comma)) exprs_.push_back(parse_assignment());
+    seq->exprs = take(exprs_, mark);
     return seq;
   }
 
@@ -402,161 +434,97 @@ class Parser {
     if (target->kind != NodeKind::Ident && target->kind != NodeKind::Member) {
       throw ParseError("invalid assignment target", peek().line);
     }
-    auto node = std::make_unique<Assign>();
+    auto node = make<Assign>();
     node->line = peek().line;
     node->op = assign_op_for(advance().kind);
-    node->target = std::move(target);
+    node->target = target;
     node->value = parse_assignment();
     return node;
   }
 
   ExprPtr parse_conditional() {
-    ExprPtr cond = parse_logical_or();
+    ExprPtr cond = parse_binary(1);
     if (!match(Tok::Question)) return cond;
-    auto node = std::make_unique<Conditional>();
+    auto node = make<Conditional>();
     node->line = cond->line;
-    node->condition = std::move(cond);
+    node->condition = cond;
     node->consequent = parse_assignment();
     expect(Tok::Colon, "conditional expression");
     node->alternate = parse_assignment();
     return node;
   }
 
-  ExprPtr parse_logical_or() {
-    ExprPtr lhs = parse_logical_and();
-    while (check(Tok::OrOr)) {
-      const int op_line = advance().line;
-      auto node = std::make_unique<Logical>();
-      node->line = op_line;
-      node->op = LogicalOp::Or;
-      node->lhs = std::move(lhs);
-      node->rhs = parse_logical_and();
-      lhs = std::move(node);
-    }
-    return lhs;
-  }
-
-  ExprPtr parse_logical_and() {
-    ExprPtr lhs = parse_bit_or();
-    while (check(Tok::AndAnd)) {
-      const int op_line = advance().line;
-      auto node = std::make_unique<Logical>();
-      node->line = op_line;
-      node->op = LogicalOp::And;
-      node->lhs = std::move(lhs);
-      node->rhs = parse_bit_or();
-      lhs = std::move(node);
-    }
-    return lhs;
-  }
-
-  ExprPtr make_binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs, int op_line) {
-    auto node = std::make_unique<Binary>();
-    node->line = op_line;
-    node->op = op;
-    node->lhs = std::move(lhs);
-    node->rhs = std::move(rhs);
-    return node;
-  }
-
-  ExprPtr parse_bit_or() {
-    ExprPtr lhs = parse_bit_xor();
-    while (check(Tok::BitOr)) {
-      const int op_line = advance().line;
-      lhs = make_binary(BinaryOp::BitOr, std::move(lhs), parse_bit_xor(), op_line);
-    }
-    return lhs;
-  }
-
-  ExprPtr parse_bit_xor() {
-    ExprPtr lhs = parse_bit_and();
-    while (check(Tok::BitXor)) {
-      const int op_line = advance().line;
-      lhs = make_binary(BinaryOp::BitXor, std::move(lhs), parse_bit_and(), op_line);
-    }
-    return lhs;
-  }
-
-  ExprPtr parse_bit_and() {
-    ExprPtr lhs = parse_equality();
-    while (check(Tok::BitAnd)) {
-      const int op_line = advance().line;
-      lhs = make_binary(BinaryOp::BitAnd, std::move(lhs), parse_equality(), op_line);
-    }
-    return lhs;
-  }
-
-  ExprPtr parse_equality() {
-    ExprPtr lhs = parse_relational();
-    while (true) {
-      BinaryOp op;
-      switch (peek().kind) {
-        case Tok::EqEq: op = BinaryOp::Eq; break;
-        case Tok::NotEq: op = BinaryOp::Ne; break;
-        case Tok::EqEqEq: op = BinaryOp::StrictEq; break;
-        case Tok::NotEqEq: op = BinaryOp::StrictNe; break;
-        default: return lhs;
-      }
-      const int op_line = advance().line;
-      lhs = make_binary(op, std::move(lhs), parse_relational(), op_line);
+  /// Precedence of binary operator `kind`, from 1 (`||`) to 10 (`*`); 0
+  /// when `kind` is not one.
+  static int precedence(Tok kind) {
+    switch (kind) {
+      case Tok::OrOr: return 1;
+      case Tok::AndAnd: return 2;
+      case Tok::BitOr: return 3;
+      case Tok::BitXor: return 4;
+      case Tok::BitAnd: return 5;
+      case Tok::EqEq: case Tok::NotEq: case Tok::EqEqEq: case Tok::NotEqEq: return 6;
+      case Tok::Lt: case Tok::Gt: case Tok::Le: case Tok::Ge: case Tok::KwIn:
+      case Tok::KwInstanceof: return 7;
+      case Tok::Shl: case Tok::Shr: case Tok::UShr: return 8;
+      case Tok::Plus: case Tok::Minus: return 9;
+      case Tok::Star: case Tok::Slash: case Tok::Percent: return 10;
+      default: return 0;
     }
   }
 
-  ExprPtr parse_relational() {
-    ExprPtr lhs = parse_shift();
-    while (true) {
-      BinaryOp op;
-      switch (peek().kind) {
-        case Tok::Lt: op = BinaryOp::Lt; break;
-        case Tok::Gt: op = BinaryOp::Gt; break;
-        case Tok::Le: op = BinaryOp::Le; break;
-        case Tok::Ge: op = BinaryOp::Ge; break;
-        case Tok::KwIn: op = BinaryOp::In; break;
-        case Tok::KwInstanceof: op = BinaryOp::InstanceOf; break;
-        default: return lhs;
-      }
-      const int op_line = advance().line;
-      lhs = make_binary(op, std::move(lhs), parse_shift(), op_line);
+  static BinaryOp binary_op(Tok kind) {
+    switch (kind) {
+      case Tok::BitOr: return BinaryOp::BitOr;
+      case Tok::BitXor: return BinaryOp::BitXor;
+      case Tok::BitAnd: return BinaryOp::BitAnd;
+      case Tok::EqEq: return BinaryOp::Eq;
+      case Tok::NotEq: return BinaryOp::Ne;
+      case Tok::EqEqEq: return BinaryOp::StrictEq;
+      case Tok::NotEqEq: return BinaryOp::StrictNe;
+      case Tok::Lt: return BinaryOp::Lt;
+      case Tok::Gt: return BinaryOp::Gt;
+      case Tok::Le: return BinaryOp::Le;
+      case Tok::Ge: return BinaryOp::Ge;
+      case Tok::KwIn: return BinaryOp::In;
+      case Tok::KwInstanceof: return BinaryOp::InstanceOf;
+      case Tok::Shl: return BinaryOp::Shl;
+      case Tok::Shr: return BinaryOp::Shr;
+      case Tok::UShr: return BinaryOp::UShr;
+      case Tok::Plus: return BinaryOp::Add;
+      case Tok::Minus: return BinaryOp::Sub;
+      case Tok::Star: return BinaryOp::Mul;
+      case Tok::Slash: return BinaryOp::Div;
+      default: return BinaryOp::Mod;  // Tok::Percent
     }
   }
 
-  ExprPtr parse_shift() {
-    ExprPtr lhs = parse_additive();
-    while (true) {
-      BinaryOp op;
-      switch (peek().kind) {
-        case Tok::Shl: op = BinaryOp::Shl; break;
-        case Tok::Shr: op = BinaryOp::Shr; break;
-        case Tok::UShr: op = BinaryOp::UShr; break;
-        default: return lhs;
-      }
-      const int op_line = advance().line;
-      lhs = make_binary(op, std::move(lhs), parse_additive(), op_line);
-    }
-  }
-
-  ExprPtr parse_additive() {
-    ExprPtr lhs = parse_multiplicative();
-    while (check(Tok::Plus) || check(Tok::Minus)) {
-      const BinaryOp op = check(Tok::Plus) ? BinaryOp::Add : BinaryOp::Sub;
-      const int op_line = advance().line;
-      lhs = make_binary(op, std::move(lhs), parse_multiplicative(), op_line);
-    }
-    return lhs;
-  }
-
-  ExprPtr parse_multiplicative() {
+  /// A chain of binary and logical operators of at least `min_precedence`,
+  /// left-associative (precedence climbing). Each node's line is its
+  /// operator's.
+  ExprPtr parse_binary(int min_precedence) {
     ExprPtr lhs = parse_unary();
     while (true) {
-      BinaryOp op;
-      switch (peek().kind) {
-        case Tok::Star: op = BinaryOp::Mul; break;
-        case Tok::Slash: op = BinaryOp::Div; break;
-        case Tok::Percent: op = BinaryOp::Mod; break;
-        default: return lhs;
-      }
+      const Tok kind = peek().kind;
+      const int level = precedence(kind);
+      if (level < min_precedence) return lhs;  // also ends at a non-operator (0)
       const int op_line = advance().line;
-      lhs = make_binary(op, std::move(lhs), parse_unary(), op_line);
+      ExprPtr rhs = parse_binary(level + 1);
+      if (kind == Tok::OrOr || kind == Tok::AndAnd) {
+        auto node = make<Logical>();
+        node->line = op_line;
+        node->op = kind == Tok::OrOr ? LogicalOp::Or : LogicalOp::And;
+        node->lhs = lhs;
+        node->rhs = rhs;
+        lhs = node;
+      } else {
+        auto node = make<Binary>();
+        node->line = op_line;
+        node->op = binary_op(kind);
+        node->lhs = lhs;
+        node->rhs = rhs;
+        lhs = node;
+      }
     }
   }
 
@@ -572,7 +540,7 @@ class Parser {
       case Tok::KwDelete: op = UnaryOp::Delete; break;
       case Tok::PlusPlus:
       case Tok::MinusMinus: {
-        auto node = std::make_unique<Update>();
+        auto node = make<Update>();
         node->line = line();
         node->increment = peek().kind == Tok::PlusPlus;
         node->prefix = true;
@@ -587,7 +555,7 @@ class Parser {
       default:
         return parse_postfix();
     }
-    auto node = std::make_unique<Unary>();
+    auto node = make<Unary>();
     node->line = line();
     node->op = op;
     advance();
@@ -604,53 +572,56 @@ class Parser {
       if (expr->kind != NodeKind::Ident && expr->kind != NodeKind::Member) {
         throw ParseError("invalid increment/decrement target", peek().line);
       }
-      auto node = std::make_unique<Update>();
+      auto node = make<Update>();
       node->line = peek().line;
       node->increment = peek().kind == Tok::PlusPlus;
       node->prefix = false;
       advance();
-      node->target = std::move(expr);
+      node->target = expr;
       return node;
     }
     return expr;
   }
 
+  /// Comma-separated assignment expressions up to (not including) `close`.
+  std::span<ExprPtr> parse_list(Tok close) {
+    const std::size_t mark = exprs_.size();
+    if (!check(close)) {
+      while (true) {
+        exprs_.push_back(parse_assignment());
+        if (!match(Tok::Comma)) break;
+      }
+    }
+    return take(exprs_, mark);
+  }
+
   ExprPtr parse_call_member(ExprPtr base) {
     while (true) {
       if (match(Tok::Dot)) {
-        auto node = std::make_unique<Member>();
+        auto node = make<Member>();
         node->line = peek().line;
-        // Allow keyword-looking property names (obj.in is legal ES5).
-        if (check(Tok::Ident)) {
-          node->property = advance().atom;
-        } else if (!peek().text.empty()) {
-          const Token& tok = advance();
-          node->property = tok.atom.empty() ? program_.atoms.intern(tok.text) : tok.atom;
-        } else {
+        // An ES5 IdentifierName: a name or a keyword (obj.in is legal).
+        if (!check(Tok::Ident) && !is_keyword(peek().kind)) {
           throw ParseError("expected property name after '.'", peek().line);
         }
-        node->object = std::move(base);
-        base = std::move(node);
+        node->property = advance().atom;
+        node->object = base;
+        base = node;
       } else if (check(Tok::LBracket)) {
-        auto node = std::make_unique<Member>();
+        auto node = make<Member>();
         node->line = advance().line;
         node->computed = true;
-        node->object = std::move(base);
+        node->object = base;
         node->index = parse_expression();
         expect(Tok::RBracket, "computed member access");
-        base = std::move(node);
+        base = node;
       } else if (check(Tok::LParen)) {
-        auto node = std::make_unique<Call>();
+        auto node = make<Call>();
         node->line = advance().line;
-        node->callee = std::move(base);
-        if (!check(Tok::RParen)) {
-          while (true) {
-            node->args.push_back(parse_assignment());
-            if (!match(Tok::Comma)) break;
-          }
-        }
+        node->callee = base;
+        node->args = parse_list(Tok::RParen);
         expect(Tok::RParen, "call arguments");
-        base = std::move(node);
+        base = node;
       } else {
         return base;
       }
@@ -664,33 +635,28 @@ class Parser {
     ExprPtr callee = parse_primary();
     while (true) {
       if (match(Tok::Dot)) {
-        auto node = std::make_unique<Member>();
+        auto node = make<Member>();
         node->line = peek().line;
         node->property = expect(Tok::Ident, "member access").atom;
-        node->object = std::move(callee);
-        callee = std::move(node);
+        node->object = callee;
+        callee = node;
       } else if (check(Tok::LBracket)) {
-        auto node = std::make_unique<Member>();
+        auto node = make<Member>();
         node->line = advance().line;
         node->computed = true;
-        node->object = std::move(callee);
+        node->object = callee;
         node->index = parse_expression();
         expect(Tok::RBracket, "computed member access");
-        callee = std::move(node);
+        callee = node;
       } else {
         break;
       }
     }
-    auto node = std::make_unique<New>();
+    auto node = make<New>();
     node->line = new_line;
-    node->callee = std::move(callee);
+    node->callee = callee;
     if (match(Tok::LParen)) {
-      if (!check(Tok::RParen)) {
-        while (true) {
-          node->args.push_back(parse_assignment());
-          if (!match(Tok::Comma)) break;
-        }
-      }
+      node->args = parse_list(Tok::RParen);
       expect(Tok::RParen, "new arguments");
     }
     return node;
@@ -701,14 +667,14 @@ class Parser {
     const Token& tok = peek();
     switch (tok.kind) {
       case Tok::Number: {
-        auto node = std::make_unique<NumberLit>();
+        auto node = make<NumberLit>();
         node->line = tok.line;
         node->value = tok.number;
         advance();
         return node;
       }
       case Tok::String: {
-        auto node = std::make_unique<StringLit>();
+        auto node = make<StringLit>();
         node->line = tok.line;
         node->value = tok.atom;
         advance();
@@ -716,27 +682,27 @@ class Parser {
       }
       case Tok::KwTrue:
       case Tok::KwFalse: {
-        auto node = std::make_unique<BoolLit>();
+        auto node = make<BoolLit>();
         node->line = tok.line;
         node->value = tok.kind == Tok::KwTrue;
         advance();
         return node;
       }
       case Tok::KwNull: {
-        auto node = std::make_unique<NullLit>();
+        auto node = make<NullLit>();
         node->line = tok.line;
         advance();
         return node;
       }
       case Tok::Ident: {
-        auto node = std::make_unique<Ident>();
+        auto node = make<Ident>();
         node->line = tok.line;
         node->name = tok.atom;
         advance();
         return node;
       }
       case Tok::KwThis: {
-        auto node = std::make_unique<ThisExpr>();
+        auto node = make<ThisExpr>();
         node->line = tok.line;
         advance();
         return node;
@@ -748,42 +714,38 @@ class Parser {
         return inner;
       }
       case Tok::LBracket: {
-        auto node = std::make_unique<ArrayLit>();
+        auto node = make<ArrayLit>();
         node->line = advance().line;
-        if (!check(Tok::RBracket)) {
-          while (true) {
-            node->elements.push_back(parse_assignment());
-            if (!match(Tok::Comma)) break;
-          }
-        }
+        node->elements = parse_list(Tok::RBracket);
         expect(Tok::RBracket, "array literal");
         return node;
       }
       case Tok::LBrace: {
-        auto node = std::make_unique<ObjectLit>();
+        auto node = make<ObjectLit>();
         node->line = advance().line;
+        const std::size_t mark = props_.size();
         if (!check(Tok::RBrace)) {
           while (true) {
             Atom key;
             if (check(Tok::Number)) {
-              // Number tokens carry no atom; key by the literal's spelling.
-              key = program_.atoms.intern(advance().text);
-            } else if (check(Tok::Ident) || check(Tok::String) ||
-                       !peek().text.empty()) {
+              // Keyed as String(n) spells the number: {0x10: 1} sets o[16].
+              key = program_.atoms.intern(number_to_string(advance().number));
+            } else if (check(Tok::Ident) || check(Tok::String) || is_keyword(peek().kind)) {
               key = advance().atom;
             } else {
               throw ParseError("expected property key", peek().line);
             }
             expect(Tok::Colon, "object literal");
-            node->properties.emplace_back(key, parse_assignment());
+            props_.emplace_back(key, parse_assignment());
             if (!match(Tok::Comma)) break;
           }
         }
+        node->properties = take(props_, mark);
         expect(Tok::RBrace, "object literal");
         return node;
       }
       case Tok::KwFunction: {
-        auto node = std::make_unique<FunctionExpr>();
+        auto node = make<FunctionExpr>();
         node->line = advance().line;
         node->fn = parse_function_tail(/*require_name=*/false);
         return node;
@@ -797,6 +759,13 @@ class Parser {
   }
 
   std::vector<Token> tokens_;
+  // Scratch stacks for the lists under construction (see take()).
+  std::vector<StmtPtr> stmts_;
+  std::vector<ExprPtr> exprs_;
+  std::vector<Atom> atoms_;
+  std::vector<const FunctionDecl*> fns_;
+  std::vector<VarDecl::Declarator> decls_;
+  std::vector<std::pair<Atom, ExprPtr>> props_;
   std::size_t pos_ = 0;
   ProgramBody& program_;
   HoistScope* hoist_ = nullptr;
@@ -844,7 +813,7 @@ Program parse(std::string_view source, std::string source_name,
               const EngineLimits& limits) {
   const int max_depth = limits.max_parse_depth > 0 ? limits.max_parse_depth
                                                    : EngineLimits{}.max_parse_depth;
-  Program program;
+  Program program(source.size());
   ProgramBody& body = program.mut();
   body.source_name = std::move(source_name);
   Parser(lex(source, body.atoms, limits), body, max_depth).run();

@@ -1,8 +1,7 @@
 #include "js/refactor.h"
 
 #include <map>
-#include <memory>
-#include <set>
+#include <span>
 
 #include "js/ast_printer.h"
 
@@ -48,160 +47,19 @@ bool has_escaping_control_flow(const Stmt& stmt) {
 
 using IdentCounts = std::map<std::string, int>;
 
-void collect_idents_expr(const Expr& expr, IdentCounts& out);
-
-void collect_idents_stmt(const Stmt& stmt, IdentCounts& out) {
-  switch (stmt.kind) {
-    case NodeKind::Block:
-      for (const auto& s : static_cast<const Block&>(stmt).statements) {
-        collect_idents_stmt(*s, out);
-      }
-      break;
+/// Counts every name a subtree binds or reads: identifiers, `var`
+/// declarators, function declarations and for-in variables.
+void collect_idents(const Node& node, IdentCounts& out) {
+  switch (node.kind) {
+    case NodeKind::Ident: ++out[static_cast<const Ident&>(node).name]; break;
     case NodeKind::VarDecl:
-      for (const auto& d : static_cast<const VarDecl&>(stmt).declarators) {
-        ++out[d.name];
-        if (d.init) collect_idents_expr(*d.init, out);
-      }
+      for (const auto& d : static_cast<const VarDecl&>(node).declarators) ++out[d.name];
       break;
-    case NodeKind::FunctionDecl: {
-      const auto& fn = *static_cast<const FunctionDecl&>(stmt).fn;
-      ++out[fn.name];
-      collect_idents_stmt(*fn.body, out);
-      break;
-    }
-    case NodeKind::ExprStmt:
-      collect_idents_expr(*static_cast<const ExprStmt&>(stmt).expr, out);
-      break;
-    case NodeKind::If: {
-      const auto& node = static_cast<const If&>(stmt);
-      collect_idents_expr(*node.condition, out);
-      collect_idents_stmt(*node.consequent, out);
-      if (node.alternate) collect_idents_stmt(*node.alternate, out);
-      break;
-    }
-    case NodeKind::For: {
-      const auto& node = static_cast<const For&>(stmt);
-      if (node.init) collect_idents_stmt(*node.init, out);
-      if (node.condition) collect_idents_expr(*node.condition, out);
-      if (node.update) collect_idents_expr(*node.update, out);
-      collect_idents_stmt(*node.body, out);
-      break;
-    }
-    case NodeKind::ForIn: {
-      const auto& node = static_cast<const ForIn&>(stmt);
-      ++out[node.var_name];
-      collect_idents_expr(*node.object, out);
-      collect_idents_stmt(*node.body, out);
-      break;
-    }
-    case NodeKind::While: {
-      const auto& node = static_cast<const While&>(stmt);
-      collect_idents_expr(*node.condition, out);
-      collect_idents_stmt(*node.body, out);
-      break;
-    }
-    case NodeKind::DoWhile: {
-      const auto& node = static_cast<const DoWhile&>(stmt);
-      collect_idents_expr(*node.condition, out);
-      collect_idents_stmt(*node.body, out);
-      break;
-    }
-    case NodeKind::Return: {
-      const auto& node = static_cast<const Return&>(stmt);
-      if (node.value) collect_idents_expr(*node.value, out);
-      break;
-    }
-    case NodeKind::Throw:
-      collect_idents_expr(*static_cast<const Throw&>(stmt).value, out);
-      break;
-    case NodeKind::TryCatch: {
-      const auto& node = static_cast<const TryCatch&>(stmt);
-      collect_idents_stmt(*node.try_block, out);
-      if (node.catch_block) collect_idents_stmt(*node.catch_block, out);
-      if (node.finally_block) collect_idents_stmt(*node.finally_block, out);
-      break;
-    }
-    default:
-      break;
+    case NodeKind::FunctionDecl: ++out[static_cast<const FunctionDecl&>(node).fn->name]; break;
+    case NodeKind::ForIn: ++out[static_cast<const ForIn&>(node).var_name]; break;
+    default: break;
   }
-}
-
-void collect_idents_expr(const Expr& expr, IdentCounts& out) {
-  switch (expr.kind) {
-    case NodeKind::Ident:
-      ++out[static_cast<const Ident&>(expr).name];
-      break;
-    case NodeKind::ArrayLit:
-      for (const auto& e : static_cast<const ArrayLit&>(expr).elements) {
-        collect_idents_expr(*e, out);
-      }
-      break;
-    case NodeKind::ObjectLit:
-      for (const auto& [key, value] : static_cast<const ObjectLit&>(expr).properties) {
-        (void)key;
-        collect_idents_expr(*value, out);
-      }
-      break;
-    case NodeKind::FunctionExpr:
-      collect_idents_stmt(*static_cast<const FunctionExpr&>(expr).fn->body, out);
-      break;
-    case NodeKind::Call: {
-      const auto& node = static_cast<const Call&>(expr);
-      collect_idents_expr(*node.callee, out);
-      for (const auto& a : node.args) collect_idents_expr(*a, out);
-      break;
-    }
-    case NodeKind::New: {
-      const auto& node = static_cast<const New&>(expr);
-      collect_idents_expr(*node.callee, out);
-      for (const auto& a : node.args) collect_idents_expr(*a, out);
-      break;
-    }
-    case NodeKind::Member: {
-      const auto& node = static_cast<const Member&>(expr);
-      collect_idents_expr(*node.object, out);
-      if (node.computed) collect_idents_expr(*node.index, out);
-      break;
-    }
-    case NodeKind::Assign: {
-      const auto& node = static_cast<const Assign&>(expr);
-      collect_idents_expr(*node.target, out);
-      collect_idents_expr(*node.value, out);
-      break;
-    }
-    case NodeKind::Conditional: {
-      const auto& node = static_cast<const Conditional&>(expr);
-      collect_idents_expr(*node.condition, out);
-      collect_idents_expr(*node.consequent, out);
-      collect_idents_expr(*node.alternate, out);
-      break;
-    }
-    case NodeKind::Binary: {
-      const auto& node = static_cast<const Binary&>(expr);
-      collect_idents_expr(*node.lhs, out);
-      collect_idents_expr(*node.rhs, out);
-      break;
-    }
-    case NodeKind::Logical: {
-      const auto& node = static_cast<const Logical&>(expr);
-      collect_idents_expr(*node.lhs, out);
-      collect_idents_expr(*node.rhs, out);
-      break;
-    }
-    case NodeKind::Unary:
-      collect_idents_expr(*static_cast<const Unary&>(expr).operand, out);
-      break;
-    case NodeKind::Update:
-      collect_idents_expr(*static_cast<const Update&>(expr).target, out);
-      break;
-    case NodeKind::Sequence:
-      for (const auto& e : static_cast<const Sequence&>(expr).exprs) {
-        collect_idents_expr(*e, out);
-      }
-      break;
-    default:
-      break;
-  }
+  for_each_child(node, [&out](const Node& child) { collect_idents(child, out); });
 }
 
 /// Does the body write `name` (assignment or update; declarations excluded)?
@@ -415,9 +273,16 @@ bool match_canonical(const For& loop, Candidate* out) {
   return true;
 }
 
+/// Replacing reads of `arr[i]` by `elem`, with fresh Ident nodes from the
+/// program's arena.
+struct Substitution {
+  const Candidate& loop;
+  Atom elem;
+  ProgramBody& program;
+};
+
 /// Replace reads of `arr[i]` by `elem` inside an expression tree.
-void substitute_element_expr(ExprPtr& expr, const Candidate& c,
-                             Atom elem_name);
+void substitute_element_expr(ExprPtr& expr, const Substitution& sub);
 
 bool is_element_access(const Expr& expr, const Candidate& c) {
   if (expr.kind != NodeKind::Member) return false;
@@ -431,46 +296,45 @@ bool is_element_access(const Expr& expr, const Candidate& c) {
          static_cast<const Ident&>(*member.index).name == c.index_name;
 }
 
-void substitute_element_stmt(Stmt& stmt, const Candidate& c,
-                             Atom elem_name) {
+void substitute_element_stmt(Stmt& stmt, const Substitution& sub) {
   switch (stmt.kind) {
     case NodeKind::Block:
       for (auto& s : static_cast<Block&>(stmt).statements) {
-        substitute_element_stmt(*s, c, elem_name);
+        substitute_element_stmt(*s, sub);
       }
       break;
     case NodeKind::ExprStmt:
-      substitute_element_expr(static_cast<ExprStmt&>(stmt).expr, c, elem_name);
+      substitute_element_expr(static_cast<ExprStmt&>(stmt).expr, sub);
       break;
     case NodeKind::VarDecl:
       for (auto& d : static_cast<VarDecl&>(stmt).declarators) {
-        if (d.init) substitute_element_expr(d.init, c, elem_name);
+        if (d.init) substitute_element_expr(d.init, sub);
       }
       break;
     case NodeKind::If: {
       auto& node = static_cast<If&>(stmt);
-      substitute_element_expr(node.condition, c, elem_name);
-      substitute_element_stmt(*node.consequent, c, elem_name);
-      if (node.alternate) substitute_element_stmt(*node.alternate, c, elem_name);
+      substitute_element_expr(node.condition, sub);
+      substitute_element_stmt(*node.consequent, sub);
+      if (node.alternate) substitute_element_stmt(*node.alternate, sub);
       break;
     }
     case NodeKind::Return: {
       auto& node = static_cast<Return&>(stmt);
-      if (node.value) substitute_element_expr(node.value, c, elem_name);
+      if (node.value) substitute_element_expr(node.value, sub);
       break;
     }
     case NodeKind::While: {
       auto& node = static_cast<While&>(stmt);
-      substitute_element_expr(node.condition, c, elem_name);
-      substitute_element_stmt(*node.body, c, elem_name);
+      substitute_element_expr(node.condition, sub);
+      substitute_element_stmt(*node.body, sub);
       break;
     }
     case NodeKind::For: {
       auto& node = static_cast<For&>(stmt);
-      if (node.init) substitute_element_stmt(*node.init, c, elem_name);
-      if (node.condition) substitute_element_expr(node.condition, c, elem_name);
-      if (node.update) substitute_element_expr(node.update, c, elem_name);
-      substitute_element_stmt(*node.body, c, elem_name);
+      if (node.init) substitute_element_stmt(*node.init, sub);
+      if (node.condition) substitute_element_expr(node.condition, sub);
+      if (node.update) substitute_element_expr(node.update, sub);
+      substitute_element_stmt(*node.body, sub);
       break;
     }
     default:
@@ -478,13 +342,12 @@ void substitute_element_stmt(Stmt& stmt, const Candidate& c,
   }
 }
 
-void substitute_element_expr(ExprPtr& expr, const Candidate& c,
-                             Atom elem_name) {
-  if (is_element_access(*expr, c)) {
-    auto ident = std::make_unique<Ident>();
+void substitute_element_expr(ExprPtr& expr, const Substitution& sub) {
+  if (is_element_access(*expr, sub.loop)) {
+    auto* ident = sub.program.make<Ident>();
     ident->line = expr->line;
-    ident->name = elem_name;
-    expr = std::move(ident);
+    ident->name = sub.elem;
+    expr = ident;
     return;
   }
   switch (expr->kind) {
@@ -492,70 +355,70 @@ void substitute_element_expr(ExprPtr& expr, const Candidate& c,
       auto& node = static_cast<Assign&>(*expr);
       // Writes through arr[i] stay as-is (forEach callbacks may still write
       // the array via the closure); only the value side is substituted.
-      substitute_element_expr(node.value, c, elem_name);
+      substitute_element_expr(node.value, sub);
       if (node.target->kind == NodeKind::Member) {
         auto& member = static_cast<Member&>(*node.target);
-        substitute_element_expr(member.object, c, elem_name);
-        if (member.computed && !is_element_access(*node.target, c)) {
-          substitute_element_expr(member.index, c, elem_name);
+        substitute_element_expr(member.object, sub);
+        if (member.computed && !is_element_access(*node.target, sub.loop)) {
+          substitute_element_expr(member.index, sub);
         }
       }
       break;
     }
     case NodeKind::Binary: {
       auto& node = static_cast<Binary&>(*expr);
-      substitute_element_expr(node.lhs, c, elem_name);
-      substitute_element_expr(node.rhs, c, elem_name);
+      substitute_element_expr(node.lhs, sub);
+      substitute_element_expr(node.rhs, sub);
       break;
     }
     case NodeKind::Logical: {
       auto& node = static_cast<Logical&>(*expr);
-      substitute_element_expr(node.lhs, c, elem_name);
-      substitute_element_expr(node.rhs, c, elem_name);
+      substitute_element_expr(node.lhs, sub);
+      substitute_element_expr(node.rhs, sub);
       break;
     }
     case NodeKind::Conditional: {
       auto& node = static_cast<Conditional&>(*expr);
-      substitute_element_expr(node.condition, c, elem_name);
-      substitute_element_expr(node.consequent, c, elem_name);
-      substitute_element_expr(node.alternate, c, elem_name);
+      substitute_element_expr(node.condition, sub);
+      substitute_element_expr(node.consequent, sub);
+      substitute_element_expr(node.alternate, sub);
       break;
     }
     case NodeKind::Call: {
       auto& node = static_cast<Call&>(*expr);
-      substitute_element_expr(node.callee, c, elem_name);
-      for (auto& a : node.args) substitute_element_expr(a, c, elem_name);
+      substitute_element_expr(node.callee, sub);
+      for (auto& a : node.args) substitute_element_expr(a, sub);
       break;
     }
     case NodeKind::New: {
       auto& node = static_cast<New&>(*expr);
-      substitute_element_expr(node.callee, c, elem_name);
-      for (auto& a : node.args) substitute_element_expr(a, c, elem_name);
+      substitute_element_expr(node.callee, sub);
+      for (auto& a : node.args) substitute_element_expr(a, sub);
       break;
     }
     case NodeKind::Member: {
       auto& node = static_cast<Member&>(*expr);
-      substitute_element_expr(node.object, c, elem_name);
-      if (node.computed) substitute_element_expr(node.index, c, elem_name);
+      substitute_element_expr(node.object, sub);
+      if (node.computed) substitute_element_expr(node.index, sub);
       break;
     }
     case NodeKind::Unary:
-      substitute_element_expr(static_cast<Unary&>(*expr).operand, c, elem_name);
+      substitute_element_expr(static_cast<Unary&>(*expr).operand, sub);
       break;
     case NodeKind::ArrayLit:
       for (auto& e : static_cast<ArrayLit&>(*expr).elements) {
-        substitute_element_expr(e, c, elem_name);
+        substitute_element_expr(e, sub);
       }
       break;
     case NodeKind::ObjectLit:
       for (auto& [key, value] : static_cast<ObjectLit&>(*expr).properties) {
         (void)key;
-        substitute_element_expr(value, c, elem_name);
+        substitute_element_expr(value, sub);
       }
       break;
     case NodeKind::Sequence:
       for (auto& e : static_cast<Sequence&>(*expr).exprs) {
-        substitute_element_expr(e, c, elem_name);
+        substitute_element_expr(e, sub);
       }
       break;
     default:
@@ -569,7 +432,7 @@ class Rewriter {
       : program_(program), report_(report) {
     // Names used anywhere (to keep privatization safe and elem fresh).
     for (const auto& stmt : program.statements) {
-      collect_idents_stmt(*stmt, all_names_);
+      collect_idents(*stmt, all_names_);
     }
   }
 
@@ -578,12 +441,12 @@ class Rewriter {
   }
 
  private:
-  void rewrite_list(std::vector<StmtPtr>& statements) {
-    for (auto& stmt : statements) {
+  void rewrite_list(std::span<StmtPtr> statements) {
+    for (StmtPtr& stmt : statements) {
       rewrite_children(*stmt);
       if (stmt->kind == NodeKind::For) {
-        StmtPtr replacement = try_rewrite(static_cast<For&>(*stmt));
-        if (replacement) stmt = std::move(replacement);
+        // The loop node stays in the arena: its LoopSite still points at it.
+        if (StmtPtr replacement = try_rewrite(static_cast<For&>(*stmt))) stmt = replacement;
       }
     }
   }
@@ -640,7 +503,7 @@ class Rewriter {
     // be referenced anywhere outside this loop. Compare whole-program
     // occurrence counts against in-loop counts.
     IdentCounts loop_counts;
-    collect_idents_stmt(loop, loop_counts);
+    collect_idents(loop, loop_counts);
     for (const auto& name : body_vars) {
       const auto whole = all_names_.find(name);
       const auto inside = loop_counts.find(name);
@@ -660,43 +523,45 @@ class Rewriter {
     ++all_names_[elem];
 
     const Atom elem_atom = program_.atoms.intern(elem);
-    substitute_element_stmt(*loop.body, candidate, elem_atom);
+    substitute_element_stmt(*loop.body, Substitution{candidate, elem_atom, program_});
 
     // Build: arr.forEach(function (elem, i) { body });
-    auto fn = std::make_unique<FunctionNode>();
+    auto* fn = program_.make<FunctionNode>();
     fn->line = loop.line;
     fn->fn_id = int(program_.fn_names.size()) + 1;
     program_.fn_names.push_back("<forEach callback>");
-    fn->params = {elem_atom, program_.atoms.intern(candidate.index_name)};
-    fn->hoisted_vars = std::move(body_vars);
-    fn->body = std::move(loop.body);
+    const Atom params[] = {elem_atom, program_.atoms.intern(candidate.index_name)};
+    fn->params = program_.list(std::span<const Atom>(params));
+    fn->hoisted_vars = program_.list(std::span<const Atom>(body_vars));
+    fn->body = loop.body;
     if (fn->body->kind != NodeKind::Block) {
-      auto block = std::make_unique<Block>();
+      auto* block = program_.make<Block>();
       block->line = loop.line;
-      block->statements.push_back(std::move(fn->body));
-      fn->body = std::move(block);
+      block->statements = program_.list(std::span<const StmtPtr>(&fn->body, 1));
+      fn->body = block;
     }
 
-    auto fn_expr = std::make_unique<FunctionExpr>();
+    auto* fn_expr = program_.make<FunctionExpr>();
     fn_expr->line = loop.line;
-    fn_expr->fn = std::move(fn);
+    fn_expr->fn = fn;
 
-    auto callee = std::make_unique<Member>();
+    auto* callee = program_.make<Member>();
     callee->line = loop.line;
-    auto array_ident = std::make_unique<Ident>();
+    auto* array_ident = program_.make<Ident>();
     array_ident->line = loop.line;
     array_ident->name = program_.atoms.intern(candidate.array_name);
-    callee->object = std::move(array_ident);
+    callee->object = array_ident;
     callee->property = program_.atoms.intern("forEach");
 
-    auto call = std::make_unique<Call>();
+    auto* call = program_.make<Call>();
     call->line = loop.line;
-    call->callee = std::move(callee);
-    call->args.push_back(std::move(fn_expr));
+    call->callee = callee;
+    const ExprPtr args[] = {fn_expr};
+    call->args = program_.list(std::span<const ExprPtr>(args));
 
-    auto stmt = std::make_unique<ExprStmt>();
+    auto* stmt = program_.make<ExprStmt>();
     stmt->line = loop.line;
-    stmt->expr = std::move(call);
+    stmt->expr = call;
 
     ++report_.rewritten;
     report_.notes.push_back(at + ": rewritten to " + candidate.array_name +

@@ -18,7 +18,7 @@
 // happens once per program point per interpreter, not once per execution.
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "js/ast.h"
@@ -34,35 +34,50 @@ class Resolver {
   void run() {
     program_.global_ref_count = 0;
     program_.ic_count = 0;
-    scopes_.push_back(Scope{Scope::Global, {}});
-    for (auto& stmt : program_.statements) walk_stmt(*stmt);
-    scopes_.pop_back();
+    push_scope(Scope::Global);
+    for (Stmt* stmt : program_.statements) walk(*stmt);
+    pop_scope();
   }
 
  private:
+  /// A scope's names, in slot order, are `names_[first, first + size)`.
+  /// All of them are declared while the scope is innermost, before any
+  /// scope inside it is pushed, and a pop truncates `names_` to `first`.
   struct Scope {
     enum Kind { Global, Function, Catch };
     Kind kind;
-    std::unordered_map<Atom, std::uint32_t> slots;
-
-    std::uint32_t declare(Atom name) {
-      const auto it = slots.find(name);
-      if (it != slots.end()) return it->second;
-      const auto slot = std::uint32_t(slots.size());
-      slots.emplace(name, slot);
-      return slot;
-    }
+    std::size_t first;
+    std::size_t size = 0;
   };
+
+  /// Slot of `name` in the innermost scope, declared there if new;
+  /// duplicates reuse their first slot, as Environment::declare does.
+  std::uint32_t declare(Atom name) {
+    Scope& scope = scopes_.back();
+    for (std::size_t i = 0; i < scope.size; ++i) {
+      if (names_[scope.first + i] == name) return std::uint32_t(i);
+    }
+    names_.push_back(name);
+    return std::uint32_t(scope.size++);
+  }
+
+  void push_scope(Scope::Kind kind) { scopes_.push_back(Scope{kind, names_.size()}); }
+
+  void pop_scope() {
+    names_.resize(scopes_.back().first);
+    scopes_.pop_back();
+  }
 
   void resolve_ref(Atom name, SlotRef& ref) {
     for (std::size_t i = scopes_.size(); i-- > 0;) {
-      Scope& scope = scopes_[i];
+      const Scope& scope = scopes_[i];
       if (scope.kind == Scope::Global) break;
-      const auto it = scope.slots.find(name);
-      if (it != scope.slots.end()) {
-        ref.hops = std::int32_t(scopes_.size() - 1 - i);
-        ref.slot = it->second;
-        return;
+      for (std::size_t slot = 0; slot < scope.size; ++slot) {
+        if (names_[scope.first + slot] == name) {
+          ref.hops = std::int32_t(scopes_.size() - 1 - i);
+          ref.slot = std::uint32_t(slot);
+          return;
+        }
       }
     }
     ref.hops = -1;
@@ -71,29 +86,26 @@ class Resolver {
   }
 
   void walk_function(FunctionNode& fn) {
-    Scope scope{Scope::Function, {}};
-    auto layout = std::make_unique<ActivationLayout>();
-    layout->param_slots.reserve(fn.params.size());
-    for (const Atom& param : fn.params) {
-      layout->param_slots.push_back(scope.declare(param));
+    push_scope(Scope::Function);
+    auto* layout = program_.make<ActivationLayout>();
+    layout->param_slots = program_.array<std::uint32_t>(fn.params.size());
+    for (std::size_t i = 0; i < fn.params.size(); ++i) {
+      layout->param_slots[i] = declare(fn.params[i]);
     }
-    for (const Atom& var : fn.hoisted_vars) scope.declare(var);
-    layout->fn_slots.reserve(fn.hoisted_functions.size());
-    for (const FunctionDecl* decl : fn.hoisted_functions) {
-      layout->fn_slots.push_back(scope.declare(decl->fn->name));
+    for (const Atom& var : fn.hoisted_vars) declare(var);
+    layout->fn_slots = program_.array<std::uint32_t>(fn.hoisted_functions.size());
+    for (std::size_t j = 0; j < fn.hoisted_functions.size(); ++j) {
+      layout->fn_slots[j] = declare(fn.hoisted_functions[j]->fn->name);
     }
-    // Invert the scope map into slot order: the activation template the
+    // The scope's names in slot order are the activation template the
     // interpreter stamps per call (resolve_scopes is idempotent, so a
     // re-resolution after an AST rewrite just rebuilds it).
-    layout->names.resize(scope.slots.size());
-    for (const auto& [name, slot] : scope.slots) {
-      layout->names[slot] = name;
-    }
+    layout->names = program_.list(std::span<const Atom>(names_).subspan(scopes_.back().first));
     // Entry-value provenance per slot. Later writers win, mirroring the
     // declare sequence (params in order, then hoisted functions): a
     // duplicate parameter name keeps the LAST argument, a function
     // re-binding a parameter shadows it at entry.
-    layout->inits.assign(layout->names.size(), ActivationLayout::SlotSource{});
+    layout->inits = program_.array<ActivationLayout::SlotSource>(layout->names.size());
     for (std::uint32_t i = 0; i < layout->param_slots.size(); ++i) {
       layout->inits[layout->param_slots[i]] = {ActivationLayout::SlotInit::Param, i};
     }
@@ -113,25 +125,38 @@ class Resolver {
         layout->inits[slot] = ActivationLayout::SlotSource{};
       }
     }
-    fn.layout = std::move(layout);
-    scopes_.push_back(std::move(scope));
-    walk_stmt(*fn.body);
-    scopes_.pop_back();
+    fn.layout = layout;
+    walk(*fn.body);
+    pop_scope();
   }
 
-  void walk_stmt(Stmt& stmt) {
-    switch (stmt.kind) {
-      case NodeKind::Block:
-        for (auto& s : static_cast<Block&>(stmt).statements) walk_stmt(*s);
+  void walk(Node& node) {
+    switch (node.kind) {
+      case NodeKind::Ident: {
+        auto& ident = static_cast<Ident&>(node);
+        resolve_ref(ident.name, ident.ref);
         return;
-      case NodeKind::ExprStmt:
-        walk_expr(*static_cast<ExprStmt&>(stmt).expr);
-        return;
+      }
       case NodeKind::VarDecl:
-        for (auto& d : static_cast<VarDecl&>(stmt).declarators) {
+        for (auto& d : static_cast<VarDecl&>(node).declarators) {
           resolve_ref(d.name, d.ref);
-          if (d.init) walk_expr(*d.init);
+          if (d.init) walk(*d.init);
         }
+        return;
+      case NodeKind::ForIn: {
+        auto& loop = static_cast<ForIn&>(node);
+        resolve_ref(loop.var_name, loop.var_ref);
+        break;
+      }
+      case NodeKind::Member: {
+        auto& member = static_cast<Member&>(node);
+        if (!member.computed) member.ic_id = program_.ic_count++;
+        break;
+      }
+      case NodeKind::FunctionExpr:
+        // Function expressions close over the environment current at their
+        // evaluation site, so catch scopes on the stack stay in force.
+        walk_function(*static_cast<FunctionExpr&>(node).fn);
         return;
       case NodeKind::FunctionDecl: {
         // Hoisted functions are materialized at function entry and close
@@ -139,166 +164,37 @@ class Resolver {
         // enclosing the declaration contributes no scope level.
         std::vector<Scope> suspended;
         while (scopes_.back().kind == Scope::Catch) {
-          suspended.push_back(std::move(scopes_.back()));
+          suspended.push_back(scopes_.back());
           scopes_.pop_back();
         }
-        walk_function(*static_cast<FunctionDecl&>(stmt).fn);
+        walk_function(*static_cast<FunctionDecl&>(node).fn);
         while (!suspended.empty()) {
-          scopes_.push_back(std::move(suspended.back()));
+          scopes_.push_back(suspended.back());
           suspended.pop_back();
         }
         return;
       }
-      case NodeKind::If: {
-        auto& node = static_cast<If&>(stmt);
-        walk_expr(*node.condition);
-        walk_stmt(*node.consequent);
-        if (node.alternate) walk_stmt(*node.alternate);
-        return;
-      }
-      case NodeKind::For: {
-        auto& node = static_cast<For&>(stmt);
-        if (node.init) walk_stmt(*node.init);
-        if (node.condition) walk_expr(*node.condition);
-        if (node.update) walk_expr(*node.update);
-        walk_stmt(*node.body);
-        return;
-      }
-      case NodeKind::ForIn: {
-        auto& node = static_cast<ForIn&>(stmt);
-        resolve_ref(node.var_name, node.var_ref);
-        walk_expr(*node.object);
-        walk_stmt(*node.body);
-        return;
-      }
-      case NodeKind::While: {
-        auto& node = static_cast<While&>(stmt);
-        walk_expr(*node.condition);
-        walk_stmt(*node.body);
-        return;
-      }
-      case NodeKind::DoWhile: {
-        auto& node = static_cast<DoWhile&>(stmt);
-        walk_stmt(*node.body);
-        walk_expr(*node.condition);
-        return;
-      }
-      case NodeKind::Return: {
-        auto& node = static_cast<Return&>(stmt);
-        if (node.value) walk_expr(*node.value);
-        return;
-      }
-      case NodeKind::Throw:
-        walk_expr(*static_cast<Throw&>(stmt).value);
-        return;
       case NodeKind::TryCatch: {
-        auto& node = static_cast<TryCatch&>(stmt);
-        walk_stmt(*node.try_block);
-        if (node.catch_block) {
-          Scope scope{Scope::Catch, {}};
-          scope.declare(node.catch_param);
-          scopes_.push_back(std::move(scope));
-          walk_stmt(*node.catch_block);
-          scopes_.pop_back();
+        auto& handler = static_cast<TryCatch&>(node);
+        walk(*handler.try_block);
+        if (handler.catch_block) {
+          push_scope(Scope::Catch);
+          declare(handler.catch_param);
+          walk(*handler.catch_block);
+          pop_scope();
         }
-        if (node.finally_block) walk_stmt(*node.finally_block);
+        if (handler.finally_block) walk(*handler.finally_block);
         return;
       }
-      case NodeKind::Break:
-      case NodeKind::Continue:
-      case NodeKind::Empty:
-        return;
       default:
-        return;
+        break;
     }
-  }
-
-  void walk_expr(Expr& expr) {
-    switch (expr.kind) {
-      case NodeKind::Ident: {
-        auto& ident = static_cast<Ident&>(expr);
-        resolve_ref(ident.name, ident.ref);
-        return;
-      }
-      case NodeKind::ArrayLit:
-        for (auto& e : static_cast<ArrayLit&>(expr).elements) walk_expr(*e);
-        return;
-      case NodeKind::ObjectLit:
-        for (auto& [key, value] : static_cast<ObjectLit&>(expr).properties) {
-          walk_expr(*value);
-        }
-        return;
-      case NodeKind::FunctionExpr:
-        // Function expressions close over the environment current at their
-        // evaluation site, so catch scopes on the stack stay in force.
-        walk_function(*static_cast<FunctionExpr&>(expr).fn);
-        return;
-      case NodeKind::Call: {
-        auto& node = static_cast<Call&>(expr);
-        walk_expr(*node.callee);
-        for (auto& arg : node.args) walk_expr(*arg);
-        return;
-      }
-      case NodeKind::New: {
-        auto& node = static_cast<New&>(expr);
-        walk_expr(*node.callee);
-        for (auto& arg : node.args) walk_expr(*arg);
-        return;
-      }
-      case NodeKind::Member: {
-        auto& node = static_cast<Member&>(expr);
-        if (!node.computed) node.ic_id = program_.ic_count++;
-        walk_expr(*node.object);
-        if (node.index) walk_expr(*node.index);
-        return;
-      }
-      case NodeKind::Assign: {
-        auto& node = static_cast<Assign&>(expr);
-        walk_expr(*node.target);
-        walk_expr(*node.value);
-        return;
-      }
-      case NodeKind::Conditional: {
-        auto& node = static_cast<Conditional&>(expr);
-        walk_expr(*node.condition);
-        walk_expr(*node.consequent);
-        walk_expr(*node.alternate);
-        return;
-      }
-      case NodeKind::Binary: {
-        auto& node = static_cast<Binary&>(expr);
-        walk_expr(*node.lhs);
-        walk_expr(*node.rhs);
-        return;
-      }
-      case NodeKind::Logical: {
-        auto& node = static_cast<Logical&>(expr);
-        walk_expr(*node.lhs);
-        walk_expr(*node.rhs);
-        return;
-      }
-      case NodeKind::Unary:
-        walk_expr(*static_cast<Unary&>(expr).operand);
-        return;
-      case NodeKind::Update:
-        walk_expr(*static_cast<Update&>(expr).target);
-        return;
-      case NodeKind::Sequence:
-        for (auto& e : static_cast<Sequence&>(expr).exprs) walk_expr(*e);
-        return;
-      case NodeKind::NumberLit:
-      case NodeKind::StringLit:
-      case NodeKind::BoolLit:
-      case NodeKind::NullLit:
-      case NodeKind::ThisExpr:
-        return;
-      default:
-        return;
-    }
+    for_each_child(node, [this](Node& child) { walk(child); });
   }
 
   ProgramBody& program_;
   std::vector<Scope> scopes_;
+  std::vector<Atom> names_;  // every open scope's names (see Scope)
 };
 
 }  // namespace

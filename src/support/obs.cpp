@@ -433,7 +433,7 @@ std::string Snapshot::to_json() const {
 
 struct TraceRecorder::Ring {
   std::mutex mutex;
-  std::vector<TraceEvent> events;  // ring storage, capacity fixed per start
+  std::vector<TraceEvent> events;  // ring storage, reserved while tracing
   std::size_t head = 0;            // next write slot
   bool wrapped = false;
   std::uint32_t tid = 0;
@@ -466,7 +466,6 @@ TraceRecorder::Ring& TraceRecorder::ring() {
   if (r == nullptr) {
     r = new Ring();  // never freed: collect() must outlive the thread
     r->tid = next_tid_.fetch_add(1, std::memory_order_relaxed);
-    r->events.reserve(capacity_.load(std::memory_order_relaxed));
     RingTable& table = ring_table();
     const std::lock_guard lock(table.mutex);
     table.rings.push_back(r);
@@ -476,14 +475,15 @@ TraceRecorder::Ring& TraceRecorder::ring() {
 }
 
 void TraceRecorder::start(std::size_t events_per_thread) {
-  capacity_.store(std::max<std::size_t>(events_per_thread, 16),
-                  std::memory_order_relaxed);
+  const std::size_t cap = std::max<std::size_t>(events_per_thread, 16);
+  capacity_.store(cap, std::memory_order_relaxed);
   RingTable& table = ring_table();
   {
     const std::lock_guard lock(table.mutex);
     for (Ring* r : table.rings) {
       const std::lock_guard ring_lock(r->mutex);
       r->events.clear();
+      r->events.reserve(cap);
       r->head = 0;
       r->wrapped = false;
     }
@@ -500,6 +500,9 @@ void TraceRecorder::append(TraceEvent event) {
   const std::size_t cap = capacity_.load(std::memory_order_relaxed);
   const std::lock_guard lock(r.mutex);
   event.tid = r.tid;
+  // A ring gets its storage on its first event while tracing (a thread
+  // that only names itself holds none) or from start().
+  if (r.events.capacity() < cap) r.events.reserve(cap);
   if (r.events.size() < cap) {
     r.events.push_back(event);
     r.head = r.events.size() % cap;
@@ -528,6 +531,17 @@ void TraceRecorder::set_thread_name(std::string name) {
   Ring& r = ring();
   const std::lock_guard lock(r.mutex);
   r.thread_name = std::move(name);
+}
+
+std::size_t TraceRecorder::reserved_events() const {
+  RingTable& table = ring_table();
+  const std::lock_guard lock(table.mutex);
+  std::size_t total = 0;
+  for (Ring* r : table.rings) {
+    const std::lock_guard ring_lock(r->mutex);
+    total += r->events.capacity();
+  }
+  return total;
 }
 
 std::vector<TraceEvent> TraceRecorder::collect() const {

@@ -209,9 +209,9 @@ class TraceRecorder {
  public:
   static TraceRecorder& instance();
 
-  /// Arm. `events_per_thread` sizes each ring (wraps, newest wins); the
-  /// size is applied to rings created after this call and existing rings
-  /// are re-sized. Resets the time origin.
+  /// Arm. `events_per_thread` sizes each ring (wraps, newest wins): existing
+  /// rings reserve it here, a thread's new ring on its first event. A ring
+  /// reserves nothing while tracing is off. Resets the time origin.
   void start(std::size_t events_per_thread = std::size_t(1) << 14);
   void stop();
   [[nodiscard]] bool enabled() const {
@@ -232,6 +232,8 @@ class TraceRecorder {
     return mono_ns() - epoch_ns_.load(std::memory_order_relaxed);
   }
 
+  /// Event slots reserved across all rings.
+  [[nodiscard]] std::size_t reserved_events() const;
   /// Merge all rings, oldest-first per ring, sorted by ts.
   [[nodiscard]] std::vector<TraceEvent> collect() const;
   /// Chrome trace-event JSON ({"traceEvents":[...]}; ts/dur in us).

@@ -224,6 +224,14 @@ TEST(Semantics, MapIndexArgument) {
             "a0,b1");
 }
 
+TEST(Semantics, NumericObjectKeysUseTheNumbersCanonicalString) {
+  EXPECT_EQ(str_result("var o = {0x10: 1, 1.50: 2, 1e3: 3};\n"
+                       "var keys = [];\n"
+                       "for (var k in o) { keys.push(k); }\n"
+                       "var result = o[16] + ',' + o[1.5] + ',' + o[1000] + '|' + keys.join(',');"),
+            "1,2,3|16,1.5,1000");
+}
+
 // ---------------------------------------------------------------------------
 // Hook-facing behaviour
 // ---------------------------------------------------------------------------

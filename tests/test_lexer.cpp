@@ -34,9 +34,9 @@ TEST(Lexer, Numbers) {
 
 TEST(Lexer, Strings) {
   const auto tokens = lex(R"('abc' "d\ne" 'q\'t')");
-  EXPECT_EQ(tokens[0].text, "abc");
-  EXPECT_EQ(tokens[1].text, "d\ne");
-  EXPECT_EQ(tokens[2].text, "q't");
+  EXPECT_EQ(tokens[0].atom, "abc");
+  EXPECT_EQ(tokens[1].atom, "d\ne");
+  EXPECT_EQ(tokens[2].atom, "q't");
 }
 
 TEST(Lexer, UnterminatedStringThrows) {
@@ -68,15 +68,15 @@ TEST(Lexer, IncrementVsPlusAssign) {
 TEST(Lexer, LineComments) {
   const auto tokens = lex("a // comment\nb");
   ASSERT_EQ(tokens.size(), 3u);
-  EXPECT_EQ(tokens[0].text, "a");
-  EXPECT_EQ(tokens[1].text, "b");
+  EXPECT_EQ(tokens[0].atom, "a");
+  EXPECT_EQ(tokens[1].atom, "b");
   EXPECT_EQ(tokens[1].line, 2);
 }
 
 TEST(Lexer, BlockComments) {
   const auto tokens = lex("a /* x\ny */ b");
   ASSERT_EQ(tokens.size(), 3u);
-  EXPECT_EQ(tokens[1].text, "b");
+  EXPECT_EQ(tokens[1].atom, "b");
   EXPECT_EQ(tokens[1].line, 2);
 }
 
@@ -97,15 +97,52 @@ TEST(Lexer, UnexpectedCharacterThrows) {
 
 TEST(Lexer, DollarAndUnderscoreIdentifiers) {
   const auto tokens = lex("$el _private x$1");
-  EXPECT_EQ(tokens[0].text, "$el");
-  EXPECT_EQ(tokens[1].text, "_private");
-  EXPECT_EQ(tokens[2].text, "x$1");
+  EXPECT_EQ(tokens[0].atom, "$el");
+  EXPECT_EQ(tokens[1].atom, "_private");
+  EXPECT_EQ(tokens[2].atom, "x$1");
 }
 
 TEST(Lexer, DotVsNumberDot) {
   const auto tokens = lex("a.b 1.5");
   EXPECT_EQ(tokens[1].kind, Tok::Dot);
   EXPECT_DOUBLE_EQ(tokens[3].number, 1.5);
+}
+
+// The front end's error text is part of its contract: the hostile suites and
+// fuzz_driver compare LexError messages and lines byte for byte.
+struct ErrorRow {
+  const char* source;
+  std::size_t max_source_bytes;
+  std::size_t max_tokens;
+  const char* what;
+  int line;
+};
+
+TEST(Lexer, ErrorTextAndLineArePinned) {
+  const ErrorRow rows[] = {
+      {"var s = 'abc", 0, 0, "unterminated string literal (line 1)", 1},
+      {"var a = 1;\nvar s = \"abc\n", 0, 0, "newline in string literal (line 2)", 2},
+      {"var a = 1;\n/* never\nclosed", 0, 0, "unterminated block comment (line 2)", 2},
+      {"var s = 'abc\\", 0, 0, "unterminated escape (line 1)", 1},
+      {"var a;\nvar s = 'ab\ncd';", 0, 0, "newline in string literal (line 2)", 2},
+      {"var a = 1;\nvar b = a # 2;", 0, 0, "unexpected character '#' (line 2)", 2},
+      {"var a = 1;\n\n\nvar b = @;", 0, 0, "unexpected character '@' (line 4)", 4},
+      {"var a = 1; var b = 2; var c = 3;", 16, 0, "source too large: 32 > 16 bytes (line 1)", 1},
+      {"var a = 1;\nvar b = 2;\nvar c = 3;", 0, 12, "token limit exceeded (12 tokens) (line 3)", 3},
+      {"var a = 1;\nvar b = 2;", 0, 5, "token limit exceeded (5 tokens) (line 2)", 2},
+  };
+  for (const ErrorRow& row : rows) {
+    EngineLimits limits;
+    limits.max_source_bytes = row.max_source_bytes;
+    limits.max_tokens = row.max_tokens;
+    try {
+      js::lex(row.source, g_atoms, limits);
+      ADD_FAILURE() << "no LexError for: " << row.source;
+    } catch (const LexError& e) {
+      EXPECT_STREQ(e.what(), row.what) << row.source;
+      EXPECT_EQ(e.line(), row.line) << row.source;
+    }
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstring>
 #include <deque>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -306,6 +307,34 @@ TEST(TraceRecorderTest, ConcurrentAppendersEachGetTheirOwnRing) {
   }
   EXPECT_EQ(spans, std::size_t(kThreads) * kSpansPerThread);
   EXPECT_EQ(tids.size(), std::size_t(kThreads));
+}
+
+TEST(TraceRecorderTest, ThreadNamedWhileTracingIsOffReservesNoEvents) {
+  TraceRecorder& rec = TraceRecorder::instance();
+  rec.stop();
+  const std::size_t reserved_before = rec.reserved_events();
+  std::promise<void> named;
+  std::promise<void> started;
+  std::thread worker([&] {
+    rec.set_thread_name("tobs-idle");
+    named.set_value();
+    started.get_future().wait();
+    SpanScope span("tobs_lazy", "lazy_span");
+  });
+  named.get_future().wait();
+  EXPECT_EQ(rec.reserved_events(), reserved_before);
+
+  // start() reserves the existing ring, and the thread's events come back.
+  rec.start(64);
+  EXPECT_GE(rec.reserved_events(), reserved_before + 64);
+  started.set_value();
+  worker.join();
+  rec.stop();
+  std::size_t spans = 0;
+  for (const TraceEvent& event : rec.collect()) {
+    if (std::strcmp(event.cat, "tobs_lazy") == 0) ++spans;
+  }
+  EXPECT_EQ(spans, 1u);
 }
 
 // --- acceptance: a service batch populates the whole registry --------------

@@ -53,50 +53,50 @@ TEST(Parser, ForInForms) {
   const Program p = parse("for (var k in obj) { } for (k in obj) { }");
   ASSERT_EQ(p->loop_count(), 2);
   EXPECT_EQ(p->loop(1).kind, LoopKind::ForIn);
-  const auto* loop = static_cast<const ForIn*>(p->statements[0].get());
+  const auto* loop = static_cast<const ForIn*>(p->statements[0]);
   EXPECT_TRUE(loop->declares_var);
-  const auto* second = static_cast<const ForIn*>(p->statements[1].get());
+  const auto* second = static_cast<const ForIn*>(p->statements[1]);
   EXPECT_FALSE(second->declares_var);
 }
 
 TEST(Parser, OperatorPrecedence) {
   const Program p = parse("var x = 1 + 2 * 3;");
-  const auto* decl = static_cast<const VarDecl*>(p->statements[0].get());
-  const auto* add = static_cast<const Binary*>(decl->declarators[0].init.get());
+  const auto* decl = static_cast<const VarDecl*>(p->statements[0]);
+  const auto* add = static_cast<const Binary*>(decl->declarators[0].init);
   ASSERT_EQ(add->op, BinaryOp::Add);
   EXPECT_EQ(add->rhs->kind, NodeKind::Binary);
-  EXPECT_EQ(static_cast<const Binary*>(add->rhs.get())->op, BinaryOp::Mul);
+  EXPECT_EQ(static_cast<const Binary*>(add->rhs)->op, BinaryOp::Mul);
 }
 
 TEST(Parser, AssignmentIsRightAssociative) {
   const Program p = parse("a = b = 1;");
-  const auto* stmt = static_cast<const ExprStmt*>(p->statements[0].get());
-  const auto* outer = static_cast<const Assign*>(stmt->expr.get());
+  const auto* stmt = static_cast<const ExprStmt*>(p->statements[0]);
+  const auto* outer = static_cast<const Assign*>(stmt->expr);
   EXPECT_EQ(outer->value->kind, NodeKind::Assign);
 }
 
 TEST(Parser, MemberChainsAndCalls) {
   const Program p = parse("a.b.c(1)[2].d();");
-  const auto* stmt = static_cast<const ExprStmt*>(p->statements[0].get());
+  const auto* stmt = static_cast<const ExprStmt*>(p->statements[0]);
   ASSERT_EQ(stmt->expr->kind, NodeKind::Call);
-  const auto* call = static_cast<const Call*>(stmt->expr.get());
+  const auto* call = static_cast<const Call*>(stmt->expr);
   EXPECT_EQ(call->callee->kind, NodeKind::Member);
 }
 
 TEST(Parser, NewWithMemberCallee) {
   const Program p = parse("var v = new lib.Vec(1, 2);");
-  const auto* decl = static_cast<const VarDecl*>(p->statements[0].get());
+  const auto* decl = static_cast<const VarDecl*>(p->statements[0]);
   ASSERT_EQ(decl->declarators[0].init->kind, NodeKind::New);
-  const auto* node = static_cast<const New*>(decl->declarators[0].init.get());
+  const auto* node = static_cast<const New*>(decl->declarators[0].init);
   EXPECT_EQ(node->callee->kind, NodeKind::Member);
   EXPECT_EQ(node->args.size(), 2u);
 }
 
 TEST(Parser, FunctionExpressionAnonymous) {
   const Program p = parse("var f = function (x) { return x; };");
-  const auto* decl = static_cast<const VarDecl*>(p->statements[0].get());
+  const auto* decl = static_cast<const VarDecl*>(p->statements[0]);
   ASSERT_EQ(decl->declarators[0].init->kind, NodeKind::FunctionExpr);
-  const auto* fn = static_cast<const FunctionExpr*>(decl->declarators[0].init.get());
+  const auto* fn = static_cast<const FunctionExpr*>(decl->declarators[0].init);
   EXPECT_TRUE(fn->fn->name.empty());
   EXPECT_EQ(fn->fn->params.size(), 1u);
 }
@@ -108,14 +108,14 @@ TEST(Parser, FunctionIdsAreUnique) {
 
 TEST(Parser, ConditionalExpression) {
   const Program p = parse("var x = a ? 1 : 2;");
-  const auto* decl = static_cast<const VarDecl*>(p->statements[0].get());
+  const auto* decl = static_cast<const VarDecl*>(p->statements[0]);
   EXPECT_EQ(decl->declarators[0].init->kind, NodeKind::Conditional);
 }
 
 TEST(Parser, ObjectAndArrayLiterals) {
   const Program p = parse("var o = {a: 1, 'b c': 2, 3: 4}; var a = [1, [2], {}];");
-  const auto* decl = static_cast<const VarDecl*>(p->statements[0].get());
-  const auto* obj = static_cast<const ObjectLit*>(decl->declarators[0].init.get());
+  const auto* decl = static_cast<const VarDecl*>(p->statements[0]);
+  const auto* obj = static_cast<const ObjectLit*>(decl->declarators[0].init);
   ASSERT_EQ(obj->properties.size(), 3u);
   EXPECT_EQ(obj->properties[1].first, "b c");
 }
@@ -125,9 +125,21 @@ TEST(Parser, KeywordPropertyNames) {
   EXPECT_NO_THROW(parse("var y = {in: 1, for: 2};"));
 }
 
+TEST(Parser, MemberNameAfterDotIsAnIdentifierName) {
+  for (const char* source : {"var a = {}; a.'x' = 1;", "var a = {}; a.5 = 2;"}) {
+    try {
+      parse(source);
+      ADD_FAILURE() << "accepted: " << source;
+    } catch (const ParseError& e) {
+      EXPECT_STREQ(e.what(), "expected property name after '.' (line 1)") << source;
+    }
+  }
+  EXPECT_NO_THROW(parse("a.typeof = a.null + a.instanceof;"));
+}
+
 TEST(Parser, TryCatchFinally) {
   const Program p = parse("try { f(); } catch (e) { g(e); } finally { h(); }");
-  const auto* node = static_cast<const TryCatch*>(p->statements[0].get());
+  const auto* node = static_cast<const TryCatch*>(p->statements[0]);
   EXPECT_EQ(node->catch_param, "e");
   EXPECT_NE(node->finally_block, nullptr);
 }
@@ -147,6 +159,53 @@ TEST(Parser, InvalidAssignmentTargetThrows) {
 TEST(Parser, DeleteRequiresMember) {
   EXPECT_THROW(parse("delete x;"), ParseError);
   EXPECT_NO_THROW(parse("delete x.y;"));
+}
+
+// The front end's error text is part of its contract: the hostile suites and
+// fuzz_driver compare ParseError messages and lines byte for byte.
+TEST(Parser, ErrorTextAndLineArePinned) {
+  struct Row {
+    std::string source;
+    int max_parse_depth;  // 0 = the default cap
+    const char* what;
+    int line;
+  };
+  const Row rows[] = {
+      {"var x = 1", 0, "expected ';' in variable declaration, found end of input (line 1)", 1},
+      {"var a;\nif (a { }", 0, "expected ')' in if condition, found '{' (line 2)", 2},
+      {"f(1,\n2;", 0, "expected ')' in call arguments, found ';' (line 2)", 2},
+      {"var o = {a 1};", 0, "expected ':' in object literal, found number (line 1)", 1},
+      {"var o = {\n;};", 0, "expected property key (line 2)", 2},
+      {"for (var i = 0; i < 3 i++) { }", 0,
+       "expected ';' in for header, found identifier (line 1)", 1},
+      {"var a;\nwhile (a) {\n a++;\n", 0, "unterminated block (line 2)", 2},
+      {"var x = " + std::string(20, '(') + "1" + std::string(20, ')') + ";", 8,
+       "nesting too deep (limit 8 levels) (line 1)", 1},
+      {"var a;\n{ { { {\n{ { { { { { x; } } } } } }\n} } } }", 6,
+       "nesting too deep (limit 6 levels) (line 3)", 3},
+      {"try {\n} var a;", 0, "try requires catch or finally (line 1)", 1},
+      {"var a;\n1 = 2;", 0, "invalid assignment target (line 2)", 2},
+      {"delete\nx;", 0, "delete requires a property access (line 1)", 1},
+      {"function () { }", 0, "function declaration requires a name (line 1)", 1},
+      {"var x = ;", 0, "unexpected token ';' (line 1)", 1},
+      {"a.;", 0, "expected property name after '.' (line 1)", 1},
+      {"new a.(1);", 0, "expected identifier in member access, found '(' (line 1)", 1},
+      {"++1;", 0, "invalid increment/decrement target (line 1)", 1},
+      {"var a = b ? c;", 0, "expected ':' in conditional expression, found ';' (line 1)", 1},
+      {"do { } while (a)", 0,
+       "expected ';' in do-while statement, found end of input (line 1)", 1},
+  };
+  for (const Row& row : rows) {
+    EngineLimits limits;
+    if (row.max_parse_depth > 0) limits.max_parse_depth = row.max_parse_depth;
+    try {
+      parse(row.source, "<t>", limits);
+      ADD_FAILURE() << "no ParseError for: " << row.source;
+    } catch (const ParseError& e) {
+      EXPECT_STREQ(e.what(), row.what) << row.source;
+      EXPECT_EQ(e.line(), row.line) << row.source;
+    }
+  }
 }
 
 TEST(Parser, EnclosingFunctionRecordedForLoops) {
