@@ -22,6 +22,7 @@
 #include "rivertrail/kernels.h"
 #include "rivertrail/parallel_for.h"
 #include "rivertrail/parallel_pipeline.h"
+#include "support/session.h"
 
 namespace {
 
@@ -259,6 +260,19 @@ void BM_InterpretCallsArgs(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 5000 * 2);
 }
 BENCHMARK(BM_InterpretCallsArgs);
+
+// Session start-up and teardown on an empty program: the fixed cost every
+// request pays around its script (the builtin realm's copy, the mode's
+// hooks, the interpreter's caches). Arg: the Ceres rung, 0 or 3.
+void BM_SessionStartup(benchmark::State& state) {
+  const js::Program program = js::parse("");
+  const CeresMode mode = mode_of_rung(int(state.range(0)));
+  for (auto _ : state) {
+    Session session(program, mode);
+    benchmark::DoNotOptimize(&session);
+  }
+}
+BENCHMARK(BM_SessionStartup)->Arg(0)->Arg(3);
 
 void BM_CanvasFillRect(benchmark::State& state) {
   dom::CanvasContext ctx(256, 256);

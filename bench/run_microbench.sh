@@ -20,7 +20,7 @@
 # is not installed). Compare ratios, not absolute times.
 set -euo pipefail
 
-FILTER_INTERP='BM_Lex|BM_Parse|BM_Interpret|BM_Resolve|BM_PropertyAccess'
+FILTER_INTERP='BM_Lex|BM_Parse|BM_Interpret|BM_Resolve|BM_PropertyAccess|BM_SessionStartup'
 FILTER_RIVERTRAIL='BM_ParallelFor|BM_NBodyStepPar'
 FILTER_CERES='BM_Dependence|BM_Characterize'
 FILTER_PIPELINE='BM_Pipeline'

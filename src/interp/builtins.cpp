@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "interp/interpreter.h"
+#include "interp/realm.h"
 
 namespace jsceres::interp {
 
@@ -51,25 +52,25 @@ const std::string& require_string(Interpreter& interp, const Value& this_val,
   return this_val.as_string();
 }
 
-void define_method(Interpreter& interp, const ObjPtr& target, const std::string& name,
+void define_method(Realm& realm, const ObjPtr& target, const std::string& name,
                    NativeFn fn) {
-  target->set_property(name, Value::object(interp.make_native_function(name, std::move(fn))));
+  realm.set(target, name, Value::object(realm.make_native_function(name, std::move(fn))));
 }
 
 // ---------------------------------------------------------------------------
 // Math
 // ---------------------------------------------------------------------------
 
-void install_math(Interpreter& interp) {
-  ObjPtr math = interp.make_namespace_object();
-  math->set_property("PI", Value::number(M_PI));
-  math->set_property("E", Value::number(M_E));
-  math->set_property("LN2", Value::number(M_LN2));
-  math->set_property("LN10", Value::number(M_LN10));
-  math->set_property("SQRT2", Value::number(M_SQRT2));
+void install_math(Realm& realm) {
+  ObjPtr math = realm.make_namespace_object();
+  realm.set(math, "PI", Value::number(M_PI));
+  realm.set(math, "E", Value::number(M_E));
+  realm.set(math, "LN2", Value::number(M_LN2));
+  realm.set(math, "LN10", Value::number(M_LN10));
+  realm.set(math, "SQRT2", Value::number(M_SQRT2));
 
   const auto unary = [&](const std::string& name, double (*fn)(double)) {
-    define_method(interp, math, name,
+    define_method(realm, math, name,
                   [fn](Interpreter& in, const Value&, const Args& args) {
                     in.charge(1);
                     return Value::number(fn(num_arg(in, args, 0)));
@@ -87,48 +88,48 @@ void install_math(Interpreter& interp) {
   unary("atan", std::atan);
   unary("exp", std::exp);
   unary("log", std::log);
-  define_method(interp, math, "round",
+  define_method(realm, math, "round",
                 [](Interpreter& in, const Value&, const Args& args) {
                   // JS rounds half-up (towards +inf), unlike C's round.
                   return Value::number(std::floor(num_arg(in, args, 0) + 0.5));
                 });
-  define_method(interp, math, "atan2",
+  define_method(realm, math, "atan2",
                 [](Interpreter& in, const Value&, const Args& args) {
                   return Value::number(
                       std::atan2(num_arg(in, args, 0), num_arg(in, args, 1)));
                 });
-  define_method(interp, math, "pow",
+  define_method(realm, math, "pow",
                 [](Interpreter& in, const Value&, const Args& args) {
                   return Value::number(
                       std::pow(num_arg(in, args, 0), num_arg(in, args, 1)));
                 });
-  define_method(interp, math, "min",
+  define_method(realm, math, "min",
                 [](Interpreter& in, const Value&, const Args& args) {
                   double best = std::numeric_limits<double>::infinity();
                   for (const auto& a : args) best = std::min(best, in.to_number(a));
                   return Value::number(best);
                 });
-  define_method(interp, math, "max",
+  define_method(realm, math, "max",
                 [](Interpreter& in, const Value&, const Args& args) {
                   double best = -std::numeric_limits<double>::infinity();
                   for (const auto& a : args) best = std::max(best, in.to_number(a));
                   return Value::number(best);
                 });
-  define_method(interp, math, "random",
+  define_method(realm, math, "random",
                 [](Interpreter& in, const Value&, const Args&) {
                   return Value::number(in.rng().next_double());
                 });
-  interp.define_global("Math", Value::object(math));
+  realm.define_global("Math", Value::object(math));
 }
 
 // ---------------------------------------------------------------------------
 // Array
 // ---------------------------------------------------------------------------
 
-void install_array(Interpreter& interp) {
-  const ObjPtr& proto = interp.array_prototype();
+void install_array(Realm& realm) {
+  const ObjPtr& proto = realm.array_prototype();
 
-  define_method(interp, proto, "push",
+  define_method(realm, proto, "push",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const ObjPtr arr = require_array(in, self, "push");
                   in.charge_elements(*arr, arr->elements().size() + args.size());
@@ -139,7 +140,7 @@ void install_array(Interpreter& interp) {
                   in.charge(std::int64_t(args.size()));
                   return Value::number(double(arr->elements().size()));
                 });
-  define_method(interp, proto, "pop",
+  define_method(realm, proto, "pop",
                 [](Interpreter& in, const Value& self, const Args&) {
                   const ObjPtr arr = require_array(in, self, "pop");
                   if (arr->elements().empty()) return Value::undefined();
@@ -148,7 +149,7 @@ void install_array(Interpreter& interp) {
                   arr->elements().pop_back();
                   return last;
                 });
-  define_method(interp, proto, "shift",
+  define_method(realm, proto, "shift",
                 [](Interpreter& in, const Value& self, const Args&) {
                   const ObjPtr arr = require_array(in, self, "shift");
                   if (arr->elements().empty()) return Value::undefined();
@@ -158,7 +159,7 @@ void install_array(Interpreter& interp) {
                   note_index_write(in, arr, 0);
                   return first;
                 });
-  define_method(interp, proto, "indexOf",
+  define_method(realm, proto, "indexOf",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const ObjPtr arr = require_array(in, self, "indexOf");
                   const Value& needle = arg_or_undefined(args, 0);
@@ -177,7 +178,7 @@ void install_array(Interpreter& interp) {
                   }
                   return Value::number(-1);
                 });
-  define_method(interp, proto, "join",
+  define_method(realm, proto, "join",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const ObjPtr arr = require_array(in, self, "join");
                   const std::string sep = args.empty() ? "," : in.to_string_value(args[0]);
@@ -190,7 +191,7 @@ void install_array(Interpreter& interp) {
                   }
                   return Value::str(std::move(out));
                 });
-  define_method(interp, proto, "slice",
+  define_method(realm, proto, "slice",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const ObjPtr arr = require_array(in, self, "slice");
                   const auto size = std::int64_t(arr->elements().size());
@@ -207,7 +208,7 @@ void install_array(Interpreter& interp) {
                   }
                   return Value::object(out);
                 });
-  define_method(interp, proto, "concat",
+  define_method(realm, proto, "concat",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const ObjPtr arr = require_array(in, self, "concat");
                   ObjPtr out = in.make_array(arr->elements().size());
@@ -231,14 +232,14 @@ void install_array(Interpreter& interp) {
                   in.charge(std::int64_t(out->elements().size()));
                   return Value::object(out);
                 });
-  define_method(interp, proto, "reverse",
+  define_method(realm, proto, "reverse",
                 [](Interpreter& in, const Value& self, const Args&) {
                   const ObjPtr arr = require_array(in, self, "reverse");
                   std::reverse(arr->elements().begin(), arr->elements().end());
                   in.charge(std::int64_t(arr->elements().size()));
                   return self;
                 });
-  define_method(interp, proto, "fill",
+  define_method(realm, proto, "fill",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const ObjPtr arr = require_array(in, self, "fill");
                   const Value& fill = arg_or_undefined(args, 0);
@@ -249,7 +250,7 @@ void install_array(Interpreter& interp) {
                   in.charge(std::int64_t(arr->elements().size()));
                   return self;
                 });
-  define_method(interp, proto, "splice",
+  define_method(realm, proto, "splice",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const ObjPtr arr = require_array(in, self, "splice");
                   const auto size = std::int64_t(arr->elements().size());
@@ -273,7 +274,7 @@ void install_array(Interpreter& interp) {
                   in.charge(size);
                   return Value::object(removed);
                 });
-  define_method(interp, proto, "sort",
+  define_method(realm, proto, "sort",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const ObjPtr arr = require_array(in, self, "sort");
                   auto& elems = arr->elements();
@@ -298,7 +299,7 @@ void install_array(Interpreter& interp) {
   // --- functional operators (the paper's §2.3 "high-level Array operators").
   // Each callback invocation creates a fresh activation environment, which is
   // exactly why the paper's forEach rewrite removes the `var p` dependence.
-  define_method(interp, proto, "forEach",
+  define_method(realm, proto, "forEach",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const ObjPtr arr = require_array(in, self, "forEach");
                   const Value& callback = arg_or_undefined(args, 0);
@@ -308,7 +309,7 @@ void install_array(Interpreter& interp) {
                   }
                   return Value::undefined();
                 });
-  define_method(interp, proto, "map",
+  define_method(realm, proto, "map",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const ObjPtr arr = require_array(in, self, "map");
                   const Value& callback = arg_or_undefined(args, 0);
@@ -320,7 +321,7 @@ void install_array(Interpreter& interp) {
                   }
                   return Value::object(out);
                 });
-  define_method(interp, proto, "filter",
+  define_method(realm, proto, "filter",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const ObjPtr arr = require_array(in, self, "filter");
                   const Value& callback = arg_or_undefined(args, 0);
@@ -335,7 +336,7 @@ void install_array(Interpreter& interp) {
                   }
                   return Value::object(out);
                 });
-  define_method(interp, proto, "reduce",
+  define_method(realm, proto, "reduce",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const ObjPtr arr = require_array(in, self, "reduce");
                   const Value& callback = arg_or_undefined(args, 0);
@@ -356,7 +357,7 @@ void install_array(Interpreter& interp) {
                   }
                   return acc;
                 });
-  define_method(interp, proto, "every",
+  define_method(realm, proto, "every",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const ObjPtr arr = require_array(in, self, "every");
                   const Value& callback = arg_or_undefined(args, 0);
@@ -368,7 +369,7 @@ void install_array(Interpreter& interp) {
                   }
                   return Value::boolean(true);
                 });
-  define_method(interp, proto, "some",
+  define_method(realm, proto, "some",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const ObjPtr arr = require_array(in, self, "some");
                   const Value& callback = arg_or_undefined(args, 0);
@@ -382,7 +383,7 @@ void install_array(Interpreter& interp) {
                 });
 
   // Array constructor: Array(n) pre-sizes, Array(a, b, c) packs.
-  ObjPtr array_ctor = interp.make_native_function(
+  ObjPtr array_ctor = realm.make_native_function(
       "Array", [](Interpreter& in, const Value&, const Args& args) {
         if (args.size() == 1 && args[0].is_number()) {
           ObjPtr out = in.make_array(0);
@@ -393,33 +394,31 @@ void install_array(Interpreter& interp) {
         for (const auto& a : args) out->elements().push_back(a);
         return Value::object(out);
       });
-  array_ctor->set_property("isArray",
-                           Value::object(interp.make_native_function(
-                               "isArray",
-                               [](Interpreter&, const Value&, const Args& args) {
-                                 const Value& v = arg_or_undefined(args, 0);
-                                 return Value::boolean(v.is_object() &&
-                                                       v.as_object()->is_array());
-                               })));
-  array_ctor->set_property("prototype", Value::object(proto));
-  interp.define_global("Array", Value::object(array_ctor));
+  realm.set(array_ctor, "isArray",
+            Value::object(realm.make_native_function(
+                "isArray", [](Interpreter&, const Value&, const Args& args) {
+                  const Value& v = arg_or_undefined(args, 0);
+                  return Value::boolean(v.is_object() && v.as_object()->is_array());
+                })));
+  realm.set(array_ctor, "prototype", Value::object(proto));
+  realm.define_global("Array", Value::object(array_ctor));
 }
 
 // ---------------------------------------------------------------------------
 // String / Number methods
 // ---------------------------------------------------------------------------
 
-void install_string(Interpreter& interp) {
-  const ObjPtr& proto = interp.string_prototype();
+void install_string(Realm& realm) {
+  const ObjPtr& proto = realm.string_prototype();
 
-  define_method(interp, proto, "charAt",
+  define_method(realm, proto, "charAt",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const std::string& s = require_string(in, self, "charAt");
                   const auto i = std::int64_t(num_arg(in, args, 0));
                   if (i < 0 || i >= std::int64_t(s.size())) return Value::str("");
                   return Value::str(std::string(1, s[std::size_t(i)]));
                 });
-  define_method(interp, proto, "charCodeAt",
+  define_method(realm, proto, "charCodeAt",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const std::string& s = require_string(in, self, "charCodeAt");
                   const auto i = args.empty() ? 0 : std::int64_t(num_arg(in, args, 0));
@@ -428,21 +427,21 @@ void install_string(Interpreter& interp) {
                   }
                   return Value::number(double(static_cast<unsigned char>(s[std::size_t(i)])));
                 });
-  define_method(interp, proto, "indexOf",
+  define_method(realm, proto, "indexOf",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const std::string& s = require_string(in, self, "indexOf");
                   const std::string needle = in.to_string_value(arg_or_undefined(args, 0));
                   const std::size_t pos = s.find(needle);
                   return Value::number(pos == std::string::npos ? -1 : double(pos));
                 });
-  define_method(interp, proto, "lastIndexOf",
+  define_method(realm, proto, "lastIndexOf",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const std::string& s = require_string(in, self, "lastIndexOf");
                   const std::string needle = in.to_string_value(arg_or_undefined(args, 0));
                   const std::size_t pos = s.rfind(needle);
                   return Value::number(pos == std::string::npos ? -1 : double(pos));
                 });
-  define_method(interp, proto, "substring",
+  define_method(realm, proto, "substring",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const std::string& s = require_string(in, self, "substring");
                   auto begin = std::int64_t(num_arg(in, args, 0));
@@ -453,7 +452,7 @@ void install_string(Interpreter& interp) {
                   if (begin > end) std::swap(begin, end);
                   return Value::str(s.substr(std::size_t(begin), std::size_t(end - begin)));
                 });
-  define_method(interp, proto, "slice",
+  define_method(realm, proto, "slice",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const std::string& s = require_string(in, self, "slice");
                   const auto size = std::int64_t(s.size());
@@ -466,7 +465,7 @@ void install_string(Interpreter& interp) {
                   if (begin >= end) return Value::str("");
                   return Value::str(s.substr(std::size_t(begin), std::size_t(end - begin)));
                 });
-  define_method(interp, proto, "split",
+  define_method(realm, proto, "split",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const std::string& s = require_string(in, self, "split");
                   const std::string sep = in.to_string_value(arg_or_undefined(args, 0));
@@ -490,21 +489,21 @@ void install_string(Interpreter& interp) {
                   }
                   return Value::object(out);
                 });
-  define_method(interp, proto, "toLowerCase",
+  define_method(realm, proto, "toLowerCase",
                 [](Interpreter& in, const Value& self, const Args&) {
                   std::string s = require_string(in, self, "toLowerCase");
                   std::transform(s.begin(), s.end(), s.begin(),
                                  [](unsigned char c) { return char(std::tolower(c)); });
                   return Value::str(std::move(s));
                 });
-  define_method(interp, proto, "toUpperCase",
+  define_method(realm, proto, "toUpperCase",
                 [](Interpreter& in, const Value& self, const Args&) {
                   std::string s = require_string(in, self, "toUpperCase");
                   std::transform(s.begin(), s.end(), s.begin(),
                                  [](unsigned char c) { return char(std::toupper(c)); });
                   return Value::str(std::move(s));
                 });
-  define_method(interp, proto, "trim",
+  define_method(realm, proto, "trim",
                 [](Interpreter& in, const Value& self, const Args&) {
                   const std::string& s = require_string(in, self, "trim");
                   std::size_t begin = 0;
@@ -513,7 +512,7 @@ void install_string(Interpreter& interp) {
                   while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1]))) --end;
                   return Value::str(s.substr(begin, end - begin));
                 });
-  define_method(interp, proto, "replace",
+  define_method(realm, proto, "replace",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   // First-occurrence, string-pattern replace (no regex in the
                   // engine subset).
@@ -528,7 +527,7 @@ void install_string(Interpreter& interp) {
                 });
   // Number.prototype.toFixed lives here too; property_get routes number
   // method lookups through the same prototype (documented simplification).
-  define_method(interp, proto, "toFixed",
+  define_method(realm, proto, "toFixed",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   if (!self.is_number()) {
                     in.throw_error("TypeError", "toFixed called on a non-number");
@@ -539,33 +538,33 @@ void install_string(Interpreter& interp) {
                   return Value::str(std::string(buf));
                 });
 
-  ObjPtr string_ctor = interp.make_native_function(
+  ObjPtr string_ctor = realm.make_native_function(
       "String", [](Interpreter& in, const Value&, const Args& args) {
         return Value::str(args.empty() ? "" : in.to_string_value(args[0]));
       });
-  string_ctor->set_property(
-      "fromCharCode",
-      Value::object(interp.make_native_function(
+  realm.set(
+      string_ctor, "fromCharCode",
+      Value::object(realm.make_native_function(
           "fromCharCode", [](Interpreter& in, const Value&, const Args& args) {
             std::string out;
             for (const auto& a : args) out += char(int(in.to_number(a)) & 0xff);
             return Value::str(std::move(out));
           })));
-  string_ctor->set_property("prototype", Value::object(proto));
-  interp.define_global("String", Value::object(string_ctor));
+  realm.set(string_ctor, "prototype", Value::object(proto));
+  realm.define_global("String", Value::object(string_ctor));
 }
 
 // ---------------------------------------------------------------------------
 // Object / Function / JSON / console / global functions
 // ---------------------------------------------------------------------------
 
-void install_object(Interpreter& interp) {
-  ObjPtr object_ctor = interp.make_native_function(
+void install_object(Realm& realm) {
+  ObjPtr object_ctor = realm.make_native_function(
       "Object", [](Interpreter& in, const Value&, const Args&) {
         return Value::object(in.make_object());
       });
-  object_ctor->set_property(
-      "keys", Value::object(interp.make_native_function(
+  realm.set(
+      object_ctor, "keys", Value::object(realm.make_native_function(
                   "keys", [](Interpreter& in, const Value&, const Args& args) {
                     const Value& v = arg_or_undefined(args, 0);
                     ObjPtr out = in.make_array(0);
@@ -583,8 +582,8 @@ void install_object(Interpreter& interp) {
                     }
                     return Value::object(out);
                   })));
-  object_ctor->set_property(
-      "create", Value::object(interp.make_native_function(
+  realm.set(
+      object_ctor, "create", Value::object(realm.make_native_function(
                     "create", [](Interpreter& in, const Value&, const Args& args) {
                       ObjPtr obj = in.make_object();
                       const Value& proto = arg_or_undefined(args, 0);
@@ -592,11 +591,11 @@ void install_object(Interpreter& interp) {
                       if (proto.is_null()) obj->set_prototype(nullptr);
                       return Value::object(obj);
                     })));
-  object_ctor->set_property("prototype", Value::object(interp.object_prototype()));
-  interp.define_global("Object", Value::object(object_ctor));
+  realm.set(object_ctor, "prototype", Value::object(realm.object_prototype()));
+  realm.define_global("Object", Value::object(object_ctor));
 
-  const ObjPtr& fn_proto = interp.function_prototype();
-  define_method(interp, fn_proto, "call",
+  const ObjPtr& fn_proto = realm.function_prototype();
+  define_method(realm, fn_proto, "call",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const Value& this_arg = arg_or_undefined(args, 0);
                   // Forward the tail of the caller's argument span directly;
@@ -605,7 +604,7 @@ void install_object(Interpreter& interp) {
                                                  : Args(args.data() + 1, args.size() - 1);
                   return in.call(self, this_arg, rest);
                 });
-  define_method(interp, fn_proto, "apply",
+  define_method(realm, fn_proto, "apply",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const Value& this_arg = arg_or_undefined(args, 0);
                   const Value& arg_list = arg_or_undefined(args, 1);
@@ -676,31 +675,32 @@ std::string json_stringify(Interpreter& interp, const Value& v, int depth) {
   return "null";
 }
 
-void install_misc(Interpreter& interp) {
-  ObjPtr console = interp.make_namespace_object();
-  define_method(interp, console, "log",
-                [](Interpreter& in, const Value&, const Args& args) {
-                  std::string line;
-                  for (std::size_t i = 0; i < args.size(); ++i) {
-                    if (i > 0) line += " ";
-                    line += in.to_string_value(args[i]);
-                  }
-                  in.console_write(line);
-                  return Value::undefined();
-                });
-  console->set_property("warn", *console->own_property("log"));
-  console->set_property("error", *console->own_property("log"));
-  interp.define_global("console", Value::object(console));
+void install_misc(Realm& realm) {
+  ObjPtr console = realm.make_namespace_object();
+  const Value log = Value::object(realm.make_native_function(
+      "log", [](Interpreter& in, const Value&, const Args& args) {
+        std::string line;
+        for (std::size_t i = 0; i < args.size(); ++i) {
+          if (i > 0) line += " ";
+          line += in.to_string_value(args[i]);
+        }
+        in.console_write(line);
+        return Value::undefined();
+      }));
+  realm.set(console, "log", log);
+  realm.set(console, "warn", log);
+  realm.set(console, "error", log);
+  realm.define_global("console", Value::object(console));
 
-  ObjPtr json = interp.make_namespace_object();
-  define_method(interp, json, "stringify",
+  ObjPtr json = realm.make_namespace_object();
+  define_method(realm, json, "stringify",
                 [](Interpreter& in, const Value&, const Args& args) {
                   return Value::str(json_stringify(in, arg_or_undefined(args, 0), 0));
                 });
-  interp.define_global("JSON", Value::object(json));
+  realm.define_global("JSON", Value::object(json));
 
-  interp.define_global(
-      "parseInt", Value::object(interp.make_native_function(
+  realm.define_global(
+      "parseInt", Value::object(realm.make_native_function(
                       "parseInt", [](Interpreter& in, const Value&, const Args& args) {
                         const std::string s = in.to_string_value(arg_or_undefined(args, 0));
                         const int radix = args.size() >= 2 ? int(in.to_number(args[1])) : 10;
@@ -711,29 +711,29 @@ void install_misc(Interpreter& interp) {
                         }
                         return Value::number(double(v));
                       })));
-  interp.define_global(
-      "parseFloat", Value::object(interp.make_native_function(
+  realm.define_global(
+      "parseFloat", Value::object(realm.make_native_function(
                         "parseFloat", [](Interpreter& in, const Value&, const Args& args) {
                           const std::string s = in.to_string_value(arg_or_undefined(args, 0));
                           return Value::number(std::strtod(s.c_str(), nullptr));
                         })));
-  interp.define_global(
-      "isNaN", Value::object(interp.make_native_function(
+  realm.define_global(
+      "isNaN", Value::object(realm.make_native_function(
                    "isNaN", [](Interpreter& in, const Value&, const Args& args) {
                      return Value::boolean(std::isnan(num_arg(in, args, 0)));
                    })));
-  interp.define_global(
-      "isFinite", Value::object(interp.make_native_function(
+  realm.define_global(
+      "isFinite", Value::object(realm.make_native_function(
                       "isFinite", [](Interpreter& in, const Value&, const Args& args) {
                         return Value::boolean(std::isfinite(num_arg(in, args, 0)));
                       })));
-  interp.define_global(
-      "Number", Value::object(interp.make_native_function(
+  realm.define_global(
+      "Number", Value::object(realm.make_native_function(
                     "Number", [](Interpreter& in, const Value&, const Args& args) {
                       return Value::number(args.empty() ? 0 : in.to_number(args[0]));
                     })));
-  interp.define_global(
-      "Boolean", Value::object(interp.make_native_function(
+  realm.define_global(
+      "Boolean", Value::object(realm.make_native_function(
                      "Boolean", [](Interpreter&, const Value&, const Args& args) {
                        return Value::boolean(!args.empty() &&
                                              Interpreter::to_boolean(args[0]));
@@ -741,33 +741,33 @@ void install_misc(Interpreter& interp) {
 
   // Time sources read the deterministic virtual clock ([4] in the paper:
   // the JavaScript high-resolution timer).
-  ObjPtr date = interp.make_native_function(
+  ObjPtr date = realm.make_native_function(
       "Date", [](Interpreter& in, const Value&, const Args&) {
         return Value::number(double(in.clock().wall_ns() / 1000000));
       });
-  date->set_property("now",
-                     Value::object(interp.make_native_function(
-                         "now", [](Interpreter& in, const Value&, const Args&) {
-                           return Value::number(double(in.clock().wall_ns() / 1000000));
-                         })));
-  interp.define_global("Date", Value::object(date));
+  realm.set(date, "now",
+            Value::object(realm.make_native_function(
+                "now", [](Interpreter& in, const Value&, const Args&) {
+                  return Value::number(double(in.clock().wall_ns() / 1000000));
+                })));
+  realm.define_global("Date", Value::object(date));
 
-  ObjPtr performance = interp.make_namespace_object();
-  define_method(interp, performance, "now",
+  ObjPtr performance = realm.make_namespace_object();
+  define_method(realm, performance, "now",
                 [](Interpreter& in, const Value&, const Args&) {
                   return Value::number(double(in.clock().wall_ns()) / 1e6);
                 });
-  interp.define_global("performance", Value::object(performance));
+  realm.define_global("performance", Value::object(performance));
 }
 
 }  // namespace
 
-void install_stdlib(Interpreter& interp) {
-  install_math(interp);
-  install_array(interp);
-  install_string(interp);
-  install_object(interp);
-  install_misc(interp);
+void install_stdlib(Realm& realm) {
+  install_math(realm);
+  install_array(realm);
+  install_string(realm);
+  install_object(realm);
+  install_misc(realm);
 }
 
 }  // namespace jsceres::interp

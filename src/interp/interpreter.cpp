@@ -8,6 +8,7 @@
 #include <optional>
 #include <span>
 
+#include "interp/realm.h"
 #include "support/obs.h"
 
 namespace jsceres::interp {
@@ -81,8 +82,8 @@ Interpreter::Interpreter(const js::Program& program, VirtualClock& clock,
       rng_(kRandomSeed) {
   memory_events_ = hooks_ != nullptr && hooks_->wants_memory_events();
   if (hooks_ != nullptr) memory_sink_ = hooks_->memory_event_sink();
-  if (memory_events_) memory_batch_.reserve(256);
 
+  // Prefix atoms (js/atom.cpp), so the space answers without creating one.
   atom_length_ = atoms().intern("length");
   atom_prototype_ = atoms().intern("prototype");
   atom_constructor_ = atoms().intern("constructor");
@@ -114,17 +115,14 @@ Interpreter::Interpreter(const js::Program& program, VirtualClock& clock,
   global_env_ = make_env(nullptr);
   if (hooks_ != nullptr) sync_hooks()->on_env_created(global_env_->id());
 
-  object_proto_ = std::make_shared<JSObject>(next_obj_id_++, shape_root());
-  array_proto_ = std::make_shared<JSObject>(next_obj_id_++, shape_root());
-  string_proto_ = std::make_shared<JSObject>(next_obj_id_++, shape_root());
-  function_proto_ = std::make_shared<JSObject>(next_obj_id_++, shape_root());
-  array_proto_->set_prototype(object_proto_);
-
-  define_global("undefined", Value::undefined());
-  define_global("NaN", Value::number(std::numeric_limits<double>::quiet_NaN()));
-  define_global("Infinity", Value::number(std::numeric_limits<double>::infinity()));
-
-  install_stdlib(*this);
+  // The builtins and their global bindings: this interpreter's own copy of
+  // the process's realm, ids 1 up, made in one step.
+  Realm::Copy realm = Realm::get().instantiate(shape_root(), *global_env_);
+  object_proto_ = std::move(realm.object_proto);
+  array_proto_ = std::move(realm.array_proto);
+  string_proto_ = std::move(realm.string_proto);
+  function_proto_ = std::move(realm.function_proto);
+  next_obj_id_ = realm.next_obj_id;
   pool_guard.pool = nullptr;  // construction succeeded: dtor owns detach
 }
 
@@ -287,22 +285,18 @@ ObjPtr Interpreter::make_array(std::size_t reserve) {
 ObjPtr Interpreter::make_native_function(std::string name, NativeFn fn) {
   auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root(), JSObject::Cls::Function);
   obj->set_prototype(function_proto_);
-  auto data = std::make_unique<FunctionData>();
+  auto data = std::make_shared<FunctionData>();
   data->name = std::move(name);
   data->native = std::move(fn);
   obj->set_function(std::move(data));
   return obj;
 }
 
-ObjPtr Interpreter::make_namespace_object() {
-  return std::make_shared<JSObject>(next_obj_id_++, shape_root());
-}
-
 ObjPtr Interpreter::make_function_from_node(const js::FunctionNode& node,
                                             const EnvPtr& env) {
   auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root(), JSObject::Cls::Function);
   obj->set_prototype(function_proto_);
-  auto data = std::make_unique<FunctionData>();
+  auto data = std::make_shared<FunctionData>();
   data->decl = &node;
   data->closure = env;
   data->name = node.name;
@@ -438,7 +432,7 @@ Value Interpreter::property_get(const Value& base, const std::string& key, int l
   if (base.is_string()) {
     const std::string& s = base.as_string();
     if (key == "length") return Value::number(double(s.size()));
-    if (const Value* method = string_proto_->own_property(key)) return *method;
+    if (const Value* method = string_proto_->own_property(atoms(), key)) return *method;
     std::size_t index = 0;
     if (index_from_string(key, &index) && index < s.size()) {
       return Value::str(std::string(1, s[index]));
@@ -447,7 +441,7 @@ Value Interpreter::property_get(const Value& base, const std::string& key, int l
   }
   if (base.is_number()) {
     // Allow Number method lookups (toFixed) through a tiny implicit box.
-    if (const Value* method = string_proto_->own_property(key)) return *method;
+    if (const Value* method = string_proto_->own_property(atoms(), key)) return *method;
     return Value::undefined();
   }
   if (!base.is_object()) {
@@ -477,7 +471,7 @@ Value Interpreter::property_get(const Value& base, const std::string& key, int l
   }
   for (const JSObject* walk = obj.get(); walk != nullptr;
        walk = walk->prototype().get()) {
-    if (const Value* found = walk->own_property(key)) return *found;
+    if (const Value* found = walk->own_property(atoms(), key)) return *found;
   }
   return Value::undefined();
 }
@@ -514,7 +508,7 @@ void Interpreter::property_set(const Value& base, const std::string& key, Value 
       return;
     }
   }
-  obj->set_property(key, std::move(value));
+  obj->set_property(atoms(), key, std::move(value));
 }
 
 // ---------------------------------------------------------------------------
@@ -646,7 +640,7 @@ Value Interpreter::call(const Value& callee, const Value& this_val, Args args) {
     throw_error("TypeError", to_string_value(callee) + " is not a function");
   }
   JSObject& fn_obj = *callee.as_object();
-  FunctionData& fn = *fn_obj.function();
+  const FunctionData& fn = *fn_obj.function();
   if (fn.native) {
     tick(2);
     return fn.native(*this, this_val, args);
@@ -685,7 +679,7 @@ Value Interpreter::call_spread(const Value& callee, const Value& this_val,
 
 Value Interpreter::call_js_function(JSObject& fn_obj, const Value& this_val,
                                     const Value* argv, std::size_t argc) {
-  FunctionData& fn = *fn_obj.function();
+  const FunctionData& fn = *fn_obj.function();
   const js::FunctionNode& node = *fn.decl;
   if (++call_depth_ > kMaxCallDepth) {
     --call_depth_;
@@ -1157,7 +1151,7 @@ Value Interpreter::eval(const js::Expr& expr, const EnvPtr& env) {
             }
             return Value::boolean(true);
           }
-          return Value::boolean(obj->delete_property(key));
+          return Value::boolean(obj->delete_property(atoms(), key));
         }
       }
       return Value::undefined();
@@ -1413,6 +1407,12 @@ void Interpreter::write_ic_miss(WriteIC& ic, JSObject& obj, const Shape* shape,
     ++ic_stats_.recaches;
   }
   const std::int32_t own = shape->slot_of(key);
+  if (own < 0 && shape->frozen()) {
+    // A realm copy adding a property leaves the frozen tree for dictionary
+    // mode; there is no transition to cache.
+    obj.set_property(key, std::move(value));
+    return;
+  }
   WriteIC::Way way;
   if (own >= 0) {
     way = WriteIC::Way{shape, std::uint32_t(own), nullptr};
@@ -1772,7 +1772,7 @@ Value Interpreter::apply_binary(js::BinaryOp op, const Value& lhs, const Value& 
       }
       for (const JSObject* walk = obj.get(); walk != nullptr;
            walk = walk->prototype().get()) {
-        if (walk->own_property(key) != nullptr) return Value::boolean(true);
+        if (walk->own_property(atoms(), key) != nullptr) return Value::boolean(true);
       }
       return Value::boolean(false);
     }

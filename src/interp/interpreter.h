@@ -101,11 +101,11 @@ class Interpreter {
   // --- object construction (used by builtins and substrate bindings) ---
   ObjPtr make_object();
   ObjPtr make_array(std::size_t reserve = 0);
+  /// A native function object. The builtins are not made here but copied
+  /// from the process's realm (interp/realm.h); this is for host bindings.
+  /// Every object gets a fresh id from 1 up: the dependence analyzer's
+  /// tables treat id 0 as an empty slot.
   ObjPtr make_native_function(std::string name, NativeFn fn);
-  /// A prototype-less object for a builtin namespace (Math, console, JSON,
-  /// performance). Every object gets a fresh id from 1 up: the dependence
-  /// analyzer's tables treat id 0 as an empty slot.
-  ObjPtr make_namespace_object();
   /// Create an error object ({name, message}) ready to be thrown.
   [[noreturn]] void throw_error(const std::string& kind, const std::string& message);
 
@@ -495,10 +495,5 @@ class Interpreter {
   std::exception_ptr deferred_hook_error_;
   std::string console_;
 };
-
-/// Install the standard library (Math, console, Array/String/Object
-/// builtins, parseInt & friends, performance.now / Date.now) into a fresh
-/// interpreter. Called by the Interpreter constructor.
-void install_stdlib(Interpreter& interp);
 
 }  // namespace jsceres::interp

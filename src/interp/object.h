@@ -59,9 +59,11 @@ struct FunctionData {
 /// inline caches simply never match.
 ///
 /// Every object hangs off the shape tree of the program it was built for
-/// (`shape_root` is that program's ProgramBody::shape_root), and reaches the
-/// program's AtomSpace through its shape. An object a caller keeps after its
-/// interpreter is destroyed is valid while some handle to its program lives.
+/// (`shape_root` is that program's ProgramBody::shape_root), except a copy
+/// of a builtin with properties, which starts on the process-wide frozen
+/// realm tree (interp/realm.h) and moves to dictionary mode the first time
+/// it adds or deletes one. An object a caller keeps after its interpreter
+/// is destroyed is valid while some handle to its program lives.
 class JSObject {
  public:
   enum class Cls : std::uint8_t { Plain, Array, Function };
@@ -90,12 +92,15 @@ class JSObject {
     const auto it = dict_->map.find(key);
     return it == dict_->map.end() ? nullptr : &it->second;
   }
-  /// String-keyed probe: every stored key is interned in this object's
-  /// program, so a string that was never interned there cannot name a
-  /// property.
-  [[nodiscard]] const Value* own_property(const std::string& key) const {
+  // String-keyed helpers. `atoms` is the space of the program whose
+  // interpreter reaches this object (Interpreter::atoms()): every stored key
+  // is a prefix atom or an atom of that space, so a string the space cannot
+  // find names no property.
+
+  [[nodiscard]] const Value* own_property(const js::AtomSpace& atoms,
+                                          const std::string& key) const {
     js::Atom atom;
-    return shape_->atoms().try_find(key, &atom) ? own_property(atom) : nullptr;
+    return atoms.try_find(key, &atom) ? own_property(atom) : nullptr;
   }
 
   void set_property(js::Atom key, Value value) {
@@ -105,14 +110,17 @@ class JSObject {
         prop_slots_[std::size_t(slot)] = std::move(value);
         return;
       }
-      // Charge-before-mutate, and store the slot before publishing the new
-      // shape: a ledger trip at either point leaves shape_ and prop_slots_
-      // still consistent with each other.
-      const Shape* next = shape_->transition(key);
-      AllocationLedger::charge_current(sizeof(Value));
-      prop_slots_.push_back(std::move(value));
-      shape_ = next;
-      return;
+      if (!shape_->frozen()) {
+        // Charge-before-mutate, and store the slot before publishing the
+        // new shape: a ledger trip at either point leaves shape_ and
+        // prop_slots_ still consistent with each other.
+        const Shape* next = shape_->transition(key);
+        AllocationLedger::charge_current(sizeof(Value));
+        prop_slots_.push_back(std::move(value));
+        shape_ = next;
+        return;
+      }
+      to_dictionary();  // a realm copy leaves the frozen tree
     }
     const auto it = dict_->map.find(key);
     if (it != dict_->map.end()) {
@@ -123,8 +131,8 @@ class JSObject {
     dict_->map.emplace(key, std::move(value));
     dict_->order.push_back(key);
   }
-  void set_property(const std::string& key, Value value) {
-    set_property(shape_->atoms().intern(key), std::move(value));
+  void set_property(js::AtomSpace& atoms, const std::string& key, Value value) {
+    set_property(atoms.intern(key), std::move(value));
   }
 
   bool delete_property(js::Atom key) {
@@ -136,9 +144,9 @@ class JSObject {
     std::erase(dict_->order, key);
     return true;
   }
-  bool delete_property(const std::string& key) {
+  bool delete_property(const js::AtomSpace& atoms, const std::string& key) {
     js::Atom atom;
-    return shape_->atoms().try_find(key, &atom) && delete_property(atom);
+    return atoms.try_find(key, &atom) && delete_property(atom);
   }
 
   /// Own property names in insertion order (deterministic for-in /
@@ -157,7 +165,8 @@ class JSObject {
     return &prop_slots_[index];
   }
   /// Append the value for a property-add transition already computed by an
-  /// inline cache: `new_shape` must be `shape()->transition(key)`.
+  /// inline cache: `new_shape` must be `shape()->transition(key)`, so
+  /// shape() is not frozen.
   void append_prop(const Shape* new_shape, Value value) {
     AllocationLedger::charge_current(sizeof(Value));
     prop_slots_.push_back(std::move(value));
@@ -176,9 +185,9 @@ class JSObject {
 
   // --- callable payload ---
 
-  [[nodiscard]] FunctionData* function() { return fn_.get(); }
+  /// Immutable once set; a builtin's copies share their template's.
   [[nodiscard]] const FunctionData* function() const { return fn_.get(); }
-  void set_function(std::unique_ptr<FunctionData> fn) { fn_ = std::move(fn); }
+  void set_function(std::shared_ptr<const FunctionData> fn) { fn_ = std::move(fn); }
 
   /// Drop every outgoing strong edge (properties, elements, prototype link,
   /// callable payload). The builtin prototype web is refcount-cyclic — a
@@ -206,6 +215,8 @@ class JSObject {
   }
 
  private:
+  friend class Realm;  // copies its template objects field by field
+
   struct Dict {
     std::unordered_map<js::Atom, Value> map;
     std::vector<js::Atom> order;
@@ -232,7 +243,7 @@ class JSObject {
   std::vector<Value> prop_slots_;
   std::unique_ptr<Dict> dict_;  // non-null == dictionary mode
   std::vector<Value> elements_;
-  std::unique_ptr<FunctionData> fn_;
+  std::shared_ptr<const FunctionData> fn_;
   std::shared_ptr<HostData> host_;
 };
 

@@ -1,5 +1,7 @@
 #include "interp/shape.h"
 
+#include <cassert>
+
 #include "support/limits.h"
 
 namespace jsceres::interp {
@@ -22,7 +24,7 @@ std::atomic<std::size_t> g_shape_count{0};
 
 }  // namespace
 
-Shape::Shape(js::AtomSpace& atoms) : atoms_(&atoms) {
+Shape::Shape() {
   g_shape_bytes.fetch_add(kShapeNodeCost, std::memory_order_relaxed);
   g_shape_count.fetch_add(1, std::memory_order_relaxed);
 }
@@ -31,23 +33,26 @@ Shape::Shape(const Shape* parent, js::Atom key)
     : key_(key),
       slot_(parent->depth_),
       depth_(parent->depth_ + 1),
-      parent_(parent),
-      atoms_(parent->atoms_) {
+      parent_(parent) {
   g_shape_bytes.fetch_add(kShapeNodeCost, std::memory_order_relaxed);
   g_shape_count.fetch_add(1, std::memory_order_relaxed);
 }
 
 Shape::~Shape() {
-  const FlatTable* flat = flat_.load(std::memory_order_acquire);
-  if (flat != nullptr) {
-    g_shape_bytes.fetch_sub(sizeof(FlatTable) +
-                                flat->table.capacity() * sizeof(FlatTable::Entry) +
-                                flat->keys.capacity() * sizeof(js::Atom),
-                            std::memory_order_relaxed);
-    delete flat;
+  if (!frozen_) {
+    g_shape_bytes.fetch_sub(accounted_bytes(), std::memory_order_relaxed);
+    g_shape_count.fetch_sub(1, std::memory_order_relaxed);
   }
-  g_shape_bytes.fetch_sub(kShapeNodeCost, std::memory_order_relaxed);
-  g_shape_count.fetch_sub(1, std::memory_order_relaxed);
+  delete flat_.load(std::memory_order_acquire);
+}
+
+std::size_t Shape::accounted_bytes() const {
+  std::size_t bytes = kShapeNodeCost;
+  if (const FlatTable* flat = flat_.load(std::memory_order_acquire)) {
+    bytes += sizeof(FlatTable) + flat->table.capacity() * sizeof(FlatTable::Entry) +
+             flat->keys.capacity() * sizeof(js::Atom);
+  }
+  return bytes;
 }
 
 void Shape::FlatTable::insert(js::Atom key, std::int32_t slot) {
@@ -67,8 +72,16 @@ void Shape::FlatTable::rehash(std::size_t capacity) {
   }
 }
 
-std::unique_ptr<const Shape> Shape::make_root(js::AtomSpace& atoms) {
-  return std::unique_ptr<const Shape>(new Shape(atoms));
+std::unique_ptr<Shape> Shape::make_root() {
+  return std::unique_ptr<Shape>(new Shape());
+}
+
+void Shape::freeze() {
+  ensure_flat();
+  g_shape_bytes.fetch_sub(accounted_bytes(), std::memory_order_relaxed);
+  g_shape_count.fetch_sub(1, std::memory_order_relaxed);
+  frozen_ = true;
+  for (auto& [key, child] : transitions_) child->freeze();
 }
 
 const Shape* Shape::root() const {
@@ -78,6 +91,7 @@ const Shape* Shape::root() const {
 }
 
 const Shape* Shape::transition(js::Atom key) const {
+  assert(!frozen_);
   const std::lock_guard lock(transitions_mutex_);
   auto& slot = transitions_[key];
   if (!slot) {
@@ -152,10 +166,8 @@ const Shape::FlatTable* Shape::ensure_flat() const {
   if (flat_.compare_exchange_strong(expected, fresh.get(),
                                     std::memory_order_release,
                                     std::memory_order_acquire)) {
-    g_shape_bytes.fetch_add(
-        sizeof(FlatTable) + fresh->table.capacity() * sizeof(FlatTable::Entry) +
-            fresh->keys.capacity() * sizeof(js::Atom),
-        std::memory_order_relaxed);
+    g_shape_bytes.fetch_add(accounted_bytes() - kShapeNodeCost,
+                            std::memory_order_relaxed);
     return fresh.release();
   }
   // Another thread won the install; ours is discarded — refund the charge.

@@ -39,11 +39,18 @@ namespace jsceres::interp {
 /// Lifetime: a tree belongs to one js::Program, whose shared body owns its
 /// root (make_root) and frees the whole tree when the program's last handle
 /// goes; every interpreter holds one. Within that life the tree only grows,
-/// so cached `const Shape*` values never dangle. Keys are
-/// atoms of the same program (prefix atoms or its AtomSpace's), and the
-/// tree's space is reachable from every shape (`atoms()`), which is how an
-/// object's string-keyed helpers intern through their own program. There is
-/// no process-wide tree: nothing shared between programs can hold a shape.
+/// so cached `const Shape*` values never dangle. Keys are atoms of the same
+/// program (prefix atoms or its AtomSpace's); a shape holds no pointer to
+/// the space, so string-keyed callers intern through the program they have.
+///
+/// One tree is process-wide: the builtin realm's (interp/realm.h), built
+/// once and frozen (freeze()). It is keyed only by prefix atoms, every
+/// shape in it is flattened when it freezes, so a lookup never touches
+/// `lookups_`, and a frozen shape never gains a transition. It therefore
+/// holds no program state: an object on a frozen shape that adds or
+/// deletes a property leaves the tree for dictionary mode (JSObject). The
+/// frozen tree is never freed and is not counted by live_count() or
+/// live_bytes(), which measure program trees.
 class Shape {
  public:
   /// Chains longer than this flatten on their second lookup (the first
@@ -53,17 +60,21 @@ class Shape {
   /// Shallow shapes flatten after this many chain-walk lookups.
   static constexpr std::uint16_t kHotFlattenLookups = 8;
 
-  /// A new tree's empty shape, keyed by atoms of `atoms`' program.
-  static std::unique_ptr<const Shape> make_root(js::AtomSpace& atoms);
+  /// A new tree's empty shape.
+  static std::unique_ptr<Shape> make_root();
 
   /// The empty shape this one descends from (walks the parent chain).
   [[nodiscard]] const Shape* root() const;
 
-  /// The atom space of the program that owns this tree.
-  [[nodiscard]] js::AtomSpace& atoms() const { return *atoms_; }
-
   /// The shape an object reaches by adding `key` as its next property.
+  /// Never called on a frozen shape.
   const Shape* transition(js::Atom key) const;
+
+  /// Flatten every shape of this tree and freeze it: no shape in it gains
+  /// a transition afterwards, and the tree leaves the live counts. Called
+  /// on a root, once, before any other thread can see the tree.
+  void freeze();
+  [[nodiscard]] bool frozen() const { return frozen_; }
 
   /// Slot index of `key`, or -1 when this shape has no such property.
   [[nodiscard]] std::int32_t slot_of(js::Atom key) const {
@@ -88,7 +99,8 @@ class Shape {
   /// every program's tree (the memory governor's shape-tree input).
   static std::size_t live_bytes();
 
-  /// Live shape-node count (root included; diagnostics/tests).
+  /// Live shape-node count of every program's tree (roots included;
+  /// diagnostics/tests).
   static std::size_t live_count();
 
   ~Shape();
@@ -119,7 +131,7 @@ class Shape {
     void rehash(std::size_t capacity);
   };
 
-  explicit Shape(js::AtomSpace& atoms);
+  Shape();
   Shape(const Shape* parent, js::Atom key);
 
   std::int32_t slot_of_slow(js::Atom key) const;
@@ -129,11 +141,14 @@ class Shape {
   std::uint32_t slot_ = 0;   // key_'s slot index (== parent->depth_)
   std::uint32_t depth_ = 0;  // == slot_count()
   const Shape* parent_ = nullptr;
-  js::AtomSpace* atoms_;
+  bool frozen_ = false;
   mutable std::atomic<const FlatTable*> flat_{nullptr};
   mutable std::atomic<std::uint16_t> lookups_{0};
   mutable std::mutex transitions_mutex_;
   mutable std::unordered_map<js::Atom, std::unique_ptr<Shape>> transitions_;
+
+  /// Accounting of one node and its flat table (see live_bytes()).
+  [[nodiscard]] std::size_t accounted_bytes() const;
 };
 
 }  // namespace jsceres::interp

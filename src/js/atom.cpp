@@ -28,18 +28,57 @@ void init_entry(detail::AtomData& data, std::string_view text, std::size_t hash,
   index.insert(&data);
 }
 
+/// Every name the engine spells itself: the interpreter's own keys, the
+/// builtin realm's keys and globals (interp/builtins.cpp), and the keys and
+/// globals of the page and event-loop bindings (dom/). The builtin realm's
+/// build rejects a key missing here; a missing page name would become a
+/// local atom of each program that opens a page.
+constexpr std::string_view kEngineSpellings[] = {
+    // interpreter
+    "length", "prototype", "constructor", "name", "message",
+    // globals
+    "undefined", "NaN", "Infinity", "Math", "Array", "String", "Object",
+    "console", "JSON", "parseInt", "parseFloat", "isNaN", "isFinite",
+    "Number", "Boolean", "Date", "performance",
+    // Math
+    "PI", "E", "LN2", "LN10", "SQRT2", "abs", "floor", "ceil", "sqrt", "sin",
+    "cos", "tan", "asin", "acos", "atan", "exp", "log", "round", "atan2",
+    "pow", "min", "max", "random",
+    // Array, String, Object, Function
+    "push", "pop", "shift", "indexOf", "join", "slice", "concat", "reverse",
+    "fill", "splice", "sort", "forEach", "map", "filter", "reduce", "every",
+    "some", "isArray", "charAt", "charCodeAt", "lastIndexOf", "substring",
+    "split", "toLowerCase", "toUpperCase", "trim", "replace", "toFixed",
+    "fromCharCode", "keys", "create", "call", "apply",
+    // console, JSON, Date, performance
+    "warn", "error", "stringify", "now",
+    // page: document, elements, canvas contexts, window, storage
+    "document", "getElementById", "createElement", "body", "tagName", "id",
+    "appendChild", "removeChild", "setAttribute", "getAttribute",
+    "getContext", "width", "height", "canvas", "fillRect", "clearRect",
+    "beginPath", "moveTo", "lineTo", "arc", "stroke", "getImageData",
+    "putImageData", "data", "fillStyle", "strokeStyle", "window",
+    "innerWidth", "innerHeight", "devicePixelRatio", "setTimeout",
+    "clearTimeout", "requestAnimationFrame", "addEventListener",
+    "loadResource", "localStorage", "setItem", "getItem",
+    // event loop: the event object
+    "type", "x", "y", "key", "timeStamp",
+};
+
 /// The process-wide prefix (records live in a deque and are never erased).
 /// Interning into it is rare after warm-up, so a shared_mutex keeps the
 /// concurrent readers — every AtomSpace miss probes here — cheap.
 struct PrefixTable {
-  /// The keywords go in first. The table is built on the first probe of any
-  /// space, before a space can create an atom of its own, so no space ever
-  /// holds a local atom for a keyword and the lexer can hand out the prefix
-  /// atoms directly.
+  /// The keywords and the engine's names go in first. The table is built on
+  /// the first probe of any space, before a space can create an atom of its
+  /// own, so no space ever holds a local atom for either: the lexer hands
+  /// out keyword atoms directly, and a program that spells `push` or `Math`
+  /// shares the builtin realm's key whenever it was parsed.
   PrefixTable() {
     for (const std::string_view keyword : kKeywordSpellings) {
       insert_locked(keyword, hash_of(keyword));
     }
+    for (const std::string_view name : kEngineSpellings) insert_locked(name, hash_of(name));
   }
 
   std::shared_mutex mutex;

@@ -46,9 +46,13 @@ class AtomIndex {
 ///
 /// There are two kinds of table. The process-wide *prefix* holds names the
 /// engine and its tools spell themselves; it only grows and is never freed.
-/// Everything a program's parse or run interns goes through that program's
-/// AtomSpace (see below), which reads the prefix but never writes it. An
-/// Atom from a space stays valid while some handle to its Program lives.
+/// It is born holding the keywords and one static list of the engine's
+/// names (the builtins' and the page bindings' keys, in atom.cpp), so those
+/// are prefix atoms in every program, whenever it was parsed: the frozen
+/// builtin realm (interp/realm.h) is keyed by them. Everything a program's
+/// parse or run interns goes through that program's AtomSpace (see below),
+/// which reads the prefix but never writes it. An Atom from a space stays
+/// valid while some handle to its Program lives.
 ///
 /// Atoms convert implicitly to `const std::string&`, which keeps printers,
 /// reports and hook consumers source-compatible.
@@ -121,8 +125,9 @@ class Atom {
 /// atom here; it never writes the prefix, so nothing process-wide can point
 /// into a space. The answer for a given text never changes over the
 /// space's life (a local atom always wins, and the prefix only grows), which
-/// is what keeps identity within the program. The keywords are in the
-/// prefix before any space can probe it, so they are never local atoms.
+/// is what keeps identity within the program. The keywords and the engine's
+/// names are in the prefix before any space can probe it, so they are never
+/// local atoms.
 /// Thread-safe: interpreters on several threads may share one program. One
 /// plain mutex covers a whole lookup-or-create, so a local atom and a prefix
 /// atom for one text can never both be handed out; it is per program, so it

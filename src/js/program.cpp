@@ -21,7 +21,7 @@ std::size_t first_chunk_bytes(std::size_t source_bytes) {
 // Out of line: the shape tree's type is complete only here.
 ProgramBody::ProgramBody(std::size_t source_bytes)
     : arena(first_chunk_bytes(source_bytes)),
-      shape_root(interp::Shape::make_root(atoms)) {}
+      shape_root(interp::Shape::make_root()) {}
 ProgramBody::~ProgramBody() = default;
 
 Program::Program() : body_(std::make_shared<ProgramBody>()) {}

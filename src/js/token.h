@@ -95,8 +95,9 @@ enum class Tok {
 };
 
 /// Keyword spellings, in Tok order from Tok::KwVar to Tok::KwFinally. Their
-/// atoms live in the process-wide prefix from its construction on, so a
-/// keyword token never touches the program's atom space.
+/// atoms live in the process-wide prefix from its construction on, with the
+/// engine's own names (atom.cpp), so a keyword token never touches the
+/// program's atom space.
 inline constexpr std::string_view kKeywordSpellings[] = {
     "var", "function", "return", "if", "else", "for", "while", "do",
     "break", "continue", "new", "delete", "typeof", "this", "true", "false",

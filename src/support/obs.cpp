@@ -27,6 +27,74 @@ std::int64_t thread_cpu_ns() {
 #endif
 }
 
+// --- thread leases ---------------------------------------------------------
+
+namespace {
+
+/// Objects lent to threads, one each: a thread takes one on first use and
+/// hands it back at exit (see lease()), so a pool holds as many objects as
+/// threads were ever live at once, not one per thread that ever ran. Objects
+/// are never freed: readers (snapshot(), collect()) walk them at any time,
+/// and what an exited thread left in one stays readable after it is gone.
+template <typename T>
+class LeasePool {
+ public:
+  T* take() {
+    const std::lock_guard lock(mutex_);
+    if (free_.empty()) {
+      all_.push_back(new T());  // value-initialized
+      return all_.back();
+    }
+    T* item = free_.back();
+    free_.pop_back();
+    return item;
+  }
+  void give_back(T* item) {
+    const std::lock_guard lock(mutex_);
+    free_.push_back(item);
+  }
+  /// Every object ever made, lent or not.
+  [[nodiscard]] std::vector<T*> all() const {
+    const std::lock_guard lock(mutex_);
+    return all_;
+  }
+  [[nodiscard]] std::size_t size() const {
+    const std::lock_guard lock(mutex_);
+    return all_.size();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<T*> all_;
+  std::vector<T*> free_;
+};
+
+/// A thread's hold on one object of a pool; `cache` is the thread's own
+/// pointer to it. At thread exit the object goes back and the cache clears.
+template <typename T>
+struct Lease {
+  LeasePool<T>* pool = nullptr;
+  T** cache = nullptr;
+  ~Lease() {
+    if (cache == nullptr || *cache == nullptr) return;
+    pool->give_back(*cache);
+    *cache = nullptr;
+  }
+};
+
+/// Lend the calling thread an object of `pool` and cache it in `cache`, a
+/// thread_local that outlives the lease (trivially destructible).
+template <typename T>
+T* lease(LeasePool<T>& pool, T*& cache) {
+  thread_local Lease<T> held;  // one per thread and object type
+  held.pool = &pool;
+  held.cache = &cache;
+  cache = pool.take();
+  return cache;
+}
+
+}  // namespace
+
 // --- registry --------------------------------------------------------------
 
 namespace {
@@ -49,9 +117,7 @@ struct Registry {
   std::uint32_t next_cell = 0;
   bool overflowed = false;
 
-  std::mutex shard_mutex;
-  std::vector<detail::Shard*> shards;
-  std::vector<detail::Shard*> free_shards;  // returned by exited threads
+  LeasePool<detail::Shard> shards;
 };
 
 Registry& registry() {
@@ -182,39 +248,9 @@ namespace detail {
 
 constinit thread_local Shard* tls_shard = nullptr;
 
-namespace {
+Shard* acquire_shard() { return lease(registry().shards, tls_shard); }
 
-/// Hands the thread's shard back to the registry's free list at thread exit.
-struct ShardLease {
-  Shard* shard = nullptr;
-  ~ShardLease() {
-    Registry& r = registry();
-    const std::lock_guard lock(r.shard_mutex);
-    if (shard != nullptr) r.free_shards.push_back(shard);
-    tls_shard = nullptr;
-  }
-};
-thread_local ShardLease tls_lease;
-
-}  // namespace
-
-Shard* acquire_shard() {
-  Registry& r = registry();
-  const std::lock_guard lock(r.shard_mutex);
-  if (r.free_shards.empty()) {
-    r.shards.push_back(new Shard());  // zero-initialized atomics; never freed
-    r.free_shards.push_back(r.shards.back());
-  }
-  tls_shard = tls_lease.shard = r.free_shards.back();
-  r.free_shards.pop_back();
-  return tls_shard;
-}
-
-std::size_t shards_allocated() {
-  Registry& r = registry();
-  const std::lock_guard lock(r.shard_mutex);
-  return r.shards.size();
-}
+std::size_t shards_allocated() { return registry().shards.size(); }
 
 }  // namespace detail
 
@@ -232,11 +268,7 @@ Snapshot snapshot() {
     gauges.reserve(r.gauges.size());
     for (const Gauge& gauge : r.gauges) gauges.push_back(&gauge);
   }
-  std::vector<detail::Shard*> shards;
-  {
-    const std::lock_guard lock(r.shard_mutex);
-    shards = r.shards;
-  }
+  const std::vector<detail::Shard*> shards = r.shards.all();
 
   const auto cell_sum = [&shards](std::uint32_t cell) {
     std::uint64_t total = 0;
@@ -278,12 +310,7 @@ Snapshot snapshot() {
 
 void reset_all_for_testing() {
   Registry& r = registry();
-  std::vector<detail::Shard*> shards;
-  {
-    const std::lock_guard lock(r.shard_mutex);
-    shards = r.shards;
-  }
-  for (detail::Shard* shard : shards) {
+  for (detail::Shard* shard : r.shards.all()) {
     for (auto& cell : shard->cells) {
       cell.store(0, std::memory_order_relaxed);
     }
@@ -436,20 +463,18 @@ struct TraceRecorder::Ring {
   std::vector<TraceEvent> events;  // ring storage, reserved while tracing
   std::size_t head = 0;            // next write slot
   bool wrapped = false;
-  std::uint32_t tid = 0;
-  std::string thread_name;
+  std::uint32_t tid = 0;  // the current holder's
+  /// (tid, name) of every holder whose events the ring may still hold.
+  std::vector<std::pair<std::uint32_t, std::string>> names;
 };
 
 namespace {
 
-struct RingTable {
-  std::mutex mutex;
-  std::vector<TraceRecorder::Ring*> rings;  // never freed
-};
-
-RingTable& ring_table() {
-  static RingTable* t = new RingTable();
-  return *t;
+/// Rings are lent to threads like metric shards: an exited thread's ring,
+/// events and all, goes to the next thread that records or names itself.
+LeasePool<TraceRecorder::Ring>& ring_pool() {
+  static auto* pool = new LeasePool<TraceRecorder::Ring>();
+  return *pool;
 }
 
 thread_local TraceRecorder::Ring* tls_ring = nullptr;
@@ -464,12 +489,12 @@ TraceRecorder& TraceRecorder::instance() {
 TraceRecorder::Ring& TraceRecorder::ring() {
   Ring* r = tls_ring;
   if (r == nullptr) {
-    r = new Ring();  // never freed: collect() must outlive the thread
+    // A reused ring keeps the events its earlier holders recorded, each
+    // under its own tid, and their names with them until start().
+    r = lease(ring_pool(), tls_ring);
+    const std::lock_guard lock(r->mutex);
     r->tid = next_tid_.fetch_add(1, std::memory_order_relaxed);
-    RingTable& table = ring_table();
-    const std::lock_guard lock(table.mutex);
-    table.rings.push_back(r);
-    tls_ring = r;
+    if (r->events.empty()) r->names.clear();
   }
   return *r;
 }
@@ -477,16 +502,13 @@ TraceRecorder::Ring& TraceRecorder::ring() {
 void TraceRecorder::start(std::size_t events_per_thread) {
   const std::size_t cap = std::max<std::size_t>(events_per_thread, 16);
   capacity_.store(cap, std::memory_order_relaxed);
-  RingTable& table = ring_table();
-  {
-    const std::lock_guard lock(table.mutex);
-    for (Ring* r : table.rings) {
-      const std::lock_guard ring_lock(r->mutex);
-      r->events.clear();
-      r->events.reserve(cap);
-      r->head = 0;
-      r->wrapped = false;
-    }
+  for (Ring* r : ring_pool().all()) {
+    const std::lock_guard ring_lock(r->mutex);
+    r->events.clear();
+    r->events.reserve(cap);
+    r->head = 0;
+    r->wrapped = false;
+    std::erase_if(r->names, [r](const auto& name) { return name.first != r->tid; });
   }
   epoch_ns_.store(mono_ns(), std::memory_order_relaxed);
   enabled_.store(true, std::memory_order_release);
@@ -530,14 +552,16 @@ void TraceRecorder::instant(const char* cat, const char* name,
 void TraceRecorder::set_thread_name(std::string name) {
   Ring& r = ring();
   const std::lock_guard lock(r.mutex);
-  r.thread_name = std::move(name);
+  if (!r.names.empty() && r.names.back().first == r.tid) {
+    r.names.back().second = std::move(name);
+  } else {
+    r.names.emplace_back(r.tid, std::move(name));
+  }
 }
 
 std::size_t TraceRecorder::reserved_events() const {
-  RingTable& table = ring_table();
-  const std::lock_guard lock(table.mutex);
   std::size_t total = 0;
-  for (Ring* r : table.rings) {
+  for (Ring* r : ring_pool().all()) {
     const std::lock_guard ring_lock(r->mutex);
     total += r->events.capacity();
   }
@@ -545,14 +569,8 @@ std::size_t TraceRecorder::reserved_events() const {
 }
 
 std::vector<TraceEvent> TraceRecorder::collect() const {
-  std::vector<TraceRecorder::Ring*> rings;
-  {
-    RingTable& table = ring_table();
-    const std::lock_guard lock(table.mutex);
-    rings = table.rings;
-  }
   std::vector<TraceEvent> out;
-  for (Ring* r : rings) {
+  for (Ring* r : ring_pool().all()) {
     const std::lock_guard lock(r->mutex);
     if (r->wrapped) {
       // Oldest-first: head..end, then 0..head.
@@ -574,13 +592,9 @@ std::vector<TraceEvent> TraceRecorder::collect() const {
 std::string TraceRecorder::to_json() const {
   // Thread-name metadata first, then the events.
   std::vector<std::pair<std::uint32_t, std::string>> names;
-  {
-    RingTable& table = ring_table();
-    const std::lock_guard lock(table.mutex);
-    for (Ring* r : table.rings) {
-      const std::lock_guard ring_lock(r->mutex);
-      if (!r->thread_name.empty()) names.emplace_back(r->tid, r->thread_name);
-    }
+  for (Ring* r : ring_pool().all()) {
+    const std::lock_guard ring_lock(r->mutex);
+    names.insert(names.end(), r->names.begin(), r->names.end());
   }
   const std::vector<TraceEvent> events = collect();
 

@@ -202,9 +202,12 @@ struct TraceEvent {
 
 /// Process-wide span recorder with per-thread ring buffers. start() arms it
 /// (and zeroes any previous recording); stop() disarms; collect() merges
-/// every ring into one ts-sorted vector at any time, armed or not. Rings
-/// are registered on a thread's first append and live for the process, like
-/// metric shards.
+/// every ring into one ts-sorted vector at any time, armed or not. A thread
+/// leases a ring on its first append or set_thread_name() and hands it back
+/// at exit, like metric shards, so there are as many rings as threads were
+/// ever live at once. A ring keeps what an exited thread recorded, with its
+/// tid and name, until the next start(); its next holder appends after it
+/// under a fresh tid.
 class TraceRecorder {
  public:
   static TraceRecorder& instance();

@@ -19,25 +19,6 @@ constexpr HookSet kHooksOf[] = {
     {false, false, true},   // Dependence
 };
 
-/// Intern the names the engine itself spells (the stdlib's and the page
-/// bindings') into the process-wide atom prefix, once, so that each later
-/// program finds them there instead of making its own copies. Identity
-/// never depends on this: a program's space looks locally first, and the
-/// prefix only grows.
-void intern_engine_names_once() {
-  static const bool done = [] {
-    const js::Program bootstrap;
-    VirtualClock clock;
-    {
-      interp::Interpreter interp(bootstrap, clock);
-      const dom::Page page(interp);
-    }
-    bootstrap->atoms.for_each([](js::Atom atom) { js::Atom::intern(atom.str()); });
-    return true;
-  }();
-  (void)done;
-}
-
 }  // namespace
 
 CeresMode mode_of_rung(int rung) {
@@ -49,7 +30,6 @@ CeresMode mode_of_rung(int rung) {
 Session::Session(const js::Program& program, CeresMode mode, const SessionSandbox& sandbox,
                  std::int64_t preempt_interval_ticks, std::int64_t preempt_block_ns)
     : cancel_(sandbox.cancel) {
-  intern_engine_names_once();
   const HookSet& set = kHooksOf[static_cast<int>(mode)];
   std::vector<interp::ExecutionHooks*> hooks;
   if (set.lightweight_and_sampler) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -86,24 +87,42 @@ AttemptClass run_attempt(const SessionRequest& request, int mode,
       success = request.attempt(request, mode, limits, max_ticks, token);
     } else {
       // Built-in body: `request.source` as a Session at this rung and
-      // budget, with a page and event loop for timer programs.
-      Session session(js::parse(request.source, "<session:" + request.name + ">", limits),
-                      mode_of_rung(mode), {limits, max_ticks, token});
-      if (request.has_timers) {
-        session.open_page();
-        // Frame graph without a canvas (the kernel stage no-ops): exercises
-        // the pipelined frame path under supervision and its stage spans.
-        if (request.frame_pool != nullptr) session.enable_frame_graph(request.frame_pool);
+      // budget, with a page and event loop for timer programs. Its spans
+      // split the attempt: parse, session start-up, run, and teardown (the
+      // session, then the program it was the last to hold).
+      std::optional<js::Program> program;
+      {
+        JSCERES_OBS_SPAN("supervisor", "parse");
+        program.emplace(
+            js::parse(request.source, "<session:" + request.name + ">", limits));
       }
-      try {
-        session.run(request.horizon_ms);
-      } catch (...) {
-        check_invariants(session);
-        throw;
+      std::optional<Session> session;
+      {
+        JSCERES_OBS_SPAN("supervisor", "session_start");
+        session.emplace(*program, mode_of_rung(mode),
+                        SessionSandbox{limits, max_ticks, token});
+        program.reset();
+        if (request.has_timers) {
+          session->open_page();
+          // Frame graph without a canvas (the kernel stage no-ops): exercises
+          // the pipelined frame path under supervision and its stage spans.
+          if (request.frame_pool != nullptr) session->enable_frame_graph(request.frame_pool);
+        }
       }
-      check_invariants(session);
-      success = {session.interp().console_output(), session.clock().cpu_ns(),
-                 session.clock().wall_ns(), session.interp().ledger().peak()};
+      {
+        JSCERES_OBS_SPAN("supervisor", "session_run");
+        try {
+          session->run(request.horizon_ms);
+        } catch (...) {
+          check_invariants(*session);
+          throw;
+        }
+      }
+      check_invariants(*session);
+      success = {session->interp().console_output(), session->clock().cpu_ns(),
+                 session->clock().wall_ns(), session->interp().ledger().peak()};
+      JSCERES_OBS_SPAN("supervisor", "session_teardown");
+      session.reset();
     }
   } catch (const CancelledError& e) {
     record.error = e.what();

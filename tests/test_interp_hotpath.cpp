@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "dom/page.h"
 #include "interp/interpreter.h"
 #include "interp/shape.h"
 #include "js/atom.h"
@@ -42,7 +43,9 @@ namespace {
 ObjPtr object_with_keys(Interpreter& interp, std::initializer_list<const char*> keys) {
   ObjPtr obj = interp.make_object();
   double v = 1;
-  for (const char* key : keys) obj->set_property(key, Value::number(v++));
+  for (const char* key : keys) {
+    obj->set_property(interp.atoms(), key, Value::number(v++));
+  }
   return obj;
 }
 
@@ -121,10 +124,11 @@ TEST(PolymorphicIC, SustainedThrashGoesMegamorphicAndStaysCorrect) {
   for (int i = 0; i < 16; ++i) {
     ObjPtr obj = interp.make_object();
     for (int pad = 0; pad < i; ++pad) {
-      obj->set_property("mega_pad" + std::to_string(i) + "_" + std::to_string(pad),
+      obj->set_property(interp.atoms(),
+                        "mega_pad" + std::to_string(i) + "_" + std::to_string(pad),
                         Value::number(0));
     }
-    obj->set_property("p", Value::number(i));
+    obj->set_property(interp.atoms(), "p", Value::number(i));
     objs.push_back(std::move(obj));
   }
   for (int i = 0; i < 16; ++i) {
@@ -151,10 +155,11 @@ TEST(PolymorphicIC, MegamorphicReadSiteRecachesAfterStableStreak) {
   for (int i = 0; i < 16; ++i) {
     ObjPtr obj = interp.make_object();
     for (int pad = 0; pad < i; ++pad) {
-      obj->set_property("rc_pad" + std::to_string(i) + "_" + std::to_string(pad),
+      obj->set_property(interp.atoms(),
+                        "rc_pad" + std::to_string(i) + "_" + std::to_string(pad),
                         Value::number(0));
     }
-    obj->set_property("p", Value::number(i));
+    obj->set_property(interp.atoms(), "p", Value::number(i));
     objs.push_back(std::move(obj));
   }
   for (int i = 0; i < 16; ++i) {
@@ -200,10 +205,11 @@ TEST(PolymorphicIC, AlternatingShapesNeverAssembleRecacheStreak) {
   for (int i = 0; i < 16; ++i) {
     ObjPtr obj = interp.make_object();
     for (int pad = 0; pad < i; ++pad) {
-      obj->set_property("alt_pad" + std::to_string(i) + "_" + std::to_string(pad),
+      obj->set_property(interp.atoms(),
+                        "alt_pad" + std::to_string(i) + "_" + std::to_string(pad),
                         Value::number(0));
     }
-    obj->set_property("p", Value::number(i));
+    obj->set_property(interp.atoms(), "p", Value::number(i));
     objs.push_back(std::move(obj));
   }
   for (int i = 0; i < 16; ++i) {
@@ -234,10 +240,11 @@ TEST(PolymorphicIC, ChurningPrototypeUnderStableReceiverStaysMegamorphic) {
   for (int i = 0; i < 16; ++i) {
     ObjPtr obj = interp.make_object();
     for (int pad = 0; pad < i; ++pad) {
-      obj->set_property("ph_pad" + std::to_string(i) + "_" + std::to_string(pad),
+      obj->set_property(interp.atoms(),
+                        "ph_pad" + std::to_string(i) + "_" + std::to_string(pad),
                         Value::number(0));
     }
-    obj->set_property("p", Value::number(i));
+    obj->set_property(interp.atoms(), "p", Value::number(i));
     objs.push_back(std::move(obj));
   }
   for (int i = 0; i < 16; ++i) {
@@ -310,10 +317,11 @@ TEST(PolymorphicIC, ICStatsTrackTheSiteStateMachine) {
   for (int i = 0; i < 16; ++i) {
     ObjPtr thrash = interp.make_object();
     for (int pad = 0; pad <= i; ++pad) {
-      thrash->set_property("st_pad" + std::to_string(i) + "_" + std::to_string(pad),
+      thrash->set_property(interp.atoms(),
+                           "st_pad" + std::to_string(i) + "_" + std::to_string(pad),
                            Value::number(0));
     }
-    thrash->set_property("p", Value::number(i));
+    thrash->set_property(interp.atoms(), "p", Value::number(i));
     interp.call(get, Value::undefined(), {Value::object(thrash)});
   }
   ASSERT_TRUE(interp.debug_read_ic(0).megamorphic);
@@ -338,10 +346,11 @@ TEST(PolymorphicIC, MegamorphicWriteSiteRecachesAfterStableStreak) {
   for (int i = 0; i < 16; ++i) {
     ObjPtr obj = interp.make_object();
     for (int pad = 0; pad < i + 1; ++pad) {
-      obj->set_property("wr_pad" + std::to_string(i) + "_" + std::to_string(pad),
+      obj->set_property(interp.atoms(),
+                        "wr_pad" + std::to_string(i) + "_" + std::to_string(pad),
                         Value::number(0));
     }
-    obj->set_property("p", Value::number(i));
+    obj->set_property(interp.atoms(), "p", Value::number(i));
     objs.push_back(std::move(obj));
   }
   for (int i = 0; i < 16; ++i) {
@@ -361,7 +370,7 @@ TEST(PolymorphicIC, MegamorphicWriteSiteRecachesAfterStableStreak) {
   EXPECT_EQ(dbg.ways, 1);
   EXPECT_EQ(dbg.shapes[0], stable->shape());
   EXPECT_FALSE(dbg.is_transition[0]);
-  EXPECT_DOUBLE_EQ(stable->own_property(std::string("p"))->as_number(), 115);
+  EXPECT_DOUBLE_EQ(stable->own_property(interp.atoms(), std::string("p"))->as_number(), 115);
 }
 
 TEST(PolymorphicIC, WriteSiteCachesTransitionTarget) {
@@ -384,8 +393,8 @@ TEST(PolymorphicIC, WriteSiteCachesTransitionTarget) {
   interp.call(put, Value::undefined(), {Value::object(o2), Value::number(20)});
   EXPECT_EQ(interp.debug_write_ic(0).ways, 1);
   EXPECT_EQ(o1->shape(), o2->shape());
-  EXPECT_DOUBLE_EQ(o1->own_property(std::string("q"))->as_number(), 10);
-  EXPECT_DOUBLE_EQ(o2->own_property(std::string("q"))->as_number(), 20);
+  EXPECT_DOUBLE_EQ(o1->own_property(interp.atoms(), std::string("q"))->as_number(), 10);
+  EXPECT_DOUBLE_EQ(o2->own_property(interp.atoms(), std::string("q"))->as_number(), 20);
 
   // o1 now owns `q`: the same site sees the post-transition shape and adds
   // an in-place-store way next to the transition way.
@@ -394,7 +403,7 @@ TEST(PolymorphicIC, WriteSiteCachesTransitionTarget) {
   EXPECT_EQ(dbg.ways, 2);
   EXPECT_FALSE(dbg.is_transition[0]);
   EXPECT_EQ(dbg.shapes[0], o1->shape());
-  EXPECT_DOUBLE_EQ(o1->own_property(std::string("q"))->as_number(), 30);
+  EXPECT_DOUBLE_EQ(o1->own_property(interp.atoms(), std::string("q"))->as_number(), 30);
 }
 
 // ---------------------------------------------------------------------------
@@ -407,7 +416,7 @@ TEST(PolymorphicIC, WriteSiteCachesTransitionTarget) {
 
 TEST(IncrementalShape, SlotsStableAcrossLazyFlattening) {
   js::AtomSpace atoms;
-  const auto root = Shape::make_root(atoms);
+  const auto root = Shape::make_root();
   const Shape* shape = root.get();
   std::vector<js::Atom> keys;
   for (int i = 0; i < 12; ++i) {
@@ -417,7 +426,6 @@ TEST(IncrementalShape, SlotsStableAcrossLazyFlattening) {
   EXPECT_EQ(shape->slot_count(), 12u);
   EXPECT_FALSE(shape->flattened_for_test());
   EXPECT_EQ(shape->root(), root.get());
-  EXPECT_EQ(&shape->atoms(), &atoms);
 
   std::vector<std::int32_t> before;
   for (const js::Atom& atom : keys) before.push_back(shape->slot_of(atom));
@@ -435,7 +443,7 @@ TEST(IncrementalShape, SlotsStableAcrossLazyFlattening) {
 
 TEST(IncrementalShape, DeepChainFlattensOnSecondLookupOnly) {
   js::AtomSpace atoms;
-  const auto root = Shape::make_root(atoms);
+  const auto root = Shape::make_root();
   js::Atom first = atoms.intern("ishape_b_0");
   const Shape* shape = root->transition(first);
   for (int i = 1; i < 10; ++i) {
@@ -449,7 +457,7 @@ TEST(IncrementalShape, DeepChainFlattensOnSecondLookupOnly) {
 
 TEST(IncrementalShape, ShallowChainFlattensWhenHot) {
   js::AtomSpace atoms;
-  const auto root = Shape::make_root(atoms);
+  const auto root = Shape::make_root();
   const Shape* shape = root->transition(atoms.intern("ishape_c_0"))
                            ->transition(atoms.intern("ishape_c_1"));
   const js::Atom probe = atoms.intern("ishape_c_0");
@@ -465,7 +473,7 @@ TEST(IncrementalShape, ConcurrentTransitionGrowthIsRaceFreeAndDeduplicated) {
   constexpr int kThreads = 8;
   constexpr int kDepth = 24;
   js::AtomSpace atoms;
-  const auto root = Shape::make_root(atoms);
+  const auto root = Shape::make_root();
   // Pre-intern so the threads race on the shape tree, not the atom space.
   std::vector<js::Atom> shared_keys;
   for (int i = 0; i < kDepth; ++i) {
@@ -549,6 +557,110 @@ TEST(ProgramUniverse, SpaceReadsThePrefixButNeverWritesIt) {
   EXPECT_EQ(atoms.intern("universe_program_name"), local);
   EXPECT_EQ(engine.id() & js::Atom::kProgramIdBit, 0u);
   EXPECT_NE(local.id() & js::Atom::kProgramIdBit, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The builtin realm: built once per process, copied into every interpreter.
+// A program that mutates a builtin mutates its own copy, and the names the
+// engine spells are prefix atoms whenever the program was parsed.
+// ---------------------------------------------------------------------------
+
+constexpr const char* kMutateBuiltins =
+    "Math.acc = 1; Math.floor = function (x) { return 42; };"
+    "Array.prototype.total = function () { return 7; };"
+    "delete Math.PI;"
+    "var seen = Math.floor(1.5) + [1].total() + Math.acc;";
+constexpr const char* kProbeBuiltins =
+    "var probe = [Math.floor(1.5), typeof Math.acc, typeof [].total,"
+    " Math.PI > 3, Object.keys(Math).length].join(',');";
+constexpr const char* kPristine = "1,undefined,undefined,true,23";
+
+/// One session that mutates the builtins, then one that reads them.
+void mutate_then_probe() {
+  Session dirty(js::parse(kMutateBuiltins), CeresMode::Dependence);
+  dirty.run();
+  EXPECT_DOUBLE_EQ(dirty.interp().global("seen").as_number(), 42 + 7 + 1);
+  // Adding or deleting a property moved each copy off the frozen tree.
+  EXPECT_EQ(dirty.interp().global("Math").as_object()->shape(), nullptr);
+  EXPECT_EQ(dirty.interp().array_prototype()->shape(), nullptr);
+
+  Session clean(js::parse(kProbeBuiltins), CeresMode::Uninstrumented);
+  clean.run();
+  EXPECT_EQ(clean.interp().global("probe").as_string(), kPristine);
+  const Shape* math_shape = clean.interp().global("Math").as_object()->shape();
+  ASSERT_NE(math_shape, nullptr);
+  EXPECT_TRUE(math_shape->frozen());
+}
+
+TEST(BuiltinRealm, MutatedBuiltinsDoNotReachTheNextSession) {
+  for (int round = 0; round < 3; ++round) mutate_then_probe();
+}
+
+TEST(BuiltinRealm, ConcurrentSessionsEachMutateTheirOwnCopy) {
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([] {
+      for (int round = 0; round < 16; ++round) mutate_then_probe();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+}
+
+TEST(BuiltinRealm, ProgramParsedFirstHoldsOnlyItsOwnNames) {
+  // Parsed before any interpreter exists in the process (run this test
+  // alone to see it): the engine's names must still be prefix atoms.
+  const js::Program program = js::parse(
+      "var own_total = Math.floor(2.5) + [1, 2].length;"
+      "document.getElementById('realm-probe');"
+      "setTimeout(function () { own_total += 1; }, 1);");
+  std::vector<std::string> parsed;
+  program->atoms.for_each([&](js::Atom atom) { parsed.push_back(atom.str()); });
+  EXPECT_EQ(parsed, (std::vector<std::string>{"own_total", "realm-probe"}));
+
+  VirtualClock clock;
+  {
+    Interpreter interp(program, clock);
+    dom::Page page(interp);
+    interp.run();
+    page.event_loop().run(10);
+    EXPECT_DOUBLE_EQ(interp.global("own_total").as_number(), 5);
+  }
+  std::vector<std::string> after;
+  program->atoms.for_each([&](js::Atom atom) { after.push_back(atom.str()); });
+  EXPECT_EQ(after, parsed);
+}
+
+TEST(BuiltinRealm, ObjectIdsAndKeyOrderFollowTheInstallOrder) {
+  VirtualClock clock;
+  Interpreter interp(js::parse("var first = {};"
+                               "var math_keys = Object.keys(Math).join(',');"
+                               "var array_keys = Object.keys(Array.prototype).join(',');"),
+                     clock);
+  interp.run();
+  EXPECT_EQ(interp.object_prototype()->id(), 1u);
+  EXPECT_EQ(interp.array_prototype()->id(), 2u);
+  EXPECT_EQ(interp.string_prototype()->id(), 3u);
+  EXPECT_EQ(interp.function_prototype()->id(), 4u);
+  const auto id_of = [&](const char* name) { return interp.global(name).as_object()->id(); };
+  EXPECT_EQ(id_of("Math"), 5u);
+  EXPECT_EQ(id_of("Array"), 41u);
+  EXPECT_EQ(id_of("String"), 55u);
+  EXPECT_EQ(id_of("Object"), 57u);
+  EXPECT_EQ(id_of("console"), 62u);
+  EXPECT_EQ(id_of("JSON"), 64u);
+  EXPECT_EQ(id_of("Date"), 72u);
+  EXPECT_EQ(id_of("performance"), 74u);
+  EXPECT_EQ(id_of("first"), 76u);  // the program's first object
+  EXPECT_EQ(interp.global("math_keys").as_string(),
+            "PI,E,LN2,LN10,SQRT2,abs,floor,ceil,sqrt,sin,cos,tan,asin,acos,atan,"
+            "exp,log,round,atan2,pow,min,max,random");
+  EXPECT_EQ(interp.global("array_keys").as_string(),
+            "push,pop,shift,indexOf,join,slice,concat,reverse,fill,splice,sort,"
+            "forEach,map,filter,reduce,every,some");
+  // console.warn and console.error are console.log, in every copy.
+  const ObjPtr console = interp.global("console").as_object();
+  EXPECT_EQ(console->own_property(interp.atoms(), "warn")->as_object(),
+            console->own_property(interp.atoms(), "log")->as_object());
 }
 
 // ---------------------------------------------------------------------------
@@ -654,7 +766,7 @@ TEST(AtomTorture, ConcurrentProgramsInternAndFreeTheirOwnAtoms) {
           js::Atom found;
           ASSERT_TRUE(program->atoms.try_find(names[k], &found));
           EXPECT_EQ(found, atom);
-          const Value* value = o->own_property(names[k]);
+          const Value* value = o->own_property(program->atoms, names[k]);
           ASSERT_NE(value, nullptr);
           EXPECT_DOUBLE_EQ(value->as_number(), 2);
         }

@@ -324,17 +324,62 @@ TEST(TraceRecorderTest, ThreadNamedWhileTracingIsOffReservesNoEvents) {
   named.get_future().wait();
   EXPECT_EQ(rec.reserved_events(), reserved_before);
 
-  // start() reserves the existing ring, and the thread's events come back.
+  // start() reserves the existing ring (the thread's first event finds its
+  // storage in place; the ring may be one an exited thread handed back, so
+  // it can hold more than 64 already), and the thread's events come back.
   rec.start(64);
-  EXPECT_GE(rec.reserved_events(), reserved_before + 64);
+  const std::size_t reserved_at_start = rec.reserved_events();
   started.set_value();
   worker.join();
+  EXPECT_EQ(rec.reserved_events(), reserved_at_start);
   rec.stop();
   std::size_t spans = 0;
   for (const TraceEvent& event : rec.collect()) {
     if (std::strcmp(event.cat, "tobs_lazy") == 0) ++spans;
   }
   EXPECT_EQ(spans, 1u);
+}
+
+TEST(TraceRecorderTest, ExitedThreadsHandTheirRingsBack) {
+  TraceRecorder& rec = TraceRecorder::instance();
+  constexpr std::size_t kCap = 256;
+  const auto cycle_pools = [](int count) {
+    for (int i = 0; i < count; ++i) {
+      rivertrail::ThreadPool pool(2);  // each worker names itself
+    }
+  };
+  // Every ring is reserved by start(). With rings handed back at thread
+  // exit, 50 two-worker pools in turn add at most the two workers' rings,
+  // not a hundred.
+  rec.start(kCap);
+  const std::size_t before = rec.reserved_events();
+  rec.stop();
+  cycle_pools(50);
+  rec.start(kCap);
+  const std::size_t bound = before + 2 * kCap;
+  EXPECT_LE(rec.reserved_events(), bound);
+
+  // What a thread recorded while tracing survives its exit, with its name,
+  // and the next thread to take its ring records under a tid of its own.
+  std::thread([&rec] {
+    rec.set_thread_name("tobs-first-holder");
+    SpanScope span("tobs_exit", "first_holder");
+  }).join();
+  std::thread([&rec] {
+    rec.set_thread_name("tobs-next-holder");
+    SpanScope span("tobs_exit", "next_holder");
+  }).join();
+  rec.stop();
+  const std::string json = rec.to_json();
+  EXPECT_NE(json.find("tobs-first-holder"), std::string::npos);
+  EXPECT_NE(json.find("tobs-next-holder"), std::string::npos);
+  std::vector<std::uint32_t> tids;
+  for (const TraceEvent& event : rec.collect()) {
+    if (std::strcmp(event.cat, "tobs_exit") == 0) tids.push_back(event.tid);
+  }
+  ASSERT_EQ(tids.size(), 2u);
+  EXPECT_NE(tids[0], tids[1]);
+  EXPECT_LE(rec.reserved_events(), bound);
 }
 
 // --- acceptance: a service batch populates the whole registry --------------

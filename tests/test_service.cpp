@@ -464,8 +464,8 @@ TEST(Service, DestructionImmediatelyAfterOutcomeIsSafe) {
 
 TEST(Service, RealSessionsLeaveSharedStateAsFoundOnceDrained) {
   {
-    // The first Session of the process teaches the atom prefix the names
-    // the engine spells itself, once; the baseline is taken after that.
+    // The first Session of the process builds the builtin realm, whose
+    // frozen shapes are not counted; the baseline is taken after that.
     const js::Program program = js::parse("var warm = 1;");
     Session(program, CeresMode::Uninstrumented).run();
   }
