@@ -74,12 +74,11 @@ void EventLoop::dispatch_user_event(const UserEvent& event) {
   const auto it = listeners_.find(event.type);
   if (it == listeners_.end()) return;
   interp::ObjPtr info = interp_->make_object();
-  js::AtomSpace& atoms = interp_->atoms();
-  info->set_property(atoms, "type", Value::str(event.type));
-  info->set_property(atoms, "x", Value::number(event.x));
-  info->set_property(atoms, "y", Value::number(event.y));
-  info->set_property(atoms, "key", Value::str(event.key));
-  info->set_property(atoms, "timeStamp",
+  info->set_property(js::Atom::engine_name("type"), Value::str(event.type));
+  info->set_property(js::Atom::engine_name("x"), Value::number(event.x));
+  info->set_property(js::Atom::engine_name("y"), Value::number(event.y));
+  info->set_property(js::Atom::engine_name("key"), Value::str(event.key));
+  info->set_property(js::Atom::engine_name("timeStamp"),
                      Value::number(double(interp_->clock().wall_ns()) / 1e6));
   ++events_dispatched_;
   // Copy: a handler may add/remove listeners while we iterate.

@@ -59,13 +59,13 @@ std::shared_ptr<CanvasContext> ctx_of(Interpreter& interp, const Value& value) {
 
 void define(Interpreter& interp, const ObjPtr& target, const std::string& name,
             interp::NativeFn fn) {
-  target->set_property(interp.atoms(), name,
+  target->set_property(js::Atom::engine_name(name),
                        Value::object(interp.make_native_function(name, std::move(fn))));
 }
 
 double prop_number(Interpreter& interp, const ObjPtr& obj, const std::string& key,
                    double fallback) {
-  const Value* v = obj->own_property(interp.atoms(), key);
+  const Value* v = obj->own_property(js::Atom::engine_name(key));
   return v == nullptr ? fallback : interp.to_number(*v);
 }
 
@@ -73,10 +73,10 @@ double prop_number(Interpreter& interp, const ObjPtr& obj, const std::string& ke
 void sync_styles(Interpreter& interp, const Value& self,
                  const std::shared_ptr<CanvasContext>& ctx) {
   const ObjPtr& obj = self.as_object();
-  if (const Value* fill = obj->own_property(interp.atoms(), "fillStyle")) {
+  if (const Value* fill = obj->own_property(js::Atom::engine_name("fillStyle"))) {
     ctx->set_fill_color(parse_color(interp.to_string_value(*fill)));
   }
-  if (const Value* stroke = obj->own_property(interp.atoms(), "strokeStyle")) {
+  if (const Value* stroke = obj->own_property(js::Atom::engine_name("strokeStyle"))) {
     ctx->set_stroke_color(parse_color(interp.to_string_value(*stroke)));
   }
 }
@@ -102,8 +102,8 @@ Value Page::wrap(const std::shared_ptr<DomNode>& node) {
 
   ObjPtr obj = interp_->make_object();
   obj->set_host(std::make_shared<NodeHost>(node));
-  obj->set_property(interp_->atoms(), "tagName", Value::str(node->tag()));
-  obj->set_property(interp_->atoms(), "id", Value::str(node->id()));
+  obj->set_property(js::Atom::engine_name("tagName"), Value::str(node->tag()));
+  obj->set_property(js::Atom::engine_name("id"), Value::str(node->id()));
 
   Page* page = this;
   define(*interp_, obj, "appendChild",
@@ -162,7 +162,7 @@ Value Page::wrap(const std::shared_ptr<DomNode>& node) {
            // the shared CanvasContext).
            ObjPtr ctx_obj = in.make_object();
            ctx_obj->set_host(std::make_shared<ContextHost>(ctx));
-           ctx_obj->set_property(in.atoms(), "canvas", self);
+           ctx_obj->set_property(js::Atom::engine_name("canvas"), self);
 
            define(in, ctx_obj, "fillRect",
                   [](Interpreter& i2, const Value& s2, const Args& a2) {
@@ -235,9 +235,9 @@ Value Page::wrap(const std::shared_ptr<DomNode>& node) {
                       data->elements().push_back(Value::number(b));
                     }
                     ObjPtr img = i2.make_object();
-                    img->set_property(i2.atoms(), "width", Value::number(w));
-                    img->set_property(i2.atoms(), "height", Value::number(h));
-                    img->set_property(i2.atoms(), "data", Value::object(data));
+                    img->set_property(js::Atom::engine_name("width"), Value::number(w));
+                    img->set_property(js::Atom::engine_name("height"), Value::number(h));
+                    img->set_property(js::Atom::engine_name("data"), Value::object(data));
                     settle(i2, c);
                     i2.note_host_access(HostAccess::Canvas, "getImageData");
                     return Value::object(img);
@@ -251,7 +251,7 @@ Value Page::wrap(const std::shared_ptr<DomNode>& node) {
                     const ObjPtr& img = a2[0].as_object();
                     const int w = int(prop_number(i2, img, "width", 0));
                     const int h = int(prop_number(i2, img, "height", 0));
-                    const Value* data = img->own_property(i2.atoms(), "data");
+                    const Value* data = img->own_property(js::Atom::engine_name("data"));
                     if (data == nullptr || !data->is_object()) {
                       i2.throw_error("TypeError", "ImageData has no data");
                     }
@@ -281,8 +281,8 @@ Value Page::add_canvas(const std::string& id, int width, int height) {
   document_.register_id(node);
   document_.body()->append_child(node);
   const Value wrapper = wrap(node);
-  wrapper.as_object()->set_property(interp_->atoms(), "width", Value::number(width));
-  wrapper.as_object()->set_property(interp_->atoms(), "height", Value::number(height));
+  wrapper.as_object()->set_property(js::Atom::engine_name("width"), Value::number(width));
+  wrapper.as_object()->set_property(js::Atom::engine_name("height"), Value::number(height));
   return wrapper;
 }
 
@@ -307,15 +307,15 @@ void Page::install_document() {
            in.charge(kDomMutationTicks / 4);
            return page->wrap(page->document_.create(tag));
          });
-  doc->set_property(interp_->atoms(), "body", wrap(document_.body()));
+  doc->set_property(js::Atom::engine_name("body"), wrap(document_.body()));
   interp_->define_global("document", Value::object(doc));
 }
 
 void Page::install_window() {
   ObjPtr window = interp_->make_object();
-  window->set_property(interp_->atoms(), "innerWidth", Value::number(kViewportWidth));
-  window->set_property(interp_->atoms(), "innerHeight", Value::number(kViewportHeight));
-  window->set_property(interp_->atoms(), "devicePixelRatio", Value::number(1));
+  window->set_property(js::Atom::engine_name("innerWidth"), Value::number(kViewportWidth));
+  window->set_property(js::Atom::engine_name("innerHeight"), Value::number(kViewportHeight));
+  window->set_property(js::Atom::engine_name("devicePixelRatio"), Value::number(1));
 
   Page* page = this;
   const auto set_timeout = [page](Interpreter& in, const Value&,
@@ -367,7 +367,7 @@ void Page::install_window() {
   // The same entry points exist as bare globals, as in a browser.
   for (const char* name : {"setTimeout", "clearTimeout", "requestAnimationFrame",
                            "addEventListener", "loadResource"}) {
-    interp_->define_global(name, *window->own_property(interp_->atoms(), name));
+    interp_->define_global(name, *window->own_property(js::Atom::engine_name(name)));
   }
 }
 

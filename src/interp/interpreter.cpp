@@ -283,13 +283,8 @@ ObjPtr Interpreter::make_array(std::size_t reserve) {
 }
 
 ObjPtr Interpreter::make_native_function(std::string name, NativeFn fn) {
-  auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root(), JSObject::Cls::Function);
-  obj->set_prototype(function_proto_);
-  auto data = std::make_shared<FunctionData>();
-  data->name = std::move(name);
-  data->native = std::move(fn);
-  obj->set_function(std::move(data));
-  return obj;
+  return native_function_object(next_obj_id_++, shape_root(), function_proto_, std::move(name),
+                                std::move(fn));
 }
 
 ObjPtr Interpreter::make_function_from_node(const js::FunctionNode& node,

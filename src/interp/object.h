@@ -247,4 +247,17 @@ class JSObject {
   std::shared_ptr<HostData> host_;
 };
 
+/// A native function object on the tree of `root`: `name` and `fn` in an
+/// immutable payload, `function_proto` as its prototype.
+inline ObjPtr native_function_object(std::uint64_t id, const Shape* root,
+                                     ObjPtr function_proto, std::string name, NativeFn fn) {
+  auto obj = std::make_shared<JSObject>(id, root, JSObject::Cls::Function);
+  obj->set_prototype(std::move(function_proto));
+  auto data = std::make_shared<FunctionData>();
+  data->name = std::move(name);
+  data->native = std::move(fn);
+  obj->set_function(std::move(data));
+  return obj;
+}
+
 }  // namespace jsceres::interp

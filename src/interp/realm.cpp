@@ -1,27 +1,10 @@
 #include "interp/realm.h"
 
 #include <limits>
-#include <stdexcept>
 
 #include "support/limits.h"
 
 namespace jsceres::interp {
-
-namespace {
-
-/// The prefix atom spelling `name`. Program atom spaces read the prefix
-/// first, so a realm key that is a prefix atom is the key every program
-/// spells; a key that is not would silently miss a program's own copy.
-js::Atom prefix_key(std::string_view name) {
-  js::Atom atom;
-  if (!js::Atom::try_find(name, &atom)) {
-    throw std::logic_error("builtin name '" + std::string(name) +
-                           "' is not in the atom prefix (js/atom.cpp)");
-  }
-  return atom;
-}
-
-}  // namespace
 
 const Realm& Realm::get() {
   static const Realm* realm = new Realm();  // never freed, like the prefix
@@ -39,7 +22,10 @@ Realm::Realm() : shape_root_(Shape::make_root()) {
   define_global("NaN", Value::number(std::numeric_limits<double>::quiet_NaN()));
   define_global("Infinity", Value::number(std::numeric_limits<double>::infinity()));
   install_stdlib(*this);
-  shape_root_->freeze();
+  std::vector<const Shape*> held;
+  held.reserve(objects_.size());
+  for (const ObjPtr& tmpl : objects_) held.push_back(tmpl->shape_);
+  shape_root_->freeze(held);
 }
 
 ObjPtr Realm::make(JSObject::Cls cls, ObjPtr proto) {
@@ -50,22 +36,19 @@ ObjPtr Realm::make(JSObject::Cls cls, ObjPtr proto) {
 }
 
 ObjPtr Realm::make_native_function(std::string name, NativeFn fn) {
-  ObjPtr obj = make(JSObject::Cls::Function, function_proto_);
-  auto data = std::make_shared<FunctionData>();
-  data->name = std::move(name);
-  data->native = std::move(fn);
-  obj->set_function(std::move(data));
-  return obj;
+  objects_.push_back(native_function_object(objects_.size() + 1, shape_root_.get(),
+                                            function_proto_, std::move(name), std::move(fn)));
+  return objects_.back();
 }
 
 ObjPtr Realm::make_namespace_object() { return make(JSObject::Cls::Plain, nullptr); }
 
 void Realm::set(const ObjPtr& target, std::string_view name, Value value) {
-  target->set_property(prefix_key(name), std::move(value));
+  target->set_property(js::Atom::engine_name(name), std::move(value));
 }
 
 void Realm::define_global(std::string_view name, Value value) {
-  global_names_.push_back(prefix_key(name));
+  global_names_.push_back(js::Atom::engine_name(name));
   global_values_.push_back(std::move(value));
 }
 

@@ -27,12 +27,13 @@ namespace jsceres::interp {
 /// realm being shared.
 ///
 /// The templates' shapes form the process-wide frozen tree (see Shape),
-/// keyed only by prefix atoms: the build rejects a key the prefix lacks. A
-/// copy keeps its template's frozen shape, so no session builds shapes for
-/// its builtins, and leaves it for dictionary mode when it gains or loses a
-/// property; a copy with no properties starts on its program's own root
-/// instead, like any fresh object. Native functions' payloads are immutable
-/// and shared between all copies.
+/// keyed only by prefix atoms: the build rejects a key that is not an
+/// engine spelling (js::Atom::engine_name). A copy keeps its template's
+/// frozen shape, so no session builds shapes for its builtins, and leaves
+/// it for dictionary mode when it gains or loses a property; a copy with no
+/// properties starts on its program's own root instead, like any fresh
+/// object. Native functions' payloads are immutable and shared between all
+/// copies.
 class Realm {
  public:
   /// The process's realm.

@@ -76,12 +76,18 @@ std::unique_ptr<Shape> Shape::make_root() {
   return std::unique_ptr<Shape>(new Shape());
 }
 
-void Shape::freeze() {
-  ensure_flat();
+void Shape::freeze(std::span<const Shape* const> held) {
+  // Flattened before the walk below takes each shape's bytes, table
+  // included, out of the live counts.
+  for (const Shape* shape : held) shape->ensure_flat();
+  freeze_tree();
+}
+
+void Shape::freeze_tree() {
   g_shape_bytes.fetch_sub(accounted_bytes(), std::memory_order_relaxed);
   g_shape_count.fetch_sub(1, std::memory_order_relaxed);
   frozen_ = true;
-  for (auto& [key, child] : transitions_) child->freeze();
+  for (auto& [key, child] : transitions_) child->freeze_tree();
 }
 
 const Shape* Shape::root() const {

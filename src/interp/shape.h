@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -45,8 +46,9 @@ namespace jsceres::interp {
 ///
 /// One tree is process-wide: the builtin realm's (interp/realm.h), built
 /// once and frozen (freeze()). It is keyed only by prefix atoms, every
-/// shape in it is flattened when it freezes, so a lookup never touches
-/// `lookups_`, and a frozen shape never gains a transition. It therefore
+/// shape an object holds in it is flattened when it freezes, so a lookup
+/// never touches `lookups_` (the shapes in between see no lookup and keep
+/// no table), and a frozen shape never gains a transition. It therefore
 /// holds no program state: an object on a frozen shape that adds or
 /// deletes a property leaves the tree for dictionary mode (JSObject). The
 /// frozen tree is never freed and is not counted by live_count() or
@@ -70,10 +72,11 @@ class Shape {
   /// Never called on a frozen shape.
   const Shape* transition(js::Atom key) const;
 
-  /// Flatten every shape of this tree and freeze it: no shape in it gains
-  /// a transition afterwards, and the tree leaves the live counts. Called
-  /// on a root, once, before any other thread can see the tree.
-  void freeze();
+  /// Flatten `held`, the shapes of this tree that objects hold, and freeze
+  /// the tree: no shape in it gains a transition afterwards, and the tree
+  /// leaves the live counts. Called on a root, once, before any other
+  /// thread can see the tree.
+  void freeze(std::span<const Shape* const> held);
   [[nodiscard]] bool frozen() const { return frozen_; }
 
   /// Slot index of `key`, or -1 when this shape has no such property.
@@ -136,6 +139,7 @@ class Shape {
 
   std::int32_t slot_of_slow(js::Atom key) const;
   const FlatTable* ensure_flat() const;
+  void freeze_tree();
 
   js::Atom key_;             // the property this link appends (root: unused)
   std::uint32_t slot_ = 0;   // key_'s slot index (== parent->depth_)

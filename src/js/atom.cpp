@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <mutex>
 #include <shared_mutex>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "js/token.h"
@@ -151,6 +153,18 @@ bool Atom::try_find(std::string_view text, Atom* out) {
   if (found == nullptr) return false;
   *out = Atom(found);
   return true;
+}
+
+Atom Atom::engine_name(std::string_view text) {
+  // The prefix's constructor interns the keywords and then the engine
+  // spellings, so theirs are its lowest ids.
+  constexpr std::size_t kBuiltIn = std::size(kKeywordSpellings) + std::size(kEngineSpellings);
+  Atom atom;
+  if (!try_find(text, &atom) || atom.id() >= kBuiltIn) {
+    throw std::logic_error("engine name '" + std::string(text) +
+                           "' is not in the engine spellings (js/atom.cpp)");
+  }
+  return atom;
 }
 
 const detail::AtomData* Atom::empty_data() {

@@ -70,6 +70,13 @@ class Atom {
   /// Look up `text` in the prefix without creating it.
   static bool try_find(std::string_view text, Atom* out);
 
+  /// The atom of a name the engine spells itself: the builtin realm's keys
+  /// and the page's and event loop's. Throws std::logic_error when `text`
+  /// is not one of the engine spellings the prefix is built with
+  /// (js/atom.cpp), because a program parsed before anything else ran would
+  /// hold its own copy of such a name, which the engine's key would miss.
+  static Atom engine_name(std::string_view text);
+
   [[nodiscard]] const std::string& str() const { return *data_->text; }
   [[nodiscard]] const std::shared_ptr<const std::string>& str_ptr() const {
     return data_->text;

@@ -35,7 +35,8 @@ namespace {
 /// hands it back at exit (see lease()), so a pool holds as many objects as
 /// threads were ever live at once, not one per thread that ever ran. Objects
 /// are never freed: readers (snapshot(), collect()) walk them at any time,
-/// and what an exited thread left in one stays readable after it is gone.
+/// and what an exited thread left in one stays readable after it is gone,
+/// as far as the next holder keeps it (a trace ring wraps).
 template <typename T>
 class LeasePool {
  public:
@@ -471,7 +472,8 @@ struct TraceRecorder::Ring {
 namespace {
 
 /// Rings are lent to threads like metric shards: an exited thread's ring,
-/// events and all, goes to the next thread that records or names itself.
+/// events and all, goes to the next thread that records or names itself,
+/// whose events overwrite the oldest once the ring is full.
 LeasePool<TraceRecorder::Ring>& ring_pool() {
   static auto* pool = new LeasePool<TraceRecorder::Ring>();
   return *pool;
@@ -490,7 +492,8 @@ TraceRecorder::Ring& TraceRecorder::ring() {
   Ring* r = tls_ring;
   if (r == nullptr) {
     // A reused ring keeps the events its earlier holders recorded, each
-    // under its own tid, and their names with them until start().
+    // under its own tid, until start() or until they are overwritten; their
+    // names stay until start().
     r = lease(ring_pool(), tls_ring);
     const std::lock_guard lock(r->mutex);
     r->tid = next_tid_.fetch_add(1, std::memory_order_relaxed);

@@ -205,9 +205,11 @@ struct TraceEvent {
 /// every ring into one ts-sorted vector at any time, armed or not. A thread
 /// leases a ring on its first append or set_thread_name() and hands it back
 /// at exit, like metric shards, so there are as many rings as threads were
-/// ever live at once. A ring keeps what an exited thread recorded, with its
-/// tid and name, until the next start(); its next holder appends after it
-/// under a fresh tid.
+/// ever live at once. Its next holder appends after what the exited thread
+/// recorded, under a fresh tid, in the same wrapping storage: a ring keeps
+/// the newest `events_per_thread` events of all its holders together, so an
+/// exited thread's events (with its tid and name) stay collectable until the
+/// next start() or until later holders have filled the ring past them.
 class TraceRecorder {
  public:
   static TraceRecorder& instance();

@@ -590,6 +590,7 @@ void mutate_then_probe() {
   const Shape* math_shape = clean.interp().global("Math").as_object()->shape();
   ASSERT_NE(math_shape, nullptr);
   EXPECT_TRUE(math_shape->frozen());
+  EXPECT_TRUE(math_shape->flattened_for_test());  // flattened when frozen
 }
 
 TEST(BuiltinRealm, MutatedBuiltinsDoNotReachTheNextSession) {
@@ -608,26 +609,42 @@ TEST(BuiltinRealm, ConcurrentSessionsEachMutateTheirOwnCopy) {
 
 TEST(BuiltinRealm, ProgramParsedFirstHoldsOnlyItsOwnNames) {
   // Parsed before any interpreter exists in the process (run this test
-  // alone to see it): the engine's names must still be prefix atoms.
+  // alone to see it): the engine's names must still be prefix atoms, also
+  // the keys the canvas bindings and the event object set.
   const js::Program program = js::parse(
       "var own_total = Math.floor(2.5) + [1, 2].length;"
       "document.getElementById('realm-probe');"
+      "var own_ctx = document.createElement('canvas').getContext('2d');"
+      "own_ctx.fillStyle = '#102030';"
+      "own_ctx.fillRect(0, 0, 2, 2);"
+      "own_total += own_ctx.getImageData(0, 0, 1, 1).data.length;"
+      "addEventListener('mousedown', function (ev) {"
+      "  own_total += ev.x + ev.y + ev.key.length + (ev.type === 'mousedown') +"
+      "      (ev.timeStamp >= 0);"
+      "});"
       "setTimeout(function () { own_total += 1; }, 1);");
   std::vector<std::string> parsed;
   program->atoms.for_each([&](js::Atom atom) { parsed.push_back(atom.str()); });
-  EXPECT_EQ(parsed, (std::vector<std::string>{"own_total", "realm-probe"}));
+  EXPECT_EQ(parsed, (std::vector<std::string>{"own_total", "realm-probe", "own_ctx", "2d",
+                                              "#102030", "mousedown", "ev"}));
 
   VirtualClock clock;
   {
     Interpreter interp(program, clock);
     dom::Page page(interp);
+    page.event_loop().push_user_events({dom::UserEvent{2, "mousedown", 3, 4, "k"}});
     interp.run();
     page.event_loop().run(10);
-    EXPECT_DOUBLE_EQ(interp.global("own_total").as_number(), 5);
+    // 2 + 2, 4 bytes of image data, 3 + 4 + 1 + 1 + 1 from the event, 1
+    // from the timer.
+    EXPECT_DOUBLE_EQ(interp.global("own_total").as_number(), 19);
   }
   std::vector<std::string> after;
   program->atoms.for_each([&](js::Atom atom) { after.push_back(atom.str()); });
   EXPECT_EQ(after, parsed);
+  // The bindings' keys are checked against the engine spellings.
+  EXPECT_NO_THROW(js::Atom::engine_name("timeStamp"));
+  EXPECT_THROW(js::Atom::engine_name("own_total"), std::logic_error);
 }
 
 TEST(BuiltinRealm, ObjectIdsAndKeyOrderFollowTheInstallOrder) {

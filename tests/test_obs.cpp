@@ -360,7 +360,8 @@ TEST(TraceRecorderTest, ExitedThreadsHandTheirRingsBack) {
   EXPECT_LE(rec.reserved_events(), bound);
 
   // What a thread recorded while tracing survives its exit, with its name,
-  // and the next thread to take its ring records under a tid of its own.
+  // while the ring has room, and the next thread to take its ring records
+  // under a tid of its own.
   std::thread([&rec] {
     rec.set_thread_name("tobs-first-holder");
     SpanScope span("tobs_exit", "first_holder");
