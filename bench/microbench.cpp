@@ -327,7 +327,9 @@ interp::LoopEvent bench_loop(int loop_id) { return interp::LoopEvent{loop_id, 1,
 
 // The synthetic analyzer benchmarks below feed each iteration's accesses as
 // one on_memory_batch call after its loop and creation events, the way the
-// interpreter flushes its buffer before any non-memory event.
+// interpreter flushes its buffer before any non-memory event. The hooks only
+// append to the analyzer's segments; the warnings() call that ends each
+// iteration drains them, so a row times the analysis, not just the copy.
 using MemKind = interp::MemoryEvent::Kind;
 
 // The dominant mode-3 traffic shape: a function called per iteration creates

@@ -1,13 +1,18 @@
 #include "ceres/char_stack.h"
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <mutex>
+#include <new>
 
 #include "support/obs.h"
 
 namespace jsceres::ceres {
 
 namespace {
+
+thread_local std::vector<std::size_t>* g_growth_log = nullptr;
 
 /// Process-wide segment pool: arenas check segments out and return them on
 /// reset/destruction, so a resident service running thousands of mode-3
@@ -30,6 +35,37 @@ std::atomic<std::size_t> g_segments_live{0};
 std::atomic<std::size_t> g_segments_pooled{0};
 
 }  // namespace
+
+void charge_growth(std::size_t bytes) {
+  if (g_growth_log != nullptr) {
+    g_growth_log->push_back(bytes);
+  } else {
+    AllocationLedger::charge_current(bytes);
+  }
+}
+
+GrowthLog::GrowthLog(std::vector<std::size_t>* log) noexcept
+    : previous_(g_growth_log) {
+  g_growth_log = log;
+}
+
+GrowthLog::~GrowthLog() { g_growth_log = previous_; }
+
+void* allocate_table(std::size_t bytes) {
+  if (bytes < kMappedTableBytes) return ::operator new(bytes);
+  void* block = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (block == MAP_FAILED) throw std::bad_alloc();
+  return block;
+}
+
+void deallocate_table(void* block, std::size_t bytes) noexcept {
+  if (bytes < kMappedTableBytes) {
+    ::operator delete(block);
+  } else {
+    munmap(block, bytes);
+  }
+}
 
 void StampArena::grow() {
   StampArena::Segment* segment = nullptr;
@@ -170,7 +206,7 @@ void CharStack::intern_suffix() {
     // Sandbox accounting: the stamp arena is append-only and grows one node
     // per referenced state; charge before the append so a ledger trip leaves
     // the tree and frame_ids_ untouched.
-    AllocationLedger::charge_current(sizeof(StampNode));
+    charge_growth(sizeof(StampNode));
     nodes_.push_back(node);
     frame_ids_[k] = StampId(nodes_.size() - 1);
     ++interned_depth_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <system_error>
 
 #include "support/obs.h"
 
@@ -11,10 +12,11 @@ namespace detail {
 
 void StampMap::grow() {
   // Sandbox accounting: the doubled table charges the active run's ledger
-  // before allocating; on a trip the table is untouched and the map stays
-  // fully usable (just overfull until the next put retries).
-  AllocationLedger::charge_current(entries_.size() * sizeof(Entry));
-  std::vector<Entry> old = std::move(entries_);
+  // before allocating (or logs the charge; see charge_growth); on a trip
+  // the table is untouched and the map stays fully usable (just overfull
+  // until the next put retries).
+  charge_growth(entries_.size() * sizeof(Entry));
+  TableVector<Entry> old = std::move(entries_);
   entries_.assign(old.size() * 2, Entry{});
   mask_ = entries_.size() - 1;
   for (const Entry& entry : old) {
@@ -30,15 +32,15 @@ void DenseStampTable::grow(std::uint64_t id) {
   while (capacity <= id) capacity *= 2;
   // Sandbox accounting, as in StampMap::grow: charge the added slots before
   // resizing, so a trip leaves the table as it was.
-  AllocationLedger::charge_current((capacity - stamps_.size()) * sizeof(StampId));
+  charge_growth((capacity - stamps_.size()) * sizeof(StampId));
   stamps_.resize(capacity, kEmptyStampId);
 }
 
 void WarnIndex::grow() {
   const std::size_t capacity =
       entries_.empty() ? kInitialCapacity : entries_.size() * 2;
-  AllocationLedger::charge_current((capacity - entries_.size()) * sizeof(Entry));
-  std::vector<Entry> old = std::move(entries_);
+  charge_growth((capacity - entries_.size()) * sizeof(Entry));
+  TableVector<Entry> old = std::move(entries_);
   entries_.assign(capacity, Entry{});
   mask_ = capacity - 1;
   for (const Entry& entry : old) {
@@ -80,21 +82,13 @@ LoopDependenceSummary& DependenceAnalyzer::summary_slot(int loop_id) {
   return summary;
 }
 
-void DependenceAnalyzer::on_loop_enter(const interp::LoopEvent& e) {
-  chars_.on_enter(e.loop_id);
-  LoopDependenceSummary& summary = summary_slot(e.loop_id);
-  if (chars_.is_recursive(e.loop_id)) summary.recursion_detected = true;
+void DependenceAnalyzer::loop_enter(int loop_id) {
+  chars_.on_enter(loop_id);
+  LoopDependenceSummary& summary = summary_slot(loop_id);
+  if (chars_.is_recursive(loop_id)) summary.recursion_detected = true;
 }
 
-void DependenceAnalyzer::on_loop_iteration(const interp::LoopEvent& e) {
-  chars_.on_iteration(e.loop_id);
-}
-
-void DependenceAnalyzer::on_loop_exit(const interp::LoopEvent& e) {
-  chars_.on_exit(e.loop_id);
-}
-
-void DependenceAnalyzer::on_function_enter(int fn_id, const std::string&) {
+void DependenceAnalyzer::function_enter(int fn_id) {
   if (chars_.any_open()) {
     for (const int open_fn : fn_stack_) {
       if (open_fn == fn_id) {
@@ -109,16 +103,16 @@ void DependenceAnalyzer::on_function_enter(int fn_id, const std::string&) {
   fn_stack_.push_back(fn_id);
 }
 
-void DependenceAnalyzer::on_function_exit(int) {
+void DependenceAnalyzer::function_exit() {
   if (!fn_stack_.empty()) fn_stack_.pop_back();
 }
 
-void DependenceAnalyzer::on_env_created(std::uint64_t env_id) {
+void DependenceAnalyzer::env_created(std::uint64_t env_id) {
   if (global_env_id_ == 0) global_env_id_ = env_id;  // first env == global
   if (chars_.any_open()) env_stamps_.put(env_id, chars_.current_id());
 }
 
-void DependenceAnalyzer::on_object_created(std::uint64_t obj_id, int) {
+void DependenceAnalyzer::object_created(std::uint64_t obj_id) {
   if (chars_.any_open()) obj_stamps_.put(obj_id, chars_.current_id());
 }
 
@@ -137,7 +131,7 @@ inline StampId DependenceAnalyzer::base_stamp(
   return obj_stamps_.get(obj_id);
 }
 
-// Every open loop passed through on_loop_enter's summary_slot, so the two
+// Every open loop passed through loop_enter's summary_slot, so the two
 // per-event level loops below index summaries_ directly.
 
 inline void DependenceAnalyzer::bump_levels(
@@ -259,11 +253,9 @@ inline void DependenceAnalyzer::prop_read(std::uint64_t obj_id, js::Atom key,
   if (delta.problematic()) bump_levels(delta, &LoopDependenceSummary::shared_reads);
 }
 
-void DependenceAnalyzer::on_memory_batch(const interp::MemoryEvent* events,
-                                         std::size_t count) {
-  JSCERES_OBS_COUNT("ceres.mode3_events", count);
-  // The interpreter already paid the one virtual hop for the batch; each
-  // event's body is inlined here.
+void DependenceAnalyzer::analyze_batch(const interp::MemoryEvent* events,
+                                       std::size_t count) {
+  // Each event's body is inlined here.
   for (std::size_t i = 0; i < count; ++i) {
     const interp::MemoryEvent& e = events[i];
     switch (e.kind) {
@@ -283,7 +275,194 @@ void DependenceAnalyzer::on_memory_batch(const interp::MemoryEvent* events,
   }
 }
 
+void DependenceAnalyzer::analyze(const detail::StreamSegment& segment) {
+  using Kind = detail::ControlRecord::Kind;
+  const interp::MemoryEvent* events = segment.events.data();
+  std::size_t done = 0;
+  for (const detail::ControlRecord& control : segment.controls) {
+    analyze_batch(events + done, control.at - done);
+    done = control.at;
+    switch (control.kind) {
+      case Kind::LoopEnter: loop_enter(int(control.id)); break;
+      case Kind::LoopIteration: chars_.on_iteration(int(control.id)); break;
+      case Kind::LoopExit: chars_.on_exit(int(control.id)); break;
+      case Kind::FunctionEnter: function_enter(int(control.id)); break;
+      case Kind::FunctionExit: function_exit(); break;
+      case Kind::EnvCreated: env_created(control.id); break;
+      case Kind::ObjectCreated: object_created(control.id); break;
+    }
+  }
+  analyze_batch(events + done, segment.events.size() - done);
+}
+
+void DependenceAnalyzer::analyze_segment(detail::StreamSegment& segment,
+                                         bool by_consumer) noexcept {
+  const GrowthLog log(&segment.charges);
+  segment.by_consumer = by_consumer;
+  try {
+    analyze(segment);
+  } catch (...) {
+    segment.error = std::current_exception();
+  }
+}
+
+// --- the segment pipeline ---------------------------------------------------
+
+DependenceAnalyzer::~DependenceAnalyzer() { stop_consumer(); }
+
+void DependenceAnalyzer::append(detail::ControlRecord::Kind kind, std::uint64_t id) {
+  detail::StreamSegment& segment = filling();
+  segment.controls.push_back({id, std::uint32_t(segment.events.size()), kind});
+  if (segment.records() >= kSegmentRecords) hand_off();
+}
+
+void DependenceAnalyzer::on_loop_enter(const interp::LoopEvent& e) {
+  append(detail::ControlRecord::Kind::LoopEnter, std::uint64_t(e.loop_id));
+}
+
+void DependenceAnalyzer::on_loop_iteration(const interp::LoopEvent& e) {
+  append(detail::ControlRecord::Kind::LoopIteration, std::uint64_t(e.loop_id));
+}
+
+void DependenceAnalyzer::on_loop_exit(const interp::LoopEvent& e) {
+  append(detail::ControlRecord::Kind::LoopExit, std::uint64_t(e.loop_id));
+}
+
+void DependenceAnalyzer::on_function_enter(int fn_id) {
+  append(detail::ControlRecord::Kind::FunctionEnter, std::uint64_t(fn_id));
+}
+
+void DependenceAnalyzer::on_function_exit(int) {
+  append(detail::ControlRecord::Kind::FunctionExit, 0);
+}
+
+void DependenceAnalyzer::on_env_created(std::uint64_t env_id) {
+  append(detail::ControlRecord::Kind::EnvCreated, env_id);
+}
+
+void DependenceAnalyzer::on_object_created(std::uint64_t obj_id, int) {
+  append(detail::ControlRecord::Kind::ObjectCreated, obj_id);
+}
+
+void DependenceAnalyzer::on_memory_batch(const interp::MemoryEvent* events,
+                                         std::size_t count) {
+  JSCERES_OBS_COUNT("ceres.mode3_events", count);
+  while (count > 0) {
+    detail::StreamSegment& segment = filling();
+    const std::size_t n = std::min(count, kSegmentRecords - segment.records());
+    segment.events.insert(segment.events.end(), events, events + n);
+    events += n;
+    count -= n;
+    if (segment.records() >= kSegmentRecords) hand_off();
+  }
+}
+
+void DependenceAnalyzer::on_run_window_end(bool completed) {
+  if (completed) {
+    drain();
+  } else {
+    stop_consumer();
+  }
+}
+
+void DependenceAnalyzer::hand_off() {
+  {
+    const std::lock_guard lock(mutex_);
+    queued_ = ++filling_;
+  }
+  if (consumer_.joinable()) {
+    changed_.notify_all();
+  } else {
+    try {
+      consumer_ = std::thread([this] { consume(); });
+    } catch (const std::system_error&) {
+      // No thread to be had: this thread analyzes every segment itself.
+    }
+  }
+  // The next segment goes into the buffer of segment filling_ - kSegmentBuffers.
+  if (filling_ >= kSegmentBuffers) reclaim(filling_ - kSegmentBuffers + 1);
+}
+
+void DependenceAnalyzer::await_analyzed(std::uint64_t end) {
+  std::unique_lock lock(mutex_);
+  while (analyzed_ < end) {
+    if (claimed_ == analyzed_) {
+      // Help first: the next segment is unclaimed, so analyze it here
+      // rather than wait for the consumer to wake up.
+      const std::uint64_t s = claimed_++;
+      lock.unlock();
+      analyze_segment(segments_[s % kSegmentBuffers], false);
+      lock.lock();
+      analyzed_ = s + 1;
+      changed_.notify_all();
+    } else {
+      changed_.wait(lock);
+    }
+  }
+}
+
+void DependenceAnalyzer::reclaim(std::uint64_t end) {
+  await_analyzed(end);
+  while (reclaimed_ < end) {
+    detail::StreamSegment& segment = segments_[reclaimed_++ % kSegmentBuffers];
+    ++(segment.by_consumer ? segment_counts_.consumer : segment_counts_.producer);
+    // Free the buffer whatever the replay does: a trip ends the window, and
+    // the segment's remaining charges go with it.
+    struct Clear {
+      detail::StreamSegment& segment;
+      ~Clear() {
+        segment.events.clear();
+        segment.controls.clear();
+        segment.charges.clear();
+        segment.error = nullptr;
+      }
+    } clear{segment};
+    if (segment.error != nullptr) std::rethrow_exception(segment.error);
+    for (const std::size_t bytes : segment.charges) {
+      AllocationLedger::charge_current(bytes);
+    }
+  }
+}
+
+void DependenceAnalyzer::drain() {
+  if (filling().records() > 0) {
+    // The partial segment joins the queue; no consumer is woken for it, so
+    // unless one is already awake, await_analyzed analyzes it here.
+    const std::lock_guard lock(mutex_);
+    queued_ = ++filling_;
+  }
+  if (reclaimed_ < filling_) reclaim(filling_);
+}
+
+void DependenceAnalyzer::stop_consumer() noexcept {
+  if (!consumer_.joinable()) return;
+  {
+    const std::lock_guard lock(mutex_);
+    stop_ = true;
+  }
+  changed_.notify_all();
+  consumer_.join();
+  stop_ = false;
+}
+
+void DependenceAnalyzer::consume() {
+  std::unique_lock lock(mutex_);
+  while (true) {
+    changed_.wait(lock, [this] {
+      return stop_ || (claimed_ < queued_ && claimed_ == analyzed_);
+    });
+    if (stop_) return;
+    const std::uint64_t s = claimed_++;
+    lock.unlock();
+    analyze_segment(segments_[s % kSegmentBuffers], true);
+    lock.lock();
+    analyzed_ = s + 1;
+    changed_.notify_all();
+  }
+}
+
 std::map<int, LoopDependenceSummary> DependenceAnalyzer::summaries() const {
+  drain();
   std::map<int, LoopDependenceSummary> out;
   for (const LoopDependenceSummary& summary : summaries_) {
     if (summary.loop_id != 0) out[summary.loop_id] = summary;
@@ -296,6 +475,7 @@ std::map<int, LoopDependenceSummary> DependenceAnalyzer::summaries() const {
 }
 
 std::string DependenceAnalyzer::report() const {
+  drain();
   std::ostringstream out;
   out << "dependence analysis: " << warnings_.size() << " distinct warning site(s)";
   if (options_.focus_loop_id != 0) {

@@ -1,8 +1,13 @@
 #pragma once
 
+#include <array>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <map>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -131,7 +136,7 @@ class StampMap {
   // the inlined per-event bodies small.
   void grow();
 
-  std::vector<Entry> entries_;
+  TableVector<Entry> entries_;
   std::size_t mask_;
   std::size_t size_ = 0;
 };
@@ -162,7 +167,7 @@ class DenseStampTable {
 
   void grow(std::uint64_t id);
 
-  std::vector<StampId> stamps_;
+  TableVector<StampId> stamps_;
   std::size_t size_ = 0;
 };
 
@@ -238,9 +243,35 @@ class WarnIndex {
 
   void grow();
 
-  std::vector<Entry> entries_;
+  TableVector<Entry> entries_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
+};
+
+/// A non-memory hook event, kept in stream order between a segment's
+/// memory events. Only the one id the analysis reads is kept.
+struct ControlRecord {
+  enum class Kind : std::uint8_t {
+    LoopEnter, LoopIteration, LoopExit, FunctionEnter, FunctionExit,
+    EnvCreated, ObjectCreated,
+  };
+  std::uint64_t id = 0;   // loop, function, environment or object id
+  std::uint32_t at = 0;   // the segment's memory events that precede it
+  Kind kind = Kind::LoopEnter;
+};
+
+/// A run of the hook stream: memory events as one contiguous array, the
+/// other events beside them. After its analysis it also holds the ledger
+/// charges the analysis made, in order, for the interpreter's thread to
+/// replay. The vectors keep their capacity from one use to the next.
+struct alignas(64) StreamSegment {
+  TableVector<interp::MemoryEvent> events;
+  TableVector<ControlRecord> controls;
+  std::vector<std::size_t> charges;
+  std::exception_ptr error;  // an exception the analysis threw
+  bool by_consumer = false;  // analyzed on the consumer thread
+
+  [[nodiscard]] std::size_t records() const { return events.size() + controls.size(); }
 };
 
 }  // namespace detail
@@ -268,6 +299,18 @@ class WarnIndex {
 /// Like JS-CERES, the analysis can focus on one loop to bound the (very
 /// high) overhead; only accesses while the focused loop is open are
 /// reported.
+///
+/// The hook callbacks do not analyze: they append the stream to segments of
+/// kSegmentRecords records. When the first segment fills, the analyzer
+/// starts a consumer thread that analyzes full segments in order while the
+/// interpreter runs on. When the interpreter needs a segment's buffer back
+/// and no thread has claimed it yet, it analyzes the segment itself. The
+/// end of a run window (on_run_window_end) and every accessor below drain:
+/// they wait for the consumer and analyze the rest on the calling thread.
+/// The ledger charges of each segment's analysis are replayed on the
+/// interpreter's thread when its buffer is reclaimed or at a drain, so
+/// charge order, limit trips and reports are functions of the event stream
+/// alone (see src/ceres/README.md, "Threading").
 class DependenceAnalyzer final : public interp::ExecutionHooks {
  public:
   struct Options {
@@ -279,46 +322,123 @@ class DependenceAnalyzer final : public interp::ExecutionHooks {
     std::size_t max_warnings = 100000;
   };
 
+  /// Records (memory events plus other events) per segment. A full segment
+  /// holds at most 160 KiB of memory events, which stay in the consumer
+  /// core's L2 while it reads them, and takes the interpreter some 100-200
+  /// us to fill, many times a warm consumer's wake-up. 2048 ran no faster
+  /// and woke the consumer twice as often, which cost more CPU
+  /// (src/ceres/README.md, "Threading").
+  static constexpr std::size_t kSegmentRecords = 4096;
+  /// Segment buffers: one filling while the other is analyzed. A third
+  /// buffer ran no faster.
+  static constexpr std::size_t kSegmentBuffers = 2;
+
   /// Keeps a copy of the `program` handle; report() reads its loop table.
   DependenceAnalyzer(const js::Program& program, Options options);
   explicit DependenceAnalyzer(const js::Program& program)
       : DependenceAnalyzer(program, Options()) {}
+  /// Joins the consumer; events not yet analyzed are dropped.
+  ~DependenceAnalyzer() override;
+  DependenceAnalyzer(const DependenceAnalyzer&) = delete;
+  DependenceAnalyzer& operator=(const DependenceAnalyzer&) = delete;
 
-  // -- hook interface --
+  // -- hook interface: each call appends to the filling segment --
   [[nodiscard]] bool wants_memory_events() const override { return true; }
   void on_loop_enter(const interp::LoopEvent& e) override;
   void on_loop_iteration(const interp::LoopEvent& e) override;
   void on_loop_exit(const interp::LoopEvent& e) override;
-  void on_function_enter(int fn_id, const std::string& name) override;
+  void on_function_enter(int fn_id) override;
   void on_function_exit(int fn_id) override;
   void on_env_created(std::uint64_t env_id) override;
   void on_object_created(std::uint64_t obj_id, int line) override;
   /// The only way memory accesses arrive: the interpreter delivers each
-  /// statement's events in one call (the mode-3 emission cost
-  /// BM_DependenceEndToEnd is bounded by), in program order, and the loop
-  /// runs each event's body inline. Keys are interned atoms, so every table
+  /// statement's events in one call, in program order, and they are copied
+  /// into the segment as one run. Keys are interned atoms, so every table
   /// below keys on (id, atom) with precomputed hashes — no string copies.
   void on_memory_batch(const interp::MemoryEvent* events, std::size_t count) override;
+  /// completed: drain, replaying the charges into the window's ledger.
+  /// Otherwise join the consumer after its current segment; the rest waits
+  /// for the next drain.
+  void on_run_window_end(bool completed) override;
 
-  // -- results --
-  [[nodiscard]] const std::vector<DependenceWarning>& warnings() const {
+  // -- results: each drains first --
+  [[nodiscard]] const TableVector<DependenceWarning>& warnings() const {
+    drain();
     return warnings_;
   }
   [[nodiscard]] std::map<int, LoopDependenceSummary> summaries() const;
-  [[nodiscard]] const CharStack& char_stack() const { return chars_; }
-  [[nodiscard]] bool truncated() const { return truncated_; }
+  [[nodiscard]] const CharStack& char_stack() const {
+    drain();
+    return chars_;
+  }
+  [[nodiscard]] bool truncated() const {
+    drain();
+    return truncated_;
+  }
 
   /// Sizes of the stamp tables (diagnostics / growth tests).
-  [[nodiscard]] std::size_t stamped_envs() const { return env_stamps_.size(); }
-  [[nodiscard]] std::size_t stamped_objects() const { return obj_stamps_.size(); }
-  [[nodiscard]] std::size_t tracked_writes() const { return writes_.size(); }
+  [[nodiscard]] std::size_t stamped_envs() const {
+    drain();
+    return env_stamps_.size();
+  }
+  [[nodiscard]] std::size_t stamped_objects() const {
+    drain();
+    return obj_stamps_.size();
+  }
+  [[nodiscard]] std::size_t tracked_writes() const {
+    drain();
+    return writes_.size();
+  }
+
+  /// Stream segments analyzed so far: by the consumer thread, and by the
+  /// threads that emit events or read results (diagnostics).
+  struct SegmentCounts {
+    std::uint64_t consumer = 0;
+    std::uint64_t producer = 0;
+  };
+  [[nodiscard]] SegmentCounts segment_counts() const {
+    drain();
+    return segment_counts_;
+  }
 
   /// Full human-readable report (all warnings, paper format).
   [[nodiscard]] std::string report() const;
 
  private:
+  // -- the segment pipeline (producer: the thread emitting hook events) --
+  [[nodiscard]] detail::StreamSegment& filling() {
+    return segments_[filling_ % kSegmentBuffers];
+  }
+  void append(detail::ControlRecord::Kind kind, std::uint64_t id);
+  /// The filling segment is full: queue it, and take the next buffer back.
+  void hand_off();
+  /// Wait until segments below `end` are analyzed, analyzing on this
+  /// thread any that no thread has claimed yet.
+  void await_analyzed(std::uint64_t end);
+  /// Replay the charges of the analyzed segments below `end` into this
+  /// thread's ledger and free their buffers.
+  void reclaim(std::uint64_t end);
+  /// Analyze everything received; replay its charges.
+  void drain();
+  /// The analysis is a function of the events already received, so an
+  /// accessor finishing it changes no observable state.
+  void drain() const { const_cast<DependenceAnalyzer*>(this)->drain(); }
+  void stop_consumer() noexcept;
+  void consume();
+  /// Analyze one segment on the calling thread, logging its charges.
+  void analyze_segment(detail::StreamSegment& segment, bool by_consumer) noexcept;
+  void analyze(const detail::StreamSegment& segment);
+  void analyze_batch(const interp::MemoryEvent* events, std::size_t count);
+
+  // The bodies of the non-memory events.
+  void loop_enter(int loop_id);
+  void function_enter(int fn_id);
+  void function_exit();
+  void env_created(std::uint64_t env_id);
+  void object_created(std::uint64_t obj_id);
+
   // Per-event bodies of the four memory-event kinds, called only from the
-  // on_memory_batch loop. They are inline and defined in the .cpp ahead of
+  // analyze_batch loop. They are inline and defined in the .cpp ahead of
   // it, so a batched event costs no call.
   inline void var_write(std::uint64_t env_id, js::Atom name, int line);
   inline void var_read(std::uint64_t env_id);
@@ -361,12 +481,33 @@ class DependenceAnalyzer final : public interp::ExecutionHooks {
 
   // Warning dedup: site key -> index into warnings_.
   detail::WarnIndex warning_index_;
-  std::vector<DependenceWarning> warnings_;
+  TableVector<DependenceWarning> warnings_;
   bool truncated_ = false;
   std::uint64_t global_env_id_ = 0;
 
   // Per-loop counters, indexed by loop id (dense; loop ids are small).
   std::vector<LoopDependenceSummary> summaries_;
+
+  // Segments are numbered from 0 in stream order; segment s lives in
+  // segments_[s % kSegmentBuffers]. The producer alone touches filling_,
+  // reclaimed_ and the filling segment; a queued segment belongs to the
+  // thread that claimed it until analyzed_ passes it. The pipeline state
+  // starts on its own cache line, and each segment header has one, so the
+  // producer's appends do not evict the lines the analysis works in.
+  alignas(64) std::uint64_t filling_ = 0;  // the segment events go to
+  std::uint64_t reclaimed_ = 0;  // segments below it are replayed and free
+  SegmentCounts segment_counts_;
+  std::array<detail::StreamSegment, kSegmentBuffers> segments_;
+  alignas(64) std::mutex mutex_;
+  std::condition_variable changed_;
+  // Guarded by mutex_: segments below queued_ are full, below claimed_ have
+  // been taken by an analyzing thread, below analyzed_ are analyzed. At most
+  // one segment is being analyzed (claimed_ <= analyzed_ + 1).
+  std::uint64_t queued_ = 0;
+  std::uint64_t claimed_ = 0;
+  std::uint64_t analyzed_ = 0;
+  bool stop_ = false;
+  std::thread consumer_;
 };
 
 }  // namespace jsceres::ceres

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "js/atom.h"
@@ -76,7 +75,7 @@ class ExecutionHooks {
   virtual void on_loop_exit(const LoopEvent&) {}
 
   // --- calls ---
-  virtual void on_function_enter(int /*fn_id*/, const std::string& /*name*/) {}
+  virtual void on_function_enter(int /*fn_id*/) {}
   virtual void on_function_exit(int /*fn_id*/) {}
 
   // --- heap / environments ---
@@ -104,6 +103,17 @@ class ExecutionHooks {
   /// Periodic low-frequency callback (every few dozen cost-model ticks and
   /// after event-loop idle jumps); used by the sampling profiler.
   virtual void on_clock_advance(int /*current_fn_id*/) {}
+
+  /// The close of an outermost run window: the end of Interpreter::run and
+  /// of an outermost Interpreter::call, still inside the window's ledger
+  /// scope and after the last memory batch of the window was delivered.
+  /// `completed` is false when the window unwinds with an error (a JS throw,
+  /// a limit or tick trip, a deadline or a cancel); the call is then made
+  /// from the unwind and must not throw. An observer that defers work past
+  /// its callbacks (the dependence analyzer analyzes its stream in
+  /// segments) finishes it here, so whatever it charges to the session's
+  /// ledger lands inside the window that caused it.
+  virtual void on_run_window_end(bool /*completed*/) {}
 
   /// Whether memory-access callbacks are wanted at all. The interpreter
   /// checks this once per access site; returning false keeps the lightweight
@@ -140,8 +150,8 @@ class HookList final : public ExecutionHooks {
   void on_loop_exit(const LoopEvent& e) override {
     for (auto* h : hooks_) h->on_loop_exit(e);
   }
-  void on_function_enter(int fn_id, const std::string& name) override {
-    for (auto* h : hooks_) h->on_function_enter(fn_id, name);
+  void on_function_enter(int fn_id) override {
+    for (auto* h : hooks_) h->on_function_enter(fn_id);
   }
   void on_function_exit(int fn_id) override {
     for (auto* h : hooks_) h->on_function_exit(fn_id);
@@ -162,6 +172,9 @@ class HookList final : public ExecutionHooks {
   }
   void on_clock_advance(int fn_id) override {
     for (auto* h : hooks_) h->on_clock_advance(fn_id);
+  }
+  void on_run_window_end(bool completed) override {
+    for (auto* h : hooks_) h->on_run_window_end(completed);
   }
   [[nodiscard]] bool wants_memory_events() const override {
     return wants_memory_;

@@ -41,11 +41,10 @@ bool number_as_index(double d, std::size_t* out) {
 /// exception unwinds through C++ frames.
 class FunctionFrame {
  public:
-  FunctionFrame(Interpreter& interp, std::vector<int>& stack, int fn_id,
-                const std::string& name)
+  FunctionFrame(Interpreter& interp, std::vector<int>& stack, int fn_id)
       : interp_(interp), stack_(stack), fn_id_(fn_id) {
     stack_.push_back(fn_id_);
-    if (interp_.hooks() != nullptr) interp_.sync_hooks()->on_function_enter(fn_id_, name);
+    if (interp_.hooks() != nullptr) interp_.sync_hooks()->on_function_enter(fn_id_);
   }
   ~FunctionFrame() {
     stack_.pop_back();
@@ -164,6 +163,7 @@ void Interpreter::recover_after_engine_error() noexcept {
   // The RAII frames (ArgFrame, FunctionFrame, call-depth catch blocks)
   // unwind their own state; this clears whatever a mid-statement trip can
   // leave half-open so the next run window starts clean.
+  if (hooks_ != nullptr) hooks_->on_run_window_end(false);
   call_depth_ = 0;
   fn_stack_.clear();
   memory_batch_.clear();
@@ -649,6 +649,10 @@ Value Interpreter::call(const Value& callee, const Value& this_val, Args args) {
   Value result;
   try {
     result = call_js_function(fn_obj, this_val, args.data(), args.size());
+    if (outermost) {
+      flush_ticks();  // external observers see exact totals
+      if (hooks_ != nullptr) hooks_->on_run_window_end(true);
+    }
   } catch (...) {
     if (outermost) {
       flush_ticks_on_unwind();
@@ -656,7 +660,6 @@ Value Interpreter::call(const Value& callee, const Value& this_val, Args args) {
     }
     throw;
   }
-  if (outermost) flush_ticks();  // external observers see exact totals
   return result;
 }
 
@@ -724,8 +727,7 @@ Value Interpreter::call_js_function(JSObject& fn_obj, const Value& this_val,
   env->set_this(this_val);
   if (hooks_ != nullptr) sync_hooks()->on_env_created(env->id());
 
-  FunctionFrame frame(*this, fn_stack_, node.fn_id,
-                      fn.name.empty() ? "<anonymous>" : fn.name);
+  FunctionFrame frame(*this, fn_stack_, node.fn_id);
   tick(3);
   Value result;
   try {
@@ -780,6 +782,7 @@ void Interpreter::run() {
       if (completion.type != Completion::Type::Normal) break;
     }
     flush_ticks();
+    if (hooks_ != nullptr) hooks_->on_run_window_end(true);
     flush_ic_stats();
   } catch (const JSException& ex) {
     flush_ticks_on_unwind();

@@ -403,6 +403,7 @@ class Interpreter {
   /// frames have already unwound, but anything a mid-statement trip left
   /// half-open (call depth, fn stack, buffered memory events, ArgStack
   /// slots) is reset so the next run starts from a clean machine state.
+  /// Ends the window for the hooks (on_run_window_end(false)).
   void recover_after_engine_error() noexcept;
 
   BaseProvenance provenance_of(const js::Expr& base_expr, const EnvPtr& env);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <optional>
+
 #include "ceres/char_stack.h"
 #include "ceres/dependence_analyzer.h"
 #include "ceres/lightweight_profiler.h"
@@ -553,7 +556,8 @@ std::vector<DependenceWarning> warnings_of(const js::Program& program,
   interp.run();
   if (report != nullptr) *report = analyzer.report();
   if (truncated != nullptr) *truncated = analyzer.truncated();
-  return analyzer.warnings();
+  const auto& warnings = analyzer.warnings();
+  return {warnings.begin(), warnings.end()};
 }
 
 TEST(Dependence, MaxWarningsKeepsFirstSitesAndStillCountsThem) {
@@ -631,6 +635,197 @@ TEST(DenseStampTable, LedgerTripWhileGrowingLeavesTableUsable) {
   EXPECT_EQ(table.get(5000), 7u);
   EXPECT_EQ(table.get(40), 8u);
   EXPECT_EQ(table.size(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// The segment pipeline: the hook stream analyzed in segments, on a consumer
+// thread when one fills, with ledger charges replayed on the interpreter's
+// thread at fixed points of the stream.
+// ---------------------------------------------------------------------------
+
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+// Per iteration: a fresh object stamped under the loop, a shared-object
+// write and a flow read, and an array element write, so the stamp tables,
+// the last-write table and the warning index all grow while the stream runs
+// through several segments.
+constexpr const char* kSegmentedSource = R"JS(
+var shared = {sum: 0};
+var keep = [];
+for (var i = 0; i < 3000; i++) {
+  var p = {x: i, y: i + 1};
+  shared.sum = shared.sum + p.x;
+  keep[i] = p;
+}
+console.log(shared.sum);
+)JS";
+
+/// Everything observable about one mode-3 run that ends in a trip.
+struct TripOutcome {
+  std::string error;
+  std::int64_t ticks = 0;
+  std::size_t in_use = 0;
+  std::size_t peak = 0;
+  std::string console;
+  std::string report;
+  std::uint64_t segments = 0;
+
+  bool operator==(const TripOutcome&) const = default;
+  friend std::ostream& operator<<(std::ostream& out, const TripOutcome& o) {
+    return out << "{error \"" << o.error << "\", ticks " << o.ticks << ", in_use "
+               << o.in_use << ", peak " << o.peak << ", segments " << o.segments
+               << ", console \"" << o.console << "\", report of "
+               << o.report.size() << " bytes}";
+  }
+};
+
+/// Parses afresh each time: a program's shape tree is shared by every
+/// interpreter that runs it, so a second run of one parse charges less.
+TripOutcome run_limited(const char* source, const EngineLimits& limits) {
+  TripOutcome out;
+  const js::Program program = js::parse(source);
+  DependenceAnalyzer analyzer(program);
+  VirtualClock clock;
+  interp::InterpreterConfig config;
+  config.limits = limits;
+  Interpreter interp(program, clock, &analyzer, config);
+  try {
+    interp.run();
+  } catch (const EngineError& e) {
+    out.error = e.what();
+  }
+  out.ticks = clock.cpu_ns();
+  out.in_use = interp.ledger().in_use();
+  out.peak = interp.ledger().peak();
+  out.console = interp.console_output();
+  out.report = analyzer.report();
+  const DependenceAnalyzer::SegmentCounts counts = analyzer.segment_counts();
+  out.segments = counts.consumer + counts.producer;
+  return out;
+}
+
+TEST(SegmentPipeline, InjectedAllocationFailureTripsAtTheSameChargeEveryRun) {
+  const TripOutcome clean = run_limited(kSegmentedSource, {});
+  ASSERT_EQ(clean.error, "");
+  ASSERT_GE(clean.segments, 3u);
+  std::int64_t charges = 0;
+  {
+    const js::Program program = js::parse(kSegmentedSource);
+    DependenceAnalyzer analyzer(program);
+    VirtualClock clock;
+    Interpreter interp(program, clock, &analyzer);
+    interp.run();
+    charges = interp.ledger().charges();
+  }
+  ASSERT_GT(charges, 8);
+  // Failure points from the first charge to the last one, which the
+  // window-end drain replays.
+  for (const std::int64_t n : {std::int64_t(0), charges / 4, charges / 2,
+                               charges * 3 / 4, charges - 2, charges - 1}) {
+    EngineLimits limits;
+    limits.fail_after_n_allocations = n;
+    const TripOutcome first = run_limited(kSegmentedSource, limits);
+    EXPECT_EQ(first.error,
+              "injected allocation failure (charge #" + std::to_string(n + 1) + ")");
+    for (int run = 1; run < 20; ++run) {
+      ASSERT_EQ(run_limited(kSegmentedSource, limits), first)
+          << "n=" << n << " run " << run;
+    }
+  }
+}
+
+TEST(SegmentPipeline, MemoryCeilingTripsAtTheSameChargeEveryRun) {
+  const TripOutcome clean = run_limited(kSegmentedSource, {});
+  ASSERT_EQ(clean.error, "");
+  for (const std::size_t ceiling : {clean.peak / 2, clean.peak * 9 / 10,
+                                    clean.peak - 1}) {
+    EngineLimits limits;
+    limits.max_memory_bytes = ceiling;
+    const TripOutcome first = run_limited(kSegmentedSource, limits);
+    EXPECT_NE(first.error.find("memory limit exceeded"), std::string::npos)
+        << first.error;
+    for (int run = 1; run < 20; ++run) {
+      ASSERT_EQ(run_limited(kSegmentedSource, limits), first)
+          << "ceiling=" << ceiling << " run " << run;
+    }
+  }
+  // At the peak itself nothing trips: the replayed charges add up to the
+  // same peak the unlimited run reports.
+  EngineLimits at_peak;
+  at_peak.max_memory_bytes = clean.peak;
+  EXPECT_EQ(run_limited(kSegmentedSource, at_peak), clean);
+}
+
+TEST(SegmentPipeline, StreamBelowOneSegmentStartsNoThread) {
+  const std::size_t before = live_threads();
+  const js::Program program = js::parse(
+      "var o = {}; for (var i = 0; i < 20; i++) { o.x = i; } console.log(o.x);");
+  DependenceAnalyzer analyzer(program);
+  VirtualClock clock;
+  Interpreter interp(program, clock, &analyzer);
+  interp.run();
+  EXPECT_EQ(live_threads(), before);
+  const DependenceAnalyzer::SegmentCounts counts = analyzer.segment_counts();
+  EXPECT_EQ(counts.consumer, 0u);
+  EXPECT_EQ(counts.producer, 1u);  // the one partial segment, at the drain
+  EXPECT_FALSE(analyzer.warnings().empty());
+}
+
+/// Run an endless mode-3 loop until `config` stops it; the trip must come
+/// after several segments, and neither the trip nor the teardown may leave
+/// a thread behind.
+void expect_trip_joins_consumer(interp::InterpreterConfig config,
+                                const std::string& expected_error) {
+  const std::size_t before = live_threads();
+  const js::Program program = js::parse(
+      "var o = {n: 0}; var i = 0;\n"
+      "while (true) { var p = {v: i}; o.n = o.n + p.v; i = i + 1; }\n");
+  {
+    DependenceAnalyzer analyzer(program);
+    VirtualClock clock;
+    Interpreter interp(program, clock, &analyzer, config);
+    try {
+      interp.run();
+      ADD_FAILURE() << "the endless loop finished";
+    } catch (const EngineError& e) {
+      EXPECT_NE(std::string(e.what()).find(expected_error), std::string::npos)
+          << e.what();
+    }
+    // The failed window joined the consumer.
+    EXPECT_EQ(live_threads(), before);
+    const DependenceAnalyzer::SegmentCounts counts = analyzer.segment_counts();
+    EXPECT_GE(counts.consumer + counts.producer, 3u);
+  }
+  EXPECT_EQ(live_threads(), before);
+}
+
+TEST(SegmentPipeline, TickBudgetTripJoinsTheConsumer) {
+  interp::InterpreterConfig config;
+  config.max_ticks = 400000;
+  expect_trip_joins_consumer(config, "tick budget exceeded");
+}
+
+TEST(SegmentPipeline, CancelTripJoinsTheConsumer) {
+  CancelSource source;
+  source.cancel_after_observations(2000);
+  interp::InterpreterConfig config;
+  config.cancel = CancelToken(source);
+  expect_trip_joins_consumer(config, "cancel");
+}
+
+TEST(SegmentPipeline, DeadlineTripJoinsTheConsumer) {
+  CancelSource source;
+  source.set_deadline_in(30);
+  interp::InterpreterConfig config;
+  config.cancel = CancelToken(source);
+  expect_trip_joins_consumer(config, "deadline");
 }
 
 }  // namespace
