@@ -245,7 +245,7 @@ BENCHMARK(BM_InterpretManyProps)->Arg(32)->Arg(128);
 // Argument-passing cost in call-dominated code: a 4-argument callee invoked
 // from a loop, including a nested call in argument position. Isolates the
 // per-call arguments vector (one heap allocation per call in the seed
-// convention) from activation-environment cost, which EnvPool already pools.
+// convention) from activation-environment cost (activations are reused).
 void BM_InterpretCallsArgs(benchmark::State& state) {
   const js::Program program = js::parse(
       "function sum4(a, b, c, d) { return a + b + c + d; }\n"

@@ -62,10 +62,6 @@
 #include "support/service.h"
 #include "support/supervisor.h"
 
-#if defined(__linux__)
-#include <unistd.h>
-#endif
-
 namespace {
 
 int run_hostile_suite() {
@@ -177,22 +173,6 @@ int run_sessions(std::uint64_t base_seed, int count, int sessions) {
   return failures > 99 ? 99 : failures;
 }
 
-/// Current resident-set bytes (Linux: /proc/self/statm), 0 when unknown.
-std::size_t current_rss_bytes() {
-#if defined(__linux__)
-  std::FILE* statm = std::fopen("/proc/self/statm", "r");
-  if (statm == nullptr) return 0;
-  unsigned long long total = 0;
-  unsigned long long resident = 0;
-  const int fields = std::fscanf(statm, "%llu %llu", &total, &resident);
-  std::fclose(statm);
-  if (fields != 2) return 0;
-  return std::size_t(resident) * std::size_t(sysconf(_SC_PAGESIZE));
-#else
-  return 0;
-#endif
-}
-
 /// Overwrite `path` with the full metrics registry as JSON (engine gauges
 /// refreshed first). Called periodically so a crash mid-soak still leaves
 /// the last period's snapshot on disk.
@@ -276,13 +256,13 @@ int run_soak(std::uint64_t base_seed, int total,
         pump(0);
         service.drain();
         warm_shared = AnalysisService::shared_structure_bytes();
-        warm_rss = current_rss_bytes();
+        warm_rss = jsceres::fuzz::current_rss_bytes();
       }
     }
     pump(0);
     service.drain();
     end_shared = AnalysisService::shared_structure_bytes();
-    end_rss = current_rss_bytes();
+    end_rss = jsceres::fuzz::current_rss_bytes();
 
     const ServiceStats stats = service.stats();
     std::printf(

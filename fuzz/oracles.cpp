@@ -1,6 +1,11 @@
 #include "fuzz/oracles.h"
 
+#include <cstdio>
 #include <string>
+
+#if defined(__linux__)
+#include <unistd.h>
+#endif
 
 #include "js/lexer.h"
 #include "js/parser.h"
@@ -324,8 +329,60 @@ std::vector<HostileCase> hostile_suite() {
   growth.max_array_length = 1'000'000;
   cases.push_back(std::move(growth));
 
+  // Every object points at itself, so no reference count could ever free
+  // one: only the session heap, freed whole at teardown, contains this.
+  HostileCase cyclic;
+  cyclic.name = "cyclic-sessions";
+  cyclic.source =
+      "var o; for (var i = 0; i < 2000; i++) { o = {}; o.self = o; o.arr = [o, i]; }";
+  cyclic.contained_by = "session heap";
+  cyclic.sessions = 200;
+  cyclic.max_rss_growth_bytes = std::size_t(8) << 20;
+  cases.push_back(std::move(cyclic));
+
   return cases;
 }
+
+std::size_t current_rss_bytes() {
+#if defined(__linux__)
+  std::FILE* statm = std::fopen("/proc/self/statm", "r");
+  if (statm == nullptr) return 0;
+  unsigned long long total = 0;
+  unsigned long long resident = 0;
+  const int fields = std::fscanf(statm, "%llu %llu", &total, &resident);
+  std::fclose(statm);
+  if (fields != 2) return 0;
+  return std::size_t(resident) * std::size_t(sysconf(_SC_PAGESIZE));
+#else
+  return 0;
+#endif
+}
+
+namespace {
+
+/// A HostileCase with `sessions` set: one warm-up session (the builtin
+/// realm, the program's shapes, the heap's chunk cache), then the loop.
+HostileReport run_session_loop(const HostileCase& hostile, const js::Program& program,
+                               HostileReport report) {
+  try {
+    Session(program, CeresMode::Uninstrumented).run();
+    const std::size_t before = current_rss_bytes();
+    for (int i = 0; i < hostile.sessions; ++i) {
+      Session(program, CeresMode::Uninstrumented).run();
+    }
+    const std::size_t after = current_rss_bytes();
+    const std::size_t growth = after > before ? after - before : 0;
+    report.error = std::to_string(hostile.sessions) + " sessions grew RSS by " +
+                   std::to_string(growth >> 10) + " KiB (bound " +
+                   std::to_string(hostile.max_rss_growth_bytes >> 10) + " KiB)";
+    report.recovered = !kRssTracksFrees || growth <= hostile.max_rss_growth_bytes;
+  } catch (const std::exception& e) {
+    report.error = std::string("session failed: ") + e.what();
+  }
+  return report;
+}
+
+}  // namespace
 
 HostileReport run_hostile_case(const HostileCase& hostile) {
   HostileReport report;
@@ -353,6 +410,7 @@ HostileReport run_hostile_case(const HostileCase& hostile) {
     report.error = "expected a front-end error, but the source parsed";
     return report;
   }
+  if (hostile.sessions > 0) return run_session_loop(hostile, program, std::move(report));
 
   Session session(program, CeresMode::Uninstrumented, {limits, hostile.max_ticks, {}});
   interp::Interpreter& interp = session.interp();

@@ -65,6 +65,11 @@ struct HostileCase {
   std::int64_t max_wall_ms = 0;
   std::int64_t max_ticks = -1;
   bool expect_parse_error = false;
+  /// >0: the case trips no limit. The source runs to completion in this
+  /// many sessions, one after another, and is contained when the resident
+  /// set grew by at most `max_rss_growth_bytes` over them.
+  int sessions = 0;
+  std::size_t max_rss_growth_bytes = 0;
 };
 
 struct HostileReport {
@@ -76,7 +81,8 @@ struct HostileReport {
 /// The five hostile inputs named by the sandbox acceptance criteria: deep
 /// nesting, an unbounded allocation loop, a runaway while(true) (both the
 /// tick-budget and the wall-clock watchdog flavour), a 10k-property object,
-/// and pathological array growth.
+/// and pathological array growth; and a loop of sessions that each build
+/// cyclic objects, which the session heap must free.
 std::vector<HostileCase> hostile_suite();
 
 /// Run one hostile case under its limits; `recovered` requires the expected
@@ -84,5 +90,18 @@ std::vector<HostileCase> hostile_suite();
 /// EngineError for runtime cases), a clean argument stack afterwards, and a
 /// working second run on the same engine object.
 HostileReport run_hostile_case(const HostileCase& hostile);
+
+/// Current resident-set bytes (Linux: /proc/self/statm), 0 when unknown.
+std::size_t current_rss_bytes();
+
+/// Whether freed memory leaves the resident set as in a release build. The
+/// sanitizers keep freed blocks (AddressSanitizer's quarantine) and shadow
+/// memory resident, so an RSS bound says nothing under them; there,
+/// LeakSanitizer checks at exit that every session's heap was freed.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+inline constexpr bool kRssTracksFrees = false;
+#else
+inline constexpr bool kRssTracksFrees = true;
+#endif
 
 }  // namespace jsceres::fuzz

@@ -73,7 +73,7 @@ void EventLoop::advance_wall_to(std::int64_t target_ns) {
 void EventLoop::dispatch_user_event(const UserEvent& event) {
   const auto it = listeners_.find(event.type);
   if (it == listeners_.end()) return;
-  interp::ObjPtr info = interp_->make_object();
+  interp::JSObject* info = interp_->make_object();
   info->set_property(js::Atom::engine_name("type"), Value::str(event.type));
   info->set_property(js::Atom::engine_name("x"), Value::number(event.x));
   info->set_property(js::Atom::engine_name("y"), Value::number(event.y));

@@ -7,7 +7,7 @@ namespace jsceres::dom {
 using interp::Args;
 using interp::HostAccess;
 using interp::Interpreter;
-using interp::ObjPtr;
+using interp::JSObject;
 using interp::Value;
 
 namespace {
@@ -57,13 +57,13 @@ std::shared_ptr<CanvasContext> ctx_of(Interpreter& interp, const Value& value) {
   interp.throw_error("TypeError", "expected a canvas 2D context");
 }
 
-void define(Interpreter& interp, const ObjPtr& target, const std::string& name,
+void define(Interpreter& interp, JSObject* target, const std::string& name,
             interp::NativeFn fn) {
   target->set_property(js::Atom::engine_name(name),
                        Value::object(interp.make_native_function(name, std::move(fn))));
 }
 
-double prop_number(Interpreter& interp, const ObjPtr& obj, const std::string& key,
+double prop_number(Interpreter& interp, JSObject* obj, const std::string& key,
                    double fallback) {
   const Value* v = obj->own_property(js::Atom::engine_name(key));
   return v == nullptr ? fallback : interp.to_number(*v);
@@ -72,7 +72,7 @@ double prop_number(Interpreter& interp, const ObjPtr& obj, const std::string& ke
 /// Pull the current fillStyle/strokeStyle off the wrapper into the context.
 void sync_styles(Interpreter& interp, const Value& self,
                  const std::shared_ptr<CanvasContext>& ctx) {
-  const ObjPtr& obj = self.as_object();
+  JSObject* obj = self.as_object();
   if (const Value* fill = obj->own_property(js::Atom::engine_name("fillStyle"))) {
     ctx->set_fill_color(parse_color(interp.to_string_value(*fill)));
   }
@@ -100,8 +100,8 @@ Value Page::wrap(const std::shared_ptr<DomNode>& node) {
   const auto it = wrappers_.find(node.get());
   if (it != wrappers_.end()) return Value::object(it->second);
 
-  ObjPtr obj = interp_->make_object();
-  obj->set_host(std::make_shared<NodeHost>(node));
+  JSObject* obj = interp_->make_object();
+  obj->set_host(std::make_unique<NodeHost>(node));
   obj->set_property(js::Atom::engine_name("tagName"), Value::str(node->tag()));
   obj->set_property(js::Atom::engine_name("id"), Value::str(node->id()));
 
@@ -153,15 +153,15 @@ Value Page::wrap(const std::shared_ptr<DomNode>& node) {
            const auto node = node_of(in, self);
            auto& ctx = page->contexts_[node.get()];
            if (ctx == nullptr) {
-             const ObjPtr& wrapper = self.as_object();
+             JSObject* wrapper = self.as_object();
              const int w = int(prop_number(in, wrapper, "width", 300));
              const int h = int(prop_number(in, wrapper, "height", 150));
              ctx = std::make_shared<CanvasContext>(w, h);
            }
            // Context wrapper (one per getContext call is fine; state lives in
            // the shared CanvasContext).
-           ObjPtr ctx_obj = in.make_object();
-           ctx_obj->set_host(std::make_shared<ContextHost>(ctx));
+           JSObject* ctx_obj = in.make_object();
+           ctx_obj->set_host(std::make_unique<ContextHost>(ctx));
            ctx_obj->set_property(js::Atom::engine_name("canvas"), self);
 
            define(in, ctx_obj, "fillRect",
@@ -230,11 +230,11 @@ Value Page::wrap(const std::shared_ptr<DomNode>& node) {
                     const int w = int(i2.to_number(a2[2]));
                     const int h = int(i2.to_number(a2[3]));
                     const std::vector<std::uint8_t> bytes = c->get_image_data(x, y, w, h);
-                    ObjPtr data = i2.make_array(bytes.size());
+                    JSObject* data = i2.make_array(bytes.size());
                     for (const std::uint8_t b : bytes) {
                       data->elements().push_back(Value::number(b));
                     }
-                    ObjPtr img = i2.make_object();
+                    JSObject* img = i2.make_object();
                     img->set_property(js::Atom::engine_name("width"), Value::number(w));
                     img->set_property(js::Atom::engine_name("height"), Value::number(h));
                     img->set_property(js::Atom::engine_name("data"), Value::object(data));
@@ -248,7 +248,7 @@ Value Page::wrap(const std::shared_ptr<DomNode>& node) {
                     if (a2.empty() || !a2[0].is_object()) {
                       i2.throw_error("TypeError", "putImageData expects ImageData");
                     }
-                    const ObjPtr& img = a2[0].as_object();
+                    JSObject* img = a2[0].as_object();
                     const int w = int(prop_number(i2, img, "width", 0));
                     const int h = int(prop_number(i2, img, "height", 0));
                     const Value* data = img->own_property(js::Atom::engine_name("data"));
@@ -287,8 +287,8 @@ Value Page::add_canvas(const std::string& id, int width, int height) {
 }
 
 void Page::install_document() {
-  ObjPtr doc = interp_->make_object();
-  doc->set_host(std::make_shared<MarkerHost>(HostAccess::Dom));
+  JSObject* doc = interp_->make_object();
+  doc->set_host(std::make_unique<MarkerHost>(HostAccess::Dom));
   Page* page = this;
   define(*interp_, doc, "getElementById",
          [page](Interpreter& in, const Value&, const Args& args) {
@@ -312,7 +312,7 @@ void Page::install_document() {
 }
 
 void Page::install_window() {
-  ObjPtr window = interp_->make_object();
+  JSObject* window = interp_->make_object();
   window->set_property(js::Atom::engine_name("innerWidth"), Value::number(kViewportWidth));
   window->set_property(js::Atom::engine_name("innerHeight"), Value::number(kViewportHeight));
   window->set_property(js::Atom::engine_name("devicePixelRatio"), Value::number(1));
@@ -372,8 +372,8 @@ void Page::install_window() {
 }
 
 void Page::install_storage() {
-  ObjPtr storage = interp_->make_object();
-  storage->set_host(std::make_shared<MarkerHost>(HostAccess::Storage));
+  JSObject* storage = interp_->make_object();
+  storage->set_host(std::make_unique<MarkerHost>(HostAccess::Storage));
   Page* page = this;
   define(*interp_, storage, "setItem",
          [page](Interpreter& in, const Value&, const Args& args) {

@@ -64,7 +64,7 @@ class Page {
   interp::Interpreter* interp_;
   Document document_;
   EventLoop event_loop_;
-  std::unordered_map<const DomNode*, interp::ObjPtr> wrappers_;
+  std::unordered_map<const DomNode*, interp::JSObject*> wrappers_;
   std::unordered_map<const DomNode*, std::shared_ptr<CanvasContext>> contexts_;
   std::unordered_map<std::string, std::string> storage_;
 };

@@ -11,8 +11,7 @@ namespace jsceres::interp {
 namespace {
 
 /// Reference into `args` (or the shared undefined) — callers that only
-/// inspect the argument avoid copying a Value (two shared_ptr refcount
-/// bumps) per access.
+/// inspect the argument avoid copying a Value per access.
 const Value& arg_or_undefined(const Args& args, std::size_t i) {
   static const Value kUndefined;
   return i < args.size() ? args[i] : kUndefined;
@@ -26,14 +25,14 @@ double num_arg(Interpreter& interp, const Args& args, std::size_t i) {
 /// stand-in for the paper's Proxy trapping Array.prototype internals). The
 /// key atom comes from the interpreter's index cache, and nothing — not
 /// even the decimal spelling of the index — is materialized outside mode 3.
-void note_index_write(Interpreter& interp, const ObjPtr& obj, std::size_t index) {
+void note_index_write(Interpreter& interp, JSObject* obj, std::size_t index) {
   if (interp.wants_memory_events()) {
     interp.note_prop_write(obj->id(), interp.index_atom(index), 0,
                            BaseProvenance{BaseProvenance::Kind::Object, 0});
   }
 }
 
-ObjPtr require_array(Interpreter& interp, const Value& this_val, const char* method) {
+JSObject* require_array(Interpreter& interp, const Value& this_val, const char* method) {
   if (!this_val.is_object() || !this_val.as_object()->is_array()) {
     interp.throw_error("TypeError",
                        std::string("Array.prototype.") + method +
@@ -52,7 +51,7 @@ const std::string& require_string(Interpreter& interp, const Value& this_val,
   return this_val.as_string();
 }
 
-void define_method(Realm& realm, const ObjPtr& target, const std::string& name,
+void define_method(Realm& realm, JSObject* target, const std::string& name,
                    NativeFn fn) {
   realm.set(target, name, Value::object(realm.make_native_function(name, std::move(fn))));
 }
@@ -62,7 +61,7 @@ void define_method(Realm& realm, const ObjPtr& target, const std::string& name,
 // ---------------------------------------------------------------------------
 
 void install_math(Realm& realm) {
-  ObjPtr math = realm.make_namespace_object();
+  JSObject* math = realm.make_namespace_object();
   realm.set(math, "PI", Value::number(M_PI));
   realm.set(math, "E", Value::number(M_E));
   realm.set(math, "LN2", Value::number(M_LN2));
@@ -127,11 +126,11 @@ void install_math(Realm& realm) {
 // ---------------------------------------------------------------------------
 
 void install_array(Realm& realm) {
-  const ObjPtr& proto = realm.array_prototype();
+  JSObject* proto = realm.array_prototype();
 
   define_method(realm, proto, "push",
                 [](Interpreter& in, const Value& self, const Args& args) {
-                  const ObjPtr arr = require_array(in, self, "push");
+                  JSObject* arr = require_array(in, self, "push");
                   in.charge_elements(*arr, arr->elements().size() + args.size());
                   for (const auto& a : args) {
                     note_index_write(in, arr, arr->elements().size());
@@ -142,7 +141,7 @@ void install_array(Realm& realm) {
                 });
   define_method(realm, proto, "pop",
                 [](Interpreter& in, const Value& self, const Args&) {
-                  const ObjPtr arr = require_array(in, self, "pop");
+                  JSObject* arr = require_array(in, self, "pop");
                   if (arr->elements().empty()) return Value::undefined();
                   Value last = arr->elements().back();
                   note_index_write(in, arr, arr->elements().size() - 1);
@@ -151,7 +150,7 @@ void install_array(Realm& realm) {
                 });
   define_method(realm, proto, "shift",
                 [](Interpreter& in, const Value& self, const Args&) {
-                  const ObjPtr arr = require_array(in, self, "shift");
+                  JSObject* arr = require_array(in, self, "shift");
                   if (arr->elements().empty()) return Value::undefined();
                   Value first = arr->elements().front();
                   arr->elements().erase(arr->elements().begin());
@@ -161,7 +160,7 @@ void install_array(Realm& realm) {
                 });
   define_method(realm, proto, "indexOf",
                 [](Interpreter& in, const Value& self, const Args& args) {
-                  const ObjPtr arr = require_array(in, self, "indexOf");
+                  JSObject* arr = require_array(in, self, "indexOf");
                   const Value& needle = arg_or_undefined(args, 0);
                   for (std::size_t i = 0; i < arr->elements().size(); ++i) {
                     in.charge(1);
@@ -180,7 +179,7 @@ void install_array(Realm& realm) {
                 });
   define_method(realm, proto, "join",
                 [](Interpreter& in, const Value& self, const Args& args) {
-                  const ObjPtr arr = require_array(in, self, "join");
+                  JSObject* arr = require_array(in, self, "join");
                   const std::string sep = args.empty() ? "," : in.to_string_value(args[0]);
                   std::string out;
                   for (std::size_t i = 0; i < arr->elements().size(); ++i) {
@@ -193,7 +192,7 @@ void install_array(Realm& realm) {
                 });
   define_method(realm, proto, "slice",
                 [](Interpreter& in, const Value& self, const Args& args) {
-                  const ObjPtr arr = require_array(in, self, "slice");
+                  JSObject* arr = require_array(in, self, "slice");
                   const auto size = std::int64_t(arr->elements().size());
                   std::int64_t begin = args.empty() ? 0 : std::int64_t(num_arg(in, args, 0));
                   std::int64_t end = args.size() < 2 ? size : std::int64_t(num_arg(in, args, 1));
@@ -201,7 +200,8 @@ void install_array(Realm& realm) {
                   if (end < 0) end += size;
                   begin = std::clamp<std::int64_t>(begin, 0, size);
                   end = std::clamp<std::int64_t>(end, 0, size);
-                  ObjPtr out = in.make_array(std::size_t(std::max<std::int64_t>(0, end - begin)));
+                  JSObject* out =
+                      in.make_array(std::size_t(std::max<std::int64_t>(0, end - begin)));
                   for (std::int64_t i = begin; i < end; ++i) {
                     out->elements().push_back(arr->elements()[std::size_t(i)]);
                     in.charge(1);
@@ -210,8 +210,8 @@ void install_array(Realm& realm) {
                 });
   define_method(realm, proto, "concat",
                 [](Interpreter& in, const Value& self, const Args& args) {
-                  const ObjPtr arr = require_array(in, self, "concat");
-                  ObjPtr out = in.make_array(arr->elements().size());
+                  JSObject* arr = require_array(in, self, "concat");
+                  JSObject* out = in.make_array(arr->elements().size());
                   out->elements() = arr->elements();
                   std::size_t total = out->elements().size();
                   for (const auto& a : args) {
@@ -234,14 +234,14 @@ void install_array(Realm& realm) {
                 });
   define_method(realm, proto, "reverse",
                 [](Interpreter& in, const Value& self, const Args&) {
-                  const ObjPtr arr = require_array(in, self, "reverse");
+                  JSObject* arr = require_array(in, self, "reverse");
                   std::reverse(arr->elements().begin(), arr->elements().end());
                   in.charge(std::int64_t(arr->elements().size()));
                   return self;
                 });
   define_method(realm, proto, "fill",
                 [](Interpreter& in, const Value& self, const Args& args) {
-                  const ObjPtr arr = require_array(in, self, "fill");
+                  JSObject* arr = require_array(in, self, "fill");
                   const Value& fill = arg_or_undefined(args, 0);
                   for (std::size_t i = 0; i < arr->elements().size(); ++i) {
                     note_index_write(in, arr, i);
@@ -252,7 +252,7 @@ void install_array(Realm& realm) {
                 });
   define_method(realm, proto, "splice",
                 [](Interpreter& in, const Value& self, const Args& args) {
-                  const ObjPtr arr = require_array(in, self, "splice");
+                  JSObject* arr = require_array(in, self, "splice");
                   const auto size = std::int64_t(arr->elements().size());
                   std::int64_t begin = args.empty() ? 0 : std::int64_t(num_arg(in, args, 0));
                   if (begin < 0) begin += size;
@@ -261,7 +261,7 @@ void install_array(Realm& realm) {
                                             ? size - begin
                                             : std::int64_t(num_arg(in, args, 1));
                   remove = std::clamp<std::int64_t>(remove, 0, size - begin);
-                  ObjPtr removed = in.make_array(std::size_t(remove));
+                  JSObject* removed = in.make_array(std::size_t(remove));
                   auto& elems = arr->elements();
                   for (std::int64_t i = 0; i < remove; ++i) {
                     removed->elements().push_back(elems[std::size_t(begin + i)]);
@@ -276,7 +276,7 @@ void install_array(Realm& realm) {
                 });
   define_method(realm, proto, "sort",
                 [](Interpreter& in, const Value& self, const Args& args) {
-                  const ObjPtr arr = require_array(in, self, "sort");
+                  JSObject* arr = require_array(in, self, "sort");
                   auto& elems = arr->elements();
                   const Value& comparator = arg_or_undefined(args, 0);
                   if (comparator.is_object() && comparator.as_object()->is_function()) {
@@ -301,7 +301,7 @@ void install_array(Realm& realm) {
   // exactly why the paper's forEach rewrite removes the `var p` dependence.
   define_method(realm, proto, "forEach",
                 [](Interpreter& in, const Value& self, const Args& args) {
-                  const ObjPtr arr = require_array(in, self, "forEach");
+                  JSObject* arr = require_array(in, self, "forEach");
                   const Value& callback = arg_or_undefined(args, 0);
                   for (std::size_t i = 0; i < arr->elements().size(); ++i) {
                     in.call(callback, Value::undefined(),
@@ -311,9 +311,9 @@ void install_array(Realm& realm) {
                 });
   define_method(realm, proto, "map",
                 [](Interpreter& in, const Value& self, const Args& args) {
-                  const ObjPtr arr = require_array(in, self, "map");
+                  JSObject* arr = require_array(in, self, "map");
                   const Value& callback = arg_or_undefined(args, 0);
-                  ObjPtr out = in.make_array(arr->elements().size());
+                  JSObject* out = in.make_array(arr->elements().size());
                   for (std::size_t i = 0; i < arr->elements().size(); ++i) {
                     out->elements().push_back(
                         in.call(callback, Value::undefined(),
@@ -323,9 +323,9 @@ void install_array(Realm& realm) {
                 });
   define_method(realm, proto, "filter",
                 [](Interpreter& in, const Value& self, const Args& args) {
-                  const ObjPtr arr = require_array(in, self, "filter");
+                  JSObject* arr = require_array(in, self, "filter");
                   const Value& callback = arg_or_undefined(args, 0);
-                  ObjPtr out = in.make_array(0);
+                  JSObject* out = in.make_array(0);
                   for (std::size_t i = 0; i < arr->elements().size(); ++i) {
                     const Value keep =
                         in.call(callback, Value::undefined(),
@@ -338,7 +338,7 @@ void install_array(Realm& realm) {
                 });
   define_method(realm, proto, "reduce",
                 [](Interpreter& in, const Value& self, const Args& args) {
-                  const ObjPtr arr = require_array(in, self, "reduce");
+                  JSObject* arr = require_array(in, self, "reduce");
                   const Value& callback = arg_or_undefined(args, 0);
                   std::size_t i = 0;
                   Value acc;
@@ -359,7 +359,7 @@ void install_array(Realm& realm) {
                 });
   define_method(realm, proto, "every",
                 [](Interpreter& in, const Value& self, const Args& args) {
-                  const ObjPtr arr = require_array(in, self, "every");
+                  JSObject* arr = require_array(in, self, "every");
                   const Value& callback = arg_or_undefined(args, 0);
                   for (std::size_t i = 0; i < arr->elements().size(); ++i) {
                     const Value ok =
@@ -371,7 +371,7 @@ void install_array(Realm& realm) {
                 });
   define_method(realm, proto, "some",
                 [](Interpreter& in, const Value& self, const Args& args) {
-                  const ObjPtr arr = require_array(in, self, "some");
+                  JSObject* arr = require_array(in, self, "some");
                   const Value& callback = arg_or_undefined(args, 0);
                   for (std::size_t i = 0; i < arr->elements().size(); ++i) {
                     const Value ok =
@@ -383,14 +383,14 @@ void install_array(Realm& realm) {
                 });
 
   // Array constructor: Array(n) pre-sizes, Array(a, b, c) packs.
-  ObjPtr array_ctor = realm.make_native_function(
+  JSObject* array_ctor = realm.make_native_function(
       "Array", [](Interpreter& in, const Value&, const Args& args) {
         if (args.size() == 1 && args[0].is_number()) {
-          ObjPtr out = in.make_array(0);
+          JSObject* out = in.make_array(0);
           in.grow_elements(*out, std::size_t(args[0].as_number()));
           return Value::object(out);
         }
-        ObjPtr out = in.make_array(args.size());
+        JSObject* out = in.make_array(args.size());
         for (const auto& a : args) out->elements().push_back(a);
         return Value::object(out);
       });
@@ -409,7 +409,7 @@ void install_array(Realm& realm) {
 // ---------------------------------------------------------------------------
 
 void install_string(Realm& realm) {
-  const ObjPtr& proto = realm.string_prototype();
+  JSObject* proto = realm.string_prototype();
 
   define_method(realm, proto, "charAt",
                 [](Interpreter& in, const Value& self, const Args& args) {
@@ -469,7 +469,7 @@ void install_string(Realm& realm) {
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const std::string& s = require_string(in, self, "split");
                   const std::string sep = in.to_string_value(arg_or_undefined(args, 0));
-                  ObjPtr out = in.make_array(0);
+                  JSObject* out = in.make_array(0);
                   if (sep.empty()) {
                     in.charge_elements(*out, s.size());
                     for (const char c : s) {
@@ -538,7 +538,7 @@ void install_string(Realm& realm) {
                   return Value::str(std::string(buf));
                 });
 
-  ObjPtr string_ctor = realm.make_native_function(
+  JSObject* string_ctor = realm.make_native_function(
       "String", [](Interpreter& in, const Value&, const Args& args) {
         return Value::str(args.empty() ? "" : in.to_string_value(args[0]));
       });
@@ -559,7 +559,7 @@ void install_string(Realm& realm) {
 // ---------------------------------------------------------------------------
 
 void install_object(Realm& realm) {
-  ObjPtr object_ctor = realm.make_native_function(
+  JSObject* object_ctor = realm.make_native_function(
       "Object", [](Interpreter& in, const Value&, const Args&) {
         return Value::object(in.make_object());
       });
@@ -567,9 +567,9 @@ void install_object(Realm& realm) {
       object_ctor, "keys", Value::object(realm.make_native_function(
                   "keys", [](Interpreter& in, const Value&, const Args& args) {
                     const Value& v = arg_or_undefined(args, 0);
-                    ObjPtr out = in.make_array(0);
+                    JSObject* out = in.make_array(0);
                     if (v.is_object()) {
-                      const ObjPtr& obj = v.as_object();
+                      JSObject* obj = v.as_object();
                       if (obj->is_array()) {
                         for (std::size_t i = 0; i < obj->elements().size(); ++i) {
                           out->elements().push_back(
@@ -585,7 +585,7 @@ void install_object(Realm& realm) {
   realm.set(
       object_ctor, "create", Value::object(realm.make_native_function(
                     "create", [](Interpreter& in, const Value&, const Args& args) {
-                      ObjPtr obj = in.make_object();
+                      JSObject* obj = in.make_object();
                       const Value& proto = arg_or_undefined(args, 0);
                       if (proto.is_object()) obj->set_prototype(proto.as_object());
                       if (proto.is_null()) obj->set_prototype(nullptr);
@@ -594,7 +594,7 @@ void install_object(Realm& realm) {
   realm.set(object_ctor, "prototype", Value::object(realm.object_prototype()));
   realm.define_global("Object", Value::object(object_ctor));
 
-  const ObjPtr& fn_proto = realm.function_prototype();
+  JSObject* fn_proto = realm.function_prototype();
   define_method(realm, fn_proto, "call",
                 [](Interpreter& in, const Value& self, const Args& args) {
                   const Value& this_arg = arg_or_undefined(args, 0);
@@ -649,7 +649,7 @@ std::string json_stringify(Interpreter& interp, const Value& v, int depth) {
       return out + "\"";
     }
     case Value::Kind::Object: {
-      const ObjPtr& obj = v.as_object();
+      JSObject* obj = v.as_object();
       if (obj->is_function()) return "null";
       if (obj->is_array()) {
         std::string out = "[";
@@ -676,7 +676,7 @@ std::string json_stringify(Interpreter& interp, const Value& v, int depth) {
 }
 
 void install_misc(Realm& realm) {
-  ObjPtr console = realm.make_namespace_object();
+  JSObject* console = realm.make_namespace_object();
   const Value log = Value::object(realm.make_native_function(
       "log", [](Interpreter& in, const Value&, const Args& args) {
         std::string line;
@@ -692,7 +692,7 @@ void install_misc(Realm& realm) {
   realm.set(console, "error", log);
   realm.define_global("console", Value::object(console));
 
-  ObjPtr json = realm.make_namespace_object();
+  JSObject* json = realm.make_namespace_object();
   define_method(realm, json, "stringify",
                 [](Interpreter& in, const Value&, const Args& args) {
                   return Value::str(json_stringify(in, arg_or_undefined(args, 0), 0));
@@ -741,7 +741,7 @@ void install_misc(Realm& realm) {
 
   // Time sources read the deterministic virtual clock ([4] in the paper:
   // the JavaScript high-resolution timer).
-  ObjPtr date = realm.make_native_function(
+  JSObject* date = realm.make_native_function(
       "Date", [](Interpreter& in, const Value&, const Args&) {
         return Value::number(double(in.clock().wall_ns() / 1000000));
       });
@@ -752,7 +752,7 @@ void install_misc(Realm& realm) {
                 })));
   realm.define_global("Date", Value::object(date));
 
-  ObjPtr performance = realm.make_namespace_object();
+  JSObject* performance = realm.make_namespace_object();
   define_method(realm, performance, "now",
                 [](Interpreter& in, const Value&, const Args&) {
                   return Value::number(double(in.clock().wall_ns()) / 1e6);

@@ -31,6 +31,14 @@ bool index_from_string(const std::string& key, std::size_t* out) {
   return true;
 }
 
+// typeof's answers, borrowed by the string Values it returns.
+const std::string kTypeofUndefined = "undefined";
+const std::string kTypeofObject = "object";
+const std::string kTypeofBoolean = "boolean";
+const std::string kTypeofNumber = "number";
+const std::string kTypeofString = "string";
+const std::string kTypeofFunction = "function";
+
 bool number_as_index(double d, std::size_t* out) {
   if (!(d >= 0) || d != std::floor(d) || d >= 4294967295.0) return false;
   *out = std::size_t(d);
@@ -69,6 +77,28 @@ class FunctionFrame {
 
 }  // namespace
 
+/// On exit, including by an exception, an activation no closure can have
+/// captured (the resolver's `recyclable` flags) goes back to the free list.
+class Interpreter::ActivationScope {
+ public:
+  ActivationScope(Interpreter& interp, Environment* parent, bool recyclable)
+      : interp_(interp), env_(interp.make_env(parent)), recyclable_(recyclable) {}
+  ~ActivationScope() {
+    if (!recyclable_) return;
+    env_->clear_for_reuse();
+    interp_.free_envs_.push_back(env_);
+  }
+  ActivationScope(const ActivationScope&) = delete;
+  ActivationScope& operator=(const ActivationScope&) = delete;
+
+  [[nodiscard]] Environment* env() const { return env_; }
+
+ private:
+  Interpreter& interp_;
+  Environment* env_;
+  bool recyclable_;
+};
+
 Interpreter::Interpreter(const js::Program& program, VirtualClock& clock,
                          ExecutionHooks* hooks, Config config)
     : program_(program),
@@ -99,52 +129,25 @@ Interpreter::Interpreter(const js::Program& program, VirtualClock& clock,
   write_ics_.resize(program_->ic_count);
   global_ref_cache_.assign(program_->global_ref_count, -1);
 
-  env_pool_ = new EnvPool();
-  // If the rest of the constructor throws, ~Interpreter never runs; this
-  // guard detaches the pool first (local destructors run before member
-  // destructors during ctor unwinding), so released members free their
-  // environments through the detached pool and it self-deletes cleanly.
-  struct DetachGuard {
-    EnvPool* pool;
-    ~DetachGuard() {
-      if (pool != nullptr) pool->detach();
-    }
-  } pool_guard{env_pool_};
-
   global_env_ = make_env(nullptr);
   if (hooks_ != nullptr) sync_hooks()->on_env_created(global_env_->id());
 
   // The builtins and their global bindings: this interpreter's own copy of
-  // the process's realm, ids 1 up, made in one step.
-  Realm::Copy realm = Realm::get().instantiate(shape_root(), *global_env_);
-  object_proto_ = std::move(realm.object_proto);
-  array_proto_ = std::move(realm.array_proto);
-  string_proto_ = std::move(realm.string_proto);
-  function_proto_ = std::move(realm.function_proto);
+  // the process's realm, ids 1 up, made in one step in the heap's first
+  // chunk.
+  Realm::Copy realm = Realm::get().instantiate(heap_, shape_root(), *global_env_);
+  object_proto_ = realm.object_proto;
+  array_proto_ = realm.array_proto;
+  string_proto_ = realm.string_proto;
+  function_proto_ = realm.function_proto;
   next_obj_id_ = realm.next_obj_id;
-  pool_guard.pool = nullptr;  // construction succeeded: dtor owns detach
 }
 
 Interpreter::~Interpreter() {
   // Callbacks run via call() after the last run() (event-loop sessions)
-  // accrue IC transitions too; push the remainder before teardown.
+  // accrue IC transitions too; push the remainder before teardown. The heap
+  // member then frees every object and environment in one step.
   flush_ic_stats();
-  // Break the closure <-> global-environment refcount cycle: a function
-  // object stored in a global slot holds an EnvPtr to the environment that
-  // stores it, so without this the whole global graph (stdlib included)
-  // outlives every interpreter. Closures a caller still holds remain valid
-  // objects; the scope chain they lose is only usable through this engine.
-  if (global_env_ != nullptr) global_env_->clear_for_reuse();
-  // The builtin prototype web is cyclic on its own: a prototype owns its
-  // native methods, and every method's [[prototype]] link leads back into
-  // the web via Function.prototype. Sever the roots so the web unwinds.
-  for (const ObjPtr& proto :
-       {object_proto_, array_proto_, string_proto_, function_proto_}) {
-    if (proto != nullptr) proto->sever_for_teardown();
-  }
-  // Detach (not delete): environments captured by closures a caller still
-  // holds keep the pool alive until the last of them releases.
-  env_pool_->detach();
 }
 
 void Interpreter::begin_run_window() {
@@ -264,16 +267,14 @@ void Interpreter::console_write(const std::string& text) {
 // Object construction
 // ---------------------------------------------------------------------------
 
-ObjPtr Interpreter::make_object() {
-  auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root());
-  obj->set_prototype(object_proto_);
+JSObject* Interpreter::make_object() {
+  JSObject* obj = new_object(object_proto_);
   if (hooks_ != nullptr) sync_hooks()->on_object_created(obj->id(), 0);
   return obj;
 }
 
-ObjPtr Interpreter::make_array(std::size_t reserve) {
-  auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root(), JSObject::Cls::Array);
-  obj->set_prototype(array_proto_);
+JSObject* Interpreter::make_array(std::size_t reserve) {
+  JSObject* obj = new_object(array_proto_, JSObject::Cls::Array);
   if (reserve > 0) {
     charge_elements(*obj, reserve);
     obj->elements().reserve(reserve);
@@ -282,36 +283,33 @@ ObjPtr Interpreter::make_array(std::size_t reserve) {
   return obj;
 }
 
-ObjPtr Interpreter::make_native_function(std::string name, NativeFn fn) {
-  return native_function_object(next_obj_id_++, shape_root(), function_proto_, std::move(name),
-                                std::move(fn));
+JSObject* Interpreter::make_native_function(std::string name, NativeFn fn) {
+  return native_function_object(heap_, next_obj_id_++, shape_root(), function_proto_,
+                                std::move(name), std::move(fn));
 }
 
-ObjPtr Interpreter::make_function_from_node(const js::FunctionNode& node,
-                                            const EnvPtr& env) {
-  auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root(), JSObject::Cls::Function);
-  obj->set_prototype(function_proto_);
-  auto data = std::make_shared<FunctionData>();
+JSObject* Interpreter::make_function_from_node(const js::FunctionNode& node,
+                                            Environment* env) {
+  JSObject* obj = new_object(function_proto_, JSObject::Cls::Function);
+  auto* data = heap_.make<FunctionData>();
   data->decl = &node;
   data->closure = env;
   data->name = node.name;
   data->fn_id = node.fn_id;
-  obj->set_function(std::move(data));
+  obj->set_function(data);
   // Constructor protocol: every function carries a fresh `prototype` object.
-  auto proto = std::make_shared<JSObject>(next_obj_id_++, shape_root());
-  proto->set_prototype(object_proto_);
-  // No `proto.constructor` backref: with shared_ptr-owned objects the
-  // fn <-> prototype pair would be an uncollectable cycle leaking every
-  // closure ever instantiated. Nothing in the engine or the study corpus
-  // reads `constructor` (documented simplification).
+  JSObject* proto = new_object(object_proto_);
+  // No `proto.constructor` backref: it would give every function's
+  // prototype a property, and so change its shape, its keys and the
+  // ledger's charges. Nothing in the engine or the study corpus reads
+  // `constructor` (documented simplification).
   obj->set_property(atom_prototype_, Value::object(proto));
   if (hooks_ != nullptr) sync_hooks()->on_object_created(obj->id(), node.line);
   return obj;
 }
 
 void Interpreter::throw_error(const std::string& kind, const std::string& message) {
-  auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root());
-  obj->set_prototype(object_proto_);
+  JSObject* obj = new_object(object_proto_);
   obj->set_property(atom_name_, Value::str(kind));
   obj->set_property(atom_message_, Value::str(message));
   throw JSException{Value::object(obj)};
@@ -382,7 +380,7 @@ std::string Interpreter::to_string_value(const Value& v) {
     case Value::Kind::String:
       return v.as_string();
     case Value::Kind::Object: {
-      const ObjPtr& obj = v.as_object();
+      JSObject* obj = v.as_object();
       if (obj->is_array()) {
         std::string out;
         for (std::size_t i = 0; i < obj->elements().size(); ++i) {
@@ -443,7 +441,7 @@ Value Interpreter::property_get(const Value& base, const std::string& key, int l
     throw_error("TypeError",
                 "cannot read property '" + key + "' of " + to_string_value(base));
   }
-  const ObjPtr& obj = base.as_object();
+  JSObject* obj = base.as_object();
   if (obj->host() != nullptr) {
     note_host_access(obj->host()->category(), key.c_str());
   }
@@ -464,8 +462,8 @@ Value Interpreter::property_get(const Value& base, const std::string& key, int l
   if (memory_events_) {
     buffer_memory_event(MemoryEvent::Kind::PropRead, obj->id(), atoms().intern(key), line, prov);
   }
-  for (const JSObject* walk = obj.get(); walk != nullptr;
-       walk = walk->prototype().get()) {
+  for (const JSObject* walk = obj; walk != nullptr;
+       walk = walk->prototype()) {
     if (const Value* found = walk->own_property(atoms(), key)) return *found;
   }
   return Value::undefined();
@@ -477,7 +475,7 @@ void Interpreter::property_set(const Value& base, const std::string& key, Value 
     throw_error("TypeError",
                 "cannot set property '" + key + "' of " + to_string_value(base));
   }
-  const ObjPtr& obj = base.as_object();
+  JSObject* obj = base.as_object();
   if (obj->host() != nullptr) {
     note_host_access(obj->host()->category(), key.c_str());
   }
@@ -525,7 +523,7 @@ Value Interpreter::global(const std::string& name) {
 // ---------------------------------------------------------------------------
 
 Value* Interpreter::lookup_for_read(js::Atom name, const js::SlotRef& ref,
-                                    const EnvPtr& env, Environment** owner) {
+                                    Environment* env, Environment** owner) {
   if (ref.hops >= 0) {
     // Statically resolved: two pointer chases, no hashing.
     Environment* target = env->ancestor(ref.hops);
@@ -535,7 +533,7 @@ Value* Interpreter::lookup_for_read(js::Atom name, const js::SlotRef& ref,
   if (ref.ref_id != js::kNoCacheId) {
     // Global reference: hash once per site, then direct slot index (global
     // bindings are never removed, so a cached index stays valid).
-    Environment* global = global_env_.get();
+    Environment* global = global_env_;
     *owner = global;
     std::int32_t& cached = global_ref_cache_[ref.ref_id];
     if (cached >= 0) return global->slot_at(std::uint32_t(cached));
@@ -551,13 +549,13 @@ Value* Interpreter::lookup_for_read(js::Atom name, const js::SlotRef& ref,
 }
 
 Value* Interpreter::lookup_for_write(js::Atom name, const js::SlotRef& ref,
-                                     const EnvPtr& env, Environment** owner) {
+                                     Environment* env, Environment** owner) {
   if (ref.hops >= 0) {
     Environment* target = env->ancestor(ref.hops);
     *owner = target;
     return target->slot_at(ref.slot);
   }
-  Environment* global = global_env_.get();
+  Environment* global = global_env_;
   if (ref.ref_id != js::kNoCacheId) {
     *owner = global;
     std::int32_t& cached = global_ref_cache_[ref.ref_id];
@@ -619,14 +617,13 @@ bool Interpreter::loose_equals(const Value& a, const Value& b) {
 // Calls
 // ---------------------------------------------------------------------------
 
-void Interpreter::hoist_into(Environment& env, std::span<const js::Atom> vars,
-                             std::span<const js::FunctionDecl* const> fns,
-                             const EnvPtr& env_ptr) {
+void Interpreter::hoist_into(Environment* env, std::span<const js::Atom> vars,
+                             std::span<const js::FunctionDecl* const> fns) {
   for (const auto& name : vars) {
-    if (!env.has_own(name)) env.declare(name, Value::undefined());
+    if (!env->has_own(name)) env->declare(name, Value::undefined());
   }
   for (const auto* decl : fns) {
-    env.declare(decl->fn->name, Value::object(make_function_from_node(*decl->fn, env_ptr)));
+    env->declare(decl->fn->name, Value::object(make_function_from_node(*decl->fn, env)));
   }
 }
 
@@ -684,7 +681,8 @@ Value Interpreter::call_js_function(JSObject& fn_obj, const Value& this_val,
     throw_error("RangeError", "maximum call stack size exceeded");
   }
 
-  EnvPtr env = make_env(fn.closure);
+  const ActivationScope activation(*this, fn.closure, node.recyclable_activation);
+  Environment* env = activation.env();
   // Stamp the activation from the resolver's template when the function has
   // enough names for the per-call declare scan (quadratic in the name
   // count) to matter; for tiny activations a handful of pointer compares
@@ -722,7 +720,7 @@ Value Interpreter::call_js_function(JSObject& fn_obj, const Value& this_val,
     for (std::size_t i = 0; i < node.params.size(); ++i) {
       env->declare(node.params[i], i < argc ? argv[i] : Value::undefined());
     }
-    hoist_into(*env, node.hoisted_vars, node.hoisted_functions, env);
+    hoist_into(env, node.hoisted_vars, node.hoisted_functions);
   }
   env->set_this(this_val);
   if (hooks_ != nullptr) sync_hooks()->on_env_created(env->id());
@@ -775,8 +773,7 @@ void Interpreter::run() {
   const AllocationLedger::Scope ledger_scope(&ledger_);
   begin_run_window();
   try {
-    hoist_into(*global_env_, program_->hoisted_vars, program_->hoisted_functions,
-               global_env_);
+    hoist_into(global_env_, program_->hoisted_vars, program_->hoisted_functions);
     for (const auto& stmt : program_->statements) {
       const Completion completion = exec(*stmt, global_env_);
       if (completion.type != Completion::Type::Normal) break;
@@ -812,7 +809,7 @@ void Interpreter::run() {
 // ---------------------------------------------------------------------------
 
 Interpreter::Completion Interpreter::exec_block(const js::Block& block,
-                                                const EnvPtr& env) {
+                                                Environment* env) {
   for (const auto& stmt : block.statements) {
     Completion completion = exec(*stmt, env);
     if (completion.type != Completion::Type::Normal) return completion;
@@ -820,7 +817,7 @@ Interpreter::Completion Interpreter::exec_block(const js::Block& block,
   return {};
 }
 
-Interpreter::Completion Interpreter::exec(const js::Stmt& stmt, const EnvPtr& env) {
+Interpreter::Completion Interpreter::exec(const js::Stmt& stmt, Environment* env) {
   tick(1);
   switch (stmt.kind) {
     case js::NodeKind::Block:
@@ -878,7 +875,8 @@ Interpreter::Completion Interpreter::exec(const js::Stmt& stmt, const EnvPtr& en
         completion = exec(*node.try_block, env);
       } catch (const JSException& ex) {
         if (node.catch_block) {
-          EnvPtr catch_env = make_env(env);
+          const ActivationScope activation(*this, env, node.recyclable_catch_scope);
+          Environment* catch_env = activation.env();
           catch_env->declare(node.catch_param, ex.value);
           if (hooks_ != nullptr) sync_hooks()->on_env_created(catch_env->id());
           completion = exec(*node.catch_block, catch_env);
@@ -908,7 +906,7 @@ LoopEvent loop_event(int loop_id, int line, js::LoopKind kind) {
 }
 }  // namespace
 
-Interpreter::Completion Interpreter::exec_for(const js::For& node, const EnvPtr& env) {
+Interpreter::Completion Interpreter::exec_for(const js::For& node, Environment* env) {
   if (node.init) exec(*node.init, env);
   const LoopEvent event = loop_event(node.loop_id, node.line, js::LoopKind::For);
   if (hooks_ != nullptr) sync_hooks()->on_loop_enter(event);
@@ -929,7 +927,7 @@ Interpreter::Completion Interpreter::exec_for(const js::For& node, const EnvPtr&
 }
 
 Interpreter::Completion Interpreter::exec_while(const js::While& node,
-                                                const EnvPtr& env) {
+                                                Environment* env) {
   const LoopEvent event = loop_event(node.loop_id, node.line, js::LoopKind::While);
   if (hooks_ != nullptr) sync_hooks()->on_loop_enter(event);
   Completion result;
@@ -947,7 +945,7 @@ Interpreter::Completion Interpreter::exec_while(const js::While& node,
 }
 
 Interpreter::Completion Interpreter::exec_do_while(const js::DoWhile& node,
-                                                   const EnvPtr& env) {
+                                                   Environment* env) {
   const LoopEvent event = loop_event(node.loop_id, node.line, js::LoopKind::DoWhile);
   if (hooks_ != nullptr) sync_hooks()->on_loop_enter(event);
   Completion result;
@@ -965,7 +963,7 @@ Interpreter::Completion Interpreter::exec_do_while(const js::DoWhile& node,
 }
 
 Interpreter::Completion Interpreter::exec_for_in(const js::ForIn& node,
-                                                 const EnvPtr& env) {
+                                                 Environment* env) {
   const Value object = eval(*node.object, env);
   const LoopEvent event = loop_event(node.loop_id, node.line, js::LoopKind::ForIn);
   if (hooks_ != nullptr) sync_hooks()->on_loop_enter(event);
@@ -973,7 +971,7 @@ Interpreter::Completion Interpreter::exec_for_in(const js::ForIn& node,
 
   std::vector<Value> keys;
   if (object.is_object()) {
-    const ObjPtr& obj = object.as_object();
+    JSObject* obj = object.as_object();
     if (obj->is_array()) {
       keys.reserve(obj->elements().size() + obj->key_order().size());
       for (std::size_t i = 0; i < obj->elements().size(); ++i) {
@@ -1004,7 +1002,7 @@ Interpreter::Completion Interpreter::exec_for_in(const js::ForIn& node,
 // Expressions
 // ---------------------------------------------------------------------------
 
-BaseProvenance Interpreter::provenance_of(const js::Expr& base_expr, const EnvPtr& env) {
+BaseProvenance Interpreter::provenance_of(const js::Expr& base_expr, Environment* env) {
   if (base_expr.kind == js::NodeKind::Ident) {
     const auto& ident = static_cast<const js::Ident&>(base_expr);
     Environment* owner = nullptr;
@@ -1022,7 +1020,7 @@ BaseProvenance Interpreter::provenance_of(const js::Expr& base_expr, const EnvPt
   return BaseProvenance{BaseProvenance::Kind::Object, 0};
 }
 
-Value Interpreter::eval(const js::Expr& expr, const EnvPtr& env) {
+Value Interpreter::eval(const js::Expr& expr, Environment* env) {
   tick(1);
   switch (expr.kind) {
     case js::NodeKind::NumberLit:
@@ -1049,8 +1047,7 @@ Value Interpreter::eval(const js::Expr& expr, const EnvPtr& env) {
     }
     case js::NodeKind::ArrayLit: {
       const auto& lit = static_cast<const js::ArrayLit&>(expr);
-      auto arr = std::make_shared<JSObject>(next_obj_id_++, shape_root(), JSObject::Cls::Array);
-      arr->set_prototype(array_proto_);
+      JSObject* arr = new_object(array_proto_, JSObject::Cls::Array);
       if (hooks_ != nullptr) sync_hooks()->on_object_created(arr->id(), expr.line);
       charge_elements(*arr, lit.elements.size());
       arr->elements().reserve(lit.elements.size());
@@ -1066,8 +1063,7 @@ Value Interpreter::eval(const js::Expr& expr, const EnvPtr& env) {
     }
     case js::NodeKind::ObjectLit: {
       const auto& lit = static_cast<const js::ObjectLit&>(expr);
-      auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root());
-      obj->set_prototype(object_proto_);
+      JSObject* obj = new_object(object_proto_);
       if (hooks_ != nullptr) sync_hooks()->on_object_created(obj->id(), expr.line);
       const BaseProvenance prov{BaseProvenance::Kind::Object, 0};
       for (const auto& [key, value_expr] : lit.properties) {
@@ -1120,20 +1116,21 @@ Value Interpreter::eval(const js::Expr& expr, const EnvPtr& env) {
             const auto& ident = static_cast<const js::Ident&>(*node.operand);
             Environment* owner = nullptr;
             if (lookup_for_read(ident.name, ident.ref, env, &owner) == nullptr) {
-              return Value::str("undefined");
+              return Value::borrowed_str(kTypeofUndefined);
             }
           }
           const Value v = eval(*node.operand, env);
           switch (v.kind()) {
-            case Value::Kind::Undefined: return Value::str("undefined");
-            case Value::Kind::Null: return Value::str("object");
-            case Value::Kind::Boolean: return Value::str("boolean");
-            case Value::Kind::Number: return Value::str("number");
-            case Value::Kind::String: return Value::str("string");
+            case Value::Kind::Undefined: return Value::borrowed_str(kTypeofUndefined);
+            case Value::Kind::Null: return Value::borrowed_str(kTypeofObject);
+            case Value::Kind::Boolean: return Value::borrowed_str(kTypeofBoolean);
+            case Value::Kind::Number: return Value::borrowed_str(kTypeofNumber);
+            case Value::Kind::String: return Value::borrowed_str(kTypeofString);
             case Value::Kind::Object:
-              return Value::str(v.as_object()->is_function() ? "function" : "object");
+              return Value::borrowed_str(v.as_object()->is_function() ? kTypeofFunction
+                                                                      : kTypeofObject);
           }
-          return Value::str("undefined");
+          return Value::borrowed_str(kTypeofUndefined);
         }
         case js::UnaryOp::Delete: {
           const auto& member = static_cast<const js::Member&>(*node.operand);
@@ -1141,7 +1138,7 @@ Value Interpreter::eval(const js::Expr& expr, const EnvPtr& env) {
           if (!base.is_object()) return Value::boolean(true);
           std::string key = member.computed ? property_key(eval(*member.index, env))
                                             : member.property.str();
-          const ObjPtr& obj = base.as_object();
+          JSObject* obj = base.as_object();
           std::size_t index = 0;
           if (obj->is_array() && index_from_string(key, &index)) {
             if (index < obj->elements().size()) {
@@ -1167,7 +1164,7 @@ Value Interpreter::eval(const js::Expr& expr, const EnvPtr& env) {
   }
 }
 
-Value Interpreter::eval_member(const js::Member& member, const EnvPtr& env) {
+Value Interpreter::eval_member(const js::Member& member, Environment* env) {
   const Value base = eval_leaf(*member.object, env);
   if (member.computed) {
     const Value key = eval_leaf(*member.index, env);
@@ -1199,7 +1196,7 @@ Value Interpreter::eval_member(const js::Member& member, const EnvPtr& env) {
 /// cache: steady state is a linear probe of up to four (shape, slot) ways —
 /// one pointer compare per way — plus one indexed load.
 Value Interpreter::eval_member_named(const Value& base, const js::Member& member,
-                                     const EnvPtr& env) {
+                                     Environment* env) {
   const js::Atom key = member.property;
   if (base.is_object()) {
     JSObject& obj = *base.as_object();
@@ -1223,7 +1220,7 @@ Value Interpreter::eval_member_named(const Value& base, const js::Member& member
           ++ic_stats_.read_hits;
           return *obj.prop_slot(way.slot);
         }
-        if (obj.prototype().get() == way.holder &&
+        if (obj.prototype() == way.holder &&
             way.holder->shape() == way.holder_shape) {
           ++ic_stats_.read_hits;
           return *way.holder->prop_slot(way.slot);
@@ -1233,7 +1230,7 @@ Value Interpreter::eval_member_named(const Value& base, const js::Member& member
       return read_ic_miss(ic, obj, shape, key);
     }
     for (const JSObject* walk = &obj; walk != nullptr;
-         walk = walk->prototype().get()) {
+         walk = walk->prototype()) {
       if (const Value* found = walk->own_property(key)) return *found;
     }
     return Value::undefined();
@@ -1315,7 +1312,7 @@ Value Interpreter::read_ic_miss(ReadIC& ic, JSObject& obj, const Shape* shape,
   }
   // Not an own property: resolve the direct-prototype holder FIRST, so the
   // megamorphic streak can be fed with the pair it would actually cache.
-  JSObject* proto = obj.prototype().get();
+  JSObject* proto = obj.prototype();
   const Shape* proto_shape = proto != nullptr ? proto->shape() : nullptr;
   const std::int32_t proto_slot =
       proto_shape != nullptr ? proto_shape->slot_of(key) : -1;
@@ -1340,8 +1337,8 @@ Value Interpreter::read_ic_miss(ReadIC& ic, JSObject& obj, const Shape* shape,
   // Generic prototype walk with no cache churn (`own` above already settled
   // the receiver).
   if (proto_slot >= 0) return *proto->prop_slot(std::uint32_t(proto_slot));
-  for (const JSObject* walk = obj.prototype().get(); walk != nullptr;
-       walk = walk->prototype().get()) {
+  for (const JSObject* walk = obj.prototype(); walk != nullptr;
+       walk = walk->prototype()) {
     if (const Value* found = walk->own_property(key)) return *found;
   }
   return Value::undefined();
@@ -1350,7 +1347,7 @@ Value Interpreter::read_ic_miss(ReadIC& ic, JSObject& obj, const Shape* shape,
 /// Named property write with a store inline cache: an in-place slot store or
 /// a cached property-add shape transition.
 void Interpreter::assign_member_named(const Value& base, const js::Member& member,
-                                      Value value, const EnvPtr& env) {
+                                      Value value, Environment* env) {
   const js::Atom key = member.property;
   if (!base.is_object()) {
     throw_error("TypeError",
@@ -1429,7 +1426,7 @@ void Interpreter::write_ic_miss(WriteIC& ic, JSObject& obj, const Shape* shape,
   }
 }
 
-Value Interpreter::eval_assign(const js::Assign& assign, const EnvPtr& env) {
+Value Interpreter::eval_assign(const js::Assign& assign, Environment* env) {
   if (assign.target->kind == js::NodeKind::Ident) {
     const auto& ident = static_cast<const js::Ident&>(*assign.target);
     Value value;
@@ -1518,7 +1515,7 @@ Value Interpreter::eval_assign(const js::Assign& assign, const EnvPtr& env) {
   return value;
 }
 
-Value Interpreter::eval_update(const js::Update& update, const EnvPtr& env) {
+Value Interpreter::eval_update(const js::Update& update, Environment* env) {
   const double delta = update.increment ? 1 : -1;
   if (update.target->kind == js::NodeKind::Ident) {
     const auto& ident = static_cast<const js::Ident&>(*update.target);
@@ -1547,7 +1544,7 @@ Value Interpreter::eval_update(const js::Update& update, const EnvPtr& env) {
   return Value::number(update.prefix ? before + delta : before);
 }
 
-Value Interpreter::eval_call(const js::Call& call, const EnvPtr& env) {
+Value Interpreter::eval_call(const js::Call& call, Environment* env) {
   Value this_val;
   Value callee;
   if (call.callee->kind == js::NodeKind::Member) {
@@ -1581,18 +1578,14 @@ Value Interpreter::eval_call(const js::Call& call, const EnvPtr& env) {
   return this->call(callee, this_val, frame.args());
 }
 
-Value Interpreter::eval_new(const js::New& node, const EnvPtr& env) {
+Value Interpreter::eval_new(const js::New& node, Environment* env) {
   const Value callee = eval(*node.callee, env);
   if (!callee.is_object() || !callee.as_object()->is_function()) {
     throw_error("TypeError", "constructor is not a function");
   }
-  auto obj = std::make_shared<JSObject>(next_obj_id_++, shape_root());
-  if (const Value* proto = callee.as_object()->own_property(atom_prototype_);
-      proto != nullptr && proto->is_object()) {
-    obj->set_prototype(proto->as_object());
-  } else {
-    obj->set_prototype(object_proto_);
-  }
+  const Value* proto = callee.as_object()->own_property(atom_prototype_);
+  JSObject* obj =
+      new_object(proto != nullptr && proto->is_object() ? proto->as_object() : object_proto_);
   if (hooks_ != nullptr) sync_hooks()->on_object_created(obj->id(), node.line);
 
   const std::size_t argc = node.args.size();
@@ -1603,7 +1596,7 @@ Value Interpreter::eval_new(const js::New& node, const EnvPtr& env) {
   return result.is_object() ? result : Value::object(obj);
 }
 
-inline Value Interpreter::eval_leaf(const js::Expr& expr, const EnvPtr& env) {
+inline Value Interpreter::eval_leaf(const js::Expr& expr, Environment* env) {
   if (expr.kind == js::NodeKind::NumberLit) {
     tick(1);
     return Value::number(static_cast<const js::NumberLit&>(expr).value);
@@ -1622,13 +1615,13 @@ inline Value Interpreter::eval_leaf(const js::Expr& expr, const EnvPtr& env) {
   return eval(expr, env);
 }
 
-Value Interpreter::eval_binary(const js::Binary& binary, const EnvPtr& env) {
+Value Interpreter::eval_binary(const js::Binary& binary, Environment* env) {
   const Value lhs = eval_leaf(*binary.lhs, env);
   const Value rhs = eval_leaf(*binary.rhs, env);
   return apply_binary(binary.op, lhs, rhs, binary.line);
 }
 
-inline bool Interpreter::eval_condition(const js::Expr& expr, const EnvPtr& env) {
+inline bool Interpreter::eval_condition(const js::Expr& expr, Environment* env) {
   if (expr.kind == js::NodeKind::Binary) {
     const auto& binary = static_cast<const js::Binary&>(expr);
     switch (binary.op) {
@@ -1699,14 +1692,23 @@ Value Interpreter::apply_binary(js::BinaryOp op, const Value& lhs, const Value& 
         return Value::number(lhs.as_number() + rhs.as_number());
       }
       if (lhs.is_string() || rhs.is_string() || lhs.is_object() || rhs.is_object()) {
-        std::string left = to_string_value(lhs);
-        std::string right = to_string_value(rhs);
+        // A string operand's text is read in place; only a non-string one
+        // is converted first.
+        std::string converted_left;
+        std::string converted_right;
+        const std::string& left =
+            lhs.is_string() ? lhs.as_string() : (converted_left = to_string_value(lhs));
+        const std::string& right =
+            rhs.is_string() ? rhs.as_string() : (converted_right = to_string_value(rhs));
         // Concatenation is the string-doubling amplifier (`s = s + s`):
         // charge large results before building them. Small results are
         // value-churn temporaries and stay off the ledger.
         const std::size_t result_size = left.size() + right.size();
         if (result_size >= 1024) ledger_.charge(result_size);
-        return Value::str(left + right);
+        std::string result;
+        result.reserve(result_size);
+        result.append(left).append(right);
+        return Value::str(std::move(result));
       }
       return Value::number(to_number(lhs) + to_number(rhs));
     case BinaryOp::Sub:
@@ -1763,13 +1765,13 @@ Value Interpreter::apply_binary(js::BinaryOp op, const Value& lhs, const Value& 
     case BinaryOp::In: {
       if (!rhs.is_object()) throw_error("TypeError", "'in' requires an object");
       const std::string key = property_key(lhs);
-      const ObjPtr& obj = rhs.as_object();
+      JSObject* obj = rhs.as_object();
       std::size_t index = 0;
       if (obj->is_array() && index_from_string(key, &index)) {
         return Value::boolean(index < obj->elements().size());
       }
-      for (const JSObject* walk = obj.get(); walk != nullptr;
-           walk = walk->prototype().get()) {
+      for (const JSObject* walk = obj; walk != nullptr;
+           walk = walk->prototype()) {
         if (walk->own_property(atoms(), key) != nullptr) return Value::boolean(true);
       }
       return Value::boolean(false);
@@ -1781,9 +1783,9 @@ Value Interpreter::apply_binary(js::BinaryOp op, const Value& lhs, const Value& 
       if (!lhs.is_object()) return Value::boolean(false);
       const Value* proto = rhs.as_object()->own_property(atom_prototype_);
       if (proto == nullptr || !proto->is_object()) return Value::boolean(false);
-      for (const JSObject* walk = lhs.as_object()->prototype().get(); walk != nullptr;
-           walk = walk->prototype().get()) {
-        if (walk == proto->as_object().get()) return Value::boolean(true);
+      for (const JSObject* walk = lhs.as_object()->prototype(); walk != nullptr;
+           walk = walk->prototype()) {
+        if (walk == proto->as_object()) return Value::boolean(true);
       }
       return Value::boolean(false);
     }

@@ -11,6 +11,7 @@
 
 #include "interp/args.h"
 #include "interp/environment.h"
+#include "interp/heap.h"
 #include "interp/hooks.h"
 #include "interp/object.h"
 #include "interp/value.h"
@@ -69,7 +70,8 @@ class Interpreter {
   using Config = InterpreterConfig;
 
   /// Keeps a copy of the `program` handle: the program lives at least as
-  /// long as the interpreter.
+  /// long as the interpreter. Every object the interpreter makes lives in
+  /// its heap and is freed with it.
   Interpreter(const js::Program& program, VirtualClock& clock,
               ExecutionHooks* hooks = nullptr, Config config = Config());
   ~Interpreter();
@@ -96,16 +98,15 @@ class Interpreter {
   // --- globals ---
   void define_global(const std::string& name, Value value);
   [[nodiscard]] Value global(const std::string& name);
-  [[nodiscard]] const EnvPtr& global_env() const { return global_env_; }
 
   // --- object construction (used by builtins and substrate bindings) ---
-  ObjPtr make_object();
-  ObjPtr make_array(std::size_t reserve = 0);
+  JSObject* make_object();
+  JSObject* make_array(std::size_t reserve = 0);
   /// A native function object. The builtins are not made here but copied
   /// from the process's realm (interp/realm.h); this is for host bindings.
   /// Every object gets a fresh id from 1 up: the dependence analyzer's
   /// tables treat id 0 as an empty slot.
-  ObjPtr make_native_function(std::string name, NativeFn fn);
+  JSObject* make_native_function(std::string name, NativeFn fn);
   /// Create an error object ({name, message}) ready to be thrown.
   [[noreturn]] void throw_error(const std::string& kind, const std::string& message);
 
@@ -195,10 +196,10 @@ class Interpreter {
   /// resize, for callers that append element by element.
   void charge_elements(JSObject& obj, std::size_t new_len);
 
-  [[nodiscard]] const ObjPtr& array_prototype() const { return array_proto_; }
-  [[nodiscard]] const ObjPtr& object_prototype() const { return object_proto_; }
-  [[nodiscard]] const ObjPtr& string_prototype() const { return string_proto_; }
-  [[nodiscard]] const ObjPtr& function_prototype() const { return function_proto_; }
+  [[nodiscard]] JSObject* array_prototype() const { return array_proto_; }
+  [[nodiscard]] JSObject* object_prototype() const { return object_proto_; }
+  [[nodiscard]] JSObject* string_prototype() const { return string_proto_; }
+  [[nodiscard]] JSObject* function_prototype() const { return function_proto_; }
 
   /// Atom spelling a small array index ("0", "1", ...), served from a
   /// per-interpreter cache so mode-3 instrumentation of hot array loops
@@ -317,28 +318,28 @@ class Interpreter {
   };
 
   // Statement / expression evaluation.
-  Completion exec(const js::Stmt& stmt, const EnvPtr& env);
-  Completion exec_block(const js::Block& block, const EnvPtr& env);
-  Value eval(const js::Expr& expr, const EnvPtr& env);
-  Value eval_call(const js::Call& call, const EnvPtr& env);
-  Value eval_new(const js::New& node, const EnvPtr& env);
-  Value eval_member(const js::Member& member, const EnvPtr& env);
-  Value eval_assign(const js::Assign& assign, const EnvPtr& env);
-  Value eval_update(const js::Update& update, const EnvPtr& env);
-  Value eval_binary(const js::Binary& binary, const EnvPtr& env);
+  Completion exec(const js::Stmt& stmt, Environment* env);
+  Completion exec_block(const js::Block& block, Environment* env);
+  Value eval(const js::Expr& expr, Environment* env);
+  Value eval_call(const js::Call& call, Environment* env);
+  Value eval_new(const js::New& node, Environment* env);
+  Value eval_member(const js::Member& member, Environment* env);
+  Value eval_assign(const js::Assign& assign, Environment* env);
+  Value eval_update(const js::Update& update, Environment* env);
+  Value eval_binary(const js::Binary& binary, Environment* env);
   Value apply_binary(js::BinaryOp op, const Value& lhs, const Value& rhs, int line);
 
-  Completion exec_for(const js::For& node, const EnvPtr& env);
-  Completion exec_for_in(const js::ForIn& node, const EnvPtr& env);
-  Completion exec_while(const js::While& node, const EnvPtr& env);
-  Completion exec_do_while(const js::DoWhile& node, const EnvPtr& env);
+  Completion exec_for(const js::For& node, Environment* env);
+  Completion exec_for_in(const js::ForIn& node, Environment* env);
+  Completion exec_while(const js::While& node, Environment* env);
+  Completion exec_do_while(const js::DoWhile& node, Environment* env);
 
   /// Key for a property access; resolves computed indices.
   std::string property_key(const Value& key);
 
   /// Inline-cached named property read/write (non-computed member sites).
   Value eval_member_named(const Value& base, const js::Member& member,
-                          const EnvPtr& env);
+                          Environment* env);
 
   /// PIC miss paths: resolve the access, then rotate the resolved way into
   /// the cache (or trip the site megamorphic). Out of line to keep the hit
@@ -350,15 +351,15 @@ class Interpreter {
   /// Inline-dispatched evaluation of the two dominant expression leaves
   /// (number literals, identifier reads); everything else forwards to eval.
   /// Charges exactly the same ticks as eval would.
-  Value eval_leaf(const js::Expr& expr, const EnvPtr& env);
+  Value eval_leaf(const js::Expr& expr, Environment* env);
 
   /// Boolean evaluation of a branch/loop condition. Numeric comparisons —
   /// the dominant loop-condition form — produce the bool directly without a
   /// Value round trip; everything else is to_boolean(eval(...)). Tick
   /// charging matches eval exactly.
-  bool eval_condition(const js::Expr& expr, const EnvPtr& env);
+  bool eval_condition(const js::Expr& expr, Environment* env);
   void assign_member_named(const Value& base, const js::Member& member,
-                           Value value, const EnvPtr& env);
+                           Value value, Environment* env);
 
   /// Slot-resolved identifier access. Statically resolved references chase
   /// `hops` parent pointers and index the slot directly; global references
@@ -367,17 +368,23 @@ class Interpreter {
   /// (read path only). `owner` receives the owning environment for
   /// provenance stamping.
   Value* lookup_for_read(js::Atom name, const js::SlotRef& ref,
-                         const EnvPtr& env, Environment** owner);
+                         Environment* env, Environment** owner);
   /// Write flavour: a global miss creates the binding (sloppy mode).
   Value* lookup_for_write(js::Atom name, const js::SlotRef& ref,
-                          const EnvPtr& env, Environment** owner);
+                          Environment* env, Environment** owner);
 
   Value call_js_function(JSObject& fn_obj, const Value& this_val,
                          const Value* argv, std::size_t argc);
 
-  ObjPtr make_function_from_node(const js::FunctionNode& node, const EnvPtr& env);
-  void hoist_into(Environment& env, std::span<const js::Atom> vars,
-                  std::span<const js::FunctionDecl* const> fns, const EnvPtr& env_ptr);
+  /// A fresh object in this session's heap, with the next id.
+  JSObject* new_object(JSObject* proto, JSObject::Cls cls = JSObject::Cls::Plain) {
+    JSObject* obj = heap_.make<JSObject>(heap_, next_obj_id_++, shape_root(), cls);
+    obj->set_prototype(proto);
+    return obj;
+  }
+  JSObject* make_function_from_node(const js::FunctionNode& node, Environment* env);
+  void hoist_into(Environment* env, std::span<const js::Atom> vars,
+                  std::span<const js::FunctionDecl* const> fns);
 
   bool strict_equals(const Value& a, const Value& b);
   bool loose_equals(const Value& a, const Value& b);
@@ -406,7 +413,7 @@ class Interpreter {
   /// Ends the window for the hooks (on_run_window_end(false)).
   void recover_after_engine_error() noexcept;
 
-  BaseProvenance provenance_of(const js::Expr& base_expr, const EnvPtr& env);
+  BaseProvenance provenance_of(const js::Expr& base_expr, Environment* env);
 
   // --- mode-3 memory-event batching (see ExecutionHooks::on_memory_batch) -
   // Every memory-access event is appended here; the buffer drains to the
@@ -423,30 +430,40 @@ class Interpreter {
     memory_batch_.clear();
   }
 
-  /// Pooled activation-environment allocation (see EnvPool). The raw
-  /// pointer is intentional: the pool detach-then-self-deletes so closures
-  /// that outlive the interpreter stay valid.
-  EnvPtr make_env(EnvPtr parent) {
-    return env_pool_->acquire(next_env_id_++, std::move(parent));
+  /// A reused or fresh activation environment; only a fresh one charges
+  /// the ledger.
+  Environment* make_env(Environment* parent) {
+    if (!free_envs_.empty()) {
+      Environment* env = free_envs_.back();
+      free_envs_.pop_back();
+      env->rebind(next_env_id_++, parent);
+      return env;
+    }
+    AllocationLedger::charge_current(sizeof(Environment) + 64);
+    return heap_.make<Environment>(next_env_id_++, parent);
   }
+  /// An activation for one call or catch clause (interpreter.cpp).
+  class ActivationScope;
 
   // Declared first, so it outlives every object below. Atoms and shape root
   // are cached: the computed-key path skips a dereference through the handle.
   const js::Program program_;
   js::AtomSpace& atoms_;
   const Shape* const shape_root_;
+  /// Everything the session allocates; freed after the members below.
+  Heap heap_;
   VirtualClock* clock_;
   ExecutionHooks* hooks_;
   Config config_;
   AllocationLedger ledger_;
   Rng rng_;
 
-  EnvPool* env_pool_ = nullptr;
-  EnvPtr global_env_;
-  ObjPtr object_proto_;
-  ObjPtr array_proto_;
-  ObjPtr string_proto_;
-  ObjPtr function_proto_;
+  Environment* global_env_ = nullptr;
+  std::vector<Environment*> free_envs_;
+  JSObject* object_proto_ = nullptr;
+  JSObject* array_proto_ = nullptr;
+  JSObject* string_proto_ = nullptr;
+  JSObject* function_proto_ = nullptr;
 
   // Per-interpreter caches indexed by the ids resolve_scopes assigned to
   // the program's AST (the AST itself stays immutable and shareable).

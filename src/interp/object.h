@@ -9,6 +9,7 @@
 
 #include "interp/args.h"
 #include "interp/environment.h"
+#include "interp/heap.h"
 #include "interp/hooks.h"
 #include "interp/shape.h"
 #include "interp/value.h"
@@ -39,43 +40,56 @@ struct HostData {
   [[nodiscard]] virtual HostAccess category() const { return HostAccess::Dom; }
 };
 
-/// Closure / native-function payload of callable objects.
+/// Closure / native-function payload of callable objects. Allocated in the
+/// heap of the interpreter (or, for the builtins' templates, the realm)
+/// that made it.
 struct FunctionData {
   const js::FunctionNode* decl = nullptr;  // null for native functions
-  EnvPtr closure;                          // captured scope for JS functions
+  Environment* closure = nullptr;          // captured scope for JS functions
   NativeFn native;                         // set for native functions
   std::string name;
   int fn_id = 0;  // 0 for natives (they don't appear in sampled JS stacks)
+
+ private:
+  friend class Heap;
+  FunctionData* heap_next_ = nullptr;
 };
 
 /// A JavaScript heap object. One representation serves plain objects,
 /// arrays (dense element storage fast path) and functions.
 ///
 /// Named properties live in shape mode by default: the object's `Shape`
-/// (hidden class) maps interned keys to indices into a dense `prop_slots_`
-/// vector, so a property-access site that has seen this shape before reads
-/// its slot with one pointer compare and one indexed load. `delete`
-/// transitions the object to dictionary mode (atom-keyed hash map), which
-/// inline caches simply never match.
+/// (hidden class) maps interned keys to indices into a dense slot array, so
+/// a property-access site that has seen this shape before reads its slot
+/// with one pointer compare and one indexed load. The slot array comes from
+/// the object's heap, in power-of-two capacities. `delete` transitions the
+/// object to dictionary mode (atom-keyed hash map), which inline caches
+/// simply never match.
 ///
 /// Every object hangs off the shape tree of the program it was built for
 /// (`shape_root` is that program's ProgramBody::shape_root), except a copy
 /// of a builtin with properties, which starts on the process-wide frozen
 /// realm tree (interp/realm.h) and moves to dictionary mode the first time
-/// it adds or deletes one. An object a caller keeps after its interpreter
-/// is destroyed is valid while some handle to its program lives.
+/// it adds or deletes one.
+///
+/// An object lives in the Heap of the Interpreter that made it and is
+/// freed with that Interpreter, whatever still points at it: neither the
+/// object nor a Value naming it may be used after the Interpreter is gone.
 class JSObject {
  public:
   enum class Cls : std::uint8_t { Plain, Array, Function };
 
-  JSObject(std::uint64_t id, const Shape* shape_root, Cls cls = Cls::Plain)
-      : id_(id), cls_(cls), shape_(shape_root) {
+  JSObject(Heap& heap, std::uint64_t id, const Shape* shape_root, Cls cls = Cls::Plain)
+      : heap_(&heap), id_(id), shape_(shape_root), cls_(cls) {
     // Sandbox accounting: every heap object charges the active run's ledger
     // (nullptr outside a run — prototypes and stdlib objects built during
     // interpreter construction form an uncharged baseline). Throwing here is
-    // clean: make_shared releases the allocation and nothing was published.
-    AllocationLedger::charge_current(sizeof(JSObject) + 64);
+    // clean: nothing was published, and the heap merely keeps the bytes.
+    AllocationLedger::charge_current(sizeof(JSObject));
   }
+  ~JSObject() { release_slots(); }
+  JSObject(const JSObject&) = delete;
+  JSObject& operator=(const JSObject&) = delete;
 
   [[nodiscard]] std::uint64_t id() const { return id_; }
   [[nodiscard]] Cls cls() const { return cls_; }
@@ -87,7 +101,7 @@ class JSObject {
   [[nodiscard]] const Value* own_property(js::Atom key) const {
     if (dict_ == nullptr) {
       const std::int32_t slot = shape_->slot_of(key);
-      return slot < 0 ? nullptr : &prop_slots_[std::size_t(slot)];
+      return slot < 0 ? nullptr : &slots_[std::size_t(slot)];
     }
     const auto it = dict_->map.find(key);
     return it == dict_->map.end() ? nullptr : &it->second;
@@ -107,17 +121,15 @@ class JSObject {
     if (dict_ == nullptr) {
       const std::int32_t slot = shape_->slot_of(key);
       if (slot >= 0) {
-        prop_slots_[std::size_t(slot)] = std::move(value);
+        slots_[std::size_t(slot)] = std::move(value);
         return;
       }
       if (!shape_->frozen()) {
         // Charge-before-mutate, and store the slot before publishing the
-        // new shape: a ledger trip at either point leaves shape_ and
-        // prop_slots_ still consistent with each other.
+        // new shape: a ledger trip at either point leaves shape_ and the
+        // slot array still consistent with each other.
         const Shape* next = shape_->transition(key);
-        AllocationLedger::charge_current(sizeof(Value));
-        prop_slots_.push_back(std::move(value));
-        shape_ = next;
+        append_prop(next, std::move(value));
         return;
       }
       to_dictionary();  // a realm copy leaves the frozen tree
@@ -161,15 +173,15 @@ class JSObject {
   [[nodiscard]] const Shape* shape() const {
     return dict_ == nullptr ? shape_ : nullptr;
   }
-  [[nodiscard]] Value* prop_slot(std::uint32_t index) {
-    return &prop_slots_[index];
-  }
+  [[nodiscard]] Value* prop_slot(std::uint32_t index) { return &slots_[index]; }
   /// Append the value for a property-add transition already computed by an
   /// inline cache: `new_shape` must be `shape()->transition(key)`, so
   /// shape() is not frozen.
   void append_prop(const Shape* new_shape, Value value) {
     AllocationLedger::charge_current(sizeof(Value));
-    prop_slots_.push_back(std::move(value));
+    const std::uint32_t count = shape_->slot_count();
+    if (count == slot_capacity_) grow_slots(count == 0 ? 1 : 2 * count);
+    new (&slots_[count]) Value(std::move(value));
     shape_ = new_shape;
   }
 
@@ -180,34 +192,19 @@ class JSObject {
 
   // --- prototype chain ---
 
-  [[nodiscard]] const ObjPtr& prototype() const { return prototype_; }
-  void set_prototype(ObjPtr proto) { prototype_ = std::move(proto); }
+  [[nodiscard]] JSObject* prototype() const { return prototype_; }
+  void set_prototype(JSObject* proto) { prototype_ = proto; }
 
   // --- callable payload ---
 
   /// Immutable once set; a builtin's copies share their template's.
-  [[nodiscard]] const FunctionData* function() const { return fn_.get(); }
-  void set_function(std::shared_ptr<const FunctionData> fn) { fn_ = std::move(fn); }
-
-  /// Drop every outgoing strong edge (properties, elements, prototype link,
-  /// callable payload). The builtin prototype web is refcount-cyclic — a
-  /// prototype owns its native methods, and each method's [[prototype]] link
-  /// leads back into the web through Function.prototype — so ~Interpreter
-  /// severs the roots explicitly. Objects a caller still holds afterwards
-  /// stay valid but see an emptied prototype chain.
-  void sever_for_teardown() noexcept {
-    prop_slots_.clear();
-    dict_.reset();
-    elements_.clear();
-    prototype_.reset();
-    fn_.reset();
-    shape_ = shape_->root();
-  }
+  [[nodiscard]] const FunctionData* function() const { return fn_; }
+  void set_function(const FunctionData* fn) { fn_ = fn; }
 
   // --- host payload ---
 
-  [[nodiscard]] const std::shared_ptr<HostData>& host() const { return host_; }
-  void set_host(std::shared_ptr<HostData> host) { host_ = std::move(host); }
+  [[nodiscard]] HostData* host() const { return host_.get(); }
+  void set_host(std::unique_ptr<HostData> host) { host_ = std::move(host); }
 
   template <typename T>
   [[nodiscard]] T* host_as() const {
@@ -215,12 +212,35 @@ class JSObject {
   }
 
  private:
+  friend class Heap;
   friend class Realm;  // copies its template objects field by field
 
   struct Dict {
     std::unordered_map<js::Atom, Value> map;
     std::vector<js::Atom> order;
   };
+
+  /// Move the slots into an array of `capacity` (> the slot count).
+  void grow_slots(std::uint32_t capacity) {
+    const std::uint32_t count = shape_->slot_count();
+    Value* grown = heap_->allocate_values(capacity);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      new (&grown[i]) Value(std::move(slots_[i]));
+      slots_[i].~Value();
+    }
+    heap_->free_values(slots_, slot_capacity_);
+    slots_ = grown;
+    slot_capacity_ = capacity;
+  }
+
+  /// Destroy the slots and give their array back; leaves no slots.
+  void release_slots() {
+    const std::uint32_t count = dict_ == nullptr ? shape_->slot_count() : 0;
+    for (std::uint32_t i = 0; i < count; ++i) slots_[i].~Value();
+    heap_->free_values(slots_, slot_capacity_);
+    slots_ = nullptr;
+    slot_capacity_ = 0;
+  }
 
   void to_dictionary() {
     AllocationLedger::charge_current(shape_->keys().size() *
@@ -229,34 +249,38 @@ class JSObject {
     dict->order = shape_->keys();
     dict->map.reserve(dict->order.size());
     for (std::size_t i = 0; i < dict->order.size(); ++i) {
-      dict->map.emplace(dict->order[i], std::move(prop_slots_[i]));
+      dict->map.emplace(dict->order[i], std::move(slots_[i]));
     }
-    prop_slots_.clear();
+    release_slots();
     shape_ = shape_->root();
     dict_ = std::move(dict);
   }
 
+  Heap* heap_;
+  JSObject* heap_next_ = nullptr;
   std::uint64_t id_;
-  Cls cls_;
-  ObjPtr prototype_;
+  JSObject* prototype_ = nullptr;
   const Shape* shape_;  // never null: the tree root when empty or a dictionary
-  std::vector<Value> prop_slots_;
+  Value* slots_ = nullptr;  // shape_->slot_count() constructed in shape mode
+  std::uint32_t slot_capacity_ = 0;
+  Cls cls_;
   std::unique_ptr<Dict> dict_;  // non-null == dictionary mode
   std::vector<Value> elements_;
-  std::shared_ptr<const FunctionData> fn_;
-  std::shared_ptr<HostData> host_;
+  const FunctionData* fn_ = nullptr;
+  std::unique_ptr<HostData> host_;
 };
 
-/// A native function object on the tree of `root`: `name` and `fn` in an
-/// immutable payload, `function_proto` as its prototype.
-inline ObjPtr native_function_object(std::uint64_t id, const Shape* root,
-                                     ObjPtr function_proto, std::string name, NativeFn fn) {
-  auto obj = std::make_shared<JSObject>(id, root, JSObject::Cls::Function);
-  obj->set_prototype(std::move(function_proto));
-  auto data = std::make_shared<FunctionData>();
+/// A native function object in `heap` on the tree of `root`: `name` and `fn`
+/// in an immutable payload, `function_proto` as its prototype.
+inline JSObject* native_function_object(Heap& heap, std::uint64_t id, const Shape* root,
+                                        JSObject* function_proto, std::string name,
+                                        NativeFn fn) {
+  JSObject* obj = heap.make<JSObject>(heap, id, root, JSObject::Cls::Function);
+  obj->set_prototype(function_proto);
+  auto* data = heap.make<FunctionData>();
   data->name = std::move(name);
   data->native = std::move(fn);
-  obj->set_function(std::move(data));
+  obj->set_function(data);
   return obj;
 }
 

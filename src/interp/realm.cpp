@@ -24,26 +24,26 @@ Realm::Realm() : shape_root_(Shape::make_root()) {
   install_stdlib(*this);
   std::vector<const Shape*> held;
   held.reserve(objects_.size());
-  for (const ObjPtr& tmpl : objects_) held.push_back(tmpl->shape_);
+  for (const JSObject* tmpl : objects_) held.push_back(tmpl->shape_);
   shape_root_->freeze(held);
 }
 
-ObjPtr Realm::make(JSObject::Cls cls, ObjPtr proto) {
-  auto obj = std::make_shared<JSObject>(objects_.size() + 1, shape_root_.get(), cls);
-  obj->set_prototype(std::move(proto));
+JSObject* Realm::make(JSObject::Cls cls, JSObject* proto) {
+  JSObject* obj = heap_.make<JSObject>(heap_, objects_.size() + 1, shape_root_.get(), cls);
+  obj->set_prototype(proto);
   objects_.push_back(obj);
   return obj;
 }
 
-ObjPtr Realm::make_native_function(std::string name, NativeFn fn) {
-  objects_.push_back(native_function_object(objects_.size() + 1, shape_root_.get(),
+JSObject* Realm::make_native_function(std::string name, NativeFn fn) {
+  objects_.push_back(native_function_object(heap_, objects_.size() + 1, shape_root_.get(),
                                             function_proto_, std::move(name), std::move(fn)));
   return objects_.back();
 }
 
-ObjPtr Realm::make_namespace_object() { return make(JSObject::Cls::Plain, nullptr); }
+JSObject* Realm::make_namespace_object() { return make(JSObject::Cls::Plain, nullptr); }
 
-void Realm::set(const ObjPtr& target, std::string_view name, Value value) {
+void Realm::set(JSObject* target, std::string_view name, Value value) {
   target->set_property(js::Atom::engine_name(name), std::move(value));
 }
 
@@ -52,12 +52,13 @@ void Realm::define_global(std::string_view name, Value value) {
   global_values_.push_back(std::move(value));
 }
 
-Realm::Copy Realm::instantiate(const Shape* program_root, Environment& global) const {
-  std::vector<ObjPtr> copies;
+Realm::Copy Realm::instantiate(Heap& heap, const Shape* program_root,
+                               Environment& global) const {
+  std::vector<JSObject*> copies;
   copies.reserve(objects_.size());
-  for (const ObjPtr& tmpl : objects_) {
+  for (const JSObject* tmpl : objects_) {
     const Shape* shape = tmpl->shape_ == shape_root_.get() ? program_root : tmpl->shape_;
-    copies.push_back(std::make_shared<JSObject>(tmpl->id_, shape, tmpl->cls_));
+    copies.push_back(heap.make<JSObject>(heap, tmpl->id_, shape, tmpl->cls_));
   }
   const auto remap = [&copies](const Value& value) {
     return value.is_object() ? Value::object(copies[value.as_object()->id_ - 1]) : value;
@@ -66,13 +67,17 @@ Realm::Copy Realm::instantiate(const Shape* program_root, Environment& global) c
     const JSObject& tmpl = *objects_[i];
     JSObject& copy = *copies[i];
     if (tmpl.prototype_ != nullptr) copy.prototype_ = copies[tmpl.prototype_->id_ - 1];
-    copy.prop_slots_.reserve(tmpl.prop_slots_.size());
-    for (const Value& value : tmpl.prop_slots_) copy.prop_slots_.push_back(remap(value));
+    const std::uint32_t count = tmpl.shape_->slot_count();
+    if (count > 0) {
+      copy.slots_ = heap.allocate_values(count);
+      copy.slot_capacity_ = count;
+      for (std::uint32_t s = 0; s < count; ++s) new (&copy.slots_[s]) Value(remap(tmpl.slots_[s]));
+    }
     copy.fn_ = tmpl.fn_;
   }
   global.adopt_layout(global_names_,
                       [&](std::size_t slot) { return remap(global_values_[slot]); });
-  const auto copy_of = [&copies](const ObjPtr& tmpl) { return copies[tmpl->id_ - 1]; };
+  const auto copy_of = [&copies](const JSObject* tmpl) { return copies[tmpl->id_ - 1]; };
   return Copy{copy_of(object_proto_), copy_of(array_proto_), copy_of(string_proto_),
               copy_of(function_proto_), objects_.size() + 1};
 }

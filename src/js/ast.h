@@ -221,6 +221,10 @@ struct FunctionNode {
   /// Activation template (null on ASTs synthesized without resolve_scopes;
   /// the interpreter then falls back to the per-call declare scan).
   const ActivationLayout* layout = nullptr;
+  /// Set by resolve_scopes when the body contains no function, so no
+  /// closure can capture the activation: the interpreter reuses it once
+  /// the call exits.
+  bool recyclable_activation = false;
 };
 
 struct FunctionExpr : Expr {
@@ -399,6 +403,9 @@ struct TryCatch : Stmt {
   Atom catch_param;
   StmtPtr catch_block = nullptr;  // may be null when only finally is present
   StmtPtr finally_block = nullptr;  // may be null
+  /// Set by resolve_scopes when the catch block contains no function, so
+  /// no closure can capture its scope (see FunctionNode).
+  bool recyclable_catch_scope = false;
 };
 
 // ---------------------------------------------------------------------------

@@ -15,16 +15,20 @@ namespace {
 
 std::size_t hash_of(std::string_view text) { return std::hash<std::string_view>{}(text); }
 
-/// Accounting estimate for one entry: the record, the text's heap block
-/// (shared_ptr control + characters), and its index slot.
+/// Accounting estimate for one entry: the record (text inline up to the
+/// string's small-buffer size), the text's heap block beyond that, and its
+/// index slots (the index is at most half full).
 std::size_t entry_cost(const detail::AtomData& data) {
-  return sizeof(detail::AtomData) + 64 + data.text->size();
+  const std::size_t inline_capacity = std::string().capacity();
+  const std::size_t heap_text =
+      data.text.capacity() > inline_capacity ? data.text.capacity() + 1 : 0;
+  return sizeof(detail::AtomData) + heap_text + 2 * sizeof(void*);
 }
 
 /// Fill a fresh record for `text` and index it.
 void init_entry(detail::AtomData& data, std::string_view text, std::size_t hash,
                 std::uint32_t id, detail::AtomIndex& index) {
-  data.text = std::make_shared<const std::string>(text);
+  data.text.assign(text);
   data.hash = hash;
   data.id = id;
   index.insert(&data);
@@ -117,7 +121,7 @@ const AtomData* AtomIndex::find(std::string_view text, std::size_t hash) const {
   for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
     const AtomData* data = slots_[i];
     if (data == nullptr) return nullptr;
-    if (data->hash == hash && *data->text == text) return data;
+    if (data->hash == hash && data->text == text) return data;
   }
 }
 

@@ -20,7 +20,7 @@ namespace detail {
 /// once. A record lives as long as the table that created it: the
 /// process-wide prefix (never freed) or one program's AtomSpace.
 struct AtomData {
-  std::shared_ptr<const std::string> text;
+  std::string text;
   std::size_t hash = 0;
   std::uint32_t id = 0;
 };
@@ -77,18 +77,16 @@ class Atom {
   /// hold its own copy of such a name, which the engine's key would miss.
   static Atom engine_name(std::string_view text);
 
-  [[nodiscard]] const std::string& str() const { return *data_->text; }
-  [[nodiscard]] const std::shared_ptr<const std::string>& str_ptr() const {
-    return data_->text;
-  }
+  /// The atom's text, stored in its record: valid as long as the atom.
+  [[nodiscard]] const std::string& str() const { return data_->text; }
   [[nodiscard]] std::size_t hash() const { return data_->hash; }
   /// Dense id in intern order. Prefix ids and program ids come from
   /// disjoint ranges (program ids have kProgramIdBit set), so ids are
   /// unique among every atom one session can see — the dependence
   /// analyzer's dedup key.
   [[nodiscard]] std::uint32_t id() const { return data_->id; }
-  [[nodiscard]] bool empty() const { return data_->text->empty(); }
-  [[nodiscard]] std::size_t size() const { return data_->text->size(); }
+  [[nodiscard]] bool empty() const { return data_->text.empty(); }
+  [[nodiscard]] std::size_t size() const { return data_->text.size(); }
 
   static constexpr std::uint32_t kProgramIdBit = 0x80000000u;
 

@@ -10,6 +10,10 @@
 // entered catch clause), so a (hops, slot) pair computed here is valid for
 // every execution of the annotated program point.
 //
+// The same walk marks each function activation and catch scope whose body
+// contains no function: no closure can capture such a scope, so the
+// interpreter reuses it as soon as it exits.
+//
 // Names that fall through every function/catch scope resolve to the global
 // environment. The global environment's layout is NOT statically known (the
 // stdlib and host bindings are installed at interpreter construction), so
@@ -126,8 +130,11 @@ class Resolver {
       }
     }
     fn.layout = layout;
+    const std::size_t functions_before = functions_;
     walk(*fn.body);
+    fn.recyclable_activation = functions_ == functions_before;
     pop_scope();
+    ++functions_;
   }
 
   void walk(Node& node) {
@@ -180,7 +187,9 @@ class Resolver {
         if (handler.catch_block) {
           push_scope(Scope::Catch);
           declare(handler.catch_param);
+          const std::size_t functions_before = functions_;
           walk(*handler.catch_block);
+          handler.recyclable_catch_scope = functions_ == functions_before;
           pop_scope();
         }
         if (handler.finally_block) walk(*handler.finally_block);
@@ -195,6 +204,7 @@ class Resolver {
   ProgramBody& program_;
   std::vector<Scope> scopes_;
   std::vector<Atom> names_;  // every open scope's names (see Scope)
+  std::size_t functions_ = 0;  // functions walked so far
 };
 
 }  // namespace

@@ -121,9 +121,9 @@ TEST(Interp, ClosureKeepsEnvironmentOutOfPool) {
 }
 
 TEST(Interp, ClosureValueSurvivesInterpreterDestruction) {
-  // The env pool detaches when the interpreter dies; a Value holding the
-  // closure (and thus the environment chain) must stay usable to destroy
-  // afterwards without touching freed pool memory.
+  // The session heap frees the closure and its environment chain with the
+  // interpreter; a Value still naming the closure must stay destructible
+  // afterwards without touching the freed heap.
   Value survivor;
   {
     static js::Program program = js::parse(
@@ -135,10 +135,29 @@ TEST(Interp, ClosureValueSurvivesInterpreterDestruction) {
     survivor = interp.global("keep");
     EXPECT_TRUE(survivor.is_object());
   }
-  // Interpreter and pool owner are gone; dropping the last reference walks
-  // the closure's environment chain through the detached pool.
+  // Interpreter and heap are gone; dropping the Value reads nothing of
+  // the object it named.
   survivor = Value();
   SUCCEED();
+}
+
+TEST(Interp, CapturedScopesAreNeverReused) {
+  // A scope whose body holds no function goes back to the free list when it
+  // exits and the next call or catch clause reuses it; a scope a closure
+  // captured must not. Here each captured scope is followed by calls whose
+  // scopes would take it over and overwrite its slots if it had been freed.
+  EXPECT_EQ(run_string("function counter() {\n"
+                       "  var n = 10; return function () { n = n + 1; return n; };\n"
+                       "}\n"
+                       "function noisy(a, b) { var t = a + b; return t; }\n"
+                       "function caught(m) {\n"
+                       "  try { throw m; } catch (e) { return function () { return e; }; }\n"
+                       "}\n"
+                       "function plain(m) { try { throw m; } catch (e) { return e; } }\n"
+                       "var c = counter(); noisy(1, 2);\n"
+                       "var k = caught('kept'); plain('clobbered'); noisy(3, 4);\n"
+                       "var result = '' + c() + c() + k();"),
+            "1112kept");
 }
 
 TEST(Interp, WhileAndDoWhile) {

@@ -40,8 +40,8 @@ namespace {
 // AST traversal order).
 // ---------------------------------------------------------------------------
 
-ObjPtr object_with_keys(Interpreter& interp, std::initializer_list<const char*> keys) {
-  ObjPtr obj = interp.make_object();
+JSObject* object_with_keys(Interpreter& interp, std::initializer_list<const char*> keys) {
+  JSObject* obj = interp.make_object();
   double v = 1;
   for (const char* key : keys) {
     obj->set_property(interp.atoms(), key, Value::number(v++));
@@ -56,10 +56,10 @@ TEST(PolymorphicIC, ReadSiteGrowsMonoToPolyAndHits) {
   const Value get = interp.global("get");
 
   // Four shapes, all carrying `p` at different slot indices.
-  const ObjPtr a = object_with_keys(interp, {"p"});
-  const ObjPtr b = object_with_keys(interp, {"q", "p"});
-  const ObjPtr c = object_with_keys(interp, {"q", "r", "p"});
-  const ObjPtr d = object_with_keys(interp, {"q", "r", "s", "p"});
+  JSObject* a = object_with_keys(interp, {"p"});
+  JSObject* b = object_with_keys(interp, {"q", "p"});
+  JSObject* c = object_with_keys(interp, {"q", "r", "p"});
+  JSObject* d = object_with_keys(interp, {"q", "r", "s", "p"});
 
   EXPECT_DOUBLE_EQ(interp.call(get, Value::undefined(), {Value::object(a)}).as_number(), 1);
   auto dbg = interp.debug_read_ic(0);
@@ -96,12 +96,12 @@ TEST(PolymorphicIC, LruRotationEvictsOldestWay) {
   interp.run();
   const Value get = interp.global("get");
 
-  const ObjPtr a = object_with_keys(interp, {"p"});
-  const ObjPtr b = object_with_keys(interp, {"b1", "p"});
-  const ObjPtr c = object_with_keys(interp, {"c1", "c2", "p"});
-  const ObjPtr d = object_with_keys(interp, {"d1", "d2", "d3", "p"});
-  const ObjPtr e = object_with_keys(interp, {"e1", "e2", "e3", "e4", "p"});
-  for (const ObjPtr& o : {a, b, c, d}) {
+  JSObject* a = object_with_keys(interp, {"p"});
+  JSObject* b = object_with_keys(interp, {"b1", "p"});
+  JSObject* c = object_with_keys(interp, {"c1", "c2", "p"});
+  JSObject* d = object_with_keys(interp, {"d1", "d2", "d3", "p"});
+  JSObject* e = object_with_keys(interp, {"e1", "e2", "e3", "e4", "p"});
+  for (JSObject* o : {a, b, c, d}) {
     interp.call(get, Value::undefined(), {Value::object(o)});
   }
   // Cache full: [d, c, b, a]. A fifth shape rotates the oldest (a) out.
@@ -120,9 +120,9 @@ TEST(PolymorphicIC, SustainedThrashGoesMegamorphicAndStaysCorrect) {
   interp.run();
   const Value get = interp.global("get");
 
-  std::vector<ObjPtr> objs;
+  std::vector<JSObject*> objs;
   for (int i = 0; i < 16; ++i) {
-    ObjPtr obj = interp.make_object();
+    JSObject* obj = interp.make_object();
     for (int pad = 0; pad < i; ++pad) {
       obj->set_property(interp.atoms(),
                         "mega_pad" + std::to_string(i) + "_" + std::to_string(pad),
@@ -151,9 +151,9 @@ TEST(PolymorphicIC, MegamorphicReadSiteRecachesAfterStableStreak) {
   const Value get = interp.global("get");
 
   // Parade 16 distinct shapes through the site to trip it megamorphic.
-  std::vector<ObjPtr> objs;
+  std::vector<JSObject*> objs;
   for (int i = 0; i < 16; ++i) {
-    ObjPtr obj = interp.make_object();
+    JSObject* obj = interp.make_object();
     for (int pad = 0; pad < i; ++pad) {
       obj->set_property(interp.atoms(),
                         "rc_pad" + std::to_string(i) + "_" + std::to_string(pad),
@@ -169,7 +169,7 @@ TEST(PolymorphicIC, MegamorphicReadSiteRecachesAfterStableStreak) {
 
   // A stable shape (distinct from the parade's last) must survive
   // kRecacheHits - 1 = 15 generic accesses without flipping the site...
-  const ObjPtr stable = object_with_keys(interp, {"s1", "p"});
+  JSObject* stable = object_with_keys(interp, {"s1", "p"});
   for (int i = 0; i < 15; ++i) {
     EXPECT_DOUBLE_EQ(
         interp.call(get, Value::undefined(), {Value::object(stable)}).as_number(), 2);
@@ -201,9 +201,9 @@ TEST(PolymorphicIC, AlternatingShapesNeverAssembleRecacheStreak) {
   interp.run();
   const Value get = interp.global("get");
 
-  std::vector<ObjPtr> objs;
+  std::vector<JSObject*> objs;
   for (int i = 0; i < 16; ++i) {
-    ObjPtr obj = interp.make_object();
+    JSObject* obj = interp.make_object();
     for (int pad = 0; pad < i; ++pad) {
       obj->set_property(interp.atoms(),
                         "alt_pad" + std::to_string(i) + "_" + std::to_string(pad),
@@ -220,7 +220,7 @@ TEST(PolymorphicIC, AlternatingShapesNeverAssembleRecacheStreak) {
   // A genuinely bimorphic thrash resets the streak on every flip: far more
   // than kRecacheHits total accesses, never kRecacheHits consecutive.
   for (int round = 0; round < 40; ++round) {
-    const ObjPtr& obj = objs[std::size_t(round % 2)];
+    JSObject* obj = objs[std::size_t(round % 2)];
     EXPECT_DOUBLE_EQ(
         interp.call(get, Value::undefined(), {Value::object(obj)}).as_number(),
         round % 2);
@@ -236,9 +236,9 @@ TEST(PolymorphicIC, ChurningPrototypeUnderStableReceiverStaysMegamorphic) {
   const Value get = interp.global("get");
 
   // Parade 16 distinct shapes through the site to trip it megamorphic.
-  std::vector<ObjPtr> objs;
+  std::vector<JSObject*> objs;
   for (int i = 0; i < 16; ++i) {
-    ObjPtr obj = interp.make_object();
+    JSObject* obj = interp.make_object();
     for (int pad = 0; pad < i; ++pad) {
       obj->set_property(interp.atoms(),
                         "ph_pad" + std::to_string(i) + "_" + std::to_string(pad),
@@ -258,9 +258,9 @@ TEST(PolymorphicIC, ChurningPrototypeUnderStableReceiverStaysMegamorphic) {
   // changes. The re-cache streak tracks the (receiver shape, holder shape)
   // PAIR, so it resets on every flip; a streak over the receiver shape
   // alone would re-cache after 16 accesses and then miss on every flip.
-  const ObjPtr receiver = object_with_keys(interp, {"ph_r"});
-  const ObjPtr proto_a = object_with_keys(interp, {"p"});
-  const ObjPtr proto_b = object_with_keys(interp, {"ph_b", "p"});
+  JSObject* receiver = object_with_keys(interp, {"ph_r"});
+  JSObject* proto_a = object_with_keys(interp, {"p"});
+  JSObject* proto_b = object_with_keys(interp, {"ph_b", "p"});
   ASSERT_NE(proto_a->shape(), proto_b->shape());
   for (int round = 0; round < 40; ++round) {
     receiver->set_prototype(round % 2 == 0 ? proto_a : proto_b);
@@ -305,7 +305,7 @@ TEST(PolymorphicIC, ICStatsTrackTheSiteStateMachine) {
   const std::uint64_t base_misses = interp.ic_stats().read_misses;
 
   // First access misses (installs the way), the next nine hit.
-  const ObjPtr obj = object_with_keys(interp, {"p"});
+  JSObject* obj = object_with_keys(interp, {"p"});
   for (int i = 0; i < 10; ++i) {
     interp.call(get, Value::undefined(), {Value::object(obj)});
   }
@@ -315,7 +315,7 @@ TEST(PolymorphicIC, ICStatsTrackTheSiteStateMachine) {
   // A 16-shape parade trips the site; the trip is counted exactly once.
   const std::uint64_t base_trips = interp.ic_stats().megamorphic_trips;
   for (int i = 0; i < 16; ++i) {
-    ObjPtr thrash = interp.make_object();
+    JSObject* thrash = interp.make_object();
     for (int pad = 0; pad <= i; ++pad) {
       thrash->set_property(interp.atoms(),
                            "st_pad" + std::to_string(i) + "_" + std::to_string(pad),
@@ -342,9 +342,9 @@ TEST(PolymorphicIC, MegamorphicWriteSiteRecachesAfterStableStreak) {
   interp.run();
   const Value put = interp.global("put");
 
-  std::vector<ObjPtr> objs;
+  std::vector<JSObject*> objs;
   for (int i = 0; i < 16; ++i) {
-    ObjPtr obj = interp.make_object();
+    JSObject* obj = interp.make_object();
     for (int pad = 0; pad < i + 1; ++pad) {
       obj->set_property(interp.atoms(),
                         "wr_pad" + std::to_string(i) + "_" + std::to_string(pad),
@@ -360,7 +360,7 @@ TEST(PolymorphicIC, MegamorphicWriteSiteRecachesAfterStableStreak) {
   ASSERT_TRUE(interp.debug_write_ic(0).megamorphic);
 
   // 16 consecutive in-place stores through one shape re-cache the site.
-  const ObjPtr stable = object_with_keys(interp, {"ws", "p"});
+  JSObject* stable = object_with_keys(interp, {"ws", "p"});
   for (int i = 0; i < 16; ++i) {
     interp.call(put, Value::undefined(),
                 {Value::object(stable), Value::number(100 + i)});
@@ -379,8 +379,8 @@ TEST(PolymorphicIC, WriteSiteCachesTransitionTarget) {
   interp.run();
   const Value put = interp.global("put");
 
-  const ObjPtr o1 = object_with_keys(interp, {"base"});
-  const ObjPtr o2 = object_with_keys(interp, {"base"});
+  JSObject* o1 = object_with_keys(interp, {"base"});
+  JSObject* o2 = object_with_keys(interp, {"base"});
   ASSERT_EQ(o1->shape(), o2->shape());
 
   interp.call(put, Value::undefined(), {Value::object(o1), Value::number(10)});
@@ -675,7 +675,7 @@ TEST(BuiltinRealm, ObjectIdsAndKeyOrderFollowTheInstallOrder) {
             "push,pop,shift,indexOf,join,slice,concat,reverse,fill,splice,sort,"
             "forEach,map,filter,reduce,every,some");
   // console.warn and console.error are console.log, in every copy.
-  const ObjPtr console = interp.global("console").as_object();
+  JSObject* console = interp.global("console").as_object();
   EXPECT_EQ(console->own_property(interp.atoms(), "warn")->as_object(),
             console->own_property(interp.atoms(), "log")->as_object());
 }
@@ -773,7 +773,7 @@ TEST(AtomTorture, ConcurrentProgramsInternAndFreeTheirOwnAtoms) {
         Interpreter interp(program, clock);
         interp.run();
 
-        const ObjPtr o = interp.global("o").as_object();
+        JSObject* o = interp.global("o").as_object();
         ASSERT_EQ(o->key_order().size(), names.size());
         for (std::size_t k = 0; k < names.size(); ++k) {
           // Identity within the program: the lexer's atom, the computed
@@ -875,7 +875,7 @@ TEST(ArgStack, FunctionCallForwardsArgumentTail) {
 
 // ---------------------------------------------------------------------------
 // Zero-allocation steady state: after warmup, a call-dominated loop must
-// perform no heap allocation at all — activations come from EnvPool,
+// perform no heap allocation at all — activations come from the free list,
 // argument frames from the ArgStack, and ticks batch into a counter.
 // ---------------------------------------------------------------------------
 

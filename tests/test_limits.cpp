@@ -276,7 +276,7 @@ TEST(Recovery, MemoryTripThenFreshInterpreterOnSharedShapes) {
 // ---------------------------------------------------------------------------
 
 // Sweeping the failure point across the first charges hits, in order, the
-// charge sites of the program below: array literal, EnvPool acquires and
+// charge sites of the program below: array literal, activation allocations and
 // ArgStack growth (function calls), shape transitions and flat-table builds
 // (property adds), element growth (pushes), and dictionary conversion.
 class InjectionSweep : public ::testing::TestWithParam<std::int64_t> {};

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "fuzz/oracles.h"
 #include "interp/shape.h"
 #include "js/atom.h"
 #include "js/parser.h"
@@ -505,6 +506,44 @@ TEST(Service, RealSessionsLeaveSharedStateAsFoundOnceDrained) {
   }
   EXPECT_EQ(js::atom_table_size(), atoms_before);
   EXPECT_EQ(interp::Shape::live_count(), shapes_before);
+}
+
+// Objects that point at themselves cannot be freed by any reference count;
+// they go with their session's heap. Sessions through the service, as on
+// the wire path, grow the process by no more than a bounded slack.
+TEST(Service, CyclicSessionsLeaveNoHeapBehind) {
+  rivertrail::ThreadPool pool(2);
+  ServiceOptions options;
+  options.max_active = 2;
+  options.max_queue = 32;
+  AnalysisService service(pool, options);
+  const auto run_batch = [&service](int count) {
+    std::vector<ServiceTicket> tickets;
+    for (int i = 0; i < count; ++i) {
+      ServiceRequest request;
+      request.session.name = "cyclic-" + std::to_string(i);
+      request.tenant = "tenant-" + std::to_string(i % 2);
+      request.session.source =
+          "var o; for (var i = 0; i < 2000; i++) { o = {}; o.self = o; o.arr = [o, i]; }"
+          "console.log(o.self.arr[1]);";
+      tickets.push_back(service.submit(std::move(request)));
+    }
+    for (ServiceTicket& ticket : tickets) {
+      const ServiceOutcome& outcome = ticket.wait();
+      EXPECT_EQ(outcome.state, ServiceState::Completed) << outcome.session.error;
+      EXPECT_EQ(outcome.session.console, "1999\n");
+    }
+  };
+  run_batch(4);  // warm-up: realm, chunk cache, worker arenas
+  const std::size_t before = fuzz::current_rss_bytes();
+  for (int batch = 0; batch < 10; ++batch) run_batch(20);
+  service.drain();
+  const std::size_t after = fuzz::current_rss_bytes();
+  const std::size_t growth = after > before ? after - before : 0;
+  if (fuzz::kRssTracksFrees) {
+    EXPECT_LE(growth, std::size_t(8) << 20) << "200 cyclic sessions grew RSS by "
+                                             << (growth >> 10) << " KiB";
+  }
 }
 
 // A worker waiting inside one session runs other pool tasks, so one
