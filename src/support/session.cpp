@@ -45,6 +45,7 @@ Session::Session(const js::Program& program, CeresMode mode, const SessionSandbo
     dependence_ = std::make_unique<ceres::DependenceAnalyzer>(program);
     hooks.push_back(dependence_.get());
   }
+  if (sandbox.observer != nullptr) hooks.push_back(sandbox.observer);
   // No hooks: a null pointer, so even the per-event virtual dispatch
   // disappears. One hook: passed directly, skipping the fan-out layer.
   interp::ExecutionHooks* root = hooks.size() == 1 ? hooks.front() : nullptr;

@@ -28,6 +28,9 @@ struct SessionSandbox {
   EngineLimits limits;
   std::int64_t max_ticks = 0;  // <=0: no tick budget
   CancelToken cancel;
+  /// An extra observer after the mode's hooks (the engine corpus records
+  /// the hook stream through it); nullptr: none. Must outlive the session.
+  interp::ExecutionHooks* observer = nullptr;
 };
 
 /// One analysis session over a parsed program: the virtual clock, the Ceres
