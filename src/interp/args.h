@@ -57,11 +57,15 @@ class Args {
 /// the reservation). Segments never reallocate their slot storage, so a
 /// frame's `Value*` span stays valid across nested push/pop pairs even when
 /// the segment directory grows.
+///
+/// The VM opens a call's frame when its arguments start and fills it at the
+/// call (open/top/close); the same class, uncharged, holds its register
+/// windows.
 class ArgStack {
  public:
   static constexpr std::size_t kSegmentSlots = 64;
 
-  ArgStack() = default;
+  explicit ArgStack(bool charged = true) : charged_(charged) {}
   ArgStack(const ArgStack&) = delete;
   ArgStack& operator=(const ArgStack&) = delete;
 
@@ -77,7 +81,7 @@ class ArgStack {
     // stack state, so a ledger trip mid-push leaves the stack exactly as the
     // enclosing frames left it.
     if (segments_.empty()) {
-      AllocationLedger::charge_current(std::max(kSegmentSlots, n) * sizeof(Value));
+      charge(std::max(kSegmentSlots, n) * sizeof(Value));
       segments_.emplace_back(std::max(kSegmentSlots, n));
     }
     mark->segment = current_;
@@ -87,12 +91,11 @@ class ArgStack {
       // The frame needs contiguity: advance to (or create) a segment with
       // room. Segments past `current_` are always fully popped.
       if (current_ + 1 == segments_.size()) {
-        AllocationLedger::charge_current(std::max(kSegmentSlots, n) * sizeof(Value));
+        charge(std::max(kSegmentSlots, n) * sizeof(Value));
         segments_.emplace_back(std::max(kSegmentSlots, n));
       } else if (segments_[current_ + 1].slots.size() < n) {
         const std::size_t grown = std::max(kSegmentSlots, n);
-        AllocationLedger::charge_current(
-            (grown - segments_[current_ + 1].slots.size()) * sizeof(Value));
+        charge((grown - segments_[current_ + 1].slots.size()) * sizeof(Value));
         segments_[current_ + 1] = Segment(grown);
       }
       ++current_;
@@ -114,6 +117,25 @@ class ArgStack {
     segments_[current_].used = mark.used;
   }
 
+  /// Open a frame of `n` slots, to be filled and closed later (LIFO).
+  void open(std::size_t n) {
+    Open frame{{}, nullptr, n};
+    frame.data = push(n, &frame.mark);
+    open_.push_back(frame);
+  }
+  /// The innermost open frame's slots.
+  [[nodiscard]] Value* top() const { return open_.back().data; }
+  void close() {
+    const Open& frame = open_.back();
+    pop(frame.mark, frame.data, frame.n);
+    open_.pop_back();
+  }
+  [[nodiscard]] std::size_t open_frames() const { return open_.size(); }
+  /// Close frames until `depth` remain (a throw unwinding past them).
+  void close_to(std::size_t depth) {
+    while (open_.size() > depth) close();
+  }
+
   /// Slots currently reserved across all segments (test introspection; 0
   /// once every frame has unwound).
   [[nodiscard]] std::size_t in_use() const {
@@ -126,6 +148,7 @@ class ArgStack {
   /// string references release. Used after an EngineError escapes the
   /// interpreter's outermost entry point; segment capacity is kept.
   void unwind_all() noexcept {
+    open_.clear();
     for (Segment& seg : segments_) {
       for (std::uint32_t i = 0; i < seg.used; ++i) seg.slots[i] = Value();
       seg.used = 0;
@@ -140,8 +163,20 @@ class ArgStack {
     std::uint32_t used = 0;
   };
 
+  struct Open {
+    Mark mark;
+    Value* data;
+    std::size_t n;
+  };
+
+  void charge(std::size_t bytes) const {
+    if (charged_) AllocationLedger::charge_current(bytes);
+  }
+
   std::vector<Segment> segments_;
   std::uint32_t current_ = 0;
+  std::vector<Open> open_;
+  bool charged_;
 };
 
 /// RAII frame on an ArgStack: reserves on construction, pops (and clears)

@@ -104,6 +104,7 @@ Interpreter::Interpreter(const js::Program& program, VirtualClock& clock,
     : program_(program),
       atoms_(program_->atoms),
       shape_root_(program_->shape_root.get()),
+      bytecode_(&bytecode_of(*program_)),
       clock_(&clock),
       hooks_(hooks),
       config_(config),
@@ -729,8 +730,7 @@ Value Interpreter::call_js_function(JSObject& fn_obj, const Value& this_val,
   tick(3);
   Value result;
   try {
-    Completion completion = exec(*static_cast<const js::Block*>(node.body), env);
-    if (completion.type == Completion::Type::Return) result = std::move(completion.value);
+    result = execute(bytecode_->functions[node.code_index], env);
   } catch (...) {
     --call_depth_;
     throw;
@@ -774,10 +774,7 @@ void Interpreter::run() {
   begin_run_window();
   try {
     hoist_into(global_env_, program_->hoisted_vars, program_->hoisted_functions);
-    for (const auto& stmt : program_->statements) {
-      const Completion completion = exec(*stmt, global_env_);
-      if (completion.type != Completion::Type::Normal) break;
-    }
+    execute(bytecode_->script, global_env_);
     flush_ticks();
     if (hooks_ != nullptr) hooks_->on_run_window_end(true);
     flush_ic_stats();
@@ -805,201 +802,531 @@ void Interpreter::run() {
 }
 
 // ---------------------------------------------------------------------------
-// Statements
-// ---------------------------------------------------------------------------
-
-Interpreter::Completion Interpreter::exec_block(const js::Block& block,
-                                                Environment* env) {
-  for (const auto& stmt : block.statements) {
-    Completion completion = exec(*stmt, env);
-    if (completion.type != Completion::Type::Normal) return completion;
-  }
-  return {};
-}
-
-Interpreter::Completion Interpreter::exec(const js::Stmt& stmt, Environment* env) {
-  tick(1);
-  switch (stmt.kind) {
-    case js::NodeKind::Block:
-      return exec_block(static_cast<const js::Block&>(stmt), env);
-    case js::NodeKind::ExprStmt:
-      eval(*static_cast<const js::ExprStmt&>(stmt).expr, env);
-      return {};
-    case js::NodeKind::VarDecl: {
-      const auto& decl = static_cast<const js::VarDecl&>(stmt);
-      for (const auto& d : decl.declarators) {
-        if (!d.init) continue;
-        Value value = eval(*d.init, env);
-        Environment* owner = nullptr;
-        Value* slot = lookup_for_write(d.name, d.ref, env, &owner);
-        if (memory_events_) buffer_memory_event(MemoryEvent::Kind::VarWrite, owner->id(), d.name, stmt.line);
-        *slot = std::move(value);
-      }
-      return {};
-    }
-    case js::NodeKind::FunctionDecl:
-      return {};  // bound during hoisting
-    case js::NodeKind::If: {
-      const auto& node = static_cast<const js::If&>(stmt);
-      if (eval_condition(*node.condition, env)) return exec(*node.consequent, env);
-      if (node.alternate) return exec(*node.alternate, env);
-      return {};
-    }
-    case js::NodeKind::For:
-      return exec_for(static_cast<const js::For&>(stmt), env);
-    case js::NodeKind::ForIn:
-      return exec_for_in(static_cast<const js::ForIn&>(stmt), env);
-    case js::NodeKind::While:
-      return exec_while(static_cast<const js::While&>(stmt), env);
-    case js::NodeKind::DoWhile:
-      return exec_do_while(static_cast<const js::DoWhile&>(stmt), env);
-    case js::NodeKind::Return: {
-      const auto& node = static_cast<const js::Return&>(stmt);
-      Completion completion;
-      completion.type = Completion::Type::Return;
-      if (node.value) completion.value = eval(*node.value, env);
-      return completion;
-    }
-    case js::NodeKind::Break:
-      return {Completion::Type::Break, {}};
-    case js::NodeKind::Continue:
-      return {Completion::Type::Continue, {}};
-    case js::NodeKind::Empty:
-      return {};
-    case js::NodeKind::Throw:
-      throw JSException{eval(*static_cast<const js::Throw&>(stmt).value, env)};
-    case js::NodeKind::TryCatch: {
-      const auto& node = static_cast<const js::TryCatch&>(stmt);
-      Completion completion;
-      try {
-        completion = exec(*node.try_block, env);
-      } catch (const JSException& ex) {
-        if (node.catch_block) {
-          const ActivationScope activation(*this, env, node.recyclable_catch_scope);
-          Environment* catch_env = activation.env();
-          catch_env->declare(node.catch_param, ex.value);
-          if (hooks_ != nullptr) sync_hooks()->on_env_created(catch_env->id());
-          completion = exec(*node.catch_block, catch_env);
-        } else {
-          if (node.finally_block) exec(*node.finally_block, env);
-          throw;
-        }
-      }
-      if (node.finally_block) {
-        const Completion fin = exec(*node.finally_block, env);
-        if (fin.type != Completion::Type::Normal) return fin;
-      }
-      return completion;
-    }
-    default:
-      throw EngineError("unexpected statement node");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Loops — the instrumented events the whole study hangs off
+// The VM: one dispatch loop over a range of a program's bytecode
 // ---------------------------------------------------------------------------
 
 namespace {
-LoopEvent loop_event(int loop_id, int line, js::LoopKind kind) {
-  return LoopEvent{loop_id, line, int(kind)};
+
+constexpr std::uint16_t kNoReg = 0xffff;
+const Value kUndefined;
+
+const js::Atom& atom_of(const Instr* ip) { return *static_cast<const js::Atom*>(ip->p); }
+const js::Member& member_of(const Instr* ip) { return *static_cast<const js::Member*>(ip->p); }
+
+/// The element index of `base[key]` when it takes the dense-array path.
+bool dense_index(const Value& base, const Value& key, std::size_t* index) {
+  return base.is_object() && base.as_object()->is_array() && key.is_number() &&
+         base.as_object()->host() == nullptr && number_as_index(key.as_number(), index);
 }
+
 }  // namespace
 
-Interpreter::Completion Interpreter::exec_for(const js::For& node, Environment* env) {
-  if (node.init) exec(*node.init, env);
-  const LoopEvent event = loop_event(node.loop_id, node.line, js::LoopKind::For);
-  if (hooks_ != nullptr) sync_hooks()->on_loop_enter(event);
-  Completion result;
-  while (true) {
-    if (node.condition && !eval_condition(*node.condition, env)) break;
-    if (hooks_ != nullptr) sync_hooks()->on_loop_iteration(event);
-    Completion completion = exec(*node.body, env);
-    if (completion.type == Completion::Type::Break) break;
-    if (completion.type == Completion::Type::Return) {
-      result = std::move(completion);
-      break;
-    }
-    if (node.update) eval(*node.update, env);
+void Interpreter::split_ticks(std::int64_t n) {
+  ticks_pending_ -= n;
+  while (ticks_pending_ + n >= tick_flush_threshold_) {
+    n -= tick_flush_threshold_ - ticks_pending_;
+    ticks_pending_ = tick_flush_threshold_;
+    flush_ticks();
   }
-  if (hooks_ != nullptr) sync_hooks()->on_loop_exit(event);
-  return result;
+  ticks_pending_ += n;
 }
 
-Interpreter::Completion Interpreter::exec_while(const js::While& node,
-                                                Environment* env) {
-  const LoopEvent event = loop_event(node.loop_id, node.line, js::LoopKind::While);
-  if (hooks_ != nullptr) sync_hooks()->on_loop_enter(event);
-  Completion result;
-  while (eval_condition(*node.condition, env)) {
-    if (hooks_ != nullptr) sync_hooks()->on_loop_iteration(event);
-    Completion completion = exec(*node.body, env);
-    if (completion.type == Completion::Type::Break) break;
-    if (completion.type == Completion::Type::Return) {
-      result = std::move(completion);
-      break;
-    }
+Value Interpreter::execute(const CodeRange& range, Environment* env) {
+  ArgStack::Mark mark;
+  Value* regs = registers_.push(range.registers, &mark);
+  const std::size_t arg_frames = arg_stack_.open_frames();
+  const std::size_t keys = forin_keys_.size();
+  Exit exit;
+  try {
+    exit = run_code(range.begin, range.end, env, regs);
+  } catch (...) {
+    arg_stack_.close_to(arg_frames);
+    forin_keys_.resize(keys);
+    registers_.pop(mark, regs, range.registers);
+    throw;
   }
-  if (hooks_ != nullptr) sync_hooks()->on_loop_exit(event);
+  forin_keys_.resize(keys);  // a return from inside for-in loops
+  Value result = exit.kind == Exit::Return ? std::move(regs[0]) : Value();
+  registers_.pop(mark, regs, range.registers);
   return result;
 }
 
-Interpreter::Completion Interpreter::exec_do_while(const js::DoWhile& node,
-                                                   Environment* env) {
-  const LoopEvent event = loop_event(node.loop_id, node.line, js::LoopKind::DoWhile);
-  if (hooks_ != nullptr) sync_hooks()->on_loop_enter(event);
-  Completion result;
-  do {
-    if (hooks_ != nullptr) sync_hooks()->on_loop_iteration(event);
-    Completion completion = exec(*node.body, env);
-    if (completion.type == Completion::Type::Break) break;
-    if (completion.type == Completion::Type::Return) {
-      result = std::move(completion);
-      break;
+// Each handler is a block followed by NEXT() or a jump, so no local with a
+// destructor is live when control moves to the next handler.
+#define JSCERES_DISPATCH()                                  \
+  do {                                                      \
+    if (ip->ticks != 0) tick_units(ip->ticks);              \
+    goto* kHandlers[static_cast<std::size_t>(ip->op)];      \
+  } while (0)
+#define NEXT()    \
+  do {            \
+    ++ip;         \
+    JSCERES_DISPATCH(); \
+  } while (0)
+#define JUMP(pc)            \
+  do {                      \
+    ip = code + (pc);       \
+    JSCERES_DISPATCH();     \
+  } while (0)
+
+Interpreter::Exit Interpreter::run_code(std::uint32_t begin, std::uint32_t end,
+                                        Environment* env, Value* r) {
+  static const void* const kHandlers[] = {
+      &&LoadNum, &&LoadStr, &&LoadBool, &&LoadNull, &&LoadThis,
+      &&GetLocal, &&GetUp, &&GetGlobal, &&GetDyn,
+      &&SetLocal, &&SetUp, &&SetGlobal, &&SetDyn,
+      &&UpdateVar, &&TypeofVar,
+      &&GetNamed, &&GetMethod, &&GetElem, &&GetElemMethod, &&ElemKey,
+      &&SetNamed, &&SetElem, &&UpdateNamed, &&UpdateElem, &&DeleteProp,
+      &&Add, &&Sub, &&Mul, &&Div, &&Lt, &&Gt, &&Le, &&Ge, &&StrictEq, &&StrictNe, &&Binary,
+      &&Neg, &&Plus, &&Not, &&BitNot, &&Typeof,
+      &&Jump, &&JumpIfFalse, &&JumpIfTrue, &&JumpIfNotLt, &&JumpIfNotGt, &&JumpIfNotLe,
+      &&JumpIfNotGe, &&Tick, &&Leave, &&ExitOp, &&ReturnOp, &&Throw, &&Try,
+      &&NewArray, &&ArrayPush, &&NewObject, &&InitProp, &&Closure,
+      &&Args, &&Call, &&NewThis, &&Construct,
+      &&LoopEnter, &&LoopIter, &&LoopExit, &&ForInStart, &&ForInNext, &&ForInEnd,
+  };
+  static_assert(std::size(kHandlers) == std::size_t(Op::Count_), "one handler per op");
+  using Kind = MemoryEvent::Kind;
+  const Instr* const code = bytecode_->code.data();
+  const Instr* ip = code + begin;
+  JSCERES_DISPATCH();
+
+  // --- constants ---
+LoadNum:
+  r[ip->a] = Value::number(ip->num);
+  NEXT();
+LoadStr:
+  r[ip->a] = Value::str(atom_of(ip));
+  NEXT();
+LoadBool:
+  r[ip->a] = Value::boolean(ip->x != 0);
+  NEXT();
+LoadNull:
+  r[ip->a] = Value::null();
+  NEXT();
+LoadThis: {
+  const Value* this_val = env->this_value();
+  r[ip->a] = this_val == nullptr ? Value() : *this_val;
+}
+  NEXT();
+
+  // --- variables ---
+GetLocal:
+  if (memory_events_) buffer_memory_event(Kind::VarRead, env->id(), atom_of(ip), ip->line);
+  r[ip->a] = *env->slot_at(ip->x);
+  NEXT();
+GetUp: {
+  Environment* owner = env->ancestor(ip->c);
+  if (memory_events_) buffer_memory_event(Kind::VarRead, owner->id(), atom_of(ip), ip->line);
+  r[ip->a] = *owner->slot_at(ip->x);
+}
+  NEXT();
+GetGlobal:
+GetDyn: {
+  const js::SlotRef ref{-1, 0, ip->op == Op::GetGlobal ? ip->x : js::kNoCacheId};
+  Environment* owner = nullptr;
+  const Value* slot = lookup_for_read(atom_of(ip), ref, env, &owner);
+  if (slot == nullptr) throw_error("ReferenceError", atom_of(ip).str() + " is not defined");
+  if (memory_events_) buffer_memory_event(Kind::VarRead, owner->id(), atom_of(ip), ip->line);
+  r[ip->a] = *slot;
+}
+  NEXT();
+SetLocal:
+  if (memory_events_) buffer_memory_event(Kind::VarWrite, env->id(), atom_of(ip), ip->line);
+  *env->slot_at(ip->x) = r[ip->a];
+  NEXT();
+SetUp: {
+  Environment* owner = env->ancestor(ip->c);
+  if (memory_events_) buffer_memory_event(Kind::VarWrite, owner->id(), atom_of(ip), ip->line);
+  *owner->slot_at(ip->x) = r[ip->a];
+}
+  NEXT();
+SetGlobal:
+SetDyn: {
+  const js::SlotRef ref{-1, 0, ip->op == Op::SetGlobal ? ip->x : js::kNoCacheId};
+  Environment* owner = nullptr;
+  Value* slot = lookup_for_write(atom_of(ip), ref, env, &owner);
+  if (memory_events_) buffer_memory_event(Kind::VarWrite, owner->id(), atom_of(ip), ip->line);
+  *slot = r[ip->a];
+}
+  NEXT();
+UpdateVar: {
+  const auto& ident = *static_cast<const js::Ident*>(ip->p);
+  Environment* owner = nullptr;
+  Value* slot = lookup_for_read(ident.name, ident.ref, env, &owner);
+  if (slot == nullptr) throw_error("ReferenceError", ident.name.str() + " is not defined");
+  const double before = to_number(*slot);
+  const double after = before + ((ip->c & 1) != 0 ? 1 : -1);
+  if (memory_events_) buffer_memory_event(Kind::VarWrite, owner->id(), ident.name, ip->line);
+  *slot = Value::number(after);
+  r[ip->a] = Value::number((ip->c & 2) != 0 ? after : before);
+}
+  NEXT();
+TypeofVar: {
+  const auto& ident = *static_cast<const js::Ident*>(ip->p);
+  Environment* owner = nullptr;
+  if (lookup_for_read(ident.name, ident.ref, env, &owner) != nullptr) NEXT();
+  r[ip->a] = Value::borrowed_str(kTypeofUndefined);
+}
+  JUMP(ip->x);
+
+  // --- properties ---
+GetNamed:
+  r[ip->a] = get_named(r[ip->b], member_of(ip), env);
+  NEXT();
+GetMethod: {
+  Value callee = get_named(r[ip->b], member_of(ip), env);
+  if (!callee.is_object() || !callee.as_object()->is_function()) {
+    throw_error("TypeError", member_of(ip).property.str() + " is not a function");
+  }
+  r[ip->a] = std::move(callee);
+}
+  NEXT();
+GetElem: {
+  const js::Member& member = member_of(ip);
+  std::size_t index = 0;
+  if (dense_index(r[ip->b], r[ip->c], &index)) {
+    JSObject& obj = *r[ip->b].as_object();
+    if (memory_events_) {
+      buffer_memory_event(Kind::PropRead, obj.id(), index_atom(index), ip->line,
+                          provenance_of(*member.object, env));
     }
-  } while (eval_condition(*node.condition, env));
-  if (hooks_ != nullptr) sync_hooks()->on_loop_exit(event);
-  return result;
+    const auto& elements = obj.elements();
+    r[ip->a] = index < elements.size() ? elements[index] : Value::undefined();
+  } else {
+    r[ip->a] = property_get(r[ip->b], property_key(r[ip->c]), ip->line,
+                            memory_events_ ? provenance_of(*member.object, env)
+                                           : BaseProvenance{});
+  }
+}
+  NEXT();
+GetElemMethod: {
+  const js::Member& member = member_of(ip);
+  const std::string key = property_key(r[ip->c]);
+  Value callee = property_get(r[ip->b], key, member.line,
+                              memory_events_ ? provenance_of(*member.object, env)
+                                             : BaseProvenance{});
+  if (!callee.is_object() || !callee.as_object()->is_function()) {
+    throw_error("TypeError", key + " is not a function");
+  }
+  r[ip->a] = std::move(callee);
+}
+  NEXT();
+ElemKey: {
+  std::size_t index = 0;
+  if (!r[ip->c].is_string() && !dense_index(r[ip->b], r[ip->c], &index)) {
+    r[ip->c] = Value::str(property_key(r[ip->c]));
+  }
+}
+  NEXT();
+SetNamed:
+  put_named(r[ip->b], member_of(ip), r[ip->a], env);
+  NEXT();
+SetElem: {
+  const js::Member& member = member_of(ip);
+  const Value& base = r[ip->b];
+  std::size_t index = 0;
+  if (dense_index(base, r[ip->c], &index)) {
+    JSObject& obj = *base.as_object();
+    if (memory_events_) {
+      buffer_memory_event(Kind::PropWrite, obj.id(), index_atom(index), ip->line,
+                          provenance_of(*member.object, env));
+    }
+    if (index >= obj.elements().size()) grow_elements(obj, index + 1);
+    obj.elements()[index] = r[ip->a];
+  } else {
+    property_set(base, property_key(r[ip->c]), r[ip->a], ip->line,
+                 memory_events_ ? provenance_of(*member.object, env) : BaseProvenance{});
+  }
+}
+  NEXT();
+UpdateNamed: {
+  const js::Member& member = member_of(ip);
+  const double before = to_number(get_named(r[ip->b], member, env));
+  const double after = before + ((ip->c & 1) != 0 ? 1 : -1);
+  put_named(r[ip->b], member, Value::number(after), env);
+  r[ip->a] = Value::number((ip->c & 2) != 0 ? after : before);
+}
+  NEXT();
+UpdateElem: {
+  const js::Member& member = member_of(ip);
+  const std::string key = property_key(r[ip->c]);
+  const BaseProvenance prov =
+      memory_events_ ? provenance_of(*member.object, env) : BaseProvenance{};
+  const double before = to_number(property_get(r[ip->b], key, ip->line, prov));
+  const double after = before + ((ip->x & 1) != 0 ? 1 : -1);
+  property_set(r[ip->b], key, Value::number(after), ip->line, prov);
+  r[ip->a] = Value::number((ip->x & 2) != 0 ? after : before);
+}
+  NEXT();
+DeleteProp: {
+  const js::Member& member = member_of(ip);
+  if (!r[ip->b].is_object()) {
+    r[ip->a] = Value::boolean(true);
+    if (ip->c == kNoReg && member.computed) JUMP(ip->x);
+    NEXT();
+  }
+  if (ip->c == kNoReg && member.computed) NEXT();  // the key comes next
+  const std::string key = member.computed ? property_key(r[ip->c]) : member.property.str();
+  JSObject* obj = r[ip->b].as_object();
+  std::size_t index = 0;
+  bool deleted = true;
+  if (obj->is_array() && index_from_string(key, &index)) {
+    if (index < obj->elements().size()) obj->elements()[index] = Value::undefined();
+  } else {
+    deleted = obj->delete_property(atoms(), key);
+  }
+  r[ip->a] = Value::boolean(deleted);
+}
+  NEXT();
+
+  // --- operators ---
+#define JSCERES_ARITH(name, op, expr)                                              \
+  name:                                                                             \
+  if (r[ip->b].is_number() && r[ip->c].is_number()) {                              \
+    const double a = r[ip->b].as_number();                                         \
+    const double b = r[ip->c].as_number();                                         \
+    r[ip->a] = expr;                                                                \
+  } else {                                                                          \
+    r[ip->a] = apply_binary(js::BinaryOp::op, r[ip->b], r[ip->c], ip->line);       \
+  }                                                                                 \
+  NEXT();
+  JSCERES_ARITH(Add, Add, Value::number(a + b))
+  JSCERES_ARITH(Sub, Sub, Value::number(a - b))
+  JSCERES_ARITH(Mul, Mul, Value::number(a * b))
+  JSCERES_ARITH(Div, Div, Value::number(a / b))
+  JSCERES_ARITH(Lt, Lt, Value::boolean(a < b))
+  JSCERES_ARITH(Gt, Gt, Value::boolean(a > b))
+  JSCERES_ARITH(Le, Le, Value::boolean(a <= b))
+  JSCERES_ARITH(Ge, Ge, Value::boolean(a >= b))
+  JSCERES_ARITH(StrictEq, StrictEq, Value::boolean(a == b))
+  JSCERES_ARITH(StrictNe, StrictNe, Value::boolean(a != b))
+#undef JSCERES_ARITH
+Binary:
+  r[ip->a] = apply_binary(js::BinaryOp(ip->x), r[ip->b], r[ip->c], ip->line);
+  NEXT();
+Neg:
+  r[ip->a] = Value::number(-to_number(r[ip->a]));
+  NEXT();
+Plus:
+  r[ip->a] = Value::number(to_number(r[ip->a]));
+  NEXT();
+Not:
+  r[ip->a] = Value::boolean(!to_boolean(r[ip->a]));
+  NEXT();
+BitNot:
+  r[ip->a] = Value::number(double(~to_int32(to_number(r[ip->a]))));
+  NEXT();
+Typeof: {
+  const Value& v = r[ip->a];
+  const std::string* type = &kTypeofUndefined;
+  switch (v.kind()) {
+    case Value::Kind::Undefined: break;
+    case Value::Kind::Null: type = &kTypeofObject; break;
+    case Value::Kind::Boolean: type = &kTypeofBoolean; break;
+    case Value::Kind::Number: type = &kTypeofNumber; break;
+    case Value::Kind::String: type = &kTypeofString; break;
+    case Value::Kind::Object:
+      type = v.as_object()->is_function() ? &kTypeofFunction : &kTypeofObject;
+      break;
+  }
+  r[ip->a] = Value::borrowed_str(*type);
+}
+  NEXT();
+
+  // --- control ---
+Jump:
+  JUMP(ip->x);
+JumpIfFalse:
+  if (!to_boolean(r[ip->b])) JUMP(ip->x);
+  NEXT();
+JumpIfTrue:
+  if (to_boolean(r[ip->b])) JUMP(ip->x);
+  NEXT();
+#define JSCERES_COMPARE(name, op, cmp)                                                 \
+  name:                                                                                 \
+  if (r[ip->b].is_number() && r[ip->c].is_number()                                     \
+          ? !(r[ip->b].as_number() cmp r[ip->c].as_number())                            \
+          : !to_boolean(apply_binary(js::BinaryOp::op, r[ip->b], r[ip->c], ip->line))) { \
+    JUMP(ip->x);                                                                        \
+  }                                                                                     \
+  NEXT();
+  JSCERES_COMPARE(JumpIfNotLt, Lt, <)
+  JSCERES_COMPARE(JumpIfNotGt, Gt, >)
+  JSCERES_COMPARE(JumpIfNotLe, Le, <=)
+  JSCERES_COMPARE(JumpIfNotGe, Ge, >=)
+#undef JSCERES_COMPARE
+Tick:
+  NEXT();
+Leave:
+  return Exit{Exit::Jump, ip->x};
+ExitOp:
+  return Exit{Exit::Fall, 0};
+ReturnOp:
+  if (ip->c != 0) r[0] = Value();
+  return Exit{Exit::Return, 0};
+Throw:
+  throw JSException{r[ip->b]};
+Try: {
+  // The statement's bodies run as nested ranges, so a throw unwinds to
+  // here exactly as it did to the statement: a catch clause gets a fresh
+  // scope, a throw out of it skips the finally clause, and an abrupt
+  // finally completion replaces the pending one.
+  const TryInfo& t = bytecode_->tries[ip->x];
+  const std::uint32_t catch_end = t.finally_pc != 0 ? t.finally_pc : t.ret;
+  const std::uint32_t try_end = t.catch_pc != 0 ? t.catch_pc : catch_end;
+  const std::size_t arg_frames = arg_stack_.open_frames();
+  const std::size_t keys = forin_keys_.size();
+  Exit completion;
+  try {
+    completion = run_code(t.try_pc, try_end, env, r);
+  } catch (const JSException& ex) {
+    arg_stack_.close_to(arg_frames);
+    forin_keys_.resize(keys);
+    if (t.catch_pc == 0) {
+      if (t.finally_pc != 0) run_code(t.finally_pc, t.ret, env, r);
+      throw;
+    }
+    const ActivationScope activation(*this, env, t.node->recyclable_catch_scope);
+    Environment* catch_env = activation.env();
+    catch_env->declare(t.node->catch_param, ex.value);
+    if (hooks_ != nullptr) sync_hooks()->on_env_created(catch_env->id());
+    completion = run_code(t.catch_pc, catch_end, catch_env, r);
+  }
+  if (t.finally_pc != 0) {
+    const Exit fin = run_code(t.finally_pc, t.ret, env, r);
+    if (fin.kind != Exit::Fall) completion = fin;
+  }
+  if (completion.kind == Exit::Fall) JUMP(t.cont);
+  if (completion.kind == Exit::Return) JUMP(t.ret);
+  if (completion.target < begin || completion.target >= end) return completion;
+  JUMP(completion.target);
 }
 
-Interpreter::Completion Interpreter::exec_for_in(const js::ForIn& node,
-                                                 Environment* env) {
-  const Value object = eval(*node.object, env);
-  const LoopEvent event = loop_event(node.loop_id, node.line, js::LoopKind::ForIn);
-  if (hooks_ != nullptr) sync_hooks()->on_loop_enter(event);
-  Completion result;
+  // --- objects and calls ---
+NewArray: {
+  JSObject* arr = new_object(array_proto_, JSObject::Cls::Array);
+  if (hooks_ != nullptr) sync_hooks()->on_object_created(arr->id(), ip->line);
+  charge_elements(*arr, ip->x);
+  arr->elements().reserve(ip->x);
+  r[ip->a] = Value::object(arr);
+}
+  NEXT();
+ArrayPush: {
+  JSObject* arr = r[ip->a].as_object();
+  arr->elements().push_back(std::move(r[ip->b]));
+  if (memory_events_) {
+    buffer_memory_event(Kind::PropWrite, arr->id(), index_atom(ip->x), ip->line,
+                        BaseProvenance{BaseProvenance::Kind::Object, 0});
+  }
+}
+  NEXT();
+NewObject: {
+  JSObject* obj = new_object(object_proto_);
+  if (hooks_ != nullptr) sync_hooks()->on_object_created(obj->id(), ip->line);
+  r[ip->a] = Value::object(obj);
+}
+  NEXT();
+InitProp: {
+  JSObject* obj = r[ip->a].as_object();
+  obj->set_property(atom_of(ip), std::move(r[ip->b]));
+  if (memory_events_) {
+    buffer_memory_event(Kind::PropWrite, obj->id(), atom_of(ip), ip->line,
+                        BaseProvenance{BaseProvenance::Kind::Object, 0});
+  }
+}
+  NEXT();
+Closure:
+  r[ip->a] = Value::object(
+      make_function_from_node(*static_cast<const js::FunctionNode*>(ip->p), env));
+  NEXT();
+Args:
+  // The frame opens where the arguments start, as the call's ledger
+  // charges require; Call/Construct fill it from the argument registers.
+  arg_stack_.open(ip->x);
+  NEXT();
+Call:
+Construct: {
+  const std::uint32_t first = ip->x & 0xffff;
+  const std::uint32_t argc = ip->x >> 16;
+  Value* argv = arg_stack_.top();
+  for (std::uint32_t i = 0; i < argc; ++i) argv[i] = std::move(r[first + i]);
+  const Value& self = ip->c == kNoReg ? kUndefined : r[ip->c];
+  Value result = call(r[ip->b], self, Args(argv, argc));
+  arg_stack_.close();
+  if (ip->op == Op::Construct && !result.is_object()) result = self;
+  r[ip->a] = std::move(result);
+}
+  NEXT();
+NewThis: {
+  const Value& callee = r[ip->b];
+  if (!callee.is_object() || !callee.as_object()->is_function()) {
+    throw_error("TypeError", "constructor is not a function");
+  }
+  const Value* proto = callee.as_object()->own_property(atom_prototype_);
+  JSObject* obj =
+      new_object(proto != nullptr && proto->is_object() ? proto->as_object() : object_proto_);
+  if (hooks_ != nullptr) sync_hooks()->on_object_created(obj->id(), ip->line);
+  r[ip->a] = Value::object(obj);
+}
+  NEXT();
 
-  std::vector<Value> keys;
-  if (object.is_object()) {
-    JSObject* obj = object.as_object();
+  // --- loops: the instrumented events the whole study hangs off ---
+LoopEnter:
+  if (hooks_ != nullptr) sync_hooks()->on_loop_enter(LoopEvent{int(ip->x), ip->line, int(ip->c)});
+  NEXT();
+LoopIter:
+  if (hooks_ != nullptr) sync_hooks()->on_loop_iteration(LoopEvent{int(ip->x), ip->line, int(ip->c)});
+  NEXT();
+LoopExit:
+ForInEnd:
+  if (ip->op == Op::ForInEnd) forin_keys_.resize(std::size_t(r[ip->a + 2].as_number()));
+  if (hooks_ != nullptr) sync_hooks()->on_loop_exit(LoopEvent{int(ip->x), ip->line, int(ip->c)});
+  NEXT();
+ForInStart: {
+  const auto& node = *static_cast<const js::ForIn*>(ip->p);
+  if (hooks_ != nullptr) {
+    sync_hooks()->on_loop_enter(LoopEvent{node.loop_id, node.line, int(js::LoopKind::ForIn)});
+  }
+  const std::size_t start = forin_keys_.size();
+  if (r[ip->b].is_object()) {
+    JSObject* obj = r[ip->b].as_object();
     if (obj->is_array()) {
-      keys.reserve(obj->elements().size() + obj->key_order().size());
       for (std::size_t i = 0; i < obj->elements().size(); ++i) {
-        keys.push_back(Value::str(js::number_to_string(double(i))));
+        forin_keys_.push_back(Value::str(js::number_to_string(double(i))));
       }
     }
-    for (const auto& key : obj->key_order()) keys.push_back(Value::str(key));
+    for (const auto& key : obj->key_order()) forin_keys_.push_back(Value::str(key));
   }
-
-  for (auto& key : keys) {
-    Environment* owner = nullptr;
-    Value* slot = lookup_for_write(node.var_name, node.var_ref, env, &owner);
-    if (memory_events_) buffer_memory_event(MemoryEvent::Kind::VarWrite, owner->id(), node.var_name, node.line);
-    *slot = std::move(key);
-    if (hooks_ != nullptr) sync_hooks()->on_loop_iteration(event);
-    Completion completion = exec(*node.body, env);
-    if (completion.type == Completion::Type::Break) break;
-    if (completion.type == Completion::Type::Return) {
-      result = std::move(completion);
-      break;
-    }
+  r[ip->a] = Value::number(double(start));
+  r[ip->a + 1] = Value::number(double(forin_keys_.size()));
+  r[ip->a + 2] = Value::number(double(start));
+}
+  NEXT();
+ForInNext: {
+  const double pos = r[ip->a].as_number();
+  if (pos >= r[ip->a + 1].as_number()) JUMP(ip->x);
+  const auto& node = *static_cast<const js::ForIn*>(ip->p);
+  Environment* owner = nullptr;
+  Value* slot = lookup_for_write(node.var_name, node.var_ref, env, &owner);
+  if (memory_events_) buffer_memory_event(Kind::VarWrite, owner->id(), node.var_name, node.line);
+  *slot = std::move(forin_keys_[std::size_t(pos)]);
+  r[ip->a] = Value::number(pos + 1);
+  if (hooks_ != nullptr) {
+    sync_hooks()->on_loop_iteration(
+        LoopEvent{node.loop_id, node.line, int(js::LoopKind::ForIn)});
   }
-  if (hooks_ != nullptr) sync_hooks()->on_loop_exit(event);
-  return result;
+}
+  NEXT();
 }
 
+#undef JUMP
+#undef NEXT
+#undef JSCERES_DISPATCH
+
 // ---------------------------------------------------------------------------
-// Expressions
+// Property access sites
 // ---------------------------------------------------------------------------
 
 BaseProvenance Interpreter::provenance_of(const js::Expr& base_expr, Environment* env) {
@@ -1020,183 +1347,11 @@ BaseProvenance Interpreter::provenance_of(const js::Expr& base_expr, Environment
   return BaseProvenance{BaseProvenance::Kind::Object, 0};
 }
 
-Value Interpreter::eval(const js::Expr& expr, Environment* env) {
-  tick(1);
-  switch (expr.kind) {
-    case js::NodeKind::NumberLit:
-      return Value::number(static_cast<const js::NumberLit&>(expr).value);
-    case js::NodeKind::StringLit:
-      return Value::str(static_cast<const js::StringLit&>(expr).value);
-    case js::NodeKind::BoolLit:
-      return Value::boolean(static_cast<const js::BoolLit&>(expr).value);
-    case js::NodeKind::NullLit:
-      return Value::null();
-    case js::NodeKind::Ident: {
-      const auto& ident = static_cast<const js::Ident&>(expr);
-      Environment* owner = nullptr;
-      const Value* slot = lookup_for_read(ident.name, ident.ref, env, &owner);
-      if (slot == nullptr) {
-        throw_error("ReferenceError", ident.name.str() + " is not defined");
-      }
-      if (memory_events_) buffer_memory_event(MemoryEvent::Kind::VarRead, owner->id(), ident.name, expr.line);
-      return *slot;
-    }
-    case js::NodeKind::ThisExpr: {
-      const Value* this_val = env->this_value();
-      return this_val == nullptr ? Value::undefined() : *this_val;
-    }
-    case js::NodeKind::ArrayLit: {
-      const auto& lit = static_cast<const js::ArrayLit&>(expr);
-      JSObject* arr = new_object(array_proto_, JSObject::Cls::Array);
-      if (hooks_ != nullptr) sync_hooks()->on_object_created(arr->id(), expr.line);
-      charge_elements(*arr, lit.elements.size());
-      arr->elements().reserve(lit.elements.size());
-      const BaseProvenance prov{BaseProvenance::Kind::Object, 0};
-      for (std::size_t i = 0; i < lit.elements.size(); ++i) {
-        arr->elements().push_back(eval(*lit.elements[i], env));
-        if (memory_events_) {
-          buffer_memory_event(MemoryEvent::Kind::PropWrite, arr->id(), index_atom(i),
-                                expr.line, prov);
-        }
-      }
-      return Value::object(arr);
-    }
-    case js::NodeKind::ObjectLit: {
-      const auto& lit = static_cast<const js::ObjectLit&>(expr);
-      JSObject* obj = new_object(object_proto_);
-      if (hooks_ != nullptr) sync_hooks()->on_object_created(obj->id(), expr.line);
-      const BaseProvenance prov{BaseProvenance::Kind::Object, 0};
-      for (const auto& [key, value_expr] : lit.properties) {
-        obj->set_property(key, eval(*value_expr, env));
-        if (memory_events_) buffer_memory_event(MemoryEvent::Kind::PropWrite, obj->id(), key, expr.line, prov);
-      }
-      return Value::object(obj);
-    }
-    case js::NodeKind::FunctionExpr: {
-      const auto& node = static_cast<const js::FunctionExpr&>(expr);
-      return Value::object(make_function_from_node(*node.fn, env));
-    }
-    case js::NodeKind::Call:
-      return eval_call(static_cast<const js::Call&>(expr), env);
-    case js::NodeKind::New:
-      return eval_new(static_cast<const js::New&>(expr), env);
-    case js::NodeKind::Member:
-      return eval_member(static_cast<const js::Member&>(expr), env);
-    case js::NodeKind::Assign:
-      return eval_assign(static_cast<const js::Assign&>(expr), env);
-    case js::NodeKind::Conditional: {
-      const auto& node = static_cast<const js::Conditional&>(expr);
-      return to_boolean(eval(*node.condition, env)) ? eval(*node.consequent, env)
-                                                    : eval(*node.alternate, env);
-    }
-    case js::NodeKind::Binary:
-      return eval_binary(static_cast<const js::Binary&>(expr), env);
-    case js::NodeKind::Logical: {
-      const auto& node = static_cast<const js::Logical&>(expr);
-      Value lhs = eval(*node.lhs, env);
-      if (node.op == js::LogicalOp::And) {
-        return to_boolean(lhs) ? eval(*node.rhs, env) : lhs;
-      }
-      return to_boolean(lhs) ? lhs : eval(*node.rhs, env);
-    }
-    case js::NodeKind::Unary: {
-      const auto& node = static_cast<const js::Unary&>(expr);
-      switch (node.op) {
-        case js::UnaryOp::Neg:
-          return Value::number(-to_number(eval(*node.operand, env)));
-        case js::UnaryOp::Plus:
-          return Value::number(to_number(eval(*node.operand, env)));
-        case js::UnaryOp::Not:
-          return Value::boolean(!to_boolean(eval(*node.operand, env)));
-        case js::UnaryOp::BitNot:
-          return Value::number(double(~to_int32(to_number(eval(*node.operand, env)))));
-        case js::UnaryOp::TypeOf: {
-          // typeof tolerates unresolved identifiers.
-          if (node.operand->kind == js::NodeKind::Ident) {
-            const auto& ident = static_cast<const js::Ident&>(*node.operand);
-            Environment* owner = nullptr;
-            if (lookup_for_read(ident.name, ident.ref, env, &owner) == nullptr) {
-              return Value::borrowed_str(kTypeofUndefined);
-            }
-          }
-          const Value v = eval(*node.operand, env);
-          switch (v.kind()) {
-            case Value::Kind::Undefined: return Value::borrowed_str(kTypeofUndefined);
-            case Value::Kind::Null: return Value::borrowed_str(kTypeofObject);
-            case Value::Kind::Boolean: return Value::borrowed_str(kTypeofBoolean);
-            case Value::Kind::Number: return Value::borrowed_str(kTypeofNumber);
-            case Value::Kind::String: return Value::borrowed_str(kTypeofString);
-            case Value::Kind::Object:
-              return Value::borrowed_str(v.as_object()->is_function() ? kTypeofFunction
-                                                                      : kTypeofObject);
-          }
-          return Value::borrowed_str(kTypeofUndefined);
-        }
-        case js::UnaryOp::Delete: {
-          const auto& member = static_cast<const js::Member&>(*node.operand);
-          const Value base = eval(*member.object, env);
-          if (!base.is_object()) return Value::boolean(true);
-          std::string key = member.computed ? property_key(eval(*member.index, env))
-                                            : member.property.str();
-          JSObject* obj = base.as_object();
-          std::size_t index = 0;
-          if (obj->is_array() && index_from_string(key, &index)) {
-            if (index < obj->elements().size()) {
-              obj->elements()[index] = Value::undefined();
-            }
-            return Value::boolean(true);
-          }
-          return Value::boolean(obj->delete_property(atoms(), key));
-        }
-      }
-      return Value::undefined();
-    }
-    case js::NodeKind::Update:
-      return eval_update(static_cast<const js::Update&>(expr), env);
-    case js::NodeKind::Sequence: {
-      const auto& node = static_cast<const js::Sequence&>(expr);
-      Value last;
-      for (const auto& e : node.exprs) last = eval(*e, env);
-      return last;
-    }
-    default:
-      throw EngineError("unexpected expression node");
-  }
-}
-
-Value Interpreter::eval_member(const js::Member& member, Environment* env) {
-  const Value base = eval_leaf(*member.object, env);
-  if (member.computed) {
-    const Value key = eval_leaf(*member.index, env);
-    // Fast path: numeric index into a dense array. Mode 3 takes it too —
-    // the element-read event's key atom comes from the per-interpreter
-    // index cache instead of interning a freshly formatted string, so hot
-    // array loops never touch the process-wide atom-table lock.
-    if (base.is_object() && base.as_object()->is_array() && key.is_number() &&
-        base.as_object()->host() == nullptr) {
-      std::size_t index = 0;
-      if (number_as_index(key.as_number(), &index)) {
-        JSObject& obj = *base.as_object();
-        if (memory_events_) {
-          buffer_memory_event(MemoryEvent::Kind::PropRead, obj.id(), index_atom(index),
-                              member.line, provenance_of(*member.object, env));
-        }
-        const auto& elements = obj.elements();
-        return index < elements.size() ? elements[index] : Value::undefined();
-      }
-    }
-    return property_get(base, property_key(key), member.line,
-                        memory_events_ ? provenance_of(*member.object, env)
-                                       : BaseProvenance{});
-  }
-  return eval_member_named(base, member, env);
-}
-
 /// Named (non-computed) property read with a polymorphic shape inline
 /// cache: steady state is a linear probe of up to four (shape, slot) ways —
 /// one pointer compare per way — plus one indexed load.
-Value Interpreter::eval_member_named(const Value& base, const js::Member& member,
-                                     Environment* env) {
+Value Interpreter::get_named(const Value& base, const js::Member& member,
+                             Environment* env) {
   const js::Atom key = member.property;
   if (base.is_object()) {
     JSObject& obj = *base.as_object();
@@ -1346,8 +1501,8 @@ Value Interpreter::read_ic_miss(ReadIC& ic, JSObject& obj, const Shape* shape,
 
 /// Named property write with a store inline cache: an in-place slot store or
 /// a cached property-add shape transition.
-void Interpreter::assign_member_named(const Value& base, const js::Member& member,
-                                      Value value, Environment* env) {
+void Interpreter::put_named(const Value& base, const js::Member& member, Value value,
+                            Environment* env) {
   const js::Atom key = member.property;
   if (!base.is_object()) {
     throw_error("TypeError",
@@ -1424,231 +1579,6 @@ void Interpreter::write_ic_miss(WriteIC& ic, JSObject& obj, const Shape* shape,
   } else {
     obj.append_prop(way.new_shape, std::move(value));
   }
-}
-
-Value Interpreter::eval_assign(const js::Assign& assign, Environment* env) {
-  if (assign.target->kind == js::NodeKind::Ident) {
-    const auto& ident = static_cast<const js::Ident&>(*assign.target);
-    Value value;
-    if (assign.op == js::AssignOp::None) {
-      value = eval(*assign.value, env);
-    } else {
-      Environment* owner = nullptr;
-      const Value* pre = lookup_for_read(ident.name, ident.ref, env, &owner);
-      if (pre == nullptr) {
-        throw_error("ReferenceError", ident.name.str() + " is not defined");
-      }
-      if (memory_events_) buffer_memory_event(MemoryEvent::Kind::VarRead, owner->id(), ident.name, assign.line);
-      // Copy before evaluating the RHS: the RHS may declare new bindings,
-      // which can reallocate the slot storage behind `pre`.
-      const Value current = *pre;
-      value = apply_binary(js::BinaryOp(int(assign.op) - 1 + int(js::BinaryOp::Add)),
-                           current, eval(*assign.value, env), assign.line);
-    }
-    Environment* owner = nullptr;
-    Value* slot = lookup_for_write(ident.name, ident.ref, env, &owner);
-    if (memory_events_) buffer_memory_event(MemoryEvent::Kind::VarWrite, owner->id(), ident.name, assign.line);
-    *slot = value;
-    return value;
-  }
-
-  const auto& member = static_cast<const js::Member&>(*assign.target);
-  const Value base = eval_leaf(*member.object, env);
-
-  if (!member.computed) {
-    Value value;
-    if (assign.op == js::AssignOp::None) {
-      value = eval(*assign.value, env);
-    } else {
-      const Value current = eval_member_named(base, member, env);
-      value = apply_binary(js::BinaryOp(int(assign.op) - 1 + int(js::BinaryOp::Add)),
-                           current, eval(*assign.value, env), assign.line);
-    }
-    assign_member_named(base, member, value, env);
-    return value;
-  }
-
-  const Value key_val = eval_leaf(*member.index, env);
-  // Fast path mirror of eval_member: numeric index into a dense array, in
-  // every mode — mode 3 buffers its events with index-cache atoms.
-  if (base.is_object() && base.as_object()->is_array() && key_val.is_number() &&
-      base.as_object()->host() == nullptr) {
-    std::size_t index = 0;
-    if (number_as_index(key_val.as_number(), &index)) {
-      JSObject& obj = *base.as_object();
-      const BaseProvenance prov = memory_events_ ? provenance_of(*member.object, env)
-                                                 : BaseProvenance{};
-      Value value;
-      if (assign.op == js::AssignOp::None) {
-        value = eval(*assign.value, env);
-      } else {
-        if (memory_events_) {
-          buffer_memory_event(MemoryEvent::Kind::PropRead, obj.id(), index_atom(index),
-                              assign.line, prov);
-        }
-        const Value current = index < obj.elements().size() ? obj.elements()[index]
-                                                            : Value::undefined();
-        value = apply_binary(js::BinaryOp(int(assign.op) - 1 + int(js::BinaryOp::Add)),
-                             current, eval(*assign.value, env), assign.line);
-      }
-      if (memory_events_) {
-        buffer_memory_event(MemoryEvent::Kind::PropWrite, obj.id(), index_atom(index),
-                            assign.line, prov);
-      }
-      if (index >= obj.elements().size()) grow_elements(obj, index + 1);
-      obj.elements()[index] = value;
-      return value;
-    }
-  }
-  std::string key = property_key(key_val);
-  const BaseProvenance prov = memory_events_ ? provenance_of(*member.object, env)
-                                             : BaseProvenance{};
-  Value value;
-  if (assign.op == js::AssignOp::None) {
-    value = eval(*assign.value, env);
-  } else {
-    const Value current = property_get(base, key, assign.line, prov);
-    value = apply_binary(js::BinaryOp(int(assign.op) - 1 + int(js::BinaryOp::Add)),
-                         current, eval(*assign.value, env), assign.line);
-  }
-  property_set(base, key, value, assign.line, prov);
-  return value;
-}
-
-Value Interpreter::eval_update(const js::Update& update, Environment* env) {
-  const double delta = update.increment ? 1 : -1;
-  if (update.target->kind == js::NodeKind::Ident) {
-    const auto& ident = static_cast<const js::Ident&>(*update.target);
-    Environment* owner = nullptr;
-    Value* slot = lookup_for_read(ident.name, ident.ref, env, &owner);
-    if (slot == nullptr) {
-      throw_error("ReferenceError", ident.name.str() + " is not defined");
-    }
-    const double before = to_number(*slot);
-    if (memory_events_) buffer_memory_event(MemoryEvent::Kind::VarWrite, owner->id(), ident.name, update.line);
-    *slot = Value::number(before + delta);
-    return Value::number(update.prefix ? before + delta : before);
-  }
-  const auto& member = static_cast<const js::Member&>(*update.target);
-  const Value base = eval_leaf(*member.object, env);
-  if (!member.computed) {
-    const double before = to_number(eval_member_named(base, member, env));
-    assign_member_named(base, member, Value::number(before + delta), env);
-    return Value::number(update.prefix ? before + delta : before);
-  }
-  std::string key = property_key(eval(*member.index, env));
-  const BaseProvenance prov = memory_events_ ? provenance_of(*member.object, env)
-                                             : BaseProvenance{};
-  const double before = to_number(property_get(base, key, update.line, prov));
-  property_set(base, key, Value::number(before + delta), update.line, prov);
-  return Value::number(update.prefix ? before + delta : before);
-}
-
-Value Interpreter::eval_call(const js::Call& call, Environment* env) {
-  Value this_val;
-  Value callee;
-  if (call.callee->kind == js::NodeKind::Member) {
-    const auto& member = static_cast<const js::Member&>(*call.callee);
-    this_val = eval_leaf(*member.object, env);
-    if (member.computed) {
-      const std::string key = property_key(eval(*member.index, env));
-      callee = property_get(this_val, key, member.line,
-                            memory_events_ ? provenance_of(*member.object, env)
-                                           : BaseProvenance{});
-      if (!callee.is_object() || !callee.as_object()->is_function()) {
-        throw_error("TypeError", key + " is not a function");
-      }
-    } else {
-      callee = eval_member_named(this_val, member, env);
-      if (!callee.is_object() || !callee.as_object()->is_function()) {
-        throw_error("TypeError", member.property.str() + " is not a function");
-      }
-    }
-  } else {
-    callee = eval(*call.callee, env);
-  }
-  // Argument values live in a frame on the reused per-interpreter stack:
-  // the span is reserved up front (nested calls in argument position push
-  // above it), filled left to right, and released by the frame's destructor
-  // even when an argument's evaluation throws.
-  const std::size_t argc = call.args.size();
-  ArgFrame frame(arg_stack_, argc);
-  Value* argv = frame.data();
-  for (std::size_t i = 0; i < argc; ++i) argv[i] = eval_leaf(*call.args[i], env);
-  return this->call(callee, this_val, frame.args());
-}
-
-Value Interpreter::eval_new(const js::New& node, Environment* env) {
-  const Value callee = eval(*node.callee, env);
-  if (!callee.is_object() || !callee.as_object()->is_function()) {
-    throw_error("TypeError", "constructor is not a function");
-  }
-  const Value* proto = callee.as_object()->own_property(atom_prototype_);
-  JSObject* obj =
-      new_object(proto != nullptr && proto->is_object() ? proto->as_object() : object_proto_);
-  if (hooks_ != nullptr) sync_hooks()->on_object_created(obj->id(), node.line);
-
-  const std::size_t argc = node.args.size();
-  ArgFrame frame(arg_stack_, argc);
-  Value* argv = frame.data();
-  for (std::size_t i = 0; i < argc; ++i) argv[i] = eval(*node.args[i], env);
-  const Value result = call(callee, Value::object(obj), frame.args());
-  return result.is_object() ? result : Value::object(obj);
-}
-
-inline Value Interpreter::eval_leaf(const js::Expr& expr, Environment* env) {
-  if (expr.kind == js::NodeKind::NumberLit) {
-    tick(1);
-    return Value::number(static_cast<const js::NumberLit&>(expr).value);
-  }
-  if (expr.kind == js::NodeKind::Ident) {
-    tick(1);
-    const auto& ident = static_cast<const js::Ident&>(expr);
-    Environment* owner = nullptr;
-    const Value* slot = lookup_for_read(ident.name, ident.ref, env, &owner);
-    if (slot == nullptr) {
-      throw_error("ReferenceError", ident.name.str() + " is not defined");
-    }
-    if (memory_events_) buffer_memory_event(MemoryEvent::Kind::VarRead, owner->id(), ident.name, expr.line);
-    return *slot;
-  }
-  return eval(expr, env);
-}
-
-Value Interpreter::eval_binary(const js::Binary& binary, Environment* env) {
-  const Value lhs = eval_leaf(*binary.lhs, env);
-  const Value rhs = eval_leaf(*binary.rhs, env);
-  return apply_binary(binary.op, lhs, rhs, binary.line);
-}
-
-inline bool Interpreter::eval_condition(const js::Expr& expr, Environment* env) {
-  if (expr.kind == js::NodeKind::Binary) {
-    const auto& binary = static_cast<const js::Binary&>(expr);
-    switch (binary.op) {
-      case js::BinaryOp::Lt:
-      case js::BinaryOp::Gt:
-      case js::BinaryOp::Le:
-      case js::BinaryOp::Ge: {
-        tick(1);  // the Binary node's own charge
-        const Value lhs = eval_leaf(*binary.lhs, env);
-        const Value rhs = eval_leaf(*binary.rhs, env);
-        if (lhs.is_number() && rhs.is_number()) {
-          const double a = lhs.as_number();
-          const double b = rhs.as_number();
-          switch (binary.op) {
-            case js::BinaryOp::Lt: return a < b;
-            case js::BinaryOp::Gt: return a > b;
-            case js::BinaryOp::Le: return a <= b;
-            default: return a >= b;
-          }
-        }
-        return to_boolean(apply_binary(binary.op, lhs, rhs, binary.line));
-      }
-      default:
-        break;
-    }
-  }
-  return to_boolean(eval(expr, env));
 }
 
 Value Interpreter::apply_binary(js::BinaryOp op, const Value& lhs, const Value& rhs,

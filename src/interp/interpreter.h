@@ -10,6 +10,7 @@
 #include <chrono>
 
 #include "interp/args.h"
+#include "interp/bytecode.h"
 #include "interp/environment.h"
 #include "interp/heap.h"
 #include "interp/hooks.h"
@@ -34,13 +35,15 @@ struct JSException {
 // interp/); re-exported here so interp::EngineError keeps working.
 using ::jsceres::EngineError;
 
-/// Tree-walking interpreter for the engine's JavaScript subset.
+/// Configuration of an Interpreter: the engine for the JavaScript subset,
+/// which runs each program's register bytecode (interp/bytecode.h) on one
+/// VM with threaded dispatch.
 ///
 /// Deterministic by construction: Math.random is seeded, Date.now /
 /// performance.now read the virtual clock, and property enumeration follows
-/// insertion order. Every evaluated node advances the cost-model clock, so
-/// "CPU time" in the reproduction is a pure function of the executed
-/// program.
+/// insertion order. Every AST node the program evaluates advances the
+/// cost-model clock by one tick, so "CPU time" in the reproduction is a
+/// pure function of the executed program.
 struct InterpreterConfig {
   std::int64_t max_ticks = -1;  // <0: unlimited
   /// Simulated OS/browser thread preemption: every `preempt_interval_ticks`
@@ -113,7 +116,7 @@ class Interpreter {
   // --- property protocol (prototype-chain aware, hook-emitting) ---
   // String-keyed generic path, used for computed accesses and by hosts.
   // Non-computed accesses go through the atom-keyed inline-cached fast path
-  // (eval_member_named / assign_member_named below).
+  // (get_named / put_named below).
   Value property_get(const Value& base, const std::string& key, int line,
                      const BaseProvenance& prov);
   void property_set(const Value& base, const std::string& key, Value value,
@@ -247,10 +250,12 @@ class Interpreter {
   }
 
  private:
-  struct Completion {
-    enum class Type : std::uint8_t { Normal, Return, Break, Continue };
-    Type type = Type::Normal;
-    Value value;
+  /// How a range of bytecode ended: it ran to its Exit, returned (the
+  /// value is in register 0), or left for `target` outside the range.
+  struct Exit {
+    enum Kind : std::uint8_t { Fall, Return, Jump };
+    Kind kind = Fall;
+    std::uint32_t target = 0;
   };
 
   /// Polymorphic (up to kWays-way) inline cache for one named property
@@ -317,29 +322,21 @@ class Interpreter {
     std::uint8_t stable = 0;
   };
 
-  // Statement / expression evaluation.
-  Completion exec(const js::Stmt& stmt, Environment* env);
-  Completion exec_block(const js::Block& block, Environment* env);
-  Value eval(const js::Expr& expr, Environment* env);
-  Value eval_call(const js::Call& call, Environment* env);
-  Value eval_new(const js::New& node, Environment* env);
-  Value eval_member(const js::Member& member, Environment* env);
-  Value eval_assign(const js::Assign& assign, Environment* env);
-  Value eval_update(const js::Update& update, Environment* env);
-  Value eval_binary(const js::Binary& binary, Environment* env);
-  Value apply_binary(js::BinaryOp op, const Value& lhs, const Value& rhs, int line);
+  /// Run one function body (or the script) in `env` on a fresh register
+  /// window; the returned value, or undefined.
+  Value execute(const CodeRange& range, Environment* env);
+  /// The dispatch loop over [begin, end): runs until an Exit, Return or
+  /// Leave instruction ends the range. A try statement's bodies run as
+  /// nested ranges.
+  Exit run_code(std::uint32_t begin, std::uint32_t end, Environment* env, Value* r);
 
-  Completion exec_for(const js::For& node, Environment* env);
-  Completion exec_for_in(const js::ForIn& node, Environment* env);
-  Completion exec_while(const js::While& node, Environment* env);
-  Completion exec_do_while(const js::DoWhile& node, Environment* env);
+  Value apply_binary(js::BinaryOp op, const Value& lhs, const Value& rhs, int line);
 
   /// Key for a property access; resolves computed indices.
   std::string property_key(const Value& key);
 
   /// Inline-cached named property read/write (non-computed member sites).
-  Value eval_member_named(const Value& base, const js::Member& member,
-                          Environment* env);
+  Value get_named(const Value& base, const js::Member& member, Environment* env);
 
   /// PIC miss paths: resolve the access, then rotate the resolved way into
   /// the cache (or trip the site megamorphic). Out of line to keep the hit
@@ -348,18 +345,7 @@ class Interpreter {
   void write_ic_miss(WriteIC& ic, JSObject& obj, const Shape* shape, js::Atom key,
                      Value value);
 
-  /// Inline-dispatched evaluation of the two dominant expression leaves
-  /// (number literals, identifier reads); everything else forwards to eval.
-  /// Charges exactly the same ticks as eval would.
-  Value eval_leaf(const js::Expr& expr, Environment* env);
-
-  /// Boolean evaluation of a branch/loop condition. Numeric comparisons —
-  /// the dominant loop-condition form — produce the bool directly without a
-  /// Value round trip; everything else is to_boolean(eval(...)). Tick
-  /// charging matches eval exactly.
-  bool eval_condition(const js::Expr& expr, Environment* env);
-  void assign_member_named(const Value& base, const js::Member& member,
-                           Value value, Environment* env);
+  void put_named(const Value& base, const js::Member& member, Value value, Environment* env);
 
   /// Slot-resolved identifier access. Statically resolved references chase
   /// `hops` parent pointers and index the slot directly; global references
@@ -398,6 +384,13 @@ class Interpreter {
     ticks_pending_ += n;
     if (ticks_pending_ >= tick_flush_threshold_) flush_ticks();
   }
+  /// `n` unit ticks (an instruction's node entries): each flush lands
+  /// exactly where n calls of tick(1) would put it.
+  void tick_units(std::int64_t n) {
+    ticks_pending_ += n;
+    if (ticks_pending_ >= tick_flush_threshold_) split_ticks(n);
+  }
+  void split_ticks(std::int64_t n);
   void flush_ticks();
   /// Exception-safe flush used while unwinding (and by nothing else).
   void flush_ticks_on_unwind() noexcept;
@@ -450,6 +443,7 @@ class Interpreter {
   const js::Program program_;
   js::AtomSpace& atoms_;
   const Shape* const shape_root_;
+  const Bytecode* const bytecode_;  // the program's, shared by its interpreters
   /// Everything the session allocates; freed after the members below.
   Heap heap_;
   VirtualClock* clock_;
@@ -476,8 +470,12 @@ class Interpreter {
   void flush_ic_stats();
   std::vector<std::int32_t> global_ref_cache_;  // -1: not yet resolved
 
-  /// Reused argument storage for Call/New evaluation (see ArgStack).
+  /// Reused argument storage for calls (see ArgStack).
   ArgStack arg_stack_;
+  /// The VM's register windows: engine state, so never charged.
+  ArgStack registers_{false};
+  /// Keys of the running for-in loops, outermost first.
+  std::vector<Value> forin_keys_;
   /// index → atom cache for computed numeric property keys (mode 3).
   static constexpr std::size_t kIndexAtomCacheCap = 4096;
   std::vector<js::Atom> index_atom_cache_;

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <memory_resource>
+#include <mutex>
 #include <new>
 #include <span>
 #include <string>
@@ -18,6 +20,7 @@ struct EngineLimits;
 
 namespace jsceres::interp {
 class Shape;
+struct Bytecode;
 }
 
 namespace jsceres::js {
@@ -225,6 +228,9 @@ struct FunctionNode {
   /// closure can capture the activation: the interpreter reuses it once
   /// the call exits.
   bool recyclable_activation = false;
+  /// Index of this function's code in interp::Bytecode::functions
+  /// (assigned by resolve_scopes).
+  std::uint32_t code_index = 0;
 };
 
 struct FunctionExpr : Expr {
@@ -583,6 +589,12 @@ struct ProgramBody {
   /// Sizes of the per-interpreter caches (filled by resolve_scopes).
   std::uint32_t global_ref_count = 0;  // SlotRef::ref_id domain
   std::uint32_t ic_count = 0;          // Member::ic_id domain
+  std::uint32_t function_count = 0;    // FunctionNode::code_index domain
+  /// The body's bytecode (interp::bytecode_of): compiled on first use,
+  /// freed with the body, and dropped by Program::mut(), since a rewrite
+  /// invalidates it.
+  mutable std::atomic<const interp::Bytecode*> bytecode{nullptr};
+  mutable std::mutex bytecode_mutex;
 
   [[nodiscard]] const LoopSite& loop(int loop_id) const {
     return loops.at(std::size_t(loop_id) - 1);
@@ -636,6 +648,7 @@ class Program {
   Program();
 
   const ProgramBody* operator->() const noexcept { return body_.get(); }
+  const ProgramBody& operator*() const noexcept { return *body_; }
 
  private:
   friend Program parse(std::string_view source, std::string source_name,

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "interp/bytecode.h"
 #include "interp/shape.h"
 #include "js/ast.h"
 
@@ -22,7 +23,7 @@ std::size_t first_chunk_bytes(std::size_t source_bytes) {
 ProgramBody::ProgramBody(std::size_t source_bytes)
     : arena(first_chunk_bytes(source_bytes)),
       shape_root(interp::Shape::make_root()) {}
-ProgramBody::~ProgramBody() = default;
+ProgramBody::~ProgramBody() { delete bytecode.load(); }
 
 Program::Program() : body_(std::make_shared<ProgramBody>()) {}
 
@@ -33,6 +34,7 @@ ProgramBody& Program::mut() {
   if (body_.use_count() != 1) {
     throw std::logic_error("js::Program: body mutated while another handle shares it");
   }
+  delete body_->bytecode.exchange(nullptr);
   return *body_;
 }
 

@@ -38,6 +38,7 @@ class Resolver {
   void run() {
     program_.global_ref_count = 0;
     program_.ic_count = 0;
+    program_.function_count = 0;
     push_scope(Scope::Global);
     for (Stmt* stmt : program_.statements) walk(*stmt);
     pop_scope();
@@ -130,6 +131,7 @@ class Resolver {
       }
     }
     fn.layout = layout;
+    fn.code_index = program_.function_count++;
     const std::size_t functions_before = functions_;
     walk(*fn.body);
     fn.recyclable_activation = functions_ == functions_before;
