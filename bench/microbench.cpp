@@ -50,19 +50,26 @@ void BM_Parse(benchmark::State& state) {
 BENCHMARK(BM_Parse);
 
 // The front end on wire_small's corpus shape: fuzz::generate_program at
-// depth 1, every fourth program with the timer epilogue. One iteration
-// parses (lexes, parses, resolves) and frees the whole fixed set;
-// `ns_per_token` is that cost per token.
-void BM_ParseGenerated(benchmark::State& state) {
+// depth 1, every fourth program with the timer epilogue.
+std::vector<std::string> generated_sources() {
   std::vector<std::string> sources;
-  double tokens = 0;
   for (int i = 0; i < 64; ++i) {
     fuzz::GenOptions options;
     options.max_depth = 1;
     options.use_timers = i % 4 == 3;
     sources.push_back(fuzz::generate_program(1000 + std::uint64_t(i), options));
+  }
+  return sources;
+}
+
+// One iteration parses (lexes, parses, resolves) and frees the whole fixed
+// set; `ns_per_token` is that cost per token.
+void BM_ParseGenerated(benchmark::State& state) {
+  const std::vector<std::string> sources = generated_sources();
+  double tokens = 0;
+  for (const std::string& source : sources) {
     js::AtomSpace atoms;
-    tokens += double(js::lex(sources.back(), atoms).size());
+    tokens += double(js::lex(source, atoms).size());
   }
   std::chrono::nanoseconds spent{0};
   for (auto _ : state) {
@@ -73,6 +80,33 @@ void BM_ParseGenerated(benchmark::State& state) {
   state.counters["ns_per_token"] = double(spent.count()) / (tokens * double(state.iterations()));
 }
 BENCHMARK(BM_ParseGenerated);
+
+std::size_t count_nodes(const js::Node& node) {
+  std::size_t n = 1;
+  js::for_each_child(node, [&n](const js::Node& child) { n += count_nodes(child); });
+  return n;
+}
+
+// Lowering the same set to bytecode, as the first interpreter of each
+// program does; `ns_per_node` is that cost per AST node.
+void BM_CompileGenerated(benchmark::State& state) {
+  std::vector<js::Program> programs;
+  double nodes = 0;
+  for (const std::string& source : generated_sources()) {
+    programs.push_back(js::parse(source));
+    for (const js::Stmt* stmt : programs.back()->statements) nodes += double(count_nodes(*stmt));
+  }
+  std::chrono::nanoseconds spent{0};
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    for (const js::Program& program : programs) {
+      benchmark::DoNotOptimize(interp::compile(*program));
+    }
+    spent += std::chrono::steady_clock::now() - start;
+  }
+  state.counters["ns_per_node"] = double(spent.count()) / (nodes * double(state.iterations()));
+}
+BENCHMARK(BM_CompileGenerated);
 
 void BM_InterpretArithmeticLoop(benchmark::State& state) {
   const js::Program program = js::parse(

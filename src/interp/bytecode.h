@@ -40,7 +40,7 @@ enum class Op : std::uint8_t {
 /// One instruction: 24 bytes. `ticks` unit ticks are charged on entry,
 /// before the instruction does anything (see the tick rule in README.md).
 struct Instr {
-  Op op;
+  Op op = Op::Tick;
   std::uint8_t ticks = 0;
   std::uint16_t a = 0;
   std::uint16_t b = 0;

@@ -45,7 +45,7 @@ class Compiler {
       for (const js::Stmt* s : statements) stmt(*s);
     }
     bind(end);
-    emit({Op::Exit});
+    emit(Op::Exit);
     range.end = pc();
     range.registers = max_reg_;
     return range;
@@ -66,34 +66,31 @@ class Compiler {
 
   [[nodiscard]] std::uint32_t pc() const { return std::uint32_t(out_.code.size()); }
 
-  std::uint32_t emit(Instr ins) {
+  /// Appends an instruction carrying the pending ticks; the reference is
+  /// valid until the next emit.
+  Instr& emit(Op op, Reg a = 0, Reg b = 0, Reg c = 0, int line = 0,
+              const void* p = nullptr) {
     while (ticks_ > 255) {
-      Instr tick{Op::Tick};
-      tick.ticks = 255;
-      out_.code.push_back(tick);
+      out_.code.emplace_back().ticks = 255;  // a Tick (the default op)
       ticks_ -= 255;
     }
-    ins.ticks = std::uint8_t(ticks_);
+    out_.code.push_back(Instr{op, std::uint8_t(ticks_), a, b, c, 0, line, {p}});
     ticks_ = 0;
-    out_.code.push_back(ins);
-    return pc() - 1;
+    return out_.code.back();
   }
 
   void jump(Op op, Label& label, Reg b = 0, Reg c = 0) {
-    Instr ins{op};
-    ins.b = b;
-    ins.c = c;
+    Instr& ins = emit(op, 0, b, c);
     if (label.pc >= 0) {
       ins.x = std::uint32_t(label.pc);
-      emit(ins);
       return;
     }
     ins.x = label.chain;
-    label.chain = emit(ins) + 1;
+    label.chain = pc();  // 1 + the pc of this use
   }
 
   void bind(Label& label) {
-    if (ticks_ > 0) emit({Op::Tick});
+    if (ticks_ > 0) emit(Op::Tick);
     label.pc = pc();
     while (label.chain != 0) {
       Instr& use = out_.code[label.chain - 1];
@@ -116,30 +113,18 @@ class Compiler {
     Reg top;
   };
 
-  static Instr make(Op op, Reg a = 0, Reg b = 0, Reg c = 0, int line = 0,
-                    const void* p = nullptr) {
-    Instr ins{op};
-    ins.a = a;
-    ins.b = b;
-    ins.c = c;
-    ins.line = line;
-    ins.p = p;
-    return ins;
-  }
-
   // --- variables ----------------------------------------------------------
 
   void var(bool write, const js::Atom& name, const js::SlotRef& ref, Reg r, int line) {
-    Instr ins = make(write ? Op::SetLocal : Op::GetLocal, r, r, 0, line, &name);
+    Op op = write ? Op::SetLocal : Op::GetLocal;
     if (ref.hops > 0) {
-      ins.op = write ? Op::SetUp : Op::GetUp;
-      ins.c = Reg(ref.hops);
+      op = write ? Op::SetUp : Op::GetUp;
     } else if (ref.hops < 0) {
-      ins.op = ref.ref_id != js::kNoCacheId ? (write ? Op::SetGlobal : Op::GetGlobal)
-                                            : (write ? Op::SetDyn : Op::GetDyn);
+      op = ref.ref_id != js::kNoCacheId ? (write ? Op::SetGlobal : Op::GetGlobal)
+                                        : (write ? Op::SetDyn : Op::GetDyn);
     }
-    ins.x = ref.hops >= 0 ? ref.slot : ref.ref_id;
-    emit(ins);
+    emit(op, r, r, Reg(std::max(ref.hops, 0)), line, &name).x =
+        ref.hops >= 0 ? ref.slot : ref.ref_id;
   }
 
   // --- expressions --------------------------------------------------------
@@ -150,48 +135,40 @@ class Compiler {
     const Scratch scratch(*this);
     switch (e.kind) {
       case NodeKind::NumberLit: {
-        Instr ins = make(Op::LoadNum, dst);
-        ins.num = static_cast<const js::NumberLit&>(e).value;
-        emit(ins);
+        emit(Op::LoadNum, dst).num = static_cast<const js::NumberLit&>(e).value;
         return;
       }
       case NodeKind::StringLit:
-        emit(make(Op::LoadStr, dst, 0, 0, 0, &static_cast<const js::StringLit&>(e).value));
+        emit(Op::LoadStr, dst, 0, 0, 0, &static_cast<const js::StringLit&>(e).value);
         return;
       case NodeKind::BoolLit: {
-        Instr ins = make(Op::LoadBool, dst);
-        ins.x = static_cast<const js::BoolLit&>(e).value ? 1 : 0;
-        emit(ins);
+        emit(Op::LoadBool, dst).x = static_cast<const js::BoolLit&>(e).value ? 1 : 0;
         return;
       }
-      case NodeKind::NullLit: emit(make(Op::LoadNull, dst)); return;
+      case NodeKind::NullLit: emit(Op::LoadNull, dst); return;
       case NodeKind::Ident: {
         const auto& ident = static_cast<const js::Ident&>(e);
         var(false, ident.name, ident.ref, dst, e.line);
         return;
       }
-      case NodeKind::ThisExpr: emit(make(Op::LoadThis, dst)); return;
+      case NodeKind::ThisExpr: emit(Op::LoadThis, dst); return;
       case NodeKind::ArrayLit: {
         const auto& lit = static_cast<const js::ArrayLit&>(e);
-        Instr ins = make(Op::NewArray, dst, 0, 0, e.line);
-        ins.x = std::uint32_t(lit.elements.size());
-        emit(ins);
+        emit(Op::NewArray, dst, 0, 0, e.line).x = std::uint32_t(lit.elements.size());
         for (std::size_t i = 0; i < lit.elements.size(); ++i) {
           const Reg t = alloc();
           expr(*lit.elements[i], t);
-          Instr push = make(Op::ArrayPush, dst, t, 0, e.line);
-          push.x = std::uint32_t(i);
-          emit(push);
+          emit(Op::ArrayPush, dst, t, 0, e.line).x = std::uint32_t(i);
           --next_reg_;
         }
         return;
       }
       case NodeKind::ObjectLit: {
-        emit(make(Op::NewObject, dst, 0, 0, e.line));
+        emit(Op::NewObject, dst, 0, 0, e.line);
         for (const auto& property : static_cast<const js::ObjectLit&>(e).properties) {
           const Reg t = alloc();
           expr(*property.second, t);
-          emit(make(Op::InitProp, dst, t, 0, e.line, &property.first));
+          emit(Op::InitProp, dst, t, 0, e.line, &property.first);
           --next_reg_;
         }
         return;
@@ -199,7 +176,7 @@ class Compiler {
       case NodeKind::FunctionExpr: {
         const js::FunctionNode* fn = static_cast<const js::FunctionExpr&>(e).fn;
         pending.push_back(fn);
-        emit(make(Op::Closure, dst, 0, 0, 0, fn));
+        emit(Op::Closure, dst, 0, 0, 0, fn);
         return;
       }
       case NodeKind::Call: return call(static_cast<const js::Call&>(e), dst);
@@ -208,12 +185,12 @@ class Compiler {
         const auto& member = static_cast<const js::Member&>(e);
         expr(*member.object, dst);
         if (!member.computed) {
-          emit(make(Op::GetNamed, dst, dst, 0, e.line, &member));
+          emit(Op::GetNamed, dst, dst, 0, e.line, &member);
           return;
         }
         const Reg key = alloc();
         expr(*member.index, key);
-        emit(make(Op::GetElem, dst, dst, key, e.line, &member));
+        emit(Op::GetElem, dst, dst, key, e.line, &member);
         return;
       }
       case NodeKind::Assign: return assign(static_cast<const js::Assign&>(e), dst);
@@ -252,21 +229,19 @@ class Compiler {
         const auto& node = static_cast<const js::Update&>(e);
         const Reg flags = Reg((node.increment ? 1 : 0) | (node.prefix ? 2 : 0));
         if (node.target->kind == NodeKind::Ident) {
-          emit(make(Op::UpdateVar, dst, 0, flags, e.line, node.target));
+          emit(Op::UpdateVar, dst, 0, flags, e.line, node.target);
           return;
         }
         const auto& member = static_cast<const js::Member&>(*node.target);
         const Reg base = alloc();
         expr(*member.object, base);
         if (!member.computed) {
-          emit(make(Op::UpdateNamed, dst, base, flags, e.line, &member));
+          emit(Op::UpdateNamed, dst, base, flags, e.line, &member);
           return;
         }
         const Reg key = alloc();
         expr(*member.index, key);
-        Instr ins = make(Op::UpdateElem, dst, base, key, e.line, &member);
-        ins.x = flags;
-        emit(ins);
+        emit(Op::UpdateElem, dst, base, key, e.line, &member).x = flags;
         return;
       }
       case NodeKind::Sequence:
@@ -292,9 +267,7 @@ class Compiler {
       case js::BinaryOp::StrictNe: code = Op::StrictNe; break;
       default: break;
     }
-    Instr ins = make(code, dst, dst, rhs, line);
-    ins.x = std::uint32_t(op);
-    emit(ins);
+    emit(code, dst, dst, rhs, line).x = std::uint32_t(op);
   }
 
   static js::BinaryOp compound_op(js::AssignOp op) {
@@ -344,12 +317,12 @@ class Compiler {
       if (!compound) {
         expr(*node.value, dst);
       } else {
-        emit(make(Op::GetNamed, dst, base, 0, member.line, &member));
+        emit(Op::GetNamed, dst, base, 0, member.line, &member);
         const Reg rhs = alloc();
         expr(*node.value, rhs);
         binary(compound_op(node.op), dst, rhs, node.line);
       }
-      emit(make(Op::SetNamed, dst, base, 0, member.line, &member));
+      emit(Op::SetNamed, dst, base, 0, member.line, &member);
       return;
     }
     const Reg key = alloc();
@@ -357,17 +330,17 @@ class Compiler {
     // The key becomes a property name before the right-hand side runs; only
     // code that can mutate an object used as a key could tell the difference.
     if (impure(*node.value)) {
-      emit(make(Op::ElemKey, 0, base, key, node.line, &member));
+      emit(Op::ElemKey, 0, base, key, node.line, &member);
     }
     if (!compound) {
       expr(*node.value, dst);
     } else {
-      emit(make(Op::GetElem, dst, base, key, node.line, &member));
+      emit(Op::GetElem, dst, base, key, node.line, &member);
       const Reg rhs = alloc();
       expr(*node.value, rhs);
       binary(compound_op(node.op), dst, rhs, node.line);
     }
-    emit(make(Op::SetElem, dst, base, key, node.line, &member));
+    emit(Op::SetElem, dst, base, key, node.line, &member);
   }
 
   void unary(const js::Unary& node, Reg dst) {
@@ -380,7 +353,7 @@ class Compiler {
           out_.code.back().p = node.operand;
         }
         expr(*node.operand, dst);
-        emit(make(Op::Typeof, dst, dst));
+        emit(Op::Typeof, dst, dst);
         bind(done);
         return;
       }
@@ -388,7 +361,7 @@ class Compiler {
         const auto& member = static_cast<const js::Member&>(*node.operand);
         expr(*member.object, dst);
         if (!member.computed) {
-          emit(make(Op::DeleteProp, dst, dst, kNoReg, node.line, &member));
+          emit(Op::DeleteProp, dst, dst, kNoReg, node.line, &member);
           return;
         }
         // A non-object base answers true before the key is evaluated.
@@ -398,7 +371,7 @@ class Compiler {
         out_.code.back().p = &member;
         const Reg key = alloc();
         expr(*member.index, key);
-        emit(make(Op::DeleteProp, dst, dst, key, node.line, &member));
+        emit(Op::DeleteProp, dst, dst, key, node.line, &member);
         bind(done);
         return;
       }
@@ -407,15 +380,13 @@ class Compiler {
     }
     expr(*node.operand, dst);
     static constexpr Op kOps[] = {Op::Neg, Op::Plus, Op::Not, Op::BitNot};
-    emit(make(kOps[int(node.op)], dst, dst));
+    emit(kOps[int(node.op)], dst, dst);
   }
 
   /// Argument registers, then Call/Construct: x packs the first argument
   /// register (low 16 bits) and the count.
   std::uint32_t arguments(std::span<const js::ExprPtr> args) {
-    Instr open = make(Op::Args);
-    open.x = std::uint32_t(args.size());
-    emit(open);
+    emit(Op::Args).x = std::uint32_t(args.size());
     const Reg first = next_reg_;
     for (const js::Expr* arg : args) {
       const Reg r = alloc();
@@ -433,26 +404,24 @@ class Compiler {
       expr(*member.object, self);
       if (member.computed) {
         expr(*member.index, fn);
-        emit(make(Op::GetElemMethod, fn, self, fn, member.line, &member));
+        emit(Op::GetElemMethod, fn, self, fn, member.line, &member);
       } else {
-        emit(make(Op::GetMethod, fn, self, 0, member.line, &member));
+        emit(Op::GetMethod, fn, self, 0, member.line, &member);
       }
     } else {
       expr(*node.callee, fn);
     }
-    Instr ins = make(Op::Call, dst, fn, self, node.line);
-    ins.x = arguments(node.args);
-    emit(ins);
+    const std::uint32_t args = arguments(node.args);
+    emit(Op::Call, dst, fn, self, node.line).x = args;
   }
 
   void construct(const js::New& node, Reg dst) {
     const Reg fn = alloc();
     expr(*node.callee, fn);
     const Reg self = alloc();
-    emit(make(Op::NewThis, self, fn, 0, node.line));
-    Instr ins = make(Op::Construct, dst, fn, self, node.line);
-    ins.x = arguments(node.args);
-    emit(ins);
+    emit(Op::NewThis, self, fn, 0, node.line);
+    const std::uint32_t args = arguments(node.args);
+    emit(Op::Construct, dst, fn, self, node.line).x = args;
   }
 
   /// Jump to `target` when `cond` is false. Relational conditions compare
@@ -581,7 +550,7 @@ class Compiler {
         const Reg it = alloc();  // it: position, it + 1: end, it + 2: start
         alloc();
         alloc();
-        emit(make(Op::ForInStart, it, object, Reg(js::LoopKind::ForIn), s.line, &node));
+        emit(Op::ForInStart, it, object, Reg(js::LoopKind::ForIn), s.line, &node);
         Label next;
         Label exit;
         bind(next);
@@ -592,16 +561,14 @@ class Compiler {
         loop_body(*node.body, {&exit, &next, try_depth_, &s, js::LoopKind::ForIn, node.loop_id});
         jump(Op::Jump, next);
         bind(exit);
-        Instr end = make(Op::ForInEnd, it, 0, Reg(js::LoopKind::ForIn), s.line);
-        end.x = std::uint32_t(node.loop_id);
-        emit(end);
+        emit(Op::ForInEnd, it, 0, Reg(js::LoopKind::ForIn), s.line).x = std::uint32_t(node.loop_id);
         return;
       }
       case NodeKind::Return: {
         const auto& node = static_cast<const js::Return&>(s);
         if (node.value != nullptr) expr(*node.value, 0);
         exit_loops(try_depth_);
-        emit(make(Op::Return, 0, 0, node.value == nullptr ? 1 : 0));
+        emit(Op::Return, 0, 0, node.value == nullptr ? 1 : 0);
         return;
       }
       case NodeKind::Break:
@@ -614,7 +581,7 @@ class Compiler {
       case NodeKind::Throw: {
         const Reg r = alloc();
         expr(*static_cast<const js::Throw&>(s).value, r);
-        emit(make(Op::Throw, 0, r));
+        emit(Op::Throw, 0, r);
         return;
       }
       case NodeKind::TryCatch: return try_catch(static_cast<const js::TryCatch&>(s));
@@ -624,9 +591,7 @@ class Compiler {
   }
 
   void loop_op(Op op, const js::Stmt& s, js::LoopKind kind, int loop_id) {
-    Instr ins = make(op, 0, 0, Reg(kind), s.line);
-    ins.x = std::uint32_t(loop_id);
-    emit(ins);
+    emit(op, 0, 0, Reg(kind), s.line).x = std::uint32_t(loop_id);
   }
 
   void loop_body(const js::Stmt& body, const Loop& loop) {
@@ -651,27 +616,25 @@ class Compiler {
   void try_catch(const js::TryCatch& node) {
     const auto index = std::uint32_t(out_.tries.size());
     out_.tries.push_back(TryInfo{&node});
-    Instr ins = make(Op::Try);
-    ins.x = index;
-    emit(ins);
+    emit(Op::Try).x = index;
     ++try_depth_;
     out_.tries[index].try_pc = pc();
     stmt(*node.try_block);
-    emit({Op::Exit});
+    emit(Op::Exit);
     if (node.catch_block != nullptr) {
       out_.tries[index].catch_pc = pc();
       stmt(*node.catch_block);
-      emit({Op::Exit});
+      emit(Op::Exit);
     }
     if (node.finally_block != nullptr) {
       out_.tries[index].finally_pc = pc();
       stmt(*node.finally_block);
-      emit({Op::Exit});
+      emit(Op::Exit);
     }
     --try_depth_;
     out_.tries[index].ret = pc();
     exit_loops(try_depth_);
-    emit({Op::Return});
+    emit(Op::Return);
     out_.tries[index].cont = pc();
   }
 
@@ -688,6 +651,7 @@ class Compiler {
 
 Bytecode compile(const js::ProgramBody& body) {
   Bytecode out;
+  out.code.reserve(body.node_count + 2 * body.function_count + 8);
   out.functions.resize(body.function_count);
   Compiler compiler(out);
   out.script = compiler.body(body.statements, nullptr);

@@ -590,6 +590,7 @@ struct ProgramBody {
   std::uint32_t global_ref_count = 0;  // SlotRef::ref_id domain
   std::uint32_t ic_count = 0;          // Member::ic_id domain
   std::uint32_t function_count = 0;    // FunctionNode::code_index domain
+  std::uint32_t node_count = 0;        // AST nodes (sizes the bytecode)
   /// The body's bytecode (interp::bytecode_of): compiled on first use,
   /// freed with the body, and dropped by Program::mut(), since a rewrite
   /// invalidates it.

@@ -39,6 +39,7 @@ class Resolver {
     program_.global_ref_count = 0;
     program_.ic_count = 0;
     program_.function_count = 0;
+    program_.node_count = 0;
     push_scope(Scope::Global);
     for (Stmt* stmt : program_.statements) walk(*stmt);
     pop_scope();
@@ -140,6 +141,7 @@ class Resolver {
   }
 
   void walk(Node& node) {
+    ++program_.node_count;
     switch (node.kind) {
       case NodeKind::Ident: {
         auto& ident = static_cast<Ident&>(node);

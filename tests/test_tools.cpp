@@ -55,6 +55,40 @@ TEST(Refactor, RewrittenProgramBehavesIdentically) {
   EXPECT_EQ(run_console(source), run_console(report.source));
 }
 
+TEST(Refactor, RewriteDropsTheCompiledCode) {
+  // The bytecode of a program that already ran belongs to the tree before
+  // the rewrite; the rewrite drops it, and the next interpreter compiles and
+  // runs the rewritten tree (a forEach callback: more ticks, same output).
+  js::Program program = js::parse(
+      "var data = [5, 6, 7];\n"
+      "var total = 0;\n"
+      "for (var i = 0; i < data.length; i++) { total += data[i]; }\n"
+      "console.log(total);\n");
+  std::string before;
+  std::int64_t before_ns = 0;
+  {
+    VirtualClock clock;
+    Interpreter interp(program, clock);
+    interp.run();
+    before = interp.console_output();
+    before_ns = clock.cpu_ns();
+  }
+  const interp::Bytecode* old_code = program->bytecode.load();
+  ASSERT_NE(old_code, nullptr);
+  EXPECT_EQ(old_code->functions.size(), 0u);
+
+  ASSERT_EQ(js::to_functional(program).rewritten, 1);
+  EXPECT_EQ(program->bytecode.load(), nullptr);
+
+  VirtualClock clock;
+  Interpreter interp(program, clock);
+  interp.run();
+  EXPECT_EQ(interp.console_output(), before);
+  EXPECT_NE(clock.cpu_ns(), before_ns);
+  ASSERT_NE(program->bytecode.load(), nullptr);
+  EXPECT_EQ(program->bytecode.load()->functions.size(), 1u);  // the callback
+}
+
 TEST(Refactor, PrivatizesBodyVars) {
   // The paper's Fig. 6 effect: `var p` becomes callback-local.
   js::Program program = js::parse(
