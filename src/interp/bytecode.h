@@ -34,6 +34,12 @@ enum class Op : std::uint8_t {
   Args, Call, NewThis, Construct,
   // Loops: loop id x, kind c, line.
   LoopEnter, LoopIter, LoopExit, ForInStart, ForInNext, ForInEnd,
+  // Pairs: the first instruction's work, then the second's (left intact
+  // at the next pc, so a jump to it still runs it alone) with no dispatch.
+  GetLocalGetLocal, GetLocalGetNamed, GetLocalLoadNum, GetLocalMul,
+  GetLocalAdd, GetLocalGetElem, GetLocalGetGlobal, SetLocalGetLocal,
+  LoadNumAdd, LoadNumMul, LoadNumGt, GetGlobalGetMethod, GetGlobalGetLocal,
+  GetGlobalGetNamed, MulAdd, GetMethodArgs,
   Count_
 };
 

@@ -647,6 +647,39 @@ class Compiler {
   std::uint32_t max_reg_ = 1;
 };
 
+/// Pairs the hottest adjacent instructions (see Op::GetLocalGetLocal).
+void fuse_pairs(std::vector<Instr>& code) {
+  struct Pair {
+    Op first, second, fused;
+  };
+  static constexpr Pair kPairs[] = {
+      {Op::GetLocal, Op::GetLocal, Op::GetLocalGetLocal},
+      {Op::GetLocal, Op::GetNamed, Op::GetLocalGetNamed},
+      {Op::GetLocal, Op::LoadNum, Op::GetLocalLoadNum},
+      {Op::GetLocal, Op::Mul, Op::GetLocalMul},
+      {Op::GetLocal, Op::Add, Op::GetLocalAdd},
+      {Op::GetLocal, Op::GetElem, Op::GetLocalGetElem},
+      {Op::GetLocal, Op::GetGlobal, Op::GetLocalGetGlobal},
+      {Op::SetLocal, Op::GetLocal, Op::SetLocalGetLocal},
+      {Op::LoadNum, Op::Add, Op::LoadNumAdd},
+      {Op::LoadNum, Op::Mul, Op::LoadNumMul},
+      {Op::LoadNum, Op::Gt, Op::LoadNumGt},
+      {Op::GetGlobal, Op::GetMethod, Op::GetGlobalGetMethod},
+      {Op::GetGlobal, Op::GetLocal, Op::GetGlobalGetLocal},
+      {Op::GetGlobal, Op::GetNamed, Op::GetGlobalGetNamed},
+      {Op::Mul, Op::Add, Op::MulAdd},
+      {Op::GetMethod, Op::Args, Op::GetMethodArgs},
+  };
+  for (std::size_t i = 0; i + 1 < code.size(); ++i) {
+    for (const Pair& pair : kPairs) {
+      if (code[i].op == pair.first && code[i + 1].op == pair.second) {
+        code[i].op = pair.fused;
+        break;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 Bytecode compile(const js::ProgramBody& body) {
@@ -660,6 +693,7 @@ Bytecode compile(const js::ProgramBody& body) {
     compiler.pending.pop_back();
     out.functions[fn->code_index] = compiler.body({}, fn->body);
   }
+  fuse_pairs(out.code);
   return out;
 }
 

@@ -869,6 +869,13 @@ Value Interpreter::execute(const CodeRange& range, Environment* env) {
     JSCERES_DISPATCH();     \
   } while (0)
 
+// The second instruction of a pair: its ticks, then its handler, reached
+// by a direct jump.
+#define JSCERES_THEN(label)                  \
+  ++ip;                                      \
+  if (ip->ticks != 0) tick_units(ip->ticks); \
+  goto label
+
 Interpreter::Exit Interpreter::run_code(std::uint32_t begin, std::uint32_t end,
                                         Environment* env, Value* r) {
   static const void* const kHandlers[] = {
@@ -885,6 +892,10 @@ Interpreter::Exit Interpreter::run_code(std::uint32_t begin, std::uint32_t end,
       &&NewArray, &&ArrayPush, &&NewObject, &&InitProp, &&Closure,
       &&Args, &&Call, &&NewThis, &&Construct,
       &&LoopEnter, &&LoopIter, &&LoopExit, &&ForInStart, &&ForInNext, &&ForInEnd,
+      &&GetLocalGetLocal, &&GetLocalGetNamed, &&GetLocalLoadNum, &&GetLocalMul,
+      &&GetLocalAdd, &&GetLocalGetElem, &&GetLocalGetGlobal, &&SetLocalGetLocal,
+      &&LoadNumAdd, &&LoadNumMul, &&LoadNumGt, &&GetGlobalGetMethod, &&GetGlobalGetLocal,
+      &&GetGlobalGetNamed, &&MulAdd, &&GetMethodArgs,
   };
   static_assert(std::size(kHandlers) == std::size_t(Op::Count_), "one handler per op");
   using Kind = MemoryEvent::Kind;
@@ -896,6 +907,15 @@ Interpreter::Exit Interpreter::run_code(std::uint32_t begin, std::uint32_t end,
 LoadNum:
   r[ip->a] = Value::number(ip->num);
   NEXT();
+LoadNumAdd:
+  r[ip->a] = Value::number(ip->num);
+  JSCERES_THEN(Add);
+LoadNumMul:
+  r[ip->a] = Value::number(ip->num);
+  JSCERES_THEN(Mul);
+LoadNumGt:
+  r[ip->a] = Value::number(ip->num);
+  JSCERES_THEN(Gt);
 LoadStr:
   r[ip->a] = Value::str(atom_of(ip));
   NEXT();
@@ -912,29 +932,70 @@ LoadThis: {
   NEXT();
 
   // --- variables ---
+#define JSCERES_GET_LOCAL()                                                                   \
+  if (memory_events_) buffer_memory_event(Kind::VarRead, env->id(), atom_of(ip), ip->line); \
+  r[ip->a] = *env->slot_at(ip->x)
+#define JSCERES_SET_LOCAL()                                                                    \
+  if (memory_events_) buffer_memory_event(Kind::VarWrite, env->id(), atom_of(ip), ip->line); \
+  *env->slot_at(ip->x) = r[ip->a]
 GetLocal:
-  if (memory_events_) buffer_memory_event(Kind::VarRead, env->id(), atom_of(ip), ip->line);
-  r[ip->a] = *env->slot_at(ip->x);
+  JSCERES_GET_LOCAL();
   NEXT();
+GetLocalGetLocal:
+  JSCERES_GET_LOCAL();
+  JSCERES_THEN(GetLocal);
+GetLocalGetNamed:
+  JSCERES_GET_LOCAL();
+  JSCERES_THEN(GetNamed);
+GetLocalLoadNum:
+  JSCERES_GET_LOCAL();
+  JSCERES_THEN(LoadNum);
+GetLocalMul:
+  JSCERES_GET_LOCAL();
+  JSCERES_THEN(Mul);
+GetLocalAdd:
+  JSCERES_GET_LOCAL();
+  JSCERES_THEN(Add);
+GetLocalGetElem:
+  JSCERES_GET_LOCAL();
+  JSCERES_THEN(GetElem);
+GetLocalGetGlobal:
+  JSCERES_GET_LOCAL();
+  JSCERES_THEN(GetGlobal);
+SetLocalGetLocal:
+  JSCERES_SET_LOCAL();
+  JSCERES_THEN(GetLocal);
 GetUp: {
   Environment* owner = env->ancestor(ip->c);
   if (memory_events_) buffer_memory_event(Kind::VarRead, owner->id(), atom_of(ip), ip->line);
   r[ip->a] = *owner->slot_at(ip->x);
 }
   NEXT();
+#define JSCERES_GET_VAR(ref_id)                                                                \
+  {                                                                                            \
+    Environment* owner = nullptr;                                                              \
+    const Value* slot = lookup_for_read(atom_of(ip), js::SlotRef{-1, 0, ref_id}, env, &owner); \
+    if (slot == nullptr) throw_error("ReferenceError", atom_of(ip).str() + " is not defined"); \
+    if (memory_events_) buffer_memory_event(Kind::VarRead, owner->id(), atom_of(ip), ip->line); \
+    r[ip->a] = *slot;                                                                          \
+  }
 GetGlobal:
-GetDyn: {
-  const js::SlotRef ref{-1, 0, ip->op == Op::GetGlobal ? ip->x : js::kNoCacheId};
-  Environment* owner = nullptr;
-  const Value* slot = lookup_for_read(atom_of(ip), ref, env, &owner);
-  if (slot == nullptr) throw_error("ReferenceError", atom_of(ip).str() + " is not defined");
-  if (memory_events_) buffer_memory_event(Kind::VarRead, owner->id(), atom_of(ip), ip->line);
-  r[ip->a] = *slot;
-}
+  JSCERES_GET_VAR(ip->x);
+  NEXT();
+GetGlobalGetMethod:
+  JSCERES_GET_VAR(ip->x);
+  JSCERES_THEN(GetMethod);
+GetGlobalGetLocal:
+  JSCERES_GET_VAR(ip->x);
+  JSCERES_THEN(GetLocal);
+GetGlobalGetNamed:
+  JSCERES_GET_VAR(ip->x);
+  JSCERES_THEN(GetNamed);
+GetDyn:
+  JSCERES_GET_VAR(js::kNoCacheId);
   NEXT();
 SetLocal:
-  if (memory_events_) buffer_memory_event(Kind::VarWrite, env->id(), atom_of(ip), ip->line);
-  *env->slot_at(ip->x) = r[ip->a];
+  JSCERES_SET_LOCAL();
   NEXT();
 SetUp: {
   Environment* owner = env->ancestor(ip->c);
@@ -975,14 +1036,20 @@ TypeofVar: {
 GetNamed:
   r[ip->a] = get_named(r[ip->b], member_of(ip), env);
   NEXT();
-GetMethod: {
-  Value callee = get_named(r[ip->b], member_of(ip), env);
-  if (!callee.is_object() || !callee.as_object()->is_function()) {
-    throw_error("TypeError", member_of(ip).property.str() + " is not a function");
+#define JSCERES_GET_METHOD()                                                       \
+  {                                                                                \
+    Value callee = get_named(r[ip->b], member_of(ip), env);                        \
+    if (!callee.is_object() || !callee.as_object()->is_function()) {               \
+      throw_error("TypeError", member_of(ip).property.str() + " is not a function"); \
+    }                                                                              \
+    r[ip->a] = std::move(callee);                                                  \
   }
-  r[ip->a] = std::move(callee);
-}
+GetMethod:
+  JSCERES_GET_METHOD();
   NEXT();
+GetMethodArgs:
+  JSCERES_GET_METHOD();
+  JSCERES_THEN(Args);
 GetElem: {
   const js::Member& member = member_of(ip);
   std::size_t index = 0;
@@ -1082,15 +1149,17 @@ DeleteProp: {
   NEXT();
 
   // --- operators ---
-#define JSCERES_ARITH(name, op, expr)                                              \
-  name:                                                                             \
+#define JSCERES_ARITH_BODY(op, expr)                                               \
   if (r[ip->b].is_number() && r[ip->c].is_number()) {                              \
     const double a = r[ip->b].as_number();                                         \
     const double b = r[ip->c].as_number();                                         \
     r[ip->a] = expr;                                                                \
   } else {                                                                          \
     r[ip->a] = apply_binary(js::BinaryOp::op, r[ip->b], r[ip->c], ip->line);       \
-  }                                                                                 \
+  }
+#define JSCERES_ARITH(name, op, expr) \
+  name:                               \
+  JSCERES_ARITH_BODY(op, expr)        \
   NEXT();
   JSCERES_ARITH(Add, Add, Value::number(a + b))
   JSCERES_ARITH(Sub, Sub, Value::number(a - b))
@@ -1102,7 +1171,11 @@ DeleteProp: {
   JSCERES_ARITH(Ge, Ge, Value::boolean(a >= b))
   JSCERES_ARITH(StrictEq, StrictEq, Value::boolean(a == b))
   JSCERES_ARITH(StrictNe, StrictNe, Value::boolean(a != b))
+MulAdd:
+  JSCERES_ARITH_BODY(Mul, Value::number(a * b))
+  JSCERES_THEN(Add);
 #undef JSCERES_ARITH
+#undef JSCERES_ARITH_BODY
 Binary:
   r[ip->a] = apply_binary(js::BinaryOp(ip->x), r[ip->b], r[ip->c], ip->line);
   NEXT();
@@ -1321,6 +1394,11 @@ ForInNext: {
   NEXT();
 }
 
+#undef JSCERES_THEN
+#undef JSCERES_GET_METHOD
+#undef JSCERES_GET_VAR
+#undef JSCERES_SET_LOCAL
+#undef JSCERES_GET_LOCAL
 #undef JUMP
 #undef NEXT
 #undef JSCERES_DISPATCH

@@ -701,6 +701,42 @@ TEST(ProgramLifetime, SessionOnATemporaryProgramRunsItsFrameGraph) {
   EXPECT_EQ(session.interp().console_output(), "timer\nframes 4\n");
 }
 
+TEST(ProgramLifetime, TheBytecodeIsCompiledOnceAndChargedToNoSession) {
+  // Compiling charges no ledger, not even one in scope.
+  const char* source =
+      "function f(a) { var s = 0; for (var i = 0; i < a; i++) { s += i; } return s; }\n"
+      "var total = f(10) + f(20);\n";
+  const js::Program compiled_first = js::parse(source);
+  {
+    AllocationLedger ledger;
+    const AllocationLedger::Scope scope(&ledger);
+    const interp::Bytecode& code = interp::bytecode_of(*compiled_first);
+    EXPECT_FALSE(code.code.empty());
+    EXPECT_EQ(ledger.peak(), 0u);
+  }
+  // So an interpreter that compiles its program charges what one that
+  // finds it compiled does (each is its parse's first run: both pay for
+  // the shape transitions, which a parse's first run charges).
+  const js::Program compiled_by_run = js::parse(source);
+  ASSERT_EQ(compiled_by_run->bytecode.load(), nullptr);
+  std::size_t peaks[2] = {};
+  const js::Program* programs[2] = {&compiled_first, &compiled_by_run};
+  for (int i = 0; i < 2; ++i) {
+    VirtualClock clock;
+    Interpreter interp(*programs[i], clock);
+    interp.run();
+    EXPECT_DOUBLE_EQ(interp.global("total").as_number(), 235);
+    peaks[i] = interp.ledger().peak();
+  }
+  EXPECT_EQ(peaks[0], peaks[1]);
+  // A later interpreter reuses the program's code.
+  const interp::Bytecode* code = compiled_by_run->bytecode.load();
+  ASSERT_NE(code, nullptr);
+  VirtualClock clock;
+  Interpreter again(compiled_by_run, clock);
+  EXPECT_EQ(compiled_by_run->bytecode.load(), code);
+}
+
 TEST(ProgramLifetime, InterpreterRunsAfterItsCallerDropsTheProgram) {
   std::optional<js::Program> program =
       js::parse("var o = {a: 1}; o['b'] = 2; var total = o.a + o.b;");

@@ -94,6 +94,38 @@ TEST(Semantics, LooseVsStrictEqualityMatrix) {
 // Prototype chains and constructors
 // ---------------------------------------------------------------------------
 
+TEST(Semantics, ComputedKeyIsTakenBeforeTheRightHandSide) {
+  // An array used as a key is converted to its text before the assigned
+  // value is evaluated, so a right-hand side that grows it does not change
+  // the property written.
+  EXPECT_EQ(str_result("var k = [1, 2];\n"
+                       "var o = {};\n"
+                       "o[k] = k.push(3);\n"
+                       "o[k] += k.push(4);\n"
+                       "var result = Object.keys(o).join('|');"),
+            "1,2|1,2,3");
+}
+
+TEST(Semantics, TryFinallyCompletions) {
+  // A finally clause's return replaces the pending completion; after an
+  // uncaught throw it runs, and the throw goes on; a throw out of a catch
+  // clause skips the finally clause; a break runs the finally clauses it
+  // leaves. (f returns undefined, which join prints as nothing.)
+  EXPECT_EQ(str_result("var log = [];\n"
+                       "function a() { try { return 1; } finally { log.push('a'); } }\n"
+                       "function b() { try { return 1; } finally { return 2; } }\n"
+                       "function c() { try { try { throw 1; } finally { log.push('c'); } }\n"
+                       "  catch (e) { return e; } }\n"
+                       "function d() { try { try { throw 1; } catch (e) { throw 2; }\n"
+                       "  finally { log.push('never'); } } catch (e) { return e; } }\n"
+                       "function e() { for (var i = 0; i < 3; i++) {\n"
+                       "  try { if (i == 1) break; log.push('i' + i); } finally { log.push('f' + i); } }\n"
+                       "  return i; }\n"
+                       "function f() { try { try { throw 1; } finally { return 5; } } catch (x) {} }\n"
+                       "var result = [a(), b(), c(), d(), e(), f(), log.join(',')].join(' ');"),
+            "1 2 1 2 1  a,c,i0,f0,f1");
+}
+
 TEST(Semantics, PrototypeChainLookupOrder) {
   EXPECT_DOUBLE_EQ(
       num("function A() {}\n"
