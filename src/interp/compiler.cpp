@@ -21,6 +21,42 @@ using js::NodeKind;
 using Reg = std::uint16_t;
 constexpr Reg kNoReg = 0xffff;
 
+/// The instruction that runs `first` and then `second`, which stays at the
+/// next pc (so a jump to it runs it alone), or `first` when no pair exists.
+Op fused(Op first, Op second) {
+  switch (first) {
+    case Op::GetLocal:
+      switch (second) {
+        case Op::GetLocal: return Op::GetLocalGetLocal;
+        case Op::GetNamed: return Op::GetLocalGetNamed;
+        case Op::LoadNum: return Op::GetLocalLoadNum;
+        case Op::Mul: return Op::GetLocalMul;
+        case Op::Add: return Op::GetLocalAdd;
+        case Op::GetElem: return Op::GetLocalGetElem;
+        case Op::GetGlobal: return Op::GetLocalGetGlobal;
+        default: return first;
+      }
+    case Op::SetLocal: return second == Op::GetLocal ? Op::SetLocalGetLocal : first;
+    case Op::LoadNum:
+      switch (second) {
+        case Op::Add: return Op::LoadNumAdd;
+        case Op::Mul: return Op::LoadNumMul;
+        case Op::Gt: return Op::LoadNumGt;
+        default: return first;
+      }
+    case Op::GetGlobal:
+      switch (second) {
+        case Op::GetMethod: return Op::GetGlobalGetMethod;
+        case Op::GetLocal: return Op::GetGlobalGetLocal;
+        case Op::GetNamed: return Op::GetGlobalGetNamed;
+        default: return first;
+      }
+    case Op::Mul: return second == Op::Add ? Op::MulAdd : first;
+    case Op::GetMethod: return second == Op::Args ? Op::GetMethodArgs : first;
+    default: return first;
+  }
+}
+
 /// A jump target. Until it is bound, its unresolved uses form a chain
 /// through their `x` fields (1 + pc of the next use; 0 ends it).
 struct Label {
@@ -74,6 +110,7 @@ class Compiler {
       out_.code.emplace_back().ticks = 255;  // a Tick (the default op)
       ticks_ -= 255;
     }
+    if (!out_.code.empty()) out_.code.back().op = fused(out_.code.back().op, op);
     out_.code.push_back(Instr{op, std::uint8_t(ticks_), a, b, c, 0, line, {p}});
     ticks_ = 0;
     return out_.code.back();
@@ -647,39 +684,6 @@ class Compiler {
   std::uint32_t max_reg_ = 1;
 };
 
-/// Pairs the hottest adjacent instructions (see Op::GetLocalGetLocal).
-void fuse_pairs(std::vector<Instr>& code) {
-  struct Pair {
-    Op first, second, fused;
-  };
-  static constexpr Pair kPairs[] = {
-      {Op::GetLocal, Op::GetLocal, Op::GetLocalGetLocal},
-      {Op::GetLocal, Op::GetNamed, Op::GetLocalGetNamed},
-      {Op::GetLocal, Op::LoadNum, Op::GetLocalLoadNum},
-      {Op::GetLocal, Op::Mul, Op::GetLocalMul},
-      {Op::GetLocal, Op::Add, Op::GetLocalAdd},
-      {Op::GetLocal, Op::GetElem, Op::GetLocalGetElem},
-      {Op::GetLocal, Op::GetGlobal, Op::GetLocalGetGlobal},
-      {Op::SetLocal, Op::GetLocal, Op::SetLocalGetLocal},
-      {Op::LoadNum, Op::Add, Op::LoadNumAdd},
-      {Op::LoadNum, Op::Mul, Op::LoadNumMul},
-      {Op::LoadNum, Op::Gt, Op::LoadNumGt},
-      {Op::GetGlobal, Op::GetMethod, Op::GetGlobalGetMethod},
-      {Op::GetGlobal, Op::GetLocal, Op::GetGlobalGetLocal},
-      {Op::GetGlobal, Op::GetNamed, Op::GetGlobalGetNamed},
-      {Op::Mul, Op::Add, Op::MulAdd},
-      {Op::GetMethod, Op::Args, Op::GetMethodArgs},
-  };
-  for (std::size_t i = 0; i + 1 < code.size(); ++i) {
-    for (const Pair& pair : kPairs) {
-      if (code[i].op == pair.first && code[i + 1].op == pair.second) {
-        code[i].op = pair.fused;
-        break;
-      }
-    }
-  }
-}
-
 }  // namespace
 
 Bytecode compile(const js::ProgramBody& body) {
@@ -693,7 +697,6 @@ Bytecode compile(const js::ProgramBody& body) {
     compiler.pending.pop_back();
     out.functions[fn->code_index] = compiler.body({}, fn->body);
   }
-  fuse_pairs(out.code);
   return out;
 }
 
