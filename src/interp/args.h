@@ -184,22 +184,17 @@ class ArgStack {
 /// evaluation.
 class ArgFrame {
  public:
-  ArgFrame(ArgStack& stack, std::size_t n) : stack_(stack), n_(n) {
-    data_ = stack_.push(n, &mark_);
-  }
-  ~ArgFrame() { stack_.pop(mark_, data_, n_); }
+  ArgFrame(ArgStack& stack, std::size_t n) : stack_(stack), n_(n) { stack_.open(n); }
+  ~ArgFrame() { stack_.close(); }
   ArgFrame(const ArgFrame&) = delete;
   ArgFrame& operator=(const ArgFrame&) = delete;
 
-  [[nodiscard]] Value* data() { return data_; }
-  [[nodiscard]] std::size_t size() const { return n_; }
-  [[nodiscard]] Args args() const { return Args(data_, n_); }
+  [[nodiscard]] Value* data() { return stack_.top(); }
+  [[nodiscard]] Args args() const { return Args(stack_.top(), n_); }
 
  private:
   ArgStack& stack_;
-  Value* data_;
   std::size_t n_;
-  ArgStack::Mark mark_;
 };
 
 }  // namespace jsceres::interp

@@ -15,9 +15,8 @@ enum class Op : std::uint8_t {
   // Constants.
   LoadNum, LoadStr, LoadBool, LoadNull, LoadThis,
   // Variables: name at `p` (const js::Atom*), event line at `line`.
-  // Local: hops 0, slot x. Up: hops c, slot x. Global: ref id x. Dyn: by name.
-  GetLocal, GetUp, GetGlobal, GetDyn,
-  SetLocal, SetUp, SetGlobal, SetDyn,
+  // Local: hops 0, slot x. Up: hops c, slot x. Global: ref id x.
+  GetLocal, GetUp, GetGlobal, SetLocal, SetUp, SetGlobal,
   UpdateVar,   // ++/-- on a binding: a = result, p = Ident, c = flags
   TypeofVar,   // a = "undefined" and jump x when the Ident at p is unbound
   // Properties: p = js::Member, base b, key c.
@@ -36,10 +35,8 @@ enum class Op : std::uint8_t {
   LoopEnter, LoopIter, LoopExit, ForInStart, ForInNext, ForInEnd,
   // Pairs: the first instruction's work, then the second's (left intact
   // at the next pc, so a jump to it still runs it alone) with no dispatch.
-  GetLocalGetLocal, GetLocalGetNamed, GetLocalLoadNum, GetLocalMul,
-  GetLocalAdd, GetLocalGetElem, GetLocalGetGlobal, SetLocalGetLocal,
-  LoadNumAdd, LoadNumMul, LoadNumGt, GetGlobalGetMethod, GetGlobalGetLocal,
-  GetGlobalGetNamed, MulAdd, GetMethodArgs,
+  GetLocalGetLocal, GetLocalGetNamed, GetLocalLoadNum, GetLocalMul, SetLocalGetLocal,
+  LoadNumAdd, GetGlobalGetMethod, MulAdd, GetMethodArgs,
   Count_
 };
 
@@ -60,13 +57,12 @@ struct Instr {
 };
 static_assert(sizeof(Instr) == 24, "an instruction is three words");
 
-/// Ranges of one try statement, all pcs into Bytecode::code. The try, catch
-/// and finally bodies each end with Exit; `ret` is the statement's return
-/// path (the loop exits between it and the enclosing try or function, then
-/// Return); `cont` follows the statement.
+/// Ranges of one try statement, all pcs into Bytecode::code. The try body
+/// follows the Try instruction; it, the catch and the finally bodies each end
+/// with Exit; `ret` is the statement's return path (the loop exits between it
+/// and the enclosing try or function, then Return); `cont` follows it.
 struct TryInfo {
   const js::TryCatch* node = nullptr;
-  std::uint32_t try_pc = 0;
   std::uint32_t catch_pc = 0;    // 0: no catch clause
   std::uint32_t finally_pc = 0;  // 0: no finally clause
   std::uint32_t ret = 0;

@@ -10,6 +10,7 @@
 // the count on a Tick instruction.
 
 #include <algorithm>
+#include <array>
 
 #include "interp/bytecode.h"
 
@@ -21,41 +22,32 @@ using js::NodeKind;
 using Reg = std::uint16_t;
 constexpr Reg kNoReg = 0xffff;
 
-/// The instruction that runs `first` and then `second`, which stays at the
-/// next pc (so a jump to it runs it alone), or `first` when no pair exists.
-Op fused(Op first, Op second) {
-  switch (first) {
-    case Op::GetLocal:
-      switch (second) {
-        case Op::GetLocal: return Op::GetLocalGetLocal;
-        case Op::GetNamed: return Op::GetLocalGetNamed;
-        case Op::LoadNum: return Op::GetLocalLoadNum;
-        case Op::Mul: return Op::GetLocalMul;
-        case Op::Add: return Op::GetLocalAdd;
-        case Op::GetElem: return Op::GetLocalGetElem;
-        case Op::GetGlobal: return Op::GetLocalGetGlobal;
-        default: return first;
-      }
-    case Op::SetLocal: return second == Op::GetLocal ? Op::SetLocalGetLocal : first;
-    case Op::LoadNum:
-      switch (second) {
-        case Op::Add: return Op::LoadNumAdd;
-        case Op::Mul: return Op::LoadNumMul;
-        case Op::Gt: return Op::LoadNumGt;
-        default: return first;
-      }
-    case Op::GetGlobal:
-      switch (second) {
-        case Op::GetMethod: return Op::GetGlobalGetMethod;
-        case Op::GetLocal: return Op::GetGlobalGetLocal;
-        case Op::GetNamed: return Op::GetGlobalGetNamed;
-        default: return first;
-      }
-    case Op::Mul: return second == Op::Add ? Op::MulAdd : first;
-    case Op::GetMethod: return second == Op::Args ? Op::GetMethodArgs : first;
-    default: return first;
-  }
-}
+/// Adjacent pairs {first, second, pair}: `pair` runs `first`, then
+/// `second`, which stays at the next pc (so a jump to it runs it alone).
+constexpr Op kPairs[][3] = {
+    {Op::GetLocal, Op::GetLocal, Op::GetLocalGetLocal}, {Op::GetLocal, Op::GetNamed, Op::GetLocalGetNamed},
+    {Op::GetLocal, Op::LoadNum, Op::GetLocalLoadNum},   {Op::GetLocal, Op::Mul, Op::GetLocalMul},
+    {Op::SetLocal, Op::GetLocal, Op::SetLocalGetLocal}, {Op::LoadNum, Op::Add, Op::LoadNumAdd},
+    {Op::GetGlobal, Op::GetMethod, Op::GetGlobalGetMethod}, {Op::Mul, Op::Add, Op::MulAdd},
+    {Op::GetMethod, Op::Args, Op::GetMethodArgs},
+};
+constexpr std::size_t kOps = std::size_t(Op::Count_);
+/// kFused[first][second]: the pair's op, or `first`.
+constexpr auto kFused = [] {
+  std::array<std::array<Op, kOps>, kOps> table{};
+  for (std::size_t a = 0; a < kOps; ++a) table[a].fill(Op(a));
+  for (const auto& pair : kPairs) table[std::size_t(pair[0])][std::size_t(pair[1])] = pair[2];
+  return table;
+}();
+
+/// The instruction for each js::BinaryOp; Binary handles the rest.
+constexpr Op kBinaryOps[] = {
+    Op::Add, Op::Sub, Op::Mul, Op::Div, Op::Binary,                  // Add .. Mod
+    Op::Binary, Op::Binary, Op::Binary, Op::Binary, Op::Binary, Op::Binary,  // BitAnd .. UShr
+    Op::Lt, Op::Gt, Op::Le, Op::Ge, Op::Binary, Op::Binary, Op::StrictEq, Op::StrictNe,
+    Op::Binary, Op::Binary,  // In, InstanceOf
+};
+static_assert(std::size(kBinaryOps) == std::size_t(js::BinaryOp::InstanceOf) + 1);
 
 /// A jump target. Until it is bound, its unresolved uses form a chain
 /// through their `x` fields (1 + pc of the next use; 0 ends it).
@@ -110,14 +102,18 @@ class Compiler {
       out_.code.emplace_back().ticks = 255;  // a Tick (the default op)
       ticks_ -= 255;
     }
-    if (!out_.code.empty()) out_.code.back().op = fused(out_.code.back().op, op);
+    if (!out_.code.empty()) {
+      Op& previous = out_.code.back().op;
+      previous = kFused[std::size_t(previous)][std::size_t(op)];
+    }
     out_.code.push_back(Instr{op, std::uint8_t(ticks_), a, b, c, 0, line, {p}});
     ticks_ = 0;
     return out_.code.back();
   }
 
-  void jump(Op op, Label& label, Reg b = 0, Reg c = 0) {
-    Instr& ins = emit(op, 0, b, c);
+  void jump(Op op, Label& label, Reg a = 0, Reg b = 0, Reg c = 0, int line = 0,
+            const void* p = nullptr) {
+    Instr& ins = emit(op, a, b, c, line, p);
     if (label.pc >= 0) {
       ins.x = std::uint32_t(label.pc);
       return;
@@ -144,23 +140,20 @@ class Compiler {
 
   /// Restores the register top when a statement or operand is done.
   struct Scratch {
-    explicit Scratch(Compiler& c) : c(c), top(c.next_reg_) {}
-    ~Scratch() { c.next_reg_ = top; }
-    Compiler& c;
-    Reg top;
+    Reg& top;
+    const Reg saved = top;
+    ~Scratch() { top = saved; }
   };
 
   // --- variables ----------------------------------------------------------
 
-  void var(bool write, const js::Atom& name, const js::SlotRef& ref, Reg r, int line) {
-    Op op = write ? Op::SetLocal : Op::GetLocal;
-    if (ref.hops > 0) {
-      op = write ? Op::SetUp : Op::GetUp;
-    } else if (ref.hops < 0) {
-      op = ref.ref_id != js::kNoCacheId ? (write ? Op::SetGlobal : Op::GetGlobal)
-                                        : (write ? Op::SetDyn : Op::GetDyn);
-    }
-    emit(op, r, r, Reg(std::max(ref.hops, 0)), line, &name).x =
+  template <class Ref>  // an Ident or a VarDecl declarator: `name` and `ref`
+  void var(bool write, const Ref& node, Reg r, int line) {
+    const js::SlotRef& ref = node.ref;
+    const Op op = ref.hops == 0 ? (write ? Op::SetLocal : Op::GetLocal)
+                  : ref.hops > 0 ? (write ? Op::SetUp : Op::GetUp)
+                                 : (write ? Op::SetGlobal : Op::GetGlobal);
+    emit(op, r, r, Reg(std::max(ref.hops, 0)), line, &node.name).x =
         ref.hops >= 0 ? ref.slot : ref.ref_id;
   }
 
@@ -169,25 +162,20 @@ class Compiler {
   /// Leaves the value of `e` in `dst`; the register top is unchanged.
   void expr(const js::Expr& e, Reg dst) {
     ++ticks_;
-    const Scratch scratch(*this);
+    const Scratch scratch{next_reg_};
     switch (e.kind) {
-      case NodeKind::NumberLit: {
+      case NodeKind::NumberLit:
         emit(Op::LoadNum, dst).num = static_cast<const js::NumberLit&>(e).value;
         return;
-      }
       case NodeKind::StringLit:
         emit(Op::LoadStr, dst, 0, 0, 0, &static_cast<const js::StringLit&>(e).value);
         return;
-      case NodeKind::BoolLit: {
+      case NodeKind::BoolLit:
         emit(Op::LoadBool, dst).x = static_cast<const js::BoolLit&>(e).value ? 1 : 0;
         return;
-      }
       case NodeKind::NullLit: emit(Op::LoadNull, dst); return;
-      case NodeKind::Ident: {
-        const auto& ident = static_cast<const js::Ident&>(e);
-        var(false, ident.name, ident.ref, dst, e.line);
-        return;
-      }
+      case NodeKind::Ident:
+        return var(false, static_cast<const js::Ident&>(e), dst, e.line);
       case NodeKind::ThisExpr: emit(Op::LoadThis, dst); return;
       case NodeKind::ArrayLit: {
         const auto& lit = static_cast<const js::ArrayLit&>(e);
@@ -236,7 +224,7 @@ class Compiler {
         Label other;
         Label end;
         expr(*node.condition, dst);
-        jump(Op::JumpIfFalse, other, dst);
+        jump(Op::JumpIfFalse, other, 0, dst);
         expr(*node.consequent, dst);
         jump(Op::Jump, end);
         bind(other);
@@ -256,7 +244,7 @@ class Compiler {
         const auto& node = static_cast<const js::Logical&>(e);
         Label end;
         expr(*node.lhs, dst);
-        jump(node.op == js::LogicalOp::And ? Op::JumpIfFalse : Op::JumpIfTrue, end, dst);
+        jump(node.op == js::LogicalOp::And ? Op::JumpIfFalse : Op::JumpIfTrue, end, 0, dst);
         expr(*node.rhs, dst);
         bind(end);
         return;
@@ -290,21 +278,7 @@ class Compiler {
   }
 
   void binary(js::BinaryOp op, Reg dst, Reg rhs, int line) {
-    Op code = Op::Binary;
-    switch (op) {
-      case js::BinaryOp::Add: code = Op::Add; break;
-      case js::BinaryOp::Sub: code = Op::Sub; break;
-      case js::BinaryOp::Mul: code = Op::Mul; break;
-      case js::BinaryOp::Div: code = Op::Div; break;
-      case js::BinaryOp::Lt: code = Op::Lt; break;
-      case js::BinaryOp::Gt: code = Op::Gt; break;
-      case js::BinaryOp::Le: code = Op::Le; break;
-      case js::BinaryOp::Ge: code = Op::Ge; break;
-      case js::BinaryOp::StrictEq: code = Op::StrictEq; break;
-      case js::BinaryOp::StrictNe: code = Op::StrictNe; break;
-      default: break;
-    }
-    emit(code, dst, dst, rhs, line).x = std::uint32_t(op);
+    emit(kBinaryOps[int(op)], dst, dst, rhs, line).x = std::uint32_t(op);
   }
 
   static js::BinaryOp compound_op(js::AssignOp op) {
@@ -339,12 +313,12 @@ class Compiler {
       if (!compound) {
         expr(*node.value, dst);
       } else {
-        var(false, ident.name, ident.ref, dst, node.line);
+        var(false, ident, dst, node.line);
         const Reg rhs = alloc();
         expr(*node.value, rhs);
         binary(compound_op(node.op), dst, rhs, node.line);
       }
-      var(true, ident.name, ident.ref, dst, node.line);
+      var(true, ident, dst, node.line);
       return;
     }
     const auto& member = static_cast<const js::Member&>(*node.target);
@@ -366,9 +340,7 @@ class Compiler {
     expr(*member.index, key);
     // The key becomes a property name before the right-hand side runs; only
     // code that can mutate an object used as a key could tell the difference.
-    if (impure(*node.value)) {
-      emit(Op::ElemKey, 0, base, key, node.line, &member);
-    }
+    if (impure(*node.value)) emit(Op::ElemKey, 0, base, key, node.line, &member);
     if (!compound) {
       expr(*node.value, dst);
     } else {
@@ -384,11 +356,7 @@ class Compiler {
     switch (node.op) {
       case js::UnaryOp::TypeOf: {
         Label done;
-        if (node.operand->kind == NodeKind::Ident) {
-          jump(Op::TypeofVar, done, dst);
-          out_.code.back().a = dst;
-          out_.code.back().p = node.operand;
-        }
+        if (node.operand->kind == NodeKind::Ident) jump(Op::TypeofVar, done, dst, 0, 0, 0, node.operand);
         expr(*node.operand, dst);
         emit(Op::Typeof, dst, dst);
         bind(done);
@@ -403,9 +371,7 @@ class Compiler {
         }
         // A non-object base answers true before the key is evaluated.
         Label done;
-        jump(Op::DeleteProp, done, dst, kNoReg);
-        out_.code.back().a = dst;
-        out_.code.back().p = &member;
+        jump(Op::DeleteProp, done, dst, dst, kNoReg, node.line, &member);
         const Reg key = alloc();
         expr(*member.index, key);
         emit(Op::DeleteProp, dst, dst, key, node.line, &member);
@@ -464,38 +430,28 @@ class Compiler {
   /// Jump to `target` when `cond` is false. Relational conditions compare
   /// and branch in one instruction.
   void branch_unless(const js::Expr& cond, Label& target) {
-    const Scratch scratch(*this);
-    if (cond.kind == NodeKind::Binary) {
-      const auto& node = static_cast<const js::Binary&>(cond);
-      Op op = Op::Count_;
-      switch (node.op) {
-        case js::BinaryOp::Lt: op = Op::JumpIfNotLt; break;
-        case js::BinaryOp::Gt: op = Op::JumpIfNotGt; break;
-        case js::BinaryOp::Le: op = Op::JumpIfNotLe; break;
-        case js::BinaryOp::Ge: op = Op::JumpIfNotGe; break;
-        default: break;
-      }
-      if (op != Op::Count_) {
-        ++ticks_;
-        const Reg lhs = alloc();
-        const Reg rhs = alloc();
-        expr(*node.lhs, lhs);
-        expr(*node.rhs, rhs);
-        jump(op, target, lhs, rhs);
-        out_.code.back().line = cond.line;
-        return;
-      }
+    const Scratch scratch{next_reg_};
+    const auto& node = static_cast<const js::Binary&>(cond);  // read only if Binary
+    const int relation =  // Lt, Gt, Le, Ge: 0..3
+        cond.kind == NodeKind::Binary ? int(node.op) - int(js::BinaryOp::Lt) : -1;
+    if (relation >= 0 && relation < 4) {
+      ++ticks_;
+      const Reg lhs = alloc();
+      const Reg rhs = alloc();
+      expr(*node.lhs, lhs);
+      expr(*node.rhs, rhs);
+      return jump(Op(int(Op::JumpIfNotLt) + relation), target, 0, lhs, rhs, cond.line);
     }
     const Reg r = alloc();
     expr(cond, r);
-    jump(Op::JumpIfFalse, target, r);
+    jump(Op::JumpIfFalse, target, 0, r);
   }
 
   // --- statements ---------------------------------------------------------
 
   void stmt(const js::Stmt& s) {
     ++ticks_;
-    const Scratch scratch(*this);
+    const Scratch scratch{next_reg_};
     switch (s.kind) {
       case NodeKind::Block:
         for (const js::Stmt* child : static_cast<const js::Block&>(s).statements) stmt(*child);
@@ -508,7 +464,7 @@ class Compiler {
           if (d.init == nullptr) continue;
           const Reg r = alloc();
           expr(*d.init, r);
-          var(true, d.name, d.ref, r, s.line);
+          var(true, d, r, s.line);
         }
         return;
       case NodeKind::FunctionDecl:
@@ -533,34 +489,11 @@ class Compiler {
       case NodeKind::For: {
         const auto& node = static_cast<const js::For&>(s);
         if (node.init != nullptr) stmt(*node.init);
-        Label head;
-        Label next;
-        Label exit;
-        loop_op(Op::LoopEnter, s, js::LoopKind::For, node.loop_id);
-        bind(head);
-        if (node.condition != nullptr) branch_unless(*node.condition, exit);
-        loop_op(Op::LoopIter, s, js::LoopKind::For, node.loop_id);
-        loop_body(*node.body, {&exit, &next, try_depth_, &s, js::LoopKind::For, node.loop_id});
-        bind(next);
-        if (node.update != nullptr) expr(*node.update, alloc());
-        jump(Op::Jump, head);
-        bind(exit);
-        loop_op(Op::LoopExit, s, js::LoopKind::For, node.loop_id);
-        return;
+        return loop(s, js::LoopKind::For, node.loop_id, node.condition, node.update, *node.body);
       }
       case NodeKind::While: {
         const auto& node = static_cast<const js::While&>(s);
-        Label head;
-        Label exit;
-        loop_op(Op::LoopEnter, s, js::LoopKind::While, node.loop_id);
-        bind(head);
-        branch_unless(*node.condition, exit);
-        loop_op(Op::LoopIter, s, js::LoopKind::While, node.loop_id);
-        loop_body(*node.body, {&exit, &head, try_depth_, &s, js::LoopKind::While, node.loop_id});
-        jump(Op::Jump, head);
-        bind(exit);
-        loop_op(Op::LoopExit, s, js::LoopKind::While, node.loop_id);
-        return;
+        return loop(s, js::LoopKind::While, node.loop_id, node.condition, nullptr, *node.body);
       }
       case NodeKind::DoWhile: {
         const auto& node = static_cast<const js::DoWhile&>(s);
@@ -570,7 +503,9 @@ class Compiler {
         loop_op(Op::LoopEnter, s, js::LoopKind::DoWhile, node.loop_id);
         bind(body);
         loop_op(Op::LoopIter, s, js::LoopKind::DoWhile, node.loop_id);
-        loop_body(*node.body, {&exit, &next, try_depth_, &s, js::LoopKind::DoWhile, node.loop_id});
+        loops_.push_back({&exit, &next, try_depth_, &s, js::LoopKind::DoWhile, node.loop_id});
+        stmt(*node.body);
+        loops_.pop_back();
         bind(next);
         Label done;
         branch_unless(*node.condition, done);
@@ -591,11 +526,10 @@ class Compiler {
         Label next;
         Label exit;
         bind(next);
-        jump(Op::ForInNext, exit, it);
-        out_.code.back().a = it;
-        out_.code.back().line = s.line;
-        out_.code.back().p = &node;
-        loop_body(*node.body, {&exit, &next, try_depth_, &s, js::LoopKind::ForIn, node.loop_id});
+        jump(Op::ForInNext, exit, it, 0, 0, s.line, &node);
+        loops_.push_back({&exit, &next, try_depth_, &s, js::LoopKind::ForIn, node.loop_id});
+        stmt(*node.body);
+        loops_.pop_back();
         jump(Op::Jump, next);
         bind(exit);
         emit(Op::ForInEnd, it, 0, Reg(js::LoopKind::ForIn), s.line).x = std::uint32_t(node.loop_id);
@@ -609,11 +543,12 @@ class Compiler {
         return;
       }
       case NodeKind::Break:
-      case NodeKind::Continue: {
-        const bool is_break = s.kind == NodeKind::Break;
-        if (loops_.empty()) return leave(*end_, 0);
-        const Loop& loop = loops_.back();
-        return leave(is_break ? *loop.exit : *loop.next, loop.try_depth);
+      case NodeKind::Continue: {  // a Leave when it crosses a try statement
+        Label& target = loops_.empty()                 ? *end_
+                        : s.kind == NodeKind::Break    ? *loops_.back().exit
+                                                       : *loops_.back().next;
+        const int depth = loops_.empty() ? 0 : loops_.back().try_depth;
+        return jump(depth == try_depth_ ? Op::Jump : Op::Leave, target);
       }
       case NodeKind::Throw: {
         const Reg r = alloc();
@@ -627,19 +562,28 @@ class Compiler {
     }
   }
 
-  void loop_op(Op op, const js::Stmt& s, js::LoopKind kind, int loop_id) {
-    emit(op, 0, 0, Reg(kind), s.line).x = std::uint32_t(loop_id);
-  }
-
-  void loop_body(const js::Stmt& body, const Loop& loop) {
-    loops_.push_back(loop);
+  /// A for or while loop (after a for loop's init).
+  void loop(const js::Stmt& s, js::LoopKind kind, int loop_id, const js::Expr* condition,
+            const js::Expr* update, const js::Stmt& body) {
+    Label head;
+    Label next;
+    Label exit;
+    loop_op(Op::LoopEnter, s, kind, loop_id);
+    bind(head);
+    if (condition != nullptr) branch_unless(*condition, exit);
+    loop_op(Op::LoopIter, s, kind, loop_id);
+    loops_.push_back({&exit, &next, try_depth_, &s, kind, loop_id});
     stmt(body);
     loops_.pop_back();
+    bind(next);
+    if (update != nullptr) expr(*update, alloc());
+    jump(Op::Jump, head);
+    bind(exit);
+    loop_op(Op::LoopExit, s, kind, loop_id);
   }
 
-  /// break/continue: a jump, or a Leave when it crosses a try statement.
-  void leave(Label& target, int depth) {
-    jump(depth == try_depth_ ? Op::Jump : Op::Leave, target);
+  void loop_op(Op op, const js::Stmt& s, js::LoopKind kind, int loop_id) {
+    emit(op, 0, 0, Reg(kind), s.line).x = std::uint32_t(loop_id);
   }
 
   /// The loop-exit events a return fires on its way out of the loops
@@ -655,7 +599,6 @@ class Compiler {
     out_.tries.push_back(TryInfo{&node});
     emit(Op::Try).x = index;
     ++try_depth_;
-    out_.tries[index].try_pc = pc();
     stmt(*node.try_block);
     emit(Op::Exit);
     if (node.catch_block != nullptr) {

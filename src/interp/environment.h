@@ -23,7 +23,7 @@ namespace jsceres::interp {
 /// clear_for_reuse(), which is what makes reused activations allocation-free
 /// in steady state. Statically resolved references (js::SlotRef) index
 /// `slots_` directly without touching the names at all; the scan only runs
-/// on declare and on the dynamic-resolution fallback.
+/// on declare and on global lookups.
 ///
 /// Each environment carries a process-unique id; the dependence analyzer
 /// stamps the id with the loop-characterization stack current at creation.
@@ -105,20 +105,6 @@ class Environment {
     Environment* env = this;
     for (; hops > 0; --hops) env = env->parent_;
     return env;
-  }
-
-  /// Resolve a name through the scope chain. Returns the owning environment
-  /// (for provenance stamping) and the slot, or {nullptr, nullptr}. This is
-  /// the dynamic fallback; statically resolved references bypass it.
-  struct Resolution {
-    Environment* env = nullptr;
-    Value* slot = nullptr;
-  };
-  Resolution resolve(js::Atom name) {
-    for (Environment* env = this; env != nullptr; env = env->parent_) {
-      if (Value* slot = env->own_slot(name)) return {env, slot};
-    }
-    return {};
   }
 
   // `this` binding of the activation this environment belongs to.

@@ -531,22 +531,16 @@ Value* Interpreter::lookup_for_read(js::Atom name, const js::SlotRef& ref,
     *owner = target;
     return target->slot_at(ref.slot);
   }
-  if (ref.ref_id != js::kNoCacheId) {
-    // Global reference: hash once per site, then direct slot index (global
-    // bindings are never removed, so a cached index stays valid).
-    Environment* global = global_env_;
-    *owner = global;
-    std::int32_t& cached = global_ref_cache_[ref.ref_id];
-    if (cached >= 0) return global->slot_at(std::uint32_t(cached));
-    const std::int64_t index = global->slot_index(name);
-    if (index < 0) return nullptr;
-    cached = std::int32_t(index);
-    return global->slot_at(std::uint32_t(index));
-  }
-  // Unresolved AST (synthesized without resolve_scopes): dynamic walk.
-  const Environment::Resolution res = env->resolve(name);
-  *owner = res.env;
-  return res.slot;
+  // Global reference: hash once per site, then direct slot index (global
+  // bindings are never removed, so a cached index stays valid).
+  Environment* global = global_env_;
+  *owner = global;
+  std::int32_t& cached = global_ref_cache_[ref.ref_id];
+  if (cached >= 0) return global->slot_at(std::uint32_t(cached));
+  const std::int64_t index = global->slot_index(name);
+  if (index < 0) return nullptr;
+  cached = std::int32_t(index);
+  return global->slot_at(std::uint32_t(index));
 }
 
 Value* Interpreter::lookup_for_write(js::Atom name, const js::SlotRef& ref,
@@ -557,27 +551,17 @@ Value* Interpreter::lookup_for_write(js::Atom name, const js::SlotRef& ref,
     return target->slot_at(ref.slot);
   }
   Environment* global = global_env_;
-  if (ref.ref_id != js::kNoCacheId) {
-    *owner = global;
-    std::int32_t& cached = global_ref_cache_[ref.ref_id];
-    if (cached >= 0) return global->slot_at(std::uint32_t(cached));
-    std::int64_t index = global->slot_index(name);
-    if (index < 0) {
-      // Sloppy-mode JavaScript: assigning an undeclared name creates a global.
-      global->declare(name, Value::undefined());
-      index = global->slot_index(name);
-    }
-    cached = std::int32_t(index);
-    return global->slot_at(std::uint32_t(index));
-  }
-  const Environment::Resolution res = env->resolve(name);
-  if (res.slot != nullptr) {
-    *owner = res.env;
-    return res.slot;
-  }
   *owner = global;
-  global->declare(name, Value::undefined());
-  return global->own_slot(name);
+  std::int32_t& cached = global_ref_cache_[ref.ref_id];
+  if (cached >= 0) return global->slot_at(std::uint32_t(cached));
+  std::int64_t index = global->slot_index(name);
+  if (index < 0) {
+    // Sloppy-mode JavaScript: assigning an undeclared name creates a global.
+    global->declare(name, Value::undefined());
+    index = global->slot_index(name);
+  }
+  cached = std::int32_t(index);
+  return global->slot_at(std::uint32_t(index));
 }
 
 // ---------------------------------------------------------------------------
@@ -880,8 +864,7 @@ Interpreter::Exit Interpreter::run_code(std::uint32_t begin, std::uint32_t end,
                                         Environment* env, Value* r) {
   static const void* const kHandlers[] = {
       &&LoadNum, &&LoadStr, &&LoadBool, &&LoadNull, &&LoadThis,
-      &&GetLocal, &&GetUp, &&GetGlobal, &&GetDyn,
-      &&SetLocal, &&SetUp, &&SetGlobal, &&SetDyn,
+      &&GetLocal, &&GetUp, &&GetGlobal, &&SetLocal, &&SetUp, &&SetGlobal,
       &&UpdateVar, &&TypeofVar,
       &&GetNamed, &&GetMethod, &&GetElem, &&GetElemMethod, &&ElemKey,
       &&SetNamed, &&SetElem, &&UpdateNamed, &&UpdateElem, &&DeleteProp,
@@ -893,9 +876,7 @@ Interpreter::Exit Interpreter::run_code(std::uint32_t begin, std::uint32_t end,
       &&Args, &&Call, &&NewThis, &&Construct,
       &&LoopEnter, &&LoopIter, &&LoopExit, &&ForInStart, &&ForInNext, &&ForInEnd,
       &&GetLocalGetLocal, &&GetLocalGetNamed, &&GetLocalLoadNum, &&GetLocalMul,
-      &&GetLocalAdd, &&GetLocalGetElem, &&GetLocalGetGlobal, &&SetLocalGetLocal,
-      &&LoadNumAdd, &&LoadNumMul, &&LoadNumGt, &&GetGlobalGetMethod, &&GetGlobalGetLocal,
-      &&GetGlobalGetNamed, &&MulAdd, &&GetMethodArgs,
+      &&SetLocalGetLocal, &&LoadNumAdd, &&GetGlobalGetMethod, &&MulAdd, &&GetMethodArgs,
   };
   static_assert(std::size(kHandlers) == std::size_t(Op::Count_), "one handler per op");
   using Kind = MemoryEvent::Kind;
@@ -907,15 +888,7 @@ Interpreter::Exit Interpreter::run_code(std::uint32_t begin, std::uint32_t end,
 LoadNum:
   r[ip->a] = Value::number(ip->num);
   NEXT();
-LoadNumAdd:
-  r[ip->a] = Value::number(ip->num);
-  JSCERES_THEN(Add);
-LoadNumMul:
-  r[ip->a] = Value::number(ip->num);
-  JSCERES_THEN(Mul);
-LoadNumGt:
-  r[ip->a] = Value::number(ip->num);
-  JSCERES_THEN(Gt);
+
 LoadStr:
   r[ip->a] = Value::str(atom_of(ip));
   NEXT();
@@ -941,58 +914,23 @@ LoadThis: {
 GetLocal:
   JSCERES_GET_LOCAL();
   NEXT();
-GetLocalGetLocal:
-  JSCERES_GET_LOCAL();
-  JSCERES_THEN(GetLocal);
-GetLocalGetNamed:
-  JSCERES_GET_LOCAL();
-  JSCERES_THEN(GetNamed);
-GetLocalLoadNum:
-  JSCERES_GET_LOCAL();
-  JSCERES_THEN(LoadNum);
-GetLocalMul:
-  JSCERES_GET_LOCAL();
-  JSCERES_THEN(Mul);
-GetLocalAdd:
-  JSCERES_GET_LOCAL();
-  JSCERES_THEN(Add);
-GetLocalGetElem:
-  JSCERES_GET_LOCAL();
-  JSCERES_THEN(GetElem);
-GetLocalGetGlobal:
-  JSCERES_GET_LOCAL();
-  JSCERES_THEN(GetGlobal);
-SetLocalGetLocal:
-  JSCERES_SET_LOCAL();
-  JSCERES_THEN(GetLocal);
+
 GetUp: {
   Environment* owner = env->ancestor(ip->c);
   if (memory_events_) buffer_memory_event(Kind::VarRead, owner->id(), atom_of(ip), ip->line);
   r[ip->a] = *owner->slot_at(ip->x);
 }
   NEXT();
-#define JSCERES_GET_VAR(ref_id)                                                                \
+#define JSCERES_GET_GLOBAL()                                                                   \
   {                                                                                            \
     Environment* owner = nullptr;                                                              \
-    const Value* slot = lookup_for_read(atom_of(ip), js::SlotRef{-1, 0, ref_id}, env, &owner); \
+    const Value* slot = lookup_for_read(atom_of(ip), js::SlotRef{-1, 0, ip->x}, env, &owner);  \
     if (slot == nullptr) throw_error("ReferenceError", atom_of(ip).str() + " is not defined"); \
     if (memory_events_) buffer_memory_event(Kind::VarRead, owner->id(), atom_of(ip), ip->line); \
     r[ip->a] = *slot;                                                                          \
   }
 GetGlobal:
-  JSCERES_GET_VAR(ip->x);
-  NEXT();
-GetGlobalGetMethod:
-  JSCERES_GET_VAR(ip->x);
-  JSCERES_THEN(GetMethod);
-GetGlobalGetLocal:
-  JSCERES_GET_VAR(ip->x);
-  JSCERES_THEN(GetLocal);
-GetGlobalGetNamed:
-  JSCERES_GET_VAR(ip->x);
-  JSCERES_THEN(GetNamed);
-GetDyn:
-  JSCERES_GET_VAR(js::kNoCacheId);
+  JSCERES_GET_GLOBAL();
   NEXT();
 SetLocal:
   JSCERES_SET_LOCAL();
@@ -1003,11 +941,9 @@ SetUp: {
   *owner->slot_at(ip->x) = r[ip->a];
 }
   NEXT();
-SetGlobal:
-SetDyn: {
-  const js::SlotRef ref{-1, 0, ip->op == Op::SetGlobal ? ip->x : js::kNoCacheId};
+SetGlobal: {
   Environment* owner = nullptr;
-  Value* slot = lookup_for_write(atom_of(ip), ref, env, &owner);
+  Value* slot = lookup_for_write(atom_of(ip), js::SlotRef{-1, 0, ip->x}, env, &owner);
   if (memory_events_) buffer_memory_event(Kind::VarWrite, owner->id(), atom_of(ip), ip->line);
   *slot = r[ip->a];
 }
@@ -1047,9 +983,7 @@ GetNamed:
 GetMethod:
   JSCERES_GET_METHOD();
   NEXT();
-GetMethodArgs:
-  JSCERES_GET_METHOD();
-  JSCERES_THEN(Args);
+
 GetElem: {
   const js::Member& member = member_of(ip);
   std::size_t index = 0;
@@ -1171,11 +1105,7 @@ DeleteProp: {
   JSCERES_ARITH(Ge, Ge, Value::boolean(a >= b))
   JSCERES_ARITH(StrictEq, StrictEq, Value::boolean(a == b))
   JSCERES_ARITH(StrictNe, StrictNe, Value::boolean(a != b))
-MulAdd:
-  JSCERES_ARITH_BODY(Mul, Value::number(a * b))
-  JSCERES_THEN(Add);
 #undef JSCERES_ARITH
-#undef JSCERES_ARITH_BODY
 Binary:
   r[ip->a] = apply_binary(js::BinaryOp(ip->x), r[ip->b], r[ip->c], ip->line);
   NEXT();
@@ -1192,19 +1122,11 @@ BitNot:
   r[ip->a] = Value::number(double(~to_int32(to_number(r[ip->a]))));
   NEXT();
 Typeof: {
+  static const std::string* const kTypes[] = {&kTypeofUndefined, &kTypeofObject, &kTypeofBoolean,
+                                              &kTypeofNumber, &kTypeofString, &kTypeofObject};
   const Value& v = r[ip->a];
-  const std::string* type = &kTypeofUndefined;
-  switch (v.kind()) {
-    case Value::Kind::Undefined: break;
-    case Value::Kind::Null: type = &kTypeofObject; break;
-    case Value::Kind::Boolean: type = &kTypeofBoolean; break;
-    case Value::Kind::Number: type = &kTypeofNumber; break;
-    case Value::Kind::String: type = &kTypeofString; break;
-    case Value::Kind::Object:
-      type = v.as_object()->is_function() ? &kTypeofFunction : &kTypeofObject;
-      break;
-  }
-  r[ip->a] = Value::borrowed_str(*type);
+  const bool function = v.is_object() && v.as_object()->is_function();
+  r[ip->a] = Value::borrowed_str(function ? kTypeofFunction : *kTypes[int(v.kind())]);
 }
   NEXT();
 
@@ -1242,10 +1164,8 @@ ReturnOp:
 Throw:
   throw JSException{r[ip->b]};
 Try: {
-  // The statement's bodies run as nested ranges, so a throw unwinds to
-  // here exactly as it did to the statement: a catch clause gets a fresh
-  // scope, a throw out of it skips the finally clause, and an abrupt
-  // finally completion replaces the pending one.
+  // The bodies run as nested ranges, so a throw unwinds to here as it did
+  // to the statement (see README.md, try/catch/finally).
   const TryInfo& t = bytecode_->tries[ip->x];
   const std::uint32_t catch_end = t.finally_pc != 0 ? t.finally_pc : t.ret;
   const std::uint32_t try_end = t.catch_pc != 0 ? t.catch_pc : catch_end;
@@ -1253,7 +1173,7 @@ Try: {
   const std::size_t keys = forin_keys_.size();
   Exit completion;
   try {
-    completion = run_code(t.try_pc, try_end, env, r);
+    completion = run_code(std::uint32_t(ip - code) + 1, try_end, env, r);
   } catch (const JSException& ex) {
     arg_stack_.close_to(arg_frames);
     forin_keys_.resize(keys);
@@ -1345,6 +1265,23 @@ NewThis: {
 }
   NEXT();
 
+  // --- pairs (see the compiler's kPairs) ---
+#define JSCERES_PAIR(name, first, second) \
+  name:                                   \
+  first;                                  \
+  JSCERES_THEN(second);
+  JSCERES_PAIR(GetLocalGetLocal, JSCERES_GET_LOCAL(), GetLocal)
+  JSCERES_PAIR(GetLocalGetNamed, JSCERES_GET_LOCAL(), GetNamed)
+  JSCERES_PAIR(GetLocalLoadNum, JSCERES_GET_LOCAL(), LoadNum)
+  JSCERES_PAIR(GetLocalMul, JSCERES_GET_LOCAL(), Mul)
+  JSCERES_PAIR(SetLocalGetLocal, JSCERES_SET_LOCAL(), GetLocal)
+  JSCERES_PAIR(LoadNumAdd, r[ip->a] = Value::number(ip->num), Add)
+  JSCERES_PAIR(GetGlobalGetMethod, JSCERES_GET_GLOBAL(), GetMethod)
+  JSCERES_PAIR(MulAdd, JSCERES_ARITH_BODY(Mul, Value::number(a * b)), Add)
+  JSCERES_PAIR(GetMethodArgs, JSCERES_GET_METHOD(), Args)
+#undef JSCERES_PAIR
+#undef JSCERES_ARITH_BODY
+
   // --- loops: the instrumented events the whole study hangs off ---
 LoopEnter:
   if (hooks_ != nullptr) sync_hooks()->on_loop_enter(LoopEvent{int(ip->x), ip->line, int(ip->c)});
@@ -1396,7 +1333,7 @@ ForInNext: {
 
 #undef JSCERES_THEN
 #undef JSCERES_GET_METHOD
-#undef JSCERES_GET_VAR
+#undef JSCERES_GET_GLOBAL
 #undef JSCERES_SET_LOCAL
 #undef JSCERES_GET_LOCAL
 #undef JUMP

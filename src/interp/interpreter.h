@@ -349,10 +349,9 @@ class Interpreter {
 
   /// Slot-resolved identifier access. Statically resolved references chase
   /// `hops` parent pointers and index the slot directly; global references
-  /// go through the per-site global slot cache; unresolved nodes fall back
-  /// to the dynamic scope walk. Returns nullptr when the name is unbound
-  /// (read path only). `owner` receives the owning environment for
-  /// provenance stamping.
+  /// go through the per-site global slot cache. Returns nullptr when the
+  /// name is unbound (read path only). `owner` receives the owning
+  /// environment for provenance stamping.
   Value* lookup_for_read(js::Atom name, const js::SlotRef& ref,
                          Environment* env, Environment** owner);
   /// Write flavour: a global miss creates the binding (sloppy mode).

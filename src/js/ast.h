@@ -139,9 +139,9 @@ struct NullLit : Expr {
 /// resolves to the global object (or is late-bound); `ref_id` then indexes a
 /// per-interpreter cache of resolved global slot indices, so even globals pay
 /// the hash lookup only once per program point.
-/// Sentinel for SlotRef::ref_id / Member::ic_id on nodes that never went
-/// through resolve_scopes (e.g. freshly synthesized by an AST rewriter): the
-/// interpreter then falls back to fully dynamic resolution with no caching.
+/// SlotRef::ref_id / Member::ic_id of a node resolve_scopes has not seen
+/// yet (e.g. freshly synthesized by an AST rewriter, which must resolve
+/// the program again before it runs).
 inline constexpr std::uint32_t kNoCacheId = 0xffffffffu;
 
 struct SlotRef {
