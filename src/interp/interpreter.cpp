@@ -837,20 +837,20 @@ Value Interpreter::execute(const CodeRange& range, Environment* env) {
 
 // Each handler is a block followed by NEXT() or a jump, so no local with a
 // destructor is live when control moves to the next handler.
-#define JSCERES_DISPATCH()                                  \
-  do {                                                      \
-    if (ip->ticks != 0) tick_units(ip->ticks);              \
-    goto* kHandlers[static_cast<std::size_t>(ip->op)];      \
+#define JSCERES_DISPATCH()                             \
+  do {                                                 \
+    if (ip->ticks != 0) tick_units(ip->ticks);         \
+    goto* kHandlers[static_cast<std::size_t>(ip->op)]; \
   } while (0)
-#define NEXT()    \
-  do {            \
-    ++ip;         \
+#define NEXT()          \
+  do {                  \
+    ++ip;               \
     JSCERES_DISPATCH(); \
   } while (0)
-#define JUMP(pc)            \
-  do {                      \
-    ip = code + (pc);       \
-    JSCERES_DISPATCH();     \
+#define JUMP(pc)          \
+  do {                    \
+    ip = code + (pc);     \
+    JSCERES_DISPATCH();   \
   } while (0)
 
 // The second instruction of a pair: its ticks, then its handler, reached
