@@ -62,8 +62,8 @@ std::vector<std::string> generated_sources() {
   return sources;
 }
 
-// One iteration parses (lexes, parses, resolves) and frees the whole fixed
-// set; `ns_per_token` is that cost per token.
+// One iteration lexes, parses and frees the whole fixed set; `ns_per_token`
+// is that cost per token.
 void BM_ParseGenerated(benchmark::State& state) {
   const std::vector<std::string> sources = generated_sources();
   double tokens = 0;
@@ -87,8 +87,9 @@ std::size_t count_nodes(const js::Node& node) {
   return n;
 }
 
-// Lowering the same set to bytecode, as the first interpreter of each
-// program does; `ns_per_node` is that cost per AST node.
+// Resolving and lowering the same set to bytecode, as the first interpreter
+// of each program does; `ns_per_node` is that cost per AST node. (Each
+// compile leaves its activation layouts in the program's arena.)
 void BM_CompileGenerated(benchmark::State& state) {
   std::vector<js::Program> programs;
   double nodes = 0;

@@ -4,9 +4,7 @@
 #   bench/run_microbench.sh [--smoke] [--rivertrail|--interp|--ceres|--pipeline|--all] [build-dir] [output.json]
 #
 # --interp (default): the interpreter hot-path set backing
-#   BENCH_interp_baseline.json. Its front-end rows (lex, parse, compile) run
-#   in a process of their own: run after the interpreter rows in one
-#   process, BM_Lex and BM_ParseGenerated read 10-80% slower.
+#   BENCH_interp_baseline.json.
 # --rivertrail: the parallel-runtime set backing BENCH_rivertrail_baseline.json
 #   (dispatch latency, divergent-balance, scaling).
 # --ceres: the mode-3 dependence-analysis set backing BENCH_ceres_baseline.json
@@ -22,14 +20,11 @@
 # is not installed). Compare ratios, not absolute times.
 set -euo pipefail
 
-FILTER_FRONT='BM_Lex|BM_Parse|BM_Compile'
-FILTER_INTERP='BM_Interpret|BM_Resolve|BM_PropertyAccess|BM_SessionStartup'
+FILTER_INTERP='BM_Lex|BM_Parse|BM_Compile|BM_Interpret|BM_Resolve|BM_PropertyAccess|BM_SessionStartup'
 FILTER_RIVERTRAIL='BM_ParallelFor|BM_NBodyStepPar'
 FILTER_CERES='BM_Dependence|BM_Characterize'
 FILTER_PIPELINE='BM_Pipeline'
 
-# Rows for a process of their own ('' for none), then the rest.
-FRONT="${FILTER_FRONT}"
 FILTER="${FILTER_INTERP}"
 MIN_TIME=0.3
 REPS=3
@@ -44,27 +39,22 @@ while [[ $# -gt 0 ]]; do
       shift
       ;;
     --rivertrail)
-      FRONT=''
       FILTER="${FILTER_RIVERTRAIL}"
       shift
       ;;
     --interp)
-      FRONT="${FILTER_FRONT}"
       FILTER="${FILTER_INTERP}"
       shift
       ;;
     --ceres)
-      FRONT=''
       FILTER="${FILTER_CERES}"
       shift
       ;;
     --pipeline)
-      FRONT=''
       FILTER="${FILTER_PIPELINE}"
       shift
       ;;
     --all)
-      FRONT="${FILTER_FRONT}"
       FILTER="${FILTER_INTERP}|${FILTER_RIVERTRAIL}|${FILTER_CERES}|${FILTER_PIPELINE}"
       shift
       ;;
@@ -83,29 +73,10 @@ if [[ ! -x "${BUILD_DIR}/microbench" ]]; then
   cmake --build "${BUILD_DIR}" --target microbench -j >&2
 fi
 
-run() {
-  "${BUILD_DIR}/microbench" \
-    --benchmark_filter="$1" \
-    --benchmark_min_time="${MIN_TIME}" \
-    --benchmark_repetitions="${REPS}" \
-    --benchmark_report_aggregates_only=true \
-    --benchmark_enable_random_interleaving="${INTERLEAVE}" \
-    --benchmark_format=json
-}
-
-if [[ -z "${FRONT}" ]]; then
-  run "${FILTER}" >"${OUT}"
-  exit 0
-fi
-
-# Two processes, one JSON document: the first run's context, both runs' rows.
-TMP="$(mktemp -d)"
-trap 'rm -rf "${TMP}"' EXIT
-run "${FRONT}" >"${TMP}/front.json"
-run "${FILTER}" >"${TMP}/rest.json"
-python3 - "${TMP}/front.json" "${TMP}/rest.json" >"${OUT}" <<'PY'
-import json, sys
-docs = [json.load(open(path)) for path in sys.argv[1:]]
-docs[0]["benchmarks"] += docs[1]["benchmarks"]
-json.dump(docs[0], sys.stdout, indent=2)
-PY
+"${BUILD_DIR}/microbench" \
+  --benchmark_filter="${FILTER}" \
+  --benchmark_min_time="${MIN_TIME}" \
+  --benchmark_repetitions="${REPS}" \
+  --benchmark_report_aggregates_only=true \
+  --benchmark_enable_random_interleaving="${INTERLEAVE}" \
+  --benchmark_format=json >"${OUT}"

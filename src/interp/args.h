@@ -59,13 +59,16 @@ class Args {
 /// the segment directory grows.
 ///
 /// The VM opens a call's frame when its arguments start and fills it at the
-/// call (open/top/close); the same class, uncharged, holds its register
-/// windows.
+/// call (open/top/close); the same class holds its register windows, where
+/// only a frame wider than a segment is charged (`charge_every_segment`
+/// false): the default segments are bounded by the call depth, a wide
+/// frame's own segment only by the program's text.
 class ArgStack {
  public:
   static constexpr std::size_t kSegmentSlots = 64;
 
-  explicit ArgStack(bool charged = true) : charged_(charged) {}
+  explicit ArgStack(bool charge_every_segment = true)
+      : charge_every_segment_(charge_every_segment) {}
   ArgStack(const ArgStack&) = delete;
   ArgStack& operator=(const ArgStack&) = delete;
 
@@ -81,7 +84,7 @@ class ArgStack {
     // stack state, so a ledger trip mid-push leaves the stack exactly as the
     // enclosing frames left it.
     if (segments_.empty()) {
-      charge(std::max(kSegmentSlots, n) * sizeof(Value));
+      charge(n, std::max(kSegmentSlots, n) * sizeof(Value));
       segments_.emplace_back(std::max(kSegmentSlots, n));
     }
     mark->segment = current_;
@@ -91,11 +94,11 @@ class ArgStack {
       // The frame needs contiguity: advance to (or create) a segment with
       // room. Segments past `current_` are always fully popped.
       if (current_ + 1 == segments_.size()) {
-        charge(std::max(kSegmentSlots, n) * sizeof(Value));
+        charge(n, std::max(kSegmentSlots, n) * sizeof(Value));
         segments_.emplace_back(std::max(kSegmentSlots, n));
       } else if (segments_[current_ + 1].slots.size() < n) {
         const std::size_t grown = std::max(kSegmentSlots, n);
-        charge((grown - segments_[current_ + 1].slots.size()) * sizeof(Value));
+        charge(n, (grown - segments_[current_ + 1].slots.size()) * sizeof(Value));
         segments_[current_ + 1] = Segment(grown);
       }
       ++current_;
@@ -169,14 +172,15 @@ class ArgStack {
     std::size_t n;
   };
 
-  void charge(std::size_t bytes) const {
-    if (charged_) AllocationLedger::charge_current(bytes);
+  /// Growth of `bytes` for a frame of `n` slots.
+  void charge(std::size_t n, std::size_t bytes) const {
+    if (charge_every_segment_ || n > kSegmentSlots) AllocationLedger::charge_current(bytes);
   }
 
   std::vector<Segment> segments_;
   std::uint32_t current_ = 0;
   std::vector<Open> open_;
-  bool charged_;
+  bool charge_every_segment_;
 };
 
 /// RAII frame on an ArgStack: reserves on construction, pops (and clears)

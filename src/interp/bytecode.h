@@ -33,10 +33,6 @@ enum class Op : std::uint8_t {
   Args, Call, NewThis, Construct,
   // Loops: loop id x, kind c, line.
   LoopEnter, LoopIter, LoopExit, ForInStart, ForInNext, ForInEnd,
-  // Pairs: the first instruction's work, then the second's (left intact
-  // at the next pc, so a jump to it still runs it alone) with no dispatch.
-  GetLocalGetLocal, GetLocalGetNamed, GetLocalLoadNum, GetLocalMul, SetLocalGetLocal,
-  LoadNumAdd, GetGlobalGetMethod, MulAdd, GetMethodArgs,
   Count_
 };
 
@@ -89,7 +85,10 @@ struct Bytecode {
 /// kept (and freed) with it; thread-safe. Compilation charges no ledger.
 const Bytecode& bytecode_of(const js::ProgramBody& body);
 
-/// Lower a resolved program (interp/compiler.cpp).
+/// Resolve a program's scopes into its AST and lower it
+/// (interp/compiler.cpp). Throws EngineError when a body needs more
+/// registers than an instruction can name. The caller must be the body's
+/// only user: bytecode_of, or a test or benchmark holding the only handle.
 Bytecode compile(const js::ProgramBody& body);
 
 }  // namespace jsceres::interp

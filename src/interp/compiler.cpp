@@ -1,18 +1,37 @@
-// Lowering of a resolved program to register bytecode (interp/bytecode.h).
+// Lowering of a program to register bytecode (interp/bytecode.h), and the
+// static scope resolution the bytecode is built on, in one walk.
 //
-// The compiler walks each body once, in evaluation order, and emits one
-// instruction per operation. The cost model charges one tick per AST node,
-// on entry; the compiler counts those ticks and attaches them to the next
-// instruction it emits, which charges them before it does anything. No
-// observable step lies between a node's entry and that instruction, so the
-// ticks land between the same two events as the node-by-node charge did.
-// A pending count never crosses a jump target: binding a label first emits
-// the count on a Tick instruction.
+// Resolution simulates exactly the declaration sequence the interpreter
+// performs when it materializes an activation environment
+// (Interpreter::call_js_function + hoist_into): parameters in order, then
+// hoisted `var`s, then hoisted function declarations; duplicates reuse
+// their first slot, mirroring Environment::declare. Because the engine's
+// subset has no `with`/`eval`, the runtime environment chain is a pure
+// function of lexical structure (one environment per function call, one per
+// entered catch clause), so a (hops, slot) pair computed here is valid for
+// every execution of the annotated program point. Names that fall through
+// every function and catch scope resolve to the global environment, whose
+// layout is not static (the stdlib and host bindings are installed per
+// interpreter): they get a dense `ref_id` into a per-interpreter cache of
+// global slot indices instead. The same walk marks each function activation
+// and catch scope whose body contains no function: no closure can capture
+// such a scope, so the interpreter reuses it as soon as it exits.
+//
+// The walk visits each body once, in evaluation order, and emits one
+// instruction per operation. A function met on the way is compiled after
+// the body that holds it, under a copy of the scopes it was met in. The
+// cost model charges one tick per AST node, on entry; the compiler counts
+// those ticks and attaches them to the next instruction it emits, which
+// charges them before it does anything. No observable step lies between a
+// node's entry and that instruction, so the ticks land between the same two
+// events as the node-by-node charge did. A pending count never crosses a
+// jump target: binding a label first emits the count on a Tick instruction.
 
 #include <algorithm>
-#include <array>
+#include <vector>
 
 #include "interp/bytecode.h"
+#include "support/limits.h"
 
 namespace jsceres::interp {
 
@@ -21,24 +40,6 @@ namespace {
 using js::NodeKind;
 using Reg = std::uint16_t;
 constexpr Reg kNoReg = 0xffff;
-
-/// Adjacent pairs {first, second, pair}: `pair` runs `first`, then
-/// `second`, which stays at the next pc (so a jump to it runs it alone).
-constexpr Op kPairs[][3] = {
-    {Op::GetLocal, Op::GetLocal, Op::GetLocalGetLocal}, {Op::GetLocal, Op::GetNamed, Op::GetLocalGetNamed},
-    {Op::GetLocal, Op::LoadNum, Op::GetLocalLoadNum},   {Op::GetLocal, Op::Mul, Op::GetLocalMul},
-    {Op::SetLocal, Op::GetLocal, Op::SetLocalGetLocal}, {Op::LoadNum, Op::Add, Op::LoadNumAdd},
-    {Op::GetGlobal, Op::GetMethod, Op::GetGlobalGetMethod}, {Op::Mul, Op::Add, Op::MulAdd},
-    {Op::GetMethod, Op::Args, Op::GetMethodArgs},
-};
-constexpr std::size_t kOps = std::size_t(Op::Count_);
-/// kFused[first][second]: the pair's op, or `first`.
-constexpr auto kFused = [] {
-  std::array<std::array<Op, kOps>, kOps> table{};
-  for (std::size_t a = 0; a < kOps; ++a) table[a].fill(Op(a));
-  for (const auto& pair : kPairs) table[std::size_t(pair[0])][std::size_t(pair[1])] = pair[2];
-  return table;
-}();
 
 /// The instruction for each js::BinaryOp; Binary handles the rest.
 constexpr Op kBinaryOps[] = {
@@ -56,10 +57,37 @@ struct Label {
   std::int64_t pc = -1;
 };
 
+/// Resolution writes its results into the AST. compile() is the body's
+/// only writer: bytecode_of runs it under the body's mutex, before any
+/// interpreter reads them.
+template <class T>
+T& writable(const T& node) {
+  return const_cast<T&>(node);
+}
+
 class Compiler {
  public:
-  explicit Compiler(Bytecode& out) : out_(out) {}
+  Compiler(Bytecode& out, js::ProgramBody& program) : out_(out), program_(program) {}
 
+  void run() {
+    program_.global_ref_count = 0;
+    program_.ic_count = 0;
+    program_.function_count = 0;
+    push_scope(Scope::Global);
+    out_.script = body(program_.statements, nullptr);
+    while (!pending_.empty()) {
+      const Pending next = pending_.back();
+      pending_.pop_back();
+      // The last pending function's scopes are the last ones saved.
+      scopes_.assign(saved_scopes_.begin() + next.scopes, saved_scopes_.end());
+      names_.assign(saved_names_.begin() + next.names, saved_names_.end());
+      saved_scopes_.resize(next.scopes);
+      saved_names_.resize(next.names);
+      function(*next.fn);
+    }
+  }
+
+ private:
   CodeRange body(std::span<const js::StmtPtr> statements, const js::Stmt* block) {
     CodeRange range;
     range.begin = pc();
@@ -79,10 +107,6 @@ class Compiler {
     return range;
   }
 
-  /// Functions met while compiling, compiled after the body that holds them.
-  std::vector<const js::FunctionNode*> pending;
-
- private:
   struct Loop {
     Label* exit;
     Label* next;  // `continue` target
@@ -101,10 +125,6 @@ class Compiler {
     while (ticks_ > 255) {
       out_.code.emplace_back().ticks = 255;  // a Tick (the default op)
       ticks_ -= 255;
-    }
-    if (!out_.code.empty()) {
-      Op& previous = out_.code.back().op;
-      previous = kFused[std::size_t(previous)][std::size_t(op)];
     }
     out_.code.push_back(Instr{op, std::uint8_t(ticks_), a, b, c, 0, line, {p}});
     ticks_ = 0;
@@ -132,7 +152,10 @@ class Compiler {
     }
   }
 
+  /// Registers are 16-bit and kNoReg is none: a body that needs more than
+  /// 0xffff of them (a call with ~65,000 arguments) is refused, recoverably.
   Reg alloc() {
+    if (next_reg_ == kNoReg) throw EngineError("function body needs more than 65535 registers");
     const Reg r = next_reg_++;
     max_reg_ = std::max<std::uint32_t>(max_reg_, next_reg_);
     return r;
@@ -145,11 +168,151 @@ class Compiler {
     ~Scratch() { top = saved; }
   };
 
+  // --- scopes -------------------------------------------------------------
+
+  /// A scope's names, in slot order, are `names_[first, first + size)`.
+  /// All of them are declared while the scope is innermost, before any
+  /// scope inside it is pushed, and a pop truncates `names_` to `first`.
+  struct Scope {
+    enum Kind : std::uint8_t { Global, Function, Catch };
+    Kind kind;
+    std::uint32_t first;
+    std::uint32_t size = 0;
+  };
+
+  /// A function met in a body; the scopes it closes over are saved from
+  /// `scopes` and `names` on in saved_scopes_ and saved_names_.
+  struct Pending {
+    const js::FunctionNode* fn;
+    std::size_t scopes;
+    std::size_t names;
+  };
+
+  /// Slot of `name` in the innermost scope, declared there if new;
+  /// duplicates reuse their first slot, as Environment::declare does.
+  std::uint32_t declare(js::Atom name) {
+    Scope& scope = scopes_.back();
+    for (std::uint32_t i = 0; i < scope.size; ++i) {
+      if (names_[scope.first + i] == name) return i;
+    }
+    names_.push_back(name);
+    return scope.size++;
+  }
+
+  void push_scope(Scope::Kind kind) {
+    scopes_.push_back(Scope{kind, std::uint32_t(names_.size())});
+  }
+
+  void pop_scope() {
+    names_.resize(scopes_.back().first);
+    scopes_.pop_back();
+  }
+
+  void resolve(js::Atom name, js::SlotRef& ref) {
+    for (std::size_t i = scopes_.size(); i-- > 0;) {
+      const Scope& scope = scopes_[i];
+      if (scope.kind == Scope::Global) break;
+      for (std::uint32_t slot = 0; slot < scope.size; ++slot) {
+        if (names_[scope.first + slot] == name) {
+          ref.hops = std::int32_t(scopes_.size() - 1 - i);
+          ref.slot = slot;
+          return;
+        }
+      }
+    }
+    ref.hops = -1;
+    ref.slot = 0;
+    ref.ref_id = program_.global_ref_count++;
+  }
+
+  /// An Ident or a VarDecl declarator, resolved.
+  template <class Ref>
+  const Ref& resolved(const Ref& node) {
+    resolve(node.name, writable(node).ref);
+    return node;
+  }
+
+  /// A member site; a named one gets its inline-cache id.
+  const js::Member& site(const js::Member& member) {
+    if (!member.computed) writable(member).ic_id = program_.ic_count++;
+    return member;
+  }
+
+  /// Defers `fn` until the body being compiled is done. A function
+  /// expression closes over the scopes current where it is evaluated; a
+  /// declaration is materialized at function entry, so a catch clause
+  /// around it contributes no scope.
+  void defer(const js::FunctionNode& fn, bool declaration) {
+    writable(fn).code_index = program_.function_count++;
+    ++functions_;
+    pending_.push_back(Pending{&fn, saved_scopes_.size(), saved_names_.size()});
+    std::size_t depth = scopes_.size();
+    while (declaration && scopes_[depth - 1].kind == Scope::Catch) --depth;
+    const Scope& innermost = scopes_[depth - 1];
+    saved_scopes_.insert(saved_scopes_.end(), scopes_.begin(), scopes_.begin() + depth);
+    saved_names_.insert(saved_names_.end(), names_.begin(),
+                        names_.begin() + (innermost.first + innermost.size));
+  }
+
+  /// A function's activation layout and code, under the scopes `defer`
+  /// saved.
+  void function(const js::FunctionNode& node) {
+    js::FunctionNode& fn = writable(node);
+    push_scope(Scope::Function);
+    auto* layout = program_.make<js::ActivationLayout>();
+    layout->param_slots = program_.array<std::uint32_t>(fn.params.size());
+    for (std::size_t i = 0; i < fn.params.size(); ++i) {
+      layout->param_slots[i] = declare(fn.params[i]);
+    }
+    for (const js::Atom& var : fn.hoisted_vars) declare(var);
+    layout->fn_slots = program_.array<std::uint32_t>(fn.hoisted_functions.size());
+    for (std::size_t j = 0; j < fn.hoisted_functions.size(); ++j) {
+      layout->fn_slots[j] = declare(fn.hoisted_functions[j]->fn->name);
+    }
+    // The scope's names in slot order are the activation template the
+    // interpreter stamps per call (a recompile after an AST rewrite just
+    // rebuilds it).
+    layout->names =
+        program_.list(std::span<const js::Atom>(names_).subspan(scopes_.back().first));
+    // Entry-value provenance per slot. Later writers win, mirroring the
+    // declare sequence (params in order, then hoisted functions): a
+    // duplicate parameter name keeps the LAST argument, a function
+    // re-binding a parameter shadows it at entry.
+    using Source = js::ActivationLayout::SlotSource;
+    using Init = js::ActivationLayout::SlotInit;
+    layout->inits = program_.array<Source>(layout->names.size());
+    for (std::uint32_t i = 0; i < layout->param_slots.size(); ++i) {
+      layout->inits[layout->param_slots[i]] = {Init::Param, i};
+    }
+    for (std::uint32_t j = 0; j < layout->fn_slots.size(); ++j) {
+      layout->inits[layout->fn_slots[j]] = {Init::Fn, j};
+      // Inline function materialization only when slot order == declaration
+      // order, so closure-object creation order is unchanged.
+      if (j > 0 && layout->fn_slots[j] <= layout->fn_slots[j - 1]) {
+        layout->fns_in_slot_order = false;
+      }
+    }
+    if (!layout->fns_in_slot_order) {
+      // Fall back: functions stored by the interpreter's ordered loop; their
+      // slots revert to the undefined fill so the loop's operator= sees a
+      // constructed value.
+      for (const std::uint32_t slot : layout->fn_slots) layout->inits[slot] = Source{};
+    }
+    fn.layout = layout;
+    const std::size_t functions_before = functions_;
+    const CodeRange range = body({}, fn.body);
+    fn.recyclable_activation = functions_ == functions_before;
+    pop_scope();
+    if (out_.functions.size() <= fn.code_index) out_.functions.resize(program_.function_count);
+    out_.functions[fn.code_index] = range;
+  }
+
   // --- variables ----------------------------------------------------------
 
   template <class Ref>  // an Ident or a VarDecl declarator: `name` and `ref`
   void var(bool write, const Ref& node, Reg r, int line) {
     const js::SlotRef& ref = node.ref;
+    if (ref.hops > 0xffff) throw EngineError("function nesting deeper than 65535 scopes");
     const Op op = ref.hops == 0 ? (write ? Op::SetLocal : Op::GetLocal)
                   : ref.hops > 0 ? (write ? Op::SetUp : Op::GetUp)
                                  : (write ? Op::SetGlobal : Op::GetGlobal);
@@ -175,7 +338,7 @@ class Compiler {
         return;
       case NodeKind::NullLit: emit(Op::LoadNull, dst); return;
       case NodeKind::Ident:
-        return var(false, static_cast<const js::Ident&>(e), dst, e.line);
+        return var(false, resolved(static_cast<const js::Ident&>(e)), dst, e.line);
       case NodeKind::ThisExpr: emit(Op::LoadThis, dst); return;
       case NodeKind::ArrayLit: {
         const auto& lit = static_cast<const js::ArrayLit&>(e);
@@ -200,14 +363,14 @@ class Compiler {
       }
       case NodeKind::FunctionExpr: {
         const js::FunctionNode* fn = static_cast<const js::FunctionExpr&>(e).fn;
-        pending.push_back(fn);
+        defer(*fn, false);
         emit(Op::Closure, dst, 0, 0, 0, fn);
         return;
       }
       case NodeKind::Call: return call(static_cast<const js::Call&>(e), dst);
       case NodeKind::New: return construct(static_cast<const js::New&>(e), dst);
       case NodeKind::Member: {
-        const auto& member = static_cast<const js::Member&>(e);
+        const auto& member = site(static_cast<const js::Member&>(e));
         expr(*member.object, dst);
         if (!member.computed) {
           emit(Op::GetNamed, dst, dst, 0, e.line, &member);
@@ -254,10 +417,11 @@ class Compiler {
         const auto& node = static_cast<const js::Update&>(e);
         const Reg flags = Reg((node.increment ? 1 : 0) | (node.prefix ? 2 : 0));
         if (node.target->kind == NodeKind::Ident) {
-          emit(Op::UpdateVar, dst, 0, flags, e.line, node.target);
+          emit(Op::UpdateVar, dst, 0, flags, e.line,
+               &resolved(static_cast<const js::Ident&>(*node.target)));
           return;
         }
-        const auto& member = static_cast<const js::Member&>(*node.target);
+        const auto& member = site(static_cast<const js::Member&>(*node.target));
         const Reg base = alloc();
         expr(*member.object, base);
         if (!member.computed) {
@@ -309,7 +473,7 @@ class Compiler {
   void assign(const js::Assign& node, Reg dst) {
     const bool compound = node.op != js::AssignOp::None;
     if (node.target->kind == NodeKind::Ident) {
-      const auto& ident = static_cast<const js::Ident&>(*node.target);
+      const auto& ident = resolved(static_cast<const js::Ident&>(*node.target));
       if (!compound) {
         expr(*node.value, dst);
       } else {
@@ -321,7 +485,7 @@ class Compiler {
       var(true, ident, dst, node.line);
       return;
     }
-    const auto& member = static_cast<const js::Member&>(*node.target);
+    const auto& member = site(static_cast<const js::Member&>(*node.target));
     const Reg base = alloc();
     expr(*member.object, base);
     if (!member.computed) {
@@ -363,7 +527,7 @@ class Compiler {
         return;
       }
       case js::UnaryOp::Delete: {
-        const auto& member = static_cast<const js::Member&>(*node.operand);
+        const auto& member = site(static_cast<const js::Member&>(*node.operand));
         expr(*member.object, dst);
         if (!member.computed) {
           emit(Op::DeleteProp, dst, dst, kNoReg, node.line, &member);
@@ -402,7 +566,7 @@ class Compiler {
     const Reg fn = alloc();
     Reg self = kNoReg;
     if (node.callee->kind == NodeKind::Member) {
-      const auto& member = static_cast<const js::Member&>(*node.callee);
+      const auto& member = site(static_cast<const js::Member&>(*node.callee));
       self = alloc();
       expr(*member.object, self);
       if (member.computed) {
@@ -464,11 +628,11 @@ class Compiler {
           if (d.init == nullptr) continue;
           const Reg r = alloc();
           expr(*d.init, r);
-          var(true, d, r, s.line);
+          var(true, resolved(d), r, s.line);
         }
         return;
       case NodeKind::FunctionDecl:
-        pending.push_back(static_cast<const js::FunctionDecl&>(s).fn);
+        defer(*static_cast<const js::FunctionDecl&>(s).fn, true);
         return;
       case NodeKind::If: {
         const auto& node = static_cast<const js::If&>(s);
@@ -517,6 +681,7 @@ class Compiler {
       }
       case NodeKind::ForIn: {
         const auto& node = static_cast<const js::ForIn&>(s);
+        resolve(node.var_name, writable(node).var_ref);
         const Reg object = alloc();
         expr(*node.object, object);
         const Reg it = alloc();  // it: position, it + 1: end, it + 2: start
@@ -603,7 +768,12 @@ class Compiler {
     emit(Op::Exit);
     if (node.catch_block != nullptr) {
       out_.tries[index].catch_pc = pc();
+      push_scope(Scope::Catch);
+      declare(node.catch_param);
+      const std::size_t functions_before = functions_;
       stmt(*node.catch_block);
+      writable(node).recyclable_catch_scope = functions_ == functions_before;
+      pop_scope();
       emit(Op::Exit);
     }
     if (node.finally_block != nullptr) {
@@ -619,6 +789,13 @@ class Compiler {
   }
 
   Bytecode& out_;
+  js::ProgramBody& program_;
+  std::vector<Scope> scopes_;
+  std::vector<js::Atom> names_;  // every open scope's names (see Scope)
+  std::size_t functions_ = 0;    // functions met so far
+  std::vector<Pending> pending_;
+  std::vector<Scope> saved_scopes_;
+  std::vector<js::Atom> saved_names_;
   std::vector<Loop> loops_;
   Label* end_ = nullptr;
   int try_depth_ = 0;
@@ -631,15 +808,8 @@ class Compiler {
 
 Bytecode compile(const js::ProgramBody& body) {
   Bytecode out;
-  out.code.reserve(body.node_count + 2 * body.function_count + 8);
-  out.functions.resize(body.function_count);
-  Compiler compiler(out);
-  out.script = compiler.body(body.statements, nullptr);
-  while (!compiler.pending.empty()) {
-    const js::FunctionNode* fn = compiler.pending.back();
-    compiler.pending.pop_back();
-    out.functions[fn->code_index] = compiler.body({}, fn->body);
-  }
+  out.code.reserve(body.node_count + 8);
+  Compiler(out, writable(body)).run();
   return out;
 }
 

@@ -29,7 +29,7 @@ namespace jsceres::interp {
 /// stamps the id with the loop-characterization stack current at creation.
 ///
 /// Environments live in their interpreter's Heap. An activation that no
-/// closure can capture (the resolver proves it: its function or catch body
+/// closure can capture (the compiler proves it: its function or catch body
 /// contains no function) goes back to the interpreter's free list when it
 /// exits; every other one lives until the session ends.
 class Environment {
@@ -59,7 +59,7 @@ class Environment {
   /// Stamp this (fresh or reused) activation from a pre-resolved layout:
   /// the name vector is copied wholesale and each slot is constructed
   /// exactly once from `init_at(slot)` — no per-name duplicate scan, and no
-  /// zero-then-overwrite for slots the resolver proved are written at entry
+  /// zero-then-overwrite for slots the compiler proved are written at entry
   /// (parameters, hoisted functions; see js::ActivationLayout::inits). The
   /// vector assignments reuse a reused environment's capacity, so a
   /// steady-state call allocates nothing.

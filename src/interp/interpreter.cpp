@@ -78,7 +78,7 @@ class FunctionFrame {
 }  // namespace
 
 /// On exit, including by an exception, an activation no closure can have
-/// captured (the resolver's `recyclable` flags) goes back to the free list.
+/// captured (the compiler's `recyclable` flags) goes back to the free list.
 class Interpreter::ActivationScope {
  public:
   ActivationScope(Interpreter& interp, Environment* parent, bool recyclable)
@@ -125,7 +125,7 @@ Interpreter::Interpreter(const js::Program& program, VirtualClock& clock,
         std::min<std::int64_t>(64, config_.preempt_interval_ticks);
   }
 
-  // Per-site caches sized by the resolver's id assignment.
+  // Per-site caches sized by the compiler's id assignment.
   read_ics_.resize(program_->ic_count);
   write_ics_.resize(program_->ic_count);
   global_ref_cache_.assign(program_->global_ref_count, -1);
@@ -668,13 +668,13 @@ Value Interpreter::call_js_function(JSObject& fn_obj, const Value& this_val,
 
   const ActivationScope activation(*this, fn.closure, node.recyclable_activation);
   Environment* env = activation.env();
-  // Stamp the activation from the resolver's template when the function has
+  // Stamp the activation from the compiler's template when the function has
   // enough names for the per-call declare scan (quadratic in the name
   // count) to matter; for tiny activations a handful of pointer compares
   // beats the template stamp. Each slot is written exactly once: the
-  // resolver's per-slot init provenance replaces the old fill-undefined-
+  // compiler's per-slot init provenance replaces the old fill-undefined-
   // then-store-params double write (entry-written slots skip the zero-fill).
-  if (node.layout != nullptr && node.layout->names.size() > 4) {
+  if (node.layout->names.size() > 4) {
     const js::ActivationLayout& layout = *node.layout;
     using SlotInit = js::ActivationLayout::SlotInit;
     env->adopt_layout(layout.names, [&](std::size_t slot) -> Value {
@@ -700,7 +700,7 @@ Value Interpreter::call_js_function(JSObject& fn_obj, const Value& this_val,
       }
     }
   } else {
-    // Synthesized AST that never went through resolve_scopes.
+    // A small activation: declare its names one by one.
     env->reserve(node.params.size() + node.hoisted_vars.size());
     for (std::size_t i = 0; i < node.params.size(); ++i) {
       env->declare(node.params[i], i < argc ? argv[i] : Value::undefined());
@@ -853,13 +853,6 @@ Value Interpreter::execute(const CodeRange& range, Environment* env) {
     JSCERES_DISPATCH();   \
   } while (0)
 
-// The second instruction of a pair: its ticks, then its handler, reached
-// by a direct jump.
-#define JSCERES_THEN(label)                  \
-  ++ip;                                      \
-  if (ip->ticks != 0) tick_units(ip->ticks); \
-  goto label
-
 Interpreter::Exit Interpreter::run_code(std::uint32_t begin, std::uint32_t end,
                                         Environment* env, Value* r) {
   static const void* const kHandlers[] = {
@@ -875,8 +868,6 @@ Interpreter::Exit Interpreter::run_code(std::uint32_t begin, std::uint32_t end,
       &&NewArray, &&ArrayPush, &&NewObject, &&InitProp, &&Closure,
       &&Args, &&Call, &&NewThis, &&Construct,
       &&LoopEnter, &&LoopIter, &&LoopExit, &&ForInStart, &&ForInNext, &&ForInEnd,
-      &&GetLocalGetLocal, &&GetLocalGetNamed, &&GetLocalLoadNum, &&GetLocalMul,
-      &&SetLocalGetLocal, &&LoadNumAdd, &&GetGlobalGetMethod, &&MulAdd, &&GetMethodArgs,
   };
   static_assert(std::size(kHandlers) == std::size_t(Op::Count_), "one handler per op");
   using Kind = MemoryEvent::Kind;
@@ -905,14 +896,9 @@ LoadThis: {
   NEXT();
 
   // --- variables ---
-#define JSCERES_GET_LOCAL()                                                                   \
-  if (memory_events_) buffer_memory_event(Kind::VarRead, env->id(), atom_of(ip), ip->line); \
-  r[ip->a] = *env->slot_at(ip->x)
-#define JSCERES_SET_LOCAL()                                                                    \
-  if (memory_events_) buffer_memory_event(Kind::VarWrite, env->id(), atom_of(ip), ip->line); \
-  *env->slot_at(ip->x) = r[ip->a]
 GetLocal:
-  JSCERES_GET_LOCAL();
+  if (memory_events_) buffer_memory_event(Kind::VarRead, env->id(), atom_of(ip), ip->line);
+  r[ip->a] = *env->slot_at(ip->x);
   NEXT();
 
 GetUp: {
@@ -921,19 +907,21 @@ GetUp: {
   r[ip->a] = *owner->slot_at(ip->x);
 }
   NEXT();
-#define JSCERES_GET_GLOBAL()                                                                   \
-  {                                                                                            \
-    Environment* owner = nullptr;                                                              \
-    const Value* slot = lookup_for_read(atom_of(ip), js::SlotRef{-1, 0, ip->x}, env, &owner);  \
-    if (slot == nullptr) throw_error("ReferenceError", atom_of(ip).str() + " is not defined"); \
-    if (memory_events_) buffer_memory_event(Kind::VarRead, owner->id(), atom_of(ip), ip->line); \
-    r[ip->a] = *slot;                                                                          \
-  }
-GetGlobal:
-  JSCERES_GET_GLOBAL();
+GetGlobal: {
+  // A site that found its binding once reads the cached slot in place.
+  Environment* owner = global_env_;
+  const std::int32_t cached = global_ref_cache_[ip->x];
+  const Value* slot =
+      cached >= 0 ? owner->slot_at(std::uint32_t(cached))
+                  : lookup_for_read(atom_of(ip), js::SlotRef{-1, 0, ip->x}, env, &owner);
+  if (slot == nullptr) throw_error("ReferenceError", atom_of(ip).str() + " is not defined");
+  if (memory_events_) buffer_memory_event(Kind::VarRead, owner->id(), atom_of(ip), ip->line);
+  r[ip->a] = *slot;
+}
   NEXT();
 SetLocal:
-  JSCERES_SET_LOCAL();
+  if (memory_events_) buffer_memory_event(Kind::VarWrite, env->id(), atom_of(ip), ip->line);
+  *env->slot_at(ip->x) = r[ip->a];
   NEXT();
 SetUp: {
   Environment* owner = env->ancestor(ip->c);
@@ -942,8 +930,11 @@ SetUp: {
 }
   NEXT();
 SetGlobal: {
-  Environment* owner = nullptr;
-  Value* slot = lookup_for_write(atom_of(ip), js::SlotRef{-1, 0, ip->x}, env, &owner);
+  Environment* owner = global_env_;
+  const std::int32_t cached = global_ref_cache_[ip->x];
+  Value* slot = cached >= 0
+                    ? owner->slot_at(std::uint32_t(cached))
+                    : lookup_for_write(atom_of(ip), js::SlotRef{-1, 0, ip->x}, env, &owner);
   if (memory_events_) buffer_memory_event(Kind::VarWrite, owner->id(), atom_of(ip), ip->line);
   *slot = r[ip->a];
 }
@@ -972,16 +963,13 @@ TypeofVar: {
 GetNamed:
   r[ip->a] = get_named(r[ip->b], member_of(ip), env);
   NEXT();
-#define JSCERES_GET_METHOD()                                                       \
-  {                                                                                \
-    Value callee = get_named(r[ip->b], member_of(ip), env);                        \
-    if (!callee.is_object() || !callee.as_object()->is_function()) {               \
-      throw_error("TypeError", member_of(ip).property.str() + " is not a function"); \
-    }                                                                              \
-    r[ip->a] = std::move(callee);                                                  \
+GetMethod: {
+  Value callee = get_named(r[ip->b], member_of(ip), env);
+  if (!callee.is_object() || !callee.as_object()->is_function()) {
+    throw_error("TypeError", member_of(ip).property.str() + " is not a function");
   }
-GetMethod:
-  JSCERES_GET_METHOD();
+  r[ip->a] = std::move(callee);
+}
   NEXT();
 
 GetElem: {
@@ -1083,28 +1071,26 @@ DeleteProp: {
   NEXT();
 
   // --- operators ---
-#define JSCERES_ARITH_BODY(op, expr)                                               \
-  if (r[ip->b].is_number() && r[ip->c].is_number()) {                              \
-    const double a = r[ip->b].as_number();                                         \
-    const double b = r[ip->c].as_number();                                         \
-    r[ip->a] = expr;                                                                \
-  } else {                                                                          \
-    r[ip->a] = apply_binary(js::BinaryOp::op, r[ip->b], r[ip->c], ip->line);       \
-  }
-#define JSCERES_ARITH(name, op, expr) \
-  name:                               \
-  JSCERES_ARITH_BODY(op, expr)        \
+#define JSCERES_ARITH(op, expr)                                                  \
+  op:                                                                            \
+  if (r[ip->b].is_number() && r[ip->c].is_number()) {                            \
+    const double a = r[ip->b].as_number();                                       \
+    const double b = r[ip->c].as_number();                                       \
+    r[ip->a] = expr;                                                              \
+  } else {                                                                        \
+    r[ip->a] = apply_binary(js::BinaryOp::op, r[ip->b], r[ip->c], ip->line);     \
+  }                                                                               \
   NEXT();
-  JSCERES_ARITH(Add, Add, Value::number(a + b))
-  JSCERES_ARITH(Sub, Sub, Value::number(a - b))
-  JSCERES_ARITH(Mul, Mul, Value::number(a * b))
-  JSCERES_ARITH(Div, Div, Value::number(a / b))
-  JSCERES_ARITH(Lt, Lt, Value::boolean(a < b))
-  JSCERES_ARITH(Gt, Gt, Value::boolean(a > b))
-  JSCERES_ARITH(Le, Le, Value::boolean(a <= b))
-  JSCERES_ARITH(Ge, Ge, Value::boolean(a >= b))
-  JSCERES_ARITH(StrictEq, StrictEq, Value::boolean(a == b))
-  JSCERES_ARITH(StrictNe, StrictNe, Value::boolean(a != b))
+  JSCERES_ARITH(Add, Value::number(a + b))
+  JSCERES_ARITH(Sub, Value::number(a - b))
+  JSCERES_ARITH(Mul, Value::number(a * b))
+  JSCERES_ARITH(Div, Value::number(a / b))
+  JSCERES_ARITH(Lt, Value::boolean(a < b))
+  JSCERES_ARITH(Gt, Value::boolean(a > b))
+  JSCERES_ARITH(Le, Value::boolean(a <= b))
+  JSCERES_ARITH(Ge, Value::boolean(a >= b))
+  JSCERES_ARITH(StrictEq, Value::boolean(a == b))
+  JSCERES_ARITH(StrictNe, Value::boolean(a != b))
 #undef JSCERES_ARITH
 Binary:
   r[ip->a] = apply_binary(js::BinaryOp(ip->x), r[ip->b], r[ip->c], ip->line);
@@ -1265,22 +1251,6 @@ NewThis: {
 }
   NEXT();
 
-  // --- pairs (see the compiler's kPairs) ---
-#define JSCERES_PAIR(name, first, second) \
-  name:                                   \
-  first;                                  \
-  JSCERES_THEN(second);
-  JSCERES_PAIR(GetLocalGetLocal, JSCERES_GET_LOCAL(), GetLocal)
-  JSCERES_PAIR(GetLocalGetNamed, JSCERES_GET_LOCAL(), GetNamed)
-  JSCERES_PAIR(GetLocalLoadNum, JSCERES_GET_LOCAL(), LoadNum)
-  JSCERES_PAIR(GetLocalMul, JSCERES_GET_LOCAL(), Mul)
-  JSCERES_PAIR(SetLocalGetLocal, JSCERES_SET_LOCAL(), GetLocal)
-  JSCERES_PAIR(LoadNumAdd, r[ip->a] = Value::number(ip->num), Add)
-  JSCERES_PAIR(GetGlobalGetMethod, JSCERES_GET_GLOBAL(), GetMethod)
-  JSCERES_PAIR(MulAdd, JSCERES_ARITH_BODY(Mul, Value::number(a * b)), Add)
-  JSCERES_PAIR(GetMethodArgs, JSCERES_GET_METHOD(), Args)
-#undef JSCERES_PAIR
-#undef JSCERES_ARITH_BODY
 
   // --- loops: the instrumented events the whole study hangs off ---
 LoopEnter:
@@ -1331,11 +1301,6 @@ ForInNext: {
   NEXT();
 }
 
-#undef JSCERES_THEN
-#undef JSCERES_GET_METHOD
-#undef JSCERES_GET_GLOBAL
-#undef JSCERES_SET_LOCAL
-#undef JSCERES_GET_LOCAL
 #undef JUMP
 #undef NEXT
 #undef JSCERES_DISPATCH

@@ -458,7 +458,7 @@ class Interpreter {
   JSObject* string_proto_ = nullptr;
   JSObject* function_proto_ = nullptr;
 
-  // Per-interpreter caches indexed by the ids resolve_scopes assigned to
+  // Per-interpreter caches indexed by the ids the compiler assigned to
   // the program's AST (the AST itself stays immutable and shareable).
   std::vector<ReadIC> read_ics_;
   std::vector<WriteIC> write_ics_;
@@ -471,7 +471,9 @@ class Interpreter {
 
   /// Reused argument storage for calls (see ArgStack).
   ArgStack arg_stack_;
-  /// The VM's register windows: engine state, so never charged.
+  /// The VM's register windows: engine state, charged only for a window
+  /// wider than a segment (more than 64 registers: a call with ~60
+  /// arguments), which no study app nor corpus program needs.
   ArgStack registers_{false};
   /// Keys of the running for-in loops, outermost first.
   std::vector<Value> forin_keys_;

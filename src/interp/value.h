@@ -51,7 +51,9 @@ class Value {
     other.kind_ = Kind::Undefined;
     other.counted_ = false;
   }
-  Value& operator=(const Value& other) {
+  // Always inlined: the VM's handlers assign registers on every step, and
+  // its dispatch function is too large for the inliner's own judgement.
+  [[gnu::always_inline]] Value& operator=(const Value& other) {
     if (other.counted_) ++other.counted()->refs;  // first: other may be *this
     if (counted_) release();
     bits_ = other.bits_;
@@ -59,7 +61,7 @@ class Value {
     counted_ = other.counted_;
     return *this;
   }
-  Value& operator=(Value&& other) noexcept {
+  [[gnu::always_inline]] Value& operator=(Value&& other) noexcept {
     if (this != &other) {
       if (counted_) release();
       bits_ = other.bits_;

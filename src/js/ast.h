@@ -132,16 +132,15 @@ struct NullLit : Expr {
   NullLit() : Expr(NodeKind::NullLit) {}
 };
 
-/// Static resolution of one identifier reference, filled in by
-/// `resolve_scopes` after parsing. `hops >= 0` means the binding lives in a
+/// Static resolution of one identifier reference, filled in when the
+/// program is compiled (interp::compile, on its first run). `hops >= 0` means the binding lives in a
 /// statically known activation: walk `hops` environments up the chain and
 /// index `slot` directly — no name hashing at all. `hops < 0` means the name
 /// resolves to the global object (or is late-bound); `ref_id` then indexes a
 /// per-interpreter cache of resolved global slot indices, so even globals pay
 /// the hash lookup only once per program point.
-/// SlotRef::ref_id / Member::ic_id of a node resolve_scopes has not seen
-/// yet (e.g. freshly synthesized by an AST rewriter, which must resolve
-/// the program again before it runs).
+/// SlotRef::ref_id / Member::ic_id of a node not compiled yet (the
+/// compile after an AST rewrite assigns them again).
 inline constexpr std::uint32_t kNoCacheId = 0xffffffffu;
 
 struct SlotRef {
@@ -172,8 +171,8 @@ struct ObjectLit : Expr {
 
 struct FunctionExpr;  // below, shares FunctionNode
 
-/// Pre-computed activation layout of a function scope, filled in by
-/// `resolve_scopes` from the same declaration simulation that assigns
+/// Pre-computed activation layout of a function scope, filled in by the
+/// compiler from the same declaration simulation that assigns
 /// (hops, slot) coordinates. The interpreter stamps a fresh activation from
 /// this template — one array copy — instead of re-running the
 /// per-name declare scan (params, hoisted vars, hoisted functions) on every
@@ -181,7 +180,7 @@ struct FunctionExpr;  // below, shares FunctionNode
 /// say where parameter i / hoisted function j land (duplicates share their
 /// first slot, mirroring Environment::declare).
 struct ActivationLayout {
-  /// Provenance of each slot's entry value, proved by the resolver's
+  /// Provenance of each slot's entry value, proved by the compiler's
   /// declaration simulation. Param and Fn slots are written at function
   /// entry strictly before any body statement can read them — so stamping
   /// an activation can materialize their entry value directly and skip the
@@ -221,15 +220,14 @@ struct FunctionNode {
   StmtPtr body = nullptr;  // always a Block
   int fn_id = 0;
   int line = 0;
-  /// Activation template (null on ASTs synthesized without resolve_scopes;
-  /// the interpreter then falls back to the per-call declare scan).
+  /// Activation template, built by the compiler (null until then).
   const ActivationLayout* layout = nullptr;
-  /// Set by resolve_scopes when the body contains no function, so no
+  /// Set by the compiler when the body contains no function, so no
   /// closure can capture the activation: the interpreter reuses it once
   /// the call exits.
   bool recyclable_activation = false;
   /// Index of this function's code in interp::Bytecode::functions
-  /// (assigned by resolve_scopes).
+  /// (assigned by the compiler).
   std::uint32_t code_index = 0;
 };
 
@@ -257,7 +255,7 @@ struct Member : Expr {
   ExprPtr index = nullptr;  // used when computed
   bool computed = false;
   /// Index of this access site's inline cache in the interpreter's IC table
-  /// (assigned by resolve_scopes to every non-computed member).
+  /// (assigned by the compiler to every non-computed member).
   std::uint32_t ic_id = kNoCacheId;
 };
 
@@ -409,7 +407,7 @@ struct TryCatch : Stmt {
   Atom catch_param;
   StmtPtr catch_block = nullptr;  // may be null when only finally is present
   StmtPtr finally_block = nullptr;  // may be null
-  /// Set by resolve_scopes when the catch block contains no function, so
+  /// Set by the compiler when the catch block contains no function, so
   /// no closure can capture its scope (see FunctionNode).
   bool recyclable_catch_scope = false;
 };
@@ -553,14 +551,6 @@ std::string induction_variable_of(const LoopSite& site);
 
 const char* loop_kind_name(LoopKind kind);
 
-/// One-pass static scope resolution: annotates every identifier reference
-/// (Ident, VarDecl declarator, ForIn loop variable) with a (hops, slot)
-/// coordinate when the binding's activation layout is statically known, and
-/// assigns global-cache / inline-cache ids. `parse` calls this automatically;
-/// AST-rewriting tools (js/refactor) must call it again after mutating a
-/// program. Idempotent.
-void resolve_scopes(class Program& program);
-
 /// What a Program's copies share: the AST, the loop table, the top-level
 /// hoisting information (top-level `var`s become globals), and the
 /// program's universe — the atom space every name of its parse and runs is
@@ -586,14 +576,14 @@ struct ProgramBody {
   std::vector<LoopSite> loops;        // indexed by loop_id - 1
   std::vector<std::string> fn_names;  // indexed by fn_id - 1
   std::string source_name;
-  /// Sizes of the per-interpreter caches (filled by resolve_scopes).
+  std::uint32_t node_count = 0;  // AST nodes the parser made (sizes the bytecode)
+  /// Sizes of the per-interpreter caches (filled by the compiler).
   std::uint32_t global_ref_count = 0;  // SlotRef::ref_id domain
   std::uint32_t ic_count = 0;          // Member::ic_id domain
   std::uint32_t function_count = 0;    // FunctionNode::code_index domain
-  std::uint32_t node_count = 0;        // AST nodes (sizes the bytecode)
-  /// The body's bytecode (interp::bytecode_of): compiled on first use,
-  /// freed with the body, and dropped by Program::mut(), since a rewrite
-  /// invalidates it.
+  /// The body's bytecode (interp::bytecode_of): compiled, and the AST's
+  /// scopes resolved, on first use; freed with the body, and dropped by
+  /// Program::mut(), since a rewrite invalidates it.
   mutable std::atomic<const interp::Bytecode*> bytecode{nullptr};
   mutable std::mutex bytecode_mutex;
 
@@ -642,8 +632,9 @@ struct ProgramBody {
 /// ProgramBody, freed when the last copy goes. Every Interpreter and
 /// DependenceAnalyzer keeps a copy, so a program lives as long as anything
 /// that runs it. A default-constructed Program is the empty program. Only
-/// the parser, the resolver and js/refactor mutate the body, and only while
-/// their handle is its only one.
+/// the parser and js/refactor mutate the body, and only while their handle
+/// is its only one; the compiler writes its resolution into the AST once,
+/// under the body's mutex, before anything reads it.
 class Program {
  public:
   Program();
@@ -654,7 +645,6 @@ class Program {
  private:
   friend Program parse(std::string_view source, std::string source_name,
                        const EngineLimits& limits);
-  friend void resolve_scopes(Program& program);
   friend RefactorReport to_functional(Program& program);
   explicit Program(std::size_t source_bytes);
   /// The body, for the three friends; throws std::logic_error when another

@@ -1,6 +1,7 @@
 #include "js/parser.h"
 
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "js/lexer.h"
@@ -64,6 +65,7 @@ class Parser {
 
   template <class T>
   T* make() {
+    if constexpr (std::is_base_of_v<Node, T>) ++program_.node_count;
     return program_.make<T>();
   }
 
@@ -817,7 +819,6 @@ Program parse(std::string_view source, std::string source_name,
   ProgramBody& body = program.mut();
   body.source_name = std::move(source_name);
   Parser(lex(source, body.atoms, limits), body, max_depth).run();
-  resolve_scopes(program);
   return program;
 }
 

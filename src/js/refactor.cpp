@@ -578,10 +578,10 @@ class Rewriter {
 
 RefactorReport to_functional(Program& program) {
   RefactorReport report;
+  // The rewrite moves loop bodies into fresh callback functions, which
+  // changes every (hops, slot) coordinate inside them: mut() drops the
+  // compiled code, and the next run compiles and resolves the new AST.
   Rewriter(program.mut(), report).run();
-  // The rewrite moved loop bodies into fresh callback functions, which
-  // changes every (hops, slot) coordinate inside them — re-annotate.
-  resolve_scopes(program);
   report.source = print(program);
   return report;
 }

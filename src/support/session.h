@@ -28,8 +28,11 @@ struct SessionSandbox {
   EngineLimits limits;
   std::int64_t max_ticks = 0;  // <=0: no tick budget
   CancelToken cancel;
-  /// An extra observer after the mode's hooks (the engine corpus records
-  /// the hook stream through it); nullptr: none. Must outlive the session.
+  /// Test-only, not a supported option: an extra hook after the mode's,
+  /// through which tests/test_engine_corpus records the hook stream. It
+  /// changes which dispatch path the mode's hooks take (mode 0 gets one
+  /// hook instead of none), so no production caller sets it. nullptr: none;
+  /// otherwise it must outlive the session.
   interp::ExecutionHooks* observer = nullptr;
 };
 

@@ -578,6 +578,20 @@ TEST(SlotResolution, HoistedFunctionInsideCatchIgnoresCatchScope) {
       3);
 }
 
+TEST(SlotResolution, FunctionDeclaredInsideCatchClosesOverTheFunctionScope) {
+  // Declared inside the catch block, still hoisted: the catch parameter
+  // shadows nothing the function sees.
+  EXPECT_DOUBLE_EQ(
+      run_number("function f() {\n"
+                 "  var x = 3;\n"
+                 "  var g;\n"
+                 "  try { throw 5; } catch (x) { function h() { return x; } g = h; }\n"
+                 "  return g();\n"
+                 "}\n"
+                 "var result = f();"),
+      3);
+}
+
 TEST(SlotResolution, GlobalCreatedAfterFirstMissIsFound) {
   // The per-site global cache must not pin a "not defined" verdict: the
   // binding appears between two executions of the same read site.

@@ -131,6 +131,47 @@ TEST(RuntimeLimits, UnboundedAllocationLoopTripsMemoryCeiling) {
   EXPECT_LE(interp.ledger().peak(), 1u << 20);
 }
 
+/// "f(0, 1, ..., n - 1)" calling Math.max, so every argument is read.
+std::string max_call(int n) {
+  std::string source = "console.log(Math.max(0";
+  for (int i = 1; i < n; ++i) source += "," + std::to_string(i);
+  return source + "));";
+}
+
+TEST(RuntimeLimits, HugeArgumentListIsRefusedRecoverably) {
+  // Registers are 16-bit: a call with 70,000 arguments (a ~400 KB source,
+  // within a wire request) must be refused, not wrap the register index.
+  const js::Program program = js::parse(max_call(70000));
+  VirtualClock clock;
+  try {
+    interp::Interpreter interp(program, clock);
+    FAIL() << "expected EngineError";
+  } catch (const interp::EngineError& e) {
+    EXPECT_NE(std::string(e.what()).find("registers"), std::string::npos);
+  }
+  // Just under the limit, every argument arrives intact.
+  interp::Interpreter interp(js::parse(max_call(65000)), clock);
+  interp.run();
+  EXPECT_EQ(interp.console_output(), "64999\n");
+  EXPECT_EQ(interp.debug_arg_stack_in_use(), 0u);
+}
+
+TEST(RuntimeLimits, WideRegisterWindowsAreCharged) {
+  // A register window wider than a segment is charged: recursion through
+  // a 1000-argument call holds 40 windows of ~1000 registers each.
+  std::string call = "Math.max(0";
+  for (int i = 1; i < 1000; ++i) call += ",0";
+  const std::string source = "function g(n) { if (n == 0) { return 0; } var m = " + call +
+                             "); return g(n - 1) + m; }\nvar r = g(40);";
+  VirtualClock clock;
+  interp::Interpreter interp(js::parse(source), clock);
+  interp.run();
+  EXPECT_GE(interp.ledger().peak(), 40u * 1000u * sizeof(interp::Value));
+  interp::Interpreter capped(js::parse(source), clock, nullptr, limited(256u << 10));
+  EXPECT_THROW(capped.run(), interp::EngineError);
+  EXPECT_EQ(capped.debug_arg_stack_in_use(), 0u);
+}
+
 TEST(RuntimeLimits, RunawayLoopTripsTickBudget) {
   VirtualClock clock;
   interp::Interpreter interp(js::parse("while (true) { }"), clock, nullptr, limited(0, 100000));
