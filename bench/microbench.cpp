@@ -135,7 +135,7 @@ BENCHMARK(BM_InterpretCalls);
 
 // Call-dominated with a wide activation: 2 params + 10 hoisted vars per
 // call. The per-call declare scan is quadratic in the name count, which is
-// what the resolver's activation-layout template (stamped name vector +
+// what the compiler's activation-layout template (stamped name vector +
 // direct slot stores) removes.
 void BM_InterpretCallsLocals(benchmark::State& state) {
   const js::Program program = js::parse(

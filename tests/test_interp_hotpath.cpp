@@ -36,8 +36,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Polymorphic inline-cache state machine. The probe programs have exactly
-// one named member site, so its cache id is 0 (the resolver assigns ids in
-// AST traversal order).
+// one named member site, so its cache id is 0 (the compiler assigns ids in
+// evaluation order).
 // ---------------------------------------------------------------------------
 
 JSObject* object_with_keys(Interpreter& interp, std::initializer_list<const char*> keys) {
