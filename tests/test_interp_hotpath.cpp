@@ -737,6 +737,35 @@ TEST(ProgramLifetime, TheBytecodeIsCompiledOnceAndChargedToNoSession) {
   EXPECT_EQ(compiled_by_run->bytecode.load(), code);
 }
 
+TEST(ProgramLifetime, ConcurrentFirstRunsCompileAndResolveOnce) {
+  // The first run of a parse resolves its scopes into the AST while it
+  // compiles; interpreters starting on other threads at the same moment
+  // wait for that and read the finished AST (run under TSan in CI).
+  const js::Program program = js::parse(
+      "var o = {k: 2};\n"
+      "function f(a) { var s = 0; for (var i = 0; i < a; i++) { s += i * o.k; } return s; }\n"
+      "try { throw 3; } catch (e) { var g = function () { return e; }; }\n"
+      "var total = f(10) + g();\n");
+  constexpr int kThreads = 4;
+  std::vector<double> totals(kThreads);
+  std::vector<const interp::Bytecode*> codes(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      VirtualClock clock;
+      Interpreter interp(program, clock);
+      interp.run();
+      totals[t] = interp.global("total").as_number();
+      codes[t] = program->bytecode.load();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_DOUBLE_EQ(totals[t], 93);
+    EXPECT_EQ(codes[t], codes[0]);
+  }
+}
+
 TEST(ProgramLifetime, InterpreterRunsAfterItsCallerDropsTheProgram) {
   std::optional<js::Program> program =
       js::parse("var o = {a: 1}; o['b'] = 2; var total = o.a + o.b;");
